@@ -111,12 +111,17 @@ class SynthSpec:
             raise ValueError("separation must be > 0")
 
 
-def standardize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Apply ``(x - mean)/sqrt(var + eps) * gamma + beta`` along the last axis."""
+def unit_rows(x: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Apply ``(x - mean)/sqrt(var + eps)`` along the last axis, without the affine."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != stats.d:
         raise ValueError(f"dimension mismatch: features d={x.shape[-1]}, stats d={stats.d}")
-    return (x - stats.mean) / np.sqrt(stats.var + VAR_EPS) * stats.gamma + stats.beta
+    return (x - stats.mean) / np.sqrt(stats.var + VAR_EPS)
+
+
+def standardize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Apply ``(x - mean)/sqrt(var + eps) * gamma + beta`` along the last axis."""
+    return unit_rows(x, stats) * stats.gamma + stats.beta
 
 
 def fit_standardizer(features: EmbeddingMatrix, momentum: float = 0.0) -> NormStats:

@@ -13,10 +13,18 @@ Heads share a single learnable standardizer affine (gamma, beta) whose
 gradient is averaged over heads; every other parameter is head-private, so
 training H heads is equivalent to training them independently on the same
 batch stream (head-specific RNG streams drive neighbor draws).
+
+The arithmetic runs as BLAS matrix products on the unit-standardized rows
+``u = (z - mean) / sqrt(var + eps)``.  The shared affine is folded into each
+head, ``W (gamma*u + beta) + b = (W*gamma) u + (W beta + b)``, so no
+standardized copy of a batch is ever made: logits of all H heads on shared
+rows are one ``(n, d) @ (d, H*C)`` GEMM, and logits of each head on its own
+neighbor rows are one batched ``(H, B, d) @ (H, d, C)`` matmul.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -24,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LoadError, TrainingError
-from .featstore import VAR_EPS, EmbeddingMatrix, NormStats, standardize_array
+from .featstore import VAR_EPS, EmbeddingMatrix, NormStats, unit_rows
 from .labeling import Labeling
 from .neighbors import NeighborSets
 
@@ -113,24 +121,48 @@ class TrainReport:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax along the last axis, guarded against overflow."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _fold(weight, bias, gamma, beta_shift):
+    """Fold the shared affine into heads (..., C, d): (W*gamma, W beta + b)."""
+    return weight * gamma, weight @ beta_shift + bias
+
+
+def _shared_logits(w_fold, b_fold, u):
+    """Logits (H, n, C) of every folded head on shared rows u (n, d).
+
+    One (n, d) @ (d, H*C) GEMM; the result is a transposed view of the
+    (n, H, C) product.
+    """
+    a = np.tensordot(u, w_fold, axes=(1, 2))
+    a += b_fold
+    return a.transpose(1, 0, 2)
+
+
+def _own_logits(w_fold, b_fold, u_own):
+    """Logits (H, n, C) of folded head h on its own rows u_own[h] (H, n, d)."""
+    a = np.matmul(u_own, w_fold.transpose(0, 2, 1))
+    a += b_fold[:, None, :]
+    return a
 
 
 def head_forward(params: HeadParams, z: np.ndarray, tau: float) -> np.ndarray:
     """softmax((W . standardize(z) + b) / tau) for one vector or a batch."""
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    s = standardize_array(np.atleast_2d(z), params.norm)
+    norm = params.norm
+    u = unit_rows(z, norm)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = s @ params.weight.T + params.bias
+        folded = _fold(params.weight[None], params.bias[None], norm.gamma, norm.beta)
+        logits = _shared_logits(*folded, u.reshape(-1, norm.d))[0]
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite head logits")
-    probs = softmax(logits / tau)
-    return probs[0] if single else probs
+    logits /= tau
+    return softmax(logits).reshape(u.shape[:-1] + (params.bias.size,))
 
 
 def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
@@ -262,19 +294,27 @@ def composite_loss_and_grads(
     (``qt_xp`` already smoothed when several neighbors are drawn), and the
     clamped class marginal (H, C).
 
+    The affine is folded into the heads, so the forward pass is one
+    (B, d) @ (d, H*C) GEMM for the anchors and one batched matmul for the
+    neighbors.  The backward pass contracts the logit gradients ``da``
+    against the unit rows, ``G = sum_b da (x) u`` (one GEMM per side), and
+    unfolds: ``d_weight = G*gamma + d_bias (x) beta``, ``d_gamma =
+    sum_{h,c} W*G / H`` and ``d_beta_shift = sum_h d_bias_h . W_h / H``.
+
     Returns (per-head mean losses (H,), grads) where grads holds ``weight``
     (H, C, d), ``bias`` (H, C) from each head's own loss, and ``gamma``/
     ``beta_shift`` (d,) averaged over heads.
     """
-    h_count, c_count, _ = weight.shape
+    h_count, c_count, d = weight.shape
     b_count = u_x.shape[0]
 
-    s_x = u_x * gamma + beta_shift  # (B, d)
-    s_xp = u_xp * gamma + beta_shift  # (H, B, d)
-    a_x = np.einsum("hcd,bd->hbc", weight, s_x) + bias[:, None, :]
-    a_xp = np.einsum("hcd,hbd->hbc", weight, s_xp) + bias[:, None, :]
-    qs_x = softmax(a_x / tau_student)
-    qs_xp = softmax(a_xp / tau_student)
+    w_fold, b_fold = _fold(weight, bias, gamma, beta_shift)
+    a_x = _shared_logits(w_fold, b_fold, u_x)  # (H, B, C)
+    a_xp = _own_logits(w_fold, b_fold, u_xp)
+    a_x /= tau_student
+    a_xp /= tau_student
+    qs_x = softmax(a_x)
+    qs_xp = softmax(a_xp)
 
     w = np.sum(qt_x * qt_xp, axis=-1)  # (H, B)
     pm = marginal[:, None, :]
@@ -305,12 +345,12 @@ def composite_loss_and_grads(
     da_x = dg_x * scale
     da_xp = dg_xp * scale
 
-    d_weight = np.einsum("hbc,bd->hcd", da_x, s_x) + np.einsum("hbc,hbd->hcd", da_xp, s_xp)
+    g = np.tensordot(da_x, u_x, axes=(1, 0))  # (H, C, d)
+    g += np.matmul(da_xp.transpose(0, 2, 1), u_xp)
     d_bias = da_x.sum(axis=1) + da_xp.sum(axis=1)
-    ds_x = np.einsum("hcd,hbc->hbd", weight, da_x)
-    ds_xp = np.einsum("hcd,hbc->hbd", weight, da_xp)
-    d_gamma = (np.einsum("hbd,bd->d", ds_x, u_x) + np.einsum("hbd,hbd->d", ds_xp, u_xp)) / h_count
-    d_beta_shift = (ds_x.sum(axis=(0, 1)) + ds_xp.sum(axis=(0, 1))) / h_count
+    d_weight = g * gamma + d_bias[..., None] * beta_shift
+    d_gamma = (weight * g).sum(axis=(0, 1)) / h_count
+    d_beta_shift = d_bias.reshape(-1) @ weight.reshape(-1, d) / h_count
 
     grads = {
         "weight": d_weight,
@@ -319,6 +359,39 @@ def composite_loss_and_grads(
         "beta_shift": d_beta_shift,
     }
     return losses, grads
+
+
+def teacher_targets(
+    weight: np.ndarray,
+    bias: np.ndarray,
+    gamma: np.ndarray,
+    beta_shift: np.ndarray,
+    u_x: np.ndarray,
+    u_nb: np.ndarray,
+    *,
+    tau: float,
+    sk_iters: int,
+):
+    """Sinkhorn-Knopp-centered teacher outputs for anchors and neighbors.
+
+    ``u_x`` (B, d) holds the unit anchor rows and ``u_nb`` (H, B, m, d) each
+    head's m drawn neighbor rows.  Per head, the B anchors and B*m neighbors
+    are centered as one batch.  Returns ``qt_x`` (H, B, C) and ``qt_xp``
+    (H, B, C), the mean over the m neighbors.
+    """
+    h_count, b_count, m_draws, d = u_nb.shape
+    w_fold, b_fold = _fold(weight, bias, gamma, beta_shift)
+    stacked = np.concatenate(
+        [
+            _shared_logits(w_fold, b_fold, u_x),
+            _own_logits(w_fold, b_fold, u_nb.reshape(h_count, b_count * m_draws, d)),
+        ],
+        axis=1,
+    )
+    qt_all = sinkhorn_knopp(stacked / tau, sk_iters)
+    qt_x = qt_all[:, :b_count]
+    qt_xp = qt_all[:, b_count:].reshape(h_count, b_count, m_draws, -1).mean(axis=2)
+    return qt_x, qt_xp
 
 
 class _AdamW:
@@ -458,7 +531,7 @@ def train_heads(
     mean = features.data.mean(axis=0)
     var = np.maximum(features.data.var(axis=0), VAR_EPS)
     bank = _init_bank(cfg, mean, var, init_rng)
-    u = (features.data - mean) / np.sqrt(var + VAR_EPS)
+    u = unit_rows(features.data, bank._norm(bank.student_gamma, bank.student_beta))
 
     offsets, flat = sets.to_csr()
     h_count = cfg.num_heads
@@ -493,35 +566,26 @@ def train_heads(
             # numeric warnings are silenced because the finite check below
             # turns any divergence into a TrainingError
             lam = lambda_schedule(global_step, total_steps, cfg.lambda_max)
+            u_x = u[batch]
+            u_nb = u[nbr]  # (H, B, m, d); the student sees the first draw
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                s_t_x = u[batch] * bank.teacher_gamma + bank.teacher_beta
-                s_t_nb = u[nbr] * bank.teacher_gamma + bank.teacher_beta  # (H,B,m,d)
-                t_logits_x = (
-                    np.einsum("hcd,bd->hbc", bank.teacher_w, s_t_x)
-                    + bank.teacher_b[:, None, :]
-                )
-                t_logits_nb = (
-                    np.einsum("hcd,hbmd->hbmc", bank.teacher_w, s_t_nb)
-                    + bank.teacher_b[:, None, None, :]
-                )
-                stacked = np.concatenate(
-                    [t_logits_x, t_logits_nb.reshape(h_count, b_count * m_draws, -1)],
-                    axis=1,
-                )
-                qt_all = sinkhorn_knopp(stacked / cfg.tau_teacher, cfg.sk_iters)
-                qt_x = qt_all[:, :b_count]
-                qt_nb = (
-                    qt_all[:, b_count:]
-                    .reshape(h_count, b_count, m_draws, -1)
-                    .mean(axis=2)
+                qt_x, qt_nb = teacher_targets(
+                    bank.teacher_w,
+                    bank.teacher_b,
+                    bank.teacher_gamma,
+                    bank.teacher_beta,
+                    u_x,
+                    u_nb,
+                    tau=cfg.tau_teacher,
+                    sk_iters=cfg.sk_iters,
                 )
                 losses, grads = composite_loss_and_grads(
                     bank.student_w,
                     bank.student_b,
                     bank.student_gamma,
                     bank.student_beta,
-                    u[batch],
-                    u[nbr[:, :, 0]],
+                    u_x,
+                    u_nb[:, :, 0],
                     qt_x,
                     qt_nb,
                     np.maximum(bank.marginal, MARGINAL_FLOOR),
@@ -641,46 +705,52 @@ def save_head_bank(bank: HeadBank, path) -> None:
 
 
 def load_head_bank(path) -> HeadBank:
+    """Read an ``HDB1`` checkpoint; any malformed file raises ``LoadError``.
+
+    Declared sizes are checked against the bytes actually present before
+    anything is allocated.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def take(count: int) -> bytes:
+            if count > size - f.tell():
+                raise LoadError(f"{path}: truncated checkpoint")
+            return f.read(count)
+
         if f.read(4) != HEADBANK_MAGIC:
             raise LoadError(f"{path}: not a head-bank checkpoint")
-        (cfg_len,) = struct.unpack("<I", f.read(4))
-        cfg = config_from_text(f.read(cfg_len).decode("utf-8"))
-        h, c, d = struct.unpack("<III", f.read(12))
+        (cfg_len,) = struct.unpack("<I", take(4))
+        try:
+            cfg = config_from_text(take(cfg_len).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8, numbers or config values
+            raise LoadError(f"{path}: malformed checkpoint config: {exc}") from None
+        h, c, d = struct.unpack("<III", take(12))
+        per_head = 2 * c * d + 3 * c
+        payload = 8 * (6 * d + h * per_head)
+        if size - f.tell() != payload:
+            raise LoadError(
+                f"{path}: header declares {payload} payload bytes, file holds {size - f.tell()}"
+            )
+        values = np.frombuffer(f.read(payload), dtype="<f8")
+    shared = values[: 6 * d].reshape(6, d).astype(np.float64)
+    rows = values[6 * d :].reshape(h, per_head)
+    cd = c * d
 
-        def read(*shape):
-            count = int(np.prod(shape))
-            raw = f.read(8 * count)
-            if len(raw) != 8 * count:
-                raise LoadError(f"{path}: truncated checkpoint payload")
-            return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    def block(lo: int, hi: int, *shape) -> np.ndarray:
+        return rows[:, lo:hi].reshape(h, *shape).astype(np.float64)
 
-        mean, var = read(d), read(d)
-        s_gamma, s_beta, t_gamma, t_beta = read(d), read(d), read(d), read(d)
-        s_w = np.empty((h, c, d))
-        s_b = np.empty((h, c))
-        t_w = np.empty((h, c, d))
-        t_b = np.empty((h, c))
-        marg = np.empty((h, c))
-        for i in range(h):
-            s_w[i] = read(c, d)
-            s_b[i] = read(c)
-            t_w[i] = read(c, d)
-            t_b[i] = read(c)
-            marg[i] = read(c)
-        if f.read(1):
-            raise LoadError(f"{path}: trailing bytes in checkpoint")
     return HeadBank(
         config=cfg,
-        mean=mean,
-        var=var,
-        student_w=s_w,
-        student_b=s_b,
-        student_gamma=s_gamma,
-        student_beta=s_beta,
-        teacher_w=t_w,
-        teacher_b=t_b,
-        teacher_gamma=t_gamma,
-        teacher_beta=t_beta,
-        marginal=marg,
+        mean=shared[0],
+        var=shared[1],
+        student_w=block(0, cd, c, d),
+        student_b=block(cd, cd + c, c),
+        student_gamma=shared[2],
+        student_beta=shared[3],
+        teacher_w=block(cd + c, 2 * cd + c, c, d),
+        teacher_b=block(2 * cd + c, 2 * cd + 2 * c, c),
+        teacher_gamma=shared[4],
+        teacher_beta=shared[5],
+        marginal=block(2 * cd + 2 * c, per_head, c),
     )

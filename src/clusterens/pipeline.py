@@ -48,6 +48,11 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _float_list(values) -> str:
+    """Comma-separated full-precision floats for one machine-block value."""
+    return ",".join(repr(float(v)) for v in values)
+
+
 def render_report(human_lines, machine: dict) -> str:
     lines = list(human_lines)
     lines.append("")
@@ -237,6 +242,8 @@ def train_stage(
         "best_head_loss": float(report.per_head_loss[report.best_head]),
         "checkpoint": str(out_dir / "checkpoint.hdb"),
         "labelings_dir": str(lab_dir),
+        "loss_mean_by_epoch": _float_list(report.epoch_mean_loss.mean(axis=1)),
+        "best_head_loss_by_epoch": _float_list(report.epoch_mean_loss[:, report.best_head]),
     }
     if labels is not None:
         m = evaluate(report.per_head_labeling[report.best_head], labels)

@@ -122,6 +122,15 @@ class TestPipeline:
         assert manifest.stage("ensemble").metrics["acc"] >= 0.9
         assert manifest.stage("selftrain").metrics["acc"] >= 0.9
 
+    def test_train_report_has_loss_trajectory(self, pipeline_run):
+        _, _, cfg, out_dir, _ = pipeline_run
+        block = read_machine_block((out_dir / "train_report.txt").read_text())
+        mean = [float(v) for v in block["loss_mean_by_epoch"].split(",")]
+        best = [float(v) for v in block["best_head_loss_by_epoch"].split(",")]
+        assert len(mean) == len(best) == cfg.train_config().epochs
+        assert np.all(np.isfinite(mean))
+        assert best[-1] == float(block["best_head_loss"])
+
     def test_output_hashes_match_files(self, pipeline_run):
         from clusterens.pipeline import sha256_file
 
