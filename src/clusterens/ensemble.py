@@ -156,28 +156,16 @@ def anmi(candidate: Labeling, inputs: Sequence[Labeling]) -> float:
     return math.fsum(nmi(candidate, lam) for lam in inputs)
 
 
-def co_association(inputs: Sequence[Labeling], threads: int = 1) -> CoAssociationMatrix:
+def co_association(inputs: Sequence[Labeling]) -> CoAssociationMatrix:
     """Fraction of input labelings placing each pair of samples together."""
     if len(inputs) == 0:
         raise ValueError("need at least one input labeling")
     n = inputs[0].n
     acc = np.zeros((n, n), dtype=np.float64)
-
-    def add(lam: Labeling) -> np.ndarray:
-        return (lam.labels[:, None] == lam.labels[None, :]).astype(np.float64)
-
-    if threads <= 1 or len(inputs) < 2:
-        for lam in inputs:
-            if lam.n != n:
-                raise ValueError("all labelings must cover the same samples")
-            acc += add(lam)
-    else:
-        for lam in inputs:
-            if lam.n != n:
-                raise ValueError("all labelings must cover the same samples")
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for mat in pool.map(add, inputs):
-                acc += mat
+    for lam in inputs:
+        if lam.n != n:
+            raise ValueError("all labelings must cover the same samples")
+        acc += lam.labels[:, None] == lam.labels[None, :]
     acc /= len(inputs)
     np.fill_diagonal(acc, 1.0)
     return CoAssociationMatrix(acc)
@@ -194,7 +182,7 @@ def _average_linkage_cut(distance: np.ndarray, k: int) -> np.ndarray:
     return fcluster(tree, t=min(k, m), criterion="maxclust").astype(np.int64)
 
 
-def cspa(inputs: Sequence[Labeling], k: int, threads: int = 1) -> Labeling:
+def cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     """Consensus by clustering the co-association matrix.
 
     Samples are grouped into k clusters by average-linkage agglomerative
@@ -207,7 +195,7 @@ def cspa(inputs: Sequence[Labeling], k: int, threads: int = 1) -> Labeling:
     n = inputs[0].n
     if k > n:
         raise ValueError(f"k={k} exceeds sample count n={n}")
-    s = co_association(inputs, threads=threads)
+    s = co_association(inputs)
     flat = _average_linkage_cut(1.0 - s.values, k)
     return canonicalize(Labeling(flat))
 
@@ -263,18 +251,8 @@ def supra_consensus(
     Candidates are the CSPA and MCLA results plus any extras, considered in
     that order; ties keep the earliest candidate.
     """
-    if len(inputs) == 0:
-        raise ValueError("need at least one input labeling")
-    candidates = [cspa(inputs, k, threads=threads), mcla(inputs, k)]
-    candidates.extend(extra_candidates)
-    best = None
-    best_score = -np.inf
-    for cand in candidates:
-        score = anmi(cand, inputs)
-        if score > best_score:
-            best = cand
-            best_score = score
-    return best
+    rows, best_idx = supra_consensus_table(inputs, k, extra_candidates, threads=threads)
+    return rows[best_idx][2]
 
 
 def supra_consensus_table(
@@ -292,7 +270,7 @@ def supra_consensus_table(
         extra_names[i] if i < len(extra_names) else f"extra_{i}"
         for i in range(len(extra_candidates))
     ]
-    candidates = [cspa(inputs, k, threads=threads), mcla(inputs, k)]
+    candidates = [cspa(inputs, k), mcla(inputs, k)]
     candidates.extend(extra_candidates)
     grid = nmi_pairwise(candidates, inputs, threads=threads)
     scores = [math.fsum(grid[i]) for i in range(len(candidates))]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import binfmt
 from .errors import LoadError
 from .labeling import Labeling
 
@@ -207,7 +208,7 @@ def load_features(path, format: str = "featpack") -> EmbeddingMatrix:
     float64 working precision, which is lossless).
     """
     if format == "featpack":
-        data = _load_featpack(path)
+        data = binfmt.load(path, FEATPACK_MAGIC, "featpack", _parse_featpack)
     elif format == "csv":
         data = _load_csv(path)
     elif format == "npy":
@@ -233,35 +234,17 @@ def detect_format(path) -> str:
 
 
 def _save_featpack(features: EmbeddingMatrix, path) -> None:
-    with open(path, "wb") as f:
-        f.write(FEATPACK_MAGIC)
-        f.write(struct.pack("<IIB", features.n, features.d, 2))
-        f.write(features.data.astype("<f8").tobytes(order="C"))
+    header = struct.pack("<IIB", features.n, features.d, 2)
+    binfmt.save(path, FEATPACK_MAGIC, header, features.data.astype("<f8"))
 
 
-def _load_featpack(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != FEATPACK_MAGIC:
-            raise LoadError(f"{path}: bad magic {magic!r}, expected {FEATPACK_MAGIC!r}")
-        header = f.read(9)
-        if len(header) != 9:
-            raise LoadError(f"{path}: truncated featpack header")
-        n, d, tag = struct.unpack("<IIB", header)
-        if n < 1 or d < 1:
-            raise LoadError(f"{path}: invalid dimensions {n}x{d} in header")
-        if tag not in _TAG_TO_DTYPE:
-            raise LoadError(f"{path}: unknown dtype tag {tag}")
-        dtype = _TAG_TO_DTYPE[tag]
-        payload = f.read()
-    expected = n * d * dtype.itemsize
-    if len(payload) != expected:
-        got_rows = len(payload) // (d * dtype.itemsize)
-        raise LoadError(
-            f"{path}: payload holds {got_rows} row(s) but header declares {n} "
-            f"({len(payload)} bytes, expected {expected})"
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(n, d).astype(np.float64)
+def _parse_featpack(r: binfmt.Reader) -> np.ndarray:
+    n, d, tag = r.header("IIB")
+    if n < 1 or d < 1:
+        raise ValueError(f"invalid dimensions {n}x{d} in header")
+    if tag not in _TAG_TO_DTYPE:
+        raise ValueError(f"unknown dtype tag {tag}")
+    return r.array(_TAG_TO_DTYPE[tag], n, d).astype(np.float64, copy=False)
 
 
 def _load_csv(path) -> np.ndarray:

@@ -24,14 +24,14 @@ neighbor rows are one batched ``(H, B, d) @ (H, d, C)`` matmul.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import LoadError, TrainingError
+from . import binfmt
+from .errors import TrainingError
 from .featstore import VAR_EPS, EmbeddingMatrix, NormStats, unit_rows
 from .labeling import Labeling
 from .neighbors import NeighborSets
@@ -667,11 +667,11 @@ def config_from_text(text: str) -> TrainConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         if key not in names:
-            raise LoadError(f"unknown train-config key {key!r} in checkpoint")
+            raise ValueError(f"unknown train-config key {key!r}")
         values[key] = int(raw) if key in _INT_FIELDS else float(raw)
     missing = names - values.keys()
     if missing:
-        raise LoadError(f"checkpoint config missing keys: {sorted(missing)}")
+        raise ValueError(f"config missing keys: {sorted(missing)}")
     return TrainConfig(**values)
 
 
@@ -679,63 +679,25 @@ def save_head_bank(bank: HeadBank, path) -> None:
     """Write the ``HDB1`` checkpoint: config echo, shared stats/affine, then
     per-head student/teacher parameters and class marginal (float64 LE)."""
     cfg_bytes = config_to_text(bank.config).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(HEADBANK_MAGIC)
-        f.write(struct.pack("<I", len(cfg_bytes)))
-        f.write(cfg_bytes)
-        f.write(struct.pack("<III", bank.num_heads, bank.num_clusters, bank.dim))
-        for arr in (
-            bank.mean,
-            bank.var,
-            bank.student_gamma,
-            bank.student_beta,
-            bank.teacher_gamma,
-            bank.teacher_beta,
-        ):
-            f.write(np.asarray(arr, dtype="<f8").tobytes())
-        for h in range(bank.num_heads):
-            for arr in (
-                bank.student_w[h],
-                bank.student_b[h],
-                bank.teacher_w[h],
-                bank.teacher_b[h],
-                bank.marginal[h],
-            ):
-                f.write(np.asarray(arr, dtype="<f8").tobytes())
+    h = bank.num_heads
+    shared = np.stack([bank.mean, bank.var, bank.student_gamma, bank.student_beta,
+                       bank.teacher_gamma, bank.teacher_beta])
+    rows = np.concatenate([bank.student_w.reshape(h, -1), bank.student_b,
+                           bank.teacher_w.reshape(h, -1), bank.teacher_b, bank.marginal], axis=1)
+    binfmt.save(
+        path, HEADBANK_MAGIC, struct.pack("<I", len(cfg_bytes)), cfg_bytes,
+        struct.pack("<III", h, bank.num_clusters, bank.dim),
+        shared.astype("<f8"), rows.astype("<f8"),
+    )
 
 
-def load_head_bank(path) -> HeadBank:
-    """Read an ``HDB1`` checkpoint; any malformed file raises ``LoadError``.
-
-    Declared sizes are checked against the bytes actually present before
-    anything is allocated.
-    """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-
-        def take(count: int) -> bytes:
-            if count > size - f.tell():
-                raise LoadError(f"{path}: truncated checkpoint")
-            return f.read(count)
-
-        if f.read(4) != HEADBANK_MAGIC:
-            raise LoadError(f"{path}: not a head-bank checkpoint")
-        (cfg_len,) = struct.unpack("<I", take(4))
-        try:
-            cfg = config_from_text(take(cfg_len).decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8, numbers or config values
-            raise LoadError(f"{path}: malformed checkpoint config: {exc}") from None
-        h, c, d = struct.unpack("<III", take(12))
-        per_head = 2 * c * d + 3 * c
-        payload = 8 * (6 * d + h * per_head)
-        if size - f.tell() != payload:
-            raise LoadError(
-                f"{path}: header declares {payload} payload bytes, file holds {size - f.tell()}"
-            )
-        values = np.frombuffer(f.read(payload), dtype="<f8")
-    shared = values[: 6 * d].reshape(6, d).astype(np.float64)
-    rows = values[6 * d :].reshape(h, per_head)
+def _parse_head_bank(r: binfmt.Reader) -> HeadBank:
+    (cfg_len,) = r.header("I")
+    cfg = config_from_text(r.take(cfg_len, "config").decode("utf-8"))
+    h, c, d = r.header("III")
+    shared = r.array("<f8", 6, d)
     cd = c * d
+    rows = r.array("<f8", h, 2 * cd + 3 * c)
 
     def block(lo: int, hi: int, *shape) -> np.ndarray:
         return rows[:, lo:hi].reshape(h, *shape).astype(np.float64)
@@ -752,5 +714,10 @@ def load_head_bank(path) -> HeadBank:
         teacher_b=block(2 * cd + c, 2 * cd + 2 * c, c),
         teacher_gamma=shared[4],
         teacher_beta=shared[5],
-        marginal=block(2 * cd + 2 * c, per_head, c),
+        marginal=block(2 * cd + 2 * c, 2 * cd + 3 * c, c),
     )
+
+
+def load_head_bank(path) -> HeadBank:
+    """Read an ``HDB1`` checkpoint; any malformed file raises ``LoadError``."""
+    return binfmt.load(path, HEADBANK_MAGIC, "head-bank checkpoint", _parse_head_bank)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import binfmt
 from .errors import LoadError
 
 LABELING_MAGIC = b"LBL1"
@@ -67,10 +68,14 @@ def save_labeling(labeling: Labeling, path) -> None:
     ids = labeling.labels
     if ids.min() < 0 or ids.max() >= 2**32:
         raise ValueError("binary labeling ids must fit an unsigned 32-bit int")
-    with open(path, "wb") as f:
-        f.write(LABELING_MAGIC)
-        f.write(np.uint32(labeling.n).tobytes())
-        f.write(ids.astype("<u4").tobytes())
+    binfmt.save(path, LABELING_MAGIC, np.uint32(labeling.n).tobytes(), ids.astype("<u4"))
+
+
+def _parse_labeling(r: binfmt.Reader) -> Labeling:
+    (n,) = r.header("I")
+    if n < 1:
+        raise ValueError(f"labeling declares {n} samples")
+    return Labeling(r.array("<u4", n))
 
 
 def save_labeling_text(labeling: Labeling, path) -> None:
@@ -82,21 +87,8 @@ def save_labeling_text(labeling: Labeling, path) -> None:
 
 def load_labeling(path) -> Labeling:
     """Load a labeling, sniffing binary ``LBL1`` vs one-id-per-line text."""
-    with open(path, "rb") as f:
-        head = f.read(4)
-        if head == LABELING_MAGIC:
-            raw = f.read(4)
-            if len(raw) != 4:
-                raise LoadError(f"{path}: truncated labeling header")
-            n = int(np.frombuffer(raw, dtype="<u4")[0])
-            if n < 1:
-                raise LoadError(f"{path}: labeling declares {n} samples")
-            payload = f.read()
-            if len(payload) != 4 * n:
-                raise LoadError(
-                    f"{path}: payload holds {len(payload) // 4} ids, header declares {n}"
-                )
-            return Labeling(np.frombuffer(payload, dtype="<u4").astype(np.int64))
+    if binfmt.has_magic(path, LABELING_MAGIC):
+        return binfmt.load(path, LABELING_MAGIC, "labeling", _parse_labeling)
     try:
         text = open(path, "r", encoding="utf-8").read()
         values = [int(line) for line in text.split() if line]

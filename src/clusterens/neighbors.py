@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LoadError
+from . import binfmt
 from .featstore import EmbeddingMatrix
 from .labeling import Labeling
 
@@ -34,11 +34,14 @@ class NeighborSets:
     k_min: int | None = None
 
     def __post_init__(self):
+        n = len(self.sets)
         frozen = []
         for i, s in enumerate(self.sets):
             arr = np.array(s, dtype=np.int64, copy=True)
             if arr.ndim != 1:
                 raise ValueError("each neighbor set must be a flat index list")
+            if arr.size and (arr.min() < 0 or arr.max() >= n):
+                raise ValueError(f"sample {i} has a neighbor index outside [0, {n})")
             if (arr == i).any():
                 raise ValueError(f"sample {i} contains itself in its neighbor set")
             if np.unique(arr).size != arr.size:
@@ -182,33 +185,29 @@ def neighbor_accuracy(sets: NeighborSets, labels: Labeling) -> NeighborStats:
 
 def save_neighbor_sets(sets: NeighborSets, path) -> None:
     """Write the ``NNS1`` binary form (u32 n, per sample u32 count + indices)."""
-    with open(path, "wb") as f:
-        f.write(NEIGHBORS_MAGIC)
-        f.write(np.uint32(sets.n).tobytes())
-        for s in sets.sets:
-            f.write(np.uint32(s.size).tobytes())
-            f.write(s.astype("<u4").tobytes())
+    offsets, flat = sets.to_csr()
+    body = np.insert(flat, offsets[:-1], sets.sizes()).astype("<u4")
+    binfmt.save(path, NEIGHBORS_MAGIC, np.uint32(sets.n).tobytes(), body)
+
+
+def _parse_neighbor_sets(r: binfmt.Reader) -> NeighborSets:
+    (n,) = r.header("I")
+    if 4 * n > r.left:
+        raise ValueError(f"header declares {n} samples, the file holds {r.left} more bytes")
+    # one u32 body, each sample's count followed by its indices
+    body = r.array("<u4", r.left // 4)
+    sets, at = [], 0
+    for i in range(n):
+        count = int(body[at]) if at < body.size else 0
+        if at + 1 + count > body.size:
+            raise ValueError(f"truncated at sample {i}")
+        sets.append(body[at + 1 : at + 1 + count])
+        at += 1 + count
+    if at != body.size:
+        raise ValueError(f"trailing values after {n} samples")
+    return NeighborSets(tuple(sets))
 
 
 def load_neighbor_sets(path) -> NeighborSets:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != NEIGHBORS_MAGIC:
-            raise LoadError(f"{path}: bad magic {magic!r}, expected {NEIGHBORS_MAGIC!r}")
-        raw = f.read(4)
-        if len(raw) != 4:
-            raise LoadError(f"{path}: truncated header")
-        n = int(np.frombuffer(raw, dtype="<u4")[0])
-        sets = []
-        for i in range(n):
-            raw = f.read(4)
-            if len(raw) != 4:
-                raise LoadError(f"{path}: truncated at sample {i}")
-            count = int(np.frombuffer(raw, dtype="<u4")[0])
-            payload = f.read(4 * count)
-            if len(payload) != 4 * count:
-                raise LoadError(f"{path}: sample {i} declares {count} neighbors, payload short")
-            sets.append(np.frombuffer(payload, dtype="<u4").astype(np.int64))
-        if f.read(1):
-            raise LoadError(f"{path}: trailing bytes after {n} samples")
-    return NeighborSets(tuple(sets))
+    """Read an ``NNS1`` file; a malformed file or invalid index raises ``LoadError``."""
+    return binfmt.load(path, NEIGHBORS_MAGIC, "neighbor-set file", _parse_neighbor_sets)

@@ -345,65 +345,50 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
 
     manifest = RunManifest(config_hash=cfg.hash(), seed=cfg.seed)
 
-    # stage 1: multi-head training
-    record = StageRecord(name="train")
-    t0 = time.perf_counter()
-    try:
-        sets = build_sets_for_config(cfg, features, labels)
-        bank, report, lab_paths, _ = train_stage(out_dir, features, sets, train_cfg, labels)
-    except Exception as exc:
-        manifest.write(out_dir / "manifest.json")
-        raise StageError("train", exc) from exc
-    record.wall_clock_s = time.perf_counter() - t0
-    for p in [out_dir / "neighbors.nns", out_dir / "checkpoint.hdb",
-              out_dir / "train_report.txt", *lab_paths]:
-        record.add_output(p)
-    if labels is not None:
-        record.metrics = evaluate(
-            report.per_head_labeling[report.best_head], labels
-        ).machine_block()
-    manifest.stages.append(record)
+    def run_stage(name: str, body):
+        """Time ``body``, which returns (result, output paths, labeling to
+        score), and record the stage; on failure write the partial manifest
+        and raise ``StageError(name)``."""
+        t0 = time.perf_counter()
+        try:
+            result, outputs, scored = body()
+        except Exception as exc:
+            manifest.write(out_dir / "manifest.json")
+            raise StageError(name, exc) from exc
+        record = StageRecord(name=name, wall_clock_s=time.perf_counter() - t0)
+        for p in outputs:
+            record.add_output(p)
+        if labels is not None:
+            record.metrics = evaluate(scored, labels).machine_block()
+        manifest.stages.append(record)
+        return result
 
-    # stage 2: cluster ensembling
-    record = StageRecord(name="ensemble")
-    t0 = time.perf_counter()
-    try:
+    def train():
+        sets = build_sets_for_config(cfg, features, labels)
+        _, report, lab_paths, _ = train_stage(out_dir, features, sets, train_cfg, labels)
+        outputs = [out_dir / "neighbors.nns", out_dir / "checkpoint.hdb",
+                   out_dir / "train_report.txt", *lab_paths]
+        return report, outputs, report.per_head_labeling[report.best_head]
+
+    def ensemble():
         best_lab = report.per_head_labeling[report.best_head]
         consensus, _ = ensemble_stage(
-            out_dir,
-            list(report.per_head_labeling),
-            k,
-            [best_lab],
-            ["best_head"],
-            labels,
+            out_dir, list(report.per_head_labeling), k, [best_lab], ["best_head"], labels,
             threads=cfg.threads,
         )
-    except Exception as exc:
-        manifest.write(out_dir / "manifest.json")
-        raise StageError("ensemble", exc) from exc
-    record.wall_clock_s = time.perf_counter() - t0
-    for p in [out_dir / "consensus.lbl", out_dir / "anmi_table.txt"]:
-        record.add_output(p)
-    if labels is not None:
-        record.metrics = evaluate(consensus, labels).machine_block()
-    manifest.stages.append(record)
+        return consensus, [out_dir / "consensus.lbl", out_dir / "anmi_table.txt"], consensus
 
-    # stage 3: one round of self-training
-    record = StageRecord(name="selftrain")
-    t0 = time.perf_counter()
-    try:
-        clf, pred, _ = selftrain_stage(out_dir, features, consensus, st_cfg, labels)
-    except Exception as exc:
-        manifest.write(out_dir / "manifest.json")
-        raise StageError("selftrain", exc) from exc
+    def self_training():
+        _, pred, _ = selftrain_stage(out_dir, features, consensus, st_cfg, labels)
+        outputs = [out_dir / "classifier.clf", out_dir / "selftrain_pred.lbl",
+                   out_dir / "selftrain_report.txt"]
+        return pred, outputs, pred
+
+    # multi-head training, cluster ensembling, one round of self-training
+    report = run_stage("train", train)
+    consensus = run_stage("ensemble", ensemble)
+    run_stage("selftrain", self_training)
     manifest.selftrain_rounds += 1
-    record.wall_clock_s = time.perf_counter() - t0
-    for p in [out_dir / "classifier.clf", out_dir / "selftrain_pred.lbl",
-              out_dir / "selftrain_report.txt"]:
-        record.add_output(p)
-    if labels is not None:
-        record.metrics = evaluate(pred, labels).machine_block()
-    manifest.stages.append(record)
 
     manifest.write(out_dir / "manifest.json")
     return manifest

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LoadError, TrainingError
+from . import binfmt
+from .errors import TrainingError
 from .featstore import EmbeddingMatrix, NormStats, fit_standardizer, standardize_array
 from .heads import softmax
 from .labeling import Labeling, canonicalize
@@ -139,38 +140,27 @@ def predict(clf: Classifier, features: EmbeddingMatrix) -> Labeling:
 def save_classifier(clf: Classifier, path) -> None:
     """Write the ``CLF1`` checkpoint: dims, class ids, float64 parameters
     and standardizer statistics."""
-    with open(path, "wb") as f:
-        f.write(CLASSIFIER_MAGIC)
-        f.write(struct.pack("<II", clf.num_classes, clf.dim))
-        f.write(clf.class_ids.astype("<u4").tobytes())
-        for arr in (clf.weight, clf.bias, clf.norm.mean, clf.norm.var,
-                    clf.norm.gamma, clf.norm.beta):
-            f.write(np.asarray(arr, dtype="<f8").tobytes())
+    params = (clf.weight, clf.bias, clf.norm.mean, clf.norm.var, clf.norm.gamma, clf.norm.beta)
+    binfmt.save(
+        path, CLASSIFIER_MAGIC, struct.pack("<II", clf.num_classes, clf.dim),
+        clf.class_ids.astype("<u4"), *(np.asarray(a, dtype="<f8") for a in params),
+    )
 
 
-def load_classifier(path) -> Classifier:
-    with open(path, "rb") as f:
-        if f.read(4) != CLASSIFIER_MAGIC:
-            raise LoadError(f"{path}: not a classifier checkpoint")
-        c, d = struct.unpack("<II", f.read(8))
-        raw = f.read(4 * c)
-        if len(raw) != 4 * c:
-            raise LoadError(f"{path}: truncated class-id table")
-        class_ids = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-
-        def read(*shape):
-            count = int(np.prod(shape))
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
-                raise LoadError(f"{path}: truncated classifier payload")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
-
-        weight = read(c, d)
-        bias = read(c)
-        mean, var, gamma, beta = read(d), read(d), read(d), read(d)
-        if f.read(1):
-            raise LoadError(f"{path}: trailing bytes in checkpoint")
+def _parse_classifier(r: binfmt.Reader) -> Classifier:
+    c, d = r.header("II")
+    if c < 1 or d < 1:
+        raise ValueError(f"invalid dimensions {c}x{d} in header")
+    class_ids = r.array("<u4", c).astype(np.int64)
+    weight = r.array("<f8", c, d)
+    bias = r.array("<f8", c)
+    mean, var, gamma, beta = r.array("<f8", 4, d)
     norm = NormStats(mean=mean, var=var, gamma=gamma, beta=beta)
     return Classifier(
         weight=weight, bias=bias, norm=norm, class_ids=class_ids, config=SelfTrainConfig()
     )
+
+
+def load_classifier(path) -> Classifier:
+    """Read a ``CLF1`` checkpoint; any malformed file raises ``LoadError``."""
+    return binfmt.load(path, CLASSIFIER_MAGIC, "classifier checkpoint", _parse_classifier)

@@ -1,0 +1,220 @@
+"""The five binary artifact formats: golden bytes and a fuzz of every loader.
+
+Each format is exercised on a fixed tiny artifact built from exactly
+representable values, so its bytes do not depend on the platform's math
+library.  Whatever a malformed file looks like, only ``LoadError`` may
+escape a loader, and no declared size may make it read or allocate more
+than the file holds.
+"""
+
+import hashlib
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+from clusterens import binfmt
+from clusterens.errors import LoadError
+from clusterens.featstore import EmbeddingMatrix, NormStats, load_features, save_features
+from clusterens.heads import HeadBank, TrainConfig, load_head_bank, save_head_bank
+from clusterens.labeling import Labeling, load_labeling, save_labeling
+from clusterens.neighbors import NeighborSets, load_neighbor_sets, save_neighbor_sets
+from clusterens.selftrain import Classifier, SelfTrainConfig, load_classifier, save_classifier
+
+N = 40
+
+
+def values(count, start=0):
+    """``count`` exactly representable float64 values in [-1.375, 1.375]."""
+    return ((np.arange(count) + start) * 7 % 23 - 11) / 8.0
+
+
+def head_bank():
+    h, c, d = 2, 3, 4
+    cfg = TrainConfig(num_clusters=c, num_heads=h, epochs=2, warmup_epochs=1, lr=1e-3, seed=5)
+    return HeadBank(
+        config=cfg,
+        mean=values(d, 1), var=values(d, 2) ** 2 + 1.0,
+        student_w=values(h * c * d, 3).reshape(h, c, d), student_b=values(h * c, 4).reshape(h, c),
+        student_gamma=values(d, 5) + 2.0, student_beta=values(d, 6),
+        teacher_w=values(h * c * d, 7).reshape(h, c, d), teacher_b=values(h * c, 8).reshape(h, c),
+        teacher_gamma=values(d, 9) + 2.0, teacher_beta=values(d, 10),
+        marginal=np.full((h, c), 1.0 / c),
+    )
+
+
+def classifier():
+    c, d = 3, 4
+    norm = NormStats(mean=values(d, 11), var=values(d, 12) ** 2 + 1.0,
+                     gamma=values(d, 13) + 2.0, beta=values(d, 14))
+    return Classifier(weight=values(c * d, 15).reshape(c, d), bias=values(c, 16), norm=norm,
+                      class_ids=np.array([7, 2, 40]), config=SelfTrainConfig())
+
+
+def hdb_counts(raw):
+    """Offset of the (h, c, d) header, after the config text."""
+    return 8 + int.from_bytes(raw[4:8], "little")
+
+
+class Format(NamedTuple):
+    build: Callable  # the fixed tiny artifact
+    save: Callable
+    load: Callable
+    size_fields: Callable  # file bytes -> offsets of the u32 header size fields
+    # taken from the per-format writers that binfmt replaced, so files and
+    # manifest hashes written before it stay valid
+    sha256: str
+
+
+FORMATS = {
+    "FPK1": Format(
+        lambda: EmbeddingMatrix(values(N * 3).reshape(N, 3)),
+        save_features, lambda p: load_features(p, "featpack"),
+        lambda raw: [4, 8],
+        "1b611474f87650a3f982f9b7c56477bae0b8bdd08c7a5bd346abed660ef450c5",
+    ),
+    "LBL1": Format(
+        lambda: Labeling(np.arange(N) * 5 % 7 + 1),
+        save_labeling, load_labeling,
+        lambda raw: [4],
+        "08de283ddb1440223d209e3517ffbbe17714d8bfd4ebbfd11c790d34712dc145",
+    ),
+    "NNS1": Format(
+        lambda: NeighborSets(tuple([(i + j + 1) % N for j in range(i % 4)] for i in range(N))),
+        save_neighbor_sets, load_neighbor_sets,
+        lambda raw: [4],
+        "0bc664daa6668dd1c0c68739c4b30b05f325cc7c7dd4b2f78573181684189b49",
+    ),
+    "HDB1": Format(
+        head_bank, save_head_bank, load_head_bank,
+        lambda raw: [hdb_counts(raw) + 4 * i for i in range(3)],
+        "6db03bf166f0add3787b19b669b659a90f33f80e71568859d137f6d5e60669eb",
+    ),
+    "CLF1": Format(
+        classifier, save_classifier, load_classifier,
+        lambda raw: [4, 8],
+        "ee9f78b6b126603993ba1685f38b7eb65c6bc92f61222807ce8e43352e563e00",
+    ),
+}
+
+
+def count_fields(name, raw):
+    """Every u32 size field: the header counts and, in NNS1, each inline count."""
+    fields = FORMATS[name].size_fields(raw)
+    if name == "NNS1":
+        at = 8
+        while at < len(raw):
+            fields.append(at)
+            at += 4 + 4 * int.from_bytes(raw[at : at + 4], "little")
+    return fields
+
+
+@pytest.fixture(params=list(FORMATS))
+def artifact(request, tmp_path):
+    """(format name, path, good bytes, loader) for one tiny artifact."""
+    name = request.param
+    fmt = FORMATS[name]
+    path = tmp_path / f"artifact.{name.lower()}"
+    fmt.save(fmt.build(), path)
+    return name, path, path.read_bytes(), fmt.load
+
+
+class CountingFile:
+    """Records how many bytes each read and readinto on a wrapped file got."""
+
+    def __init__(self, f, sizes):
+        self.f = f
+        self.sizes = sizes
+
+    def read(self, count=-1):
+        data = self.f.read(count)
+        self.sizes.append(len(data))
+        return data
+
+    def readinto(self, buf):
+        got = self.f.readinto(buf)
+        self.sizes.append(got)
+        return got
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+@pytest.fixture
+def read_sizes(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(
+        binfmt, "open", lambda p, mode: CountingFile(open(p, mode), sizes), raising=False
+    )
+    return sizes
+
+
+def test_golden_bytes(artifact):
+    name, path, good, load = artifact
+    assert hashlib.sha256(good).hexdigest() == FORMATS[name].sha256
+    FORMATS[name].save(load(path), path)
+    assert path.read_bytes() == good
+
+
+def test_fuzzed_file_raises_load_error(artifact):
+    name, path, good, load = artifact
+    for cut in range(len(good)):
+        path.write_bytes(good[:cut])
+        with pytest.raises(LoadError):
+            load(path)
+    # flip each of the first 40 bytes and every size field; a flip may
+    # leave a loadable file, but nothing other than LoadError may escape
+    positions = set(range(40))
+    for field in count_fields(name, good):
+        positions.update(range(field, field + 4))
+    for pos in sorted(positions):
+        for value in (0x00, 0x80, 0xFF):
+            path.write_bytes(good[:pos] + bytes([value]) + good[pos + 1 :])
+            try:
+                load(path)
+            except LoadError:
+                pass
+
+
+def test_sizes_checked_before_reading(artifact, read_sizes, tmp_path):
+    # a loader that read the whole file first would pull a wrong or
+    # corrupt multi-GB file into memory before rejecting it
+    name, path, good, load = artifact
+    if name != "LBL1":  # without its magic, a labeling is text and read whole
+        foreign = tmp_path / "foreign.bin"
+        with open(foreign, "wb") as f:
+            f.write(b"CLF1" if name == "FPK1" else b"FPK1")
+            f.truncate(64 << 20)  # sparse, so cheap on disk
+        with pytest.raises(LoadError, match="magic"):
+            load(foreign)
+        assert read_sizes == [4]
+
+    # every size field declares 2^20
+    fields = FORMATS[name].size_fields(good)
+    raw = bytearray(good)
+    for field in fields:
+        raw[field : field + 4] = (1 << 20).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    read_sizes.clear()
+    with pytest.raises(LoadError, match="header declares"):
+        load(path)
+    header_end = fields[-1] + 4
+    assert max(read_sizes) <= header_end < len(good)
+
+
+def test_load_maps_value_errors_and_trailing_bytes(tmp_path):
+    path = tmp_path / "x.bin"
+    binfmt.save(path, b"TEST", b"\xff\xfe", np.arange(3, dtype="<u4"))
+    assert path.read_bytes() == b"TEST\xff\xfe" + bytes([0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0])
+    with pytest.raises(LoadError, match="malformed test file"):
+        binfmt.load(path, b"TEST", "test file", lambda r: r.take(2).decode("utf-8"))
+    with pytest.raises(LoadError, match="12 trailing bytes"):
+        binfmt.load(path, b"TEST", "test file", lambda r: r.take(2))
+    got = binfmt.load(path, b"TEST", "test file", lambda r: (r.take(2), r.array("<u4", 3)))
+    assert got[1].tolist() == [0, 1, 2]

@@ -202,10 +202,6 @@ class TestCspa:
         out2 = cspa([relabel(lam, rng) for lam in inputs], k=5)
         assert np.array_equal(out1.labels, canonicalize(out2).labels)
 
-    def test_threads_deterministic(self, rng):
-        _, inputs = noisy_ensemble(rng, n=80, members=8)
-        assert np.array_equal(cspa(inputs, 5).labels, cspa(inputs, 5, threads=4).labels)
-
 
 class TestCoAssociation:
     def test_block_structure(self):

@@ -4,12 +4,16 @@ import pytest
 from clusterens import (
     EmbeddingMatrix,
     Labeling,
+    SynthSpec,
     build_neighbor_sets,
     cosine_similarity,
+    gen_synthetic,
     ground_truth_neighbors,
     neighbor_accuracy,
 )
+from clusterens.cli import main
 from clusterens.errors import LoadError
+from clusterens.featstore import save_features
 from clusterens.neighbors import NeighborSets, load_neighbor_sets, save_neighbor_sets
 
 from oracles import brute_force_neighbor_sets
@@ -200,6 +204,35 @@ class TestSerialization:
         path.write_bytes(raw[:-3])
         with pytest.raises(LoadError):
             load_neighbor_sets(path)
+
+    @pytest.mark.parametrize(
+        "byte, value, match",
+        [(12, 0xFF, "outside"), (12, 0x00, "itself"), (16, None, "duplicate")],
+    )
+    def test_invalid_index_raises_load_error(self, tmp_path, byte, value, match):
+        m, _ = gen_synthetic(SynthSpec(n=40, d=3, k=2, separation=10.0, seed=4))
+        path = tmp_path / "sets.nns"
+        save_neighbor_sets(build_neighbor_sets(m, 0.99, 3), path)
+        raw = bytearray(path.read_bytes())
+        # sample 0: count at byte 8, its first index at 12, the second at 16
+        raw[byte] = raw[12] if value is None else value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(LoadError, match=match):
+            load_neighbor_sets(path)
+
+    def test_out_of_range_index_fails_train_command(self, tmp_path, capsys):
+        m, _ = gen_synthetic(SynthSpec(n=40, d=3, k=2, separation=10.0, seed=4))
+        fpath, path, out = tmp_path / "f.fpk", tmp_path / "sets.nns", tmp_path / "run"
+        save_features(m, fpath)
+        save_neighbor_sets(build_neighbor_sets(m, 0.99, 3), path)
+        raw = bytearray(path.read_bytes())
+        raw[12] = 0xFF
+        path.write_bytes(bytes(raw))
+        code = main(["train", "--features", str(fpath), "--neighbors", str(path),
+                     "--out", str(out), "--set", "train.num_clusters=2"])
+        assert code == 2
+        assert "outside [0, 40)" in capsys.readouterr().err
+        assert not (out / "neighbors.nns").exists()
 
 
 def test_neighbor_sets_reject_self_membership():

@@ -215,6 +215,31 @@ class TestPipeline:
         # neighbor sets were computed before the failure and must survive
         assert (out_dir / "neighbors.nns").exists()
 
+    def test_selftrain_failure_keeps_manifest_of_earlier_stages(self, tmp_path, monkeypatch):
+        from clusterens import pipeline, selftrain
+        from clusterens.errors import TrainingError
+
+        def fail(*args, **kwargs):
+            raise TrainingError("non-finite self-train loss at step 0", step=0)
+
+        monkeypatch.setattr(selftrain, "self_train", fail)
+        fpath, lpath = write_inputs(tmp_path, n=40, d=6, k=2)
+        out_dir = tmp_path / "broken"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(small_config_text(fpath, lpath, out_dir, k=2))
+        with pytest.raises(StageError, match="selftrain") as info:
+            run_pipeline(load_pipeline_config(cfg_path))
+        assert info.value.stage == "selftrain"
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert [s["name"] for s in manifest["stages"]] == ["train", "ensemble"]
+        assert manifest["selftrain_rounds"] == 0
+        for stage in manifest["stages"]:
+            assert stage["outputs"]
+            for item in stage["outputs"]:
+                assert item["sha256"] == pipeline.sha256_file(item["path"])
+        ensemble_paths = [Path(o["path"]).name for o in manifest["stages"][1]["outputs"]]
+        assert ensemble_paths == ["consensus.lbl", "anmi_table.txt"]
+
     def test_stage_isolation_ensemble_rerun(self, pipeline_run, tmp_path):
         _, _, cfg, out_dir, _ = pipeline_run
         consensus_before = (out_dir / "consensus.lbl").read_bytes()
