@@ -28,6 +28,7 @@ from .neighbors import (
     cosine_similarity,
     ground_truth_neighbors,
     neighbor_accuracy,
+    sweep_neighbor_sets,
 )
 from .selftrain import Classifier, SelfTrainConfig, predict, self_train
 
@@ -40,7 +41,7 @@ __all__ = [
     "load_features", "save_features",
     "Labeling", "canonicalize", "load_labeling", "save_labeling",
     "NeighborSets", "NeighborStats", "build_neighbor_sets", "cosine_similarity",
-    "ground_truth_neighbors", "neighbor_accuracy",
+    "ground_truth_neighbors", "neighbor_accuracy", "sweep_neighbor_sets",
     "HeadBank", "TrainConfig", "TrainReport", "train_heads", "predict_labeling",
     "anmi", "cspa", "mcla", "nmi", "supra_consensus",
     "MetricsReport", "ari", "clustering_accuracy", "evaluate", "hungarian",

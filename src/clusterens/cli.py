@@ -223,10 +223,7 @@ def _cmd_nn_analysis(args) -> str:
     lpath = _require_file(cfg.labels_path, "labels file")
     features = pl.load_features_any(fpath, cfg["features_format"])
     labels = load_labeling(lpath)
-    return pl.nn_analysis(
-        features, labels, cfg["ablate.thresholds"], cfg["neighbors.k_min"],
-        threads=cfg.threads,
-    )
+    return pl.nn_analysis(features, labels, cfg["ablate.thresholds"], cfg["neighbors.k_min"])
 
 
 def _cmd_ablate(args) -> str:

@@ -533,7 +533,7 @@ def train_heads(
     bank = _init_bank(cfg, mean, var, init_rng)
     u = unit_rows(features.data, bank._norm(bank.student_gamma, bank.student_beta))
 
-    offsets, flat = sets.to_csr()
+    offsets, flat = sets.offsets, sets.indices
     h_count = cfg.num_heads
     m_draws = cfg.smoothing_m
     steps_per_epoch = -(-n // cfg.batch_size)

@@ -7,6 +7,7 @@ Serialized either as an ``LBL1`` binary or as one id per line of text.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,9 @@ from . import binfmt
 from .errors import LoadError
 
 LABELING_MAGIC = b"LBL1"
+# bytes of a text labeling read at once, and the longest id token accepted
+TEXT_CHUNK = 1 << 16
+MAX_ID_CHARS = 64
 
 
 @dataclass(frozen=True)
@@ -85,15 +89,38 @@ def save_labeling_text(labeling: Labeling, path) -> None:
             f.write(f"{int(v)}\n")
 
 
+def _read_text_ids(path) -> np.ndarray:
+    """Whitespace-separated integer ids, parsed ``TEXT_CHUNK`` bytes at a time.
+
+    Raises ``ValueError`` at the first token that is not, and cannot become,
+    an integer, so a foreign file fails after one chunk.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    parts, tail = [], ""
+    with open(path, "rb") as f:
+        while True:
+            chunk = f.read(TEXT_CHUNK)
+            text = tail + decoder.decode(chunk, final=not chunk)
+            tokens = text.split()
+            # a token touching the chunk's end may continue in the next one
+            tail = tokens.pop() if chunk and tokens and not text[-1].isspace() else ""
+            parts.append(np.array([int(t) for t in tokens], dtype=np.int64))
+            if len(tail) > MAX_ID_CHARS:
+                raise ValueError(f"token of more than {MAX_ID_CHARS} characters")
+            if tail:
+                int(tail + "0")  # raises unless more digits can complete it
+            if not chunk:
+                return np.concatenate(parts)
+
+
 def load_labeling(path) -> Labeling:
     """Load a labeling, sniffing binary ``LBL1`` vs one-id-per-line text."""
     if binfmt.has_magic(path, LABELING_MAGIC):
         return binfmt.load(path, LABELING_MAGIC, "labeling", _parse_labeling)
     try:
-        text = open(path, "r", encoding="utf-8").read()
-        values = [int(line) for line in text.split() if line]
-    except (UnicodeDecodeError, ValueError) as exc:
+        values = _read_text_ids(path)
+    except (ValueError, OverflowError) as exc:  # UnicodeDecodeError is a ValueError
         raise LoadError(f"{path}: not a labeling file: {exc}") from exc
-    if not values:
+    if not values.size:
         raise LoadError(f"{path}: empty labeling file")
-    return Labeling(np.asarray(values, dtype=np.int64))
+    return Labeling(values)

@@ -4,13 +4,14 @@ Each sample's neighbor set contains every other sample whose cosine
 similarity reaches the threshold ``theta``; sets that stay below ``k_min``
 members fall back to the top-``k_min`` most similar samples.  Sets are
 computed exhaustively (exact O(n^2) similarities) and once, ahead of
-training.
+training, a block of rows at a time: mining holds O(BLOCK_ROWS·n)
+similarities, never the n×n matrix.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -20,50 +21,94 @@ from .labeling import Labeling
 
 NEIGHBORS_MAGIC = b"NNS1"
 
+# Similarities are computed for a block of rows at a time: at most
+# BLOCK_ROWS rows and at most n/16 of them, so a block never holds more
+# than 1/16 of the n×n matrix.  Up to BLOCK_ROWS samples are one block.
+BLOCK_ROWS = 512
+
+
+def _block_rows(n: int) -> int:
+    return n if n <= BLOCK_ROWS else min(BLOCK_ROWS, n // 16)
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.int64).view()
+    arr.flags.writeable = False
+    return arr
+
 
 @dataclass(frozen=True)
 class NeighborSets:
-    """Per-sample neighbor index lists, ordered by descending similarity.
+    """Per-sample neighbor index lists in CSR form.
 
-    ``theta``/``k_min`` echo the selection parameters; both are ``None``
-    for sets not produced by thresholded selection (e.g. ground-truth sets).
+    Sample ``x``'s neighbors are ``indices[offsets[x]:offsets[x + 1]]``,
+    ordered by descending similarity.  Both arrays are kept as read-only
+    int64 views, without a copy.  ``theta``/``k_min`` echo the selection
+    parameters; both are ``None`` for sets not produced by thresholded
+    selection (e.g. ground-truth sets).
     """
 
-    sets: tuple
+    offsets: np.ndarray
+    indices: np.ndarray
     theta: float | None = None
     k_min: int | None = None
 
     def __post_init__(self):
-        n = len(self.sets)
-        frozen = []
-        for i, s in enumerate(self.sets):
-            arr = np.array(s, dtype=np.int64, copy=True)
-            if arr.ndim != 1:
-                raise ValueError("each neighbor set must be a flat index list")
-            if arr.size and (arr.min() < 0 or arr.max() >= n):
-                raise ValueError(f"sample {i} has a neighbor index outside [0, {n})")
-            if (arr == i).any():
-                raise ValueError(f"sample {i} contains itself in its neighbor set")
-            if np.unique(arr).size != arr.size:
-                raise ValueError(f"duplicate neighbor index for sample {i}")
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "sets", tuple(frozen))
+        offsets, indices = _frozen(self.offsets), _frozen(self.indices)
+        if offsets.ndim != 1 or offsets.size < 1 or indices.ndim != 1:
+            raise ValueError("offsets and indices must be flat arrays")
+        sizes = np.diff(offsets)
+        if offsets[0] != 0 or offsets[-1] != indices.size or (sizes < 0).any():
+            raise ValueError("offsets must rise from 0 to the number of indices")
+        n = offsets.size - 1
+        rows = np.repeat(np.arange(n, dtype=np.int64), sizes)
+        outside = (indices < 0) | (indices >= n)
+        if outside.any():
+            raise ValueError(
+                f"sample {rows[outside.argmax()]} has a neighbor index outside [0, {n})"
+            )
+        own = indices == rows
+        if own.any():
+            raise ValueError(f"sample {rows[own.argmax()]} contains itself in its neighbor set")
+        # (sample, index) keys, sorted in place: a duplicate sits next to its twin
+        keys = rows
+        keys *= n
+        keys += indices
+        keys.sort()
+        twin = keys[1:] == keys[:-1]
+        if twin.any():
+            raise ValueError(f"duplicate neighbor index for sample {keys[twin.argmax()] // n}")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "indices", indices)
+
+    @classmethod
+    def from_lists(cls, sets, theta: float | None = None, k_min: int | None = None):
+        """Build from one index list per sample."""
+        arrays = [np.asarray(s, dtype=np.int64) for s in sets]
+        if any(a.ndim != 1 for a in arrays):
+            raise ValueError("each neighbor set must be a flat index list")
+        sizes = np.array([a.size for a in arrays], dtype=np.int64)
+        flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+        return cls(_offsets(sizes), flat, theta, k_min)
 
     @property
     def n(self) -> int:
-        return len(self.sets)
+        return self.offsets.size - 1
 
     def sizes(self) -> np.ndarray:
-        return np.array([s.size for s in self.sets], dtype=np.int64)
+        return np.diff(self.offsets)
 
-    def to_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flatten to (offsets, indices) for vectorized uniform draws."""
-        sizes = self.sizes()
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        flat = np.concatenate(self.sets) if self.n else np.empty(0, dtype=np.int64)
-        return offsets, flat
+    @property
+    def sets(self) -> tuple:
+        """Each sample's neighbors as its own array (a view into ``indices``)."""
+        bounds = self.offsets.tolist()
+        return tuple(self.indices[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -92,32 +137,79 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
-def _similarity_matrix(features: EmbeddingMatrix, threads: int = 1) -> np.ndarray:
+def _unit_rows(features: EmbeddingMatrix) -> np.ndarray:
     norms = np.linalg.norm(features.data, axis=1)
     if (norms == 0).any():
         row = int(np.nonzero(norms == 0)[0][0])
         raise ValueError(f"zero-norm feature row {row}; cosine similarity undefined")
-    unit = features.data / norms[:, None]
-    n = features.n
-    sims = np.empty((n, n), dtype=np.float64)
-    if threads <= 1 or n < 64:
-        np.matmul(unit, unit.T, out=sims)
-    else:
-        bounds = np.linspace(0, n, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(
-                pool.map(
-                    lambda ab: np.matmul(unit[ab[0] : ab[1]], unit.T, out=sims[ab[0] : ab[1]]),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
+    return features.data / norms[:, None]
+
+
+def _similarity_matrix(unit: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Cosines of rows ``start:stop`` with every row, clipped to [-1, 1].
+
+    A row's similarity with itself is set to -inf, so it is never selected.
+    """
+    sims = unit[start:stop] @ unit.T
     np.clip(sims, -1.0, 1.0, out=sims)
+    rows = np.arange(stop - start)
+    sims[rows, rows + start] = -np.inf
     return sims
 
 
-def build_neighbor_sets(
-    features: EmbeddingMatrix, theta: float, k_min: int, threads: int = 1
-) -> NeighborSets:
+def _ranked_blocks(features: EmbeddingMatrix, theta: float, floor: int):
+    """Mine a block of rows at a time; yield ``(sizes, members, sims)`` per block.
+
+    Row x keeps ``max(#{sim >= theta}, floor)`` members, ordered by
+    descending similarity with ties by ascending index; ``members`` and
+    ``sims`` hold a block's rows one after another.  Only candidates are
+    sorted: the samples at or above theta, or, for a row short of the
+    floor, every sample at or above its floor-th largest similarity (ties
+    at that cut included, so the index tie-break stays exact).
+    """
+    unit = _unit_rows(features)
+    n = features.n
+    step = _block_rows(n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        sims = _similarity_matrix(unit, start, stop)
+        chosen = sims >= theta
+        sizes = np.count_nonzero(chosen, axis=1)
+        short = np.nonzero(sizes < floor)[0]
+        if short.size:
+            part = sims[short]
+            part.partition(n - floor, axis=1)
+            cut = part[:, n - floor].copy()  # the floor-th largest similarity
+            del part
+            chosen[short] = sims[short] >= cut[:, None]
+            sizes[short] = floor
+        flat = np.flatnonzero(chosen)
+        vals = sims.ravel()[flat]
+        del sims, chosen
+        rows, cols = np.divmod(flat, n)
+        # each row's candidates (ascending index) padded to a common width;
+        # a stable sort of -similarity along rows keeps ties by index
+        counts = np.bincount(rows, minlength=stop - start)
+        starts = _offsets(counts)[:-1]
+        key = np.full((stop - start, counts.max(initial=0)), np.inf)
+        key[rows, np.arange(rows.size) - starts[rows]] = -vals
+        order = np.argsort(key, axis=1, kind="stable")
+        del key
+        order += starts[:, None]
+        picked = order[np.arange(order.shape[1]) < sizes[:, None]]
+        yield sizes, cols[picked], vals[picked]
+
+
+def _check_request(features: EmbeddingMatrix, k_min: int) -> int:
+    """The floor of every set, ``min(k_min, n - 1)``."""
+    if features.n < 2:
+        raise ValueError("need at least 2 samples to build neighbor sets")
+    if k_min < 1:
+        raise ValueError("k_min must be >= 1")
+    return min(k_min, features.n - 1)
+
+
+def build_neighbor_sets(features: EmbeddingMatrix, theta: float, k_min: int) -> NeighborSets:
     """Select each sample's neighbors by similarity threshold with a top-k floor.
 
     S_x = { x' != x : cos(z_x, z_x') >= theta }; whenever that set has fewer
@@ -125,40 +217,61 @@ def build_neighbor_sets(
     samples.  Members are ordered by descending similarity, ties broken by
     ascending sample index.
     """
-    if features.n < 2:
-        raise ValueError("need at least 2 samples to build neighbor sets")
-    if k_min < 1:
-        raise ValueError("k_min must be >= 1")
-    n = features.n
-    sims = _similarity_matrix(features, threads=threads)
-    np.fill_diagonal(sims, -np.inf)
-    floor = min(k_min, n - 1)
+    floor = _check_request(features, k_min)
+    sizes, members = [], []
+    for block_sizes, block_members, _ in _ranked_blocks(features, theta, floor):
+        sizes.append(block_sizes)
+        members.append(block_members)
+    offsets, indices = _offsets(np.concatenate(sizes)), np.concatenate(members)
+    del members
+    return NeighborSets(offsets, indices, theta=float(theta), k_min=int(k_min))
 
-    sets = []
-    idx = np.arange(n)
-    for x in range(n):
-        row = sims[x]
-        # descending similarity, ties by ascending index
-        order = np.lexsort((idx, -row))
-        count = int((row >= theta).sum())
-        take = count if count >= floor else floor
-        sets.append(order[:take])
-    return NeighborSets(tuple(sets), theta=float(theta), k_min=int(k_min))
+
+def sweep_neighbor_sets(features: EmbeddingMatrix, thetas, k_min: int) -> Iterator[NeighborSets]:
+    """Yield ``build_neighbor_sets`` at every theta in ``thetas``, from one mining pass.
+
+    The pass mines at the smallest theta.  Every row's list is ranked, so
+    the set at a larger theta is its prefix of ``max(#{sim >= theta},
+    floor)`` members.
+    """
+    floor = _check_request(features, k_min)
+    thetas = [float(t) for t in thetas]
+    if not thetas:
+        return
+    # NaN selects like a theta above 1: the floor only
+    lowest = min((t for t in thetas if t == t), default=float("nan"))
+    sizes, members, sims = map(np.concatenate, zip(*_ranked_blocks(features, lowest, floor)))
+    offsets = _offsets(sizes)
+    rows = np.repeat(np.arange(features.n), sizes)
+    rank = np.arange(members.size) - offsets[rows]
+    for theta in thetas:
+        above = _offsets(sims >= theta)
+        take = np.maximum(above[offsets[1:]] - above[offsets[:-1]], floor)
+        yield NeighborSets(
+            _offsets(take), members[rank < take[rows]], theta=theta, k_min=int(k_min)
+        )
 
 
 def ground_truth_neighbors(labels: Labeling) -> NeighborSets:
-    """Every same-label sample, minus the anchor itself.
+    """Every same-label sample in ascending index order, minus the anchor itself.
 
     Singleton classes yield empty sets; they are permitted here and show up
     in :func:`neighbor_accuracy` stats.
     """
     n = labels.n
-    sets = []
-    arr = labels.labels
-    for x in range(n):
-        members = np.nonzero(arr == arr[x])[0]
-        sets.append(members[members != x])
-    return NeighborSets(tuple(sets))
+    _, label_of, class_sizes = np.unique(labels.labels, return_inverse=True, return_counts=True)
+    # samples grouped by label, ascending within a group; group g starts at first[g]
+    grouped = np.argsort(label_of, kind="stable")
+    first = _offsets(class_sizes)[:-1]
+    place = np.empty(n, dtype=np.int64)
+    place[grouped] = np.arange(n) - first[label_of[grouped]]
+    sizes = class_sizes[label_of] - 1
+    offsets = _offsets(sizes)
+    rows = np.repeat(np.arange(n), sizes)
+    # the j-th neighbor of x is its group's j-th member, skipping x itself
+    j = np.arange(offsets[-1]) - offsets[rows]
+    j += j >= place[rows]
+    return NeighborSets(offsets, grouped[first[label_of[rows]] + j])
 
 
 def neighbor_accuracy(sets: NeighborSets, labels: Labeling) -> NeighborStats:
@@ -166,15 +279,11 @@ def neighbor_accuracy(sets: NeighborSets, labels: Labeling) -> NeighborStats:
     if sets.n != labels.n:
         raise ValueError(f"sets cover {sets.n} samples, labels cover {labels.n}")
     arr = labels.labels
-    total = 0
-    correct = 0
-    for x, s in enumerate(sets.sets):
-        total += s.size
-        if s.size:
-            correct += int((arr[s] == arr[x]).sum())
+    counts = sets.sizes()
+    total = sets.indices.size
     if total == 0:
         raise ValueError("all neighbor sets are empty")
-    counts = sets.sizes()
+    correct = int((arr[sets.indices] == np.repeat(arr, counts)).sum())
     _, class_sizes = np.unique(arr, return_counts=True)
     return NeighborStats(
         avg_count=float(counts.mean()),
@@ -185,8 +294,7 @@ def neighbor_accuracy(sets: NeighborSets, labels: Labeling) -> NeighborStats:
 
 def save_neighbor_sets(sets: NeighborSets, path) -> None:
     """Write the ``NNS1`` binary form (u32 n, per sample u32 count + indices)."""
-    offsets, flat = sets.to_csr()
-    body = np.insert(flat, offsets[:-1], sets.sizes()).astype("<u4")
+    body = np.insert(sets.indices, sets.offsets[:-1], sets.sizes()).astype("<u4")
     binfmt.save(path, NEIGHBORS_MAGIC, np.uint32(sets.n).tobytes(), body)
 
 
@@ -196,16 +304,19 @@ def _parse_neighbor_sets(r: binfmt.Reader) -> NeighborSets:
         raise ValueError(f"header declares {n} samples, the file holds {r.left} more bytes")
     # one u32 body, each sample's count followed by its indices
     body = r.array("<u4", r.left // 4)
-    sets, at = [], 0
+    heads = np.empty(n, dtype=np.int64)  # where each sample's count sits
+    at = 0
     for i in range(n):
         count = int(body[at]) if at < body.size else 0
         if at + 1 + count > body.size:
             raise ValueError(f"truncated at sample {i}")
-        sets.append(body[at + 1 : at + 1 + count])
+        heads[i] = at
         at += 1 + count
     if at != body.size:
         raise ValueError(f"trailing values after {n} samples")
-    return NeighborSets(tuple(sets))
+    member = np.ones(body.size, dtype=bool)
+    member[heads] = False
+    return NeighborSets(_offsets(body[heads]), body[member])
 
 
 def load_neighbor_sets(path) -> NeighborSets:

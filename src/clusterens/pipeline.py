@@ -197,10 +197,7 @@ def build_sets_for_config(
     if cfg["neighbors.standardized"]:
         mining_features = apply_standardizer(features, fit_standardizer(features))
     return neighbors.build_neighbor_sets(
-        mining_features,
-        cfg["neighbors.theta"],
-        cfg["neighbors.k_min"],
-        threads=cfg.threads,
+        mining_features, cfg["neighbors.theta"], cfg["neighbors.k_min"]
     )
 
 
@@ -404,13 +401,11 @@ def nn_analysis(
     labels: Labeling,
     thetas,
     k_min: int,
-    threads: int = 1,
 ) -> str:
     """Tab-separated threshold sweep of neighbor count and pair accuracy."""
     human = ["nearest-neighbor threshold analysis", "", "theta\tavg_count\tpair_accuracy"]
     machine = {"kind": "nn_analysis", "k_min": k_min}
-    for theta in thetas:
-        sets = neighbors.build_neighbor_sets(features, theta, k_min, threads=threads)
+    for theta, sets in zip(thetas, neighbors.sweep_neighbor_sets(features, thetas, k_min)):
         stats = neighbors.neighbor_accuracy(sets, labels)
         human.append(f"{theta:g}\t{stats.avg_count:.1f}\t{pct(stats.pair_accuracy)}")
         machine[f"avg_count.{theta:g}"] = stats.avg_count
@@ -473,10 +468,9 @@ def run_ablation(kind: str, cfg: PipelineConfig) -> str:
         return report
 
     if kind == "threshold_sweep":
-        for theta in cfg["ablate.thresholds"]:
-            sets = neighbors.build_neighbor_sets(
-                features, theta, cfg["neighbors.k_min"], threads=cfg.threads
-            )
+        thetas = cfg["ablate.thresholds"]
+        sweep = neighbors.sweep_neighbor_sets(features, thetas, cfg["neighbors.k_min"])
+        for theta, sets in zip(thetas, sweep):
             run_variant(f"theta={theta:g}", f"theta_{theta:g}", sets, train_cfg)
     elif kind == "head_count_sweep":
         sets = build_sets_for_config(cfg, features, labels)

@@ -5,7 +5,9 @@ probability-form entropies) and shares no code with the implementations
 under test.  The exception is the einsum formulation of the head loss,
 gradients and teacher forward at the end: it is the formulation the GEMM
 kernels replaced, kept verbatim with its own copy of the row softmax, and it
-reuses the package's ``sinkhorn_knopp``, which has tests of its own.
+reuses the package's ``sinkhorn_knopp``, which has tests of its own.  The
+dense neighbor mining is likewise the formulation row-block mining
+replaced, kept verbatim (one thread).
 """
 
 from itertools import combinations, permutations
@@ -138,6 +140,47 @@ def brute_force_neighbor_sets(data, theta, k_min):
             selected = [y for _, y in sims[:floor]]
         out.append(selected)
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense neighbor mining (the formulation before row-block mining)
+# ---------------------------------------------------------------------------
+
+
+def dense_similarity_matrix(features) -> np.ndarray:
+    norms = np.linalg.norm(features.data, axis=1)
+    if (norms == 0).any():
+        row = int(np.nonzero(norms == 0)[0][0])
+        raise ValueError(f"zero-norm feature row {row}; cosine similarity undefined")
+    unit = features.data / norms[:, None]
+    n = features.n
+    sims = np.empty((n, n), dtype=np.float64)
+    np.matmul(unit, unit.T, out=sims)
+    np.clip(sims, -1.0, 1.0, out=sims)
+    return sims
+
+
+def dense_neighbor_sets(features, theta: float, k_min: int) -> list:
+    """The full n×n similarity matrix, then a lexsort of every row."""
+    if features.n < 2:
+        raise ValueError("need at least 2 samples to build neighbor sets")
+    if k_min < 1:
+        raise ValueError("k_min must be >= 1")
+    n = features.n
+    sims = dense_similarity_matrix(features)
+    np.fill_diagonal(sims, -np.inf)
+    floor = min(k_min, n - 1)
+
+    sets = []
+    idx = np.arange(n)
+    for x in range(n):
+        row = sims[x]
+        # descending similarity, ties by ascending index
+        order = np.lexsort((idx, -row))
+        count = int((row >= theta).sum())
+        take = count if count >= floor else floor
+        sets.append(order[:take])
+    return sets
 
 
 def softmax_logsumexp(logits):

@@ -13,11 +13,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from clusterens import binfmt
+from clusterens import binfmt, labeling
 from clusterens.errors import LoadError
 from clusterens.featstore import EmbeddingMatrix, NormStats, load_features, save_features
 from clusterens.heads import HeadBank, TrainConfig, load_head_bank, save_head_bank
-from clusterens.labeling import Labeling, load_labeling, save_labeling
+from clusterens.labeling import Labeling, load_labeling, save_labeling, save_labeling_text
 from clusterens.neighbors import NeighborSets, load_neighbor_sets, save_neighbor_sets
 from clusterens.selftrain import Classifier, SelfTrainConfig, load_classifier, save_classifier
 
@@ -80,7 +80,7 @@ FORMATS = {
         "08de283ddb1440223d209e3517ffbbe17714d8bfd4ebbfd11c790d34712dc145",
     ),
     "NNS1": Format(
-        lambda: NeighborSets(tuple([(i + j + 1) % N for j in range(i % 4)] for i in range(N))),
+        lambda: NeighborSets.from_lists([(i + j + 1) % N for j in range(i % 4)] for i in range(N)),
         save_neighbor_sets, load_neighbor_sets,
         lambda raw: [4],
         "0bc664daa6668dd1c0c68739c4b30b05f325cc7c7dd4b2f78573181684189b49",
@@ -149,9 +149,11 @@ class CountingFile:
 @pytest.fixture
 def read_sizes(monkeypatch):
     sizes = []
-    monkeypatch.setattr(
-        binfmt, "open", lambda p, mode: CountingFile(open(p, mode), sizes), raising=False
-    )
+    for module in (binfmt, labeling):
+        monkeypatch.setattr(
+            module, "open", lambda p, *a, **kw: CountingFile(open(p, *a, **kw), sizes),
+            raising=False,
+        )
     return sizes
 
 
@@ -186,11 +188,15 @@ def test_sizes_checked_before_reading(artifact, read_sizes, tmp_path):
     # a loader that read the whole file first would pull a wrong or
     # corrupt multi-GB file into memory before rejecting it
     name, path, good, load = artifact
-    if name != "LBL1":  # without its magic, a labeling is text and read whole
-        foreign = tmp_path / "foreign.bin"
-        with open(foreign, "wb") as f:
-            f.write(b"CLF1" if name == "FPK1" else b"FPK1")
-            f.truncate(64 << 20)  # sparse, so cheap on disk
+    foreign = tmp_path / "foreign.bin"
+    with open(foreign, "wb") as f:
+        f.write(b"CLF1" if name == "FPK1" else b"FPK1")
+        f.truncate(64 << 20)  # sparse, so cheap on disk
+    if name == "LBL1":  # without its magic, a labeling is text, parsed in chunks
+        with pytest.raises(LoadError, match="not a labeling"):
+            load(foreign)
+        assert read_sizes == [4, labeling.TEXT_CHUNK]
+    else:
         with pytest.raises(LoadError, match="magic"):
             load(foreign)
         assert read_sizes == [4]
@@ -218,3 +224,31 @@ def test_load_maps_value_errors_and_trailing_bytes(tmp_path):
         binfmt.load(path, b"TEST", "test file", lambda r: r.take(2))
     got = binfmt.load(path, b"TEST", "test file", lambda r: (r.take(2), r.array("<u4", 3)))
     assert got[1].tolist() == [0, 1, 2]
+
+
+def test_text_labeling_parsed_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(labeling, "TEXT_CHUNK", 5)
+    path = tmp_path / "ids.txt"
+    ids = [3, -12, 40000, 7, 0, 123456789012, 5]
+    # spaces, tabs, CRLF and a two-byte no-break space, split at every 5 bytes
+    path.write_text("3\n-12\t40000 \r\n7\u00a00\n\n123456789012\n5", encoding="utf-8")
+    assert load_labeling(path).labels.tolist() == ids
+    save_labeling_text(Labeling(ids), path)
+    assert load_labeling(path).labels.tolist() == ids
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("1\n2\nx3\n4\n", "not a labeling.*x3"),
+        ("1\n2\n" + "9" * 70, "more than 64 characters"),
+        ("1\n" + "9" * 30 + "\n", "not a labeling"),  # beyond int64
+        (" \n\t\n", "empty labeling"),
+    ],
+)
+def test_bad_text_labeling_raises_load_error(tmp_path, monkeypatch, text, match):
+    monkeypatch.setattr(labeling, "TEXT_CHUNK", 4)
+    path = tmp_path / "ids.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(LoadError, match=match):
+        load_labeling(path)

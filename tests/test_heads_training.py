@@ -313,13 +313,13 @@ class TestTrainHeads:
 
     def test_empty_neighbor_set_rejected(self):
         m, _ = gen_synthetic(SynthSpec(n=4, d=3, k=2, separation=10.0, seed=0))
-        sets = NeighborSets((np.array([1]), np.array([0]), np.array([3]), np.array([])))
+        sets = NeighborSets.from_lists((np.array([1]), np.array([0]), np.array([3]), np.array([])))
         with pytest.raises(ValueError, match="empty neighbor set"):
             train_heads(m, sets, small_cfg(num_clusters=2))
 
     def test_coverage_mismatch_rejected(self):
         m, _ = gen_synthetic(SynthSpec(n=6, d=3, k=2, separation=10.0, seed=0))
-        sets = NeighborSets((np.array([1]), np.array([0])))
+        sets = NeighborSets.from_lists((np.array([1]), np.array([0])))
         with pytest.raises(ValueError, match="cover"):
             train_heads(m, sets, small_cfg(num_clusters=2))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,15 @@ from clusterens import (
     gen_synthetic,
     ground_truth_neighbors,
     neighbor_accuracy,
+    sweep_neighbor_sets,
 )
+from clusterens import neighbors
 from clusterens.cli import main
 from clusterens.errors import LoadError
 from clusterens.featstore import save_features
 from clusterens.neighbors import NeighborSets, load_neighbor_sets, save_neighbor_sets
 
-from oracles import brute_force_neighbor_sets
+from oracles import brute_force_neighbor_sets, dense_neighbor_sets, dense_similarity_matrix
 
 
 class TestCosine:
@@ -101,13 +105,6 @@ class TestBuildSets:
             back = sorted(perm[permuted.sets[inv[x]]].tolist())
             assert back == sorted(sets.sets[x].tolist())
 
-    def test_threads_deterministic(self, rng):
-        m = EmbeddingMatrix(rng.normal(size=(150, 6)))
-        a = build_neighbor_sets(m, 0.4, 5, threads=1)
-        b = build_neighbor_sets(m, 0.4, 5, threads=4)
-        for sa, sb in zip(a.sets, b.sets):
-            assert np.array_equal(sa, sb)
-
     def test_no_self_and_unique(self, blobs_small):
         m, _ = blobs_small
         sets = build_neighbor_sets(m, 0.3, 5)
@@ -123,6 +120,110 @@ class TestBuildSets:
         m = EmbeddingMatrix([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="row 1"):
             build_neighbor_sets(m, 0.3, 1)
+
+
+def dyadic_rows(rng, n, d):
+    """Integer rows whose cosines are all exact binary fractions.
+
+    Each row holds 1, 4 or 16 entries of ±s (s = 1, 2 or 4), so its norm is
+    a power of two and every product of unit rows is exact: any BLAS kernel
+    gives the same similarities, and equal cosines tie exactly.  (General
+    data can differ in the last bit between the dense product and a row
+    block's product, which may swap two samples tied up to rounding.)
+    """
+    out = np.zeros((n, d))
+    for r in range(n):
+        k = rng.choice([c for c in (1, 4, 16) if c <= d])
+        cols = rng.choice(d, size=k, replace=False)
+        out[r, cols] = rng.choice([-1.0, 1.0], size=k) * rng.choice([1.0, 2.0, 4.0])
+    return out
+
+
+def assert_matches_dense(m, theta, k_min):
+    want = dense_neighbor_sets(m, theta, k_min)
+    got = build_neighbor_sets(m, theta, k_min)
+    assert got.offsets.tolist() == np.cumsum([0] + [w.size for w in want]).tolist()
+    assert got.indices.tolist() == np.concatenate(want).tolist()
+
+
+class TestDenseOracle:
+    """Row-block mining gives exactly the sets of the dense formulation."""
+
+    N = 150
+
+    @pytest.fixture(params=[None, 16, 7], ids=["one_block", "ragged_9", "ragged_7"])
+    def blocks(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(neighbors, "BLOCK_ROWS", request.param)
+            rows = neighbors._block_rows(self.N)
+            assert 1 < rows < self.N and self.N % rows  # several blocks, the last one short
+        else:
+            assert neighbors._block_rows(self.N) == self.N
+
+    def test_random(self, rng, blocks):
+        m = EmbeddingMatrix(rng.normal(size=(self.N, 6)))
+        for theta, k_min in [(0.4, 5), (-1.0, 1), (0.9, 20), (2.0, 3), (0.0, 200)]:
+            assert_matches_dense(m, theta, k_min)
+
+    def test_duplicated_rows(self, rng, blocks):
+        base = dyadic_rows(rng, 30, 16)
+        m = EmbeddingMatrix(base[rng.integers(0, 30, size=self.N)])
+        for theta, k_min in [(1.0, 3), (0.5, 8), (0.25, 40), (2.0, 12)]:
+            assert_matches_dense(m, theta, k_min)
+
+    def test_integer_low_d(self, rng, blocks):
+        m = EmbeddingMatrix(dyadic_rows(rng, self.N, 4))
+        sims = dense_similarity_matrix(m)
+        for theta in (0.0, 0.5, 1.0):
+            assert (sims == theta).any()  # some pairs sit exactly on the threshold
+            for k_min in (1, 7, 30):
+                assert_matches_dense(m, theta, k_min)
+
+    def test_fallback_with_tie_at_cut(self, rng, blocks):
+        m = EmbeddingMatrix(dyadic_rows(rng, self.N, 4))
+        sims = dense_similarity_matrix(m)
+        np.fill_diagonal(sims, -np.inf)
+        ranked = -np.sort(-sims, axis=1)
+        for theta, k_min in [(0.75, 10), (2.0, 10), (0.5, 70)]:
+            short = (sims >= theta).sum(axis=1) < k_min
+            tied = ranked[:, k_min - 1] == ranked[:, k_min]
+            assert (short & tied).any()
+            assert_matches_dense(m, theta, k_min)
+
+    def test_two_samples(self, blocks):
+        for rows in ([[1.0, 0.0], [0.6, 0.8]], [[1.0, 0.0], [-1.0, 0.0]], [[1.0, 2.0], [1.0, 2.0]]):
+            m = EmbeddingMatrix(rows)
+            for theta in (-1.0, 0.5, 1.0, 2.0):
+                for k_min in (1, 5):
+                    assert_matches_dense(m, theta, k_min)
+
+
+def test_sweep_equals_fresh_builds(rng):
+    base = dyadic_rows(rng, 40, 4)
+    m = EmbeddingMatrix(np.vstack([base, rng.normal(size=(60, 4))]))
+    thetas = (0.9, 0.25, 0.5, 2.0, 0.5, -1.0, float("nan"))
+    swept = list(sweep_neighbor_sets(m, thetas, 6))
+    assert len(swept) == len(thetas)
+    for theta, sets in zip(thetas, swept):
+        fresh = build_neighbor_sets(m, theta, 6)
+        assert sets.offsets.tolist() == fresh.offsets.tolist()
+        assert sets.indices.tolist() == fresh.indices.tolist()
+        assert sets.k_min == 6 and (sets.theta == theta or theta != theta)
+    assert list(sweep_neighbor_sets(m, (), 6)) == []
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0], ids=["threshold", "floor_only"])
+def test_mining_peak_memory_below_quarter_of_matrix(theta):
+    n = 3000
+    m, _ = gen_synthetic(SynthSpec(n=n, d=32, k=30, separation=10.0, seed=1))
+    tracemalloc.start()
+    try:
+        sets = build_neighbor_sets(m, theta, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sets.sizes().min() >= 10
+    assert peak < n * n * 8 / 4
 
 
 class TestGroundTruth:
@@ -141,6 +242,15 @@ class TestGroundTruth:
         stats = neighbor_accuracy(ground_truth_neighbors(labels), labels)
         assert stats.pair_accuracy == 1.0
 
+    def test_matches_per_sample_definition(self, rng):
+        arr = np.concatenate([rng.integers(0, 6, size=60), [7, 9]])  # two singletons
+        rng.shuffle(arr)
+        labels = Labeling(arr)
+        sets = ground_truth_neighbors(labels)
+        for x in range(arr.size):
+            want = [y for y in range(arr.size) if y != x and arr[y] == arr[x]]
+            assert sets.sets[x].tolist() == want
+
     def test_singleton_flagged(self):
         labels = Labeling([1, 1, 2])
         stats = neighbor_accuracy(ground_truth_neighbors(labels), labels)
@@ -149,17 +259,26 @@ class TestGroundTruth:
 
 class TestAccuracy:
     def test_all_wrong(self):
-        sets = NeighborSets((np.array([1]), np.array([0])))
+        sets = NeighborSets.from_lists((np.array([1]), np.array([0])))
         stats = neighbor_accuracy(sets, Labeling([1, 2]))
         assert stats.pair_accuracy == 0.0
 
     def test_counts_weighted_not_averaged(self):
         # sample 0 has 3 neighbors (1 right), sample 1 has 1 (right):
         # pair accuracy is 2/4, not the mean of per-sample rates
-        sets = NeighborSets((np.array([1, 2, 3]), np.array([0]), np.array([]), np.array([])))
+        sets = NeighborSets.from_lists(([1, 2, 3], [0], [], []))
         stats = neighbor_accuracy(sets, Labeling([1, 1, 2, 2]))
         assert stats.pair_accuracy == pytest.approx(0.5)
         assert stats.avg_count == 1.0
+
+    def test_matches_per_pair_count(self, rng):
+        m = EmbeddingMatrix(rng.normal(size=(80, 5)))
+        sets = build_neighbor_sets(m, 0.3, 4)
+        arr = rng.integers(0, 4, size=80)
+        pairs = [(x, y) for x, s in enumerate(sets.sets) for y in s.tolist()]
+        stats = neighbor_accuracy(sets, Labeling(arr))
+        assert stats.pair_accuracy == sum(arr[x] == arr[y] for x, y in pairs) / len(pairs)
+        assert stats.avg_count == len(pairs) / 80
 
     def test_synthetic_blobs_high_accuracy(self, blobs_medium):
         m, labels = blobs_medium
@@ -168,12 +287,12 @@ class TestAccuracy:
         assert stats.pair_accuracy >= 0.99
 
     def test_all_empty_error(self):
-        sets = NeighborSets((np.array([]), np.array([])))
+        sets = NeighborSets.from_lists((np.array([]), np.array([])))
         with pytest.raises(ValueError, match="empty"):
             neighbor_accuracy(sets, Labeling([1, 2]))
 
     def test_length_mismatch(self):
-        sets = NeighborSets((np.array([1]), np.array([0])))
+        sets = NeighborSets.from_lists((np.array([1]), np.array([0])))
         with pytest.raises(ValueError):
             neighbor_accuracy(sets, Labeling([1, 2, 3]))
 
@@ -237,9 +356,15 @@ class TestSerialization:
 
 def test_neighbor_sets_reject_self_membership():
     with pytest.raises(ValueError, match="itself"):
-        NeighborSets((np.array([0]), np.array([0])))
+        NeighborSets.from_lists((np.array([0]), np.array([0])))
 
 
 def test_neighbor_sets_reject_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
-        NeighborSets((np.array([1, 1]), np.array([0])))
+        NeighborSets.from_lists((np.array([1, 1]), np.array([0])))
+
+
+def test_neighbor_sets_reject_bad_offsets():
+    for offsets, indices in [([0, 2], [1]), ([1, 1], []), ([0, 2, 1], [1, 0]), ([], [])]:
+        with pytest.raises(ValueError, match="offsets"):
+            NeighborSets(np.array(offsets), np.array(indices))
