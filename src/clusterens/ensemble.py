@@ -20,17 +20,21 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
+from .errors import ConfigError
 from .labeling import Labeling, canonicalize
+from .neighbors import _block_rows
+
+MEMINFO = "/proc/meminfo"  # MemAvailable, for the CSPA memory preflight
 
 __all__ = [
     "ContingencyTable",
-    "CoAssociationMatrix",
     "contingency",
     "mutual_information",
     "entropy_count",
     "nmi",
     "anmi",
     "co_association",
+    "check_cspa_memory",
     "cspa",
     "mcla",
     "supra_consensus",
@@ -66,29 +70,6 @@ class ContingencyTable:
         return int(self.counts.sum())
 
 
-@dataclass(frozen=True)
-class CoAssociationMatrix:
-    """n x n matrix of the fraction of labelings grouping each sample pair."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("co-association matrix must be square")
-        if not np.allclose(np.diag(v), 1.0):
-            raise ValueError("co-association diagonal must be 1")
-        if not np.allclose(v, v.T):
-            raise ValueError("co-association matrix must be symmetric")
-        if v.min() < -1e-12 or v.max() > 1 + 1e-12:
-            raise ValueError("co-association entries must lie in [0, 1]")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def contingency(a: Labeling, b: Labeling) -> ContingencyTable:
     """Exact cluster co-occurrence counts between two equal-length labelings."""
     if a.n != b.n:
@@ -112,11 +93,15 @@ def mutual_information(table: ContingencyTable) -> float:
     return math.fsum(counts[mask] * np.log(n * counts[mask] / outer[mask]))
 
 
+def _entropy_of_counts(counts: np.ndarray, n: int) -> float:
+    counts = counts.astype(np.float64)
+    return math.fsum(counts * np.log(counts / n))
+
+
 def entropy_count(labeling: Labeling) -> float:
     """Count-form entropy: sum n_h * log(n_h / n) (nonpositive)."""
     _, counts = np.unique(labeling.labels, return_counts=True)
-    counts = counts.astype(np.float64)
-    return math.fsum(counts * np.log(counts / labeling.n))
+    return _entropy_of_counts(counts, labeling.n)
 
 
 def nmi(a: Labeling, b: Labeling) -> float:
@@ -126,8 +111,8 @@ def nmi(a: Labeling, b: Labeling) -> float:
     returns 0 by convention.
     """
     table = contingency(a, b)
-    ha = entropy_count(a)
-    hb = entropy_count(b)
+    ha = _entropy_of_counts(table.row_sums, table.n)
+    hb = _entropy_of_counts(table.col_sums, table.n)
     if ha == 0.0 or hb == 0.0:
         return 0.0
     value = mutual_information(table) / np.sqrt(ha * hb)
@@ -156,37 +141,69 @@ def anmi(candidate: Labeling, inputs: Sequence[Labeling]) -> float:
     return math.fsum(nmi(candidate, lam) for lam in inputs)
 
 
-def co_association(inputs: Sequence[Labeling]) -> CoAssociationMatrix:
-    """Fraction of input labelings placing each pair of samples together."""
+def co_association(inputs: Sequence[Labeling]) -> np.ndarray:
+    """Fraction of input labelings placing each pair of samples together, as
+    float64 in scipy's condensed (``pdist``) order, counted a block of rows
+    at a time in the smallest unsigned type that holds len(inputs)."""
     if len(inputs) == 0:
         raise ValueError("need at least one input labeling")
     n = inputs[0].n
-    acc = np.zeros((n, n), dtype=np.float64)
-    for lam in inputs:
-        if lam.n != n:
-            raise ValueError("all labelings must cover the same samples")
-        acc += lam.labels[:, None] == lam.labels[None, :]
-    acc /= len(inputs)
-    np.fill_diagonal(acc, 1.0)
-    return CoAssociationMatrix(acc)
+    if any(lam.n != n for lam in inputs):
+        raise ValueError("all labelings must cover the same samples")
+    lab = np.stack([lam.labels for lam in inputs])
+    h = len(inputs)
+    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
+    step = _block_rows(n)
+    start = 0
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        # counts of rows [a, b) against columns [a + 1, n); row i's pairs
+        # (i, j > i) are its entries from column i - a on
+        count = np.zeros((b - a, n - a - 1), dtype=np.min_scalar_type(h))
+        for row in lab:
+            np.add(count, row[a:b, None] == row[None, a + 1:], out=count)
+        upper = count[np.arange(n - a - 1) >= np.arange(b - a)[:, None]]
+        np.divide(upper, h, out=out[start:start + upper.size])
+        start += upper.size
+    return out
 
 
-def _average_linkage_cut(distance: np.ndarray, k: int) -> np.ndarray:
-    """Average-linkage agglomeration on a precomputed distance matrix,
-    cut into at most k flat clusters (1-based ids)."""
-    m = distance.shape[0]
-    if m == 1:
+def check_cspa_memory(n: int) -> None:
+    """Raise ConfigError when CSPA over n samples would not fit in memory.
+
+    CSPA holds the condensed co-association and scipy's linkage copies it:
+    about 8·n(n-1) bytes, compared with ``MemAvailable`` of ``MEMINFO``.
+    The check is skipped when that cannot be read.
+    """
+    try:
+        with open(MEMINFO, encoding="ascii") as f:
+            available = next(
+                int(line.split()[1]) * 1024 for line in f if line.startswith("MemAvailable:")
+            )
+    except (OSError, ValueError, IndexError, StopIteration):
+        return
+    need = 8 * n * (n - 1)
+    if need > available:
+        raise ConfigError(
+            f"CSPA over n={n} samples needs about {need} bytes of memory, "
+            f"but only {available} bytes are available"
+        )
+
+
+def _average_linkage_cut(condensed: np.ndarray, k: int) -> np.ndarray:
+    """Average-linkage agglomeration on a condensed distance vector, cut
+    into at most k flat clusters (1-based ids)."""
+    if condensed.size == 0:
         return np.ones(1, dtype=np.int64)
-    condensed = squareform(distance, checks=False)
     tree = linkage(condensed, method="average")
-    return fcluster(tree, t=min(k, m), criterion="maxclust").astype(np.int64)
+    return fcluster(tree, t=min(k, tree.shape[0] + 1), criterion="maxclust").astype(np.int64)
 
 
 def cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     """Consensus by clustering the co-association matrix.
 
     Samples are grouped into k clusters by average-linkage agglomerative
-    clustering on distance 1 - S.
+    clustering on distance 1 - S, formed in place on the condensed S.
     """
     if len(inputs) == 0:
         raise ValueError("need at least one input labeling")
@@ -195,8 +212,10 @@ def cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     n = inputs[0].n
     if k > n:
         raise ValueError(f"k={k} exceeds sample count n={n}")
+    check_cspa_memory(n)
     s = co_association(inputs)
-    flat = _average_linkage_cut(1.0 - s.values, k)
+    np.subtract(1.0, s, out=s)
+    flat = _average_linkage_cut(s, k)
     return canonicalize(Labeling(flat))
 
 
@@ -228,7 +247,7 @@ def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
     union = sizes[:, None] + sizes[None, :] - inter
     jaccard = inter / union
 
-    flat = _average_linkage_cut(1.0 - jaccard, k)
+    flat = _average_linkage_cut(squareform(1.0 - jaccard, checks=False), k)
     # reindex meta-clusters by first appearance over the hyperedge order so
     # the argmax tie rule is well defined
     flat = canonicalize(Labeling(flat)).labels

@@ -21,9 +21,10 @@ from .labeling import Labeling
 
 NEIGHBORS_MAGIC = b"NNS1"
 
-# Similarities are computed for a block of rows at a time: at most
-# BLOCK_ROWS rows and at most n/16 of them, so a block never holds more
-# than 1/16 of the n×n matrix.  Up to BLOCK_ROWS samples are one block.
+# Similarities (and, in ``ensemble``, co-association counts) are computed
+# for a block of rows at a time: at most BLOCK_ROWS rows and at most n/16 of
+# them, so a block never holds more than 1/16 of the n×n matrix.  Up to
+# BLOCK_ROWS samples are one block.
 BLOCK_ROWS = 512
 
 

@@ -7,14 +7,21 @@ gradients and teacher forward at the end: it is the formulation the GEMM
 kernels replaced, kept verbatim with its own copy of the row softmax, and it
 reuses the package's ``sinkhorn_knopp``, which has tests of its own.  The
 dense neighbor mining is likewise the formulation row-block mining
-replaced, kept verbatim (one thread).
+replaced, kept verbatim (one thread), and so are the dense n×n
+co-association matrix and the CSPA on it that the condensed, row-blocked
+build replaced.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import squareform
 
 from clusterens.heads import CE_PROB_FLOOR, sinkhorn_knopp
+from clusterens.labeling import Labeling, canonicalize
 
 
 def set_partitions(n):
@@ -181,6 +188,78 @@ def dense_neighbor_sets(features, theta: float, k_min: int) -> list:
         take = count if count >= floor else floor
         sets.append(order[:take])
     return sets
+
+
+# ---------------------------------------------------------------------------
+# dense co-association and CSPA (the formulation before the condensed build)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoAssociationMatrix:
+    """n x n matrix of the fraction of labelings grouping each sample pair."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.float64)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError("co-association matrix must be square")
+        if not np.allclose(np.diag(v), 1.0):
+            raise ValueError("co-association diagonal must be 1")
+        if not np.allclose(v, v.T):
+            raise ValueError("co-association matrix must be symmetric")
+        if v.min() < -1e-12 or v.max() > 1 + 1e-12:
+            raise ValueError("co-association entries must lie in [0, 1]")
+        object.__setattr__(self, "values", v)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+
+def dense_co_association(inputs: Sequence[Labeling]) -> CoAssociationMatrix:
+    """Fraction of input labelings placing each pair of samples together."""
+    if len(inputs) == 0:
+        raise ValueError("need at least one input labeling")
+    n = inputs[0].n
+    acc = np.zeros((n, n), dtype=np.float64)
+    for lam in inputs:
+        if lam.n != n:
+            raise ValueError("all labelings must cover the same samples")
+        acc += lam.labels[:, None] == lam.labels[None, :]
+    acc /= len(inputs)
+    np.fill_diagonal(acc, 1.0)
+    return CoAssociationMatrix(acc)
+
+
+def _dense_average_linkage_cut(distance: np.ndarray, k: int) -> np.ndarray:
+    """Average-linkage agglomeration on a precomputed distance matrix,
+    cut into at most k flat clusters (1-based ids)."""
+    m = distance.shape[0]
+    if m == 1:
+        return np.ones(1, dtype=np.int64)
+    condensed = squareform(distance, checks=False)
+    tree = linkage(condensed, method="average")
+    return fcluster(tree, t=min(k, m), criterion="maxclust").astype(np.int64)
+
+
+def dense_cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
+    """Consensus by clustering the co-association matrix.
+
+    Samples are grouped into k clusters by average-linkage agglomerative
+    clustering on distance 1 - S.
+    """
+    if len(inputs) == 0:
+        raise ValueError("need at least one input labeling")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = inputs[0].n
+    if k > n:
+        raise ValueError(f"k={k} exceeds sample count n={n}")
+    s = dense_co_association(inputs)
+    flat = _dense_average_linkage_cut(1.0 - s.values, k)
+    return canonicalize(Labeling(flat))
 
 
 def softmax_logsumexp(logits):

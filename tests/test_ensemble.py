@@ -1,18 +1,32 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
-from clusterens import Labeling, anmi, canonicalize, cspa, mcla, nmi, supra_consensus
+from clusterens import (
+    Labeling,
+    anmi,
+    canonicalize,
+    cspa,
+    ensemble,
+    mcla,
+    neighbors,
+    nmi,
+    supra_consensus,
+)
 from clusterens.ensemble import (
-    CoAssociationMatrix,
+    check_cspa_memory,
     co_association,
     contingency,
     entropy_count,
     mutual_information,
     supra_consensus_table,
 )
+from clusterens.errors import ConfigError
 from clusterens.metrics import clustering_accuracy
 
-from oracles import nmi_prob_form, set_partitions
+from oracles import dense_co_association, dense_cspa, nmi_prob_form, set_partitions
 
 
 def relabel(labeling, rng):
@@ -204,22 +218,133 @@ class TestCspa:
 
 
 class TestCoAssociation:
+    def test_condensed_form(self, rng):
+        inputs = [Labeling(rng.integers(1, 4, size=7)) for _ in range(3)]
+        s = co_association(inputs)
+        assert s.dtype == np.float64
+        assert s.shape == (7 * 6 // 2,)
+        assert 0.0 <= s.min() and s.max() <= 1.0
+
     def test_block_structure(self):
         lab = Labeling([1, 1, 2])
         s = co_association([lab, lab])
-        assert np.array_equal(s.values, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        # pdist order: (0, 1), (0, 2), (1, 2)
+        assert s.tolist() == [1.0, 0.0, 0.0]
+        assert np.array_equal(squareform(s) + np.eye(3), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
     def test_fractional_counts(self):
         a = Labeling([1, 1, 2])
         b = Labeling([1, 2, 2])
-        s = co_association([a, b])
-        assert s.values[0, 1] == 0.5
-        assert s.values[1, 2] == 0.5
-        assert s.values[0, 2] == 0.0
+        assert co_association([a, b]).tolist() == [0.5, 0.0, 0.5]
 
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            CoAssociationMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="same samples"):
+            co_association([Labeling([1, 2, 2]), Labeling([1, 2])])
+
+
+class TestDenseOracle:
+    """The condensed build against the dense n×n matrix it replaced: every
+    entry bit for bit, and the same CSPA labeling."""
+
+    @staticmethod
+    def assert_matches_dense(inputs, k):
+        s = co_association(inputs)
+        dense = dense_co_association(inputs).values
+        expected = squareform(dense, checks=False)
+        assert np.array_equal(s.view(np.uint64), expected.view(np.uint64))
+        distance = np.subtract(1.0, s)
+        expected = squareform(1.0 - dense, checks=False)
+        assert np.array_equal(distance.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(cspa(inputs, k).labels, dense_cspa(inputs, k).labels)
+
+    @pytest.mark.parametrize("n,h,k", [(40, 5, 3), (97, 12, 6), (600, 4, 8)])
+    def test_random_labelings(self, rng, n, h, k):
+        self.assert_matches_dense([Labeling(rng.integers(1, k + 1, size=n)) for _ in range(h)], k)
+
+    def test_noisy_ensemble(self, rng):
+        _, inputs = noisy_ensemble(rng, n=300, members=20)
+        self.assert_matches_dense(inputs, 5)
+
+    @pytest.mark.parametrize("block_rows,n", [(9, 100), (7, 113), (1, 20)])
+    def test_ragged_blocks(self, rng, monkeypatch, block_rows, n):
+        monkeypatch.setattr(neighbors, "BLOCK_ROWS", block_rows)
+        _, inputs = noisy_ensemble(rng, n=n, k=4, members=6, noise=0.3)
+        self.assert_matches_dense(inputs, 4)
+
+    def test_one_and_two_samples(self):
+        self.assert_matches_dense([Labeling([3])] * 2, 1)
+        self.assert_matches_dense([Labeling([1, 2]), Labeling([5, 5])], 1)
+        self.assert_matches_dense([Labeling([1, 2]), Labeling([5, 5])], 2)
+
+    def test_single_labeling(self, rng):
+        self.assert_matches_dense([Labeling(rng.integers(1, 6, size=80))], 5)
+
+    def test_count_beyond_uint8(self, rng):
+        _, inputs = noisy_ensemble(rng, n=60, k=3, members=300, noise=0.05)
+        # most pairs of a base cluster agree in more than 255 labelings
+        assert (co_association(inputs) * 300).max() > 255
+        self.assert_matches_dense(inputs, 3)
+
+    def test_sparse_ids(self, rng):
+        ids = np.array([10**9, -7, 3, 2**62])
+        inputs = [Labeling(ids[rng.integers(0, 4, size=70)]) for _ in range(5)]
+        self.assert_matches_dense(inputs, 4)
+
+
+def test_co_association_peak_memory_near_condensed_size(rng):
+    """At n=3000, H=10 the condensed build peaks within 1.25× its 36 MB
+    output; the dense n×n oracle (72 MB per matrix) peaks above 216 MB."""
+    n = 3000
+    inputs = [Labeling(rng.integers(1, 11, size=n)) for _ in range(10)]
+    condensed = n * (n - 1) // 2 * 8
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(inputs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(co_association) <= 1.25 * condensed
+    assert peak(dense_co_association) >= 3 * n * n * 8
+
+
+class TestMemoryPreflight:
+    @pytest.fixture
+    def meminfo(self, tmp_path, monkeypatch):
+        def set_available(kib):
+            path = tmp_path / "meminfo"
+            path.write_text(f"MemTotal: 8000000 kB\nMemAvailable: {kib} kB\n")
+            monkeypatch.setattr(ensemble, "MEMINFO", str(path))
+
+        return set_available
+
+    def test_need_compared_with_available(self, meminfo):
+        n = 1000
+        meminfo(8 * n * (n - 1) // 1024 + 1)
+        check_cspa_memory(n)
+        meminfo(8 * n * (n - 1) // 1024 - 1)
+        with pytest.raises(ConfigError, match=f"n={n} .* {8 * n * (n - 1)} bytes"):
+            check_cspa_memory(n)
+
+    def test_unreadable_probe_skips_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ensemble, "MEMINFO", str(tmp_path / "missing"))
+        check_cspa_memory(10**7)
+        path = tmp_path / "meminfo"
+        path.write_text("MemTotal: 8000000 kB\n")
+        monkeypatch.setattr(ensemble, "MEMINFO", str(path))
+        check_cspa_memory(10**7)
+
+    def test_cspa_refuses_before_allocating(self, meminfo, monkeypatch):
+        meminfo(1)
+
+        def no_build(inputs):
+            raise AssertionError("co-association built despite the preflight")
+
+        monkeypatch.setattr(ensemble, "co_association", no_build)
+        with pytest.raises(ConfigError, match="n=50 "):
+            cspa([Labeling(np.arange(50) % 3)], k=3)
 
 
 class TestMcla:
