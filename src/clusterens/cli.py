@@ -143,8 +143,7 @@ def _cmd_ensemble(args) -> str:
     if cfg.resolved["ensemble.k"] is None and cfg.resolved["train.num_clusters"] is None:
         raise ConfigError("ensemble needs --k (or train.num_clusters) to be set")
     _, text = pl.ensemble_stage(
-        run_dir, inputs, cfg.ensemble_k(), [inputs[best_head]], ["best_head"],
-        labels, threads=cfg.threads,
+        run_dir, inputs, cfg.ensemble_k(), [inputs[best_head]], ["best_head"], labels
     )
     return text
 

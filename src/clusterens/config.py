@@ -48,7 +48,7 @@ SCHEMA = {
     "labels": (str, None),
     "output_dir": (str, None),
     "seed": (int, 0),
-    "threads": (int, 1),
+    "threads": (int, 1),  # accepted and ignored, so that older configs still load
     "synth.n": (int, None),
     "synth.d": (int, None),
     "synth.k": (int, None),
@@ -173,10 +173,6 @@ class PipelineConfig:
     @property
     def seed(self) -> int:
         return self.resolved["seed"]
-
-    @property
-    def threads(self) -> int:
-        return self.resolved["threads"]
 
     @property
     def features_path(self):

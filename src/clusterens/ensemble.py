@@ -12,7 +12,6 @@ any caller-supplied extras (the pipeline passes the best head's labeling).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,41 +42,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Co-occurrence counts between the clusters of two labelings."""
+    """Co-occurrence counts between the clusters of two labelings, with each
+    labeling's sorted cluster ids and cluster sizes (the table's margins)."""
 
     counts: np.ndarray
     row_ids: np.ndarray
     col_ids: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("counts must be a 2-D matrix")
-        if (counts < 0).any():
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
+    row_sums: np.ndarray
+    col_sums: np.ndarray
 
     @property
     def n(self) -> int:
-        return int(self.counts.sum())
+        return int(self.row_sums.sum())
 
 
 def contingency(a: Labeling, b: Labeling) -> ContingencyTable:
     """Exact cluster co-occurrence counts between two equal-length labelings."""
     if a.n != b.n:
         raise ValueError(f"labelings differ in length: {a.n} vs {b.n}")
-    ua, ia = np.unique(a.labels, return_inverse=True)
-    ub, ib = np.unique(b.labels, return_inverse=True)
-    counts = np.bincount(ia * ub.size + ib, minlength=ua.size * ub.size)
-    return ContingencyTable(counts.reshape(ua.size, ub.size), ua, ub)
+    ca, cb = a.coding, b.coding
+    counts = np.bincount(ca.codes * b.k + cb.codes, minlength=a.k * b.k)
+    return ContingencyTable(counts.reshape(a.k, b.k), ca.ids, cb.ids, ca.counts, cb.counts)
 
 
 def mutual_information(table: ContingencyTable) -> float:
@@ -100,8 +85,7 @@ def _entropy_of_counts(counts: np.ndarray, n: int) -> float:
 
 def entropy_count(labeling: Labeling) -> float:
     """Count-form entropy: sum n_h * log(n_h / n) (nonpositive)."""
-    _, counts = np.unique(labeling.labels, return_counts=True)
-    return _entropy_of_counts(counts, labeling.n)
+    return _entropy_of_counts(labeling.coding.counts, labeling.n)
 
 
 def nmi(a: Labeling, b: Labeling) -> float:
@@ -111,27 +95,16 @@ def nmi(a: Labeling, b: Labeling) -> float:
     returns 0 by convention.
     """
     table = contingency(a, b)
-    ha = _entropy_of_counts(table.row_sums, table.n)
-    hb = _entropy_of_counts(table.col_sums, table.n)
+    ha = entropy_count(a)
+    hb = entropy_count(b)
     if ha == 0.0 or hb == 0.0:
         return 0.0
-    value = mutual_information(table) / np.sqrt(ha * hb)
-    return float(np.clip(value, 0.0, 1.0))
+    return min(max(mutual_information(table) / math.sqrt(ha * hb), 0.0), 1.0)
 
 
-def nmi_pairwise(candidates: Sequence[Labeling], inputs: Sequence[Labeling], threads: int = 1):
-    """NMI of every (candidate, input) pair; deterministic regardless of threads."""
-    pairs = [(i, j) for i in range(len(candidates)) for j in range(len(inputs))]
-    out = np.zeros((len(candidates), len(inputs)))
-    if threads <= 1:
-        for i, j in pairs:
-            out[i, j] = nmi(candidates[i], inputs[j])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda ij: nmi(candidates[ij[0]], inputs[ij[1]]), pairs))
-        for (i, j), v in zip(pairs, values):
-            out[i, j] = v
-    return out
+def nmi_pairwise(candidates: Sequence[Labeling], inputs: Sequence[Labeling]) -> list:
+    """NMI of every (candidate, input) pair, one row per candidate."""
+    return [[nmi(cand, lam) for lam in inputs] for cand in candidates]
 
 
 def anmi(candidate: Labeling, inputs: Sequence[Labeling]) -> float:
@@ -234,13 +207,12 @@ def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
     if k < 1:
         raise ValueError("k must be >= 1")
     n = inputs[0].n
-    edges = []
-    for lam in inputs:
-        if lam.n != n:
-            raise ValueError("all labelings must cover the same samples")
-        for cid in np.unique(lam.labels):
-            edges.append(lam.labels == cid)
-    indicators = np.asarray(edges, dtype=np.float64)
+    if any(lam.n != n for lam in inputs):
+        raise ValueError("all labelings must cover the same samples")
+    # one row per cluster of each input, in sorted-id order
+    indicators = np.concatenate(
+        [lam.coding.codes == np.arange(lam.k)[:, None] for lam in inputs]
+    ).astype(np.float64)
 
     inter = indicators @ indicators.T
     sizes = indicators.sum(axis=1)
@@ -263,14 +235,13 @@ def supra_consensus(
     inputs: Sequence[Labeling],
     k: int,
     extra_candidates: Sequence[Labeling] = (),
-    threads: int = 1,
 ) -> Labeling:
     """Pick the candidate labeling with the highest summed NMI to the inputs.
 
     Candidates are the CSPA and MCLA results plus any extras, considered in
     that order; ties keep the earliest candidate.
     """
-    rows, best_idx = supra_consensus_table(inputs, k, extra_candidates, threads=threads)
+    rows, best_idx = supra_consensus_table(inputs, k, extra_candidates)
     return rows[best_idx][2]
 
 
@@ -279,7 +250,6 @@ def supra_consensus_table(
     k: int,
     extra_candidates: Sequence[Labeling] = (),
     extra_names: Sequence[str] = (),
-    threads: int = 1,
 ):
     """Like :func:`supra_consensus` but also returns the per-candidate ANMI
     scores as (name, score, labeling) rows for reporting."""
@@ -291,8 +261,7 @@ def supra_consensus_table(
     ]
     candidates = [cspa(inputs, k), mcla(inputs, k)]
     candidates.extend(extra_candidates)
-    grid = nmi_pairwise(candidates, inputs, threads=threads)
-    scores = [math.fsum(grid[i]) for i in range(len(candidates))]
+    scores = [math.fsum(row) for row in nmi_pairwise(candidates, inputs)]
     rows = [
         (name, score, cand) for name, score, cand in zip(names, scores, candidates)
     ]

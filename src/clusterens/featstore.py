@@ -9,7 +9,9 @@ layer whose running statistics are frozen at fit time: per-dimension
 
 from __future__ import annotations
 
+import os
 import struct
+import tokenize
 import warnings
 from dataclasses import dataclass
 
@@ -250,23 +252,27 @@ def _parse_featpack(r: binfmt.Reader) -> np.ndarray:
 def _load_csv(path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise LoadError(f"{path}: unparseable value in row {lineno - 1}: {exc}") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise LoadError(
-                    f"{path}: row {lineno - 1} has {len(row)} columns, expected {width}"
-                )
-            rows.append(row)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = [float(p) for p in line.split(",")]
+                except ValueError as exc:
+                    raise LoadError(
+                        f"{path}: unparseable value in row {lineno - 1}: {exc}"
+                    ) from exc
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise LoadError(
+                        f"{path}: row {lineno - 1} has {len(row)} columns, expected {width}"
+                    )
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows:
         raise LoadError(f"{path}: empty csv")
     return np.asarray(rows, dtype=np.float64)
@@ -282,7 +288,8 @@ def _load_npy(path) -> np.ndarray:
             raise LoadError(f"{path}: unsupported npy version {version}, need 1.0")
         try:
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
-        except ValueError as exc:
+        # the header is a Python literal; numpy lets tokenizer errors through
+        except (ValueError, SyntaxError, tokenize.TokenError) as exc:
             raise LoadError(f"{path}: malformed npy header: {exc}") from exc
         if fortran_order:
             raise LoadError(f"{path}: Fortran-order npy not supported, need C order")
@@ -292,12 +299,11 @@ def _load_npy(path) -> np.ndarray:
             raise LoadError(
                 f"{path}: dtype {dtype.str} not supported, need little-endian float32/float64"
             )
+        # sized before it is read, so an oversized file is not read whole
+        n, d = shape
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left != n * d * dtype.itemsize:
+            got_rows = left // (d * dtype.itemsize)
+            raise LoadError(f"{path}: payload holds {got_rows} row(s) but header declares {n}")
         payload = f.read()
-    n, d = shape
-    expected = n * d * dtype.itemsize
-    if len(payload) != expected:
-        got_rows = len(payload) // (d * dtype.itemsize)
-        raise LoadError(
-            f"{path}: payload holds {got_rows} row(s) but header declares {n}"
-        )
     return np.frombuffer(payload, dtype=dtype).reshape(n, d).astype(np.float64)

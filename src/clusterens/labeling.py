@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import codecs
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +21,16 @@ LABELING_MAGIC = b"LBL1"
 # bytes of a text labeling read at once, and the longest id token accepted
 TEXT_CHUNK = 1 << 16
 MAX_ID_CHARS = 64
+
+
+class Coding(NamedTuple):
+    """A labeling's distinct ids in sorted order, and per id its first
+    position and size; ``codes`` gives each sample its id's index 0..k-1."""
+
+    ids: np.ndarray
+    first: np.ndarray
+    codes: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -44,10 +56,19 @@ class Labeling:
     def n(self) -> int:
         return self.labels.size
 
+    @cached_property
+    def coding(self) -> Coding:
+        """The dense coding of the ids, computed on first use and kept (the
+        ids are a private read-only copy, so it cannot go stale)."""
+        parts = np.unique(self.labels, return_index=True, return_inverse=True, return_counts=True)
+        for part in parts:
+            part.flags.writeable = False
+        return Coding(*parts)
+
     @property
     def k(self) -> int:
         """Number of distinct cluster ids present."""
-        return int(np.unique(self.labels).size)
+        return self.coding.ids.size
 
     def same_grouping(self, other: "Labeling") -> bool:
         """True when both labelings induce the same partition."""
@@ -60,11 +81,9 @@ class Labeling:
 
 def canonicalize(labeling: Labeling) -> Labeling:
     """Remap ids to 1..k in order of first appearance; grouping unchanged."""
-    _, first_pos, inverse = np.unique(
-        labeling.labels, return_index=True, return_inverse=True
-    )
-    appearance_rank = np.argsort(np.argsort(first_pos))
-    return Labeling(appearance_rank[inverse] + 1)
+    coding = labeling.coding
+    appearance_rank = np.argsort(np.argsort(coding.first))
+    return Labeling(appearance_rank[coding.codes] + 1)
 
 
 def save_labeling(labeling: Labeling, path) -> None:

@@ -71,7 +71,6 @@ def ari(a: Labeling, b: Labeling) -> float:
         raise ValueError("ARI needs at least 2 samples")
 
     def comb2(x):
-        x = np.asarray(x, dtype=np.float64)
         return x * (x - 1.0) / 2.0
 
     table = contingency(a, b)

@@ -260,7 +260,7 @@ def ground_truth_neighbors(labels: Labeling) -> NeighborSets:
     in :func:`neighbor_accuracy` stats.
     """
     n = labels.n
-    _, label_of, class_sizes = np.unique(labels.labels, return_inverse=True, return_counts=True)
+    label_of, class_sizes = labels.coding.codes, labels.coding.counts
     # samples grouped by label, ascending within a group; group g starts at first[g]
     grouped = np.argsort(label_of, kind="stable")
     first = _offsets(class_sizes)[:-1]
@@ -285,11 +285,10 @@ def neighbor_accuracy(sets: NeighborSets, labels: Labeling) -> NeighborStats:
     if total == 0:
         raise ValueError("all neighbor sets are empty")
     correct = int((arr[sets.indices] == np.repeat(arr, counts)).sum())
-    _, class_sizes = np.unique(arr, return_counts=True)
     return NeighborStats(
         avg_count=float(counts.mean()),
         pair_accuracy=correct / total,
-        singleton_classes=int((class_sizes == 1).sum()),
+        singleton_classes=int((labels.coding.counts == 1).sum()),
     )
 
 

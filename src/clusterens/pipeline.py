@@ -258,14 +258,11 @@ def ensemble_stage(
     extras,
     extra_names,
     labels: Labeling | None,
-    threads: int = 1,
 ):
     """Run supra-consensus over head labelings; write consensus + ANMI table."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows, best_idx = ens.supra_consensus_table(
-        inputs, k, extras, extra_names, threads=threads
-    )
+    rows, best_idx = ens.supra_consensus_table(inputs, k, extras, extra_names)
     consensus = rows[best_idx][2]
     save_labeling(consensus, out_dir / "consensus.lbl")
 
@@ -372,8 +369,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     def ensemble():
         best_lab = report.per_head_labeling[report.best_head]
         consensus, _ = ensemble_stage(
-            out_dir, list(report.per_head_labeling), k, [best_lab], ["best_head"], labels,
-            threads=cfg.threads,
+            out_dir, list(report.per_head_labeling), k, [best_lab], ["best_head"], labels
         )
         return consensus, [out_dir / "consensus.lbl", out_dir / "anmi_table.txt"], consensus
 
@@ -481,10 +477,7 @@ def run_ablation(kind: str, cfg: PipelineConfig) -> str:
             report = run_variant(f"H={h}", f"H_{h}", sets, variant_cfg)
             best_lab = report.per_head_labeling[report.best_head]
             consensus = ens.supra_consensus(
-                list(report.per_head_labeling),
-                cfg.ensemble_k(),
-                [best_lab],
-                threads=cfg.threads,
+                list(report.per_head_labeling), cfg.ensemble_k(), [best_lab]
             )
             m = evaluate(consensus, labels)
             machine[f"H_{h}.ensemble_acc"] = m.acc

@@ -90,12 +90,10 @@ def self_train(
     """
     if pseudo.n != features.n:
         raise ValueError(f"pseudo-labels cover {pseudo.n} samples, features hold {features.n}")
-    canon = canonicalize(pseudo)
-    targets = canon.labels - 1
-    num_classes = canon.k
+    targets = canonicalize(pseudo).labels - 1
+    num_classes = pseudo.k
     # first-appearance order matches the canonical ids 1..C
-    _, first_pos = np.unique(pseudo.labels, return_index=True)
-    class_ids = pseudo.labels[np.sort(first_pos)]
+    class_ids = pseudo.labels[np.sort(pseudo.coding.first)]
 
     norm = fit_standardizer(features)
     s = standardize_array(features.data, norm)

@@ -9,9 +9,13 @@ reuses the package's ``sinkhorn_knopp``, which has tests of its own.  The
 dense neighbor mining is likewise the formulation row-block mining
 replaced, kept verbatim (one thread), and so are the dense n×n
 co-association matrix and the CSPA on it that the condensed, row-blocked
-build replaced.
+build replaced.  The contingency table, MI, NMI, ARI, accuracy and MCLA
+that ran ``np.unique`` on the cluster ids in every call, before each
+labeling cached its coding, are kept verbatim too, with ``canonicalize``;
+they reuse the package's ``hungarian`` and ``_average_linkage_cut``.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
@@ -20,8 +24,10 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
+from clusterens.ensemble import _average_linkage_cut
 from clusterens.heads import CE_PROB_FLOOR, sinkhorn_knopp
 from clusterens.labeling import Labeling, canonicalize
+from clusterens.metrics import hungarian
 
 
 def set_partitions(n):
@@ -260,6 +266,159 @@ def dense_cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     s = dense_co_association(inputs)
     flat = _dense_average_linkage_cut(1.0 - s.values, k)
     return canonicalize(Labeling(flat))
+
+
+# ---------------------------------------------------------------------------
+# per-call np.unique metrics and MCLA (the formulation before the cached coding)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UniqueContingencyTable:
+    """Co-occurrence counts between the clusters of two labelings."""
+
+    counts: np.ndarray
+    row_ids: np.ndarray
+    col_ids: np.ndarray
+
+    def __post_init__(self):
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if counts.ndim != 2:
+            raise ValueError("counts must be a 2-D matrix")
+        if (counts < 0).any():
+            raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def row_sums(self) -> np.ndarray:
+        return self.counts.sum(axis=1)
+
+    @property
+    def col_sums(self) -> np.ndarray:
+        return self.counts.sum(axis=0)
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+
+def unique_contingency(a: Labeling, b: Labeling) -> UniqueContingencyTable:
+    """Exact cluster co-occurrence counts between two equal-length labelings."""
+    if a.n != b.n:
+        raise ValueError(f"labelings differ in length: {a.n} vs {b.n}")
+    ua, ia = np.unique(a.labels, return_inverse=True)
+    ub, ib = np.unique(b.labels, return_inverse=True)
+    counts = np.bincount(ia * ub.size + ib, minlength=ua.size * ub.size)
+    return UniqueContingencyTable(counts.reshape(ua.size, ub.size), ua, ub)
+
+
+def unique_mutual_information(table: UniqueContingencyTable) -> float:
+    """Count-form mutual information: sum n_hl * log(n * n_hl / (n_h * n_l))."""
+    counts = table.counts.astype(np.float64)
+    n = float(table.n)
+    outer = np.outer(table.row_sums, table.col_sums).astype(np.float64)
+    mask = counts > 0
+    return math.fsum(counts[mask] * np.log(n * counts[mask] / outer[mask]))
+
+
+def _unique_entropy_of_counts(counts: np.ndarray, n: int) -> float:
+    counts = counts.astype(np.float64)
+    return math.fsum(counts * np.log(counts / n))
+
+
+def unique_entropy_count(labeling: Labeling) -> float:
+    """Count-form entropy: sum n_h * log(n_h / n) (nonpositive)."""
+    _, counts = np.unique(labeling.labels, return_counts=True)
+    return _unique_entropy_of_counts(counts, labeling.n)
+
+
+def unique_nmi(a: Labeling, b: Labeling) -> float:
+    """Normalized mutual information MI / sqrt(H(a) * H(b)), in [0, 1]."""
+    table = unique_contingency(a, b)
+    ha = _unique_entropy_of_counts(table.row_sums, table.n)
+    hb = _unique_entropy_of_counts(table.col_sums, table.n)
+    if ha == 0.0 or hb == 0.0:
+        return 0.0
+    value = unique_mutual_information(table) / np.sqrt(ha * hb)
+    return float(np.clip(value, 0.0, 1.0))
+
+
+def unique_anmi(candidate: Labeling, inputs: Sequence[Labeling]) -> float:
+    """Summed NMI between a candidate and every input labeling."""
+    return math.fsum(unique_nmi(candidate, lam) for lam in inputs)
+
+
+def unique_clustering_accuracy(pred: Labeling, gt: Labeling) -> tuple[float, dict]:
+    """Best-map accuracy: Hungarian-match predicted clusters to classes."""
+    if pred.n != gt.n:
+        raise ValueError(f"labelings differ in length: {pred.n} vs {gt.n}")
+    table = unique_contingency(pred, gt)
+    pairs, _ = hungarian(-table.counts.astype(np.float64))
+    mass = int(sum(table.counts[r, c] for r, c in pairs))
+    matching = {int(table.row_ids[r]): int(table.col_ids[c]) for r, c in pairs}
+    return mass / pred.n, matching
+
+
+def unique_ari(a: Labeling, b: Labeling) -> float:
+    """Adjusted Rand index under the permutation-model expectation."""
+    if a.n != b.n:
+        raise ValueError(f"labelings differ in length: {a.n} vs {b.n}")
+    if a.n < 2:
+        raise ValueError("ARI needs at least 2 samples")
+
+    def comb2(x):
+        x = np.asarray(x, dtype=np.float64)
+        return x * (x - 1.0) / 2.0
+
+    table = unique_contingency(a, b)
+    sum_cells = float(comb2(table.counts).sum())
+    sum_a = float(comb2(table.row_sums).sum())
+    sum_b = float(comb2(table.col_sums).sum())
+    total = float(comb2(table.n))
+    expected = sum_a * sum_b / total
+    denom = 0.5 * (sum_a + sum_b) - expected
+    if denom == 0.0:
+        return 1.0
+    return (sum_cells - expected) / denom
+
+
+def unique_canonicalize(labeling: Labeling) -> Labeling:
+    """Remap ids to 1..k in order of first appearance; grouping unchanged."""
+    _, first_pos, inverse = np.unique(
+        labeling.labels, return_index=True, return_inverse=True
+    )
+    appearance_rank = np.argsort(np.argsort(first_pos))
+    return Labeling(appearance_rank[inverse] + 1)
+
+
+def unique_mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
+    """Consensus by grouping cluster hyperedges on Jaccard similarity."""
+    if len(inputs) == 0:
+        raise ValueError("need at least one input labeling")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = inputs[0].n
+    edges = []
+    for lam in inputs:
+        if lam.n != n:
+            raise ValueError("all labelings must cover the same samples")
+        for cid in np.unique(lam.labels):
+            edges.append(lam.labels == cid)
+    indicators = np.asarray(edges, dtype=np.float64)
+
+    inter = indicators @ indicators.T
+    sizes = indicators.sum(axis=1)
+    union = sizes[:, None] + sizes[None, :] - inter
+    jaccard = inter / union
+
+    flat = _average_linkage_cut(squareform(1.0 - jaccard, checks=False), k)
+    flat = unique_canonicalize(Labeling(flat)).labels
+    n_meta = int(flat.max())
+    membership = np.zeros((n_meta, n))
+    for meta in range(1, n_meta + 1):
+        membership[meta - 1] = indicators[flat == meta].mean(axis=0)
+    assigned = membership.argmax(axis=0) + 1
+    return unique_canonicalize(Labeling(assigned))
 
 
 def softmax_logsumexp(logits):

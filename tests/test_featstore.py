@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,20 @@ class TestNpy:
         back = load_features(path, "npy")
         assert back.data.tobytes() == m.data.tobytes()
 
+    def test_oversized_payload_refused_before_reading(self, tmp_path):
+        path = tmp_path / "big.npy"
+        save_features(EmbeddingMatrix(np.ones((3, 2))), path, "npy")
+        with open(path, "r+b") as f:
+            f.truncate(64 << 20)  # sparse, so cheap on disk
+        tracemalloc.start()
+        try:
+            with pytest.raises(LoadError, match="header declares 3"):
+                load_features(path, "npy")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_fortran_order_rejected(self, tmp_path):
         path = tmp_path / "f.npy"
         np.save(path, np.asfortranarray(np.ones((3, 2), dtype="<f8")))
@@ -148,6 +164,25 @@ class TestNpy:
         np.save(path, np.ones(4, dtype="<f8"))
         with pytest.raises(LoadError, match="2-D"):
             load_features(path, "npy")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "npy"])
+def test_fuzzed_file_raises_load_error(tmp_path, fmt):
+    path = tmp_path / f"m.{fmt}"
+    save_features(EmbeddingMatrix([[0.5, -1.25], [3.0, 4.5], [-2.0, 0.125]]), path, fmt)
+    good = path.read_bytes()
+    # truncate at every length and overwrite every byte; a case may leave a
+    # loadable file, but nothing other than LoadError may escape
+    cases = [good[:cut] for cut in range(len(good))]
+    for pos in range(len(good)):
+        for value in b"\x00\x80\xff',":
+            cases.append(good[:pos] + bytes([value]) + good[pos + 1 :])
+    for case in cases:
+        path.write_bytes(case)
+        try:
+            load_features(path, fmt)
+        except LoadError:
+            pass
 
 
 def test_detect_format():
