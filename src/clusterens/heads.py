@@ -180,11 +180,13 @@ def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
         raise ValueError("need a nonempty (..., B, C) logit batch")
     m = np.exp(logits - logits.max(axis=-1, keepdims=True))
     b, c = m.shape[-2], m.shape[-1]
+    # normalized in place: m is the fresh array np.exp returned
     for _ in range(iters):
-        m = m / m.sum(axis=-2, keepdims=True) * (b / c)
-        m = m / m.sum(axis=-1, keepdims=True)
+        m /= m.sum(axis=-2, keepdims=True)
+        m *= b / c
+        m /= m.sum(axis=-1, keepdims=True)
     if iters == 0:
-        m = m / m.sum(axis=-1, keepdims=True)
+        m /= m.sum(axis=-1, keepdims=True)
     return m
 
 

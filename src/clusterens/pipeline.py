@@ -303,15 +303,23 @@ def selftrain_stage(
     save_labeling(pred, out_dir / "selftrain_pred.lbl")
 
     agreement = float(np.mean(pred.labels == pseudo.labels))
+    fit = clf.history
+    stop = ("stopped early: the probe reproduces every pseudo-label" if fit.stopped_early
+            else "ran the whole cap")
     human = [
         "self-training report",
         "",
-        f"  steps: {st_cfg.steps}",
+        f"  steps: {fit.steps} of a {st_cfg.steps}-step cap, {stop}",
+        f"  epochs: {fit.epochs} (steps per epoch: {fit.epoch_steps})",
         f"  training-set agreement with pseudo-labels: {pct(agreement)}%",
     ]
     machine = {
-        "steps": st_cfg.steps,
+        "steps": fit.steps,
+        "steps_cap": st_cfg.steps,
+        "epochs_run": fit.epochs,
+        "stopped_early": fit.stopped_early,
         "pseudo_agreement": agreement,
+        "pseudo_agreement_by_epoch": _float_list(fit.agreement_by_epoch),
         "classifier": str(out_dir / "classifier.clf"),
         "predictions": str(out_dir / "selftrain_pred.lbl"),
     }

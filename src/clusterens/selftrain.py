@@ -2,7 +2,13 @@
 
 One training round only.  The classifier is a single affine map over
 standardized features, optimized with momentum SGD and decoupled weight
-decay for a fixed iteration budget, then used as the inference model.
+decay, then used as the inference model.  Training stops at the first
+epoch boundary (the point where the next sample permutation would be
+drawn, every floor(n / batch) steps) at which the probe's argmax class
+reproduces every pseudo-label; ``SelfTrainConfig.steps`` is a cap.  The
+check runs before the permutation is drawn, so an early-stopped probe is
+bit-identical to a fixed-budget run of the steps it ran, and a probe that
+never fits runs the whole cap.
 """
 
 from __future__ import annotations
@@ -41,6 +47,23 @@ class SelfTrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
+@dataclass(frozen=True)
+class FitHistory:
+    """How one ``self_train`` call ran.  Not part of the ``CLF1`` checkpoint."""
+
+    steps: int  # momentum-SGD steps run, at most ``SelfTrainConfig.steps``
+    epoch_steps: int  # steps per epoch, floor(n / batch)
+    # training-set agreement with the pseudo-labels at each epoch-boundary
+    # check; entry e is taken after e epochs (entry 0: the zero weights)
+    agreement_by_epoch: tuple[float, ...]
+    stopped_early: bool  # the probe reproduced every pseudo-label
+
+    @property
+    def epochs(self) -> int:
+        """Epochs begun, i.e. sample permutations drawn."""
+        return -(-self.steps // self.epoch_steps)
+
+
 @dataclass
 class Classifier:
     """Affine d -> C map over standardized features, plus the id table that
@@ -51,6 +74,7 @@ class Classifier:
     norm: NormStats
     class_ids: np.ndarray  # (C,)
     config: SelfTrainConfig
+    history: FitHistory | None = None  # set by ``self_train``, not saved
 
     @property
     def num_classes(self) -> int:
@@ -85,8 +109,11 @@ def self_train(
 ) -> Classifier:
     """Fit the linear probe to pseudo-labels by mini-batch momentum SGD.
 
-    Deterministic under ``cfg.seed``; weights start at zero, standardization
-    statistics are fitted from the features themselves.
+    Runs at most ``cfg.steps`` steps and stops at the first epoch boundary
+    where the probe reproduces every pseudo-label (see the module
+    docstring); ``Classifier.history`` records how it ran.  Deterministic
+    under ``cfg.seed``; weights start at zero, standardization statistics
+    are fitted from the features themselves.
     """
     if pseudo.n != features.n:
         raise ValueError(f"pseudo-labels cover {pseudo.n} samples, features hold {features.n}")
@@ -106,10 +133,18 @@ def self_train(
     rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, n)
 
+    agreement = []
+    stopped_early = False
     order = np.empty(0, dtype=np.int64)
     cursor = 0
-    for step in range(cfg.steps):
+    step = 0
+    while step < cfg.steps:
         if cursor + batch > order.size:
+            hits = _argmax_class(s, weight, bias) == targets
+            agreement.append(float(hits.mean()))
+            if hits.all():
+                stopped_early = True
+                break
             order = rng.permutation(n)
             cursor = 0
         idx = order[cursor : cursor + batch]
@@ -122,8 +157,20 @@ def self_train(
         buf_b = cfg.momentum * buf_b + grads["bias"]
         weight -= cfg.lr * buf_w + cfg.lr * cfg.weight_decay * weight
         bias -= cfg.lr * buf_b
+        step += 1
 
-    return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids, config=cfg)
+    history = FitHistory(
+        steps=step, epoch_steps=n // batch, agreement_by_epoch=tuple(agreement),
+        stopped_early=stopped_early,
+    )
+    return Classifier(
+        weight=weight, bias=bias, norm=norm, class_ids=class_ids, config=cfg, history=history
+    )
+
+
+def _argmax_class(s: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Class index per standardized row (ties to the lowest index)."""
+    return np.argmax(s @ weight.T + bias, axis=1)
 
 
 def predict(clf: Classifier, features: EmbeddingMatrix) -> Labeling:
@@ -131,8 +178,7 @@ def predict(clf: Classifier, features: EmbeddingMatrix) -> Labeling:
     if features.d != clf.dim:
         raise ValueError(f"dimension mismatch: features d={features.d}, classifier d={clf.dim}")
     s = standardize_array(features.data, clf.norm)
-    logits = s @ clf.weight.T + clf.bias
-    return Labeling(clf.class_ids[np.argmax(logits, axis=1)])
+    return Labeling(clf.class_ids[_argmax_class(s, clf.weight, clf.bias)])
 
 
 def save_classifier(clf: Classifier, path) -> None:

@@ -13,6 +13,11 @@ build replaced.  The contingency table, MI, NMI, ARI, accuracy and MCLA
 that ran ``np.unique`` on the cluster ids in every call, before each
 labeling cached its coding, are kept verbatim too, with ``canonicalize``;
 they reuse the package's ``hungarian`` and ``_average_linkage_cut``.
+``out_of_place_sinkhorn_knopp`` is ``sinkhorn_knopp`` as it was before it
+normalized in place, and ``fixed_budget_self_train`` is ``self_train`` as it
+was before it stopped once the probe reproduces the pseudo-labels: both are
+copied verbatim, and the latter reuses the package's ``ce_loss_and_grads``,
+standardizer and ``Classifier``.
 """
 
 import math
@@ -25,9 +30,12 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
 from clusterens.ensemble import _average_linkage_cut
+from clusterens.errors import TrainingError
+from clusterens.featstore import EmbeddingMatrix, fit_standardizer, standardize_array
 from clusterens.heads import CE_PROB_FLOOR, sinkhorn_knopp
 from clusterens.labeling import Labeling, canonicalize
 from clusterens.metrics import hungarian
+from clusterens.selftrain import Classifier, SelfTrainConfig, ce_loss_and_grads
 
 
 def set_partitions(n):
@@ -557,3 +565,82 @@ def einsum_teacher_targets(
         .mean(axis=2)
     )
     return qt_x, qt_nb
+
+
+# ---------------------------------------------------------------------------
+# out-of-place Sinkhorn-Knopp (before it normalized in place)
+# ---------------------------------------------------------------------------
+
+
+def out_of_place_sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
+    """Center a logit batch toward uniform cluster usage.
+
+    Exponentiates (row max subtracted first), then alternates column
+    normalization (columns sum to B/C) with row normalization (rows sum
+    to 1) ``iters`` times; zero iterations reduce to a plain row softmax.
+    Works on any (..., B, C) stack of batches.
+    """
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
+    logits = np.asarray(teacher_logit_batch, dtype=np.float64)
+    if logits.ndim < 2 or logits.shape[-2] < 1:
+        raise ValueError("need a nonempty (..., B, C) logit batch")
+    m = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    b, c = m.shape[-2], m.shape[-1]
+    for _ in range(iters):
+        m = m / m.sum(axis=-2, keepdims=True) * (b / c)
+        m = m / m.sum(axis=-1, keepdims=True)
+    if iters == 0:
+        m = m / m.sum(axis=-1, keepdims=True)
+    return m
+
+
+# ---------------------------------------------------------------------------
+# fixed-budget self-training (before the probe stopped once it fits)
+# ---------------------------------------------------------------------------
+
+
+def fixed_budget_self_train(
+    features: EmbeddingMatrix, pseudo: Labeling, cfg: SelfTrainConfig = SelfTrainConfig()
+) -> Classifier:
+    """Fit the linear probe to pseudo-labels by mini-batch momentum SGD.
+
+    Deterministic under ``cfg.seed``; weights start at zero, standardization
+    statistics are fitted from the features themselves.
+    """
+    if pseudo.n != features.n:
+        raise ValueError(f"pseudo-labels cover {pseudo.n} samples, features hold {features.n}")
+    targets = canonicalize(pseudo).labels - 1
+    num_classes = pseudo.k
+    # first-appearance order matches the canonical ids 1..C
+    class_ids = pseudo.labels[np.sort(pseudo.coding.first)]
+
+    norm = fit_standardizer(features)
+    s = standardize_array(features.data, norm)
+    n, d = s.shape
+
+    weight = np.zeros((num_classes, d))
+    bias = np.zeros(num_classes)
+    buf_w = np.zeros_like(weight)
+    buf_b = np.zeros_like(bias)
+    rng = np.random.default_rng(cfg.seed)
+    batch = min(cfg.batch_size, n)
+
+    order = np.empty(0, dtype=np.int64)
+    cursor = 0
+    for step in range(cfg.steps):
+        if cursor + batch > order.size:
+            order = rng.permutation(n)
+            cursor = 0
+        idx = order[cursor : cursor + batch]
+        cursor += batch
+
+        loss, grads = ce_loss_and_grads(weight, bias, s[idx], targets[idx])
+        if not np.isfinite(loss):
+            raise TrainingError(f"non-finite self-train loss at step {step}", step=step)
+        buf_w = cfg.momentum * buf_w + grads["weight"]
+        buf_b = cfg.momentum * buf_b + grads["bias"]
+        weight -= cfg.lr * buf_w + cfg.lr * cfg.weight_decay * weight
+        bias -= cfg.lr * buf_b
+
+    return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids, config=cfg)

@@ -13,7 +13,7 @@ from clusterens.heads import (
     pmi_pair_loss,
 )
 
-from oracles import softmax_logsumexp
+from oracles import out_of_place_sinkhorn_knopp, softmax_logsumexp
 
 
 def identity_norm(d):
@@ -108,6 +108,15 @@ class TestSinkhorn:
         logits = np.array([[1e4, 0.0], [0.0, 1e4]])
         out = sinkhorn_knopp(logits, 3)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("shape", [(50, 512, 20), (10, 512, 5), (3, 7, 4)])
+    @pytest.mark.parametrize("iters", [0, 1, 3])
+    def test_in_place_matches_out_of_place_bits(self, rng, shape, iters):
+        logits = rng.normal(size=shape) * 4
+        out = sinkhorn_knopp(logits, iters)
+        ref = out_of_place_sinkhorn_knopp(logits, iters)
+        assert out.shape == ref.shape
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
     def test_stacked_batches(self, rng):
         logits = rng.normal(size=(3, 16, 5))

@@ -139,6 +139,18 @@ class TestPipeline:
         assert np.all(np.isfinite(mean))
         assert best[-1] == float(block["best_head_loss"])
 
+    def test_selftrain_report_explains_the_stop(self, pipeline_run):
+        _, _, cfg, out_dir, _ = pipeline_run
+        block = read_machine_block((out_dir / "selftrain_report.txt").read_text())
+        steps, cap = int(block["steps"]), int(block["steps_cap"])
+        by_epoch = [float(v) for v in block["pseudo_agreement_by_epoch"].split(",")]
+        assert cap == cfg.selftrain_config().steps
+        # the blobs are separable, so the probe fits the consensus early
+        assert block["stopped_early"] == "true"
+        assert 0 < steps < cap
+        assert len(by_epoch) == int(block["epochs_run"]) + 1
+        assert by_epoch[-1] == float(block["pseudo_agreement"]) == 1.0
+
     def test_output_hashes_match_files(self, pipeline_run):
         from clusterens.pipeline import sha256_file
 

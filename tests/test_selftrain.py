@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from clusterens import (
 )
 from clusterens.errors import LoadError
 from clusterens.selftrain import ce_loss_and_grads, load_classifier, save_classifier
+
+from oracles import fixed_budget_self_train
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,81 @@ class TestSelfTrain:
         m, _ = gen_synthetic(SynthSpec(n=20, d=4, k=2, separation=10.0, seed=1))
         with pytest.raises(ValueError):
             self_train(m, Labeling([1, 2, 1]), SelfTrainConfig(steps=1))
+
+
+def same_params(clf, ref) -> bool:
+    return clf.weight.tobytes() == ref.weight.tobytes() and clf.bias.tobytes() == ref.bias.tobytes()
+
+
+class TestStopRule:
+    """The probe stops at the first epoch boundary where it reproduces every
+    pseudo-label; until then it is the fixed-budget loop, step for step."""
+
+    def test_separable_stops_early_as_truncated_run(self, separable_run):
+        m, labels, clf = separable_run
+        fit = clf.history
+        assert fit.stopped_early
+        assert 0 < fit.steps < clf.config.steps
+        assert fit.steps % fit.epoch_steps == 0
+        assert fit.agreement_by_epoch[-1] == 1.0
+        assert all(a < 1.0 for a in fit.agreement_by_epoch[:-1])
+        assert len(fit.agreement_by_epoch) == fit.epochs + 1
+        ref = fixed_budget_self_train(m, labels, replace(clf.config, steps=fit.steps))
+        assert same_params(clf, ref)
+
+    def test_unfittable_runs_whole_cap_as_fixed_budget(self):
+        rng = np.random.default_rng(5)
+        m = EmbeddingMatrix(rng.normal(size=(200, 3)))
+        pseudo = Labeling(rng.integers(1, 6, size=200))
+        cfg = SelfTrainConfig(steps=300, batch_size=32, seed=2)
+        clf = self_train(m, pseudo, cfg)
+        fit = clf.history
+        assert not fit.stopped_early
+        assert fit.steps == 300
+        assert fit.epoch_steps == 6
+        assert len(fit.agreement_by_epoch) == fit.epochs == 50
+        assert max(fit.agreement_by_epoch) < 1.0
+        assert same_params(clf, fixed_budget_self_train(m, pseudo, cfg))
+
+    @pytest.mark.parametrize(
+        "spec, ids, cfg",
+        [
+            (SynthSpec(n=50, d=6, k=3, separation=10.0, seed=4), None, SelfTrainConfig(steps=0)),
+            (SynthSpec(n=30, d=5, k=2, separation=10.0, seed=7), "single",
+             SelfTrainConfig(steps=50)),
+            (SynthSpec(n=90, d=8, k=3, separation=20.0, seed=12), "shifted",
+             SelfTrainConfig(steps=300, batch_size=32)),
+            (SynthSpec(n=60, d=6, k=3, separation=10.0, seed=8), None,
+             SelfTrainConfig(steps=120, seed=3)),
+            (SynthSpec(n=40, d=4, k=4, separation=1.0, seed=9), None,
+             SelfTrainConfig(steps=200, batch_size=256, seed=4)),
+            (SynthSpec(n=100, d=10, k=5, separation=20.0, seed=2), None,
+             SelfTrainConfig(steps=5, batch_size=10, seed=6)),
+            # overlapping blobs: 78 epochs at 99.5% agreement before the fit
+            (SynthSpec(n=200, d=8, k=3, separation=2.0, seed=1), None,
+             SelfTrainConfig(steps=2000, batch_size=32, seed=1)),
+        ],
+    )
+    def test_early_stop_predicts_pseudo_labels(self, spec, ids, cfg):
+        m, pseudo = gen_synthetic(spec)
+        if ids == "single":
+            pseudo = Labeling(np.full(spec.n, 9))
+        elif ids == "shifted":
+            pseudo = Labeling(pseudo.labels * 10 + 5)
+        clf = self_train(m, pseudo, cfg)
+        fit = clf.history
+        assert fit.steps <= cfg.steps
+        assert same_params(clf, fixed_budget_self_train(m, pseudo, replace(cfg, steps=fit.steps)))
+        if fit.stopped_early:
+            assert np.array_equal(predict(clf, m).labels, pseudo.labels)
+            assert fit.agreement_by_epoch[-1] == 1.0
+        else:
+            assert fit.steps == cfg.steps
+        if ids == "single":
+            # the zero weights already reproduce a one-class labeling
+            assert fit.stopped_early and fit.steps == 0
+        if cfg.steps == 0:
+            assert not fit.stopped_early and fit.agreement_by_epoch == ()
 
 
 class TestPredict:
