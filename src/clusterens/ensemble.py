@@ -4,9 +4,11 @@ The consensus labeling is the candidate maximizing the summed normalized
 mutual information against every input labeling.  Mutual information and
 entropies are kept in raw count form (no 1/n): MI is then nonnegative,
 entropies nonpositive, and their ratio equals the familiar sqrt-normalized
-NMI.  Candidate labelings come from two consensus functions (CSPA on the
-co-association matrix, MCLA on the cluster-hyperedge meta-graph) plus
-any caller-supplied extras (the pipeline passes the best head's labeling).
+NMI.  Candidate labelings come from two consensus functions, both read off
+the n×ΣC hyperedge matrix Z of :func:`co_association`: CSPA partitions the
+co-association S = Z·Zᵀ/H spectrally without forming it, and MCLA groups
+the hyperedges (the columns of Z) into meta-clusters.  Any caller-supplied
+extras join them (the pipeline passes the best head's labeling).
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.linalg import eigh, qr, svd
 from scipy.spatial.distance import squareform
 
-from .errors import ConfigError
 from .labeling import Labeling, canonicalize
-from .neighbors import _block_rows
 
-MEMINFO = "/proc/meminfo"  # MemAvailable, for the CSPA memory preflight
+# cap on CSPA's Lloyd refinement, which stops once no label changes
+LLOYD_ITERATIONS = 100
 
 __all__ = [
     "ContingencyTable",
@@ -33,7 +36,6 @@ __all__ = [
     "nmi",
     "anmi",
     "co_association",
-    "check_cspa_memory",
     "cspa",
     "mcla",
     "supra_consensus",
@@ -114,53 +116,25 @@ def anmi(candidate: Labeling, inputs: Sequence[Labeling]) -> float:
     return math.fsum(nmi(candidate, lam) for lam in inputs)
 
 
-def co_association(inputs: Sequence[Labeling]) -> np.ndarray:
-    """Fraction of input labelings placing each pair of samples together, as
-    float64 in scipy's condensed (``pdist``) order, counted a block of rows
-    at a time in the smallest unsigned type that holds len(inputs)."""
+def co_association(inputs: Sequence[Labeling]) -> sparse.csr_matrix:
+    """The n×ΣC hyperedge matrix Z of the inputs, as CSR float64.
+
+    Row i holds a 1 in the column of its cluster in each of the H inputs; the
+    columns are the inputs' clusters, input by input, each in sorted-id
+    order.  The co-association, the fraction of inputs placing each pair of
+    samples together, is S = Z·Zᵀ/H and is never formed.
+    """
     if len(inputs) == 0:
         raise ValueError("need at least one input labeling")
     n = inputs[0].n
     if any(lam.n != n for lam in inputs):
         raise ValueError("all labelings must cover the same samples")
-    lab = np.stack([lam.labels for lam in inputs])
     h = len(inputs)
-    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    step = _block_rows(n)
-    start = 0
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        # counts of rows [a, b) against columns [a + 1, n); row i's pairs
-        # (i, j > i) are its entries from column i - a on
-        count = np.zeros((b - a, n - a - 1), dtype=np.min_scalar_type(h))
-        for row in lab:
-            np.add(count, row[a:b, None] == row[None, a + 1:], out=count)
-        upper = count[np.arange(n - a - 1) >= np.arange(b - a)[:, None]]
-        np.divide(upper, h, out=out[start:start + upper.size])
-        start += upper.size
-    return out
-
-
-def check_cspa_memory(n: int) -> None:
-    """Raise ConfigError when CSPA over n samples would not fit in memory.
-
-    CSPA holds the condensed co-association and scipy's linkage copies it:
-    about 8·n(n-1) bytes, compared with ``MemAvailable`` of ``MEMINFO``.
-    The check is skipped when that cannot be read.
-    """
-    try:
-        with open(MEMINFO, encoding="ascii") as f:
-            available = next(
-                int(line.split()[1]) * 1024 for line in f if line.startswith("MemAvailable:")
-            )
-    except (OSError, ValueError, IndexError, StopIteration):
-        return
-    need = 8 * n * (n - 1)
-    if need > available:
-        raise ConfigError(
-            f"CSPA over n={n} samples needs about {need} bytes of memory, "
-            f"but only {available} bytes are available"
-        )
+    offsets = np.cumsum([0] + [lam.k for lam in inputs])
+    columns = np.stack([lam.coding.codes + off for lam, off in zip(inputs, offsets)], axis=1)
+    return sparse.csr_matrix(
+        (np.ones(n * h), columns.ravel(), np.arange(0, n * h + 1, h)), shape=(n, int(offsets[-1]))
+    )
 
 
 def _average_linkage_cut(condensed: np.ndarray, k: int) -> np.ndarray:
@@ -173,49 +147,66 @@ def _average_linkage_cut(condensed: np.ndarray, k: int) -> np.ndarray:
 
 
 def cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
-    """Consensus by clustering the co-association matrix.
+    """Consensus by a normalized spectral partition of the co-association S.
 
-    Samples are grouped into k clusters by average-linkage agglomerative
-    clustering on distance 1 - S, formed in place on the condensed S.
+    The top eigenvectors of D^-1/2·S·D^-1/2, D holding the row sums of S,
+    follow from the ΣC×ΣC Gram matrix of D^-1/2·Z (Z from
+    :func:`co_association`), so memory is O(n·H + ΣC²).  They are
+    discretized by the column-pivoted QR of Damle, Minden & Ying (2019),
+    then refined by Lloyd iterations on the row-normalized eigenvectors;
+    nothing is random.  Only eigenvectors of nonzero eigenvalues are used,
+    so when S has rank below k (identical inputs with fewer than k
+    clusters, say) the output holds at most rank(S) clusters.
     """
-    if len(inputs) == 0:
-        raise ValueError("need at least one input labeling")
+    z = co_association(inputs)
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = inputs[0].n
+    n, g = z.shape
     if k > n:
         raise ValueError(f"k={k} exceeds sample count n={n}")
-    check_cspa_memory(n)
-    s = co_association(inputs)
-    np.subtract(1.0, s, out=s)
-    flat = _average_linkage_cut(s, k)
-    return canonicalize(Labeling(flat))
+    degree = z @ np.asarray(z.sum(axis=0)).ravel()  # row sums of H·S
+    zs = sparse.diags(1.0 / np.sqrt(degree)) @ z
+    gram = (zs.T @ zs).toarray()
+    vals, vecs = eigh(gram, subset_by_index=[max(g - k, 0), g - 1])
+    # the top eigenvalue is 1; drop those that are zero up to rounding
+    keep = vals > g * np.finfo(np.float64).eps
+    u = zs @ (vecs[:, keep] / np.sqrt(vals[keep]))  # unit columns
+    m = u.shape[1]
+
+    _, pivots = qr(u.T, mode="r", pivoting=True)
+    w, _, vt = svd(u[pivots[:m]].T)
+    labels = np.abs(u @ (w @ vt)).argmax(axis=1)
+
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    x = np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
+    for _ in range(LLOYD_ITERATIONS):
+        sizes = np.bincount(labels, minlength=m)
+        sums = np.stack([np.bincount(labels, weights=col, minlength=m) for col in x.T], axis=1)
+        centers = sums / np.maximum(sizes, 1)[:, None]
+        score = x @ centers.T - 0.5 * (centers * centers).sum(axis=1)
+        score[:, sizes == 0] = -np.inf
+        new = score.argmax(axis=1)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return canonicalize(Labeling(labels))
 
 
 def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
     """Consensus by grouping cluster hyperedges on Jaccard similarity.
 
-    Every cluster of every input is a hyperedge over the samples.  Hyperedges
-    are merged into k meta-clusters by average linkage on 1 - Jaccard, and
-    each sample joins the meta-cluster where its average indicator membership
-    is highest (ties going to the lowest meta-cluster index).  Meta-clusters
-    that attract no samples are dropped, so the output may hold fewer than k
-    clusters.
+    Every cluster of every input is a hyperedge over the samples (a column
+    of :func:`co_association`).  Hyperedges are merged into k meta-clusters
+    by average linkage on 1 - Jaccard, and each sample joins the
+    meta-cluster where its average indicator membership is highest (ties
+    going to the lowest meta-cluster index).  Meta-clusters that attract no
+    samples are dropped, so the output may hold fewer than k clusters.
     """
-    if len(inputs) == 0:
-        raise ValueError("need at least one input labeling")
+    z = co_association(inputs)
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = inputs[0].n
-    if any(lam.n != n for lam in inputs):
-        raise ValueError("all labelings must cover the same samples")
-    # one row per cluster of each input, in sorted-id order
-    indicators = np.concatenate(
-        [lam.coding.codes == np.arange(lam.k)[:, None] for lam in inputs]
-    ).astype(np.float64)
-
-    inter = indicators @ indicators.T
-    sizes = indicators.sum(axis=1)
+    inter = (z.T @ z).toarray()
+    sizes = inter.diagonal()
     union = sizes[:, None] + sizes[None, :] - inter
     jaccard = inter / union
 
@@ -223,11 +214,10 @@ def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
     # reindex meta-clusters by first appearance over the hyperedge order so
     # the argmax tie rule is well defined
     flat = canonicalize(Labeling(flat)).labels
-    n_meta = int(flat.max())
-    membership = np.zeros((n_meta, n))
-    for meta in range(1, n_meta + 1):
-        membership[meta - 1] = indicators[flat == meta].mean(axis=0)
-    assigned = membership.argmax(axis=0) + 1
+    g = flat.size
+    meta = sparse.csr_matrix((np.ones(g), (np.arange(g), flat - 1)))
+    membership = (z @ meta).toarray() / np.bincount(flat)[1:]
+    assigned = membership.argmax(axis=1) + 1
     return canonicalize(Labeling(assigned))
 
 

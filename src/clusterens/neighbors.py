@@ -21,10 +21,9 @@ from .labeling import Labeling
 
 NEIGHBORS_MAGIC = b"NNS1"
 
-# Similarities (and, in ``ensemble``, co-association counts) are computed
-# for a block of rows at a time: at most BLOCK_ROWS rows and at most n/16 of
-# them, so a block never holds more than 1/16 of the n×n matrix.  Up to
-# BLOCK_ROWS samples are one block.
+# Similarities are computed for a block of rows at a time: at most
+# BLOCK_ROWS rows and at most n/16 of them, so a block never holds more than
+# 1/16 of the n×n matrix.  Up to BLOCK_ROWS samples are one block.
 BLOCK_ROWS = 512
 
 
@@ -146,12 +145,20 @@ def _unit_rows(features: EmbeddingMatrix) -> np.ndarray:
     return features.data / norms[:, None]
 
 
-def _similarity_matrix(unit: np.ndarray, start: int, stop: int) -> np.ndarray:
+def _similarity_matrix(unit: np.ndarray, start: int, stop: int, columns) -> np.ndarray:
     """Cosines of rows ``start:stop`` with every row, clipped to [-1, 1].
 
-    A row's similarity with itself is set to -inf, so it is never selected.
+    ``columns``, when given, is ``np.unique``'s ``(distinct, inverse)`` of
+    the rows: identical rows then share one computed column, so the order of
+    their ties does not hang on the last bit of a BLAS product, which can
+    move with the thread count.  A row's similarity with itself is set to
+    -inf, so it is never selected.
     """
-    sims = unit[start:stop] @ unit.T
+    if columns is None:
+        sims = unit[start:stop] @ unit.T
+    else:
+        distinct, inverse = columns
+        sims = (unit[start:stop] @ distinct.T)[:, inverse]
     np.clip(sims, -1.0, 1.0, out=sims)
     rows = np.arange(stop - start)
     sims[rows, rows + start] = -np.inf
@@ -170,10 +177,12 @@ def _ranked_blocks(features: EmbeddingMatrix, theta: float, floor: int):
     """
     unit = _unit_rows(features)
     n = features.n
+    distinct, inverse = np.unique(unit, axis=0, return_inverse=True)
+    columns = None if distinct.shape[0] == n else (distinct, inverse.ravel())
     step = _block_rows(n)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        sims = _similarity_matrix(unit, start, stop)
+        sims = _similarity_matrix(unit, start, stop, columns)
         chosen = sims >= theta
         sizes = np.count_nonzero(chosen, axis=1)
         short = np.nonzero(sizes < floor)[0]

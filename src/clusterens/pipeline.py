@@ -337,10 +337,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
 
     Configuration errors surface before any stage runs; a stage failure
     aborts with that stage's name while earlier artifacts stay on disk.
-    A run whose CSPA would not fit in memory is refused up front.
     """
     features, labels = validate_inputs(cfg)
-    ens.check_cspa_memory(features.n)
     train_cfg = cfg.train_config()
     k = cfg.ensemble_k()
     st_cfg = cfg.selftrain_config()

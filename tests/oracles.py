@@ -8,8 +8,8 @@ kernels replaced, kept verbatim with its own copy of the row softmax, and it
 reuses the package's ``sinkhorn_knopp``, which has tests of its own.  The
 dense neighbor mining is likewise the formulation row-block mining
 replaced, kept verbatim (one thread), and so are the dense n×n
-co-association matrix and the CSPA on it that the condensed, row-blocked
-build replaced.  The contingency table, MI, NMI, ARI, accuracy and MCLA
+co-association matrix and the average-linkage CSPA on it, which the
+factored co-association and the spectral CSPA replaced.  The contingency table, MI, NMI, ARI, accuracy and MCLA
 that ran ``np.unique`` on the cluster ids in every call, before each
 labeling cached its coding, are kept verbatim too, with ``canonicalize``;
 they reuse the package's ``hungarian`` and ``_average_linkage_cut``.
@@ -205,7 +205,7 @@ def dense_neighbor_sets(features, theta: float, k_min: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# dense co-association and CSPA (the formulation before the condensed build)
+# dense co-association and average-linkage CSPA (before the factored build)
 # ---------------------------------------------------------------------------
 
 

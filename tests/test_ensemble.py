@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import squareform
 
 from clusterens import (
     Labeling,
@@ -11,19 +10,16 @@ from clusterens import (
     cspa,
     ensemble,
     mcla,
-    neighbors,
     nmi,
     supra_consensus,
 )
 from clusterens.ensemble import (
-    check_cspa_memory,
     co_association,
     contingency,
     entropy_count,
     mutual_information,
     supra_consensus_table,
 )
-from clusterens.errors import ConfigError
 from clusterens.metrics import clustering_accuracy
 
 from oracles import dense_co_association, dense_cspa, nmi_prob_form, set_partitions
@@ -188,6 +184,31 @@ def noisy_ensemble(rng, n=300, k=5, members=50, noise=0.1):
     return planted, inputs
 
 
+def co_association_values(inputs):
+    """S = Z·Zᵀ/H as a dense matrix, from the factor ``co_association`` returns."""
+    z = co_association(inputs)
+    return (z @ z.T).toarray() / len(inputs)
+
+
+def block_ensemble(sizes, heads):
+    """Planted blocks of the given sizes and H heads, each of which splits
+    one block in two or merges two adjacent blocks (head h alters block
+    h mod len(sizes)): clean structure on which every sensible consensus
+    recovers the blocks."""
+    planted = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    starts = np.cumsum([0] + list(sizes))
+    inputs = []
+    for h in range(heads):
+        labels = planted.copy()
+        b = h % len(sizes)
+        if h % 2:
+            labels[labels == b + 1] = b + 2 if b + 1 < len(sizes) else b
+        else:
+            labels[starts[b]:starts[b] + sizes[b] // 2] = len(sizes) + 1
+        inputs.append(Labeling(labels))
+    return Labeling(planted), inputs
+
+
 class TestCspa:
     def test_identical_inputs(self):
         lab = Labeling([1, 1, 2, 2, 3, 3])
@@ -216,26 +237,81 @@ class TestCspa:
         out2 = cspa([relabel(lam, rng) for lam in inputs], k=5)
         assert np.array_equal(out1.labels, canonicalize(out2).labels)
 
+    @pytest.mark.parametrize("inputs,k,expected", [
+        # fewer clusters asked for than S has connected components, so
+        # some samples get a zero row in the eigenvectors
+        ([Labeling([1, 2, 3, 1])], 1, [1, 1, 1, 1]),
+        ([Labeling([1, 2, 3, 1])], 2, None),
+        ([Labeling([1, 2, 3, 1])], 3, [1, 2, 3, 1]),
+        ([Labeling([1, 2, 3, 1])], 4, [1, 2, 3, 1]),
+        ([Labeling([3])] * 2, 1, [1]),
+        ([Labeling([1, 2]), Labeling([5, 5])], 1, [1, 1]),
+        ([Labeling([1, 2]), Labeling([5, 5])], 2, [1, 2]),
+        ([Labeling([7, 7])], 2, [1, 1]),
+    ])
+    def test_degenerate_inputs(self, inputs, k, expected):
+        with np.errstate(all="raise"):
+            out = cspa(inputs, k)
+        assert out.n == inputs[0].n and out.k <= k
+        if expected is None:
+            # the 2 clusters group the components {0, 3}, {1}, {2}
+            assert out.k == 2 and out.labels[0] == out.labels[3]
+        else:
+            assert out.labels.tolist() == expected
+
+    def test_rank_below_k_returns_at_most_rank(self, rng):
+        # identical heads with 3 clusters: S has rank 3, whatever k is
+        lab = Labeling(rng.integers(1, 4, size=50))
+        with np.errstate(all="raise"):
+            out = cspa([lab] * 6, k=8)
+        assert out.same_grouping(lab)
+
+    def test_planted_half_noise(self):
+        # each of 10 heads keeps the planted label of a sample with
+        # probability 0.5 and otherwise draws a uniform label; a balanced
+        # cut recovers the 10 planted clusters
+        accs = []
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n, k = 600, 10
+            planted = rng.integers(1, k + 1, size=n)
+            inputs = [
+                Labeling(np.where(rng.random(n) < 0.5, planted, rng.integers(1, k + 1, size=n)))
+                for _ in range(10)
+            ]
+            accs.append(clustering_accuracy(cspa(inputs, k), Labeling(planted))[0])
+        assert np.median(accs) >= 0.93
+
+    def test_candidates_read_module_co_association(self, rng, monkeypatch):
+        calls = []
+        real = ensemble.co_association
+
+        def counted(inputs):
+            calls.append(len(inputs))
+            return real(inputs)
+
+        monkeypatch.setattr(ensemble, "co_association", counted)
+        _, inputs = noisy_ensemble(rng, n=40, members=3)
+        supra_consensus_table(inputs, k=5)
+        assert calls == [3, 3]
+
 
 class TestCoAssociation:
-    def test_condensed_form(self, rng):
-        inputs = [Labeling(rng.integers(1, 4, size=7)) for _ in range(3)]
-        s = co_association(inputs)
-        assert s.dtype == np.float64
-        assert s.shape == (7 * 6 // 2,)
-        assert 0.0 <= s.min() and s.max() <= 1.0
+    def test_factor_form(self):
+        z = co_association([Labeling([5, 2, 5]), Labeling([1, 1, 9])])
+        assert z.format == "csr" and z.dtype == np.float64
+        # columns: ids 2, 5 of the first input, then ids 1, 9 of the second
+        assert z.toarray().tolist() == [[0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]]
 
     def test_block_structure(self):
         lab = Labeling([1, 1, 2])
-        s = co_association([lab, lab])
-        # pdist order: (0, 1), (0, 2), (1, 2)
-        assert s.tolist() == [1.0, 0.0, 0.0]
-        assert np.array_equal(squareform(s) + np.eye(3), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        assert np.array_equal(co_association_values([lab, lab]), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
     def test_fractional_counts(self):
         a = Labeling([1, 1, 2])
         b = Labeling([1, 2, 2])
-        assert co_association([a, b]).tolist() == [0.5, 0.0, 0.5]
+        s = co_association_values([a, b])
+        assert s.tolist() == [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="same samples"):
@@ -243,57 +319,61 @@ class TestCoAssociation:
 
 
 class TestDenseOracle:
-    """The condensed build against the dense n×n matrix it replaced: every
-    entry bit for bit, and the same CSPA labeling."""
+    """The factored co-association against the dense n×n matrix it
+    replaced, every entry bit for bit; and CSPA against the average-linkage
+    CSPA on that matrix, which must find the same grouping wherever the
+    structure is clean."""
 
     @staticmethod
-    def assert_matches_dense(inputs, k):
-        s = co_association(inputs)
+    def assert_matches_dense(inputs):
+        s = co_association_values(inputs)
         dense = dense_co_association(inputs).values
-        expected = squareform(dense, checks=False)
-        assert np.array_equal(s.view(np.uint64), expected.view(np.uint64))
-        distance = np.subtract(1.0, s)
-        expected = squareform(1.0 - dense, checks=False)
-        assert np.array_equal(distance.view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(cspa(inputs, k).labels, dense_cspa(inputs, k).labels)
+        assert np.array_equal(s.view(np.uint64), dense.view(np.uint64))
 
     @pytest.mark.parametrize("n,h,k", [(40, 5, 3), (97, 12, 6), (600, 4, 8)])
     def test_random_labelings(self, rng, n, h, k):
-        self.assert_matches_dense([Labeling(rng.integers(1, k + 1, size=n)) for _ in range(h)], k)
+        self.assert_matches_dense([Labeling(rng.integers(1, k + 1, size=n)) for _ in range(h)])
 
     def test_noisy_ensemble(self, rng):
         _, inputs = noisy_ensemble(rng, n=300, members=20)
-        self.assert_matches_dense(inputs, 5)
-
-    @pytest.mark.parametrize("block_rows,n", [(9, 100), (7, 113), (1, 20)])
-    def test_ragged_blocks(self, rng, monkeypatch, block_rows, n):
-        monkeypatch.setattr(neighbors, "BLOCK_ROWS", block_rows)
-        _, inputs = noisy_ensemble(rng, n=n, k=4, members=6, noise=0.3)
-        self.assert_matches_dense(inputs, 4)
+        self.assert_matches_dense(inputs)
 
     def test_one_and_two_samples(self):
-        self.assert_matches_dense([Labeling([3])] * 2, 1)
-        self.assert_matches_dense([Labeling([1, 2]), Labeling([5, 5])], 1)
-        self.assert_matches_dense([Labeling([1, 2]), Labeling([5, 5])], 2)
+        for inputs, k in [([Labeling([3])] * 2, 1), ([Labeling([1, 2]), Labeling([5, 5])], 1),
+                          ([Labeling([1, 2]), Labeling([5, 5])], 2)]:
+            self.assert_matches_dense(inputs)
+            assert np.array_equal(cspa(inputs, k).labels, dense_cspa(inputs, k).labels)
 
     def test_single_labeling(self, rng):
-        self.assert_matches_dense([Labeling(rng.integers(1, 6, size=80))], 5)
+        self.assert_matches_dense([Labeling(rng.integers(1, 6, size=80))])
 
     def test_count_beyond_uint8(self, rng):
         _, inputs = noisy_ensemble(rng, n=60, k=3, members=300, noise=0.05)
         # most pairs of a base cluster agree in more than 255 labelings
-        assert (co_association(inputs) * 300).max() > 255
-        self.assert_matches_dense(inputs, 3)
+        pairs = np.triu(co_association_values(inputs) * 300, 1)
+        assert pairs.max() > 255
+        self.assert_matches_dense(inputs)
 
     def test_sparse_ids(self, rng):
         ids = np.array([10**9, -7, 3, 2**62])
         inputs = [Labeling(ids[rng.integers(0, 4, size=70)]) for _ in range(5)]
-        self.assert_matches_dense(inputs, 4)
+        self.assert_matches_dense(inputs)
+
+    @pytest.mark.parametrize("sizes,heads", [
+        ((20, 20, 20), 4), ((5, 17, 40, 3), 8), ((30, 2, 12, 50, 9, 25), 12),
+    ])
+    def test_cspa_same_grouping_as_average_linkage(self, sizes, heads):
+        planted, inputs = block_ensemble(sizes, heads)
+        k = len(sizes)
+        out = cspa(inputs, k)
+        assert out.same_grouping(dense_cspa(inputs, k))
+        assert out.same_grouping(planted)
 
 
-def test_co_association_peak_memory_near_condensed_size(rng):
-    """At n=3000, H=10 the condensed build peaks within 1.25× its 36 MB
-    output; the dense n×n oracle (72 MB per matrix) peaks above 216 MB."""
+def test_cspa_peak_memory_far_below_condensed_size(rng):
+    """At n=3000, H=10 CSPA peaks below an eighth of the 36 MB that the
+    condensed co-association alone would take; the dense n×n oracle (72 MB
+    per matrix) peaks above 216 MB."""
     n = 3000
     inputs = [Labeling(rng.integers(1, 11, size=n)) for _ in range(10)]
     condensed = n * (n - 1) // 2 * 8
@@ -301,50 +381,13 @@ def test_co_association_peak_memory_near_condensed_size(rng):
     def peak(fn):
         tracemalloc.start()
         try:
-            fn(inputs)
+            fn()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(co_association) <= 1.25 * condensed
-    assert peak(dense_co_association) >= 3 * n * n * 8
-
-
-class TestMemoryPreflight:
-    @pytest.fixture
-    def meminfo(self, tmp_path, monkeypatch):
-        def set_available(kib):
-            path = tmp_path / "meminfo"
-            path.write_text(f"MemTotal: 8000000 kB\nMemAvailable: {kib} kB\n")
-            monkeypatch.setattr(ensemble, "MEMINFO", str(path))
-
-        return set_available
-
-    def test_need_compared_with_available(self, meminfo):
-        n = 1000
-        meminfo(8 * n * (n - 1) // 1024 + 1)
-        check_cspa_memory(n)
-        meminfo(8 * n * (n - 1) // 1024 - 1)
-        with pytest.raises(ConfigError, match=f"n={n} .* {8 * n * (n - 1)} bytes"):
-            check_cspa_memory(n)
-
-    def test_unreadable_probe_skips_check(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ensemble, "MEMINFO", str(tmp_path / "missing"))
-        check_cspa_memory(10**7)
-        path = tmp_path / "meminfo"
-        path.write_text("MemTotal: 8000000 kB\n")
-        monkeypatch.setattr(ensemble, "MEMINFO", str(path))
-        check_cspa_memory(10**7)
-
-    def test_cspa_refuses_before_allocating(self, meminfo, monkeypatch):
-        meminfo(1)
-
-        def no_build(inputs):
-            raise AssertionError("co-association built despite the preflight")
-
-        monkeypatch.setattr(ensemble, "co_association", no_build)
-        with pytest.raises(ConfigError, match="n=50 "):
-            cspa([Labeling(np.arange(50) % 3)], k=3)
+    assert peak(lambda: cspa(inputs, 10)) <= condensed / 8
+    assert peak(lambda: dense_co_association(inputs)) >= 3 * n * n * 8
 
 
 class TestMcla:

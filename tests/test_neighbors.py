@@ -212,6 +212,19 @@ def test_sweep_equals_fresh_builds(rng):
     assert list(sweep_neighbor_sets(m, (), 6)) == []
 
 
+@pytest.mark.parametrize("n,d", [(92, 9), (150, 6), (600, 33)])
+def test_identical_rows_tie_by_index(rng, n, d):
+    """Copies of one random (not exactly representable) row are tied
+    members: each set lists them next to each other, by ascending index."""
+    copy_of = rng.integers(0, n // 2, size=n)
+    m = EmbeddingMatrix(rng.normal(size=(n // 2, d))[copy_of])
+    for members in build_neighbor_sets(m, 0.3, 5).sets:
+        keys = copy_of[members]
+        for key in np.unique(keys):
+            pos = np.flatnonzero(keys == key)
+            assert (np.diff(pos) == 1).all() and (np.diff(members[pos]) > 0).all()
+
+
 @pytest.mark.parametrize("theta", [0.5, 2.0], ids=["threshold", "floor_only"])
 def test_mining_peak_memory_below_quarter_of_matrix(theta):
     n = 3000

@@ -4,15 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clusterens import (
-    SynthSpec,
-    ensemble,
-    gen_synthetic,
-    heads,
-    load_labeling,
-    neighbors,
-    save_labeling,
-)
+from clusterens import SynthSpec, gen_synthetic, load_labeling, save_labeling
 from clusterens.cli import main
 from clusterens.config import (
     PipelineConfig,
@@ -355,27 +347,6 @@ class TestCli:
         assert "selftrain.acc" in block
         assert block["selftrain_rounds"] == "1"
         assert (out_dir / "manifest.json").exists()
-
-    def test_pipeline_refused_when_cspa_would_not_fit(self, tmp_path, capsys, monkeypatch):
-        fpath, lpath = write_inputs(tmp_path, n=60, d=8, k=3)
-        out_dir = tmp_path / "run"
-        cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(small_config_text(fpath, lpath, out_dir))
-        meminfo = tmp_path / "meminfo"
-        meminfo.write_text("MemTotal: 8000000 kB\nMemAvailable: 1 kB\n")
-        monkeypatch.setattr(ensemble, "MEMINFO", str(meminfo))
-
-        def not_reached(*args, **kwargs):
-            raise AssertionError("a stage ran despite the memory preflight")
-
-        monkeypatch.setattr(neighbors, "build_neighbor_sets", not_reached)
-        monkeypatch.setattr(heads, "train_heads", not_reached)
-        monkeypatch.setattr(ensemble, "co_association", not_reached)
-        code = main(["pipeline", "--config", str(cfg_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: CSPA over n=60 samples needs about 28320 bytes")
-        assert not out_dir.exists()
 
     def test_train_then_predict_cli(self, pipeline_run, tmp_path, capsys):
         t, _, _, out_dir, _ = pipeline_run
