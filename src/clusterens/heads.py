@@ -18,8 +18,16 @@ The arithmetic runs as BLAS matrix products on the unit-standardized rows
 ``u = (z - mean) / sqrt(var + eps)``.  The shared affine is folded into each
 head, ``W (gamma*u + beta) + b = (W*gamma) u + (W beta + b)``, so no
 standardized copy of a batch is ever made: logits of all H heads on shared
-rows are one ``(n, d) @ (d, H*C)`` GEMM, and logits of each head on its own
-neighbor rows are one batched ``(H, B, d) @ (H, d, C)`` matmul.
+rows are one ``(H*C, d) @ (d, n)`` GEMM, and logits of each head on its own
+neighbor rows are one batched ``(H, C, d) @ (H, d, B)`` matmul.  The
+training-set labelings of all heads come from one such GEMM on the rows
+training already holds.
+
+Every per-sample tensor of a training step has the logical shape
+(H, B, C) but is stored cluster-major, (H, C, B) in memory, so the batch
+axis is contiguous.  C is small next to B, and NumPy ufuncs keep their
+input's layout, so the reductions over C in softmax, Sinkhorn-Knopp and the
+loss run as vector adds across B instead of walking rows of C numbers.
 """
 
 from __future__ import annotations
@@ -135,19 +143,24 @@ def _fold(weight, bias, gamma, beta_shift):
 def _shared_logits(w_fold, b_fold, u):
     """Logits (H, n, C) of every folded head on shared rows u (n, d).
 
-    One (n, d) @ (d, H*C) GEMM; the result is a transposed view of the
-    (n, H, C) product.
+    One (H*C, d) @ (d, n) GEMM; the result is the transposed view of the
+    cluster-major (H, C, n) product, so its batch axis is contiguous.
     """
-    a = np.tensordot(u, w_fold, axes=(1, 2))
-    a += b_fold
-    return a.transpose(1, 0, 2)
+    h, c, d = w_fold.shape
+    a = (w_fold.reshape(h * c, d) @ u.T).reshape(h, c, -1)
+    a += b_fold[..., None]
+    return a.transpose(0, 2, 1)
 
 
 def _own_logits(w_fold, b_fold, u_own):
-    """Logits (H, n, C) of folded head h on its own rows u_own[h] (H, n, d)."""
-    a = np.matmul(u_own, w_fold.transpose(0, 2, 1))
-    a += b_fold[:, None, :]
-    return a
+    """Logits (H, n, C) of folded head h on its own rows u_own[h] (H, n, d).
+
+    One batched (H, C, d) @ (H, d, n) matmul; like ``_shared_logits`` it
+    returns the transposed view of the cluster-major (H, C, n) product.
+    """
+    a = np.matmul(w_fold, u_own.transpose(0, 2, 1))
+    a += b_fold[..., None]
+    return a.transpose(0, 2, 1)
 
 
 def head_forward(params: HeadParams, z: np.ndarray, tau: float) -> np.ndarray:
@@ -171,7 +184,9 @@ def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
     Exponentiates (row max subtracted first), then alternates column
     normalization (columns sum to B/C) with row normalization (rows sum
     to 1) ``iters`` times; zero iterations reduce to a plain row softmax.
-    Works on any (..., B, C) stack of batches.
+    Works on any (..., B, C) stack of batches.  The result keeps the input's
+    memory layout: given cluster-major storage (batch axis contiguous), as
+    ``teacher_targets`` passes, every sum over B or C is a vector add.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
@@ -268,9 +283,10 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, momentum: float) -> np.
 
 
 def _one_hot(idx: np.ndarray, c: int) -> np.ndarray:
-    out = np.zeros(idx.shape + (c,))
-    np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
-    return out
+    """One-hot (..., B, C) of class ids (..., B), stored cluster-major."""
+    out = np.zeros(idx.shape[:-1] + (c, idx.shape[-1]))
+    np.put_along_axis(out, idx[..., None, :], 1.0, axis=-2)
+    return out.swapaxes(-1, -2)
 
 
 def composite_loss_and_grads(
@@ -297,11 +313,12 @@ def composite_loss_and_grads(
     clamped class marginal (H, C).
 
     The affine is folded into the heads, so the forward pass is one
-    (B, d) @ (d, H*C) GEMM for the anchors and one batched matmul for the
-    neighbors.  The backward pass contracts the logit gradients ``da``
-    against the unit rows, ``G = sum_b da (x) u`` (one GEMM per side), and
-    unfolds: ``d_weight = G*gamma + d_bias (x) beta``, ``d_gamma =
-    sum_{h,c} W*G / H`` and ``d_beta_shift = sum_h d_bias_h . W_h / H``.
+    (H*C, d) @ (d, B) GEMM for the anchors and one batched matmul for the
+    neighbors, both stored cluster-major.  The backward pass contracts the
+    logit gradients ``da`` against the unit rows, ``G = sum_b da (x) u``
+    (one GEMM per side), and unfolds: ``d_weight = G*gamma + d_bias (x)
+    beta``, ``d_gamma = sum_{h,c} W*G / H`` and ``d_beta_shift = sum_h
+    d_bias_h . W_h / H``.
 
     Returns (per-head mean losses (H,), grads) where grads holds ``weight``
     (H, C, d), ``bias`` (H, C) from each head's own loss, and ``gamma``/
@@ -379,10 +396,11 @@ def teacher_targets(
     ``u_x`` (B, d) holds the unit anchor rows and ``u_nb`` (H, B, m, d) each
     head's m drawn neighbor rows.  Per head, the B anchors and B*m neighbors
     are centered as one batch.  Returns ``qt_x`` (H, B, C) and ``qt_xp``
-    (H, B, C), the mean over the m neighbors.
+    (H, B, C), the mean over the m neighbors, both stored cluster-major.
     """
     h_count, b_count, m_draws, d = u_nb.shape
     w_fold, b_fold = _fold(weight, bias, gamma, beta_shift)
+    # np.concatenate keeps its inputs' cluster-major layout
     stacked = np.concatenate(
         [
             _shared_logits(w_fold, b_fold, u_x),
@@ -514,7 +532,11 @@ def train_heads(
     drawn uniformly from the sample's set using a head-specific RNG stream;
     teacher targets are Sinkhorn-Knopp centered per batch; one AdamW step is
     taken per batch, followed by the teacher EMA update and the marginal
-    EMA update.  Identical configs produce bitwise-identical reports.
+    EMA update.  Every per-sample tensor of a step is stored cluster-major
+    (see the module docstring).  The labelings of all heads come from one
+    GEMM of the folded student weights on the unit rows training already
+    holds, with the same argmax as ``predict_labeling``.  Identical configs
+    produce bitwise-identical reports.
     """
     n = features.n
     if sets.n != n:
@@ -628,7 +650,14 @@ def train_heads(
         per_head_loss = np.full(h_count, np.nan)
         best_head = 0
 
-    labelings = tuple(predict_labeling(bank, h, features) for h in range(h_count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded = _fold(bank.student_w, bank.student_b, bank.student_gamma, bank.student_beta)
+        logits = _shared_logits(*folded, u)
+    finite = np.isfinite(logits).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"non-finite head logits in head {int(np.argmin(finite))}")
+    logits /= cfg.tau_student
+    labelings = tuple(Labeling(np.argmax(softmax(a), axis=-1) + 1) for a in logits)
     per_head_loss.flags.writeable = False
     epoch_loss.flags.writeable = False
     report = TrainReport(

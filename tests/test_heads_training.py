@@ -218,6 +218,39 @@ class TestEinsumOracle:
         self.check_loss((w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal), kwargs)
 
 
+def batch_contiguous(a):
+    return a.strides[-2] == a.itemsize
+
+
+class TestClusterMajorLayout:
+    """Per-sample tensors of a step keep their batch axis contiguous.
+
+    Cluster-last storage gives the same numbers, but every reduction over
+    the few clusters then walks short rows; nothing else would catch it.
+    """
+
+    def test_logits_and_targets(self, rng):
+        h, b, m, c, d = 3, 16, 2, 5, 8
+        w, bias, gamma, shift = (
+            rng.normal(0, 0.4, (h, c, d)), rng.normal(0, 0.4, (h, c)),
+            rng.normal(1, 0.2, d), rng.normal(0, 0.2, d),
+        )
+        u_x, u_nb = rng.normal(size=(b, d)), rng.normal(size=(h, b, m, d))
+        w_fold, b_fold = heads._fold(w, bias, gamma, shift)
+        shared = heads._shared_logits(w_fold, b_fold, u_x)
+        own = heads._own_logits(w_fold, b_fold, u_nb[:, :, 0])
+        assert shared.shape == own.shape == (h, b, c)
+        assert batch_contiguous(shared) and batch_contiguous(own)
+        for draws in (1, m):
+            qt_x, qt_xp = teacher_targets(
+                w, bias, gamma, shift, u_x, u_nb[:, :, :draws], tau=0.1, sk_iters=3
+            )
+            assert batch_contiguous(qt_x) and batch_contiguous(qt_xp)
+        assert batch_contiguous(heads.softmax(shared))
+        for iters in (0, 3):
+            assert batch_contiguous(sinkhorn_knopp(own, iters))
+
+
 class TestTrainHeads:
     def test_synthetic_best_head_accuracy(self, trained_run):
         _, labels, _, _, _, report = trained_run
@@ -291,8 +324,9 @@ class TestTrainHeads:
             return fresh
 
         monkeypatch.setattr(heads, "_init_bank", poisoned_init)
-        with pytest.raises(ValueError, match="non-finite head logits"):
+        with pytest.raises(ValueError, match="non-finite head logits") as info:
             train_heads(m, sets, dataclasses.replace(cfg, epochs=0))
+        assert str(info.value) == "non-finite head logits in head 1"
 
     def test_marginals_are_distributions(self, trained_run):
         _, _, _, _, bank, _ = trained_run
