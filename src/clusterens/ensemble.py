@@ -5,10 +5,16 @@ mutual information against every input labeling.  Mutual information and
 entropies are kept in raw count form (no 1/n): MI is then nonnegative,
 entropies nonpositive, and their ratio equals the familiar sqrt-normalized
 NMI.  Candidate labelings come from two consensus functions, both read off
-the n×ΣC hyperedge matrix Z of :func:`co_association`: CSPA partitions the
-co-association S = Z·Zᵀ/H spectrally without forming it, and MCLA groups
-the hyperedges (the columns of Z) into meta-clusters.  Any caller-supplied
-extras join them (the pipeline passes the best head's labeling).
+the hyperedge column ids of :func:`co_association`, the ones of the n×ΣC
+one-hot hyperedge matrix Z: CSPA partitions the co-association
+S = Z·Zᵀ/H spectrally without forming it, and MCLA groups the hyperedges
+(the columns of Z) into meta-clusters.  Any caller-supplied extras join
+them (the pipeline passes the best head's labeling).
+
+Everything runs on NumPy alone.  The Gram matrices of Z are filled from
+per-pair contingency tables, the eigenvectors come from ``np.linalg.eigh``,
+and the average linkage is a port of the nearest-neighbor chain with
+scipy's tie rules, checked against scipy in the tests.
 """
 
 from __future__ import annotations
@@ -18,10 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.linalg import eigh, qr, svd
-from scipy.spatial.distance import squareform
 
 from .labeling import Labeling, canonicalize
 
@@ -116,34 +118,116 @@ def anmi(candidate: Labeling, inputs: Sequence[Labeling]) -> float:
     return math.fsum(nmi(candidate, lam) for lam in inputs)
 
 
-def co_association(inputs: Sequence[Labeling]) -> sparse.csr_matrix:
-    """The n×ΣC hyperedge matrix Z of the inputs, as CSR float64.
+def co_association(inputs: Sequence[Labeling]) -> tuple[np.ndarray, int]:
+    """The hyperedge columns of the inputs: an n×H int64 matrix and ΣC.
 
-    Row i holds a 1 in the column of its cluster in each of the H inputs; the
-    columns are the inputs' clusters, input by input, each in sorted-id
-    order.  The co-association, the fraction of inputs placing each pair of
-    samples together, is S = Z·Zᵀ/H and is never formed.
+    Row i holds the column id of its cluster in each of the H inputs; the
+    ΣC columns are the inputs' clusters, input by input, each in sorted-id
+    order.  They are the ones of the n×ΣC one-hot hyperedge matrix Z, and
+    the co-association, the fraction of inputs placing each pair of samples
+    together, is S = Z·Zᵀ/H.  Neither Z nor S is formed.
     """
     if len(inputs) == 0:
         raise ValueError("need at least one input labeling")
     n = inputs[0].n
     if any(lam.n != n for lam in inputs):
         raise ValueError("all labelings must cover the same samples")
-    h = len(inputs)
     offsets = np.cumsum([0] + [lam.k for lam in inputs])
     columns = np.stack([lam.coding.codes + off for lam, off in zip(inputs, offsets)], axis=1)
-    return sparse.csr_matrix(
-        (np.ones(n * h), columns.ravel(), np.arange(0, n * h + 1, h)), shape=(n, int(offsets[-1]))
-    )
+    return columns, int(offsets[-1])
+
+
+def _gram(columns: np.ndarray, g: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Zᵀ·diag(weights)·Z as a g×g float64 matrix, Z the one-hot matrix
+    with ones at ``columns`` (unit weights if None).
+
+    It is filled one pair of inputs (a, b) at a time: the block is a
+    ``bincount`` of ``code_a·k_b + code_b``, the pair's contingency table,
+    summed in sample order.  Memory is O(n + g²).
+    """
+    lows = columns.min(axis=0)  # each input's first column: code 0 always occurs
+    highs = np.append(lows[1:], g)
+    gram = np.zeros((g, g))
+    for a in range(columns.shape[1]):
+        code_a = columns[:, a] - lows[a]
+        for b in range(a, columns.shape[1]):
+            k_b = highs[b] - lows[b]
+            block = np.bincount(
+                code_a * k_b + (columns[:, b] - lows[b]), weights,
+                minlength=(highs[a] - lows[a]) * k_b,
+            ).reshape(-1, k_b)
+            gram[lows[a]:highs[a], lows[b]:highs[b]] = block
+            gram[lows[b]:highs[b], lows[a]:highs[a]] = block.T
+    return gram
+
+
+def _qr_pivots(u: np.ndarray, m: int) -> np.ndarray:
+    """The first m pivots of a column-pivoted QR of uᵀ: each step takes the
+    row of u with the largest residual norm (the first on ties) and
+    projects it out of every row."""
+    residual = u.copy()
+    pivots = np.empty(m, dtype=np.int64)
+    for step in range(m):
+        p = int(np.einsum("ij,ij->i", residual, residual).argmax())
+        q = residual[p] / np.linalg.norm(residual[p])
+        residual -= np.outer(residual @ q, q)
+        pivots[step] = p
+    return pivots
 
 
 def _average_linkage_cut(condensed: np.ndarray, k: int) -> np.ndarray:
     """Average-linkage agglomeration on a condensed distance vector, cut
-    into at most k flat clusters (1-based ids)."""
-    if condensed.size == 0:
-        return np.ones(1, dtype=np.int64)
-    tree = linkage(condensed, method="average")
-    return fcluster(tree, t=min(k, tree.shape[0] + 1), criterion="maxclust").astype(np.int64)
+    into at most k flat clusters (1-based ids by first appearance).
+
+    The merges follow the nearest-neighbor chain of Müllner (2011): the
+    previous chain element wins ties, otherwise the first index, and the
+    merged cluster takes the slot of the larger index.  The cut applies
+    every merge at or below the (g−k)-th smallest height.  The ties and the
+    rounding are those of scipy's ``linkage(condensed, "average")``, so the
+    partition is that of ``fcluster(..., k, "maxclust")``.
+    """
+    condensed = np.asarray(condensed, dtype=np.float64)
+    g = int(round((1 + math.sqrt(1 + 8 * condensed.size)) / 2))
+    if k >= g:
+        return np.arange(1, g + 1, dtype=np.int64)
+    dist = np.zeros((g, g))
+    dist[np.triu_indices(g, 1)] = condensed
+    dist += dist.T
+    np.fill_diagonal(dist, np.inf)  # merged-away slots read inf too
+    size = np.ones(g)
+    merges = []  # (slot x, slot y, height)
+    chain = []
+    for _ in range(g - 1):
+        if not chain:
+            chain.append(int(np.flatnonzero(size)[0]))
+        while True:
+            x = chain[-1]
+            y = int(dist[x].argmin())
+            if len(chain) > 1 and dist[x, chain[-2]] <= dist[x, y]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        merges.append((x, y, dist[x, y]))
+        nx, ny = size[x], size[y]
+        row = (nx * dist[x] + ny * dist[y]) / (nx + ny)  # Lance–Williams
+        dist[y] = dist[:, y] = row
+        dist[x] = dist[:, x] = np.inf
+        size[x], size[y] = 0, nx + ny
+
+    cutoff = np.sort([h for _, _, h in merges])[g - k - 1]
+    parent = list(range(g))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for x, y, height in merges:
+        if height <= cutoff:
+            parent[root(x)] = root(y)
+    return canonicalize(Labeling([root(a) for a in range(g)])).labels
 
 
 def cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
@@ -158,23 +242,29 @@ def cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     so when S has rank below k (identical inputs with fewer than k
     clusters, say) the output holds at most rank(S) clusters.
     """
-    z = co_association(inputs)
+    columns, g = co_association(inputs)
     if k < 1:
         raise ValueError("k must be >= 1")
-    n, g = z.shape
+    n = columns.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds sample count n={n}")
-    degree = z @ np.asarray(z.sum(axis=0)).ravel()  # row sums of H·S
-    zs = sparse.diags(1.0 / np.sqrt(degree)) @ z
-    gram = (zs.T @ zs).toarray()
-    vals, vecs = eigh(gram, subset_by_index=[max(g - k, 0), g - 1])
+    sizes = np.bincount(columns.ravel(), minlength=g)
+    scale = 1.0 / np.sqrt(sizes[columns].sum(axis=1).astype(np.float64))  # D^-1/2 of H·S
+    # the Gram of D^-1/2·Z, weighted by scale·scale (the product each of its
+    # terms is) rather than by 1/degree, which may differ in the last bit
+    vals, vecs = np.linalg.eigh(_gram(columns, g, scale * scale))
+    vals, vecs = vals[max(g - k, 0):], vecs[:, max(g - k, 0):]
     # the top eigenvalue is 1; drop those that are zero up to rounding
     keep = vals > g * np.finfo(np.float64).eps
-    u = zs @ (vecs[:, keep] / np.sqrt(vals[keep]))  # unit columns
-    m = u.shape[1]
+    basis = vecs[:, keep] / np.sqrt(vals[keep])
+    m = basis.shape[1]
+    # D^-1/2·Z·basis, unit columns, summed from the last input to the first
+    # as scipy's CSR product of the same matrices sums it, bit for bit
+    u = np.zeros((n, m))
+    for col in columns.T[::-1]:
+        u += scale[:, None] * basis[col]
 
-    _, pivots = qr(u.T, mode="r", pivoting=True)
-    w, _, vt = svd(u[pivots[:m]].T)
+    w, _, vt = np.linalg.svd(u[_qr_pivots(u, m)].T)
     labels = np.abs(u @ (w @ vt)).argmax(axis=1)
 
     norms = np.linalg.norm(u, axis=1, keepdims=True)
@@ -202,21 +292,22 @@ def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
     going to the lowest meta-cluster index).  Meta-clusters that attract no
     samples are dropped, so the output may hold fewer than k clusters.
     """
-    z = co_association(inputs)
+    columns, g = co_association(inputs)
     if k < 1:
         raise ValueError("k must be >= 1")
-    inter = (z.T @ z).toarray()
+    inter = _gram(columns, g)
     sizes = inter.diagonal()
     union = sizes[:, None] + sizes[None, :] - inter
     jaccard = inter / union
 
-    flat = _average_linkage_cut(squareform(1.0 - jaccard, checks=False), k)
-    # reindex meta-clusters by first appearance over the hyperedge order so
-    # the argmax tie rule is well defined
-    flat = canonicalize(Labeling(flat)).labels
-    g = flat.size
-    meta = sparse.csr_matrix((np.ones(g), (np.arange(g), flat - 1)))
-    membership = (z @ meta).toarray() / np.bincount(flat)[1:]
+    # meta-clusters are numbered by first appearance over the hyperedge
+    # order, so the argmax tie rule is well defined
+    meta = _average_linkage_cut((1.0 - jaccard)[np.triu_indices(g, 1)], k) - 1
+    n_meta = int(meta.max()) + 1
+    n = columns.shape[0]
+    hits = np.bincount((np.arange(n)[:, None] * n_meta + meta[columns]).ravel(),
+                       minlength=n * n_meta).reshape(n, n_meta)
+    membership = hits / np.bincount(meta)
     assigned = membership.argmax(axis=1) + 1
     return canonicalize(Labeling(assigned))
 

@@ -1,11 +1,17 @@
-"""Clustering evaluation: Hungarian-matched accuracy, NMI and ARI."""
+"""Clustering evaluation: Hungarian-matched accuracy, NMI and ARI.
+
+The assignment behind the accuracy is a pure-Python port of the shortest
+augmenting path solver of Crouse (2016), with the tie rules of
+``scipy.optimize.linear_sum_assignment``, so the reported matching is the
+one that solver finds.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .ensemble import contingency, nmi
 from .labeling import Labeling
@@ -26,6 +32,74 @@ class MetricsReport:
         return {"acc": self.acc, "nmi": self.nmi, "ari": self.ari}
 
 
+def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of a finite cost matrix as (rows, cols).
+
+    Rows are added one at a time along a shortest augmenting path on the
+    reduced costs (Crouse 2016).  Columns are scanned from the last, and
+    among columns tied at the lowest path cost the last unassigned one wins,
+    otherwise the first; a tall matrix is solved transposed.  These are the
+    rules of scipy's solver, so ties resolve as there.  Plain Python floats
+    keep the small matrices of cluster matching fast.
+    """
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    c = cost.tolist()
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    path = [-1] * nc
+    for cur in range(nr):
+        shortest = [math.inf] * nc
+        seen_rows, seen_cols = [], []
+        remaining = list(range(nc - 1, -1, -1))
+        min_val = 0.0
+        i, sink = cur, -1
+        while sink == -1:
+            seen_rows.append(i)
+            index, lowest = -1, math.inf
+            row, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # update the duals, then augment along the path
+        u[cur] += min_val
+        for i in seen_rows:
+            if i != cur:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    cols = np.array(col4row, dtype=np.int64)
+    if transpose:
+        order = np.argsort(cols)
+        return cols[order], order
+    return np.arange(nr), cols
+
+
 def hungarian(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     """Minimum-cost one-to-one assignment on the smaller dimension.
 
@@ -38,7 +112,7 @@ def hungarian(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
         raise ValueError("cost must be a nonempty 2-D matrix")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost entries must be finite")
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _linear_sum_assignment(cost)
     pairs = sorted(zip(rows.tolist(), cols.tolist()))
     total = float(cost[rows, cols].sum())
     return pairs, total

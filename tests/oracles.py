@@ -18,6 +18,14 @@ normalized in place, and ``fixed_budget_self_train`` is ``self_train`` as it
 was before it stopped once the probe reproduces the pseudo-labels: both are
 copied verbatim, and the latter reuses the package's ``ce_loss_and_grads``,
 standardizer and ``Classifier``.
+
+scipy is a test-only dependency, and its routines are the references for
+the package's NumPy ports: ``linkage``/``fcluster`` in
+``_dense_average_linkage_cut`` (and, in the tests, for
+``_average_linkage_cut``), ``scipy.optimize.linear_sum_assignment`` for the
+assignment behind ``hungarian``, and ``scipy_cspa``, the spectral CSPA as it
+ran on the CSR hyperedge matrix with ``scipy.sparse`` products and
+``scipy.linalg``'s ``eigh``, ``qr`` and ``svd``, kept verbatim.
 """
 
 import math
@@ -26,7 +34,9 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.linalg import eigh, qr, svd
 from scipy.spatial.distance import squareform
 
 from clusterens.ensemble import _average_linkage_cut
@@ -274,6 +284,64 @@ def dense_cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     s = dense_co_association(inputs)
     flat = _dense_average_linkage_cut(1.0 - s.values, k)
     return canonicalize(Labeling(flat))
+
+
+# ---------------------------------------------------------------------------
+# spectral CSPA on the CSR hyperedge matrix (before the NumPy-only build)
+# ---------------------------------------------------------------------------
+
+SCIPY_CSPA_LLOYD_ITERATIONS = 100
+
+
+def scipy_co_association(inputs: Sequence[Labeling]) -> sparse.csr_matrix:
+    """The n×ΣC hyperedge matrix Z of the inputs, as CSR float64."""
+    if len(inputs) == 0:
+        raise ValueError("need at least one input labeling")
+    n = inputs[0].n
+    if any(lam.n != n for lam in inputs):
+        raise ValueError("all labelings must cover the same samples")
+    h = len(inputs)
+    offsets = np.cumsum([0] + [lam.k for lam in inputs])
+    columns = np.stack([lam.coding.codes + off for lam, off in zip(inputs, offsets)], axis=1)
+    return sparse.csr_matrix(
+        (np.ones(n * h), columns.ravel(), np.arange(0, n * h + 1, h)), shape=(n, int(offsets[-1]))
+    )
+
+
+def scipy_cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
+    """Consensus by a normalized spectral partition of the co-association S."""
+    z = scipy_co_association(inputs)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n, g = z.shape
+    if k > n:
+        raise ValueError(f"k={k} exceeds sample count n={n}")
+    degree = z @ np.asarray(z.sum(axis=0)).ravel()  # row sums of H·S
+    zs = sparse.diags(1.0 / np.sqrt(degree)) @ z
+    gram = (zs.T @ zs).toarray()
+    vals, vecs = eigh(gram, subset_by_index=[max(g - k, 0), g - 1])
+    # the top eigenvalue is 1; drop those that are zero up to rounding
+    keep = vals > g * np.finfo(np.float64).eps
+    u = zs @ (vecs[:, keep] / np.sqrt(vals[keep]))  # unit columns
+    m = u.shape[1]
+
+    _, pivots = qr(u.T, mode="r", pivoting=True)
+    w, _, vt = svd(u[pivots[:m]].T)
+    labels = np.abs(u @ (w @ vt)).argmax(axis=1)
+
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    x = np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
+    for _ in range(SCIPY_CSPA_LLOYD_ITERATIONS):
+        sizes = np.bincount(labels, minlength=m)
+        sums = np.stack([np.bincount(labels, weights=col, minlength=m) for col in x.T], axis=1)
+        centers = sums / np.maximum(sizes, 1)[:, None]
+        score = x @ centers.T - 0.5 * (centers * centers).sum(axis=1)
+        score[:, sizes == 0] = -np.inf
+        new = score.argmax(axis=1)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return canonicalize(Labeling(labels))
 
 
 # ---------------------------------------------------------------------------

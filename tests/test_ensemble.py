@@ -184,10 +184,17 @@ def noisy_ensemble(rng, n=300, k=5, members=50, noise=0.1):
     return planted, inputs
 
 
+def one_hot(columns, g):
+    """The n×g hyperedge matrix Z with ones at ``columns``, dense."""
+    z = np.zeros((columns.shape[0], g))
+    z[np.arange(columns.shape[0])[:, None], columns] = 1.0
+    return z
+
+
 def co_association_values(inputs):
-    """S = Z·Zᵀ/H as a dense matrix, from the factor ``co_association`` returns."""
-    z = co_association(inputs)
-    return (z @ z.T).toarray() / len(inputs)
+    """S = Z·Zᵀ/H as a dense matrix, from the columns ``co_association`` returns."""
+    z = one_hot(*co_association(inputs))
+    return (z @ z.T) / len(inputs)
 
 
 def block_ensemble(sizes, heads):
@@ -298,10 +305,10 @@ class TestCspa:
 
 class TestCoAssociation:
     def test_factor_form(self):
-        z = co_association([Labeling([5, 2, 5]), Labeling([1, 1, 9])])
-        assert z.format == "csr" and z.dtype == np.float64
+        columns, g = co_association([Labeling([5, 2, 5]), Labeling([1, 1, 9])])
+        assert columns.dtype == np.int64 and columns.shape == (3, 2) and g == 4
         # columns: ids 2, 5 of the first input, then ids 1, 9 of the second
-        assert z.toarray().tolist() == [[0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]]
+        assert one_hot(columns, g).tolist() == [[0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]]
 
     def test_block_structure(self):
         lab = Labeling([1, 1, 2])
