@@ -121,10 +121,12 @@ def _cmd_train(args) -> str:
     cfg = _config_from_args(args, ["features", "labels", "neighbors.file", "output_dir"])
     features, labels = pl.validate_inputs(cfg)
     sets = pl.build_sets_for_config(cfg, features, labels)
-    _, _, _, text = pl.train_stage(
-        Path(cfg.output_dir), features, sets, cfg.train_config(), labels
-    )
-    return text
+    return pl.train_stage(Path(cfg.output_dir), features, sets, cfg.train_config(), labels)[-1]
+
+
+def _optional_labels(cfg):
+    return load_labeling(_require_file(cfg.labels_path, "labels file")) \
+        if cfg.labels_path else None
 
 
 def _cmd_ensemble(args) -> str:
@@ -133,19 +135,17 @@ def _cmd_ensemble(args) -> str:
     run_dir = Path(cfg.output_dir)
     report_path = _require_file(run_dir / "train_report.txt", "train report")
     block = pl.read_machine_block(report_path.read_text(encoding="utf-8"))
-    best_head = int(block["best_head"])
     lab_paths = sorted((run_dir / "labelings").glob("head_*.lbl"))
     if not lab_paths:
         raise ConfigError(f"no head labelings under {run_dir / 'labelings'}")
     inputs = [load_labeling(p) for p in lab_paths]
-    labels = load_labeling(_require_file(cfg.labels_path, "labels file")) \
-        if cfg.labels_path else None
+    labels = _optional_labels(cfg)
+    pl.check_count(labels, "labels", inputs[0].n, "head labelings")
     if cfg.resolved["ensemble.k"] is None and cfg.resolved["train.num_clusters"] is None:
         raise ConfigError("ensemble needs --k (or train.num_clusters) to be set")
-    _, text = pl.ensemble_stage(
-        run_dir, inputs, cfg.ensemble_k(), [inputs[best_head]], ["best_head"], labels
-    )
-    return text
+    return pl.ensemble_stage(
+        run_dir, inputs, cfg.ensemble_k(), int(block["best_head"]), labels
+    )[-1]
 
 
 def _cmd_selftrain(args) -> str:
@@ -157,12 +157,10 @@ def _cmd_selftrain(args) -> str:
     )
     features = pl.load_features_any(fpath, cfg["features_format"])
     pseudo = load_labeling(pseudo_path)
-    labels = load_labeling(_require_file(cfg.labels_path, "labels file")) \
-        if cfg.labels_path else None
-    _, _, text = pl.selftrain_stage(
-        out_dir, features, pseudo, cfg.selftrain_config(), labels
-    )
-    return text
+    labels = _optional_labels(cfg)
+    pl.check_count(pseudo, "pseudo-labels", features.n)
+    pl.check_count(labels, "labels", features.n)
+    return pl.selftrain_stage(out_dir, features, pseudo, cfg.selftrain_config(), labels)[-1]
 
 
 def _cmd_predict(args) -> str:

@@ -3,15 +3,19 @@
 A config file holds one ``key = value`` pair per line (``#`` comments
 allowed); the same ``key=value`` strings are accepted on the command line
 via ``--set``.  Every key has a default, so a config only states what it
-overrides.  The resolved configuration hashes deterministically, which the
-run manifest records.
+overrides.  The ``train.*`` and ``selftrain.*`` keys are the fields of
+``TrainConfig`` and ``SelfTrainConfig``, parsed by the field's type and
+defaulting to the field's default (``None`` for a field without one); their
+``seed`` field is the shared top-level ``seed`` key.  The resolved
+configuration hashes deterministically, which the run manifest records.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .featstore import SynthSpec
@@ -38,6 +42,15 @@ def _parse_int_list(raw: str) -> tuple:
     return tuple(int(p) for p in raw.split(",") if p.strip())
 
 
+def _stage_keys(prefix: str, stage_cls) -> dict:
+    """``<prefix>.<field>`` entries for every field of a stage config but ``seed``."""
+    types = get_type_hints(stage_cls)
+    return {
+        f"{prefix}.{f.name}": (types[f.name], None if f.default is MISSING else f.default)
+        for f in fields(stage_cls) if f.name != "seed"
+    }
+
+
 DEFAULT_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 DEFAULT_HEAD_COUNTS = tuple(range(10, 90, 10))
 
@@ -59,26 +72,9 @@ SCHEMA = {
     "neighbors.file": (str, None),
     "neighbors.ground_truth": (_parse_bool, False),
     "neighbors.standardized": (_parse_bool, False),
-    "train.num_clusters": (int, None),
-    "train.num_heads": (int, 50),
-    "train.tau_student": (float, 0.1),
-    "train.tau_teacher": (float, 0.1),
-    "train.beta": (float, 0.6),
-    "train.lambda_max": (float, 0.5),
-    "train.teacher_momentum": (float, 0.996),
-    "train.sk_iters": (int, 3),
-    "train.epochs": (int, 400),
-    "train.warmup_epochs": (int, 100),
-    "train.batch_size": (int, 256),
-    "train.lr": (float, 1.25e-6),
-    "train.weight_decay": (float, 1e-4),
-    "train.smoothing_m": (int, 1),
+    **_stage_keys("train", TrainConfig),
     "ensemble.k": (int, None),
-    "selftrain.steps": (int, 12500),
-    "selftrain.lr": (float, 0.1),
-    "selftrain.momentum": (float, 0.9),
-    "selftrain.weight_decay": (float, 0.0),
-    "selftrain.batch_size": (int, 256),
+    **_stage_keys("selftrain", SelfTrainConfig),
     "ablate.thresholds": (_parse_float_list, DEFAULT_THRESHOLDS),
     "ablate.head_counts": (_parse_int_list, DEFAULT_HEAD_COUNTS),
 }
@@ -191,31 +187,20 @@ class PipelineConfig:
         if missing:
             raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
-    def train_config(self) -> TrainConfig:
-        self.require("train.num_clusters")
-        r = self.resolved
-        if r["train.num_clusters"] < 2:
-            raise ConfigError("train.num_clusters must be >= 2")
+    def _stage_config(self, prefix: str, stage_cls):
+        """Fill a stage dataclass from its ``<prefix>.*`` keys and ``seed``.
+
+        Only a field without a default has an unset key, which is required.
+        """
+        keys = {f.name: f"{prefix}.{f.name}" for f in fields(stage_cls) if f.name != "seed"}
+        self.require(*keys.values())
         try:
-            return TrainConfig(
-                num_clusters=r["train.num_clusters"],
-                num_heads=r["train.num_heads"],
-                tau_student=r["train.tau_student"],
-                tau_teacher=r["train.tau_teacher"],
-                beta=r["train.beta"],
-                lambda_max=r["train.lambda_max"],
-                teacher_momentum=r["train.teacher_momentum"],
-                sk_iters=r["train.sk_iters"],
-                epochs=r["train.epochs"],
-                warmup_epochs=r["train.warmup_epochs"],
-                batch_size=r["train.batch_size"],
-                lr=r["train.lr"],
-                weight_decay=r["train.weight_decay"],
-                smoothing_m=r["train.smoothing_m"],
-                seed=r["seed"],
-            )
+            return stage_cls(seed=self.seed, **{n: self.resolved[k] for n, k in keys.items()})
         except ValueError as exc:
-            raise ConfigError(f"invalid train config: {exc}") from exc
+            raise ConfigError(f"invalid {prefix} config: {exc}") from exc
+
+    def train_config(self) -> TrainConfig:
+        return self._stage_config("train", TrainConfig)
 
     def ensemble_k(self) -> int:
         k = self.resolved["ensemble.k"]
@@ -227,18 +212,7 @@ class PipelineConfig:
         return k
 
     def selftrain_config(self) -> SelfTrainConfig:
-        r = self.resolved
-        try:
-            return SelfTrainConfig(
-                steps=r["selftrain.steps"],
-                lr=r["selftrain.lr"],
-                momentum=r["selftrain.momentum"],
-                weight_decay=r["selftrain.weight_decay"],
-                batch_size=r["selftrain.batch_size"],
-                seed=r["seed"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid selftrain config: {exc}") from exc
+        return self._stage_config("selftrain", SelfTrainConfig)
 
     def synth_spec(self) -> SynthSpec:
         self.require("synth.n", "synth.d", "synth.k")

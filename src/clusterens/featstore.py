@@ -70,7 +70,6 @@ class NormStats:
     var: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
-    momentum: float = 0.0
 
     def __post_init__(self):
         for name in ("mean", "var", "gamma", "beta"):
@@ -81,8 +80,6 @@ class NormStats:
             raise ValueError("NormStats vectors must share one dimension")
         if np.any(self.var < 0):
             raise ValueError("variance entries must be nonnegative")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError("momentum must lie in [0, 1]")
 
     @property
     def d(self) -> int:
@@ -127,7 +124,7 @@ def standardize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
     return unit_rows(x, stats) * stats.gamma + stats.beta
 
 
-def fit_standardizer(features: EmbeddingMatrix, momentum: float = 0.0) -> NormStats:
+def fit_standardizer(features: EmbeddingMatrix) -> NormStats:
     """Compute per-dimension batch mean/variance; affine starts at identity.
 
     Near-zero variances are clamped to 1e-5 (with a warning) so constant
@@ -146,7 +143,7 @@ def fit_standardizer(features: EmbeddingMatrix, momentum: float = 0.0) -> NormSt
         )
         var = np.where(low, VAR_EPS, var)
     d = features.d
-    return NormStats(mean=mean, var=var, gamma=np.ones(d), beta=np.zeros(d), momentum=momentum)
+    return NormStats(mean=mean, var=var, gamma=np.ones(d), beta=np.zeros(d))
 
 
 def apply_standardizer(features: EmbeddingMatrix, stats: NormStats) -> EmbeddingMatrix:

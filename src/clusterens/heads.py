@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -482,14 +482,6 @@ class HeadBank:
             norm=self._norm(self.student_gamma, self.student_beta),
         )
 
-    def teacher_params(self, head: int) -> HeadParams:
-        self._check_head(head)
-        return HeadParams(
-            weight=self.teacher_w[head],
-            bias=self.teacher_b[head],
-            norm=self._norm(self.teacher_gamma, self.teacher_beta),
-        )
-
     def _check_head(self, head: int) -> None:
         if not 0 <= head < self.num_heads:
             raise ValueError(f"head {head} out of range [0, {self.num_heads})")
@@ -680,12 +672,6 @@ def predict_labeling(bank: HeadBank, head: int, features: EmbeddingMatrix) -> La
 # ---------------------------------------------------------------------------
 
 
-_INT_FIELDS = frozenset(
-    {"num_clusters", "num_heads", "sk_iters", "epochs", "warmup_epochs",
-     "batch_size", "smoothing_m", "seed"}
-)
-
-
 def config_to_text(cfg: TrainConfig) -> str:
     lines = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)]
     return "\n".join(lines) + "\n"
@@ -693,14 +679,14 @@ def config_to_text(cfg: TrainConfig) -> str:
 
 def config_from_text(text: str) -> TrainConfig:
     values = {}
-    names = {f.name for f in fields(TrainConfig)}
+    types = get_type_hints(TrainConfig)
     for line in text.strip().splitlines():
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in names:
+        if key not in types:
             raise ValueError(f"unknown train-config key {key!r}")
-        values[key] = int(raw) if key in _INT_FIELDS else float(raw)
-    missing = names - values.keys()
+        values[key] = types[key](raw)
+    missing = types.keys() - values.keys()
     if missing:
         raise ValueError(f"config missing keys: {sorted(missing)}")
     return TrainConfig(**values)

@@ -2,7 +2,9 @@
 
 Stages write their artifacts to the run directory as they finish, so a
 failed run keeps everything produced so far and any stage can be re-run
-from its predecessor's files.  Reports are plain text ending in a
+from its predecessor's files.  Each stage function returns what the
+manifest records of it: its result, the paths it wrote, its scores against
+ground truth and its report text.  Reports are plain text ending in a
 machine-readable ``key=value`` block separated by a ``---`` line.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,12 +111,9 @@ def sha256_file(path) -> str:
 @dataclass
 class StageRecord:
     name: str
-    outputs: list = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    metrics: dict | None = None
-
-    def add_output(self, path) -> None:
-        self.outputs.append({"path": str(path), "sha256": sha256_file(path)})
+    outputs: list  # {"path", "sha256"} per artifact, in the stage's order
+    wall_clock_s: float
+    metrics: dict | None  # the stage's scores vs ground truth, if labels were given
 
 
 @dataclass
@@ -124,25 +123,9 @@ class RunManifest:
     stages: list = field(default_factory=list)
     selftrain_rounds: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "selftrain_rounds": self.selftrain_rounds,
-            "stages": [
-                {
-                    "name": s.name,
-                    "outputs": s.outputs,
-                    "wall_clock_s": s.wall_clock_s,
-                    "metrics": s.metrics,
-                }
-                for s in self.stages
-            ],
-        }
-
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
+            json.dump(asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
 
     def stage(self, name: str) -> StageRecord:
@@ -162,6 +145,12 @@ def load_features_any(path, explicit_format: str | None = None) -> EmbeddingMatr
     return load_features(path, fmt)
 
 
+def check_count(labeling: Labeling | None, what: str, n: int, holder: str = "features") -> None:
+    """Refuse a labeling that does not cover the ``n`` samples ``holder`` hold."""
+    if labeling is not None and labeling.n != n:
+        raise ConfigError(f"{what} cover {labeling.n} samples but {holder} hold {n}")
+
+
 def validate_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | None]:
     cfg.require("features", "output_dir", "train.num_clusters")
     fpath = Path(cfg.features_path)
@@ -179,10 +168,7 @@ def validate_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | No
     if cfg["neighbors.ground_truth"] and labels is None:
         raise ConfigError("neighbors.ground_truth=true requires a labels file")
     features = load_features_any(fpath, cfg["features_format"])
-    if labels is not None and labels.n != features.n:
-        raise ConfigError(
-            f"labels cover {labels.n} samples but features hold {features.n}"
-        )
+    check_count(labels, "labels", features.n)
     return features, labels
 
 
@@ -206,6 +192,19 @@ def build_sets_for_config(
 # ---------------------------------------------------------------------------
 
 
+def _score(pred: Labeling, labels: Labeling | None, title: str, prefix: str,
+           human: list, machine: dict) -> dict | None:
+    """Add the scores of ``pred`` vs ``labels`` to both parts of a report and
+    return them as the manifest records them; ``None`` without labels."""
+    if labels is None:
+        return None
+    report = evaluate(pred, labels)
+    human += ["", title] + metrics_human_lines(report)
+    metrics = report.machine_block()
+    machine.update({f"{prefix}_{k}": v for k, v in metrics.items()})
+    return metrics
+
+
 def train_stage(
     out_dir: Path,
     features: EmbeddingMatrix,
@@ -213,7 +212,12 @@ def train_stage(
     train_cfg: heads.TrainConfig,
     labels: Labeling | None,
 ):
-    """Run head training and write checkpoint, labelings and report."""
+    """Run head training; write neighbor sets, checkpoint, report and labelings.
+
+    Returns ``(report, outputs, metrics, text)``: the ``TrainReport``, the
+    written paths in manifest order, the best head's scores vs ``labels``
+    (``None`` without labels) and the report text.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     neighbors.save_neighbor_sets(sets, out_dir / "neighbors.nns")
@@ -242,27 +246,30 @@ def train_stage(
         "loss_mean_by_epoch": _float_list(report.epoch_mean_loss.mean(axis=1)),
         "best_head_loss_by_epoch": _float_list(report.epoch_mean_loss[:, report.best_head]),
     }
-    if labels is not None:
-        m = evaluate(report.per_head_labeling[report.best_head], labels)
-        human += ["", "best-head metrics vs ground truth:"] + metrics_human_lines(m)
-        machine.update({f"best_{k}": v for k, v in m.machine_block().items()})
+    metrics = _score(report.per_head_labeling[report.best_head], labels,
+                     "best-head metrics vs ground truth:", "best", human, machine)
     text = render_report(human, machine)
     (out_dir / "train_report.txt").write_text(text, encoding="utf-8")
-    return bank, report, lab_paths, text
+    outputs = [out_dir / "neighbors.nns", out_dir / "checkpoint.hdb",
+               out_dir / "train_report.txt", *lab_paths]
+    return report, outputs, metrics, text
 
 
 def ensemble_stage(
     out_dir: Path,
     inputs,
     k: int,
-    extras,
-    extra_names,
+    best_head: int,
     labels: Labeling | None,
 ):
-    """Run supra-consensus over head labelings; write consensus + ANMI table."""
+    """Run supra-consensus over the head labelings, with the best head's own
+    labeling as an extra candidate; write consensus + ANMI table.
+
+    Returns ``(consensus, outputs, metrics, text)`` as ``train_stage`` does.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows, best_idx = ens.supra_consensus_table(inputs, k, extras, extra_names)
+    rows, best_idx = ens.supra_consensus_table(inputs, k, [inputs[best_head]], ["best_head"])
     consensus = rows[best_idx][2]
     save_labeling(consensus, out_dir / "consensus.lbl")
 
@@ -278,13 +285,11 @@ def ensemble_stage(
     }
     for name, score, _ in rows:
         machine[f"anmi.{name}"] = score
-    if labels is not None:
-        m = evaluate(consensus, labels)
-        human += ["", "consensus metrics vs ground truth:"] + metrics_human_lines(m)
-        machine.update({f"consensus_{k2}": v for k2, v in m.machine_block().items()})
+    metrics = _score(consensus, labels, "consensus metrics vs ground truth:", "consensus",
+                     human, machine)
     text = render_report(human, machine)
     (out_dir / "anmi_table.txt").write_text(text, encoding="utf-8")
-    return consensus, text
+    return consensus, [out_dir / "consensus.lbl", out_dir / "anmi_table.txt"], metrics, text
 
 
 def selftrain_stage(
@@ -294,7 +299,11 @@ def selftrain_stage(
     st_cfg: selftrain.SelfTrainConfig,
     labels: Labeling | None,
 ):
-    """Train the linear probe on pseudo-labels; write checkpoint + predictions."""
+    """Train the linear probe on pseudo-labels; write checkpoint + predictions.
+
+    Returns ``(classifier, outputs, metrics, text)`` as ``train_stage`` does;
+    the metrics score the probe's predictions.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clf = selftrain.self_train(features, pseudo, st_cfg)
@@ -323,13 +332,13 @@ def selftrain_stage(
         "classifier": str(out_dir / "classifier.clf"),
         "predictions": str(out_dir / "selftrain_pred.lbl"),
     }
-    if labels is not None:
-        m = evaluate(pred, labels)
-        human += ["", "classifier metrics vs ground truth:"] + metrics_human_lines(m)
-        machine.update({f"clf_{k}": v for k, v in m.machine_block().items()})
+    metrics = _score(pred, labels, "classifier metrics vs ground truth:", "clf",
+                     human, machine)
     text = render_report(human, machine)
     (out_dir / "selftrain_report.txt").write_text(text, encoding="utf-8")
-    return clf, pred, text
+    outputs = [out_dir / "classifier.clf", out_dir / "selftrain_pred.lbl",
+               out_dir / "selftrain_report.txt"]
+    return clf, outputs, metrics, text
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
@@ -348,47 +357,27 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     manifest = RunManifest(config_hash=cfg.hash(), seed=cfg.seed)
 
     def run_stage(name: str, body):
-        """Time ``body``, which returns (result, output paths, labeling to
-        score), and record the stage; on failure write the partial manifest
-        and raise ``StageError(name)``."""
+        """Time ``body``, a call of a stage function, and record the outputs
+        (hashed) and metrics it returns; on failure write the partial
+        manifest and raise ``StageError(name)``.  Returns the stage's result."""
         t0 = time.perf_counter()
         try:
-            result, outputs, scored = body()
+            result, outputs, metrics, _ = body()
         except Exception as exc:
             manifest.write(out_dir / "manifest.json")
             raise StageError(name, exc) from exc
-        record = StageRecord(name=name, wall_clock_s=time.perf_counter() - t0)
-        for p in outputs:
-            record.add_output(p)
-        if labels is not None:
-            record.metrics = evaluate(scored, labels).machine_block()
-        manifest.stages.append(record)
+        wall_clock_s = time.perf_counter() - t0
+        outputs = [{"path": str(p), "sha256": sha256_file(p)} for p in outputs]
+        manifest.stages.append(StageRecord(name, outputs, wall_clock_s, metrics))
         return result
 
-    def train():
-        sets = build_sets_for_config(cfg, features, labels)
-        _, report, lab_paths, _ = train_stage(out_dir, features, sets, train_cfg, labels)
-        outputs = [out_dir / "neighbors.nns", out_dir / "checkpoint.hdb",
-                   out_dir / "train_report.txt", *lab_paths]
-        return report, outputs, report.per_head_labeling[report.best_head]
-
-    def ensemble():
-        best_lab = report.per_head_labeling[report.best_head]
-        consensus, _ = ensemble_stage(
-            out_dir, list(report.per_head_labeling), k, [best_lab], ["best_head"], labels
-        )
-        return consensus, [out_dir / "consensus.lbl", out_dir / "anmi_table.txt"], consensus
-
-    def self_training():
-        _, pred, _ = selftrain_stage(out_dir, features, consensus, st_cfg, labels)
-        outputs = [out_dir / "classifier.clf", out_dir / "selftrain_pred.lbl",
-                   out_dir / "selftrain_report.txt"]
-        return pred, outputs, pred
-
-    # multi-head training, cluster ensembling, one round of self-training
-    report = run_stage("train", train)
-    consensus = run_stage("ensemble", ensemble)
-    run_stage("selftrain", self_training)
+    # multi-head training (mining counts toward it), cluster ensembling,
+    # one round of self-training
+    report = run_stage("train", lambda: train_stage(
+        out_dir, features, build_sets_for_config(cfg, features, labels), train_cfg, labels))
+    consensus = run_stage("ensemble", lambda: ensemble_stage(
+        out_dir, list(report.per_head_labeling), k, report.best_head, labels))
+    run_stage("selftrain", lambda: selftrain_stage(out_dir, features, consensus, st_cfg, labels))
     manifest.selftrain_rounds += 1
 
     manifest.write(out_dir / "manifest.json")

@@ -1,12 +1,15 @@
 import json
+import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clusterens import SynthSpec, gen_synthetic, load_labeling, save_labeling
+from clusterens import Labeling, SynthSpec, gen_synthetic, load_labeling, save_labeling
 from clusterens.cli import main
 from clusterens.config import (
+    SCHEMA,
     PipelineConfig,
     config_hash,
     load_pipeline_config,
@@ -15,6 +18,7 @@ from clusterens.config import (
 )
 from clusterens.errors import ConfigError, StageError
 from clusterens.featstore import save_features
+from clusterens.heads import TrainConfig, load_head_bank
 from clusterens.metrics import evaluate
 from clusterens.pipeline import read_machine_block, run_pipeline
 
@@ -104,6 +108,72 @@ class TestConfig:
         with pytest.raises(ConfigError, match="train.num_clusters"):
             cfg.train_config()
 
+    def test_schema_keys_and_defaults_pinned(self):
+        assert {key: default for key, (_, default) in sorted(SCHEMA.items())} == {
+            "ablate.head_counts": (10, 20, 30, 40, 50, 60, 70, 80),
+            "ablate.thresholds": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+            "ensemble.k": None,
+            "features": None,
+            "features_format": None,
+            "labels": None,
+            "neighbors.file": None,
+            "neighbors.ground_truth": False,
+            "neighbors.k_min": 50,
+            "neighbors.standardized": False,
+            "neighbors.theta": 0.3,
+            "output_dir": None,
+            "seed": 0,
+            "selftrain.batch_size": 256,
+            "selftrain.lr": 0.1,
+            "selftrain.momentum": 0.9,
+            "selftrain.steps": 12500,
+            "selftrain.weight_decay": 0.0,
+            "synth.d": None,
+            "synth.k": None,
+            "synth.n": None,
+            "synth.seed": None,
+            "synth.separation": 20.0,
+            "threads": 1,
+            "train.batch_size": 256,
+            "train.beta": 0.6,
+            "train.epochs": 400,
+            "train.lambda_max": 0.5,
+            "train.lr": 1.25e-06,
+            "train.num_clusters": None,
+            "train.num_heads": 50,
+            "train.sk_iters": 3,
+            "train.smoothing_m": 1,
+            "train.tau_student": 0.1,
+            "train.tau_teacher": 0.1,
+            "train.teacher_momentum": 0.996,
+            "train.warmup_epochs": 100,
+            "train.weight_decay": 0.0001,
+        }
+        resolved = resolve({}, [])
+        for key in ("train.num_heads", "train.epochs", "selftrain.steps"):
+            assert type(resolved[key]) is int
+        for key in ("train.lr", "train.beta", "selftrain.weight_decay"):
+            assert type(resolved[key]) is float
+
+    def test_hash_pinned(self):
+        assert config_hash(resolve({}, [])) == (
+            "0c282b24822c82d13ab37d11d02a967ba428b86fab53f8a4e31a58c2eadcce47"
+        )
+        overrides = {"train.num_clusters": "5", "seed": "7", "train.lr": "1e-3",
+                     "selftrain.steps": "300"}
+        assert config_hash(resolve(overrides, [])) == (
+            "7f1cf6d038f17d791153ba47974399e09a65238a24745a01076a2202b3bbf392"
+        )
+
+    def test_stage_configs_take_shared_seed(self):
+        cfg = PipelineConfig(resolve({"seed": "7", "train.num_clusters": "5"}, []))
+        assert cfg.train_config() == TrainConfig(num_clusters=5, seed=7)
+        assert cfg.selftrain_config().seed == 7
+        with pytest.raises(ConfigError, match="invalid train config"):
+            PipelineConfig(resolve({"train.num_clusters": "1"}, [])).train_config()
+        with pytest.raises(ConfigError, match="invalid selftrain config"):
+            PipelineConfig(resolve({"selftrain.momentum": "1.0"}, [])).selftrain_config()
+
 
 class TestPipeline:
     def test_manifest_structure(self, pipeline_run):
@@ -143,6 +213,16 @@ class TestPipeline:
         assert len(by_epoch) == int(block["epochs_run"]) + 1
         assert by_epoch[-1] == float(block["pseudo_agreement"]) == 1.0
 
+    def test_checkpoint_config_echo_keeps_types(self, pipeline_run):
+        _, _, cfg, out_dir, _ = pipeline_run
+        echo = load_head_bank(out_dir / "checkpoint.hdb").config
+        assert echo == cfg.train_config()
+        for name in ("num_clusters", "num_heads", "sk_iters", "epochs", "warmup_epochs",
+                     "batch_size", "smoothing_m", "seed"):
+            assert type(getattr(echo, name)) is int
+        for name in ("tau_student", "lr", "weight_decay", "teacher_momentum"):
+            assert type(getattr(echo, name)) is float
+
     def test_output_hashes_match_files(self, pipeline_run):
         from clusterens.pipeline import sha256_file
 
@@ -167,7 +247,7 @@ class TestPipeline:
         assert before == after
 
         def strip(m):
-            d = m.to_dict()
+            d = asdict(m)
             for s in d["stages"]:
                 s.pop("wall_clock_s")
             return d
@@ -254,10 +334,14 @@ class TestPipeline:
 
     def test_stage_isolation_ensemble_rerun(self, pipeline_run, tmp_path):
         _, _, cfg, out_dir, _ = pipeline_run
-        consensus_before = (out_dir / "consensus.lbl").read_bytes()
-        code = main(["ensemble", "--run-dir", str(out_dir), "--k", "3"])
+        t = out_dir.parent
+        before = {name: (out_dir / name).read_bytes()
+                  for name in ("consensus.lbl", "anmi_table.txt")}
+        code = main(["ensemble", "--run-dir", str(out_dir), "--k", "3",
+                     "--labels", str(t / "labels.lbl")])
         assert code == 0
-        assert (out_dir / "consensus.lbl").read_bytes() == consensus_before
+        for name, data in before.items():
+            assert (out_dir / name).read_bytes() == data, name
 
     def test_stage_isolation_train_rerun_from_neighbor_file(self, pipeline_run, tmp_path):
         t, _, cfg, out_dir, _ = pipeline_run
@@ -280,13 +364,22 @@ class TestPipeline:
         assert (redo / "checkpoint.hdb").read_bytes() == (
             out_dir / "checkpoint.hdb"
         ).read_bytes()
+        head_files = sorted(p.name for p in (out_dir / "labelings").glob("head_*.lbl"))
+        assert len(head_files) == 4
+        assert sorted(p.name for p in (redo / "labelings").glob("head_*.lbl")) == head_files
+        for name in head_files:
+            assert (redo / "labelings" / name).read_bytes() == (
+                out_dir / "labelings" / name
+            ).read_bytes(), name
 
     def test_stage_isolation_selftrain_rerun(self, pipeline_run, tmp_path):
         t, _, cfg, out_dir, _ = pipeline_run
-        clf_before = (out_dir / "classifier.clf").read_bytes()
+        names = ("classifier.clf", "selftrain_pred.lbl", "selftrain_report.txt")
+        before = {name: (out_dir / name).read_bytes() for name in names}
         code = main([
             "selftrain",
             "--features", str(t / "feats.fpk"),
+            "--labels", str(t / "labels.lbl"),
             "--pseudo-labels", str(out_dir / "consensus.lbl"),
             "--out", str(out_dir),
             "--set", "selftrain.steps=300",
@@ -294,7 +387,28 @@ class TestPipeline:
             "--set", "seed=9",
         ])
         assert code == 0
-        assert (out_dir / "classifier.clf").read_bytes() == clf_before
+        for name, data in before.items():
+            assert (out_dir / name).read_bytes() == data, name
+
+    def test_stage_commands_check_label_counts_first(self, pipeline_run, tmp_path, capsys):
+        t, _, _, out_dir, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out_dir, run)
+        short = tmp_path / "short.lbl"
+        save_labeling(Labeling(np.arange(50) % 3 + 1), short)
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        feats = str(t / "feats.fpk")
+        commands = [
+            ["ensemble", "--run-dir", str(run), "--k", "3", "--labels", str(short)],
+            ["selftrain", "--features", feats, "--labels", str(short),
+             "--pseudo-labels", str(run / "consensus.lbl"), "--out", str(run)],
+            ["selftrain", "--features", feats, "--pseudo-labels", str(short),
+             "--out", str(run)],
+        ]
+        for argv in commands:
+            assert main(argv) == 1, argv
+            assert "cover 50 samples but" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
 class TestCli:
