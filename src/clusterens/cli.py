@@ -188,6 +188,7 @@ def _cmd_predict(args) -> str:
 def _cmd_eval(args) -> str:
     pred = load_labeling(_require_file(args.pred, "predicted labeling"))
     gt = load_labeling(_require_file(args.gt, "ground-truth labeling"))
+    pl.check_count(gt, "ground-truth labels", pred.n, "predictions")
     report = evaluate(pred, gt)
     human = ["clustering metrics"] + pl.metrics_human_lines(report)
     return pl.render_report(human, report.machine_block())
@@ -220,6 +221,7 @@ def _cmd_nn_analysis(args) -> str:
     lpath = _require_file(cfg.labels_path, "labels file")
     features = pl.load_features_any(fpath, cfg["features_format"])
     labels = load_labeling(lpath)
+    pl.check_count(labels, "labels", features.n)
     return pl.nn_analysis(features, labels, cfg["ablate.thresholds"], cfg["neighbors.k_min"])
 
 

@@ -12,7 +12,9 @@ cluster usage.  All gradients are computed analytically in closed form.
 Heads share a single learnable standardizer affine (gamma, beta) whose
 gradient is averaged over heads; every other parameter is head-private, so
 training H heads is equivalent to training them independently on the same
-batch stream (head-specific RNG streams drive neighbor draws).
+batch stream (head-specific RNG streams drive neighbor draws).  Student and
+teacher are each one dict keyed by the parameter names of the kernels and of
+their gradients: ``weight``, ``bias``, ``gamma`` and ``beta_shift``.
 
 The arithmetic runs as BLAS matrix products on the unit-standardized rows
 ``u = (z - mean) / sqrt(var + eps)``.  The shared affine is folded into each
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import binfmt
 from .errors import TrainingError
-from .featstore import VAR_EPS, EmbeddingMatrix, NormStats, unit_rows
+from .featstore import EmbeddingMatrix, NormStats, fit_standardizer, unit_rows
 from .labeling import Labeling
 from .neighbors import NeighborSets
 
@@ -443,76 +445,52 @@ class _AdamW:
 
 @dataclass
 class HeadBank:
-    """Student/teacher parameters, optimizer state and class marginals."""
+    """Standardizer statistics, student and teacher parameters, class marginals.
+
+    ``student`` and ``teacher`` map the parameter names of
+    ``composite_loss_and_grads`` (the keys of its gradient dict) to arrays:
+    ``weight`` (H, C, d), ``bias`` (H, C), and the standardizer affine
+    ``gamma`` and ``beta_shift`` (d,) shared across heads.  The teacher is
+    the exponential moving average of the student.
+    """
 
     config: TrainConfig
     mean: np.ndarray
     var: np.ndarray
-    student_w: np.ndarray  # (H, C, d)
-    student_b: np.ndarray  # (H, C)
-    student_gamma: np.ndarray  # (d,) shared across heads
-    student_beta: np.ndarray
-    teacher_w: np.ndarray
-    teacher_b: np.ndarray
-    teacher_gamma: np.ndarray
-    teacher_beta: np.ndarray
+    student: dict
+    teacher: dict
     marginal: np.ndarray  # (H, C)
-    optimizer: _AdamW | None = None
 
     @property
     def num_heads(self) -> int:
-        return self.student_w.shape[0]
+        return self.student["weight"].shape[0]
 
     @property
     def num_clusters(self) -> int:
-        return self.student_w.shape[1]
+        return self.student["weight"].shape[1]
 
     @property
     def dim(self) -> int:
-        return self.student_w.shape[2]
-
-    def _norm(self, gamma: np.ndarray, beta: np.ndarray) -> NormStats:
-        return NormStats(mean=self.mean, var=self.var, gamma=gamma, beta=beta)
+        return self.student["weight"].shape[2]
 
     def student_params(self, head: int) -> HeadParams:
-        self._check_head(head)
-        return HeadParams(
-            weight=self.student_w[head],
-            bias=self.student_b[head],
-            norm=self._norm(self.student_gamma, self.student_beta),
-        )
-
-    def _check_head(self, head: int) -> None:
         if not 0 <= head < self.num_heads:
             raise ValueError(f"head {head} out of range [0, {self.num_heads})")
+        s = self.student
+        norm = NormStats(mean=self.mean, var=self.var, gamma=s["gamma"], beta=s["beta_shift"])
+        return HeadParams(weight=s["weight"][head], bias=s["bias"][head], norm=norm)
 
 
 def _init_bank(cfg: TrainConfig, mean: np.ndarray, var: np.ndarray, rng) -> HeadBank:
     h, c, d = cfg.num_heads, cfg.num_clusters, mean.size
-    student_w = rng.normal(0.0, INIT_SCALE, size=(h, c, d))
-    bank = HeadBank(
-        config=cfg,
-        mean=mean.copy(),
-        var=var.copy(),
-        student_w=student_w,
-        student_b=np.zeros((h, c)),
-        student_gamma=np.ones(d),
-        student_beta=np.zeros(d),
-        teacher_w=student_w.copy(),
-        teacher_b=np.zeros((h, c)),
-        teacher_gamma=np.ones(d),
-        teacher_beta=np.zeros(d),
-        marginal=np.full((h, c), 1.0 / c),
-    )
-    params = {
-        "weight": bank.student_w,
-        "bias": bank.student_b,
-        "gamma": bank.student_gamma,
-        "beta_shift": bank.student_beta,
+    student = {
+        "weight": rng.normal(0.0, INIT_SCALE, size=(h, c, d)),
+        "bias": np.zeros((h, c)),
+        "gamma": np.ones(d),
+        "beta_shift": np.zeros(d),
     }
-    # decay only the head weight matrices, never biases or the affine
-    bank.optimizer = _AdamW(params, cfg.weight_decay, frozenset({"weight"}))
-    return bank
+    teacher = {k: v.copy() for k, v in student.items()}
+    return HeadBank(cfg, mean, var, student, teacher, np.full((h, c), 1.0 / c))
 
 
 def train_heads(
@@ -544,10 +522,11 @@ def train_heads(
     batch_rng = np.random.default_rng(batch_rng)
     head_rngs = [np.random.default_rng(s) for s in head_seqs]
 
-    mean = features.data.mean(axis=0)
-    var = np.maximum(features.data.var(axis=0), VAR_EPS)
-    bank = _init_bank(cfg, mean, var, init_rng)
-    u = unit_rows(features.data, bank._norm(bank.student_gamma, bank.student_beta))
+    norm = fit_standardizer(features)
+    bank = _init_bank(cfg, norm.mean, norm.var, init_rng)
+    # decay only the head weight matrices, never biases or the affine
+    optimizer = _AdamW(bank.student, cfg.weight_decay, frozenset({"weight"}))
+    u = unit_rows(features.data, norm)
 
     offsets, flat = sets.offsets, sets.indices
     h_count = cfg.num_heads
@@ -556,12 +535,6 @@ def train_heads(
     total_steps = cfg.epochs * steps_per_epoch
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
 
-    params = {
-        "weight": bank.student_w,
-        "bias": bank.student_b,
-        "gamma": bank.student_gamma,
-        "beta_shift": bank.student_beta,
-    }
     epoch_loss = np.zeros((cfg.epochs, h_count))
     global_step = 0
 
@@ -586,28 +559,12 @@ def train_heads(
             u_nb = u[nbr]  # (H, B, m, d); the student sees the first draw
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 qt_x, qt_nb = teacher_targets(
-                    bank.teacher_w,
-                    bank.teacher_b,
-                    bank.teacher_gamma,
-                    bank.teacher_beta,
-                    u_x,
-                    u_nb,
-                    tau=cfg.tau_teacher,
-                    sk_iters=cfg.sk_iters,
+                    **bank.teacher, u_x=u_x, u_nb=u_nb, tau=cfg.tau_teacher, sk_iters=cfg.sk_iters
                 )
                 losses, grads = composite_loss_and_grads(
-                    bank.student_w,
-                    bank.student_b,
-                    bank.student_gamma,
-                    bank.student_beta,
-                    u_x,
-                    u_nb[:, :, 0],
-                    qt_x,
-                    qt_nb,
-                    np.maximum(bank.marginal, MARGINAL_FLOOR),
-                    beta=cfg.beta,
-                    tau_student=cfg.tau_student,
-                    lam=lam,
+                    **bank.student, u_x=u_x, u_xp=u_nb[:, :, 0], qt_x=qt_x, qt_xp=qt_nb,
+                    marginal=np.maximum(bank.marginal, MARGINAL_FLOOR),
+                    beta=cfg.beta, tau_student=cfg.tau_student, lam=lam,
                 )
             if not np.all(np.isfinite(losses)):
                 bad = int(np.nonzero(~np.isfinite(losses))[0][0])
@@ -620,13 +577,10 @@ def train_heads(
             lr = cfg.lr
             if warmup_steps > 0:
                 lr *= min(1.0, (global_step + 1) / warmup_steps)
-            bank.optimizer.step(params, grads, lr)
+            optimizer.step(bank.student, grads, lr)
 
-            mom = cfg.teacher_momentum
-            bank.teacher_w = ema_update(bank.teacher_w, bank.student_w, mom)
-            bank.teacher_b = ema_update(bank.teacher_b, bank.student_b, mom)
-            bank.teacher_gamma = ema_update(bank.teacher_gamma, bank.student_gamma, mom)
-            bank.teacher_beta = ema_update(bank.teacher_beta, bank.student_beta, mom)
+            for key, value in bank.student.items():
+                bank.teacher[key] = ema_update(bank.teacher[key], value, cfg.teacher_momentum)
             bank.marginal = MARGINAL_MOMENTUM * bank.marginal + (
                 1.0 - MARGINAL_MOMENTUM
             ) * qt_x.mean(axis=1)
@@ -643,8 +597,7 @@ def train_heads(
         best_head = 0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        folded = _fold(bank.student_w, bank.student_b, bank.student_gamma, bank.student_beta)
-        logits = _shared_logits(*folded, u)
+        logits = _shared_logits(*_fold(**bank.student), u)
     finite = np.isfinite(logits).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"non-finite head logits in head {int(np.argmin(finite))}")
@@ -697,10 +650,11 @@ def save_head_bank(bank: HeadBank, path) -> None:
     per-head student/teacher parameters and class marginal (float64 LE)."""
     cfg_bytes = config_to_text(bank.config).encode("utf-8")
     h = bank.num_heads
-    shared = np.stack([bank.mean, bank.var, bank.student_gamma, bank.student_beta,
-                       bank.teacher_gamma, bank.teacher_beta])
-    rows = np.concatenate([bank.student_w.reshape(h, -1), bank.student_b,
-                           bank.teacher_w.reshape(h, -1), bank.teacher_b, bank.marginal], axis=1)
+    copies = (bank.student, bank.teacher)
+    shared = np.stack([bank.mean, bank.var,
+                       *(p[k] for p in copies for k in ("gamma", "beta_shift"))])
+    rows = np.concatenate([*(a.reshape(h, -1) for p in copies for a in (p["weight"], p["bias"])),
+                           bank.marginal], axis=1)
     binfmt.save(
         path, HEADBANK_MAGIC, struct.pack("<I", len(cfg_bytes)), cfg_bytes,
         struct.pack("<III", h, bank.num_clusters, bank.dim),
@@ -713,26 +667,21 @@ def _parse_head_bank(r: binfmt.Reader) -> HeadBank:
     cfg = config_from_text(r.take(cfg_len, "config").decode("utf-8"))
     h, c, d = r.header("III")
     shared = r.array("<f8", 6, d)
-    cd = c * d
-    rows = r.array("<f8", h, 2 * cd + 3 * c)
+    width = c * d + c  # one copy's weight and bias columns per head
+    rows = r.array("<f8", h, 2 * width + c)
 
     def block(lo: int, hi: int, *shape) -> np.ndarray:
         return rows[:, lo:hi].reshape(h, *shape).astype(np.float64)
 
-    return HeadBank(
-        config=cfg,
-        mean=shared[0],
-        var=shared[1],
-        student_w=block(0, cd, c, d),
-        student_b=block(cd, cd + c, c),
-        student_gamma=shared[2],
-        student_beta=shared[3],
-        teacher_w=block(cd + c, 2 * cd + c, c, d),
-        teacher_b=block(2 * cd + c, 2 * cd + 2 * c, c),
-        teacher_gamma=shared[4],
-        teacher_beta=shared[5],
-        marginal=block(2 * cd + 2 * c, 2 * cd + 3 * c, c),
-    )
+    def copy(i: int) -> dict:
+        """Copy i (0 student, 1 teacher): its columns of ``rows`` and its
+        (gamma, beta_shift) rows of ``shared``."""
+        lo = i * width
+        return {"weight": block(lo, lo + c * d, c, d), "bias": block(lo + c * d, lo + width, c),
+                "gamma": shared[2 + 2 * i], "beta_shift": shared[3 + 2 * i]}
+
+    marginal = block(2 * width, 2 * width + c, c)
+    return HeadBank(cfg, shared[0], shared[1], copy(0), copy(1), marginal)
 
 
 def load_head_bank(path) -> HeadBank:

@@ -145,10 +145,11 @@ def load_features_any(path, explicit_format: str | None = None) -> EmbeddingMatr
     return load_features(path, fmt)
 
 
-def check_count(labeling: Labeling | None, what: str, n: int, holder: str = "features") -> None:
-    """Refuse a labeling that does not cover the ``n`` samples ``holder`` hold."""
-    if labeling is not None and labeling.n != n:
-        raise ConfigError(f"{what} cover {labeling.n} samples but {holder} hold {n}")
+def check_count(covering, what: str, n: int, holder: str = "features") -> None:
+    """Refuse a labeling or neighbor sets (``None`` passes) that do not cover
+    the ``n`` samples ``holder`` hold."""
+    if covering is not None and covering.n != n:
+        raise ConfigError(f"{what} cover {covering.n} samples but {holder} hold {n}")
 
 
 def validate_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | None]:
@@ -176,7 +177,9 @@ def build_sets_for_config(
     cfg: PipelineConfig, features: EmbeddingMatrix, labels: Labeling | None
 ) -> neighbors.NeighborSets:
     if cfg["neighbors.file"] is not None:
-        return neighbors.load_neighbor_sets(cfg["neighbors.file"])
+        sets = neighbors.load_neighbor_sets(cfg["neighbors.file"])
+        check_count(sets, "neighbor sets", features.n)
+        return sets
     if cfg["neighbors.ground_truth"]:
         return neighbors.ground_truth_neighbors(labels)
     mining_features = features
@@ -344,8 +347,10 @@ def selftrain_stage(
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Execute train -> ensemble -> self-train, recording a manifest.
 
-    Configuration errors surface before any stage runs; a stage failure
-    aborts with that stage's name while earlier artifacts stay on disk.
+    Configuration errors surface before any stage runs, except a neighbor
+    file's sample count, which the train stage checks when it loads the file;
+    a stage failure aborts with that stage's name while earlier artifacts
+    stay on disk.
     """
     features, labels = validate_inputs(cfg)
     train_cfg = cfg.train_config()

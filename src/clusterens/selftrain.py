@@ -73,7 +73,6 @@ class Classifier:
     bias: np.ndarray  # (C,)
     norm: NormStats
     class_ids: np.ndarray  # (C,)
-    config: SelfTrainConfig
     history: FitHistory | None = None  # set by ``self_train``, not saved
 
     @property
@@ -163,9 +162,7 @@ def self_train(
         steps=step, epoch_steps=n // batch, agreement_by_epoch=tuple(agreement),
         stopped_early=stopped_early,
     )
-    return Classifier(
-        weight=weight, bias=bias, norm=norm, class_ids=class_ids, config=cfg, history=history
-    )
+    return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids, history=history)
 
 
 def _argmax_class(s: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -200,9 +197,7 @@ def _parse_classifier(r: binfmt.Reader) -> Classifier:
     bias = r.array("<f8", c)
     mean, var, gamma, beta = r.array("<f8", 4, d)
     norm = NormStats(mean=mean, var=var, gamma=gamma, beta=beta)
-    return Classifier(
-        weight=weight, bias=bias, norm=norm, class_ids=class_ids, config=SelfTrainConfig()
-    )
+    return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids)
 
 
 def load_classifier(path) -> Classifier:

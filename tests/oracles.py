@@ -711,4 +711,4 @@ def fixed_budget_self_train(
         weight -= cfg.lr * buf_w + cfg.lr * cfg.weight_decay * weight
         bias -= cfg.lr * buf_b
 
-    return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids, config=cfg)
+    return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids)

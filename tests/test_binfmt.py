@@ -19,7 +19,7 @@ from clusterens.featstore import EmbeddingMatrix, NormStats, load_features, save
 from clusterens.heads import HeadBank, TrainConfig, load_head_bank, save_head_bank
 from clusterens.labeling import Labeling, load_labeling, save_labeling, save_labeling_text
 from clusterens.neighbors import NeighborSets, load_neighbor_sets, save_neighbor_sets
-from clusterens.selftrain import Classifier, SelfTrainConfig, load_classifier, save_classifier
+from clusterens.selftrain import Classifier, load_classifier, save_classifier
 
 N = 40
 
@@ -35,10 +35,12 @@ def head_bank():
     return HeadBank(
         config=cfg,
         mean=values(d, 1), var=values(d, 2) ** 2 + 1.0,
-        student_w=values(h * c * d, 3).reshape(h, c, d), student_b=values(h * c, 4).reshape(h, c),
-        student_gamma=values(d, 5) + 2.0, student_beta=values(d, 6),
-        teacher_w=values(h * c * d, 7).reshape(h, c, d), teacher_b=values(h * c, 8).reshape(h, c),
-        teacher_gamma=values(d, 9) + 2.0, teacher_beta=values(d, 10),
+        student={"weight": values(h * c * d, 3).reshape(h, c, d),
+                 "bias": values(h * c, 4).reshape(h, c),
+                 "gamma": values(d, 5) + 2.0, "beta_shift": values(d, 6)},
+        teacher={"weight": values(h * c * d, 7).reshape(h, c, d),
+                 "bias": values(h * c, 8).reshape(h, c),
+                 "gamma": values(d, 9) + 2.0, "beta_shift": values(d, 10)},
         marginal=np.full((h, c), 1.0 / c),
     )
 
@@ -48,7 +50,7 @@ def classifier():
     norm = NormStats(mean=values(d, 11), var=values(d, 12) ** 2 + 1.0,
                      gamma=values(d, 13) + 2.0, beta=values(d, 14))
     return Classifier(weight=values(c * d, 15).reshape(c, d), bias=values(c, 16), norm=norm,
-                      class_ids=np.array([7, 2, 40]), config=SelfTrainConfig())
+                      class_ids=np.array([7, 2, 40]))
 
 
 def hdb_counts(raw):

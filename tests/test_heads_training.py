@@ -267,7 +267,7 @@ class TestTrainHeads:
         assert rep1.best_head == rep2.best_head
         for a, b in zip(rep1.per_head_labeling, rep2.per_head_labeling):
             assert a.labels.tobytes() == b.labels.tobytes()
-        assert bank1.student_w.tobytes() == bank2.student_w.tobytes()
+        assert bank1.student["weight"].tobytes() == bank2.student["weight"].tobytes()
 
     def test_zero_epochs(self):
         m, _ = gen_synthetic(SynthSpec(n=40, d=6, k=3, separation=10.0, seed=9))
@@ -288,9 +288,9 @@ class TestTrainHeads:
         # teacher must still equal its init, which copied the student init
         cfg0 = small_cfg(num_clusters=3, epochs=0, teacher_momentum=1.0)
         bank0, _ = train_heads(m, sets, cfg0)
-        assert bank.teacher_w.tobytes() == bank0.teacher_w.tobytes()
-        assert bank.teacher_b.tobytes() == bank0.teacher_b.tobytes()
-        assert bank.student_w.tobytes() != bank0.student_w.tobytes()
+        assert bank.teacher["weight"].tobytes() == bank0.teacher["weight"].tobytes()
+        assert bank.teacher["bias"].tobytes() == bank0.teacher["bias"].tobytes()
+        assert bank.student["weight"].tobytes() != bank0.student["weight"].tobytes()
 
     def test_loss_history_recorded(self, trained_run):
         # the decrease requirement itself is checked on the full-size run in
@@ -309,9 +309,9 @@ class TestTrainHeads:
 
     def test_non_finite_head_logits_rejected_on_both_paths(self, trained_run, monkeypatch):
         m, _, sets, cfg, bank, _ = trained_run
-        poisoned_w = bank.student_w.copy()
+        poisoned_w = bank.student["weight"].copy()
         poisoned_w[1, 0, 0] = np.nan
-        poisoned = dataclasses.replace(bank, student_w=poisoned_w)
+        poisoned = dataclasses.replace(bank, student={**bank.student, "weight": poisoned_w})
         with pytest.raises(ValueError, match="non-finite head logits"):
             predict_labeling(poisoned, 1, m)
         predict_labeling(poisoned, 0, m)  # other heads are unaffected
@@ -320,7 +320,7 @@ class TestTrainHeads:
 
         def poisoned_init(*args):
             fresh = init_bank(*args)
-            fresh.student_w[1, 0, 0] = np.inf
+            fresh.student["weight"][1, 0, 0] = np.inf
             return fresh
 
         monkeypatch.setattr(heads, "_init_bank", poisoned_init)
@@ -394,10 +394,11 @@ class TestCheckpoint:
         save_head_bank(bank, path)
         back = load_head_bank(path)
         assert back.config == bank.config
-        for name in ("mean", "var", "student_w", "student_b", "student_gamma",
-                     "student_beta", "teacher_w", "teacher_b", "teacher_gamma",
-                     "teacher_beta", "marginal"):
+        for name in ("mean", "var", "marginal"):
             assert getattr(back, name).tobytes() == getattr(bank, name).tobytes()
+        for copy in ("student", "teacher"):
+            for key in ("weight", "bias", "gamma", "beta_shift"):
+                assert getattr(back, copy)[key].tobytes() == getattr(bank, copy)[key].tobytes()
 
     def test_loaded_bank_predicts_identically(self, trained_run, tmp_path):
         m, _, _, _, bank, report = trained_run

@@ -2,8 +2,9 @@
 
 A fresh process imports ``clusterens.cli`` and runs ``gen-synth``, a
 smoke-size ``pipeline``, the ``ensemble`` and ``selftrain`` stages again on
-its run directory, ``eval`` and ``predict`` through ``clusterens.cli.main``;
-afterwards no ``scipy`` module may be loaded.
+its run directory, ``train`` on the run's neighbor file, ``nn-analysis``,
+``eval`` and ``predict`` through ``clusterens.cli.main``; afterwards no
+``scipy`` module may be loaded.
 scipy is installed for the tests, so an import anywhere in the package
 would show here.
 """
@@ -36,6 +37,8 @@ commands = [
     ["ensemble", "--run-dir", "run", "--k", "3"],
     ["selftrain", "--features", "f.fpk", "--pseudo-labels", "run/consensus.lbl",
      "--out", "run"],
+    ["train", "--config", "run.cfg", "--neighbors", "run/neighbors.nns", "--out", "run2"],
+    ["nn-analysis", "--features", "f.fpk", "--labels", "l.lbl"],
     ["eval", "--pred", "run/consensus.lbl", "--gt", "l.lbl"],
     ["predict", "--classifier", "run/classifier.clf", "--features", "f.fpk",
      "--out", "pred.lbl"],
@@ -53,5 +56,5 @@ def test_commands_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 6
+    assert result["codes"] == [0] * 8
     assert result["loaded"] == {"import": [], "run": []}

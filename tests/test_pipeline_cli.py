@@ -20,6 +20,7 @@ from clusterens.errors import ConfigError, StageError
 from clusterens.featstore import save_features
 from clusterens.heads import TrainConfig, load_head_bank
 from clusterens.metrics import evaluate
+from clusterens.neighbors import NeighborSets, save_neighbor_sets
 from clusterens.pipeline import read_machine_block, run_pipeline
 
 
@@ -30,6 +31,11 @@ def write_inputs(tmp_path, n=120, d=12, k=3, seed=17):
     save_features(m, fpath)
     save_labeling(labels, lpath)
     return fpath, lpath
+
+
+def short_neighbor_sets(n=50):
+    """A valid ring of neighbor sets over ``n`` samples, fewer than the features hold."""
+    return NeighborSets.from_lists([np.array([(i + 1) % n]) for i in range(n)])
 
 
 def small_config_text(fpath, lpath, out_dir, k=3):
@@ -391,11 +397,13 @@ class TestPipeline:
             assert (out_dir / name).read_bytes() == data, name
 
     def test_stage_commands_check_label_counts_first(self, pipeline_run, tmp_path, capsys):
-        t, _, _, out_dir, _ = pipeline_run
+        t, cfg_path, _, out_dir, _ = pipeline_run
         run = tmp_path / "run"
         shutil.copytree(out_dir, run)
         short = tmp_path / "short.lbl"
         save_labeling(Labeling(np.arange(50) % 3 + 1), short)
+        short_nns = tmp_path / "short.nns"
+        save_neighbor_sets(short_neighbor_sets(), short_nns)
         before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
         feats = str(t / "feats.fpk")
         commands = [
@@ -404,11 +412,27 @@ class TestPipeline:
              "--pseudo-labels", str(run / "consensus.lbl"), "--out", str(run)],
             ["selftrain", "--features", feats, "--pseudo-labels", str(short),
              "--out", str(run)],
+            ["train", "--config", str(cfg_path), "--neighbors", str(short_nns),
+             "--out", str(run)],
+            ["nn-analysis", "--features", feats, "--labels", str(short)],
+            ["eval", "--pred", str(run / "consensus.lbl"), "--gt", str(short)],
         ]
         for argv in commands:
             assert main(argv) == 1, argv
             assert "cover 50 samples but" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    def test_pipeline_fails_train_stage_on_short_neighbor_file(self, pipeline_run, tmp_path,
+                                                               capsys):
+        _, cfg_path, _, _, _ = pipeline_run
+        short_nns = tmp_path / "short.nns"
+        save_neighbor_sets(short_neighbor_sets(), short_nns)
+        run = tmp_path / "run"
+        code = main(["pipeline", "--config", str(cfg_path), "--set", f"output_dir={run}",
+                     "--set", f"neighbors.file={short_nns}"])
+        assert code == 2
+        assert "neighbor sets cover 50 samples but features hold 120" in capsys.readouterr().err
+        assert not (run / "neighbors.nns").exists()
 
 
 class TestCli:

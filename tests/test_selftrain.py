@@ -17,12 +17,13 @@ from clusterens.selftrain import ce_loss_and_grads, load_classifier, save_classi
 
 from oracles import fixed_budget_self_train
 
+SEPARABLE_CFG = SelfTrainConfig(steps=800, lr=0.1, batch_size=64, seed=1)
+
 
 @pytest.fixture(scope="module")
 def separable_run():
     m, labels = gen_synthetic(SynthSpec(n=300, d=16, k=4, separation=20.0, seed=31))
-    cfg = SelfTrainConfig(steps=800, lr=0.1, batch_size=64, seed=1)
-    clf = self_train(m, labels, cfg)
+    clf = self_train(m, labels, SEPARABLE_CFG)
     return m, labels, clf
 
 
@@ -82,12 +83,12 @@ class TestStopRule:
         m, labels, clf = separable_run
         fit = clf.history
         assert fit.stopped_early
-        assert 0 < fit.steps < clf.config.steps
+        assert 0 < fit.steps < SEPARABLE_CFG.steps
         assert fit.steps % fit.epoch_steps == 0
         assert fit.agreement_by_epoch[-1] == 1.0
         assert all(a < 1.0 for a in fit.agreement_by_epoch[:-1])
         assert len(fit.agreement_by_epoch) == fit.epochs + 1
-        ref = fixed_budget_self_train(m, labels, replace(clf.config, steps=fit.steps))
+        ref = fixed_budget_self_train(m, labels, replace(SEPARABLE_CFG, steps=fit.steps))
         assert same_params(clf, ref)
 
     def test_unfittable_runs_whole_cap_as_fixed_budget(self):
