@@ -25,7 +25,6 @@ from .neighbors import (
     NeighborSets,
     NeighborStats,
     build_neighbor_sets,
-    cosine_similarity,
     ground_truth_neighbors,
     neighbor_accuracy,
     sweep_neighbor_sets,
@@ -40,7 +39,7 @@ __all__ = [
     "apply_standardizer", "fit_standardizer", "gen_synthetic",
     "load_features", "save_features",
     "Labeling", "canonicalize", "load_labeling", "save_labeling",
-    "NeighborSets", "NeighborStats", "build_neighbor_sets", "cosine_similarity",
+    "NeighborSets", "NeighborStats", "build_neighbor_sets",
     "ground_truth_neighbors", "neighbor_accuracy", "sweep_neighbor_sets",
     "HeadBank", "TrainConfig", "TrainReport", "train_heads", "predict_labeling",
     "anmi", "cspa", "mcla", "nmi", "supra_consensus",

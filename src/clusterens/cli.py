@@ -135,14 +135,12 @@ def _cmd_ensemble(args) -> str:
     run_dir = Path(cfg.output_dir)
     report_path = _require_file(run_dir / "train_report.txt", "train report")
     block = pl.read_machine_block(report_path.read_text(encoding="utf-8"))
-    lab_paths = sorted((run_dir / "labelings").glob("head_*.lbl"))
-    if not lab_paths:
-        raise ConfigError(f"no head labelings under {run_dir / 'labelings'}")
-    inputs = [load_labeling(p) for p in lab_paths]
+    # the heads the report names, not whatever an earlier run left behind
+    inputs = [load_labeling(_require_file(run_dir / "labelings" / f"head_{h:03d}.lbl",
+                                          "head labeling"))
+              for h in range(int(block["num_heads"]))]
     labels = _optional_labels(cfg)
     pl.check_count(labels, "labels", inputs[0].n, "head labelings")
-    if cfg.resolved["ensemble.k"] is None and cfg.resolved["train.num_clusters"] is None:
-        raise ConfigError("ensemble needs --k (or train.num_clusters) to be set")
     return pl.ensemble_stage(
         run_dir, inputs, cfg.ensemble_k(), int(block["best_head"]), labels
     )[-1]

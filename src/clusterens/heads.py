@@ -21,9 +21,10 @@ The arithmetic runs as BLAS matrix products on the unit-standardized rows
 head, ``W (gamma*u + beta) + b = (W*gamma) u + (W beta + b)``, so no
 standardized copy of a batch is ever made: logits of all H heads on shared
 rows are one ``(H*C, d) @ (d, n)`` GEMM, and logits of each head on its own
-neighbor rows are one batched ``(H, C, d) @ (H, d, B)`` matmul.  The
-training-set labelings of all heads come from one such GEMM on the rows
-training already holds.
+neighbor rows are one batched ``(H, C, d) @ (H, d, B)`` matmul.  Each
+head formula has this one batched implementation.  The training-set
+labelings of all heads come from one such GEMM on the rows training already
+holds; ``predict_labeling`` runs the same code on one head's slice.
 
 Every per-sample tensor of a training step has the logical shape
 (H, B, C) but is stored cluster-major, (H, C, B) in memory, so the batch
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from typing import Sequence, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -107,15 +108,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class HeadParams:
-    """One head's affine map plus the standardizer it sits on."""
-
-    weight: np.ndarray  # (C, d)
-    bias: np.ndarray  # (C,)
-    norm: NormStats
-
-
-@dataclass(frozen=True)
 class TrainReport:
     """Final-epoch losses and training-set labelings of every head.
 
@@ -126,7 +118,7 @@ class TrainReport:
     per_head_loss: np.ndarray
     per_head_labeling: tuple
     best_head: int
-    epoch_mean_loss: np.ndarray = None
+    epoch_mean_loss: np.ndarray
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -165,21 +157,6 @@ def _own_logits(w_fold, b_fold, u_own):
     return a.transpose(0, 2, 1)
 
 
-def head_forward(params: HeadParams, z: np.ndarray, tau: float) -> np.ndarray:
-    """softmax((W . standardize(z) + b) / tau) for one vector or a batch."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    norm = params.norm
-    u = unit_rows(z, norm)
-    with np.errstate(over="ignore", invalid="ignore"):
-        folded = _fold(params.weight[None], params.bias[None], norm.gamma, norm.beta)
-        logits = _shared_logits(*folded, u.reshape(-1, norm.d))[0]
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite head logits")
-    logits /= tau
-    return softmax(logits).reshape(u.shape[:-1] + (params.bias.size,))
-
-
 def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
     """Center a logit batch toward uniform cluster usage.
 
@@ -207,46 +184,6 @@ def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
     return m
 
 
-def pmi_pair_loss(
-    qs_x: np.ndarray,
-    qs_xp: np.ndarray,
-    qt_x: np.ndarray,
-    qt_xp: np.ndarray,
-    p_c: np.ndarray,
-    beta: float,
-) -> float:
-    """Weighted, symmetrized pointwise-MI loss for one (x, x') pair.
-
-    The teacher-agreement weight ``w = sum_c qt_x(c) qt_xp(c)`` suppresses
-    pairs the teacher considers mismatched; the two student terms use the
-    partner's teacher output, with the class marginal ``p_c`` in the
-    denominator and the sharpening exponent ``beta`` applied to the
-    student-teacher product.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    qs_x, qs_xp, qt_x, qt_xp, p_c = (
-        np.asarray(a, dtype=np.float64) for a in (qs_x, qs_xp, qt_x, qt_xp, p_c)
-    )
-    if np.any(p_c <= 0.0):
-        raise ValueError("class marginal must be strictly positive (clamp upstream)")
-    w = float(qt_x @ qt_xp)
-    t1 = np.log(np.sum((qs_x * qt_xp) ** beta / p_c))
-    t2 = np.log(np.sum((qs_xp * qt_x) ** beta / p_c))
-    loss = -w * 0.5 * (t1 + t2)
-    if not np.isfinite(loss):
-        raise ValueError("non-finite pair loss")
-    return float(loss)
-
-
-def ce_term(qs_x: np.ndarray, qt_xp: np.ndarray) -> float:
-    """Cross entropy against the teacher's argmax pseudo-label for x'."""
-    qs_x = np.asarray(qs_x, dtype=np.float64)
-    qt_xp = np.asarray(qt_xp, dtype=np.float64)
-    c_hat = int(np.argmax(qt_xp))
-    return float(-np.log(max(qs_x[c_hat], CE_PROB_FLOOR)))
-
-
 def lambda_schedule(step: int, total_steps: int, lambda_max: float) -> float:
     """Cosine ramp of the CE weight from 0 at step 0 to lambda_max at the end."""
     if total_steps < 1:
@@ -254,13 +191,6 @@ def lambda_schedule(step: int, total_steps: int, lambda_max: float) -> float:
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     return lambda_max * (1.0 - np.cos(np.pi * step / total_steps)) / 2.0
-
-
-def smooth_teacher(qt_list: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of teacher outputs across several drawn neighbors."""
-    if len(qt_list) == 0:
-        raise ValueError("need at least one teacher output to smooth")
-    return np.mean(np.asarray(qt_list, dtype=np.float64), axis=0)
 
 
 def ema_update(teacher: np.ndarray, student: np.ndarray, momentum: float) -> np.ndarray:
@@ -417,14 +347,17 @@ def teacher_targets(
 
 
 class _AdamW:
-    """Decoupled-weight-decay Adam with bias-corrected moment estimates."""
+    """Decoupled-weight-decay Adam with bias-corrected moment estimates.
 
-    def __init__(self, params: dict, weight_decay: float, decay_keys: frozenset):
+    Weight decay applies to the head weight matrices (``weight``) only,
+    never to biases or the shared affine.
+    """
+
+    def __init__(self, params: dict, weight_decay: float):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
         self.weight_decay = weight_decay
-        self.decay_keys = decay_keys
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
         self.t += 1
@@ -439,7 +372,7 @@ class _AdamW:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            if key in self.decay_keys:
+            if key == "weight":
                 p -= lr * self.weight_decay * p
 
 
@@ -473,14 +406,6 @@ class HeadBank:
     def dim(self) -> int:
         return self.student["weight"].shape[2]
 
-    def student_params(self, head: int) -> HeadParams:
-        if not 0 <= head < self.num_heads:
-            raise ValueError(f"head {head} out of range [0, {self.num_heads})")
-        s = self.student
-        norm = NormStats(mean=self.mean, var=self.var, gamma=s["gamma"], beta=s["beta_shift"])
-        return HeadParams(weight=s["weight"][head], bias=s["bias"][head], norm=norm)
-
-
 def _init_bank(cfg: TrainConfig, mean: np.ndarray, var: np.ndarray, rng) -> HeadBank:
     h, c, d = cfg.num_heads, cfg.num_clusters, mean.size
     student = {
@@ -505,8 +430,8 @@ def train_heads(
     EMA update.  Every per-sample tensor of a step is stored cluster-major
     (see the module docstring).  The labelings of all heads come from one
     GEMM of the folded student weights on the unit rows training already
-    holds, with the same argmax as ``predict_labeling``.  Identical configs
-    produce bitwise-identical reports.
+    holds, through the helper ``predict_labeling`` runs on one head.
+    Identical configs produce bitwise-identical reports.
     """
     n = features.n
     if sets.n != n:
@@ -524,8 +449,7 @@ def train_heads(
 
     norm = fit_standardizer(features)
     bank = _init_bank(cfg, norm.mean, norm.var, init_rng)
-    # decay only the head weight matrices, never biases or the affine
-    optimizer = _AdamW(bank.student, cfg.weight_decay, frozenset({"weight"}))
+    optimizer = _AdamW(bank.student, cfg.weight_decay)
     u = unit_rows(features.data, norm)
 
     offsets, flat = sets.offsets, sets.indices
@@ -596,13 +520,7 @@ def train_heads(
         per_head_loss = np.full(h_count, np.nan)
         best_head = 0
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = _shared_logits(*_fold(**bank.student), u)
-    finite = np.isfinite(logits).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"non-finite head logits in head {int(np.argmin(finite))}")
-    logits /= cfg.tau_student
-    labelings = tuple(Labeling(np.argmax(softmax(a), axis=-1) + 1) for a in logits)
+    labelings = _head_labelings(bank.student, u, cfg.tau_student)
     per_head_loss.flags.writeable = False
     epoch_loss.flags.writeable = False
     report = TrainReport(
@@ -614,10 +532,32 @@ def train_heads(
     return bank, report
 
 
+def _head_labelings(student: dict, u: np.ndarray, tau: float, heads=slice(None)) -> tuple:
+    """Argmax labelings of the student heads ``heads`` on unit rows u (n, d).
+
+    One folded GEMM gives the logits; a head with a non-finite logit is an
+    error.  Labels are the argmax of ``softmax(logits / tau)``, ids 1..C,
+    ties to the lowest class.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded = _fold(student["weight"][heads], student["bias"][heads],
+                       student["gamma"], student["beta_shift"])
+        logits = _shared_logits(*folded, u)
+    finite = np.isfinite(logits).all(axis=(1, 2))
+    if not finite.all():
+        bad = range(len(student["bias"]))[heads][int(np.argmin(finite))]
+        raise ValueError(f"non-finite head logits in head {bad}")
+    logits /= tau
+    return tuple(Labeling(np.argmax(softmax(a), axis=-1) + 1) for a in logits)
+
+
 def predict_labeling(bank: HeadBank, head: int, features: EmbeddingMatrix) -> Labeling:
-    """Argmax student labeling for one head (ids 1..C, ties to lowest class)."""
-    probs = head_forward(bank.student_params(head), features.data, bank.config.tau_student)
-    return Labeling(np.argmax(probs, axis=-1) + 1)
+    """Argmax student labeling for one head, by the code ``train_heads`` labels with."""
+    if not 0 <= head < bank.num_heads:
+        raise ValueError(f"head {head} out of range [0, {bank.num_heads})")
+    s = bank.student
+    u = unit_rows(features.data, NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"]))
+    return _head_labelings(s, u, bank.config.tau_student, slice(head, head + 1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -124,19 +124,6 @@ class NeighborStats:
             raise ValueError("pair_accuracy must lie in [0, 1]")
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """dot(u, v) / (|u| |v|), clamped to [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.size != v.size:
-        raise ValueError("vectors must share a dimension")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for a zero-norm vector")
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
-
-
 def _unit_rows(features: EmbeddingMatrix) -> np.ndarray:
     norms = np.linalg.norm(features.data, axis=1)
     if (norms == 0).any():

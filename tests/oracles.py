@@ -5,7 +5,11 @@ probability-form entropies) and shares no code with the implementations
 under test.  The exception is the einsum formulation of the head loss,
 gradients and teacher forward at the end: it is the formulation the GEMM
 kernels replaced, kept verbatim with its own copy of the row softmax, and it
-reuses the package's ``sinkhorn_knopp``, which has tests of its own.  The
+reuses the package's ``sinkhorn_knopp``, which has tests of its own.
+``pmi_pair_loss`` and ``ce_term`` are the head objective for one (x, x')
+pair, as the package carried it beside the batched kernel, kept verbatim;
+``unfolded_head_probs`` is a head's forward pass with the standardizer
+affine applied to the rows rather than folded into the head.  The
 dense neighbor mining is likewise the formulation row-block mining
 replaced, kept verbatim (one thread), and so are the dense n×n
 co-association matrix and the average-linkage CSPA on it, which the
@@ -41,7 +45,7 @@ from scipy.spatial.distance import squareform
 
 from clusterens.ensemble import _average_linkage_cut
 from clusterens.errors import TrainingError
-from clusterens.featstore import EmbeddingMatrix, fit_standardizer, standardize_array
+from clusterens.featstore import EmbeddingMatrix, NormStats, fit_standardizer, standardize_array
 from clusterens.heads import CE_PROB_FLOOR, sinkhorn_knopp
 from clusterens.labeling import Labeling, canonicalize
 from clusterens.metrics import hungarian
@@ -503,6 +507,58 @@ def softmax_logsumexp(logits):
     m = logits.max()
     lse = m + np.log(np.sum(np.exp(logits - m)))
     return np.exp(logits - lse)
+
+
+# ---------------------------------------------------------------------------
+# scalar head formulas (one pair, one head)
+# ---------------------------------------------------------------------------
+
+
+def pmi_pair_loss(
+    qs_x: np.ndarray,
+    qs_xp: np.ndarray,
+    qt_x: np.ndarray,
+    qt_xp: np.ndarray,
+    p_c: np.ndarray,
+    beta: float,
+) -> float:
+    """Weighted, symmetrized pointwise-MI loss for one (x, x') pair.
+
+    The teacher-agreement weight ``w = sum_c qt_x(c) qt_xp(c)`` suppresses
+    pairs the teacher considers mismatched; the two student terms use the
+    partner's teacher output, with the class marginal ``p_c`` in the
+    denominator and the sharpening exponent ``beta`` applied to the
+    student-teacher product.
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
+    qs_x, qs_xp, qt_x, qt_xp, p_c = (
+        np.asarray(a, dtype=np.float64) for a in (qs_x, qs_xp, qt_x, qt_xp, p_c)
+    )
+    if np.any(p_c <= 0.0):
+        raise ValueError("class marginal must be strictly positive (clamp upstream)")
+    w = float(qt_x @ qt_xp)
+    t1 = np.log(np.sum((qs_x * qt_xp) ** beta / p_c))
+    t2 = np.log(np.sum((qs_xp * qt_x) ** beta / p_c))
+    loss = -w * 0.5 * (t1 + t2)
+    if not np.isfinite(loss):
+        raise ValueError("non-finite pair loss")
+    return float(loss)
+
+
+def ce_term(qs_x: np.ndarray, qt_xp: np.ndarray) -> float:
+    """Cross entropy against the teacher's argmax pseudo-label for x'."""
+    qs_x = np.asarray(qs_x, dtype=np.float64)
+    qt_xp = np.asarray(qt_xp, dtype=np.float64)
+    c_hat = int(np.argmax(qt_xp))
+    return float(-np.log(max(qs_x[c_hat], CE_PROB_FLOOR)))
+
+
+def unfolded_head_probs(weight, bias, norm: NormStats, z, tau: float) -> np.ndarray:
+    """softmax((W (gamma*u + beta) + b) / tau) of one head on rows z (n, d),
+    ``u`` the unit rows of ``norm``: the rows are standardized first."""
+    s = standardize_array(z, norm)
+    return np.array([softmax_logsumexp((weight @ row + bias) / tau) for row in s])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from clusterens import (
 )
 from clusterens.config import PipelineConfig, resolve
 from clusterens.ensemble import contingency, entropy_count, mutual_information
-from clusterens.heads import ce_term, composite_loss_and_grads, sinkhorn_knopp, pmi_pair_loss
+from clusterens.heads import composite_loss_and_grads, sinkhorn_knopp
 from clusterens.pipeline import run_pipeline
 from clusterens.selftrain import ce_loss_and_grads
 

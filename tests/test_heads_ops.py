@@ -1,81 +1,10 @@
 import numpy as np
 import pytest
 
-from clusterens import EmbeddingMatrix, NormStats, TrainConfig, fit_standardizer
-from clusterens.heads import (
-    HeadParams,
-    ce_term,
-    ema_update,
-    head_forward,
-    lambda_schedule,
-    sinkhorn_knopp,
-    smooth_teacher,
-    pmi_pair_loss,
-)
+from clusterens import TrainConfig
+from clusterens.heads import ema_update, lambda_schedule, sinkhorn_knopp
 
-from oracles import out_of_place_sinkhorn_knopp, softmax_logsumexp
-
-
-def identity_norm(d):
-    from clusterens.featstore import VAR_EPS
-
-    return NormStats(mean=np.zeros(d), var=np.ones(d) - VAR_EPS,
-                     gamma=np.ones(d), beta=np.zeros(d))
-
-
-class TestHeadForward:
-    def test_zero_params_uniform(self, rng):
-        c, d = 6, 4
-        params = HeadParams(weight=np.zeros((c, d)), bias=np.zeros(c), norm=identity_norm(d))
-        out = head_forward(params, rng.normal(size=d), tau=0.1)
-        assert np.allclose(out, 1.0 / c)
-
-    def test_small_tau_approaches_one_hot(self, rng):
-        c, d = 5, 3
-        params = HeadParams(weight=rng.normal(size=(c, d)), bias=rng.normal(size=c),
-                            norm=identity_norm(d))
-        z = rng.normal(size=d)
-        out = head_forward(params, z, tau=1e-3)
-        assert out.max() >= 0.999
-
-    def test_matches_logsumexp_oracle(self, rng):
-        c, d = 4, 6
-        params = HeadParams(weight=rng.normal(size=(c, d)), bias=rng.normal(size=c),
-                            norm=identity_norm(d))
-        z = rng.normal(size=d)
-        got = head_forward(params, z, tau=0.7)
-        logits = (params.weight @ z + params.bias) / 0.7
-        assert np.allclose(got, softmax_logsumexp(logits), atol=1e-10)
-
-    def test_sums_to_one(self, rng):
-        c, d = 7, 5
-        params = HeadParams(weight=rng.normal(size=(c, d)), bias=rng.normal(size=c),
-                            norm=identity_norm(d))
-        batch = rng.normal(size=(9, d))
-        out = head_forward(params, batch, tau=0.1)
-        assert out.shape == (9, c)
-        assert np.all(out > 0)
-        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_standardization_applied(self, rng):
-        m = EmbeddingMatrix(rng.normal(loc=5, scale=3, size=(50, 4)))
-        stats = fit_standardizer(m)
-        params = HeadParams(weight=np.eye(4), bias=np.zeros(4), norm=stats)
-        out_shifted = head_forward(params, m.data[0], tau=1.0)
-        params_id = HeadParams(weight=np.eye(4), bias=np.zeros(4), norm=identity_norm(4))
-        out_raw = head_forward(params_id, m.data[0], tau=1.0)
-        assert not np.allclose(out_shifted, out_raw)
-
-    def test_non_finite_error(self):
-        params = HeadParams(weight=np.full((2, 2), 1e308), bias=np.zeros(2),
-                            norm=identity_norm(2))
-        with pytest.raises(ValueError, match="non-finite"):
-            head_forward(params, np.array([1e308, 1e308]), tau=0.1)
-
-    def test_tau_positive(self):
-        params = HeadParams(weight=np.zeros((2, 2)), bias=np.zeros(2), norm=identity_norm(2))
-        with pytest.raises(ValueError):
-            head_forward(params, np.ones(2), tau=0.0)
+from oracles import ce_term, out_of_place_sinkhorn_knopp, pmi_pair_loss
 
 
 class TestSinkhorn:
@@ -206,27 +135,6 @@ class TestLambdaSchedule:
             lambda_schedule(5, 4, 0.5)
         with pytest.raises(ValueError):
             lambda_schedule(0, 0, 0.5)
-
-
-class TestSmoothTeacher:
-    def test_single_is_identity(self, rng):
-        q = rng.dirichlet(np.ones(5))
-        assert np.array_equal(smooth_teacher([q]), q)
-
-    def test_complementary_one_hots(self):
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0])
-        assert np.allclose(smooth_teacher([a, b]), [0.5, 0.5, 0.0])
-
-    def test_mean_is_distribution(self, rng):
-        qs = [rng.dirichlet(np.ones(6)) for _ in range(7)]
-        out = smooth_teacher(qs)
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(out >= 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            smooth_teacher([])
 
 
 class TestEmaUpdate:

@@ -25,7 +25,17 @@ from clusterens.heads import (
 )
 from clusterens.neighbors import NeighborSets
 
-from oracles import einsum_loss_and_grads, einsum_teacher_targets, softmax
+from clusterens.featstore import NormStats
+
+from oracles import (
+    ce_term,
+    einsum_loss_and_grads,
+    einsum_teacher_targets,
+    pmi_pair_loss,
+    softmax,
+    softmax_logsumexp,
+    unfolded_head_probs,
+)
 
 
 def small_cfg(**overrides):
@@ -148,6 +158,49 @@ def random_loss_instance(rng, h, b, c, d):
     return args, dict(beta=0.6, tau_student=0.1, lam=0.4)
 
 
+def ce_floor_instance(rng):
+    """A loss instance in which some, not all, pairs sit on the CE floor."""
+    h, b, c, d = 3, 8, 4, 5
+    args, kwargs = random_loss_instance(rng, h, b, c, d)
+    w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal = args
+    # class 0 is the teacher's pick for the even anchors' neighbors, and
+    # its student logit is so low that its probability underflows
+    bias[:, 0] = -1e3
+    qt_xp = qt_xp.copy()
+    qt_xp[:, ::2, 0] = 2.0
+    qt_xp /= qt_xp.sum(axis=-1, keepdims=True)
+    return (w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal), kwargs
+
+
+class TestScalarLossOracle:
+    """The batched kernel's per-head losses against the per-pair formula:
+    the mean over pairs of ``pmi_pair_loss + lam * ce_term``."""
+
+    def check(self, args, kwargs):
+        w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal = args
+        beta, tau, lam = kwargs["beta"], kwargs["tau_student"], kwargs["lam"]
+        losses, _ = composite_loss_and_grads(*args, **kwargs)
+        want = np.zeros(w.shape[0])
+        for h in range(w.shape[0]):
+            for i in range(u_x.shape[0]):
+                qs_x = softmax_logsumexp((w[h] @ (u_x[i] * gamma + shift) + bias[h]) / tau)
+                qs_xp = softmax_logsumexp((w[h] @ (u_xp[h, i] * gamma + shift) + bias[h]) / tau)
+                want[h] += (pmi_pair_loss(qs_x, qs_xp, qt_x[h, i], qt_xp[h, i], marginal[h], beta)
+                            + lam * ce_term(qs_x, qt_xp[h, i]))
+            want[h] /= u_x.shape[0]
+        assert np.all(np.abs(losses - want) <= 1e-12 * np.abs(want))
+
+    def test_random_instances(self, rng):
+        for _ in range(20):
+            h, b, c, d = (int(v) for v in rng.integers([1, 1, 2, 2], [5, 9, 7, 9]))
+            args, _ = random_loss_instance(rng, h, b, c, d)
+            beta, tau, lam = rng.uniform([0.3, 0.08, 0.0], 1.0)
+            self.check(args, dict(beta=beta, tau_student=tau, lam=lam))
+
+    def test_pairs_on_ce_floor(self, rng):
+        self.check(*ce_floor_instance(rng))
+
+
 class TestEinsumOracle:
     """The GEMM kernels against the einsum formulation they replaced."""
 
@@ -200,22 +253,15 @@ class TestEinsumOracle:
         )
 
     def test_pairs_on_ce_floor(self, rng):
-        h, b, c, d = 3, 8, 4, 5
-        args, kwargs = random_loss_instance(rng, h, b, c, d)
+        args, kwargs = ce_floor_instance(rng)
         w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal = args
-        # class 0 is the teacher's pick for the even anchors' neighbors, and
-        # its student logit is so low that its probability underflows
-        bias[:, 0] = -1e3
-        qt_xp = qt_xp.copy()
-        qt_xp[:, ::2, 0] = 2.0
-        qt_xp /= qt_xp.sum(axis=-1, keepdims=True)
         s_x = u_x * gamma + shift
         qs_x = softmax((np.einsum("hcd,bd->hbc", w, s_x) + bias[:, None, :]) / 0.1)
         c_hat = np.argmax(qt_xp, axis=-1)
         q_at = np.take_along_axis(qs_x, c_hat[..., None], axis=-1)[..., 0]
         floored = q_at <= CE_PROB_FLOOR
         assert floored.any() and not floored.all()
-        self.check_loss((w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal), kwargs)
+        self.check_loss(args, kwargs)
 
 
 def batch_contiguous(a):
@@ -378,13 +424,18 @@ class TestTrainHeads:
         assert lab.n == 1
         assert 1 <= lab.labels[0] <= bank.num_clusters
 
-    def test_probabilities_valid_everywhere(self, trained_run):
-        m, _, _, _, bank, _ = trained_run
-        from clusterens.heads import head_forward
-
-        probs = head_forward(bank.student_params(1), m.data, bank.config.tau_student)
-        assert np.all(probs >= 0)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+    def test_labelings_match_unfolded_reference(self, trained_run):
+        m, _, _, _, bank, report = trained_run
+        s = bank.student
+        # the shared affine has trained away from identity, so folding it matters
+        assert np.abs(s["gamma"] - 1.0).max() > 1e-2 and np.abs(s["beta_shift"]).max() > 1e-2
+        norm = NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"])
+        for h in range(bank.num_heads):
+            probs = unfolded_head_probs(s["weight"][h], s["bias"][h], norm, m.data,
+                                        bank.config.tau_student)
+            want = np.argmax(probs, axis=-1) + 1
+            assert np.array_equal(predict_labeling(bank, h, m).labels, want)
+            assert np.array_equal(report.per_head_labeling[h].labels, want)
 
 
 class TestCheckpoint:

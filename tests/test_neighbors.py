@@ -8,7 +8,6 @@ from clusterens import (
     Labeling,
     SynthSpec,
     build_neighbor_sets,
-    cosine_similarity,
     gen_synthetic,
     ground_truth_neighbors,
     neighbor_accuracy,
@@ -21,27 +20,6 @@ from clusterens.featstore import save_features
 from clusterens.neighbors import NeighborSets, load_neighbor_sets, save_neighbor_sets
 
 from oracles import brute_force_neighbor_sets, dense_neighbor_sets, dense_similarity_matrix
-
-
-class TestCosine:
-    def test_self_similarity(self, rng):
-        v = rng.normal(size=6)
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0, 0], [0, 1, 0]) == 0.0
-
-    def test_hand_value(self):
-        assert cosine_similarity([1, 1], [1, 0]) == pytest.approx(1 / np.sqrt(2))
-
-    def test_zero_norm_error(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            cosine_similarity([0, 0], [1, 0])
-
-    def test_clamped_range(self, rng):
-        for _ in range(100):
-            u, v = rng.normal(size=4), rng.normal(size=4)
-            assert -1.0 <= cosine_similarity(u, v) <= 1.0
 
 
 class TestBuildSets:

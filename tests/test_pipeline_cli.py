@@ -21,7 +21,7 @@ from clusterens.featstore import save_features
 from clusterens.heads import TrainConfig, load_head_bank
 from clusterens.metrics import evaluate
 from clusterens.neighbors import NeighborSets, save_neighbor_sets
-from clusterens.pipeline import read_machine_block, run_pipeline
+from clusterens.pipeline import ensemble_stage, read_machine_block, run_pipeline
 
 
 def write_inputs(tmp_path, n=120, d=12, k=3, seed=17):
@@ -348,6 +348,28 @@ class TestPipeline:
         assert code == 0
         for name, data in before.items():
             assert (out_dir / name).read_bytes() == data, name
+
+    def test_ensemble_reads_the_heads_the_train_report_names(self, pipeline_run, tmp_path,
+                                                             capsys):
+        _, cfg_path, _, out_dir, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out_dir, run)
+        # retraining with fewer heads leaves head_002 and head_003 behind
+        assert main(["train", "--config", str(cfg_path), "--out", str(run),
+                     "--set", "train.num_heads=2"]) == 0
+        assert (run / "labelings" / "head_003.lbl").exists()
+        capsys.readouterr()
+        assert main(["ensemble", "--run-dir", str(run), "--k", "3"]) == 0
+        assert read_machine_block(capsys.readouterr().out)["num_inputs"] == "2"
+        block = read_machine_block((run / "train_report.txt").read_text())
+        inputs = [load_labeling(run / "labelings" / f"head_{h:03d}.lbl") for h in range(2)]
+        ensemble_stage(tmp_path / "ref", inputs, 3, int(block["best_head"]), None)
+        want = (tmp_path / "ref" / "consensus.lbl").read_bytes()
+        assert (run / "consensus.lbl").read_bytes() == want
+
+        (run / "labelings" / "head_001.lbl").unlink()
+        assert main(["ensemble", "--run-dir", str(run), "--k", "3"]) == 1
+        assert "head labeling not found" in capsys.readouterr().err
 
     def test_stage_isolation_train_rerun_from_neighbor_file(self, pipeline_run, tmp_path):
         t, _, cfg, out_dir, _ = pipeline_run
