@@ -21,10 +21,19 @@ The arithmetic runs as BLAS matrix products on the unit-standardized rows
 head, ``W (gamma*u + beta) + b = (W*gamma) u + (W beta + b)``, so no
 standardized copy of a batch is ever made: logits of all H heads on shared
 rows are one ``(H*C, d) @ (d, n)`` GEMM, and logits of each head on its own
-neighbor rows are one batched ``(H, C, d) @ (H, d, B)`` matmul.  Each
-head formula has this one batched implementation.  The training-set
-labelings of all heads come from one such GEMM on the rows training already
-holds; ``predict_labeling`` runs the same code on one head's slice.
+neighbor rows are a batched ``(h, C, d) @ (h, d, B)`` matmul, one GEMM per
+head.  Each head formula has this one batched implementation.
+
+No buffer grows with H*B*d or H*C*n.  A training step gathers each head's
+neighbor rows ``u[nbr[h]]`` one block of heads at a time, and the
+training-set labelings come from the shared-rows GEMM one block of rows at
+a time; each block holds at most ``BLOCK_BYTES`` of gathered rows or of
+logits.  A step's working set is u, O(H*C*B) per-sample tensors and one
+block.  The anchor GEMM and its backward stay whole: the stacked matmul
+runs one GEMM per head, so blocking heads is exact, while splitting a GEMM
+can change the last bits of its products.  Splitting the labeling's rows
+can too, so only a logit tie to the last bit could move a label.
+``predict_labeling`` runs the labeling code on one head's slice.
 
 Every per-sample tensor of a training step has the logical shape
 (H, B, C) but is stored cluster-major, (H, C, B) in memory, so the batch
@@ -56,6 +65,8 @@ MARGINAL_MOMENTUM = 0.9
 MARGINAL_FLOOR = 1e-6
 CE_PROB_FLOOR = 1e-12
 INIT_SCALE = 0.005
+# byte budget of one block of gathered neighbor rows or of labeling logits
+BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -146,6 +157,13 @@ def _shared_logits(w_fold, b_fold, u):
     return a.transpose(0, 2, 1)
 
 
+def _head_blocks(h_count: int, rows: int, d: int) -> list:
+    """Consecutive slices of the heads, each as many heads as fit their
+    gathered (rows, d) float64 rows into ``BLOCK_BYTES``, at least one."""
+    step = max(1, BLOCK_BYTES // (rows * d * 8))
+    return [slice(lo, lo + step) for lo in range(0, h_count, step)]
+
+
 def _own_logits(w_fold, b_fold, u_own):
     """Logits (H, n, C) of folded head h on its own rows u_own[h] (H, n, d).
 
@@ -227,7 +245,8 @@ def composite_loss_and_grads(
     gamma: np.ndarray,
     beta_shift: np.ndarray,
     u_x: np.ndarray,
-    u_xp: np.ndarray,
+    u: np.ndarray,
+    nbr: np.ndarray,
     qt_x: np.ndarray,
     qt_xp: np.ndarray,
     marginal: np.ndarray,
@@ -240,17 +259,20 @@ def composite_loss_and_grads(
 
     Shapes: ``weight`` (H, C, d), ``bias`` (H, C), ``gamma``/``beta_shift``
     (d,) shared across heads, ``u_x`` (B, d) pre-standardized anchor rows,
-    ``u_xp`` (H, B, d) per-head neighbor rows, teacher outputs (H, B, C)
-    (``qt_xp`` already smoothed when several neighbors are drawn), and the
-    clamped class marginal (H, C).
+    ``u`` (n, d) the unit rows and ``nbr`` (H, B) the row of each head's
+    neighbor of each anchor, teacher outputs (H, B, C) (``qt_xp`` already
+    smoothed when several neighbors are drawn), and the clamped class
+    marginal (H, C).
 
-    The affine is folded into the heads, so the forward pass is one
-    (H*C, d) @ (d, B) GEMM for the anchors and one batched matmul for the
-    neighbors, both stored cluster-major.  The backward pass contracts the
-    logit gradients ``da`` against the unit rows, ``G = sum_b da (x) u``
-    (one GEMM per side), and unfolds: ``d_weight = G*gamma + d_bias (x)
-    beta``, ``d_gamma = sum_{h,c} W*G / H`` and ``d_beta_shift = sum_h
-    d_bias_h . W_h / H``.
+    The affine is folded into the heads, so the anchor forward pass is one
+    (H*C, d) @ (d, B) GEMM, stored cluster-major.  The neighbor side runs
+    one block of heads at a time (see ``_head_blocks``): gather the rows
+    ``u[nbr]``, run their batched matmul, the loss and its own-side
+    backward.  The backward pass contracts the logit gradients ``da``
+    against the unit rows, ``G = sum_b da (x) u`` (one GEMM for the anchors
+    after the loop, one per head on the neighbor side), and unfolds:
+    ``d_weight = G*gamma + d_bias (x) beta``, ``d_gamma = sum_{h,c} W*G / H``
+    and ``d_beta_shift = sum_h d_bias_h . W_h / H``.
 
     Returns (per-head mean losses (H,), grads) where grads holds ``weight``
     (H, C, d), ``bias`` (H, C) from each head's own loss, and ``gamma``/
@@ -261,44 +283,55 @@ def composite_loss_and_grads(
 
     w_fold, b_fold = _fold(weight, bias, gamma, beta_shift)
     a_x = _shared_logits(w_fold, b_fold, u_x)  # (H, B, C)
-    a_xp = _own_logits(w_fold, b_fold, u_xp)
     a_x /= tau_student
-    a_xp /= tau_student
-    qs_x = softmax(a_x)
-    qs_xp = softmax(a_xp)
-
-    w = np.sum(qt_x * qt_xp, axis=-1)  # (H, B)
-    pm = marginal[:, None, :]
-    y1 = (qs_x * qt_xp) ** beta / pm
-    y2 = (qs_xp * qt_x) ** beta / pm
-    s1 = y1.sum(axis=-1)
-    s2 = y2.sum(axis=-1)
-    t1 = np.log(s1)
-    t2 = np.log(s2)
-
-    c_hat = np.argmax(qt_xp, axis=-1)  # (H, B)
-    q_at = np.take_along_axis(qs_x, c_hat[..., None], axis=-1)[..., 0]
-    ce = -np.log(np.maximum(q_at, CE_PROB_FLOOR))
-
-    pair_loss = -w * 0.5 * (t1 + t2) + lam * ce  # (H, B)
-    losses = pair_loss.mean(axis=1)
-
-    # d(loss)/d(logits / tau): beta * (y/S - q) per PMI term, q - onehot for CE;
-    # pairs sitting on the CE probability floor contribute no CE gradient
-    # (the clamped loss is locally constant there)
-    half_w = (-0.5 * w)[..., None]
-    ce_active = (q_at > CE_PROB_FLOOR)[..., None]
-    dg_x = half_w * beta * (y1 / s1[..., None] - qs_x) + (lam * ce_active) * (
-        qs_x - _one_hot(c_hat, c_count)
-    )
-    dg_xp = half_w * beta * (y2 / s2[..., None] - qs_xp)
+    qs_x_all = softmax(a_x)
     scale = 1.0 / (b_count * tau_student)
-    da_x = dg_x * scale
-    da_xp = dg_xp * scale
+
+    losses = np.empty(h_count)
+    da_x = np.empty_like(qs_x_all)
+    g_own = np.empty_like(weight)
+    d_bias_own = np.empty_like(bias)
+    for hb in _head_blocks(h_count, b_count, d):
+        u_xp = u[nbr[hb]]
+        a_xp = _own_logits(w_fold[hb], b_fold[hb], u_xp)
+        a_xp /= tau_student
+        qs_x = qs_x_all[hb]
+        qs_xp = softmax(a_xp)
+        qt_x_b, qt_xp_b = qt_x[hb], qt_xp[hb]
+
+        w = np.sum(qt_x_b * qt_xp_b, axis=-1)  # (h, B)
+        pm = marginal[hb, None, :]
+        y1 = (qs_x * qt_xp_b) ** beta / pm
+        y2 = (qs_xp * qt_x_b) ** beta / pm
+        s1 = y1.sum(axis=-1)
+        s2 = y2.sum(axis=-1)
+        t1 = np.log(s1)
+        t2 = np.log(s2)
+
+        c_hat = np.argmax(qt_xp_b, axis=-1)  # (h, B)
+        q_at = np.take_along_axis(qs_x, c_hat[..., None], axis=-1)[..., 0]
+        ce = -np.log(np.maximum(q_at, CE_PROB_FLOOR))
+
+        pair_loss = -w * 0.5 * (t1 + t2) + lam * ce  # (h, B)
+        losses[hb] = pair_loss.mean(axis=1)
+
+        # d(loss)/d(logits / tau): beta * (y/S - q) per PMI term, q - onehot for CE;
+        # pairs sitting on the CE probability floor contribute no CE gradient
+        # (the clamped loss is locally constant there)
+        half_w = (-0.5 * w)[..., None]
+        ce_active = (q_at > CE_PROB_FLOOR)[..., None]
+        dg_x = half_w * beta * (y1 / s1[..., None] - qs_x) + (lam * ce_active) * (
+            qs_x - _one_hot(c_hat, c_count)
+        )
+        dg_xp = half_w * beta * (y2 / s2[..., None] - qs_xp)
+        np.multiply(dg_x, scale, out=da_x[hb])
+        da_xp = dg_xp * scale
+        np.matmul(da_xp.transpose(0, 2, 1), u_xp, out=g_own[hb])
+        d_bias_own[hb] = da_xp.sum(axis=1)
 
     g = np.tensordot(da_x, u_x, axes=(1, 0))  # (H, C, d)
-    g += np.matmul(da_xp.transpose(0, 2, 1), u_xp)
-    d_bias = da_x.sum(axis=1) + da_xp.sum(axis=1)
+    g += g_own
+    d_bias = da_x.sum(axis=1) + d_bias_own
     d_weight = g * gamma + d_bias[..., None] * beta_shift
     d_gamma = (weight * g).sum(axis=(0, 1)) / h_count
     d_beta_shift = d_bias.reshape(-1) @ weight.reshape(-1, d) / h_count
@@ -318,31 +351,33 @@ def teacher_targets(
     gamma: np.ndarray,
     beta_shift: np.ndarray,
     u_x: np.ndarray,
-    u_nb: np.ndarray,
+    u: np.ndarray,
+    nbr: np.ndarray,
     *,
     tau: float,
     sk_iters: int,
 ):
     """Sinkhorn-Knopp-centered teacher outputs for anchors and neighbors.
 
-    ``u_x`` (B, d) holds the unit anchor rows and ``u_nb`` (H, B, m, d) each
-    head's m drawn neighbor rows.  Per head, the B anchors and B*m neighbors
-    are centered as one batch.  Returns ``qt_x`` (H, B, C) and ``qt_xp``
+    ``u_x`` (B, d) holds the unit anchor rows, ``u`` (n, d) the unit rows
+    and ``nbr`` (H, B, m) the rows of each head's m drawn neighbors.  Per
+    head, the B anchors and B*m neighbors are centered as one batch; the
+    anchor logits of all heads are one GEMM, the neighbor rows are gathered
+    one block of heads at a time.  Returns ``qt_x`` (H, B, C) and ``qt_xp``
     (H, B, C), the mean over the m neighbors, both stored cluster-major.
     """
-    h_count, b_count, m_draws, d = u_nb.shape
+    h_count, b_count, m_draws = nbr.shape
     w_fold, b_fold = _fold(weight, bias, gamma, beta_shift)
-    # np.concatenate keeps its inputs' cluster-major layout
-    stacked = np.concatenate(
-        [
-            _shared_logits(w_fold, b_fold, u_x),
-            _own_logits(w_fold, b_fold, u_nb.reshape(h_count, b_count * m_draws, d)),
-        ],
-        axis=1,
-    )
-    qt_all = sinkhorn_knopp(stacked / tau, sk_iters)
-    qt_x = qt_all[:, :b_count]
-    qt_xp = qt_all[:, b_count:].reshape(h_count, b_count, m_draws, -1).mean(axis=2)
+    a_x = _shared_logits(w_fold, b_fold, u_x)
+    qt_x = np.empty_like(a_x)
+    qt_xp = np.empty_like(a_x)
+    for hb in _head_blocks(h_count, b_count * m_draws, u.shape[1]):
+        u_nb = u[nbr[hb].reshape(-1, b_count * m_draws)]  # (h, B*m, d)
+        # np.concatenate keeps its inputs' cluster-major layout
+        stacked = np.concatenate([a_x[hb], _own_logits(w_fold[hb], b_fold[hb], u_nb)], axis=1)
+        qt_all = sinkhorn_knopp(stacked / tau, sk_iters)
+        qt_x[hb] = qt_all[:, :b_count]
+        qt_xp[hb] = qt_all[:, b_count:].reshape(len(u_nb), b_count, m_draws, -1).mean(axis=2)
     return qt_x, qt_xp
 
 
@@ -428,9 +463,10 @@ def train_heads(
     teacher targets are Sinkhorn-Knopp centered per batch; one AdamW step is
     taken per batch, followed by the teacher EMA update and the marginal
     EMA update.  Every per-sample tensor of a step is stored cluster-major
-    (see the module docstring).  The labelings of all heads come from one
-    GEMM of the folded student weights on the unit rows training already
-    holds, through the helper ``predict_labeling`` runs on one head.
+    (see the module docstring).  The labelings of all heads come from the
+    folded student weights on the unit rows training already holds, one
+    block of rows at a time, through the helper ``predict_labeling`` runs
+    on one head.
     Identical configs produce bitwise-identical reports.
     """
     n = features.n
@@ -480,13 +516,14 @@ def train_heads(
             # turns any divergence into a TrainingError
             lam = lambda_schedule(global_step, total_steps, cfg.lambda_max)
             u_x = u[batch]
-            u_nb = u[nbr]  # (H, B, m, d); the student sees the first draw
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 qt_x, qt_nb = teacher_targets(
-                    **bank.teacher, u_x=u_x, u_nb=u_nb, tau=cfg.tau_teacher, sk_iters=cfg.sk_iters
+                    **bank.teacher, u_x=u_x, u=u, nbr=nbr, tau=cfg.tau_teacher,
+                    sk_iters=cfg.sk_iters,
                 )
+                # the student sees the first draw
                 losses, grads = composite_loss_and_grads(
-                    **bank.student, u_x=u_x, u_xp=u_nb[:, :, 0], qt_x=qt_x, qt_xp=qt_nb,
+                    **bank.student, u_x=u_x, u=u, nbr=nbr[:, :, 0], qt_x=qt_x, qt_xp=qt_nb,
                     marginal=np.maximum(bank.marginal, MARGINAL_FLOOR),
                     beta=cfg.beta, tau_student=cfg.tau_student, lam=lam,
                 )
@@ -535,20 +572,28 @@ def train_heads(
 def _head_labelings(student: dict, u: np.ndarray, tau: float, heads=slice(None)) -> tuple:
     """Argmax labelings of the student heads ``heads`` on unit rows u (n, d).
 
-    One folded GEMM gives the logits; a head with a non-finite logit is an
-    error.  Labels are the argmax of ``softmax(logits / tau)``, ids 1..C,
-    ties to the lowest class.
+    The folded GEMM gives the logits one block of rows at a time, each
+    block at most ``BLOCK_BYTES`` of logits; a head with a non-finite logit
+    is an error.  Labels are the argmax of ``softmax(logits / tau)``, ids
+    1..C, ties to the lowest class.
     """
+    h_count, c_count, _ = student["weight"][heads].shape
+    n = u.shape[0]
+    rows = max(1, BLOCK_BYTES // (h_count * c_count * 8))
+    labels = np.empty((h_count, n), dtype=np.int64)
+    finite = np.ones(h_count, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         folded = _fold(student["weight"][heads], student["bias"][heads],
                        student["gamma"], student["beta_shift"])
-        logits = _shared_logits(*folded, u)
-    finite = np.isfinite(logits).all(axis=(1, 2))
+        for lo in range(0, n, rows):
+            logits = _shared_logits(*folded, u[lo : lo + rows])
+            finite &= np.isfinite(logits).all(axis=(1, 2))
+            logits /= tau
+            labels[:, lo : lo + rows] = np.argmax(softmax(logits), axis=-1)
     if not finite.all():
         bad = range(len(student["bias"]))[heads][int(np.argmin(finite))]
         raise ValueError(f"non-finite head logits in head {bad}")
-    logits /= tau
-    return tuple(Labeling(np.argmax(softmax(a), axis=-1) + 1) for a in logits)
+    return tuple(Labeling(row + 1) for row in labels)
 
 
 def predict_labeling(bank: HeadBank, head: int, features: EmbeddingMatrix) -> Labeling:

@@ -153,7 +153,8 @@ def test_gradient_correctness():
                 rng.normal(1, 0.2, d),
                 rng.normal(0, 0.2, d),
                 rng.normal(0, 1, (b, d)),
-                rng.normal(0, 1, (1, b, d)),
+                rng.normal(0, 1, (1, b, d)).reshape(b, d),  # the unit rows u
+                np.arange(b)[None],  # nbr: head 0's neighbor of anchor i is u[i]
                 sinkhorn_knopp(rng.normal(0, 1, (1, b, c)) / 0.3, 3),
                 sinkhorn_knopp(rng.normal(0, 1, (1, b, c)) / 0.3, 3),
             ]

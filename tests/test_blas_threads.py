@@ -1,7 +1,8 @@
 """Same seed, same bytes, whatever the BLAS thread count.
 
 ``clusterens pipeline`` runs in fresh processes under 1 and 2 BLAS threads
-on small versions of the three benchmark workloads, with some feature rows
+on small versions of the three benchmark workloads, and on one shape whose
+head training runs in several head blocks, with some feature rows
 duplicated: tied neighbors are ordered by index only when their cosines tie
 exactly, and eigenvectors are only defined up to rounding, so both are
 places where the kernel path could leak into an artifact.  Every file of
@@ -25,11 +26,14 @@ SRC = Path(clusterens.__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DUPLICATED = 40  # the last rows repeat the first ones
 
-# (n, d, k, separation, heads, epochs): the benchmark's smoke sizes
+# (n, d, k, separation, heads, epochs): the benchmark's smoke sizes, and
+# one shape at the default batch size of 256
 SHAPES = {
     "quickstart": (300, 16, 5, 20.0, 3, 4),
     "train_heavy": (400, 48, 8, 3.0, 6, 1),
     "large_n": (600, 16, 6, 4.0, 3, 1),
+    # 12 heads of 256 gathered rows at d = 384: head blocks of 5, 5 and 2
+    "multi_block": (600, 384, 8, 3.0, 12, 1),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from clusterens.heads import (
 )
 from clusterens.neighbors import NeighborSets
 
-from clusterens.featstore import NormStats
+from clusterens.featstore import NormStats, unit_rows
 
 from oracles import (
     ce_term,
@@ -36,6 +37,20 @@ from oracles import (
     softmax_logsumexp,
     unfolded_head_probs,
 )
+
+
+def indexed(rows):
+    """Gathered rows (H, B, [m,] d) in the kernels' form: unit rows u and
+    row ids nbr with ``u[nbr] == rows``."""
+    ids = np.arange(rows[..., 0].size).reshape(rows.shape[:-1])
+    return rows.reshape(-1, rows.shape[-1]), ids
+
+
+def kernel_args(args):
+    """Loss arguments with gathered neighbor rows, as the oracles take them,
+    in the form ``composite_loss_and_grads`` takes them."""
+    *params, u_x, u_xp, qt_x, qt_xp, marginal = args
+    return (*params, u_x, *indexed(u_xp), qt_x, qt_xp, marginal)
 
 
 def small_cfg(**overrides):
@@ -72,7 +87,7 @@ class TestGradientCheck:
             rng.normal(1, 0.2, d),
             rng.normal(0, 0.2, d),
             rng.normal(0, 1, (b, d)),
-            rng.normal(0, 1, (1, b, d)),
+            *indexed(rng.normal(0, 1, (1, b, d))),
             sinkhorn_knopp(rng.normal(0, 1, (1, b, c)) / 0.3, 3),
             sinkhorn_knopp(rng.normal(0, 1, (1, b, c)) / 0.3, 3),
         )
@@ -121,13 +136,13 @@ class TestGradientCheck:
         p = np.full((h, c), 1 / c)
         kwargs = dict(beta=0.6, tau_student=0.1, lam=0.3)
         losses, grads = composite_loss_and_grads(
-            w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, p, **kwargs
+            w, bias, gamma, shift, u_x, *indexed(u_xp), qt_x, qt_xp, p, **kwargs
         )
         gamma_sum = np.zeros(d)
         for i in range(h):
             one_losses, one_grads = composite_loss_and_grads(
                 w[i : i + 1], bias[i : i + 1], gamma, shift,
-                u_x, u_xp[i : i + 1], qt_x[i : i + 1], qt_xp[i : i + 1],
+                u_x, *indexed(u_xp[i : i + 1]), qt_x[i : i + 1], qt_xp[i : i + 1],
                 p[i : i + 1], **kwargs,
             )
             assert one_losses[0] == pytest.approx(losses[i], abs=1e-12)
@@ -179,7 +194,7 @@ class TestScalarLossOracle:
     def check(self, args, kwargs):
         w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal = args
         beta, tau, lam = kwargs["beta"], kwargs["tau_student"], kwargs["lam"]
-        losses, _ = composite_loss_and_grads(*args, **kwargs)
+        losses, _ = composite_loss_and_grads(*kernel_args(args), **kwargs)
         want = np.zeros(w.shape[0])
         for h in range(w.shape[0]):
             for i in range(u_x.shape[0]):
@@ -205,7 +220,7 @@ class TestEinsumOracle:
     """The GEMM kernels against the einsum formulation they replaced."""
 
     def check_loss(self, args, kwargs):
-        losses, grads = composite_loss_and_grads(*args, **kwargs)
+        losses, grads = composite_loss_and_grads(*kernel_args(args), **kwargs)
         want_losses, want_grads = einsum_loss_and_grads(*args, **kwargs)
         assert_matches_oracle(losses, want_losses)
         for name in ("weight", "bias", "gamma", "beta_shift"):
@@ -222,7 +237,7 @@ class TestEinsumOracle:
         u_x = rng.normal(size=(b, d))
         u_nb = rng.normal(size=(h, b, m, d))
         kwargs = dict(tau=0.1, sk_iters=3)
-        got = teacher_targets(*params, u_x, u_nb, **kwargs)
+        got = teacher_targets(*params, u_x, *indexed(u_nb), **kwargs)
         want = einsum_teacher_targets(*params, u_x, u_nb, **kwargs)
         for g, w in zip(got, want):
             assert g.shape == (h, b, c)
@@ -245,7 +260,9 @@ class TestEinsumOracle:
             rng.normal(1, 0.2, d), rng.normal(0, 0.2, d),
         )
         u_x, u_nb = rng.normal(size=(b, d)), rng.normal(size=(h, b, m, d))
-        qt_x, qt_xp = teacher_targets(w, bias, gamma, shift, u_x, u_nb, tau=0.1, sk_iters=3)
+        qt_x, qt_xp = teacher_targets(
+            w, bias, gamma, shift, u_x, *indexed(u_nb), tau=0.1, sk_iters=3
+        )
         marginal = np.full((h, c), 1 / c)
         self.check_loss(
             (w, bias, gamma, shift, u_x, u_nb[:, :, 0], qt_x, qt_xp, marginal),
@@ -289,12 +306,95 @@ class TestClusterMajorLayout:
         assert batch_contiguous(shared) and batch_contiguous(own)
         for draws in (1, m):
             qt_x, qt_xp = teacher_targets(
-                w, bias, gamma, shift, u_x, u_nb[:, :, :draws], tau=0.1, sk_iters=3
+                w, bias, gamma, shift, u_x, *indexed(u_nb[:, :, :draws]), tau=0.1, sk_iters=3
             )
             assert batch_contiguous(qt_x) and batch_contiguous(qt_xp)
         assert batch_contiguous(heads.softmax(shared))
         for iters in (0, 3):
             assert batch_contiguous(sinkhorn_knopp(own, iters))
+
+
+class TestHeadBlocks:
+    """A step's neighbor side runs one block of heads at a time and the
+    labeling one block of rows at a time; every block size gives the bits
+    of the single block ``BLOCK_BYTES`` makes at these sizes."""
+
+    H, B, C, D, N = 7, 37, 5, 33, 101  # at d = 33, splitting the anchor GEMM moves bits
+
+    def set_block(self, monkeypatch, heads_per_block, rows):
+        """Make each block of gathered (rows, D) rows hold that many heads."""
+        monkeypatch.setattr(heads, "BLOCK_BYTES", heads_per_block * rows * self.D * 8)
+        assert len(heads._head_blocks(self.H, rows, self.D)) == -(-self.H // heads_per_block)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_step_blocks_are_exact(self, rng, monkeypatch, m):
+        h, b, c, d, n = self.H, self.B, self.C, self.D, self.N
+        params = (
+            rng.normal(0, 0.4, (h, c, d)), rng.normal(0, 0.4, (h, c)),
+            rng.normal(1, 0.2, d), rng.normal(0, 0.2, d),
+        )
+        u = rng.normal(size=(n, d))
+        u_x = u[rng.permutation(n)[:b]]
+        nbr = rng.integers(0, n, size=(h, b, m))
+        marginal = np.maximum(rng.dirichlet(np.ones(c), size=h), 1e-6)
+
+        def step(heads_per_block):
+            if heads_per_block:
+                self.set_block(monkeypatch, heads_per_block, b * m)
+            qt = teacher_targets(*params, u_x, u, nbr, tau=0.1, sk_iters=3)
+            if heads_per_block:
+                self.set_block(monkeypatch, heads_per_block, b)
+            losses, grads = composite_loss_and_grads(
+                *params, u_x, u, nbr[:, :, 0], *qt, marginal, beta=0.6, tau_student=0.1, lam=0.4
+            )
+            return (*qt, losses, *grads.values())
+
+        assert len(heads._head_blocks(h, b * m, d)) == 1
+        whole = step(None)
+        for heads_per_block in (1, 2, 3):
+            got = step(heads_per_block)
+            for g, w in zip(got, whole):
+                assert np.array_equal(g, w)
+            assert batch_contiguous(got[0]) and batch_contiguous(got[1])
+
+    def test_labeling_row_blocks_match_one_gemm(self, trained_run, monkeypatch):
+        m, _, _, cfg, bank, _ = trained_run
+        s = bank.student
+        u = unit_rows(m.data, NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"]))
+        logits = heads._shared_logits(*heads._fold(**s), u) / cfg.tau_student
+        want = np.argmax(heads.softmax(logits), axis=-1) + 1
+        for rows in (1, 7, 64, m.n):
+            monkeypatch.setattr(heads, "BLOCK_BYTES", rows * bank.num_heads * bank.num_clusters * 8)
+            got = heads._head_labelings(s, u, cfg.tau_student)
+            assert np.array_equal([lab.labels for lab in got], want)
+
+    def test_lowest_non_finite_head_reported_across_row_blocks(self, rng, monkeypatch):
+        h, c, d = 3, 4, 5
+        student = {"weight": rng.normal(size=(h, c, d)), "bias": np.zeros((h, c)),
+                   "gamma": np.ones(d), "beta_shift": np.zeros(d)}
+        student["weight"][2, 0, 0] = np.nan  # head 2: every row
+        student["weight"][1, 0, 0] = 1e308  # head 1: only the last row overflows
+        u = rng.normal(size=(6, d))
+        u[:, 0] = 0.0
+        u[-1, 0] = 10.0
+        monkeypatch.setattr(heads, "BLOCK_BYTES", 8)  # one row per block
+        with pytest.raises(ValueError, match="non-finite head logits in head 1"):
+            heads._head_labelings(student, u, 0.1)
+
+
+def test_training_memory_is_bounded():
+    # 40 heads of 256 gathered rows at d = 384 are 31 MB a step; blocked,
+    # the step holds u (3 MB), O(H*C*B) tensors and one 4 MB block
+    features, _ = gen_synthetic(SynthSpec(n=1024, d=384, k=10, separation=3.0, seed=4))
+    sets = build_neighbor_sets(features, 0.3, 5)
+    cfg = TrainConfig(num_clusters=10, num_heads=40, epochs=1, warmup_epochs=1, lr=1e-3, seed=4)
+    tracemalloc.start()
+    try:
+        train_heads(features, sets, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20, f"train_heads peaked at {peak / 2**20:.1f} MB"
 
 
 class TestTrainHeads:
@@ -370,9 +470,11 @@ class TestTrainHeads:
             return fresh
 
         monkeypatch.setattr(heads, "_init_bank", poisoned_init)
-        with pytest.raises(ValueError, match="non-finite head logits") as info:
-            train_heads(m, sets, dataclasses.replace(cfg, epochs=0))
-        assert str(info.value) == "non-finite head logits in head 1"
+        for block_bytes in (heads.BLOCK_BYTES, 8):  # one block of rows, then one row per block
+            monkeypatch.setattr(heads, "BLOCK_BYTES", block_bytes)
+            with pytest.raises(ValueError, match="non-finite head logits") as info:
+                train_heads(m, sets, dataclasses.replace(cfg, epochs=0))
+            assert str(info.value) == "non-finite head logits in head 1"
 
     def test_marginals_are_distributions(self, trained_run):
         _, _, _, _, bank, _ = trained_run
