@@ -42,16 +42,27 @@ class EmbeddingMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        # a copy, so the caller's array cannot change the matrix
+        self._own(np.array(self.data, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray) -> EmbeddingMatrix:
+        """Wrap a float64 array that no one else holds (a loader's), without a copy."""
+        matrix = object.__new__(cls)
+        matrix._own(data)
+        return matrix
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ValueError(f"feature matrix must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"feature matrix must be at least 1x1, got {arr.shape}")
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            row = int(np.nonzero(bad.any(axis=1))[0][0])
+        finite = np.isfinite(arr)
+        if not finite.all():
+            row = int(np.nonzero(~finite.all(axis=1))[0][0])
             raise ValueError(f"non-finite feature value in row {row}")
-        object.__setattr__(self, "data", _readonly(arr))
+        arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
 
     @property
     def n(self) -> int:
@@ -204,7 +215,8 @@ def load_features(path, format: str = "featpack") -> EmbeddingMatrix:
     """Load a feature matrix, validating header/payload consistency.
 
     featpack and npy loads are bit-exact (float32 payloads are cast to the
-    float64 working precision, which is lossless).
+    float64 working precision, which is lossless).  The matrix keeps the
+    array the loader read, so a float64 file is held once.
     """
     if format == "featpack":
         data = binfmt.load(path, FEATPACK_MAGIC, "featpack", _parse_featpack)
@@ -214,12 +226,10 @@ def load_features(path, format: str = "featpack") -> EmbeddingMatrix:
         data = _load_npy(path)
     else:
         raise ValueError(f"unknown feature format {format!r}")
-
-    bad = ~np.isfinite(data)
-    if bad.any():
-        row = int(np.nonzero(bad.any(axis=1))[0][0])
-        raise LoadError(f"{path}: non-finite value in row {row}")
-    return EmbeddingMatrix(data)
+    try:
+        return EmbeddingMatrix._adopt(data)
+    except ValueError as exc:
+        raise LoadError(f"{path}: {exc}") from None
 
 
 def detect_format(path) -> str:
@@ -302,5 +312,7 @@ def _load_npy(path) -> np.ndarray:
         if left != n * d * dtype.itemsize:
             got_rows = left // (d * dtype.itemsize)
             raise LoadError(f"{path}: payload holds {got_rows} row(s) but header declares {n}")
-        payload = f.read()
-    return np.frombuffer(payload, dtype=dtype).reshape(n, d).astype(np.float64)
+        data = np.empty((n, d), dtype=dtype)
+        if f.readinto(data) != data.nbytes:
+            raise LoadError(f"{path}: file shrank while being read")
+    return data.astype(np.float64, copy=False)

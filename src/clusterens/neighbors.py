@@ -26,9 +26,26 @@ NEIGHBORS_MAGIC = b"NNS1"
 # 1/16 of the n×n matrix.  Up to BLOCK_ROWS samples are one block.
 BLOCK_ROWS = 512
 
+# Work on finished sets (the self and duplicate checks, pair accuracy, the
+# NNS1 writer) runs one block of consecutive rows at a time, each holding at
+# most BLOCK_PAIRS pairs, or a single longer row: about 10-17 bytes of int64
+# keys, gathered labels and masks per pair, so under 5 MB a block.
+BLOCK_PAIRS = 1 << 18
+
 
 def _block_rows(n: int) -> int:
     return n if n <= BLOCK_ROWS else min(BLOCK_ROWS, n // 16)
+
+
+def _row_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``lo:hi`` of at most BLOCK_PAIRS pairs (or one row)."""
+    n = offsets.size - 1
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(offsets, offsets[lo] + BLOCK_PAIRS, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def _offsets(sizes: np.ndarray) -> np.ndarray:
@@ -37,8 +54,8 @@ def _offsets(sizes: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64).view()
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype).view()
     arr.flags.writeable = False
     return arr
 
@@ -48,10 +65,11 @@ class NeighborSets:
     """Per-sample neighbor index lists in CSR form.
 
     Sample ``x``'s neighbors are ``indices[offsets[x]:offsets[x + 1]]``,
-    ordered by descending similarity.  Both arrays are kept as read-only
-    int64 views, without a copy.  ``theta``/``k_min`` echo the selection
-    parameters; both are ``None`` for sets not produced by thresholded
-    selection (e.g. ground-truth sets).
+    ordered by descending similarity.  ``indices`` is kept as a read-only
+    int32 array (4 bytes a pair; an int32 input is not copied) and
+    ``offsets`` as read-only int64, since the pair count can pass 2**31.
+    ``theta``/``k_min`` echo the selection parameters; both are ``None``
+    for sets not produced by thresholded selection (e.g. ground-truth sets).
     """
 
     offsets: np.ndarray
@@ -60,30 +78,44 @@ class NeighborSets:
     k_min: int | None = None
 
     def __post_init__(self):
-        offsets, indices = _frozen(self.offsets), _frozen(self.indices)
+        offsets, indices = _frozen(self.offsets, np.int64), np.asarray(self.indices)
         if offsets.ndim != 1 or offsets.size < 1 or indices.ndim != 1:
             raise ValueError("offsets and indices must be flat arrays")
         sizes = np.diff(offsets)
         if offsets[0] != 0 or offsets[-1] != indices.size or (sizes < 0).any():
             raise ValueError("offsets must rise from 0 to the number of indices")
+        if indices.size and indices.dtype.kind not in "iu":
+            raise ValueError(f"neighbor indices must be integers, got {indices.dtype}")
         n = offsets.size - 1
-        rows = np.repeat(np.arange(n, dtype=np.int64), sizes)
-        outside = (indices < 0) | (indices >= n)
-        if outside.any():
-            raise ValueError(
-                f"sample {rows[outside.argmax()]} has a neighbor index outside [0, {n})"
-            )
-        own = indices == rows
-        if own.any():
-            raise ValueError(f"sample {rows[own.argmax()]} contains itself in its neighbor set")
-        # (sample, index) keys, sorted in place: a duplicate sits next to its twin
-        keys = rows
-        keys *= n
-        keys += indices
-        keys.sort()
-        twin = keys[1:] == keys[:-1]
-        if twin.any():
-            raise ValueError(f"duplicate neighbor index for sample {keys[twin.argmax()] // n}")
+        if n > 1 << 31:
+            raise ValueError(f"{n} samples do not fit int32 neighbor indices")
+        # checked on the input's own dtype, so no out-of-range value wraps in int32
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            first = np.flatnonzero((indices < 0) | (indices >= n))[0]
+            sample = np.searchsorted(offsets, first, side="right") - 1
+            raise ValueError(f"sample {sample} has a neighbor index outside [0, {n})")
+        indices = _frozen(indices, np.int32)
+        # a self index anywhere outranks a duplicate, so the first duplicate
+        # found is raised only once every block has passed the self check
+        twin_of = None
+        for lo, hi in _row_blocks(offsets):
+            block = indices[offsets[lo] : offsets[hi]]
+            rows = np.repeat(np.arange(lo, hi, dtype=np.int64), sizes[lo:hi])
+            own = block == rows
+            if own.any():
+                sample = rows[own.argmax()]
+                raise ValueError(f"sample {sample} contains itself in its neighbor set")
+            if twin_of is None:
+                # (sample, index) keys, sorted in place: a duplicate sits next to its twin
+                keys = rows
+                keys *= n
+                keys += block
+                keys.sort()
+                twin = keys[1:] == keys[:-1]
+                if twin.any():
+                    twin_of = keys[twin.argmax()] // n
+        if twin_of is not None:
+            raise ValueError(f"duplicate neighbor index for sample {twin_of}")
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "indices", indices)
 
@@ -156,8 +188,8 @@ def _ranked_blocks(features: EmbeddingMatrix, theta: float, floor: int):
     """Mine a block of rows at a time; yield ``(sizes, members, sims)`` per block.
 
     Row x keeps ``max(#{sim >= theta}, floor)`` members, ordered by
-    descending similarity with ties by ascending index; ``members`` and
-    ``sims`` hold a block's rows one after another.  Only candidates are
+    descending similarity with ties by ascending index; ``members`` (int32)
+    and ``sims`` hold a block's rows one after another.  Only candidates are
     sorted: the samples at or above theta, or, for a row short of the
     floor, every sample at or above its floor-th largest similarity (ties
     at that cut included, so the index tie-break stays exact).
@@ -166,6 +198,7 @@ def _ranked_blocks(features: EmbeddingMatrix, theta: float, floor: int):
     n = features.n
     distinct, inverse = np.unique(unit, axis=0, return_inverse=True)
     columns = None if distinct.shape[0] == n else (distinct, inverse.ravel())
+    del distinct, inverse
     step = _block_rows(n)
     for start in range(0, n, step):
         stop = min(start + step, n)
@@ -194,7 +227,7 @@ def _ranked_blocks(features: EmbeddingMatrix, theta: float, floor: int):
         del key
         order += starts[:, None]
         picked = order[np.arange(order.shape[1]) < sizes[:, None]]
-        yield sizes, cols[picked], vals[picked]
+        yield sizes, cols[picked].astype(np.int32), vals[picked]
 
 
 def _check_request(features: EmbeddingMatrix, k_min: int) -> int:
@@ -275,12 +308,15 @@ def neighbor_accuracy(sets: NeighborSets, labels: Labeling) -> NeighborStats:
     """Fraction of (anchor, neighbor) pairs sharing a ground-truth label."""
     if sets.n != labels.n:
         raise ValueError(f"sets cover {sets.n} samples, labels cover {labels.n}")
-    arr = labels.labels
+    arr, offsets = labels.labels, sets.offsets
     counts = sets.sizes()
     total = sets.indices.size
     if total == 0:
         raise ValueError("all neighbor sets are empty")
-    correct = int((arr[sets.indices] == np.repeat(arr, counts)).sum())
+    correct = 0
+    for lo, hi in _row_blocks(offsets):
+        block = sets.indices[offsets[lo] : offsets[hi]]
+        correct += int(np.count_nonzero(arr[block] == np.repeat(arr[lo:hi], counts[lo:hi])))
     return NeighborStats(
         avg_count=float(counts.mean()),
         pair_accuracy=correct / total,
@@ -290,7 +326,12 @@ def neighbor_accuracy(sets: NeighborSets, labels: Labeling) -> NeighborStats:
 
 def save_neighbor_sets(sets: NeighborSets, path) -> None:
     """Write the ``NNS1`` binary form (u32 n, per sample u32 count + indices)."""
-    body = np.insert(sets.indices, sets.offsets[:-1], sets.sizes()).astype("<u4")
+    offsets, sizes = sets.offsets, sets.sizes()
+    body = np.empty(sets.n + sets.indices.size, dtype="<u4")
+    # sample x's count sits at offsets[x] + x, its indices right after it
+    for lo, hi in _row_blocks(offsets):
+        a, b = offsets[lo], offsets[hi]
+        body[a + lo : b + hi] = np.insert(sets.indices[a:b], offsets[lo:hi] - a, sizes[lo:hi])
     binfmt.save(path, NEIGHBORS_MAGIC, np.uint32(sets.n).tobytes(), body)
 
 
@@ -298,21 +339,23 @@ def _parse_neighbor_sets(r: binfmt.Reader) -> NeighborSets:
     (n,) = r.header("I")
     if 4 * n > r.left:
         raise ValueError(f"header declares {n} samples, the file holds {r.left} more bytes")
-    # one u32 body, each sample's count followed by its indices
+    # one u32 body, each sample's count followed by its indices; the indices
+    # are moved left over the counts in place, so the pairs are held once
     body = r.array("<u4", r.left // 4)
-    heads = np.empty(n, dtype=np.int64)  # where each sample's count sits
-    at = 0
+    sizes = np.empty(n, dtype=np.int64)
+    at = kept = 0
     for i in range(n):
         count = int(body[at]) if at < body.size else 0
         if at + 1 + count > body.size:
             raise ValueError(f"truncated at sample {i}")
-        heads[i] = at
+        body[kept : kept + count] = body[at + 1 : at + 1 + count]
+        sizes[i] = count
+        kept += count
         at += 1 + count
     if at != body.size:
         raise ValueError(f"trailing values after {n} samples")
-    member = np.ones(body.size, dtype=bool)
-    member[heads] = False
-    return NeighborSets(_offsets(body[heads]), body[member])
+    # read as int32, an index of 2**31 or more is negative and fails the range check
+    return NeighborSets(_offsets(sizes), body[:kept].view("<i4"))
 
 
 def load_neighbor_sets(path) -> NeighborSets:

@@ -185,6 +185,30 @@ def test_fuzzed_file_raises_load_error(tmp_path, fmt):
             pass
 
 
+@pytest.mark.parametrize("fmt", ["featpack", "npy"])
+def test_load_holds_one_float64_copy(tmp_path, rng, fmt):
+    m = EmbeddingMatrix(rng.normal(size=(2000, 64)))
+    path = tmp_path / f"m.{fmt}"
+    save_features(m, path, fmt)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = load_features(path, fmt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert back.data.tobytes() == m.data.tobytes()
+    assert not back.data.flags.writeable
+    assert peak < 1.3 * m.data.nbytes
+
+
+def test_passed_array_is_copied():
+    data = np.ones((2, 2))
+    m = EmbeddingMatrix(data)
+    data[0, 0] = 5.0
+    assert m.data[0, 0] == 1.0 and data.flags.writeable
+
+
 def test_detect_format():
     assert detect_format("a.csv") == "csv"
     assert detect_format("a.npy") == "npy"

@@ -317,7 +317,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "byte, value, match",
-        [(12, 0xFF, "outside"), (12, 0x00, "itself"), (16, None, "duplicate")],
+        [(12, 0xFF, "outside"), (15, 0x80, "outside"), (12, 0x00, "itself"),
+         (16, None, "duplicate")],
     )
     def test_invalid_index_raises_load_error(self, tmp_path, byte, value, match):
         m, _ = gen_synthetic(SynthSpec(n=40, d=3, k=2, separation=10.0, seed=4))
@@ -344,6 +345,17 @@ class TestSerialization:
         assert "outside [0, 40)" in capsys.readouterr().err
         assert not (out / "neighbors.nns").exists()
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_row_blocks_write_the_same_bytes(self, tmp_path, monkeypatch, block):
+        sets = NeighborSets.from_lists(CHECK_BASE)
+        save_neighbor_sets(sets, tmp_path / "one.nns")
+        monkeypatch.setattr(neighbors, "BLOCK_PAIRS", block)
+        save_neighbor_sets(sets, tmp_path / "blocks.nns")
+        assert (tmp_path / "blocks.nns").read_bytes() == (tmp_path / "one.nns").read_bytes()
+        back = load_neighbor_sets(tmp_path / "blocks.nns")
+        assert back.offsets.tolist() == sets.offsets.tolist()
+        assert back.indices.tolist() == sets.indices.tolist()
+
 
 def test_neighbor_sets_reject_self_membership():
     with pytest.raises(ValueError, match="itself"):
@@ -359,3 +371,119 @@ def test_neighbor_sets_reject_bad_offsets():
     for offsets, indices in [([0, 2], [1]), ([1, 1], []), ([0, 2, 1], [1, 0]), ([], [])]:
         with pytest.raises(ValueError, match="offsets"):
             NeighborSets(np.array(offsets), np.array(indices))
+
+
+# ten samples: row 3 holds all nine others, longer than every small block;
+# rows 0 and 6 are empty
+CHECK_BASE = ([], [2, 0], [0, 1, 4], [9, 8, 7, 6, 5, 4, 2, 1, 0], [3], [0, 1],
+              [], [8], [1, 2, 3], [8, 0])
+
+
+def _faulty(changes):
+    sets = [list(s) for s in CHECK_BASE]
+    for row, members in changes.items():
+        sets[row] = members
+    return sets
+
+
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        ({5: [0, 10]}, "sample 5 has a neighbor index outside"),
+        ({8: [1, -1]}, "sample 8 has a neighbor index outside"),
+        ({7: [7]}, "sample 7 contains itself"),
+        ({3: [9, 8, 7, 6, 5, 4, 3, 1, 0]}, "sample 3 contains itself"),
+        ({2: [0, 1, 0]}, "duplicate neighbor index for sample 2"),
+        ({3: [9, 8, 7, 6, 5, 4, 2, 1, 9]}, "duplicate neighbor index for sample 3"),
+        # two kinds or two samples: the earlier kind wins, then the lower sample
+        ({1: [2, 2], 9: [9]}, "sample 9 contains itself"),
+        ({1: [1], 8: [1, 12]}, "sample 8 has a neighbor index outside"),
+        ({1: [2, 2], 8: [3, 3]}, "duplicate neighbor index for sample 1"),
+        ({2: [2], 7: [7]}, "sample 2 contains itself"),
+        ({3: [9, 8, 7, 6, 5, 4, 2, 1, 1], 9: [8, 9]}, "sample 9 contains itself"),
+    ],
+)
+def test_checks_report_the_same_fault_in_row_blocks(monkeypatch, changes, match):
+    sets = _faulty(changes)
+    with pytest.raises(ValueError, match=match) as one_block:
+        NeighborSets.from_lists(sets)
+    for block in (1, 2, 7):
+        monkeypatch.setattr(neighbors, "BLOCK_PAIRS", block)
+        with pytest.raises(ValueError) as blocked:
+            NeighborSets.from_lists(sets)
+        assert str(blocked.value) == str(one_block.value)
+
+
+def test_row_blocks_cover_every_row_once(monkeypatch):
+    offsets = NeighborSets.from_lists(CHECK_BASE).offsets
+    for block in (1, 2, 7, 1 << 18):
+        monkeypatch.setattr(neighbors, "BLOCK_PAIRS", block)
+        spans = list(neighbors._row_blocks(offsets))
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == len(CHECK_BASE)
+        for lo, hi in spans:
+            assert offsets[hi] - offsets[lo] <= block or hi == lo + 1
+
+
+def test_int64_index_that_would_wrap_in_int32_is_outside():
+    with pytest.raises(ValueError, match=r"sample 1 has a neighbor index outside \[0, 2\)"):
+        NeighborSets(np.array([0, 1, 2]), np.array([1, 2**32 + 1], dtype=np.int64))
+
+
+def test_float_indices_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        NeighborSets(np.array([0, 1, 2]), np.array([1.0, 0.0]))
+
+
+def test_sets_hold_read_only_int32_indices(tmp_path, blobs_small):
+    m, labels = blobs_small
+    mined = build_neighbor_sets(m, 0.3, 5)
+    save_neighbor_sets(mined, tmp_path / "s.nns")
+    for sets in (
+        mined,
+        load_neighbor_sets(tmp_path / "s.nns"),
+        NeighborSets.from_lists(CHECK_BASE),
+        ground_truth_neighbors(labels),
+        *sweep_neighbor_sets(m, (0.3, 0.9), 5),
+    ):
+        assert sets.indices.dtype == np.int32 and sets.offsets.dtype == np.int64
+        assert not sets.indices.flags.writeable and not sets.offsets.flags.writeable
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_sets_build_and_load_in_a_few_bytes_per_pair(tmp_path):
+    """Two blobs at theta 0.3: every set is its whole cluster, 2.0M pairs."""
+    m, _ = gen_synthetic(SynthSpec(n=2000, d=16, k=2, seed=1))
+    sets, build_peak = _traced_peak(lambda: build_neighbor_sets(m, 0.3, 5))
+    pairs = sets.indices.size
+    assert pairs == 2000 * 999
+    path = tmp_path / "s.nns"
+    save_neighbor_sets(sets, path)
+    back, load_peak = _traced_peak(lambda: load_neighbor_sets(path))
+    assert np.array_equal(back.indices, sets.indices)
+    # four bytes a pair are the int32 result itself
+    assert build_peak / pairs < 14
+    assert load_peak / pairs < 18
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_pair_accuracy_in_row_blocks_matches_per_pair_count(rng, monkeypatch, block):
+    m = EmbeddingMatrix(rng.normal(size=(80, 5)))
+    sets = build_neighbor_sets(m, 0.3, 4)
+    arr = rng.integers(0, 4, size=80)
+    pairs = [(x, y) for x, s in enumerate(sets.sets) for y in s.tolist()]
+    monkeypatch.setattr(neighbors, "BLOCK_PAIRS", block)
+    stats = neighbor_accuracy(sets, Labeling(arr))
+    assert stats.pair_accuracy == sum(arr[x] == arr[y] for x, y in pairs) / len(pairs)
+    weighted = neighbor_accuracy(NeighborSets.from_lists(([1, 2, 3], [0], [], [])),
+                                 Labeling([1, 1, 2, 2]))
+    assert weighted.pair_accuracy == 0.5
