@@ -127,12 +127,17 @@ def unit_rows(x: np.ndarray, stats: NormStats) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != stats.d:
         raise ValueError(f"dimension mismatch: features d={x.shape[-1]}, stats d={stats.d}")
-    return (x - stats.mean) / np.sqrt(stats.var + VAR_EPS)
+    out = x - stats.mean
+    out /= np.sqrt(stats.var + VAR_EPS)
+    return out
 
 
 def standardize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
     """Apply ``(x - mean)/sqrt(var + eps) * gamma + beta`` along the last axis."""
-    return unit_rows(x, stats) * stats.gamma + stats.beta
+    out = unit_rows(x, stats)
+    out *= stats.gamma
+    out += stats.beta
+    return out
 
 
 def fit_standardizer(features: EmbeddingMatrix) -> NormStats:
@@ -161,7 +166,7 @@ def apply_standardizer(features: EmbeddingMatrix, stats: NormStats) -> Embedding
     """Standardize every row of ``features`` with ``stats``."""
     if features.d != stats.d:
         raise ValueError(f"dimension mismatch: features d={features.d}, stats d={stats.d}")
-    return EmbeddingMatrix(standardize_array(features.data, stats))
+    return EmbeddingMatrix._adopt(standardize_array(features.data, stats))
 
 
 def gen_synthetic(spec: SynthSpec) -> tuple[EmbeddingMatrix, Labeling]:
@@ -188,7 +193,7 @@ def gen_synthetic(spec: SynthSpec) -> tuple[EmbeddingMatrix, Labeling]:
     points = rng.standard_normal((spec.n, spec.d)) + np.repeat(centers, sizes, axis=0)
 
     perm = rng.permutation(spec.n)
-    return EmbeddingMatrix(points[perm]), Labeling(labels[perm])
+    return EmbeddingMatrix._adopt(points[perm]), Labeling(labels[perm])
 
 
 # ---------------------------------------------------------------------------

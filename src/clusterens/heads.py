@@ -19,21 +19,38 @@ their gradients: ``weight``, ``bias``, ``gamma`` and ``beta_shift``.
 The arithmetic runs as BLAS matrix products on the unit-standardized rows
 ``u = (z - mean) / sqrt(var + eps)``.  The shared affine is folded into each
 head, ``W (gamma*u + beta) + b = (W*gamma) u + (W beta + b)``, so no
-standardized copy of a batch is ever made: logits of all H heads on shared
-rows are one ``(H*C, d) @ (d, n)`` GEMM, and logits of each head on its own
-neighbor rows are a batched ``(h, C, d) @ (h, d, B)`` matmul, one GEMM per
-head.  Each head formula has this one batched implementation.
+standardized copy of a batch is ever made.  A training step stacks the
+folded teacher and student of each head into one (2C, d) matrix: logits of
+both copies of all H heads on the anchors are one ``(H*2C, d) @ (d, B)``
+GEMM, and on each head's own neighbor rows a batched ``(h, 2C, d) @
+(h, d, m*B)`` matmul, one GEMM per head.  Each head formula has this one
+batched implementation, ``composite_loss_and_grads``, which also returns
+the teacher targets it trained against.
+
+Training runs in float32: the unit rows, both parameter copies, the AdamW
+moments and every per-step tensor.  Single precision is what the deep
+clustering heads this objective comes from train in, and it halves the
+bytes a step moves.  The PMI and CE terms are taken in the log domain
+(student log-softmax, log teacher targets, log-sum-exp over clusters),
+since the product of a confident student's and teacher's probabilities on
+classes they disagree on underflows float32.  Sinkhorn-Knopp runs in
+float64 on each block's upcast teacher logits, and the log of its output
+is taken before the cast.  The class-marginal EMA, the returned
+``HeadBank`` (float64 copies of the float32 parameters), the HDB1 file and
+the labelings stay float64.  The kernels are dtype-generic: given float64
+inputs they run in float64, which is how the tests check them.
 
 No buffer grows with H*B*d or H*C*n.  A training step gathers each head's
-neighbor rows ``u[nbr[h]]`` one block of heads at a time, and the
-training-set labelings come from the shared-rows GEMM one block of rows at
-a time; each block holds at most ``BLOCK_BYTES`` of gathered rows or of
-logits.  A step's working set is u, O(H*C*B) per-sample tensors and one
-block.  The anchor GEMM and its backward stay whole: the stacked matmul
-runs one GEMM per head, so blocking heads is exact, while splitting a GEMM
-can change the last bits of its products.  Splitting the labeling's rows
-can too, so only a logit tie to the last bit could move a label.
-``predict_labeling`` runs the labeling code on one head's slice.
+neighbor rows ``u[nbr[h]]`` once, one block of heads at a time into one
+reused buffer, and the training-set labelings come from the shared-rows
+GEMM one block of rows at a time; each block holds at most ``BLOCK_BYTES``
+of gathered rows or of logits.  A step's working set is u, O(H*C*B)
+per-sample tensors and one block.  The anchor GEMM and its backward stay
+whole: the stacked matmul runs one GEMM per head, so blocking heads is
+exact, while splitting a GEMM can change the last bits of its products.
+Splitting the labeling's rows can too, so only a logit tie to the last bit
+could move a label.  ``predict_labeling`` runs the labeling code on one
+head's slice.
 
 Every per-sample tensor of a training step has the logical shape
 (H, B, C) but is stored cluster-major, (H, C, B) in memory, so the batch
@@ -44,6 +61,7 @@ loss run as vector adds across B instead of walking rows of C numbers.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -132,12 +150,21 @@ class TrainReport:
     epoch_mean_loss: np.ndarray
 
 
+def _softmax_lse(logits: np.ndarray):
+    """Softmax along the last axis and its log-sum-exp (keepdims), guarded
+    against overflow; an entry of -inf gets probability 0."""
+    top = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=-1, keepdims=True)
+    e /= total
+    np.log(total, out=total)
+    total += top
+    return e, total
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax along the last axis, guarded against overflow."""
-    e = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    return _softmax_lse(logits)[0]
 
 
 def _fold(weight, bias, gamma, beta_shift):
@@ -157,11 +184,12 @@ def _shared_logits(w_fold, b_fold, u):
     return a.transpose(0, 2, 1)
 
 
-def _head_blocks(h_count: int, rows: int, d: int) -> list:
+def _head_blocks(h_count: int, rows: int, d: int, itemsize: int) -> list:
     """Consecutive slices of the heads, each as many heads as fit their
-    gathered (rows, d) float64 rows into ``BLOCK_BYTES``, at least one."""
-    step = max(1, BLOCK_BYTES // (rows * d * 8))
-    return [slice(lo, lo + step) for lo in range(0, h_count, step)]
+    gathered (rows, d) rows of ``itemsize`` bytes into ``BLOCK_BYTES``, at
+    least one."""
+    step = max(1, BLOCK_BYTES // (rows * d * itemsize))
+    return [slice(lo, min(lo + step, h_count)) for lo in range(0, h_count, step)]
 
 
 def _own_logits(w_fold, b_fold, u_own):
@@ -183,7 +211,7 @@ def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
     to 1) ``iters`` times; zero iterations reduce to a plain row softmax.
     Works on any (..., B, C) stack of batches.  The result keeps the input's
     memory layout: given cluster-major storage (batch axis contiguous), as
-    ``teacher_targets`` passes, every sum over B or C is a vector add.
+    ``composite_loss_and_grads`` passes, every sum over B or C is a vector add.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
@@ -212,19 +240,21 @@ def lambda_schedule(step: int, total_steps: int, lambda_max: float) -> float:
 
 
 def ema_update(teacher: np.ndarray, student: np.ndarray, momentum: float) -> np.ndarray:
-    """momentum * teacher + (1 - momentum) * student, elementwise."""
+    """Move ``teacher`` in place to momentum * teacher + (1 - momentum) * student
+    elementwise; returns it."""
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must lie in [0, 1]")
-    teacher = np.asarray(teacher, dtype=np.float64)
-    student = np.asarray(student, dtype=np.float64)
     if teacher.shape != student.shape:
         raise ValueError(f"shape mismatch: {teacher.shape} vs {student.shape}")
-    # endpoints are exact copies so momentum 1 keeps the teacher bitwise fixed
-    if momentum == 1.0:
-        return teacher.copy()
+    # momentum 1 keeps the teacher bitwise fixed, momentum 0 copies the student
     if momentum == 0.0:
-        return student.copy()
-    return momentum * teacher + (1.0 - momentum) * student
+        teacher[...] = student
+    elif momentum < 1.0:
+        # momentum * (teacher - student) + student, with no temporary
+        teacher -= student
+        teacher *= momentum
+        teacher += student
+    return teacher
 
 
 # ---------------------------------------------------------------------------
@@ -232,108 +262,143 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, momentum: float) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _one_hot(idx: np.ndarray, c: int) -> np.ndarray:
-    """One-hot (..., B, C) of class ids (..., B), stored cluster-major."""
-    out = np.zeros(idx.shape[:-1] + (c, idx.shape[-1]))
-    np.put_along_axis(out, idx[..., None, :], 1.0, axis=-2)
-    return out.swapaxes(-1, -2)
-
-
 def composite_loss_and_grads(
-    weight: np.ndarray,
-    bias: np.ndarray,
-    gamma: np.ndarray,
-    beta_shift: np.ndarray,
+    student: dict,
+    teacher: dict,
     u_x: np.ndarray,
     u: np.ndarray,
     nbr: np.ndarray,
-    qt_x: np.ndarray,
-    qt_xp: np.ndarray,
     marginal: np.ndarray,
     *,
     beta: float,
     tau_student: float,
+    tau_teacher: float,
+    sk_iters: int,
     lam: float,
 ):
-    """Batch-mean composite loss and its analytic student gradients.
+    """Teacher targets, batch-mean composite loss and its analytic student
+    gradients, in one pass over each block of heads.
 
-    Shapes: ``weight`` (H, C, d), ``bias`` (H, C), ``gamma``/``beta_shift``
-    (d,) shared across heads, ``u_x`` (B, d) pre-standardized anchor rows,
-    ``u`` (n, d) the unit rows and ``nbr`` (H, B) the row of each head's
-    neighbor of each anchor, teacher outputs (H, B, C) (``qt_xp`` already
-    smoothed when several neighbors are drawn), and the clamped class
-    marginal (H, C).
+    ``student`` and ``teacher`` hold ``weight`` (H, C, d), ``bias`` (H, C)
+    and ``gamma``/``beta_shift`` (d,) shared across heads.  ``u_x`` (B, d)
+    holds the unit anchor rows, ``u`` (n, d) the unit rows and ``nbr``
+    (H, B, m) the rows of each head's m drawn neighbors of each anchor;
+    ``marginal`` (H, C) is the clamped class marginal.  The computation runs
+    in the dtype of ``u``.
 
-    The affine is folded into the heads, so the anchor forward pass is one
-    (H*C, d) @ (d, B) GEMM, stored cluster-major.  The neighbor side runs
-    one block of heads at a time (see ``_head_blocks``): gather the rows
-    ``u[nbr]``, run their batched matmul, the loss and its own-side
-    backward.  The backward pass contracts the logit gradients ``da``
-    against the unit rows, ``G = sum_b da (x) u`` (one GEMM for the anchors
-    after the loop, one per head on the neighbor side), and unfolds:
-    ``d_weight = G*gamma + d_bias (x) beta``, ``d_gamma = sum_{h,c} W*G / H``
-    and ``d_beta_shift = sum_h d_bias_h . W_h / H``.
+    Logits of both folded copies come from the stacked (H, 2C, d) weights:
+    one GEMM on the anchors, then per block of heads (see ``_head_blocks``)
+    one gather of the draws ``u[nbr]`` into a reused buffer, draw-major, and
+    one batched matmul on them.  Per head, the teacher's anchors and B*m
+    neighbors are centered as one Sinkhorn-Knopp batch in float64, and its
+    neighbor targets are the mean over the m draws.  The student sees the
+    first draw, the leading B rows of the block.  Its loss is taken in the
+    log domain, ``log y = beta*(log q_s + log q_t) - log p`` summed by
+    log-sum-exp over clusters, and the backward pass contracts the logit
+    gradients ``da`` against the unit rows, ``G = sum_b da (x) u`` (one GEMM
+    for the anchors after the loop, one per head on the neighbor side), and
+    unfolds: ``d_weight = G*gamma + d_bias (x) beta``, ``d_gamma = sum_{h,c}
+    W*G / H`` and ``d_beta_shift = sum_h d_bias_h . W_h / H``.
 
-    Returns (per-head mean losses (H,), grads) where grads holds ``weight``
-    (H, C, d), ``bias`` (H, C) from each head's own loss, and ``gamma``/
-    ``beta_shift`` (d,) averaged over heads.
+    Returns (per-head mean losses (H,), grads, qt_x, qt_xp): grads holds
+    ``weight`` (H, C, d), ``bias`` (H, C) from each head's own loss, and
+    ``gamma``/``beta_shift`` (d,) averaged over heads; ``qt_x`` and
+    ``qt_xp`` (H, B, C) are the float64 teacher targets of the anchors and
+    of their neighbors, stored cluster-major.
     """
+    weight = student["weight"]
     h_count, c_count, d = weight.shape
-    b_count = u_x.shape[0]
+    _, b_count, m_draws = nbr.shape
+    rows = b_count * m_draws
+    dt = u.dtype
+    # Python floats keep float32 arrays float32, where NumPy float64 scalars would not
+    beta, lam, tau_student = float(beta), float(lam), float(tau_student)
+    log_floor = math.log(CE_PROB_FLOOR)
 
-    w_fold, b_fold = _fold(weight, bias, gamma, beta_shift)
-    a_x = _shared_logits(w_fold, b_fold, u_x)  # (H, B, C)
-    a_x /= tau_student
-    qs_x_all = softmax(a_x)
+    folded = [_fold(**copy) for copy in (teacher, student)]
+    w_stack = np.concatenate([w for w, _ in folded], axis=1)  # (H, 2C, d): teacher, student
+    b_stack = np.concatenate([b for _, b in folded], axis=1)
+    a_x = _shared_logits(w_stack, b_stack, u_x)  # (H, B, 2C)
+    log_p = np.log(marginal).astype(dt)[:, None, :]
     scale = 1.0 / (b_count * tau_student)
 
-    losses = np.empty(h_count)
-    da_x = np.empty_like(qs_x_all)
-    g_own = np.empty_like(weight)
-    d_bias_own = np.empty_like(bias)
-    for hb in _head_blocks(h_count, b_count, d):
-        u_xp = u[nbr[hb]]
-        a_xp = _own_logits(w_fold[hb], b_fold[hb], u_xp)
-        a_xp /= tau_student
-        qs_x = qs_x_all[hb]
-        qs_xp = softmax(a_xp)
+    qt_x = np.empty((h_count, c_count, b_count)).transpose(0, 2, 1)
+    qt_xp = np.empty_like(qt_x)
+    losses = np.empty(h_count, dtype=dt)
+    da_x = np.empty((h_count, c_count, b_count), dtype=dt).transpose(0, 2, 1)
+    g_own = np.empty_like(weight, dtype=dt)
+    d_bias_own = np.empty((h_count, c_count), dtype=dt)
+    blocks = _head_blocks(h_count, rows, d, dt.itemsize)
+    buf = np.empty(((blocks[0].stop - blocks[0].start) * rows, d), dtype=dt)
+    for hb in blocks:
+        h = hb.stop - hb.start
+        # indices come from validated neighbor sets; mode="raise" would buffer a copy
+        u_nb = np.take(u, nbr[hb].transpose(0, 2, 1).reshape(-1), axis=0,
+                       out=buf[: h * rows], mode="clip").reshape(h, rows, d)
+        a_nb = _own_logits(w_stack[hb], b_stack[hb], u_nb)  # (h, m*B, 2C)
+
+        # the teacher's logits / tau, upcast: anchors, then every draw
+        t = np.empty((h, c_count, b_count + rows)).transpose(0, 2, 1)
+        np.divide(a_x[hb, :, :c_count], tau_teacher, out=t[:, :b_count], dtype=np.float64)
+        np.divide(a_nb[..., :c_count], tau_teacher, out=t[:, b_count:], dtype=np.float64)
+        qt = sinkhorn_knopp(t, sk_iters)
+        qt_x[hb] = qt[:, :b_count]
+        draws = qt[:, b_count:].reshape(h, m_draws, b_count, c_count)
+        qt_xp[hb] = draws[:, 0] if m_draws == 1 else draws.mean(axis=1)
         qt_x_b, qt_xp_b = qt_x[hb], qt_xp[hb]
+        w = np.sum(qt_x_b * qt_xp_b, axis=-1).astype(dt)[..., None]  # (h, B, 1)
+        c_hat = np.argmax(qt_xp_b, axis=-1)[..., None]
+        with np.errstate(divide="ignore"):
+            log_qt_x = np.log(qt_x_b).astype(dt, copy=False)
+            log_qt_xp = np.log(qt_xp_b).astype(dt, copy=False)
 
-        w = np.sum(qt_x_b * qt_xp_b, axis=-1)  # (h, B)
-        pm = marginal[hb, None, :]
-        y1 = (qs_x * qt_xp_b) ** beta / pm
-        y2 = (qs_xp * qt_x_b) ** beta / pm
-        s1 = y1.sum(axis=-1)
-        s2 = y2.sum(axis=-1)
-        t1 = np.log(s1)
-        t2 = np.log(s2)
+        # student softmax and log-softmax on the anchors and the first draw
+        ls_x = a_x[hb, :, c_count:] / tau_student
+        qs_x, lse = _softmax_lse(ls_x)
+        ls_x -= lse
+        ls_xp = a_nb[:, :b_count, c_count:] / tau_student
+        qs_xp, lse = _softmax_lse(ls_xp)
+        ls_xp -= lse
 
-        c_hat = np.argmax(qt_xp_b, axis=-1)  # (h, B)
-        q_at = np.take_along_axis(qs_x, c_hat[..., None], axis=-1)[..., 0]
-        ce = -np.log(np.maximum(q_at, CE_PROB_FLOOR))
+        # PMI terms: t1, t2 = log sum_c y_c with log y = beta*(log q_s + log q_t) - log p
+        y1 = ls_x + log_qt_xp
+        y1 *= beta
+        y1 -= log_p[hb]
+        r1, t1 = _softmax_lse(y1)  # r1 = y / sum_c y
+        y2 = ls_xp + log_qt_x
+        y2 *= beta
+        y2 -= log_p[hb]
+        r2, t2 = _softmax_lse(y2)
 
-        pair_loss = -w * 0.5 * (t1 + t2) + lam * ce  # (h, B)
-        losses[hb] = pair_loss.mean(axis=1)
+        lq_at = np.take_along_axis(ls_x, c_hat, axis=-1)
+        ce = -np.maximum(lq_at, log_floor)
+        pair_loss = -0.5 * w * (t1 + t2) + lam * ce  # (h, B, 1)
+        losses[hb] = pair_loss.mean(axis=(1, 2))
 
         # d(loss)/d(logits / tau): beta * (y/S - q) per PMI term, q - onehot for CE;
         # pairs sitting on the CE probability floor contribute no CE gradient
         # (the clamped loss is locally constant there)
-        half_w = (-0.5 * w)[..., None]
-        ce_active = (q_at > CE_PROB_FLOOR)[..., None]
-        dg_x = half_w * beta * (y1 / s1[..., None] - qs_x) + (lam * ce_active) * (
-            qs_x - _one_hot(c_hat, c_count)
-        )
-        dg_xp = half_w * beta * (y2 / s2[..., None] - qs_xp)
+        half_w = (-0.5 * beta) * w
+        ce_w = (lq_at > log_floor) * dt.type(lam)
+        dg_x = r1 - qs_x
+        dg_x *= half_w
+        dg_x += ce_w * qs_x
+        at = np.take_along_axis(dg_x, c_hat, axis=-1)
+        at -= ce_w
+        np.put_along_axis(dg_x, c_hat, at, axis=-1)
         np.multiply(dg_x, scale, out=da_x[hb])
-        da_xp = dg_xp * scale
-        np.matmul(da_xp.transpose(0, 2, 1), u_xp, out=g_own[hb])
+        da_xp = r2 - qs_xp
+        da_xp *= half_w * scale
+        np.matmul(da_xp.transpose(0, 2, 1), u_nb[:, :b_count], out=g_own[hb])
         d_bias_own[hb] = da_xp.sum(axis=1)
 
     g = np.tensordot(da_x, u_x, axes=(1, 0))  # (H, C, d)
     g += g_own
     d_bias = da_x.sum(axis=1) + d_bias_own
-    d_weight = g * gamma + d_bias[..., None] * beta_shift
     d_gamma = (weight * g).sum(axis=(0, 1)) / h_count
+    d_weight = g  # unfolded in place
+    d_weight *= student["gamma"]
+    d_weight += d_bias[..., None] * student["beta_shift"]
     d_beta_shift = d_bias.reshape(-1) @ weight.reshape(-1, d) / h_count
 
     grads = {
@@ -342,55 +407,21 @@ def composite_loss_and_grads(
         "gamma": d_gamma,
         "beta_shift": d_beta_shift,
     }
-    return losses, grads
-
-
-def teacher_targets(
-    weight: np.ndarray,
-    bias: np.ndarray,
-    gamma: np.ndarray,
-    beta_shift: np.ndarray,
-    u_x: np.ndarray,
-    u: np.ndarray,
-    nbr: np.ndarray,
-    *,
-    tau: float,
-    sk_iters: int,
-):
-    """Sinkhorn-Knopp-centered teacher outputs for anchors and neighbors.
-
-    ``u_x`` (B, d) holds the unit anchor rows, ``u`` (n, d) the unit rows
-    and ``nbr`` (H, B, m) the rows of each head's m drawn neighbors.  Per
-    head, the B anchors and B*m neighbors are centered as one batch; the
-    anchor logits of all heads are one GEMM, the neighbor rows are gathered
-    one block of heads at a time.  Returns ``qt_x`` (H, B, C) and ``qt_xp``
-    (H, B, C), the mean over the m neighbors, both stored cluster-major.
-    """
-    h_count, b_count, m_draws = nbr.shape
-    w_fold, b_fold = _fold(weight, bias, gamma, beta_shift)
-    a_x = _shared_logits(w_fold, b_fold, u_x)
-    qt_x = np.empty_like(a_x)
-    qt_xp = np.empty_like(a_x)
-    for hb in _head_blocks(h_count, b_count * m_draws, u.shape[1]):
-        u_nb = u[nbr[hb].reshape(-1, b_count * m_draws)]  # (h, B*m, d)
-        # np.concatenate keeps its inputs' cluster-major layout
-        stacked = np.concatenate([a_x[hb], _own_logits(w_fold[hb], b_fold[hb], u_nb)], axis=1)
-        qt_all = sinkhorn_knopp(stacked / tau, sk_iters)
-        qt_x[hb] = qt_all[:, :b_count]
-        qt_xp[hb] = qt_all[:, b_count:].reshape(len(u_nb), b_count, m_draws, -1).mean(axis=2)
-    return qt_x, qt_xp
+    return losses, grads, qt_x, qt_xp
 
 
 class _AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moment estimates.
 
     Weight decay applies to the head weight matrices (``weight``) only,
-    never to biases or the shared affine.
+    never to biases or the shared affine.  Moments and parameters are
+    updated in place, through one scratch array per parameter.
     """
 
     def __init__(self, params: dict, weight_decay: float):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.scratch = {k: np.empty_like(v) for k, v in params.items()}
         self.t = 0
         self.weight_decay = weight_decay
 
@@ -399,16 +430,22 @@ class _AdamW:
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
         for key, p in params.items():
-            g = grads[key]
-            m = self.m[key]
-            v = self.v[key]
+            g, m, v, tmp = grads[key], self.m[key], self.v[key], self.scratch[key]
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - ADAM_BETA2
+            v += tmp
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(v, 1.0 / bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            np.divide(m, tmp, out=tmp)
+            tmp *= lr / bc1
+            p -= tmp
             if key == "weight":
-                p -= lr * self.weight_decay * p
+                p *= 1.0 - lr * self.weight_decay
 
 
 @dataclass
@@ -419,7 +456,8 @@ class HeadBank:
     ``composite_loss_and_grads`` (the keys of its gradient dict) to arrays:
     ``weight`` (H, C, d), ``bias`` (H, C), and the standardizer affine
     ``gamma`` and ``beta_shift`` (d,) shared across heads.  The teacher is
-    the exponential moving average of the student.
+    the exponential moving average of the student.  ``train_heads`` trains
+    float32 copies and returns float64 ones, with the same values.
     """
 
     config: TrainConfig
@@ -441,6 +479,7 @@ class HeadBank:
     def dim(self) -> int:
         return self.student["weight"].shape[2]
 
+
 def _init_bank(cfg: TrainConfig, mean: np.ndarray, var: np.ndarray, rng) -> HeadBank:
     h, c, d = cfg.num_heads, cfg.num_clusters, mean.size
     student = {
@@ -453,6 +492,16 @@ def _init_bank(cfg: TrainConfig, mean: np.ndarray, var: np.ndarray, rng) -> Head
     return HeadBank(cfg, mean, var, student, teacher, np.full((h, c), 1.0 / c))
 
 
+def _float32_unit_rows(x: np.ndarray, norm: NormStats) -> np.ndarray:
+    """``unit_rows(x, norm)`` rounded to float32, computed one block of at most
+    ``BLOCK_BYTES`` of float64 rows at a time, so no float64 copy of x is held."""
+    u = np.empty(x.shape, dtype=np.float32)
+    rows = max(1, BLOCK_BYTES // (8 * x.shape[1]))
+    for lo in range(0, x.shape[0], rows):
+        u[lo : lo + rows] = unit_rows(x[lo : lo + rows], norm)
+    return u
+
+
 def train_heads(
     features: EmbeddingMatrix, sets: NeighborSets, cfg: TrainConfig
 ) -> tuple[HeadBank, TrainReport]:
@@ -460,11 +509,13 @@ def train_heads(
 
     Per epoch and sample, one neighbor (``smoothing_m`` with smoothing) is
     drawn uniformly from the sample's set using a head-specific RNG stream;
-    teacher targets are Sinkhorn-Knopp centered per batch; one AdamW step is
-    taken per batch, followed by the teacher EMA update and the marginal
-    EMA update.  Every per-sample tensor of a step is stored cluster-major
-    (see the module docstring).  The labelings of all heads come from the
-    folded student weights on the unit rows training already holds, one
+    per batch, one ``composite_loss_and_grads`` call gives the teacher
+    targets, Sinkhorn-Knopp centered, and the student's loss and gradients;
+    one AdamW step is taken, followed by the teacher EMA update and the
+    marginal EMA update.  Training runs in float32 and every per-sample
+    tensor of a step is stored cluster-major (see the module docstring).
+    The returned bank holds float64 copies of the trained parameters, and
+    the labelings of all heads come from them on float64 unit rows, one
     block of rows at a time, through the helper ``predict_labeling`` runs
     on one head.
     Identical configs produce bitwise-identical reports.
@@ -485,8 +536,13 @@ def train_heads(
 
     norm = fit_standardizer(features)
     bank = _init_bank(cfg, norm.mean, norm.var, init_rng)
-    optimizer = _AdamW(bank.student, cfg.weight_decay)
-    u = unit_rows(features.data, norm)
+    # the float32 copies that train; the bank's float64 arrays, allocated
+    # before the step's buffers, receive their values at the end, so no
+    # long-lived array sits above the freed buffers on the heap
+    student, teacher = ({k: v.astype(np.float32) for k, v in copy.items()}
+                        for copy in (bank.student, bank.teacher))
+    optimizer = _AdamW(student, cfg.weight_decay)
+    u = _float32_unit_rows(features.data, norm)
 
     offsets, flat = sets.offsets, sets.indices
     h_count = cfg.num_heads
@@ -511,21 +567,15 @@ def train_heads(
                 r = head_rngs[h].integers(0, counts_b[:, None], size=(b_count, m_draws))
                 nbr[h] = flat[off_b[:, None] + r]
 
-            # teacher targets (no gradient): SK-centered over anchors+neighbors;
             # numeric warnings are silenced because the finite check below
             # turns any divergence into a TrainingError
             lam = lambda_schedule(global_step, total_steps, cfg.lambda_max)
-            u_x = u[batch]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                qt_x, qt_nb = teacher_targets(
-                    **bank.teacher, u_x=u_x, u=u, nbr=nbr, tau=cfg.tau_teacher,
-                    sk_iters=cfg.sk_iters,
-                )
-                # the student sees the first draw
-                losses, grads = composite_loss_and_grads(
-                    **bank.student, u_x=u_x, u=u, nbr=nbr[:, :, 0], qt_x=qt_x, qt_xp=qt_nb,
-                    marginal=np.maximum(bank.marginal, MARGINAL_FLOOR),
-                    beta=cfg.beta, tau_student=cfg.tau_student, lam=lam,
+                losses, grads, qt_x, _ = composite_loss_and_grads(
+                    student, teacher, u_x=u[batch], u=u, nbr=nbr,
+                    marginal=np.maximum(bank.marginal, MARGINAL_FLOOR), beta=cfg.beta,
+                    tau_student=cfg.tau_student, tau_teacher=cfg.tau_teacher,
+                    sk_iters=cfg.sk_iters, lam=lam,
                 )
             if not np.all(np.isfinite(losses)):
                 bad = int(np.nonzero(~np.isfinite(losses))[0][0])
@@ -538,13 +588,13 @@ def train_heads(
             lr = cfg.lr
             if warmup_steps > 0:
                 lr *= min(1.0, (global_step + 1) / warmup_steps)
-            optimizer.step(bank.student, grads, lr)
+            optimizer.step(student, grads, lr)
 
-            for key, value in bank.student.items():
-                bank.teacher[key] = ema_update(bank.teacher[key], value, cfg.teacher_momentum)
-            bank.marginal = MARGINAL_MOMENTUM * bank.marginal + (
-                1.0 - MARGINAL_MOMENTUM
-            ) * qt_x.mean(axis=1)
+            for key, value in student.items():
+                ema_update(teacher[key], value, cfg.teacher_momentum)
+            # in place: a fresh small array each step would pin heap pages
+            bank.marginal *= MARGINAL_MOMENTUM
+            bank.marginal += (1.0 - MARGINAL_MOMENTUM) * qt_x.mean(axis=1)
 
             epoch_loss[epoch] += losses * b_count
             global_step += 1
@@ -557,7 +607,11 @@ def train_heads(
         per_head_loss = np.full(h_count, np.nan)
         best_head = 0
 
-    labelings = _head_labelings(bank.student, u, cfg.tau_student)
+    for copy, trained in ((bank.student, student), (bank.teacher, teacher)):
+        for key, value in trained.items():
+            copy[key][...] = value
+    del optimizer, u
+    labelings = _head_labelings(bank.student, unit_rows(features.data, norm), cfg.tau_student)
     per_head_loss.flags.writeable = False
     epoch_loss.flags.writeable = False
     report = TrainReport(

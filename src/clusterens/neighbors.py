@@ -184,6 +184,29 @@ def _similarity_matrix(unit: np.ndarray, start: int, stop: int, columns) -> np.n
     return sims
 
 
+def _repeated_rows(unit: np.ndarray, step: int):
+    """``np.unique``'s ``(distinct, inverse)`` of the rows if any row repeats, else None.
+
+    Each row is hashed first, ``step`` rows at a time: the bits of its values
+    (``+ 0.0`` turns -0.0 into 0.0) dotted with fixed odd uint64 multipliers,
+    wrapping.  Equal rows hash equal, so unless two of the sorted hashes tie,
+    every row is distinct and ``np.unique``, which copies and sorts all n×d
+    values, is not called.
+    """
+    n, d = unit.shape
+    multipliers = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    multipliers |= np.uint64(1)
+    hashes = np.empty(n, dtype=np.uint64)
+    for start in range(0, n, step):
+        np.matmul((unit[start : start + step] + 0.0).view(np.uint64), multipliers,
+                  out=hashes[start : start + step])
+    hashes.sort()
+    if not (hashes[1:] == hashes[:-1]).any():
+        return None
+    distinct, inverse = np.unique(unit, axis=0, return_inverse=True)
+    return None if distinct.shape[0] == n else (distinct, inverse.ravel())
+
+
 def _ranked_blocks(features: EmbeddingMatrix, theta: float, floor: int):
     """Mine a block of rows at a time; yield ``(sizes, members, sims)`` per block.
 
@@ -196,10 +219,8 @@ def _ranked_blocks(features: EmbeddingMatrix, theta: float, floor: int):
     """
     unit = _unit_rows(features)
     n = features.n
-    distinct, inverse = np.unique(unit, axis=0, return_inverse=True)
-    columns = None if distinct.shape[0] == n else (distinct, inverse.ravel())
-    del distinct, inverse
     step = _block_rows(n)
+    columns = _repeated_rows(unit, step)
     for start in range(0, n, step):
         stop = min(start + step, n)
         sims = _similarity_matrix(unit, start, stop, columns)

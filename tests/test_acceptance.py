@@ -147,27 +147,27 @@ def test_gradient_correctness():
             d = int(rng.integers(2, 9))
             c = int(rng.integers(2, 6))
             b = int(rng.integers(1, 5))
-            args = [
-                rng.normal(0, 0.4, (1, c, d)),
-                rng.normal(0, 0.4, (1, c)),
-                rng.normal(1, 0.2, d),
-                rng.normal(0, 0.2, d),
-                rng.normal(0, 1, (b, d)),
-                rng.normal(0, 1, (1, b, d)).reshape(b, d),  # the unit rows u
-                np.arange(b)[None],  # nbr: head 0's neighbor of anchor i is u[i]
-                sinkhorn_knopp(rng.normal(0, 1, (1, b, c)) / 0.3, 3),
-                sinkhorn_knopp(rng.normal(0, 1, (1, b, c)) / 0.3, 3),
-            ]
+            student, teacher = ({
+                "weight": rng.normal(0, 0.4, (1, c, d)),
+                "bias": rng.normal(0, 0.4, (1, c)),
+                "gamma": rng.normal(1, 0.2, d),
+                "beta_shift": rng.normal(0, 0.2, d),
+            } for _ in range(2))
+            u_x = rng.normal(0, 1, (b, d))
+            u = rng.normal(0, 1, (b, d))  # the unit rows
+            nbr = np.arange(b)[None, :, None]  # head 0's neighbor of anchor i is u[i]
             p = rng.uniform(0.05, 1.0, (1, c))
             p /= p.sum()
-            args.append(p)
+            args = (student, teacher, u_x, u, nbr, p)
             kwargs = dict(
                 beta=float(rng.uniform(0.3, 1.0)),
                 tau_student=float(rng.uniform(0.08, 1.0)),
+                tau_teacher=0.3,
+                sk_iters=3,
                 lam=float(rng.uniform(0.0, 1.0)),
             )
-            _, grads = composite_loss_and_grads(*args, **kwargs)
-            for name, arr in zip(["weight", "bias", "gamma", "beta_shift"], args[:4]):
+            _, grads, *_ = composite_loss_and_grads(*args, **kwargs)
+            for name, arr in student.items():
                 flat = arr.ravel()
                 analytic = grads[name].ravel()
                 for i in range(flat.size):

@@ -26,18 +26,20 @@ SRC = Path(clusterens.__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DUPLICATED = 40  # the last rows repeat the first ones
 
-# (n, d, k, separation, heads, epochs): the benchmark's smoke sizes, and
-# one shape at the default batch size of 256
+# (n, d, k, separation, heads, epochs[, smoothing_m]): the benchmark's
+# smoke sizes, and shapes at the default batch size of 256
 SHAPES = {
     "quickstart": (300, 16, 5, 20.0, 3, 4),
     "train_heavy": (400, 48, 8, 3.0, 6, 1),
     "large_n": (600, 16, 6, 4.0, 3, 1),
-    # 12 heads of 256 gathered rows at d = 384: head blocks of 5, 5 and 2
+    # 12 heads of 256 gathered float32 rows at d = 384: head blocks of 10 and 2
     "multi_block": (600, 384, 8, 3.0, 12, 1),
+    # two draws per anchor, 512 gathered rows per head: head blocks of 5, 5 and 2
+    "multi_block_smoothed": (600, 384, 8, 3.0, 12, 1, 2),
 }
 
 
-def write_inputs(work: Path, n, d, k, separation, heads, epochs, seed=3):
+def write_inputs(work: Path, n, d, k, separation, heads, epochs, smoothing=1, seed=3):
     features, truth = gen_synthetic(SynthSpec(n=n, d=d, k=k, separation=separation, seed=seed))
     data = features.data.copy()
     data[-DUPLICATED:] = data[:DUPLICATED]
@@ -49,7 +51,7 @@ def write_inputs(work: Path, n, d, k, separation, heads, epochs, seed=3):
         "features": "features.fpk", "labels": "labels.lbl", "output_dir": "run", "seed": seed,
         "neighbors.theta": 0.3, "neighbors.k_min": 5, "train.lr": 1e-3,
         "train.num_clusters": k, "train.num_heads": heads, "train.epochs": epochs,
-        "train.warmup_epochs": 1, "selftrain.steps": 300,
+        "train.warmup_epochs": 1, "train.smoothing_m": smoothing, "selftrain.steps": 300,
     }.items()))
 
 

@@ -233,6 +233,23 @@ class TestStandardizer:
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data[:, 1], 0.0)
 
+    def test_apply_holds_one_copy(self, rng):
+        m = EmbeddingMatrix(rng.normal(size=(6000, 128)))
+        fitted = fit_standardizer(m)
+        stats = NormStats(fitted.mean, fitted.var, rng.normal(1, 0.2, 128), rng.normal(0, 0.2, 128))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = apply_standardizer(m, stats)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the out-of-place formula, to the bit
+        want = (m.data - stats.mean) / np.sqrt(stats.var + VAR_EPS) * stats.gamma + stats.beta
+        assert out.data.tobytes() == want.tobytes()
+        assert not out.data.flags.writeable
+        assert peak < 1.3 * out.data.nbytes
+
     def test_fit_then_apply_standardizes(self, rng):
         # variance well above the epsilon so the 1e-6 bound is meaningful
         m = EmbeddingMatrix(rng.normal(loc=3.0, scale=50.0, size=(500, 8)))

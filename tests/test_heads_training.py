@@ -22,7 +22,6 @@ from clusterens.heads import (
     load_head_bank,
     save_head_bank,
     sinkhorn_knopp,
-    teacher_targets,
 )
 from clusterens.neighbors import NeighborSets
 
@@ -38,6 +37,8 @@ from oracles import (
     unfolded_head_probs,
 )
 
+PARAM_NAMES = ("weight", "bias", "gamma", "beta_shift")
+
 
 def indexed(rows):
     """Gathered rows (H, B, [m,] d) in the kernels' form: unit rows u and
@@ -46,11 +47,37 @@ def indexed(rows):
     return rows.reshape(-1, rows.shape[-1]), ids
 
 
-def kernel_args(args):
-    """Loss arguments with gathered neighbor rows, as the oracles take them,
-    in the form ``composite_loss_and_grads`` takes them."""
-    *params, u_x, u_xp, qt_x, qt_xp, marginal = args
-    return (*params, u_x, *indexed(u_xp), qt_x, qt_xp, marginal)
+def param_copy(rng, h, c, d):
+    """One random parameter copy (student or teacher) of h heads."""
+    return {"weight": rng.normal(0, 0.4, (h, c, d)), "bias": rng.normal(0, 0.4, (h, c)),
+            "gamma": rng.normal(1, 0.2, d), "beta_shift": rng.normal(0, 0.2, d)}
+
+
+def loss_instance(rng, h, b, c, d, m=1):
+    """Kernel arguments with gathered neighbor rows: (student, teacher, u_x,
+    u_nb (H, B, m, d), marginal), and the keyword arguments."""
+    args = (
+        param_copy(rng, h, c, d),
+        param_copy(rng, h, c, d),
+        rng.normal(0, 1, (b, d)),
+        rng.normal(0, 1, (h, b, m, d)),
+        np.maximum(rng.dirichlet(np.ones(c), size=h), 1e-6),
+    )
+    return args, dict(beta=0.6, tau_student=0.1, tau_teacher=0.1, sk_iters=3, lam=0.4)
+
+
+def run_kernel(args, kwargs):
+    """``composite_loss_and_grads`` on an instance of ``loss_instance``."""
+    student, teacher, u_x, u_nb, marginal = args
+    return composite_loss_and_grads(student, teacher, u_x, *indexed(u_nb), marginal, **kwargs)
+
+
+def cast(args, dtype):
+    """An instance with its parameters and rows in ``dtype`` (the marginal
+    stays float64, as training keeps it)."""
+    student, teacher, u_x, u_nb, marginal = args
+    student, teacher = ({k: v.astype(dtype) for k, v in p.items()} for p in (student, teacher))
+    return student, teacher, u_x.astype(dtype), u_nb.astype(dtype), marginal
 
 
 def small_cfg(**overrides):
@@ -81,40 +108,33 @@ class TestGradientCheck:
         d = int(rng.integers(2, 9))
         c = int(rng.integers(2, 6))
         b = int(rng.integers(1, 5))
-        args = (
-            rng.normal(0, 0.4, (1, c, d)),
-            rng.normal(0, 0.4, (1, c)),
-            rng.normal(1, 0.2, d),
-            rng.normal(0, 0.2, d),
-            rng.normal(0, 1, (b, d)),
-            *indexed(rng.normal(0, 1, (1, b, d))),
-            sinkhorn_knopp(rng.normal(0, 1, (1, b, c)) / 0.3, 3),
-            sinkhorn_knopp(rng.normal(0, 1, (1, b, c)) / 0.3, 3),
-        )
+        args, _ = loss_instance(rng, 1, b, c, d)
         p = rng.uniform(0.05, 1.0, (1, c))
         p /= p.sum()
         kwargs = dict(
             beta=float(rng.uniform(0.3, 1.0)),
             tau_student=float(rng.uniform(0.08, 1.0)),
+            tau_teacher=0.3,
+            sk_iters=3,
             lam=float(rng.uniform(0.0, 1.0)),
         )
-        return args + (p,), kwargs
+        return args[:4] + (p,), kwargs
 
     def test_matches_finite_differences(self, rng):
         step = 1e-5
         worst = 0.0
         for _ in range(25):
             args, kwargs = self._random_instance(rng)
-            _, grads = composite_loss_and_grads(*args, **kwargs)
-            for name, arr in zip(["weight", "bias", "gamma", "beta_shift"], args[:4]):
-                flat = arr.ravel()
+            _, grads, *_ = run_kernel(args, kwargs)
+            for name in PARAM_NAMES:
+                flat = args[0][name].ravel()
                 analytic = grads[name].ravel()
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + step
-                    up = composite_loss_and_grads(*args, **kwargs)[0].mean()
+                    up = run_kernel(args, kwargs)[0].mean()
                     flat[i] = orig - step
-                    down = composite_loss_and_grads(*args, **kwargs)[0].mean()
+                    down = run_kernel(args, kwargs)[0].mean()
                     flat[i] = orig
                     fd = (up - down) / (2 * step)
                     err = abs(fd - analytic[i]) / max(abs(fd) + abs(analytic[i]), 1e-6)
@@ -124,82 +144,70 @@ class TestGradientCheck:
     def test_multi_head_grads_are_per_head(self, rng):
         # per-head weight grads must equal single-head runs; shared affine
         # grads must be the mean over heads
-        c, d, b, h = 3, 4, 2, 4
-        w = rng.normal(0, 0.4, (h, c, d))
-        bias = rng.normal(0, 0.4, (h, c))
-        gamma = rng.normal(1, 0.2, d)
-        shift = rng.normal(0, 0.2, d)
-        u_x = rng.normal(size=(b, d))
-        u_xp = rng.normal(size=(h, b, d))
-        qt_x = sinkhorn_knopp(rng.normal(size=(h, b, c)) / 0.3, 3)
-        qt_xp = sinkhorn_knopp(rng.normal(size=(h, b, c)) / 0.3, 3)
-        p = np.full((h, c), 1 / c)
-        kwargs = dict(beta=0.6, tau_student=0.1, lam=0.3)
-        losses, grads = composite_loss_and_grads(
-            w, bias, gamma, shift, u_x, *indexed(u_xp), qt_x, qt_xp, p, **kwargs
-        )
-        gamma_sum = np.zeros(d)
+        h = 4
+        (student, teacher, u_x, u_nb, p), kwargs = loss_instance(rng, h, b=2, c=3, d=4)
+        p[:] = 1 / 3
+        kwargs.update(lam=0.3)
+        losses, grads, qt_x, qt_xp = run_kernel((student, teacher, u_x, u_nb, p), kwargs)
+
+        def head(copy, i):
+            return {**copy, "weight": copy["weight"][i : i + 1], "bias": copy["bias"][i : i + 1]}
+
+        gamma_sum = np.zeros_like(grads["gamma"])
         for i in range(h):
-            one_losses, one_grads = composite_loss_and_grads(
-                w[i : i + 1], bias[i : i + 1], gamma, shift,
-                u_x, *indexed(u_xp[i : i + 1]), qt_x[i : i + 1], qt_xp[i : i + 1],
-                p[i : i + 1], **kwargs,
-            )
+            one = (head(student, i), head(teacher, i), u_x, u_nb[i : i + 1], p[i : i + 1])
+            one_losses, one_grads, one_qt_x, one_qt_xp = run_kernel(one, kwargs)
             assert one_losses[0] == pytest.approx(losses[i], abs=1e-12)
             assert np.allclose(one_grads["weight"][0], grads["weight"][i], atol=1e-12)
+            assert np.allclose(one_qt_x[0], qt_x[i], atol=1e-14)
+            assert np.allclose(one_qt_xp[0], qt_xp[i], atol=1e-14)
             gamma_sum += one_grads["gamma"]
         assert np.allclose(grads["gamma"], gamma_sum / h, atol=1e-12)
 
 
-def assert_matches_oracle(got, want):
+def assert_matches_oracle(got, want, rtol=1e-10, atol=0.0):
     # entries that cancel to near zero carry the rounding of their largest
     # terms, so the absolute slack scales with the array's magnitude
     want = np.asarray(want)
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=max(atol, rtol * np.abs(want).max()))
 
 
-def random_loss_instance(rng, h, b, c, d):
-    args = (
-        rng.normal(0, 0.4, (h, c, d)),
-        rng.normal(0, 0.4, (h, c)),
-        rng.normal(1, 0.2, d),
-        rng.normal(0, 0.2, d),
-        rng.normal(0, 1, (b, d)),
-        rng.normal(0, 1, (h, b, d)),
-        sinkhorn_knopp(rng.normal(0, 1, (h, b, c)) / 0.3, 3),
-        sinkhorn_knopp(rng.normal(0, 1, (h, b, c)) / 0.3, 3),
-        np.maximum(rng.dirichlet(np.ones(c), size=h), 1e-6),
-    )
-    return args, dict(beta=0.6, tau_student=0.1, lam=0.4)
+# A pair loss holds -log q for a probability q that may lie within 1e-8 of
+# 1, as with a confident teacher; either form knows that term only to a few
+# float64 ulps of 1, so losses are compared to at least this absolute slack.
+LOSS_ATOL = 1e-15
 
 
 def ce_floor_instance(rng):
     """A loss instance in which some, not all, pairs sit on the CE floor."""
-    h, b, c, d = 3, 8, 4, 5
-    args, kwargs = random_loss_instance(rng, h, b, c, d)
-    w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal = args
-    # class 0 is the teacher's pick for the even anchors' neighbors, and
-    # its student logit is so low that its probability underflows
-    bias[:, 0] = -1e3
-    qt_xp = qt_xp.copy()
-    qt_xp[:, ::2, 0] = 2.0
-    qt_xp /= qt_xp.sum(axis=-1, keepdims=True)
-    return (w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal), kwargs
+    args, kwargs = loss_instance(rng, h=3, b=8, c=4, d=5)
+    student, teacher, _, u_nb, _ = args
+    # class 0 is the teacher's pick for the even anchors' neighbors (feature
+    # 0 is +3 there and -3 elsewhere, and only class 0 reads it), and its
+    # student logit is so low that its probability underflows
+    student["bias"][:, 0] = -1e3
+    teacher["weight"][:, :, 0] = 0.0
+    teacher["weight"][:, 0, 0] = 10.0
+    u_nb[..., 0] = -3.0
+    u_nb[:, ::2, :, 0] = 3.0
+    return args, kwargs
 
 
 class TestScalarLossOracle:
     """The batched kernel's per-head losses against the per-pair formula:
-    the mean over pairs of ``pmi_pair_loss + lam * ce_term``."""
+    the mean over pairs of ``pmi_pair_loss + lam * ce_term``, on the teacher
+    targets the kernel returns."""
 
     def check(self, args, kwargs):
-        w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal = args
+        student, _, u_x, u_nb, marginal = args
+        w, bias, gamma, shift = (student[k] for k in PARAM_NAMES)
         beta, tau, lam = kwargs["beta"], kwargs["tau_student"], kwargs["lam"]
-        losses, _ = composite_loss_and_grads(*kernel_args(args), **kwargs)
+        losses, _, qt_x, qt_xp = run_kernel(args, kwargs)
         want = np.zeros(w.shape[0])
         for h in range(w.shape[0]):
             for i in range(u_x.shape[0]):
                 qs_x = softmax_logsumexp((w[h] @ (u_x[i] * gamma + shift) + bias[h]) / tau)
-                qs_xp = softmax_logsumexp((w[h] @ (u_xp[h, i] * gamma + shift) + bias[h]) / tau)
+                qs_xp = softmax_logsumexp((w[h] @ (u_nb[h, i, 0] * gamma + shift) + bias[h]) / tau)
                 want[h] += (pmi_pair_loss(qs_x, qs_xp, qt_x[h, i], qt_xp[h, i], marginal[h], beta)
                             + lam * ce_term(qs_x, qt_xp[h, i]))
             want[h] /= u_x.shape[0]
@@ -208,77 +216,111 @@ class TestScalarLossOracle:
     def test_random_instances(self, rng):
         for _ in range(20):
             h, b, c, d = (int(v) for v in rng.integers([1, 1, 2, 2], [5, 9, 7, 9]))
-            args, _ = random_loss_instance(rng, h, b, c, d)
+            args, kwargs = loss_instance(rng, h, b, c, d)
             beta, tau, lam = rng.uniform([0.3, 0.08, 0.0], 1.0)
-            self.check(args, dict(beta=beta, tau_student=tau, lam=lam))
+            kwargs.update(beta=beta, tau_student=tau, lam=lam)
+            self.check(args, kwargs)
 
     def test_pairs_on_ce_floor(self, rng):
         self.check(*ce_floor_instance(rng))
 
 
 class TestEinsumOracle:
-    """The GEMM kernels against the einsum formulation they replaced."""
+    """The GEMM kernel against the einsum formulation it replaced: the
+    teacher forward, then the loss and gradients on the targets the kernel
+    returns."""
 
-    def check_loss(self, args, kwargs):
-        losses, grads = composite_loss_and_grads(*kernel_args(args), **kwargs)
-        want_losses, want_grads = einsum_loss_and_grads(*args, **kwargs)
-        assert_matches_oracle(losses, want_losses)
-        for name in ("weight", "bias", "gamma", "beta_shift"):
-            assert grads[name].shape == want_grads[name].shape
-            assert_matches_oracle(grads[name], want_grads[name])
-
-    def check_teacher(self, rng, h, b, m, c, d):
-        params = (
-            rng.normal(0, 0.4, (h, c, d)),
-            rng.normal(0, 0.4, (h, c)),
-            rng.normal(1, 0.2, d),
-            rng.normal(0, 0.2, d),
+    def check(self, args, kwargs, rtol=1e-10):
+        student, teacher, u_x, u_nb, marginal = args
+        losses, grads, *targets = run_kernel(args, kwargs)
+        want_targets = einsum_teacher_targets(
+            *(teacher[k] for k in PARAM_NAMES), u_x, u_nb,
+            tau=kwargs["tau_teacher"], sk_iters=kwargs["sk_iters"],
         )
-        u_x = rng.normal(size=(b, d))
-        u_nb = rng.normal(size=(h, b, m, d))
-        kwargs = dict(tau=0.1, sk_iters=3)
-        got = teacher_targets(*params, u_x, *indexed(u_nb), **kwargs)
-        want = einsum_teacher_targets(*params, u_x, u_nb, **kwargs)
-        for g, w in zip(got, want):
-            assert g.shape == (h, b, c)
-            assert_matches_oracle(g, w)
+        for g, w in zip(targets, want_targets):
+            assert g.shape == w.shape == u_nb.shape[:2] + student["bias"].shape[1:]
+            assert_matches_oracle(g, w, rtol)
+        want_losses, want_grads = einsum_loss_and_grads(
+            *(student[k] for k in PARAM_NAMES), u_x, u_nb[:, :, 0], *targets, marginal,
+            beta=kwargs["beta"], tau_student=kwargs["tau_student"], lam=kwargs["lam"],
+        )
+        assert_matches_oracle(losses, want_losses, rtol, LOSS_ATOL)
+        for name in PARAM_NAMES:
+            assert grads[name].shape == want_grads[name].shape
+            assert_matches_oracle(grads[name], want_grads[name], rtol)
 
     def test_smallest_instance(self, rng):
-        self.check_loss(*random_loss_instance(rng, h=1, b=1, c=2, d=3))
-        self.check_teacher(rng, h=1, b=1, m=1, c=2, d=3)
+        self.check(*loss_instance(rng, h=1, b=1, c=2, d=3))
 
     def test_train_heavy_shape(self, rng):
-        self.check_loss(*random_loss_instance(rng, h=50, b=256, c=20, d=384))
-        self.check_teacher(rng, h=50, b=256, m=1, c=20, d=384)
+        self.check(*loss_instance(rng, h=50, b=256, c=20, d=384))
 
     def test_smoothed_teacher_batch(self, rng):
-        h, b, m, c, d = 4, 16, 2, 5, 8
-        self.check_teacher(rng, h, b, m, c, d)
         # the student loss on the first draw against the smoothed targets
-        w, bias, gamma, shift = (
-            rng.normal(0, 0.4, (h, c, d)), rng.normal(0, 0.4, (h, c)),
-            rng.normal(1, 0.2, d), rng.normal(0, 0.2, d),
-        )
-        u_x, u_nb = rng.normal(size=(b, d)), rng.normal(size=(h, b, m, d))
-        qt_x, qt_xp = teacher_targets(
-            w, bias, gamma, shift, u_x, *indexed(u_nb), tau=0.1, sk_iters=3
-        )
-        marginal = np.full((h, c), 1 / c)
-        self.check_loss(
-            (w, bias, gamma, shift, u_x, u_nb[:, :, 0], qt_x, qt_xp, marginal),
-            dict(beta=0.6, tau_student=0.1, lam=0.4),
-        )
+        self.check(*loss_instance(rng, h=4, b=16, c=5, d=8, m=2))
 
     def test_pairs_on_ce_floor(self, rng):
         args, kwargs = ce_floor_instance(rng)
-        w, bias, gamma, shift, u_x, u_xp, qt_x, qt_xp, marginal = args
+        student, _, u_x, _, _ = args
+        w, bias, gamma, shift = (student[k] for k in PARAM_NAMES)
         s_x = u_x * gamma + shift
         qs_x = softmax((np.einsum("hcd,bd->hbc", w, s_x) + bias[:, None, :]) / 0.1)
-        c_hat = np.argmax(qt_xp, axis=-1)
+        c_hat = np.argmax(run_kernel(args, kwargs)[3], axis=-1)
         q_at = np.take_along_axis(qs_x, c_hat[..., None], axis=-1)[..., 0]
         floored = q_at <= CE_PROB_FLOOR
         assert floored.any() and not floored.all()
-        self.check_loss(args, kwargs)
+        self.check(args, kwargs)
+
+
+class TestFloat32:
+    """Training runs the kernel in float32; the float64 run of the same
+    inputs is its reference."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("heads_per_block", [None, 2])
+    def test_matches_float64(self, rng, monkeypatch, m, heads_per_block):
+        args, kwargs = loss_instance(rng, h=5, b=64, c=6, d=20, m=m)
+        args = cast(args, np.float32)  # float32-exact inputs, for both runs
+        if heads_per_block:
+            monkeypatch.setattr(heads, "BLOCK_BYTES", heads_per_block * 64 * m * 20 * 4)
+            assert len(heads._head_blocks(5, 64 * m, 20, 4)) == 3
+        single = run_kernel(args, kwargs)
+        double = run_kernel(cast(args, np.float64), kwargs)
+        assert single[0].dtype == np.float32
+        assert all(g.dtype == np.float32 for g in single[1].values())
+        for got, want in [(single[0], double[0]), *((single[1][k], double[1][k]) for k in PARAM_NAMES),
+                          (single[2], double[2]), (single[3], double[3])]:
+            assert_matches_oracle(got, want, rtol=1e-4)
+
+    @pytest.mark.parametrize("gap", [12.0, 20.0])
+    def test_confident_disagreement_stays_finite(self, gap):
+        # half the rows read +1 and half -1 on the one feature: the teacher
+        # picks class 0 on +1 rows and class 1 on -1 rows by a logit gap of
+        # `gap`, the student the other class by the same gap, so every
+        # product q_s * q_t underflows float32
+        b, h = 8, 2
+        u_x = np.where(np.arange(b) % 2 == 0, 1.0, -1.0)[:, None]
+        u_nb = np.broadcast_to(u_x[:, None], (h, b, 1, 1)).copy()
+
+        def copy(sign):
+            return {"weight": np.broadcast_to(sign * np.array([[gap / 2], [-gap / 2]]), (h, 2, 1)).copy(),
+                    "bias": np.zeros((h, 2)), "gamma": np.ones(1), "beta_shift": np.zeros(1)}
+
+        args = (copy(-1.0), copy(1.0), u_x, u_nb, np.full((h, 2), 0.5))
+        kwargs = dict(beta=0.6, tau_student=0.1, tau_teacher=0.1, sk_iters=3, lam=0.4)
+        single = run_kernel(cast(args, np.float32), kwargs)
+        double = run_kernel(args, kwargs)
+        for got, want in [(single[0], double[0]), *((single[1][k], double[1][k]) for k in PARAM_NAMES)]:
+            assert np.isfinite(got).all()
+            assert_matches_oracle(got, want, rtol=1e-5)
+        TestEinsumOracle().check(args, kwargs)  # float64 in either domain
+
+    def test_trained_parameters_are_float32_exact(self, trained_run):
+        _, _, _, _, bank, _ = trained_run
+        for copy in (bank.student, bank.teacher):
+            for value in copy.values():
+                assert value.dtype == np.float64
+                assert np.array_equal(value.astype(np.float32).astype(np.float64), value)
 
 
 def batch_contiguous(a):
@@ -294,20 +336,15 @@ class TestClusterMajorLayout:
 
     def test_logits_and_targets(self, rng):
         h, b, m, c, d = 3, 16, 2, 5, 8
-        w, bias, gamma, shift = (
-            rng.normal(0, 0.4, (h, c, d)), rng.normal(0, 0.4, (h, c)),
-            rng.normal(1, 0.2, d), rng.normal(0, 0.2, d),
-        )
-        u_x, u_nb = rng.normal(size=(b, d)), rng.normal(size=(h, b, m, d))
-        w_fold, b_fold = heads._fold(w, bias, gamma, shift)
+        args, kwargs = loss_instance(rng, h, b, c, d, m)
+        student, _, u_x, u_nb, _ = args
+        w_fold, b_fold = heads._fold(**student)
         shared = heads._shared_logits(w_fold, b_fold, u_x)
         own = heads._own_logits(w_fold, b_fold, u_nb[:, :, 0])
         assert shared.shape == own.shape == (h, b, c)
         assert batch_contiguous(shared) and batch_contiguous(own)
         for draws in (1, m):
-            qt_x, qt_xp = teacher_targets(
-                w, bias, gamma, shift, u_x, *indexed(u_nb[:, :, :draws]), tau=0.1, sk_iters=3
-            )
+            _, _, qt_x, qt_xp = run_kernel((*args[:3], u_nb[:, :, :draws], args[4]), kwargs)
             assert batch_contiguous(qt_x) and batch_contiguous(qt_xp)
         assert batch_contiguous(heads.softmax(shared))
         for iters in (0, 3):
@@ -321,41 +358,36 @@ class TestHeadBlocks:
 
     H, B, C, D, N = 7, 37, 5, 33, 101  # at d = 33, splitting the anchor GEMM moves bits
 
-    def set_block(self, monkeypatch, heads_per_block, rows):
+    def set_block(self, monkeypatch, heads_per_block, rows, itemsize):
         """Make each block of gathered (rows, D) rows hold that many heads."""
-        monkeypatch.setattr(heads, "BLOCK_BYTES", heads_per_block * rows * self.D * 8)
-        assert len(heads._head_blocks(self.H, rows, self.D)) == -(-self.H // heads_per_block)
+        monkeypatch.setattr(heads, "BLOCK_BYTES", heads_per_block * rows * self.D * itemsize)
+        blocks = heads._head_blocks(self.H, rows, self.D, itemsize)
+        assert len(blocks) == -(-self.H // heads_per_block)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_step_blocks_are_exact(self, rng, monkeypatch, m):
         h, b, c, d, n = self.H, self.B, self.C, self.D, self.N
-        params = (
-            rng.normal(0, 0.4, (h, c, d)), rng.normal(0, 0.4, (h, c)),
-            rng.normal(1, 0.2, d), rng.normal(0, 0.2, d),
-        )
+        student, teacher = param_copy(rng, h, c, d), param_copy(rng, h, c, d)
         u = rng.normal(size=(n, d))
         u_x = u[rng.permutation(n)[:b]]
         nbr = rng.integers(0, n, size=(h, b, m))
         marginal = np.maximum(rng.dirichlet(np.ones(c), size=h), 1e-6)
+        kwargs = dict(beta=0.6, tau_student=0.1, tau_teacher=0.1, sk_iters=3, lam=0.4)
 
-        def step(heads_per_block):
-            if heads_per_block:
-                self.set_block(monkeypatch, heads_per_block, b * m)
-            qt = teacher_targets(*params, u_x, u, nbr, tau=0.1, sk_iters=3)
-            if heads_per_block:
-                self.set_block(monkeypatch, heads_per_block, b)
-            losses, grads = composite_loss_and_grads(
-                *params, u_x, u, nbr[:, :, 0], *qt, marginal, beta=0.6, tau_student=0.1, lam=0.4
-            )
-            return (*qt, losses, *grads.values())
-
-        assert len(heads._head_blocks(h, b * m, d)) == 1
-        whole = step(None)
-        for heads_per_block in (1, 2, 3):
-            got = step(heads_per_block)
-            for g, w in zip(got, whole):
-                assert np.array_equal(g, w)
-            assert batch_contiguous(got[0]) and batch_contiguous(got[1])
+        for dtype in (np.float32, np.float64):  # the training dtype and the tests'
+            args = (*cast((student, teacher, u_x, u, marginal), dtype)[:4], nbr, marginal)
+            itemsize = np.dtype(dtype).itemsize
+            monkeypatch.setattr(heads, "BLOCK_BYTES", 4 << 20)
+            assert len(heads._head_blocks(h, b * m, d, itemsize)) == 1
+            losses, grads, *targets = composite_loss_and_grads(*args, **kwargs)
+            whole = (losses, *grads.values(), *targets)
+            for heads_per_block in (1, 2, 3):
+                self.set_block(monkeypatch, heads_per_block, b * m, itemsize)
+                losses, grads, *targets = composite_loss_and_grads(*args, **kwargs)
+                got = (losses, *grads.values(), *targets)
+                for g, w in zip(got, whole):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+                assert all(batch_contiguous(t) for t in targets)
 
     def test_labeling_row_blocks_match_one_gemm(self, trained_run, monkeypatch):
         m, _, _, cfg, bank, _ = trained_run
@@ -383,8 +415,8 @@ class TestHeadBlocks:
 
 
 def test_training_memory_is_bounded():
-    # 40 heads of 256 gathered rows at d = 384 are 31 MB a step; blocked,
-    # the step holds u (3 MB), O(H*C*B) tensors and one 4 MB block
+    # 40 heads of 256 gathered float32 rows at d = 384 are 16 MB a step; blocked,
+    # the step holds u (1.5 MB), O(H*C*B) tensors and one 4 MB block
     features, _ = gen_synthetic(SynthSpec(n=1024, d=384, k=10, separation=3.0, seed=4))
     sets = build_neighbor_sets(features, 0.3, 5)
     cfg = TrainConfig(num_clusters=10, num_heads=40, epochs=1, warmup_epochs=1, lr=1e-3, seed=4)
@@ -406,14 +438,19 @@ class TestTrainHeads:
     def test_determinism_bitwise(self):
         m, _ = gen_synthetic(SynthSpec(n=80, d=8, k=3, separation=15.0, seed=2))
         sets = build_neighbor_sets(m, 0.3, 4)
-        cfg = small_cfg(num_clusters=3, epochs=4)
-        bank1, rep1 = train_heads(m, sets, cfg)
-        bank2, rep2 = train_heads(m, sets, cfg)
-        assert rep1.per_head_loss.tobytes() == rep2.per_head_loss.tobytes()
-        assert rep1.best_head == rep2.best_head
-        for a, b in zip(rep1.per_head_labeling, rep2.per_head_labeling):
-            assert a.labels.tobytes() == b.labels.tobytes()
-        assert bank1.student["weight"].tobytes() == bank2.student["weight"].tobytes()
+        for smoothing in (1, 2):
+            cfg = small_cfg(num_clusters=3, epochs=4, smoothing_m=smoothing)
+            bank1, rep1 = train_heads(m, sets, cfg)
+            bank2, rep2 = train_heads(m, sets, cfg)
+            assert rep1.per_head_loss.tobytes() == rep2.per_head_loss.tobytes()
+            assert rep1.best_head == rep2.best_head
+            for a, b in zip(rep1.per_head_labeling, rep2.per_head_labeling):
+                assert a.labels.tobytes() == b.labels.tobytes()
+            for copy in ("student", "teacher"):
+                for key in PARAM_NAMES:
+                    a, b = getattr(bank1, copy)[key], getattr(bank2, copy)[key]
+                    assert a.tobytes() == b.tobytes()
+            assert bank1.marginal.tobytes() == bank2.marginal.tobytes()
 
     def test_zero_epochs(self):
         m, _ = gen_synthetic(SynthSpec(n=40, d=6, k=3, separation=10.0, seed=9))

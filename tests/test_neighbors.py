@@ -203,6 +203,45 @@ def test_identical_rows_tie_by_index(rng, n, d):
             assert (np.diff(pos) == 1).all() and (np.diff(members[pos]) > 0).all()
 
 
+@pytest.fixture
+def unique_calls(monkeypatch):
+    """The row arrays mining hands to ``np.unique(..., axis=0)``."""
+    calls, unique = [], np.unique
+
+    def counted(ar, *args, **kwargs):
+        if kwargs.get("axis") == 0:
+            calls.append(ar)
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(neighbors.np, "unique", counted)
+    return calls
+
+
+@pytest.mark.parametrize("step", [1, 7, 1000])
+@pytest.mark.parametrize("pairs", [((0, 3), (5, 8)), ((2, 6),)], ids=["copies", "signed_zero"])
+def test_repeated_rows_share_one_column(rng, unique_calls, step, pairs):
+    # each pair's second row repeats its first; row 6 is row 2 with a -0.0 for its 0.0
+    data = rng.normal(size=(10, 5))
+    data[2, 1] = 0.0
+    for a, b in pairs:
+        data[b] = data[a]
+    data[6, 1] = -0.0
+    distinct, inverse = neighbors._repeated_rows(data, step)
+    assert len(unique_calls) == 1 and distinct.shape == (10 - len(pairs), 5)
+    for a, b in pairs:
+        assert inverse[a] == inverse[b]
+
+
+@pytest.mark.parametrize("step", [1, 7, 1000])
+def test_distinct_rows_skip_unique(rng, unique_calls, monkeypatch, step):
+    m = EmbeddingMatrix(rng.normal(size=(300, 6)))
+    assert neighbors._repeated_rows(m.data, step) is None
+    monkeypatch.setattr(neighbors, "BLOCK_ROWS", step)
+    assert build_neighbor_sets(m, 0.3, 5).indices.tolist() == [
+        i for s in dense_neighbor_sets(m, 0.3, 5) for i in s]
+    assert unique_calls == []
+
+
 @pytest.mark.parametrize("theta", [0.5, 2.0], ids=["threshold", "floor_only"])
 def test_mining_peak_memory_below_quarter_of_matrix(theta):
     n = 3000
