@@ -190,9 +190,12 @@ def _average_linkage_cut(condensed: np.ndarray, k: int) -> np.ndarray:
     g = int(round((1 + math.sqrt(1 + 8 * condensed.size)) / 2))
     if k >= g:
         return np.arange(1, g + 1, dtype=np.int64)
-    dist = np.zeros((g, g))
-    dist[np.triu_indices(g, 1)] = condensed
-    dist += dist.T
+    # both triangles filled through one boolean mask, with no index arrays
+    # and no transposed copy
+    upper = np.triu(np.ones((g, g), dtype=bool), 1)
+    dist = np.empty((g, g))
+    dist[upper] = condensed
+    dist.T[upper] = condensed
     np.fill_diagonal(dist, np.inf)  # merged-away slots read inf too
     size = np.ones(g)
     merges = []  # (slot x, slot y, height)
@@ -296,13 +299,19 @@ def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
     if k < 1:
         raise ValueError("k must be >= 1")
     inter = _gram(columns, g)
-    sizes = inter.diagonal()
-    union = sizes[:, None] + sizes[None, :] - inter
-    jaccard = inter / union
+    sizes = inter.diagonal().copy()
+    # 1 - Jaccard = 1 - inter / union, in one g×g buffer
+    dist = np.add.outer(sizes, sizes)
+    dist -= inter
+    np.divide(inter, dist, out=dist)
+    np.subtract(1.0, dist, out=dist)
+    del inter
 
     # meta-clusters are numbered by first appearance over the hyperedge
     # order, so the argmax tie rule is well defined
-    meta = _average_linkage_cut((1.0 - jaccard)[np.triu_indices(g, 1)], k) - 1
+    condensed = dist[np.triu(np.ones((g, g), dtype=bool), 1)]
+    del dist
+    meta = _average_linkage_cut(condensed, k) - 1
     n_meta = int(meta.max()) + 1
     n = columns.shape[0]
     hits = np.bincount((np.arange(n)[:, None] * n_meta + meta[columns]).ravel(),

@@ -10,6 +10,7 @@ machine-readable ``key=value`` block separated by a ``---`` line.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import time
@@ -35,6 +36,27 @@ from .labeling import Labeling, load_labeling, save_labeling
 from .metrics import MetricsReport, evaluate
 
 MACHINE_SEPARATOR = "---"
+
+# glibc's malloc_trim; None where the C library has none
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
+
+def release_free_heap() -> None:
+    """Return the free pages of the C heap to the operating system.
+
+    NumPy's freed temporaries stay resident in the C heap, and a stage that
+    churns many of them (head training) leaves most of the heap free but
+    fragmented.  Whether the next stage's arrays fit in those holes or grow
+    the heap depends on the layout, hence on the data, so without a trim
+    between stages the run's peak RSS changes from one seed to the next.
+    ``malloc_trim(0)`` releases every free page, not just the heap's top.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +393,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
         except Exception as exc:
             manifest.write(out_dir / "manifest.json")
             raise StageError(name, exc) from exc
+        release_free_heap()
         wall_clock_s = time.perf_counter() - t0
         outputs = [{"path": str(p), "sha256": sha256_file(p)} for p in outputs]
         manifest.stages.append(StageRecord(name, outputs, wall_clock_s, metrics))
