@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -83,8 +83,13 @@ def load(path, magic: bytes, kind: str, parse: Callable[[Reader], T]) -> T:
 
 
 def save(path, magic: bytes, *parts) -> None:
-    """Write ``magic`` and then each part: bytes as given, arrays in C order."""
+    """Write ``magic`` and then each part: bytes as given, arrays in C order.
+
+    A part may also be an iterator of arrays, written one after another, so
+    a large payload can be produced and written one bounded block at a time.
+    """
     with open(path, "wb") as f:
         f.write(magic)
         for part in parts:
-            f.write(part if isinstance(part, bytes) else np.ascontiguousarray(part))
+            for chunk in part if isinstance(part, Iterator) else (part,):
+                f.write(chunk if isinstance(chunk, bytes) else np.ascontiguousarray(chunk))

@@ -43,11 +43,12 @@ inputs they run in float64, which is how the tests check them.
 No buffer grows with H*B*d or H*C*n.  A training step gathers each head's
 neighbor rows ``u[nbr[h]]`` once, one block of heads at a time into one
 reused buffer, and the training-set labelings come from the shared-rows
-GEMM one block of rows at a time; each block holds at most ``BLOCK_BYTES``
-of gathered rows or of logits.  A step's working set is u, O(H*C*B)
-per-sample tensors and one block.  The anchor GEMM and its backward stay
-whole: the stacked matmul runs one GEMM per head, so blocking heads is
-exact, while splitting a GEMM can change the last bits of its products.
+GEMM one block of rows at a time, each block standardized from the feature
+rows on its own; each block holds at most ``BLOCK_BYTES`` of gathered rows
+or of logits.  A step's working set is u, O(H*C*B) per-sample tensors and
+one block.  The anchor GEMM and its backward stay whole: the stacked matmul
+runs one GEMM per head, so blocking heads is exact, while splitting a GEMM
+can change the last bits of its products.
 Splitting the labeling's rows can too, so only a logit tie to the last bit
 could move a label.  ``predict_labeling`` runs the labeling code on one
 head's slice.
@@ -515,9 +516,9 @@ def train_heads(
     marginal EMA update.  Training runs in float32 and every per-sample
     tensor of a step is stored cluster-major (see the module docstring).
     The returned bank holds float64 copies of the trained parameters, and
-    the labelings of all heads come from them on float64 unit rows, one
-    block of rows at a time, through the helper ``predict_labeling`` runs
-    on one head.
+    the labelings of all heads come from them on float64 unit rows,
+    standardized one block of rows at a time, through the helper
+    ``predict_labeling`` runs on one head.
     Identical configs produce bitwise-identical reports.
     """
     n = features.n
@@ -611,7 +612,7 @@ def train_heads(
         for key, value in trained.items():
             copy[key][...] = value
     del optimizer, u
-    labelings = _head_labelings(bank.student, unit_rows(features.data, norm), cfg.tau_student)
+    labelings = _head_labelings(bank.student, features.data, norm, cfg.tau_student)
     per_head_loss.flags.writeable = False
     epoch_loss.flags.writeable = False
     report = TrainReport(
@@ -623,16 +624,20 @@ def train_heads(
     return bank, report
 
 
-def _head_labelings(student: dict, u: np.ndarray, tau: float, heads=slice(None)) -> tuple:
-    """Argmax labelings of the student heads ``heads`` on unit rows u (n, d).
+def _head_labelings(student: dict, x: np.ndarray, norm: NormStats, tau: float,
+                    heads=slice(None)) -> tuple:
+    """Argmax labelings of the student heads ``heads`` on the rows x (n, d).
 
     The folded GEMM gives the logits one block of rows at a time, each
-    block at most ``BLOCK_BYTES`` of logits; a head with a non-finite logit
-    is an error.  Labels are the argmax of ``softmax(logits / tau)``, ids
-    1..C, ties to the lowest class.
+    block at most ``BLOCK_BYTES`` of logits; each block's rows are
+    standardized on their own by ``unit_rows(x, norm)``, which is
+    elementwise: the values are those of one whole-matrix call, and only
+    one block of standardized rows is held at a time.  A head with a
+    non-finite logit is an error.  Labels are the argmax of ``softmax(logits / tau)``, ids 1..C,
+    ties to the lowest class.
     """
     h_count, c_count, _ = student["weight"][heads].shape
-    n = u.shape[0]
+    n = x.shape[0]
     rows = max(1, BLOCK_BYTES // (h_count * c_count * 8))
     labels = np.empty((h_count, n), dtype=np.int64)
     finite = np.ones(h_count, dtype=bool)
@@ -640,7 +645,7 @@ def _head_labelings(student: dict, u: np.ndarray, tau: float, heads=slice(None))
         folded = _fold(student["weight"][heads], student["bias"][heads],
                        student["gamma"], student["beta_shift"])
         for lo in range(0, n, rows):
-            logits = _shared_logits(*folded, u[lo : lo + rows])
+            logits = _shared_logits(*folded, unit_rows(x[lo : lo + rows], norm))
             finite &= np.isfinite(logits).all(axis=(1, 2))
             logits /= tau
             labels[:, lo : lo + rows] = np.argmax(softmax(logits), axis=-1)
@@ -655,8 +660,9 @@ def predict_labeling(bank: HeadBank, head: int, features: EmbeddingMatrix) -> La
     if not 0 <= head < bank.num_heads:
         raise ValueError(f"head {head} out of range [0, {bank.num_heads})")
     s = bank.student
-    u = unit_rows(features.data, NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"]))
-    return _head_labelings(s, u, bank.config.tau_student, slice(head, head + 1))[0]
+    norm = NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"])
+    return _head_labelings(s, features.data, norm, bank.config.tau_student,
+                           slice(head, head + 1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,15 @@ Each sample's neighbor set contains every other sample whose cosine
 similarity reaches the threshold ``theta``; sets that stay below ``k_min``
 members fall back to the top-``k_min`` most similar samples.  Sets are
 computed exhaustively (exact O(n^2) similarities) and once, ahead of
-training, a block of rows at a time: mining holds O(BLOCK_ROWS·n)
-similarities, never the n×n matrix.
+training, a block of rows at a time: a block holds at most BLOCK_BYTES of
+similarities (or MIN_BLOCK_ROWS rows), never the n×n matrix.
+
+Each block's candidates are ranked with NumPy's default (SIMD, unstable)
+argsort; only rows where two kept keys tie exactly are sorted again with a
+stable sort, so ties stay in index order and the sets are those of one
+stable sort.  The int32 members of every block are copied into one array
+grown in place, so mining holds the pairs once, and the NNS1 writer and the
+threshold sweep's prefix cut work one bounded row block at a time.
 """
 
 from __future__ import annotations
@@ -21,9 +28,14 @@ from .labeling import Labeling
 
 NEIGHBORS_MAGIC = b"NNS1"
 
-# Similarities are computed for a block of rows at a time: at most
-# BLOCK_ROWS rows and at most n/16 of them, so a block never holds more than
-# 1/16 of the n×n matrix.  Up to BLOCK_ROWS samples are one block.
+# Similarities are computed for a block of rows at a time: as many rows as
+# fit BLOCK_BYTES of float64 similarities (under NumPy's 4 MiB huge-page
+# threshold), but never fewer than MIN_BLOCK_ROWS, which keeps the block
+# product compute-bound at large n.  BLOCK_ROWS and n/16 cap a block, so it
+# never holds more than 1/16 of the n×n matrix; up to BLOCK_ROWS samples are
+# one block.
+BLOCK_BYTES = 2 << 20
+MIN_BLOCK_ROWS = 64
 BLOCK_ROWS = 512
 
 # Work on finished sets (the self and duplicate checks, pair accuracy, the
@@ -34,7 +46,8 @@ BLOCK_PAIRS = 1 << 18
 
 
 def _block_rows(n: int) -> int:
-    return n if n <= BLOCK_ROWS else min(BLOCK_ROWS, n // 16)
+    rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * n))
+    return min(rows, n if n <= BLOCK_ROWS else min(BLOCK_ROWS, n // 16))
 
 
 def _row_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -207,48 +220,82 @@ def _repeated_rows(unit: np.ndarray, step: int):
     return None if distinct.shape[0] == n else (distinct, inverse.ravel())
 
 
-def _ranked_blocks(features: EmbeddingMatrix, theta: float, floor: int):
-    """Mine a block of rows at a time; yield ``(sizes, members, sims)`` per block.
+def _tied_rows(key: np.ndarray, order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Rows r whose ranked keys tie exactly at some position j < sizes[r].
+
+    Equal keys are the only place two sorts of a row can differ, and only a
+    tie among the first ``sizes[r] + 1`` ranked keys can change which
+    candidates a row keeps or their order.  (A row's padding never ties a
+    candidate: a candidate's key is +inf only when theta is -inf, and then
+    every row is full.)
+    """
+    width = min(int(sizes.max(initial=0)) + 1, key.shape[1])
+    ranked = np.take_along_axis(key, order[:, :width], axis=1)
+    tie = ranked[:, 1:] == ranked[:, :-1]
+    tie &= np.arange(width - 1) < sizes[:, None]
+    return np.flatnonzero(tie.any(axis=1))
+
+
+def _mine(features: EmbeddingMatrix, theta: float, floor: int, cuts=()):
+    """Rank every row's set; return ``(sizes, members, above)``.
 
     Row x keeps ``max(#{sim >= theta}, floor)`` members, ordered by
     descending similarity with ties by ascending index; ``members`` (int32)
-    and ``sims`` hold a block's rows one after another.  Only candidates are
-    sorted: the samples at or above theta, or, for a row short of the
-    floor, every sample at or above its floor-th largest similarity (ties
-    at that cut included, so the index tie-break stays exact).
+    holds the rows one after another, grown block by block in place, so the
+    pairs are held once.  ``above[i, x]`` is ``#{sim >= cuts[i]}`` of row x.
+    Only candidates are sorted: the samples at or above theta, or, for a
+    row short of the floor, every sample at or above its floor-th largest
+    similarity (ties at that cut included, so the index tie-break stays
+    exact).
     """
     unit = _unit_rows(features)
     n = features.n
     step = _block_rows(n)
     columns = _repeated_rows(unit, step)
+    sizes = np.empty(n, dtype=np.int64)
+    above = np.empty((len(cuts), n), dtype=np.int64)
+    members = np.empty(0, dtype=np.int32)
     for start in range(0, n, step):
         stop = min(start + step, n)
         sims = _similarity_matrix(unit, start, stop, columns)
+        for row, t in zip(above, cuts):
+            row[start:stop] = np.count_nonzero(sims >= t, axis=1)
         chosen = sims >= theta
-        sizes = np.count_nonzero(chosen, axis=1)
-        short = np.nonzero(sizes < floor)[0]
+        counts = np.count_nonzero(chosen, axis=1)
+        take = sizes[start:stop]
+        np.maximum(counts, floor, out=take)
+        short = np.nonzero(counts < floor)[0]
         if short.size:
             part = sims[short]
             part.partition(n - floor, axis=1)
             cut = part[:, n - floor].copy()  # the floor-th largest similarity
             del part
             chosen[short] = sims[short] >= cut[:, None]
-            sizes[short] = floor
+            counts[short] = np.count_nonzero(chosen[short], axis=1)
         flat = np.flatnonzero(chosen)
-        vals = sims.ravel()[flat]
-        del sims, chosen
-        rows, cols = np.divmod(flat, n)
-        # each row's candidates (ascending index) padded to a common width;
-        # a stable sort of -similarity along rows keeps ties by index
-        counts = np.bincount(rows, minlength=stop - start)
-        starts = _offsets(counts)[:-1]
-        key = np.full((stop - start, counts.max(initial=0)), np.inf)
-        key[rows, np.arange(rows.size) - starts[rows]] = -vals
-        order = np.argsort(key, axis=1, kind="stable")
+        del chosen
+        # each row's candidate similarities (ascending index) by one ordered
+        # scatter into a common width, then negated: keys are -similarity,
+        # and the padding +inf
+        key = np.full((stop - start, counts.max(initial=0)), -np.inf)
+        key[np.arange(key.shape[1]) < counts[:, None]] = np.take(sims, flat)
+        del sims
+        np.negative(key, out=key)
+        # the default sort is SIMD but not stable: rows with an exact tie
+        # are sorted again stably, so ties stay by index
+        order = key.argsort(axis=1)
+        tied = _tied_rows(key, order, take)
+        if tied.size:
+            order[tied] = key[tied].argsort(axis=1, kind="stable")
         del key
-        order += starts[:, None]
-        picked = order[np.arange(order.shape[1]) < sizes[:, None]]
-        yield sizes, cols[picked].astype(np.int32), vals[picked]
+        order += _offsets(counts)[:-1, None]
+        ranked = flat[order[np.arange(order.shape[1]) < take[:, None]]]
+        del order, flat
+        ranked -= np.repeat(np.arange(0, (stop - start) * n, n), take)  # flat -> column
+        at = members.size
+        members.resize(at + ranked.size, refcheck=False)
+        members[at:] = ranked
+    return sizes, members, above
 
 
 def _check_request(features: EmbeddingMatrix, k_min: int) -> int:
@@ -268,22 +315,17 @@ def build_neighbor_sets(features: EmbeddingMatrix, theta: float, k_min: int) -> 
     samples.  Members are ordered by descending similarity, ties broken by
     ascending sample index.
     """
-    floor = _check_request(features, k_min)
-    sizes, members = [], []
-    for block_sizes, block_members, _ in _ranked_blocks(features, theta, floor):
-        sizes.append(block_sizes)
-        members.append(block_members)
-    offsets, indices = _offsets(np.concatenate(sizes)), np.concatenate(members)
-    del members
-    return NeighborSets(offsets, indices, theta=float(theta), k_min=int(k_min))
+    sizes, members, _ = _mine(features, theta, _check_request(features, k_min))
+    return NeighborSets(_offsets(sizes), members, theta=float(theta), k_min=int(k_min))
 
 
 def sweep_neighbor_sets(features: EmbeddingMatrix, thetas, k_min: int) -> Iterator[NeighborSets]:
     """Yield ``build_neighbor_sets`` at every theta in ``thetas``, from one mining pass.
 
-    The pass mines at the smallest theta.  Every row's list is ranked, so
-    the set at a larger theta is its prefix of ``max(#{sim >= theta},
-    floor)`` members.
+    The pass mines at the smallest theta and counts each row's similarities
+    at or above every theta.  Every row's list is ranked, so the set at a
+    larger theta is its prefix of ``max(#{sim >= theta}, floor)`` members,
+    cut one row block at a time.
     """
     floor = _check_request(features, k_min)
     thetas = [float(t) for t in thetas]
@@ -291,16 +333,24 @@ def sweep_neighbor_sets(features: EmbeddingMatrix, thetas, k_min: int) -> Iterat
         return
     # NaN selects like a theta above 1: the floor only
     lowest = min((t for t in thetas if t == t), default=float("nan"))
-    sizes, members, sims = map(np.concatenate, zip(*_ranked_blocks(features, lowest, floor)))
+    sizes, members, above = _mine(features, lowest, floor, thetas)
     offsets = _offsets(sizes)
-    rows = np.repeat(np.arange(features.n), sizes)
-    rank = np.arange(members.size) - offsets[rows]
-    for theta in thetas:
-        above = _offsets(sims >= theta)
-        take = np.maximum(above[offsets[1:]] - above[offsets[:-1]], floor)
-        yield NeighborSets(
-            _offsets(take), members[rank < take[rows]], theta=theta, k_min=int(k_min)
-        )
+    for theta, take in zip(thetas, above):
+        np.maximum(take, floor, out=take)
+        yield NeighborSets(*_prefixes(members, offsets, take), theta=theta, k_min=int(k_min))
+
+
+def _prefixes(members: np.ndarray, offsets: np.ndarray, take: np.ndarray):
+    """CSR ``(offsets, indices)`` of each row x's first ``take[x]`` members,
+    cut one row block at a time."""
+    cut = _offsets(take)
+    out = np.empty(cut[-1], dtype=np.int32)
+    for lo, hi in _row_blocks(offsets):
+        # the member at block position p is kept while p < its row's start + take
+        a = offsets[lo]
+        limit = np.repeat(offsets[lo:hi] - a + take[lo:hi], np.diff(offsets[lo : hi + 1]))
+        out[cut[lo] : cut[hi]] = members[a : offsets[hi]][np.arange(limit.size) < limit]
+    return cut, out
 
 
 def ground_truth_neighbors(labels: Labeling) -> NeighborSets:
@@ -348,12 +398,15 @@ def neighbor_accuracy(sets: NeighborSets, labels: Labeling) -> NeighborStats:
 def save_neighbor_sets(sets: NeighborSets, path) -> None:
     """Write the ``NNS1`` binary form (u32 n, per sample u32 count + indices)."""
     offsets, sizes = sets.offsets, sets.sizes()
-    body = np.empty(sets.n + sets.indices.size, dtype="<u4")
-    # sample x's count sits at offsets[x] + x, its indices right after it
-    for lo, hi in _row_blocks(offsets):
-        a, b = offsets[lo], offsets[hi]
-        body[a + lo : b + hi] = np.insert(sets.indices[a:b], offsets[lo:hi] - a, sizes[lo:hi])
-    binfmt.save(path, NEIGHBORS_MAGIC, np.uint32(sets.n).tobytes(), body)
+
+    def body():
+        # one row block at a time: each sample's count, then its indices
+        for lo, hi in _row_blocks(offsets):
+            a, b = offsets[lo], offsets[hi]
+            block = np.insert(sets.indices[a:b], offsets[lo:hi] - a, sizes[lo:hi])
+            yield block.astype("<u4", copy=False)
+
+    binfmt.save(path, NEIGHBORS_MAGIC, np.uint32(sets.n).tobytes(), body())
 
 
 def _parse_neighbor_sets(r: binfmt.Reader) -> NeighborSets:

@@ -392,12 +392,12 @@ class TestHeadBlocks:
     def test_labeling_row_blocks_match_one_gemm(self, trained_run, monkeypatch):
         m, _, _, cfg, bank, _ = trained_run
         s = bank.student
-        u = unit_rows(m.data, NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"]))
-        logits = heads._shared_logits(*heads._fold(**s), u) / cfg.tau_student
+        norm = NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"])
+        logits = heads._shared_logits(*heads._fold(**s), unit_rows(m.data, norm)) / cfg.tau_student
         want = np.argmax(heads.softmax(logits), axis=-1) + 1
         for rows in (1, 7, 64, m.n):
             monkeypatch.setattr(heads, "BLOCK_BYTES", rows * bank.num_heads * bank.num_clusters * 8)
-            got = heads._head_labelings(s, u, cfg.tau_student)
+            got = heads._head_labelings(s, m.data, norm, cfg.tau_student)
             assert np.array_equal([lab.labels for lab in got], want)
 
     def test_lowest_non_finite_head_reported_across_row_blocks(self, rng, monkeypatch):
@@ -410,8 +410,9 @@ class TestHeadBlocks:
         u[:, 0] = 0.0
         u[-1, 0] = 10.0
         monkeypatch.setattr(heads, "BLOCK_BYTES", 8)  # one row per block
+        norm = NormStats(np.zeros(d), np.ones(d), np.ones(d), np.zeros(d))
         with pytest.raises(ValueError, match="non-finite head logits in head 1"):
-            heads._head_labelings(student, u, 0.1)
+            heads._head_labelings(student, u, norm, 0.1)
 
 
 def test_training_memory_is_bounded():

@@ -176,6 +176,78 @@ class TestDenseOracle:
                     assert_matches_dense(m, theta, k_min)
 
 
+class TestDenseOracleByteBlocks(TestDenseOracle):
+    """The same oracle with blocks cut by the similarity byte cap: 11 or 4
+    rows a block, so many blocks and the last one short."""
+
+    @pytest.fixture(params=[11, 4], ids=["bytes_11", "bytes_4"])
+    def blocks(self, request, monkeypatch):
+        monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", request.param * 8 * self.N)
+        rows = neighbors._block_rows(self.N)
+        assert rows == request.param and self.N % rows
+
+
+def test_block_rows_rule():
+    rule = {n: neighbors._block_rows(n) for n in (2, 150, 512, 600, 1000, 2000, 4000, 6000, 50000)}
+    # up to BLOCK_ROWS samples are one block; past it n/16 caps, then 2 MiB of
+    # similarities, but never fewer than 64 rows
+    assert rule == {2: 2, 150: 150, 512: 512, 600: 37, 1000: 62, 2000: 125,
+                    4000: 65, 6000: 64, 50000: 64}
+
+
+def test_tied_rows_are_the_ties_that_can_move_a_kept_member():
+    inf = np.inf
+    key = np.array([
+        [0.1, 0.3, 0.2, inf],   # no tie
+        [0.5, 0.5, 0.7, inf],   # a tie among the kept
+        [0.2, 0.9, 0.9, 0.1],   # a tie past the cut only
+        [0.3, 0.1, 0.3, inf],   # a tie across the cut
+        [0.0, -0.0, 0.4, 0.6],  # signed zeros tie
+    ])
+    sizes = np.array([3, 2, 2, 2, 2])
+    order = key.argsort(axis=1)
+    assert neighbors._tied_rows(key, order, sizes).tolist() == [1, 3, 4]
+
+
+@pytest.mark.parametrize("kind", ["copies", "cut_ties", "no_ties"])
+def test_only_rows_with_ties_are_sorted_again(rng, monkeypatch, kind):
+    """Three inputs under a byte cap of 11 rows a block: copies of three
+    dyadic rows (every candidate tied), dyadic rows at a floor-only theta
+    (ties at the k_min cut), random rows (no tie).  The sets match the dense
+    oracle, and exactly the rows with a tie among their kept members, or
+    across the cut, are sorted again stably."""
+    n, k_min = 150, 10
+    monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(neighbors, "BLOCK_BYTES", 11 * 8 * n)
+    theta = {"copies": 0.5, "cut_ties": 2.0, "no_ties": 0.3}[kind]
+    if kind == "copies":
+        m = EmbeddingMatrix(dyadic_rows(rng, 3, 16)[rng.integers(0, 3, size=n)])
+    elif kind == "cut_ties":
+        m = EmbeddingMatrix(dyadic_rows(rng, n, 4))
+    else:
+        m = EmbeddingMatrix(rng.normal(size=(n, 6)))
+    resorted, tied_rows = [], neighbors._tied_rows
+
+    def spy(key, order, sizes):
+        rows = tied_rows(key, order, sizes)
+        resorted.append(rows.size)
+        return rows
+
+    monkeypatch.setattr(neighbors, "_tied_rows", spy)
+    assert_matches_dense(m, theta, k_min)
+    assert len(resorted) == 14
+    if kind == "cut_ties":
+        # dyadic cosines are exact, so the dense matrix shows the same ties
+        sims = dense_similarity_matrix(m)
+        np.fill_diagonal(sims, -np.inf)
+        ranked = -np.sort(-sims, axis=1)[:, : k_min + 1]
+        assert (ranked[:, -2] == ranked[:, -1]).any()  # some rows tie at the cut
+        assert sum(resorted) == (ranked[:, 1:] == ranked[:, :-1]).any(axis=1).sum()
+    else:
+        assert sum(resorted) == (n if kind == "copies" else 0)
+
+
 def test_sweep_equals_fresh_builds(rng):
     base = dyadic_rows(rng, 40, 4)
     m = EmbeddingMatrix(np.vstack([base, rng.normal(size=(60, 4))]))
@@ -526,3 +598,42 @@ def test_pair_accuracy_in_row_blocks_matches_per_pair_count(rng, monkeypatch, bl
     weighted = neighbor_accuracy(NeighborSets.from_lists(([1, 2, 3], [0], [], [])),
                                  Labeling([1, 1, 2, 2]))
     assert weighted.pair_accuracy == 0.5
+
+
+def test_build_holds_the_pairs_once():
+    """Twelve blobs at theta 0.3: every set is its whole cluster, 3.0M pairs.
+    The int32 result is 4 bytes a pair; the blocks are joined in place, not
+    held twice."""
+    m, _ = gen_synthetic(SynthSpec(n=6000, d=16, k=12, separation=10.0, seed=1))
+    sets, peak = _traced_peak(lambda: build_neighbor_sets(m, 0.3, 5))
+    assert sets.indices.size == 6000 * 499
+    assert peak / sets.indices.size < 8
+
+
+def test_sweep_memory_is_a_few_bytes_per_pair():
+    """Two blobs at theta 0.3 and 0.5: 2.0M pairs each.  The sweep holds the
+    ranked int32 members once, per-row counts per theta and the set it cuts."""
+    m, _ = gen_synthetic(SynthSpec(n=2000, d=16, k=2, seed=1))
+
+    def sweep():
+        pairs = 0
+        for sets in sweep_neighbor_sets(m, (0.3, 0.5), 5):
+            pairs = max(pairs, sets.indices.size)
+            del sets
+        return pairs
+
+    pairs, peak = _traced_peak(sweep)
+    assert pairs == 2000 * 999
+    assert peak / pairs < 14
+
+
+def test_writer_memory_does_not_grow_with_the_pairs(tmp_path, monkeypatch):
+    monkeypatch.setattr(neighbors, "BLOCK_PAIRS", 1 << 14)
+    peaks = []
+    for k in (20, 2):  # 0.2M, then 2.0M pairs: an 8 MB body
+        sets = ground_truth_neighbors(Labeling(np.arange(2000) % k))
+        _, peak = _traced_peak(lambda: save_neighbor_sets(sets, tmp_path / "s.nns"))
+        assert load_neighbor_sets(tmp_path / "s.nns").indices.tolist() == sets.indices.tolist()
+        peaks.append(peak)
+    # a block of 2**14 pairs is 64 KB of u32 words
+    assert max(peaks) < 1 << 20
