@@ -31,7 +31,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="clusterens", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, flags=()):
+    def add(name, help_text, handler, flags=()):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
         p.add_argument(
@@ -40,9 +40,10 @@ def _build_parser() -> _Parser:
         )
         for flag, key, helptext in flags:
             p.add_argument(flag, dest=key.replace(".", "__"), help=helptext)
+        p.set_defaults(handler=handler, flag_keys=[key for _, key, _ in flags])
         return p
 
-    add("gen-synth", "generate synthetic blob features + ground-truth labels", [
+    add("gen-synth", "generate synthetic blob features + ground-truth labels", _cmd_gen_synth, [
         ("--n", "synth.n", "sample count"),
         ("--d", "synth.d", "feature dimension"),
         ("--k", "synth.k", "cluster count"),
@@ -51,37 +52,37 @@ def _build_parser() -> _Parser:
         ("--features", "features", "output feature file"),
         ("--labels", "labels", "output ground-truth labeling file"),
     ])
-    add("train", "train the clustering heads from features (+ neighbor sets)", [
+    add("train", "train the clustering heads from features (+ neighbor sets)", _cmd_train, [
         ("--features", "features", "input feature file"),
         ("--labels", "labels", "optional ground-truth labels for metrics"),
         ("--neighbors", "neighbors.file", "precomputed neighbor-set file"),
         ("--out", "output_dir", "run directory for checkpoints and reports"),
     ])
-    add("ensemble", "consensus over a training run's head labelings", [
+    add("ensemble", "consensus over a training run's head labelings", _cmd_ensemble, [
         ("--run-dir", "output_dir", "run directory holding train outputs"),
         ("--k", "ensemble.k", "target cluster count"),
         ("--labels", "labels", "optional ground-truth labels for metrics"),
     ])
-    p = add("selftrain", "train the linear probe on consensus pseudo-labels", [
+    p = add("selftrain", "train the linear probe on consensus pseudo-labels", _cmd_selftrain, [
         ("--features", "features", "input feature file"),
         ("--labels", "labels", "optional ground-truth labels for metrics"),
     ])
     p.add_argument("--pseudo-labels", help="pseudo-label file (consensus labeling)")
     p.add_argument("--out", help="output directory")
-    p = add("predict", "label features with a trained classifier", [
+    p = add("predict", "label features with a trained classifier", _cmd_predict, [
         ("--features", "features", "input feature file"),
     ])
     p.add_argument("--classifier", help="classifier checkpoint")
     p.add_argument("--out", help="output labeling file")
-    p = add("eval", "score a predicted labeling against ground truth", [])
+    p = add("eval", "score a predicted labeling against ground truth", _cmd_eval)
     p.add_argument("--pred", help="predicted labeling file")
     p.add_argument("--gt", help="ground-truth labeling file")
-    add("pipeline", "run train -> ensemble -> selftrain end to end", [])
-    add("nn-analysis", "sweep neighbor thresholds and report count/accuracy", [
+    add("pipeline", "run train -> ensemble -> selftrain end to end", _cmd_pipeline)
+    add("nn-analysis", "sweep neighbor thresholds and report count/accuracy", _cmd_nn_analysis, [
         ("--features", "features", "input feature file"),
         ("--labels", "labels", "ground-truth labels (required)"),
     ])
-    p = add("ablate", "run an ablation sweep", [])
+    p = add("ablate", "run an ablation sweep", _cmd_ablate)
     p.add_argument(
         "--kind", required=True,
         choices=["threshold_sweep", "head_count_sweep", "gt_neighbors"],
@@ -89,10 +90,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args, flag_keys=()) -> PipelineConfig:
+def _config_from_args(args) -> PipelineConfig:
+    """The config file, then ``--set``, then the command's flags."""
     entries = read_config_file(args.config) if args.config else {}
     overrides = list(args.set)
-    for key in flag_keys:
+    for key in args.flag_keys:
         value = getattr(args, key.replace(".", "__"), None)
         if value is not None:
             overrides.append(f"{key}={value}")
@@ -108,17 +110,11 @@ def _require_file(path, what) -> Path:
     return p
 
 
-def _cmd_gen_synth(args) -> str:
-    cfg = _config_from_args(
-        args, ["synth.n", "synth.d", "synth.k", "synth.separation", "seed",
-               "features", "labels"],
-    )
-    cfg.require("features")
+def _cmd_gen_synth(args, cfg) -> str:
     return pl.gen_synth_files(cfg)
 
 
-def _cmd_train(args) -> str:
-    cfg = _config_from_args(args, ["features", "labels", "neighbors.file", "output_dir"])
+def _cmd_train(args, cfg) -> str:
     features, labels = pl.validate_inputs(cfg)
     sets = pl.build_sets_for_config(cfg, features, labels)
     return pl.train_stage(Path(cfg.output_dir), features, sets, cfg.train_config(), labels)[-1]
@@ -129,8 +125,7 @@ def _optional_labels(cfg):
         if cfg.labels_path else None
 
 
-def _cmd_ensemble(args) -> str:
-    cfg = _config_from_args(args, ["output_dir", "ensemble.k", "labels"])
+def _cmd_ensemble(args, cfg) -> str:
     cfg.require("output_dir")
     run_dir = Path(cfg.output_dir)
     report_path = _require_file(run_dir / "train_report.txt", "train report")
@@ -146,8 +141,7 @@ def _cmd_ensemble(args) -> str:
     )[-1]
 
 
-def _cmd_selftrain(args) -> str:
-    cfg = _config_from_args(args, ["features", "labels"])
+def _cmd_selftrain(args, cfg) -> str:
     fpath = _require_file(cfg.features_path, "feature file")
     pseudo_path = _require_file(args.pseudo_labels, "pseudo-label file")
     out_dir = Path(args.out) if args.out else (
@@ -161,8 +155,7 @@ def _cmd_selftrain(args) -> str:
     return pl.selftrain_stage(out_dir, features, pseudo, cfg.selftrain_config(), labels)[-1]
 
 
-def _cmd_predict(args) -> str:
-    cfg = _config_from_args(args, ["features"])
+def _cmd_predict(args, cfg) -> str:
     fpath = _require_file(cfg.features_path, "feature file")
     clf_path = _require_file(args.classifier, "classifier checkpoint")
     if args.out is None:
@@ -183,7 +176,7 @@ def _cmd_predict(args) -> str:
     return pl.render_report(human, {"n": labeling.n, "k": labeling.k, "out": str(args.out)})
 
 
-def _cmd_eval(args) -> str:
+def _cmd_eval(args, cfg) -> str:
     pred = load_labeling(_require_file(args.pred, "predicted labeling"))
     gt = load_labeling(_require_file(args.gt, "ground-truth labeling"))
     pl.check_count(gt, "ground-truth labels", pred.n, "predictions")
@@ -192,8 +185,7 @@ def _cmd_eval(args) -> str:
     return pl.render_report(human, report.machine_block())
 
 
-def _cmd_pipeline(args) -> str:
-    cfg = _config_from_args(args)
+def _cmd_pipeline(args, cfg) -> str:
     manifest = pl.run_pipeline(cfg)
     human = ["pipeline run complete", ""]
     machine = {
@@ -213,8 +205,7 @@ def _cmd_pipeline(args) -> str:
     return pl.render_report(human, machine)
 
 
-def _cmd_nn_analysis(args) -> str:
-    cfg = _config_from_args(args, ["features", "labels"])
+def _cmd_nn_analysis(args, cfg) -> str:
     fpath = _require_file(cfg.features_path, "feature file")
     lpath = _require_file(cfg.labels_path, "labels file")
     features = pl.load_features_any(fpath, cfg["features_format"])
@@ -223,29 +214,15 @@ def _cmd_nn_analysis(args) -> str:
     return pl.nn_analysis(features, labels, cfg["ablate.thresholds"], cfg["neighbors.k_min"])
 
 
-def _cmd_ablate(args) -> str:
-    cfg = _config_from_args(args)
+def _cmd_ablate(args, cfg) -> str:
     return pl.run_ablation(args.kind, cfg)
-
-
-_COMMANDS = {
-    "gen-synth": _cmd_gen_synth,
-    "train": _cmd_train,
-    "ensemble": _cmd_ensemble,
-    "selftrain": _cmd_selftrain,
-    "predict": _cmd_predict,
-    "eval": _cmd_eval,
-    "pipeline": _cmd_pipeline,
-    "nn-analysis": _cmd_nn_analysis,
-    "ablate": _cmd_ablate,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        text = _COMMANDS[args.command](args)
+        text = args.handler(args, _config_from_args(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

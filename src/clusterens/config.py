@@ -22,8 +22,6 @@ from .featstore import SynthSpec
 from .heads import TrainConfig
 from .selftrain import SelfTrainConfig
 
-_UNSET = object()
-
 
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()

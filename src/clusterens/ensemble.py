@@ -175,27 +175,21 @@ def _qr_pivots(u: np.ndarray, m: int) -> np.ndarray:
     return pivots
 
 
-def _average_linkage_cut(condensed: np.ndarray, k: int) -> np.ndarray:
-    """Average-linkage agglomeration on a condensed distance vector, cut
-    into at most k flat clusters (1-based ids by first appearance).
+def _average_linkage_cut(dist: np.ndarray, k: int) -> np.ndarray:
+    """Average-linkage agglomeration on a symmetric g×g float64 distance
+    matrix, cut into at most k flat clusters (1-based ids by first
+    appearance).  The matrix is consumed: the merges overwrite it in place.
 
     The merges follow the nearest-neighbor chain of Müllner (2011): the
     previous chain element wins ties, otherwise the first index, and the
     merged cluster takes the slot of the larger index.  The cut applies
     every merge at or below the (g−k)-th smallest height.  The ties and the
-    rounding are those of scipy's ``linkage(condensed, "average")``, so the
-    partition is that of ``fcluster(..., k, "maxclust")``.
+    rounding are those of scipy's ``linkage(squareform(dist), "average")``,
+    so the partition is that of ``fcluster(..., k, "maxclust")``.
     """
-    condensed = np.asarray(condensed, dtype=np.float64)
-    g = int(round((1 + math.sqrt(1 + 8 * condensed.size)) / 2))
+    g = dist.shape[0]
     if k >= g:
         return np.arange(1, g + 1, dtype=np.int64)
-    # both triangles filled through one boolean mask, with no index arrays
-    # and no transposed copy
-    upper = np.triu(np.ones((g, g), dtype=bool), 1)
-    dist = np.empty((g, g))
-    dist[upper] = condensed
-    dist.T[upper] = condensed
     np.fill_diagonal(dist, np.inf)  # merged-away slots read inf too
     size = np.ones(g)
     merges = []  # (slot x, slot y, height)
@@ -300,7 +294,8 @@ def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
         raise ValueError("k must be >= 1")
     inter = _gram(columns, g)
     sizes = inter.diagonal().copy()
-    # 1 - Jaccard = 1 - inter / union, in one g×g buffer
+    # 1 - Jaccard = 1 - inter / union, in one g×g buffer; bitwise symmetric,
+    # as inter is
     dist = np.add.outer(sizes, sizes)
     dist -= inter
     np.divide(inter, dist, out=dist)
@@ -309,9 +304,8 @@ def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
 
     # meta-clusters are numbered by first appearance over the hyperedge
     # order, so the argmax tie rule is well defined
-    condensed = dist[np.triu(np.ones((g, g), dtype=bool), 1)]
+    meta = _average_linkage_cut(dist, k) - 1
     del dist
-    meta = _average_linkage_cut(condensed, k) - 1
     n_meta = int(meta.max()) + 1
     n = columns.shape[0]
     hits = np.bincount((np.arange(n)[:, None] * n_meta + meta[columns]).ravel(),

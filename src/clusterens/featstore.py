@@ -23,9 +23,22 @@ from .labeling import Labeling
 
 VAR_EPS = 1e-5
 
+# The byte budget of one block in every pass that works a block at a time
+# (similarity, hashed, gathered, unit and labeling rows, and pair checks),
+# under NumPy's 4 MiB huge-page threshold.
+BLOCK_BYTES = 2 << 20
+
 FEATPACK_MAGIC = b"FPK1"
 _TAG_TO_DTYPE = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _NPY_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
+
+
+def blocks(count: int, item_bytes: int, floor: int = 1) -> list:
+    """Consecutive slices covering ``range(count)``, each of at most
+    ``max(floor, BLOCK_BYTES // item_bytes)`` items; the budget is read at
+    call time."""
+    step = max(floor, BLOCK_BYTES // item_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -44,8 +44,9 @@ No buffer grows with H*B*d or H*C*n.  A training step gathers each head's
 neighbor rows ``u[nbr[h]]`` once, one block of heads at a time into one
 reused buffer, and the training-set labelings come from the shared-rows
 GEMM one block of rows at a time, each block standardized from the feature
-rows on its own; each block holds at most ``BLOCK_BYTES`` of gathered rows
-or of logits.  A step's working set is u, O(H*C*B) per-sample tensors and
+rows on its own.  ``featstore.blocks`` cuts both: a block holds at most
+``featstore.BLOCK_BYTES`` of gathered rows, or of standardized rows and
+their logits.  A step's working set is u, O(H*C*B) per-sample tensors and
 one block.  The anchor GEMM and its backward stay whole: the stacked matmul
 runs one GEMM per head, so blocking heads is exact, while splitting a GEMM
 can change the last bits of its products.
@@ -71,7 +72,7 @@ import numpy as np
 
 from . import binfmt
 from .errors import TrainingError
-from .featstore import EmbeddingMatrix, NormStats, fit_standardizer, unit_rows
+from .featstore import EmbeddingMatrix, NormStats, blocks, fit_standardizer, unit_rows
 from .labeling import Labeling
 from .neighbors import NeighborSets
 
@@ -84,8 +85,6 @@ MARGINAL_MOMENTUM = 0.9
 MARGINAL_FLOOR = 1e-6
 CE_PROB_FLOOR = 1e-12
 INIT_SCALE = 0.005
-# byte budget of one block of gathered neighbor rows or of labeling logits
-BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -185,14 +184,6 @@ def _shared_logits(w_fold, b_fold, u):
     return a.transpose(0, 2, 1)
 
 
-def _head_blocks(h_count: int, rows: int, d: int, itemsize: int) -> list:
-    """Consecutive slices of the heads, each as many heads as fit their
-    gathered (rows, d) rows of ``itemsize`` bytes into ``BLOCK_BYTES``, at
-    least one."""
-    step = max(1, BLOCK_BYTES // (rows * d * itemsize))
-    return [slice(lo, min(lo + step, h_count)) for lo in range(0, h_count, step)]
-
-
 def _own_logits(w_fold, b_fold, u_own):
     """Logits (H, n, C) of folded head h on its own rows u_own[h] (H, n, d).
 
@@ -288,11 +279,12 @@ def composite_loss_and_grads(
     in the dtype of ``u``.
 
     Logits of both folded copies come from the stacked (H, 2C, d) weights:
-    one GEMM on the anchors, then per block of heads (see ``_head_blocks``)
-    one gather of the draws ``u[nbr]`` into a reused buffer, draw-major, and
-    one batched matmul on them.  Per head, the teacher's anchors and B*m
-    neighbors are centered as one Sinkhorn-Knopp batch in float64, and its
-    neighbor targets are the mean over the m draws.  The student sees the
+    one GEMM on the anchors, then per block of heads (``featstore.blocks``
+    over the heads' gathered rows) one gather of the draws ``u[nbr]`` into a
+    reused buffer, draw-major, and one batched matmul on them.  Per head,
+    the teacher's anchors and B*m neighbors are centered as one
+    Sinkhorn-Knopp batch in float64, and its neighbor targets are the mean
+    over the m draws.  The student sees the
     first draw, the leading B rows of the block.  Its loss is taken in the
     log domain, ``log y = beta*(log q_s + log q_t) - log p`` summed by
     log-sum-exp over clusters, and the backward pass contracts the logit
@@ -329,9 +321,9 @@ def composite_loss_and_grads(
     da_x = np.empty((h_count, c_count, b_count), dtype=dt).transpose(0, 2, 1)
     g_own = np.empty_like(weight, dtype=dt)
     d_bias_own = np.empty((h_count, c_count), dtype=dt)
-    blocks = _head_blocks(h_count, rows, d, dt.itemsize)
-    buf = np.empty(((blocks[0].stop - blocks[0].start) * rows, d), dtype=dt)
-    for hb in blocks:
+    head_blocks = blocks(h_count, rows * d * dt.itemsize)
+    buf = np.empty(((head_blocks[0].stop - head_blocks[0].start) * rows, d), dtype=dt)
+    for hb in head_blocks:
         h = hb.stop - hb.start
         # indices come from validated neighbor sets; mode="raise" would buffer a copy
         u_nb = np.take(u, nbr[hb].transpose(0, 2, 1).reshape(-1), axis=0,
@@ -494,12 +486,11 @@ def _init_bank(cfg: TrainConfig, mean: np.ndarray, var: np.ndarray, rng) -> Head
 
 
 def _float32_unit_rows(x: np.ndarray, norm: NormStats) -> np.ndarray:
-    """``unit_rows(x, norm)`` rounded to float32, computed one block of at most
-    ``BLOCK_BYTES`` of float64 rows at a time, so no float64 copy of x is held."""
+    """``unit_rows(x, norm)`` rounded to float32, computed one block of float64
+    rows at a time, so no float64 copy of x is held."""
     u = np.empty(x.shape, dtype=np.float32)
-    rows = max(1, BLOCK_BYTES // (8 * x.shape[1]))
-    for lo in range(0, x.shape[0], rows):
-        u[lo : lo + rows] = unit_rows(x[lo : lo + rows], norm)
+    for rows in blocks(x.shape[0], 8 * x.shape[1]):
+        u[rows] = unit_rows(x[rows], norm)
     return u
 
 
@@ -612,7 +603,7 @@ def train_heads(
         for key, value in trained.items():
             copy[key][...] = value
     del optimizer, u
-    labelings = _head_labelings(bank.student, features.data, norm, cfg.tau_student)
+    labelings = _head_labelings(bank.student, features.data, norm)
     per_head_loss.flags.writeable = False
     epoch_loss.flags.writeable = False
     report = TrainReport(
@@ -624,31 +615,29 @@ def train_heads(
     return bank, report
 
 
-def _head_labelings(student: dict, x: np.ndarray, norm: NormStats, tau: float,
-                    heads=slice(None)) -> tuple:
+def _head_labelings(student: dict, x: np.ndarray, norm: NormStats, heads=slice(None)) -> tuple:
     """Argmax labelings of the student heads ``heads`` on the rows x (n, d).
 
     The folded GEMM gives the logits one block of rows at a time, each
-    block at most ``BLOCK_BYTES`` of logits; each block's rows are
-    standardized on their own by ``unit_rows(x, norm)``, which is
-    elementwise: the values are those of one whole-matrix call, and only
-    one block of standardized rows is held at a time.  A head with a
-    non-finite logit is an error.  Labels are the argmax of ``softmax(logits / tau)``, ids 1..C,
-    ties to the lowest class.
+    block's standardized rows and logits at most ``featstore.BLOCK_BYTES``;
+    each block's rows are standardized on their own by ``unit_rows(x,
+    norm)``, which is elementwise: the values are those of one whole-matrix
+    call, and only one block of standardized rows is held at a time.  A
+    head with a non-finite logit is an error.  Labels are the argmax of the
+    logits, which is that of ``softmax(logits / tau)`` for any tau > 0, ids
+    1..C, ties to the lowest class.
     """
-    h_count, c_count, _ = student["weight"][heads].shape
+    h_count, c_count, d = student["weight"][heads].shape
     n = x.shape[0]
-    rows = max(1, BLOCK_BYTES // (h_count * c_count * 8))
     labels = np.empty((h_count, n), dtype=np.int64)
     finite = np.ones(h_count, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         folded = _fold(student["weight"][heads], student["bias"][heads],
                        student["gamma"], student["beta_shift"])
-        for lo in range(0, n, rows):
-            logits = _shared_logits(*folded, unit_rows(x[lo : lo + rows], norm))
+        for rows in blocks(n, 8 * (h_count * c_count + d)):
+            logits = _shared_logits(*folded, unit_rows(x[rows], norm))
             finite &= np.isfinite(logits).all(axis=(1, 2))
-            logits /= tau
-            labels[:, lo : lo + rows] = np.argmax(softmax(logits), axis=-1)
+            labels[:, rows] = np.argmax(logits, axis=-1)
     if not finite.all():
         bad = range(len(student["bias"]))[heads][int(np.argmin(finite))]
         raise ValueError(f"non-finite head logits in head {bad}")
@@ -661,8 +650,7 @@ def predict_labeling(bank: HeadBank, head: int, features: EmbeddingMatrix) -> La
         raise ValueError(f"head {head} out of range [0, {bank.num_heads})")
     s = bank.student
     norm = NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"])
-    return _head_labelings(s, features.data, norm, bank.config.tau_student,
-                           slice(head, head + 1))[0]
+    return _head_labelings(s, features.data, norm, slice(head, head + 1))[0]
 
 
 # ---------------------------------------------------------------------------

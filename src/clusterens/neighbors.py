@@ -4,15 +4,18 @@ Each sample's neighbor set contains every other sample whose cosine
 similarity reaches the threshold ``theta``; sets that stay below ``k_min``
 members fall back to the top-``k_min`` most similar samples.  Sets are
 computed exhaustively (exact O(n^2) similarities) and once, ahead of
-training, a block of rows at a time: a block holds at most BLOCK_BYTES of
-similarities (or MIN_BLOCK_ROWS rows), never the n×n matrix.
+training, a block of rows at a time: a block holds at most
+``featstore.BLOCK_BYTES`` of similarities (or MIN_BLOCK_ROWS rows), never
+the n×n matrix.
 
 Each block's candidates are ranked with NumPy's default (SIMD, unstable)
 argsort; only rows where two kept keys tie exactly are sorted again with a
 stable sort, so ties stay in index order and the sets are those of one
 stable sort.  The int32 members of every block are copied into one array
 grown in place, so mining holds the pairs once, and the NNS1 writer and the
-threshold sweep's prefix cut work one bounded row block at a time.
+threshold sweep's prefix cut work one block of rows at a time, each of
+at most ``BLOCK_BYTES // 16`` pairs: a check holds about 16 bytes of int64
+keys and masks per pair.
 """
 
 from __future__ import annotations
@@ -22,40 +25,24 @@ from typing import Iterator
 
 import numpy as np
 
-from . import binfmt
-from .featstore import EmbeddingMatrix
+from . import binfmt, featstore
+from .featstore import EmbeddingMatrix, blocks
 from .labeling import Labeling
 
 NEIGHBORS_MAGIC = b"NNS1"
 
-# Similarities are computed for a block of rows at a time: as many rows as
-# fit BLOCK_BYTES of float64 similarities (under NumPy's 4 MiB huge-page
-# threshold), but never fewer than MIN_BLOCK_ROWS, which keeps the block
-# product compute-bound at large n.  BLOCK_ROWS and n/16 cap a block, so it
-# never holds more than 1/16 of the n×n matrix; up to BLOCK_ROWS samples are
-# one block.
-BLOCK_BYTES = 2 << 20
+# a similarity block never holds fewer rows, which keeps its matrix product
+# compute-bound at large n
 MIN_BLOCK_ROWS = 64
-BLOCK_ROWS = 512
-
-# Work on finished sets (the self and duplicate checks, pair accuracy, the
-# NNS1 writer) runs one block of consecutive rows at a time, each holding at
-# most BLOCK_PAIRS pairs, or a single longer row: about 10-17 bytes of int64
-# keys, gathered labels and masks per pair, so under 5 MB a block.
-BLOCK_PAIRS = 1 << 18
-
-
-def _block_rows(n: int) -> int:
-    rows = max(MIN_BLOCK_ROWS, BLOCK_BYTES // (8 * n))
-    return min(rows, n if n <= BLOCK_ROWS else min(BLOCK_ROWS, n // 16))
 
 
 def _row_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Consecutive row ranges ``lo:hi`` of at most BLOCK_PAIRS pairs (or one row)."""
+    """Consecutive row ranges ``lo:hi`` of at most ``BLOCK_BYTES // 16`` pairs (or one row)."""
     n = offsets.size - 1
+    pairs = featstore.BLOCK_BYTES // 16
     lo = 0
     while lo < n:
-        hi = int(np.searchsorted(offsets, offsets[lo] + BLOCK_PAIRS, side="right")) - 1
+        hi = int(np.searchsorted(offsets, offsets[lo] + pairs, side="right")) - 1
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
@@ -197,22 +184,21 @@ def _similarity_matrix(unit: np.ndarray, start: int, stop: int, columns) -> np.n
     return sims
 
 
-def _repeated_rows(unit: np.ndarray, step: int):
+def _repeated_rows(unit: np.ndarray):
     """``np.unique``'s ``(distinct, inverse)`` of the rows if any row repeats, else None.
 
-    Each row is hashed first, ``step`` rows at a time: the bits of its values
-    (``+ 0.0`` turns -0.0 into 0.0) dotted with fixed odd uint64 multipliers,
-    wrapping.  Equal rows hash equal, so unless two of the sorted hashes tie,
-    every row is distinct and ``np.unique``, which copies and sorts all n×d
-    values, is not called.
+    Each row is hashed first, one block of rows at a time: the bits of its
+    values (``+ 0.0`` turns -0.0 into 0.0) dotted with fixed odd uint64
+    multipliers, wrapping.  Equal rows hash equal, so unless two of the
+    sorted hashes tie, every row is distinct and ``np.unique``, which copies
+    and sorts all n×d values, is not called.
     """
     n, d = unit.shape
     multipliers = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     multipliers |= np.uint64(1)
     hashes = np.empty(n, dtype=np.uint64)
-    for start in range(0, n, step):
-        np.matmul((unit[start : start + step] + 0.0).view(np.uint64), multipliers,
-                  out=hashes[start : start + step])
+    for rows in blocks(n, 8 * d):
+        np.matmul((unit[rows] + 0.0).view(np.uint64), multipliers, out=hashes[rows])
     hashes.sort()
     if not (hashes[1:] == hashes[:-1]).any():
         return None
@@ -250,13 +236,12 @@ def _mine(features: EmbeddingMatrix, theta: float, floor: int, cuts=()):
     """
     unit = _unit_rows(features)
     n = features.n
-    step = _block_rows(n)
-    columns = _repeated_rows(unit, step)
+    columns = _repeated_rows(unit)
     sizes = np.empty(n, dtype=np.int64)
     above = np.empty((len(cuts), n), dtype=np.int64)
     members = np.empty(0, dtype=np.int32)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
+    for block in blocks(n, 8 * n, MIN_BLOCK_ROWS):
+        start, stop = block.start, block.stop
         sims = _similarity_matrix(unit, start, stop, columns)
         for row, t in zip(above, cuts):
             row[start:stop] = np.count_nonzero(sims >= t, axis=1)

@@ -491,7 +491,7 @@ def unique_mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
     union = sizes[:, None] + sizes[None, :] - inter
     jaccard = inter / union
 
-    flat = _average_linkage_cut(squareform(1.0 - jaccard, checks=False), k)
+    flat = _average_linkage_cut(squareform(squareform(1.0 - jaccard, checks=False)), k)
     flat = unique_canonicalize(Labeling(flat)).labels
     n_meta = int(flat.max())
     membership = np.zeros((n_meta, n))

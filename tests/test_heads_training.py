@@ -25,6 +25,7 @@ from clusterens.heads import (
 )
 from clusterens.neighbors import NeighborSets
 
+from clusterens import featstore
 from clusterens.featstore import NormStats, unit_rows
 
 from oracles import (
@@ -282,8 +283,8 @@ class TestFloat32:
         args, kwargs = loss_instance(rng, h=5, b=64, c=6, d=20, m=m)
         args = cast(args, np.float32)  # float32-exact inputs, for both runs
         if heads_per_block:
-            monkeypatch.setattr(heads, "BLOCK_BYTES", heads_per_block * 64 * m * 20 * 4)
-            assert len(heads._head_blocks(5, 64 * m, 20, 4)) == 3
+            monkeypatch.setattr(featstore, "BLOCK_BYTES", heads_per_block * 64 * m * 20 * 4)
+            assert len(featstore.blocks(5, 64 * m * 20 * 4)) == 3
         single = run_kernel(args, kwargs)
         double = run_kernel(cast(args, np.float64), kwargs)
         assert single[0].dtype == np.float32
@@ -354,14 +355,14 @@ class TestClusterMajorLayout:
 class TestHeadBlocks:
     """A step's neighbor side runs one block of heads at a time and the
     labeling one block of rows at a time; every block size gives the bits
-    of the single block ``BLOCK_BYTES`` makes at these sizes."""
+    of the single block ``featstore.BLOCK_BYTES`` makes at these sizes."""
 
     H, B, C, D, N = 7, 37, 5, 33, 101  # at d = 33, splitting the anchor GEMM moves bits
 
     def set_block(self, monkeypatch, heads_per_block, rows, itemsize):
         """Make each block of gathered (rows, D) rows hold that many heads."""
-        monkeypatch.setattr(heads, "BLOCK_BYTES", heads_per_block * rows * self.D * itemsize)
-        blocks = heads._head_blocks(self.H, rows, self.D, itemsize)
+        monkeypatch.setattr(featstore, "BLOCK_BYTES", heads_per_block * rows * self.D * itemsize)
+        blocks = featstore.blocks(self.H, rows * self.D * itemsize)
         assert len(blocks) == -(-self.H // heads_per_block)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -373,12 +374,13 @@ class TestHeadBlocks:
         nbr = rng.integers(0, n, size=(h, b, m))
         marginal = np.maximum(rng.dirichlet(np.ones(c), size=h), 1e-6)
         kwargs = dict(beta=0.6, tau_student=0.1, tau_teacher=0.1, sk_iters=3, lam=0.4)
+        budget = featstore.BLOCK_BYTES
 
         for dtype in (np.float32, np.float64):  # the training dtype and the tests'
             args = (*cast((student, teacher, u_x, u, marginal), dtype)[:4], nbr, marginal)
             itemsize = np.dtype(dtype).itemsize
-            monkeypatch.setattr(heads, "BLOCK_BYTES", 4 << 20)
-            assert len(heads._head_blocks(h, b * m, d, itemsize)) == 1
+            monkeypatch.setattr(featstore, "BLOCK_BYTES", budget)
+            assert len(featstore.blocks(h, b * m * d * itemsize)) == 1
             losses, grads, *targets = composite_loss_and_grads(*args, **kwargs)
             whole = (losses, *grads.values(), *targets)
             for heads_per_block in (1, 2, 3):
@@ -393,11 +395,13 @@ class TestHeadBlocks:
         m, _, _, cfg, bank, _ = trained_run
         s = bank.student
         norm = NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"])
+        # the labels as they were taken before the argmax of the logits: of softmax(logits / tau)
         logits = heads._shared_logits(*heads._fold(**s), unit_rows(m.data, norm)) / cfg.tau_student
         want = np.argmax(heads.softmax(logits), axis=-1) + 1
         for rows in (1, 7, 64, m.n):
-            monkeypatch.setattr(heads, "BLOCK_BYTES", rows * bank.num_heads * bank.num_clusters * 8)
-            got = heads._head_labelings(s, m.data, norm, cfg.tau_student)
+            row_bytes = 8 * (bank.num_heads * bank.num_clusters + bank.dim)
+            monkeypatch.setattr(featstore, "BLOCK_BYTES", rows * row_bytes)
+            got = heads._head_labelings(s, m.data, norm)
             assert np.array_equal([lab.labels for lab in got], want)
 
     def test_lowest_non_finite_head_reported_across_row_blocks(self, rng, monkeypatch):
@@ -409,15 +413,15 @@ class TestHeadBlocks:
         u = rng.normal(size=(6, d))
         u[:, 0] = 0.0
         u[-1, 0] = 10.0
-        monkeypatch.setattr(heads, "BLOCK_BYTES", 8)  # one row per block
+        monkeypatch.setattr(featstore, "BLOCK_BYTES", 8)  # one row per block
         norm = NormStats(np.zeros(d), np.ones(d), np.ones(d), np.zeros(d))
         with pytest.raises(ValueError, match="non-finite head logits in head 1"):
-            heads._head_labelings(student, u, norm, 0.1)
+            heads._head_labelings(student, u, norm)
 
 
 def test_training_memory_is_bounded():
     # 40 heads of 256 gathered float32 rows at d = 384 are 16 MB a step; blocked,
-    # the step holds u (1.5 MB), O(H*C*B) tensors and one 4 MB block
+    # the step holds u (1.5 MB), O(H*C*B) tensors and one 2 MiB block
     features, _ = gen_synthetic(SynthSpec(n=1024, d=384, k=10, separation=3.0, seed=4))
     sets = build_neighbor_sets(features, 0.3, 5)
     cfg = TrainConfig(num_clusters=10, num_heads=40, epochs=1, warmup_epochs=1, lr=1e-3, seed=4)
@@ -428,6 +432,24 @@ def test_training_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40 << 20, f"train_heads peaked at {peak / 2**20:.1f} MB"
+
+
+def test_predict_labeling_holds_one_block_of_standardized_rows():
+    # 40000 x 64 standardized float64 rows are 20 MB, ten budgets; one head
+    # of 10 clusters labels them 3542 rows (2 MiB with their logits) a block
+    features, _ = gen_synthetic(SynthSpec(n=40000, d=64, k=10, seed=5))
+    data = features.data
+    cfg = TrainConfig(num_clusters=10, num_heads=1)
+    bank = heads._init_bank(cfg, data.mean(axis=0), data.var(axis=0), np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        labeling = predict_labeling(bank, 0, features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labeling.n == 40000
+    # one block plus the n labels, a few int64 copies of them
+    assert peak < featstore.BLOCK_BYTES + 40000 * 8 * 4, f"peaked at {peak / 2**20:.1f} MB"
 
 
 class TestTrainHeads:
@@ -508,8 +530,8 @@ class TestTrainHeads:
             return fresh
 
         monkeypatch.setattr(heads, "_init_bank", poisoned_init)
-        for block_bytes in (heads.BLOCK_BYTES, 8):  # one block of rows, then one row per block
-            monkeypatch.setattr(heads, "BLOCK_BYTES", block_bytes)
+        for block_bytes in (featstore.BLOCK_BYTES, 8):  # one block of rows, then one row per block
+            monkeypatch.setattr(featstore, "BLOCK_BYTES", block_bytes)
             with pytest.raises(ValueError, match="non-finite head logits") as info:
                 train_heads(m, sets, dataclasses.replace(cfg, epochs=0))
             assert str(info.value) == "non-finite head logits in head 1"

@@ -13,7 +13,7 @@ from clusterens import (
     neighbor_accuracy,
     sweep_neighbor_sets,
 )
-from clusterens import neighbors
+from clusterens import featstore, neighbors
 from clusterens.cli import main
 from clusterens.errors import LoadError
 from clusterens.featstore import save_features
@@ -124,19 +124,29 @@ def assert_matches_dense(m, theta, k_min):
     assert got.indices.tolist() == np.concatenate(want).tolist()
 
 
+def similarity_blocks(n):
+    """The row slices mining cuts its similarity blocks into at n samples."""
+    return featstore.blocks(n, 8 * n, neighbors.MIN_BLOCK_ROWS)
+
+
 class TestDenseOracle:
-    """Row-block mining gives exactly the sets of the dense formulation."""
+    """Row-block mining gives exactly the sets of the dense formulation, in
+    one block and in blocks the byte budget cuts to a few rows each, the last
+    one short."""
 
     N = 150
 
-    @pytest.fixture(params=[None, 16, 7], ids=["one_block", "ragged_9", "ragged_7"])
+    @pytest.fixture(params=[None, 16, 11, 9, 7, 4],
+                    ids=["one_block", "ragged_16", "ragged_11", "ragged_9", "ragged_7", "ragged_4"])
     def blocks(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(neighbors, "BLOCK_ROWS", request.param)
-            rows = neighbors._block_rows(self.N)
-            assert 1 < rows < self.N and self.N % rows  # several blocks, the last one short
+        rows = request.param
+        if rows is None:
+            assert len(similarity_blocks(self.N)) == 1
         else:
-            assert neighbors._block_rows(self.N) == self.N
+            monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
+            monkeypatch.setattr(featstore, "BLOCK_BYTES", rows * 8 * self.N)
+            spans = similarity_blocks(self.N)
+            assert spans[0] == slice(0, rows) and 0 < spans[-1].stop - spans[-1].start < rows
 
     def test_random(self, rng, blocks):
         m = EmbeddingMatrix(rng.normal(size=(self.N, 6)))
@@ -176,24 +186,23 @@ class TestDenseOracle:
                     assert_matches_dense(m, theta, k_min)
 
 
-class TestDenseOracleByteBlocks(TestDenseOracle):
-    """The same oracle with blocks cut by the similarity byte cap: 11 or 4
-    rows a block, so many blocks and the last one short."""
-
-    @pytest.fixture(params=[11, 4], ids=["bytes_11", "bytes_4"])
-    def blocks(self, request, monkeypatch):
-        monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
-        monkeypatch.setattr(neighbors, "BLOCK_BYTES", request.param * 8 * self.N)
-        rows = neighbors._block_rows(self.N)
-        assert rows == request.param and self.N % rows
-
-
-def test_block_rows_rule():
-    rule = {n: neighbors._block_rows(n) for n in (2, 150, 512, 600, 1000, 2000, 4000, 6000, 50000)}
-    # up to BLOCK_ROWS samples are one block; past it n/16 caps, then 2 MiB of
-    # similarities, but never fewer than 64 rows
-    assert rule == {2: 2, 150: 150, 512: 512, 600: 37, 1000: 62, 2000: 125,
+def test_block_rows_rule(rng, monkeypatch):
+    sizes = (2, 150, 512, 600, 1000, 2000, 4000, 6000, 50000)
+    rule = {n: similarity_blocks(n)[0].stop for n in sizes}
+    # 2 MiB of float64 similarities a block, but never fewer than 64 rows, so
+    # up to 512 samples are one block
+    assert rule == {2: 2, 150: 150, 512: 512, 600: 436, 1000: 262, 2000: 131,
                     4000: 65, 6000: 64, 50000: 64}
+    # and mining computes its similarities in exactly those blocks
+    spans, similarity = [], neighbors._similarity_matrix
+
+    def spy(unit, start, stop, columns):
+        spans.append((start, stop))
+        return similarity(unit, start, stop, columns)
+
+    monkeypatch.setattr(neighbors, "_similarity_matrix", spy)
+    build_neighbor_sets(EmbeddingMatrix(rng.normal(size=(600, 4))), 0.9, 3)
+    assert spans == [(0, 436), (436, 600)]
 
 
 def test_tied_rows_are_the_ties_that_can_move_a_kept_member():
@@ -219,7 +228,7 @@ def test_only_rows_with_ties_are_sorted_again(rng, monkeypatch, kind):
     across the cut, are sorted again stably."""
     n, k_min = 150, 10
     monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
-    monkeypatch.setattr(neighbors, "BLOCK_BYTES", 11 * 8 * n)
+    monkeypatch.setattr(featstore, "BLOCK_BYTES", 11 * 8 * n)
     theta = {"copies": 0.5, "cut_ties": 2.0, "no_ties": 0.3}[kind]
     if kind == "copies":
         m = EmbeddingMatrix(dyadic_rows(rng, 3, 16)[rng.integers(0, 3, size=n)])
@@ -291,14 +300,15 @@ def unique_calls(monkeypatch):
 
 @pytest.mark.parametrize("step", [1, 7, 1000])
 @pytest.mark.parametrize("pairs", [((0, 3), (5, 8)), ((2, 6),)], ids=["copies", "signed_zero"])
-def test_repeated_rows_share_one_column(rng, unique_calls, step, pairs):
+def test_repeated_rows_share_one_column(rng, unique_calls, monkeypatch, step, pairs):
     # each pair's second row repeats its first; row 6 is row 2 with a -0.0 for its 0.0
     data = rng.normal(size=(10, 5))
     data[2, 1] = 0.0
     for a, b in pairs:
         data[b] = data[a]
     data[6, 1] = -0.0
-    distinct, inverse = neighbors._repeated_rows(data, step)
+    monkeypatch.setattr(featstore, "BLOCK_BYTES", step * 8 * 5)  # rows hashed `step` at a time
+    distinct, inverse = neighbors._repeated_rows(data)
     assert len(unique_calls) == 1 and distinct.shape == (10 - len(pairs), 5)
     for a, b in pairs:
         assert inverse[a] == inverse[b]
@@ -307,8 +317,9 @@ def test_repeated_rows_share_one_column(rng, unique_calls, step, pairs):
 @pytest.mark.parametrize("step", [1, 7, 1000])
 def test_distinct_rows_skip_unique(rng, unique_calls, monkeypatch, step):
     m = EmbeddingMatrix(rng.normal(size=(300, 6)))
-    assert neighbors._repeated_rows(m.data, step) is None
-    monkeypatch.setattr(neighbors, "BLOCK_ROWS", step)
+    monkeypatch.setattr(featstore, "BLOCK_BYTES", step * 8 * 6)  # rows hashed `step` at a time
+    assert neighbors._repeated_rows(m.data) is None
+    monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
     assert build_neighbor_sets(m, 0.3, 5).indices.tolist() == [
         i for s in dense_neighbor_sets(m, 0.3, 5) for i in s]
     assert unique_calls == []
@@ -460,7 +471,7 @@ class TestSerialization:
     def test_row_blocks_write_the_same_bytes(self, tmp_path, monkeypatch, block):
         sets = NeighborSets.from_lists(CHECK_BASE)
         save_neighbor_sets(sets, tmp_path / "one.nns")
-        monkeypatch.setattr(neighbors, "BLOCK_PAIRS", block)
+        set_pair_budget(monkeypatch, block)
         save_neighbor_sets(sets, tmp_path / "blocks.nns")
         assert (tmp_path / "blocks.nns").read_bytes() == (tmp_path / "one.nns").read_bytes()
         back = load_neighbor_sets(tmp_path / "blocks.nns")
@@ -482,6 +493,11 @@ def test_neighbor_sets_reject_bad_offsets():
     for offsets, indices in [([0, 2], [1]), ([1, 1], []), ([0, 2, 1], [1, 0]), ([], [])]:
         with pytest.raises(ValueError, match="offsets"):
             NeighborSets(np.array(offsets), np.array(indices))
+
+
+def set_pair_budget(monkeypatch, pairs):
+    """Make a check block hold at most ``pairs`` pairs, 16 bytes each."""
+    monkeypatch.setattr(featstore, "BLOCK_BYTES", 16 * pairs)
 
 
 # ten samples: row 3 holds all nine others, longer than every small block;
@@ -519,7 +535,7 @@ def test_checks_report_the_same_fault_in_row_blocks(monkeypatch, changes, match)
     with pytest.raises(ValueError, match=match) as one_block:
         NeighborSets.from_lists(sets)
     for block in (1, 2, 7):
-        monkeypatch.setattr(neighbors, "BLOCK_PAIRS", block)
+        set_pair_budget(monkeypatch, block)
         with pytest.raises(ValueError) as blocked:
             NeighborSets.from_lists(sets)
         assert str(blocked.value) == str(one_block.value)
@@ -528,7 +544,7 @@ def test_checks_report_the_same_fault_in_row_blocks(monkeypatch, changes, match)
 def test_row_blocks_cover_every_row_once(monkeypatch):
     offsets = NeighborSets.from_lists(CHECK_BASE).offsets
     for block in (1, 2, 7, 1 << 18):
-        monkeypatch.setattr(neighbors, "BLOCK_PAIRS", block)
+        set_pair_budget(monkeypatch, block)
         spans = list(neighbors._row_blocks(offsets))
         assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
         assert spans[-1][1] == len(CHECK_BASE)
@@ -592,7 +608,7 @@ def test_pair_accuracy_in_row_blocks_matches_per_pair_count(rng, monkeypatch, bl
     sets = build_neighbor_sets(m, 0.3, 4)
     arr = rng.integers(0, 4, size=80)
     pairs = [(x, y) for x, s in enumerate(sets.sets) for y in s.tolist()]
-    monkeypatch.setattr(neighbors, "BLOCK_PAIRS", block)
+    set_pair_budget(monkeypatch, block)
     stats = neighbor_accuracy(sets, Labeling(arr))
     assert stats.pair_accuracy == sum(arr[x] == arr[y] for x, y in pairs) / len(pairs)
     weighted = neighbor_accuracy(NeighborSets.from_lists(([1, 2, 3], [0], [], [])),
@@ -628,7 +644,7 @@ def test_sweep_memory_is_a_few_bytes_per_pair():
 
 
 def test_writer_memory_does_not_grow_with_the_pairs(tmp_path, monkeypatch):
-    monkeypatch.setattr(neighbors, "BLOCK_PAIRS", 1 << 14)
+    set_pair_budget(monkeypatch, 1 << 14)
     peaks = []
     for k in (20, 2):  # 0.2M, then 2.0M pairs: an 8 MB body
         sets = ground_truth_neighbors(Labeling(np.arange(2000) % k))

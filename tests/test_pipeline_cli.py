@@ -566,6 +566,15 @@ class TestCli:
         code = main(["gen-synth", "--set", "bogus.key=1"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--config", "--set"])
+    def test_eval_rejects_a_bad_config(self, tmp_path, capsys, flag):
+        # eval reads no config key, but resolves its config like every command
+        _, lpath = write_inputs(tmp_path, n=40, d=6, k=2)
+        value = {"--config": str(tmp_path / "missing.cfg"), "--set": "no.such.key=1"}[flag]
+        code = main(["eval", flag, value, "--pred", str(lpath), "--gt", str(lpath)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_corrupt_input_exit_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.fpk"
         bad.write_bytes(b"FPK1" + b"\x01\x00\x00\x00\x02\x00\x00\x00\x02" + b"\x00" * 5)

@@ -14,6 +14,7 @@ import pytest
 from scipy import sparse
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import squareform
 
 from clusterens import Labeling, canonicalize, cspa
 from clusterens.ensemble import _average_linkage_cut, _gram, co_association
@@ -54,7 +55,7 @@ def test_average_linkage_cut_matches_fcluster(levels):
     for g in range(1, 41):
         condensed = rng.integers(0, levels, size=g * (g - 1) // 2) / (levels - 1)
         for k in range(1, g + 1):
-            got = _average_linkage_cut(condensed, k)
+            got = _average_linkage_cut(squareform(condensed), k)
             if g == 1:
                 assert got.tolist() == [1]
                 continue
