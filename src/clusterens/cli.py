@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    """The config file, then ``--set``, then the command's flags."""
+    """The command's config: the file, then ``--set``, then its flags, later ones winning."""
     entries = read_config_file(args.config) if args.config else {}
     overrides = list(args.set)
     for key in args.flag_keys:
