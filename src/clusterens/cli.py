@@ -2,8 +2,12 @@
 
 Every subcommand reads an optional ``--config`` file plus repeatable
 ``--set key=value`` overrides; path flags are shorthand for the matching
-config keys and win over both.  Exit codes: 0 success, 1 configuration
-error, 2 runtime failure.
+config keys and win over both.  This module holds only the flags, one call
+per command and the printing: ``pipeline.py`` finds, loads and checks every
+input file (``input_file``, ``load_inputs`` and the ``*_inputs`` helpers)
+before any work.  Exit codes: 0 success, 1 configuration error (a missing
+file, or inputs that do not fit together), 2 runtime failure (a file that
+does not parse included).
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ import sys
 from pathlib import Path
 
 from . import pipeline as pl
-from .config import PipelineConfig, read_config_file, resolve
+from .config import PipelineConfig, load_pipeline_config
 from .errors import ClusterensError, ConfigError
 from .labeling import load_labeling, save_labeling, save_labeling_text
 from .metrics import evaluate
-from .selftrain import load_classifier, predict as clf_predict
+from .selftrain import predict as clf_predict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +77,7 @@ def _build_parser() -> _Parser:
         ("--features", "features", "input feature file"),
     ])
     p.add_argument("--classifier", help="classifier checkpoint")
-    p.add_argument("--out", help="output labeling file")
+    p.add_argument("--out", required=True, help="output labeling file")
     p = add("eval", "score a predicted labeling against ground truth", _cmd_eval)
     p.add_argument("--pred", help="predicted labeling file")
     p.add_argument("--gt", help="ground-truth labeling file")
@@ -92,22 +96,12 @@ def _build_parser() -> _Parser:
 
 def _config_from_args(args) -> PipelineConfig:
     """The command's config: the file, then ``--set``, then its flags, later ones winning."""
-    entries = read_config_file(args.config) if args.config else {}
     overrides = list(args.set)
     for key in args.flag_keys:
         value = getattr(args, key.replace(".", "__"), None)
         if value is not None:
             overrides.append(f"{key}={value}")
-    return PipelineConfig(resolve(entries, overrides))
-
-
-def _require_file(path, what) -> Path:
-    if path is None:
-        raise ConfigError(f"missing required {what}")
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"{what} not found: {p}")
-    return p
+    return load_pipeline_config(args.config, overrides)
 
 
 def _cmd_gen_synth(args, cfg) -> str:
@@ -117,51 +111,21 @@ def _cmd_gen_synth(args, cfg) -> str:
 def _cmd_train(args, cfg) -> str:
     features, labels = pl.validate_inputs(cfg)
     sets = pl.build_sets_for_config(cfg, features, labels)
-    return pl.train_stage(Path(cfg.output_dir), features, sets, cfg.train_config(), labels)[-1]
-
-
-def _optional_labels(cfg):
-    return load_labeling(_require_file(cfg.labels_path, "labels file")) \
-        if cfg.labels_path else None
+    return pl.train_stage(Path(cfg["output_dir"]), features, sets, cfg.train_config(), labels)[-1]
 
 
 def _cmd_ensemble(args, cfg) -> str:
-    cfg.require("output_dir")
-    run_dir = Path(cfg.output_dir)
-    report_path = _require_file(run_dir / "train_report.txt", "train report")
-    block = pl.read_machine_block(report_path.read_text(encoding="utf-8"))
-    # the heads the report names, not whatever an earlier run left behind
-    inputs = [load_labeling(_require_file(run_dir / "labelings" / f"head_{h:03d}.lbl",
-                                          "head labeling"))
-              for h in range(int(block["num_heads"]))]
-    labels = _optional_labels(cfg)
-    pl.check_count(labels, "labels", inputs[0].n, "head labelings")
-    return pl.ensemble_stage(
-        run_dir, inputs, cfg.ensemble_k(), int(block["best_head"]), labels
-    )[-1]
+    return pl.ensemble_stage(*pl.ensemble_inputs(cfg))[-1]
 
 
 def _cmd_selftrain(args, cfg) -> str:
-    fpath = _require_file(cfg.features_path, "feature file")
-    pseudo_path = _require_file(args.pseudo_labels, "pseudo-label file")
-    out_dir = Path(args.out) if args.out else (
-        Path(cfg.output_dir) if cfg.output_dir else pseudo_path.parent
-    )
-    features = pl.load_features_any(fpath, cfg["features_format"])
-    pseudo = load_labeling(pseudo_path)
-    labels = _optional_labels(cfg)
-    pl.check_count(pseudo, "pseudo-labels", features.n)
-    pl.check_count(labels, "labels", features.n)
+    features, pseudo, labels = pl.selftrain_inputs(cfg, args.pseudo_labels)
+    out_dir = Path(args.out or cfg["output_dir"] or Path(args.pseudo_labels).parent)
     return pl.selftrain_stage(out_dir, features, pseudo, cfg.selftrain_config(), labels)[-1]
 
 
 def _cmd_predict(args, cfg) -> str:
-    fpath = _require_file(cfg.features_path, "feature file")
-    clf_path = _require_file(args.classifier, "classifier checkpoint")
-    if args.out is None:
-        raise ConfigError("predict needs --out for the output labeling")
-    features = pl.load_features_any(fpath, cfg["features_format"])
-    clf = load_classifier(clf_path)
+    features, clf = pl.predict_inputs(cfg, args.classifier)
     labeling = clf_predict(clf, features)
     if str(args.out).endswith(".txt"):
         save_labeling_text(labeling, args.out)
@@ -177,8 +141,8 @@ def _cmd_predict(args, cfg) -> str:
 
 
 def _cmd_eval(args, cfg) -> str:
-    pred = load_labeling(_require_file(args.pred, "predicted labeling"))
-    gt = load_labeling(_require_file(args.gt, "ground-truth labeling"))
+    pred = load_labeling(pl.input_file(args.pred, "predicted labeling"))
+    gt = load_labeling(pl.input_file(args.gt, "ground-truth labeling"))
     pl.check_count(gt, "ground-truth labels", pred.n, "predictions")
     report = evaluate(pred, gt)
     human = ["clustering metrics"] + pl.metrics_human_lines(report)
@@ -192,7 +156,7 @@ def _cmd_pipeline(args, cfg) -> str:
         "config_hash": manifest.config_hash,
         "seed": manifest.seed,
         "selftrain_rounds": manifest.selftrain_rounds,
-        "manifest": str(Path(cfg.output_dir) / "manifest.json"),
+        "manifest": str(Path(cfg["output_dir"]) / "manifest.json"),
     }
     for stage in manifest.stages:
         line = f"  {stage.name}: {stage.wall_clock_s:.2f}s"
@@ -206,12 +170,8 @@ def _cmd_pipeline(args, cfg) -> str:
 
 
 def _cmd_nn_analysis(args, cfg) -> str:
-    fpath = _require_file(cfg.features_path, "feature file")
-    lpath = _require_file(cfg.labels_path, "labels file")
-    features = pl.load_features_any(fpath, cfg["features_format"])
-    labels = load_labeling(lpath)
-    pl.check_count(labels, "labels", features.n)
-    return pl.nn_analysis(features, labels, cfg["ablate.thresholds"], cfg["neighbors.k_min"])
+    cfg.require("labels")
+    return pl.nn_analysis(cfg, *pl.load_inputs(cfg))
 
 
 def _cmd_ablate(args, cfg) -> str:

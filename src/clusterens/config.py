@@ -92,13 +92,6 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict:
     return raw
 
 
-def read_config_file(path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_kv_text(path.read_text(encoding="utf-8"), source=str(path))
-
-
 def resolve(file_entries: dict | None = None, overrides: list | None = None) -> dict:
     """Merge defaults, file entries and --set overrides into typed values."""
     merged = {}
@@ -164,24 +157,8 @@ class PipelineConfig:
     def __getitem__(self, key):
         return self.resolved[key]
 
-    @property
-    def seed(self) -> int:
-        return self.resolved["seed"]
-
-    @property
-    def features_path(self):
-        return self.resolved["features"]
-
-    @property
-    def labels_path(self):
-        return self.resolved["labels"]
-
-    @property
-    def output_dir(self):
-        return self.resolved["output_dir"]
-
     def require(self, *keys) -> None:
-        missing = [k for k in keys if self.resolved.get(k) is None]
+        missing = [k for k in keys if self[k] is None]
         if missing:
             raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
@@ -193,20 +170,24 @@ class PipelineConfig:
         keys = {f.name: f"{prefix}.{f.name}" for f in fields(stage_cls) if f.name != "seed"}
         self.require(*keys.values())
         try:
-            return stage_cls(seed=self.seed, **{n: self.resolved[k] for n, k in keys.items()})
+            return stage_cls(seed=self["seed"], **{n: self[k] for n, k in keys.items()})
         except ValueError as exc:
             raise ConfigError(f"invalid {prefix} config: {exc}") from exc
 
     def train_config(self) -> TrainConfig:
         return self._stage_config("train", TrainConfig)
 
-    def ensemble_k(self) -> int:
-        k = self.resolved["ensemble.k"]
+    def ensemble_k(self, n: int) -> int:
+        """The consensus cluster count (``ensemble.k``, else ``train.num_clusters``)
+        for ``n`` samples."""
+        k = self["ensemble.k"]
         if k is None:
             self.require("train.num_clusters")
-            k = self.resolved["train.num_clusters"]
+            k = self["train.num_clusters"]
         if k < 2:
             raise ConfigError("ensemble.k must be >= 2")
+        if k > n:
+            raise ConfigError(f"ensemble.k={k} exceeds the sample count n={n}")
         return k
 
     def selftrain_config(self) -> SelfTrainConfig:
@@ -214,13 +195,10 @@ class PipelineConfig:
 
     def synth_spec(self) -> SynthSpec:
         self.require("synth.n", "synth.d", "synth.k")
-        r = self.resolved
-        seed = r["synth.seed"] if r["synth.seed"] is not None else r["seed"]
+        seed = self["seed"] if self["synth.seed"] is None else self["synth.seed"]
         try:
-            return SynthSpec(
-                n=r["synth.n"], d=r["synth.d"], k=r["synth.k"],
-                separation=r["synth.separation"], seed=seed,
-            )
+            return SynthSpec(n=self["synth.n"], d=self["synth.d"], k=self["synth.k"],
+                             separation=self["synth.separation"], seed=seed)
         except ValueError as exc:
             raise ConfigError(f"invalid synth spec: {exc}") from exc
 
@@ -229,5 +207,10 @@ class PipelineConfig:
 
 
 def load_pipeline_config(path=None, overrides: list | None = None) -> PipelineConfig:
-    entries = read_config_file(path) if path is not None else {}
+    entries = {}
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {path}")
+        entries = parse_kv_text(path.read_text(encoding="utf-8"), source=str(path))
     return PipelineConfig(resolve(entries, overrides))

@@ -22,7 +22,7 @@ import numpy as np
 from . import ensemble as ens
 from . import heads, neighbors, selftrain
 from .config import PipelineConfig
-from .errors import ConfigError, StageError
+from .errors import ConfigError, LoadError, StageError
 from .featstore import (
     EmbeddingMatrix,
     apply_standardizer,
@@ -158,13 +158,17 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# shared loading
+# command inputs, found, loaded and checked to fit before any work
 # ---------------------------------------------------------------------------
 
 
-def load_features_any(path, explicit_format: str | None = None) -> EmbeddingMatrix:
-    fmt = explicit_format or detect_format(path)
-    return load_features(path, fmt)
+def input_file(path, what: str) -> Path:
+    """``path`` as a ``Path``; ``ConfigError`` when it is unset or not a file."""
+    if path is None:
+        raise ConfigError(f"missing required {what}")
+    if not Path(path).is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    return Path(path)
 
 
 def check_count(covering, what: str, n: int, holder: str = "features") -> None:
@@ -174,25 +178,82 @@ def check_count(covering, what: str, n: int, holder: str = "features") -> None:
         raise ConfigError(f"{what} cover {covering.n} samples but {holder} hold {n}")
 
 
-def validate_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | None]:
-    cfg.require("features", "output_dir", "train.num_clusters")
-    fpath = Path(cfg.features_path)
-    if not fpath.is_file():
-        raise ConfigError(f"feature file not found: {fpath}")
-    labels = None
-    if cfg.labels_path is not None:
-        lpath = Path(cfg.labels_path)
-        if not lpath.is_file():
-            raise ConfigError(f"label file not found: {lpath}")
-        labels = load_labeling(lpath)
-    nn_file = cfg["neighbors.file"]
-    if nn_file is not None and not Path(nn_file).is_file():
-        raise ConfigError(f"neighbor file not found: {nn_file}")
-    if cfg["neighbors.ground_truth"] and labels is None:
-        raise ConfigError("neighbors.ground_truth=true requires a labels file")
-    features = load_features_any(fpath, cfg["features_format"])
+def _labels(cfg: PipelineConfig) -> Labeling | None:
+    return None if cfg["labels"] is None else load_labeling(input_file(cfg["labels"], "label file"))
+
+
+def _features(cfg: PipelineConfig) -> EmbeddingMatrix:
+    fpath = input_file(cfg["features"], "feature file")
+    return load_features(fpath, cfg["features_format"] or detect_format(fpath))
+
+
+def load_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | None]:
+    """The ``features`` and, when ``labels`` is set, the labels that cover them."""
+    input_file(cfg["features"], "feature file")  # before the labels load
+    labels = _labels(cfg)
+    features = _features(cfg)
     check_count(labels, "labels", features.n)
     return features, labels
+
+
+def validate_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | None]:
+    """The inputs of a training run (``train``, ``pipeline``, ``ablate``)."""
+    cfg.require("features", "output_dir", "train.num_clusters")
+    if cfg["neighbors.file"] is not None:
+        input_file(cfg["neighbors.file"], "neighbor file")
+    if cfg["neighbors.ground_truth"] and cfg["labels"] is None:
+        raise ConfigError("neighbors.ground_truth=true requires a labels file")
+    return load_inputs(cfg)
+
+
+def ensemble_inputs(cfg: PipelineConfig):
+    """The arguments of :func:`ensemble_stage` for the run in ``output_dir``,
+    the head labelings its train report names and the labels of one sample set."""
+    cfg.require("output_dir")
+    run_dir = Path(cfg["output_dir"])
+    report = input_file(run_dir / "train_report.txt", "train report")
+    try:
+        block = read_machine_block(report.read_text(encoding="utf-8"))
+        num_heads, best_head = int(block["num_heads"]), int(block["best_head"])
+    except (KeyError, ValueError) as exc:
+        raise LoadError(f"{report}: not a train report: {type(exc).__name__}: {exc}") from None
+    if not 0 <= best_head < num_heads:
+        raise LoadError(f"{report}: best_head={best_head} is not one of {num_heads} heads")
+    # the heads the report names, not whatever an earlier run left behind
+    inputs = [load_labeling(input_file(run_dir / "labelings" / f"head_{h:03d}.lbl",
+                                       "head labeling"))
+              for h in range(num_heads)]
+    n = inputs[0].n
+    for h, labeling in enumerate(inputs):
+        check_count(labeling, f"labels of head {h}", n, "those of head 0")
+    labels = _labels(cfg)
+    check_count(labels, "labels", n, "head labelings")
+    return run_dir, inputs, cfg.ensemble_k(n), best_head, labels
+
+
+def selftrain_inputs(cfg: PipelineConfig, pseudo_path):
+    """The features, the pseudo-labels at ``pseudo_path`` and the labels, of one sample set."""
+    pseudo_path = input_file(pseudo_path, "pseudo-label file")
+    features, labels = load_inputs(cfg)
+    pseudo = load_labeling(pseudo_path)
+    check_count(pseudo, "pseudo-labels", features.n)
+    return features, pseudo, labels
+
+
+def predict_inputs(cfg: PipelineConfig, classifier_path):
+    """The features and the classifier at ``classifier_path``, of one dimension."""
+    clf = selftrain.load_classifier(input_file(classifier_path, "classifier checkpoint"))
+    features = _features(cfg)
+    if clf.dim != features.d:
+        raise ConfigError(f"the classifier takes d={clf.dim} but features hold d={features.d}")
+    return features, clf
+
+
+def mining_features(cfg: PipelineConfig, features: EmbeddingMatrix) -> EmbeddingMatrix:
+    """The rows neighbor mining reads: ``features``, standardized if ``neighbors.standardized``."""
+    if cfg["neighbors.standardized"]:
+        return apply_standardizer(features, fit_standardizer(features))
+    return features
 
 
 def build_sets_for_config(
@@ -204,11 +265,8 @@ def build_sets_for_config(
         return sets
     if cfg["neighbors.ground_truth"]:
         return neighbors.ground_truth_neighbors(labels)
-    mining_features = features
-    if cfg["neighbors.standardized"]:
-        mining_features = apply_standardizer(features, fit_standardizer(features))
     return neighbors.build_neighbor_sets(
-        mining_features, cfg["neighbors.theta"], cfg["neighbors.k_min"]
+        mining_features(cfg, features), cfg["neighbors.theta"], cfg["neighbors.k_min"]
     )
 
 
@@ -376,12 +434,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """
     features, labels = validate_inputs(cfg)
     train_cfg = cfg.train_config()
-    k = cfg.ensemble_k()
+    k = cfg.ensemble_k(features.n)
     st_cfg = cfg.selftrain_config()
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    manifest = RunManifest(config_hash=cfg.hash(), seed=cfg.seed)
+    manifest = RunManifest(config_hash=cfg.hash(), seed=cfg["seed"])
 
     def run_stage(name: str, body):
         """Time ``body``, a call of a stage function, and record the outputs
@@ -417,16 +475,14 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-def nn_analysis(
-    features: EmbeddingMatrix,
-    labels: Labeling,
-    thetas,
-    k_min: int,
-) -> str:
-    """Tab-separated threshold sweep of neighbor count and pair accuracy."""
+def nn_analysis(cfg: PipelineConfig, features: EmbeddingMatrix, labels: Labeling) -> str:
+    """Tab-separated sweep of neighbor count and pair accuracy over the
+    ``ablate.thresholds``, mining as :func:`build_sets_for_config` does."""
+    thetas, k_min = cfg["ablate.thresholds"], cfg["neighbors.k_min"]
     human = ["nearest-neighbor threshold analysis", "", "theta\tavg_count\tpair_accuracy"]
     machine = {"kind": "nn_analysis", "k_min": k_min}
-    for theta, sets in zip(thetas, neighbors.sweep_neighbor_sets(features, thetas, k_min)):
+    sweep = neighbors.sweep_neighbor_sets(mining_features(cfg, features), thetas, k_min)
+    for theta, sets in zip(thetas, sweep):
         stats = neighbors.neighbor_accuracy(sets, labels)
         human.append(f"{theta:g}\t{stats.avg_count:.1f}\t{pct(stats.pair_accuracy)}")
         machine[f"avg_count.{theta:g}"] = stats.avg_count
@@ -458,7 +514,8 @@ def run_ablation(kind: str, cfg: PipelineConfig) -> str:
     if labels is None:
         raise ConfigError("ablations need a labels file for their metric columns")
     train_cfg = cfg.train_config()
-    out_dir = Path(cfg.output_dir)
+    k = cfg.ensemble_k(features.n) if kind == "head_count_sweep" else None
+    out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     header = (
@@ -490,7 +547,8 @@ def run_ablation(kind: str, cfg: PipelineConfig) -> str:
 
     if kind == "threshold_sweep":
         thetas = cfg["ablate.thresholds"]
-        sweep = neighbors.sweep_neighbor_sets(features, thetas, cfg["neighbors.k_min"])
+        sweep = neighbors.sweep_neighbor_sets(mining_features(cfg, features), thetas,
+                                              cfg["neighbors.k_min"])
         for theta, sets in zip(thetas, sweep):
             run_variant(f"theta={theta:g}", f"theta_{theta:g}", sets, train_cfg)
     elif kind == "head_count_sweep":
@@ -499,9 +557,7 @@ def run_ablation(kind: str, cfg: PipelineConfig) -> str:
             variant_cfg = replace(train_cfg, num_heads=h)
             report = run_variant(f"H={h}", f"H_{h}", sets, variant_cfg)
             best_lab = report.per_head_labeling[report.best_head]
-            consensus = ens.supra_consensus(
-                list(report.per_head_labeling), cfg.ensemble_k(), [best_lab]
-            )
+            consensus = ens.supra_consensus(list(report.per_head_labeling), k, [best_lab])
             m = evaluate(consensus, labels)
             machine[f"H_{h}.ensemble_acc"] = m.acc
             human[-1] += f"\t[ensemble acc {pct(m.acc)}]"
@@ -526,10 +582,10 @@ def gen_synth_files(cfg: PipelineConfig):
     spec = cfg.synth_spec()
     cfg.require("features")
     features, labels = gen_synthetic(spec)
-    fpath = Path(cfg.features_path)
+    fpath = Path(cfg["features"])
     fpath.parent.mkdir(parents=True, exist_ok=True)
     save_features(features, fpath, cfg["features_format"] or detect_format(fpath))
-    lpath = cfg.labels_path
+    lpath = cfg["labels"]
     if lpath is not None:
         Path(lpath).parent.mkdir(parents=True, exist_ok=True)
         save_labeling(labels, lpath)

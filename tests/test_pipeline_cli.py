@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -6,7 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clusterens import Labeling, SynthSpec, gen_synthetic, load_labeling, save_labeling
+from clusterens import (
+    Classifier,
+    EmbeddingMatrix,
+    Labeling,
+    NormStats,
+    SynthSpec,
+    apply_standardizer,
+    fit_standardizer,
+    gen_synthetic,
+    load_labeling,
+    save_labeling,
+)
 from clusterens.cli import main
 from clusterens.config import (
     SCHEMA,
@@ -22,6 +34,7 @@ from clusterens.heads import TrainConfig, load_head_bank
 from clusterens.metrics import evaluate
 from clusterens.neighbors import NeighborSets, save_neighbor_sets
 from clusterens.pipeline import ensemble_stage, read_machine_block, run_pipeline
+from clusterens.selftrain import save_classifier
 
 
 def write_inputs(tmp_path, n=120, d=12, k=3, seed=17):
@@ -444,6 +457,71 @@ class TestPipeline:
             assert "cover 50 samples but" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    def test_stage_commands_check_that_inputs_fit_first(self, pipeline_run, tmp_path, capsys):
+        t, cfg_path, _, out_dir, _ = pipeline_run
+        run, uneven = tmp_path / "run", tmp_path / "uneven"
+        shutil.copytree(out_dir, run)
+        shutil.copytree(out_dir, uneven)
+        save_labeling(Labeling(np.arange(50) % 3 + 1), uneven / "labelings" / "head_001.lbl")
+        narrow = tmp_path / "narrow.clf"
+        d = 5  # the features hold d = 12
+        save_classifier(Classifier(np.zeros((2, d)), np.zeros(2),
+                                   NormStats(np.zeros(d), np.ones(d), np.ones(d), np.zeros(d)),
+                                   np.array([1, 2])), narrow)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        feats = str(t / "feats.fpk")
+        cases = [
+            (["ensemble", "--run-dir", str(uneven), "--k", "3"],
+             "labels of head 1 cover 50 samples but those of head 0 hold 120"),
+            (["predict", "--features", feats, "--classifier", str(narrow),
+              "--out", str(run / "pred.lbl")],
+             "the classifier takes d=5 but features hold d=12"),
+            (["ensemble", "--run-dir", str(run), "--k", "121"],
+             "ensemble.k=121 exceeds the sample count n=120"),
+            (["ablate", "--kind", "head_count_sweep", "--config", str(cfg_path),
+              "--set", f"output_dir={run}", "--set", "ensemble.k=121",
+              "--set", "ablate.head_counts=2"],
+             "ensemble.k=121 exceeds the sample count n=120"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 1, argv
+            assert message in capsys.readouterr().err, argv
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("pattern, replacement", [
+        (r"\n---\n(.|\n)*", "\n"),  # no machine block
+        (r"^num_heads=.*\n", ""),
+        (r"^num_heads=.*$", "num_heads=x"),
+        (r"^num_heads=.*$", "num_heads=0"),
+        (r"^best_head=.*$", "best_head=9"),
+        (r"^best_head=.*$", "best_head=-1"),
+    ], ids=["no_block", "no_num_heads", "num_heads_x", "num_heads_0", "best_head_9",
+            "best_head_-1"])
+    def test_ensemble_refuses_a_malformed_train_report(self, pipeline_run, tmp_path, capsys,
+                                                       pattern, replacement):
+        _, _, _, out_dir, _ = pipeline_run
+        run = tmp_path / "run"
+        shutil.copytree(out_dir, run)
+        (run / "consensus.lbl").unlink()
+        report = run / "train_report.txt"
+        text = report.read_text()
+        edited = re.sub(pattern, replacement, text, count=1, flags=re.M)
+        assert edited != text
+        report.write_text(edited)
+        assert main(["ensemble", "--run-dir", str(run), "--k", "3"]) == 2
+        assert str(report) in capsys.readouterr().err
+        assert not (run / "consensus.lbl").exists()
+
+    def test_pipeline_refuses_ensemble_k_above_n_before_mining(self, pipeline_run, tmp_path,
+                                                              capsys):
+        _, cfg_path, _, _, _ = pipeline_run
+        run = tmp_path / "run"
+        code = main(["pipeline", "--config", str(cfg_path), "--set", f"output_dir={run}",
+                     "--set", "ensemble.k=121"])
+        assert code == 1
+        assert "ensemble.k=121 exceeds the sample count n=120" in capsys.readouterr().err
+        assert not (run / "neighbors.nns").exists()
+
     def test_pipeline_fails_train_stage_on_short_neighbor_file(self, pipeline_run, tmp_path,
                                                                capsys):
         _, cfg_path, _, _, _ = pipeline_run
@@ -553,6 +631,41 @@ class TestCli:
         block = read_machine_block(out)
         counts = [float(block[f"avg_count.{t}"]) for t in ("0.2", "0.5", "0.9")]
         assert counts[0] >= counts[1] >= counts[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["nn-analysis"],
+        ["ablate", "--kind", "threshold_sweep", "--set", "train.epochs=1"],
+    ], ids=["nn-analysis", "threshold_sweep"])
+    def test_threshold_sweeps_mine_standardized_rows(self, tmp_path, capsys, argv):
+        m, labels = gen_synthetic(SynthSpec(n=120, d=8, k=3, separation=20.0, seed=5))
+        data = m.data.copy()
+        data[:, 0] *= 50.0  # one axis dominates the raw cosine
+        raw = EmbeddingMatrix(data)
+        std = apply_standardizer(raw, fit_standardizer(raw))
+        paths = {name: tmp_path / f"{name}.fpk" for name in ("raw", "std")}
+        save_features(raw, paths["raw"])
+        save_features(std, paths["std"])
+        lpath = tmp_path / "labels.lbl"
+        save_labeling(labels, lpath)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(small_config_text(paths["raw"], lpath, tmp_path / "runs"))
+
+        def neighbor_columns(features, standardized):
+            code = main([*argv, "--config", str(cfg_path), "--set", f"features={features}",
+                         "--set", f"neighbors.standardized={standardized}",
+                         "--set", "ablate.thresholds=0.2,0.5,0.8"])
+            assert code == 0
+            block = read_machine_block(capsys.readouterr().out)
+            # the neighbor columns: nn-analysis's avg_count.* and pair_accuracy.*,
+            # the sweep's theta_*.avg_nn and theta_*.nn_acc
+            return {k: v for k, v in block.items()
+                    if k.startswith(("avg_count.", "pair_accuracy."))
+                    or k.endswith((".avg_nn", ".nn_acc"))}
+
+        mined = neighbor_columns(paths["raw"], "true")
+        assert mined
+        assert mined == neighbor_columns(paths["std"], "false")
+        assert mined != neighbor_columns(paths["raw"], "false")
 
     def test_missing_file_exit_code_1(self, tmp_path, capsys):
         code = main([
