@@ -40,6 +40,15 @@ def _parse_int_list(raw: str) -> tuple:
     return tuple(int(p) for p in raw.split(",") if p.strip())
 
 
+def _choice(*options: str):
+    """A parser that accepts one of ``options``."""
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"{raw!r} is not one of {', '.join(options)}")
+        return raw
+    return parse
+
+
 def _stage_keys(prefix: str, stage_cls) -> dict:
     """``<prefix>.<field>`` entries for every field of a stage config but ``seed``."""
     types = get_type_hints(stage_cls)
@@ -55,7 +64,7 @@ DEFAULT_HEAD_COUNTS = tuple(range(10, 90, 10))
 # key -> (parser, default); None defaults mean "optional, unset"
 SCHEMA = {
     "features": (str, None),
-    "features_format": (str, None),
+    "features_format": (_choice("featpack", "csv", "npy"), None),
     "labels": (str, None),
     "output_dir": (str, None),
     "seed": (int, 0),

@@ -227,6 +227,15 @@ def _average_linkage_cut(dist: np.ndarray, k: int) -> np.ndarray:
     return canonicalize(Labeling([root(a) for a in range(g)])).labels
 
 
+def _rank_cutoff(n: int, g: int) -> float:
+    """The smallest eigenvalue of CSPA's g×g Gram over n samples counted as
+    nonzero: 1024 times (n + g)·eps, the rounding bound of an eigenvalue that
+    is exactly zero.  Each Gram entry sums up to n positive terms, and the
+    eigensolver's backward error is a small multiple of g·eps, both relative
+    to the top eigenvalue, 1."""
+    return 1024 * (n + g) * np.finfo(np.float64).eps
+
+
 def cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     """Consensus by a normalized spectral partition of the co-association S.
 
@@ -252,7 +261,7 @@ def cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     vals, vecs = np.linalg.eigh(_gram(columns, g, scale * scale))
     vals, vecs = vals[max(g - k, 0):], vecs[:, max(g - k, 0):]
     # the top eigenvalue is 1; drop those that are zero up to rounding
-    keep = vals > g * np.finfo(np.float64).eps
+    keep = vals > _rank_cutoff(n, g)
     basis = vecs[:, keep] / np.sqrt(vals[keep])
     m = basis.shape[1]
     # D^-1/2·Z·basis, unit columns, summed from the last input to the first

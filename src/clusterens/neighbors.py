@@ -2,20 +2,19 @@
 
 Each sample's neighbor set contains every other sample whose cosine
 similarity reaches the threshold ``theta``; sets that stay below ``k_min``
-members fall back to the top-``k_min`` most similar samples.  Sets are
-computed exhaustively (exact O(n^2) similarities) and once, ahead of
-training, a block of rows at a time: a block holds at most
-``featstore.BLOCK_BYTES`` of similarities (or MIN_BLOCK_ROWS rows), never
-the n×n matrix.
+members fall back to the ``k_min`` most similar samples.  Sets are computed
+exhaustively (exact O(n^2) similarities) and once, ahead of training, a
+block of rows at a time: a block holds at most ``featstore.BLOCK_BYTES`` of
+float32 similarities (or MIN_BLOCK_ROWS rows), never the n×n matrix.
 
-Each block's candidates are ranked with NumPy's default (SIMD, unstable)
-argsort; only rows where two kept keys tie exactly are sorted again with a
-stable sort, so ties stay in index order and the sets are those of one
-stable sort.  The int32 members of every block are copied into one array
-grown in place, so mining holds the pairs once, and the NNS1 writer and the
-threshold sweep's prefix cut work one block of rows at a time, each of
-at most ``BLOCK_BYTES // 16`` pairs: a check holds about 16 bytes of int64
-keys and masks per pair.
+Training draws from a set uniformly, so sets are never ranked: a block's
+members come in ascending index order straight from ``flatnonzero``.  A
+pair whose float32 similarity lies more than ``_margin(d)`` from theta is
+kept or dropped on that value; the pairs inside that band, and the
+candidates at a short row's ``k_min`` cut, are settled by their float64
+cosine, so no decision hangs on the bits of a BLAS product.  The pairs are
+held once, as int32, and checked, written and cut in row blocks of at most
+``BLOCK_BYTES // 16`` pairs (16 bytes of int64 keys and masks a pair).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ NEIGHBORS_MAGIC = b"NNS1"
 
 # a similarity block never holds fewer rows, which keeps its matrix product
 # compute-bound at large n
-MIN_BLOCK_ROWS = 64
+MIN_BLOCK_ROWS = 256
 
 
 def _row_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -42,8 +41,7 @@ def _row_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
     pairs = featstore.BLOCK_BYTES // 16
     lo = 0
     while lo < n:
-        hi = int(np.searchsorted(offsets, offsets[lo] + pairs, side="right")) - 1
-        hi = max(hi, lo + 1)
+        hi = max(int(np.searchsorted(offsets, offsets[lo] + pairs, side="right")) - 1, lo + 1)
         yield lo, hi
         lo = hi
 
@@ -64,9 +62,10 @@ def _frozen(values, dtype) -> np.ndarray:
 class NeighborSets:
     """Per-sample neighbor index lists in CSR form.
 
-    Sample ``x``'s neighbors are ``indices[offsets[x]:offsets[x + 1]]``,
-    ordered by descending similarity.  ``indices`` is kept as a read-only
-    int32 array (4 bytes a pair; an int32 input is not copied) and
+    Sample ``x``'s neighbors are ``indices[offsets[x]:offsets[x + 1]]``, a
+    set in any order: mined sets list it by ascending index (NNS1 files of
+    older versions, by descending similarity).  ``indices`` is kept as a
+    read-only int32 array (4 bytes a pair; an int32 input is not copied) and
     ``offsets`` as read-only int64, since the pair count can pass 2**31.
     ``theta``/``k_min`` echo the selection parameters; both are ``None``
     for sets not produced by thresholded selection (e.g. ground-truth sets).
@@ -156,49 +155,66 @@ class NeighborStats:
             raise ValueError("pair_accuracy must lie in [0, 1]")
 
 
-def _unit_rows(features: EmbeddingMatrix) -> np.ndarray:
-    norms = np.linalg.norm(features.data, axis=1)
-    if (norms == 0).any():
-        row = int(np.nonzero(norms == 0)[0][0])
-        raise ValueError(f"zero-norm feature row {row}; cosine similarity undefined")
-    return features.data / norms[:, None]
+def _margin(d: int) -> float:
+    """A bound on |s32 - s64|, plus the float32 rounding of a threshold in
+    [-2, 2] moved by it, for d-dimensional unit rows: s32 their float32 dot
+    product in any summation order, s64 the float64 one clipped to [-1, 1].
+    γ(d + 2) = a / (1 - a) bounds the float32 rounding (Higham, Accuracy and
+    Stability of Numerical Algorithms, §3.1); the last term covers the
+    float64 rounding, under (3d + 8)·2**-53, and underflow, under d·2**-148.
+    """
+    a = (d + 2) * 2.0**-24
+    return a / (1 - a) + 2.0**-23 + (d + 3) * 2.0**-50
+
+
+def _cosines(data: np.ndarray, norms: np.ndarray, start: int, flat: np.ndarray) -> np.ndarray:
+    """Float64 cosines of unit rows ``data / norms`` at ``flat`` indices of
+    the block of rows from ``start``, each summed on its own, clipped to [-1, 1]."""
+    n, out = data.shape[0], np.empty(flat.size)
+    for part in blocks(flat.size, 24 * data.shape[1]):
+        x, y = flat[part] // n + start, flat[part] % n
+        u = data[x] / norms[x, None]
+        u *= data[y] / norms[y, None]
+        u.sum(axis=1, out=out[part])
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
+def _band(t: float, margin: float):
+    """float32 ``(lo, hi)``: a similarity at or above hi has a cosine of at
+    least t, one below lo a cosine below t.  Clamping t to [-2, 2] changes no
+    decision and keeps the -inf self similarity below lo; NaN reaches nothing."""
+    t = min(max(t, -2.0), 2.0)
+    return np.float32(t - margin), np.float32(t + margin)
 
 
 def _similarity_matrix(unit: np.ndarray, start: int, stop: int, columns) -> np.ndarray:
-    """Cosines of rows ``start:stop`` with every row, clipped to [-1, 1].
-
-    ``columns``, when given, is ``np.unique``'s ``(distinct, inverse)`` of
-    the rows: identical rows then share one computed column, so the order of
-    their ties does not hang on the last bit of a BLAS product, which can
-    move with the thread count.  A row's similarity with itself is set to
-    -inf, so it is never selected.
-    """
+    """Float32 similarities of rows ``start:stop`` with every row, -inf with
+    itself.  ``columns``, when given, is ``np.unique``'s ``(distinct,
+    inverse)`` of the rows: identical rows then share one computed column."""
     if columns is None:
         sims = unit[start:stop] @ unit.T
     else:
         distinct, inverse = columns
         sims = (unit[start:stop] @ distinct.T)[:, inverse]
-    np.clip(sims, -1.0, 1.0, out=sims)
-    rows = np.arange(stop - start)
-    sims[rows, rows + start] = -np.inf
+    np.fill_diagonal(sims[:, start:], -np.inf)
     return sims
 
 
 def _repeated_rows(unit: np.ndarray):
     """``np.unique``'s ``(distinct, inverse)`` of the rows if any row repeats, else None.
 
-    Each row is hashed first, one block of rows at a time: the bits of its
-    values (``+ 0.0`` turns -0.0 into 0.0) dotted with fixed odd uint64
-    multipliers, wrapping.  Equal rows hash equal, so unless two of the
-    sorted hashes tie, every row is distinct and ``np.unique``, which copies
-    and sorts all n×d values, is not called.
+    Each row is hashed first, one block of rows at a time: its float64 bits
+    (adding 0.0 turns -0.0 into 0.0) dotted with fixed odd uint64 multipliers,
+    wrapping.  Unless two hashes tie, every row is distinct and ``np.unique``,
+    which copies and sorts all n×d values, is not called.
     """
     n, d = unit.shape
     multipliers = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     multipliers |= np.uint64(1)
     hashes = np.empty(n, dtype=np.uint64)
     for rows in blocks(n, 8 * d):
-        np.matmul((unit[rows] + 0.0).view(np.uint64), multipliers, out=hashes[rows])
+        bits = np.add(unit[rows], 0.0, dtype=np.float64).view(np.uint64)
+        np.matmul(bits, multipliers, out=hashes[rows])
     hashes.sort()
     if not (hashes[1:] == hashes[:-1]).any():
         return None
@@ -206,136 +222,119 @@ def _repeated_rows(unit: np.ndarray):
     return None if distinct.shape[0] == n else (distinct, inverse.ravel())
 
 
-def _tied_rows(key: np.ndarray, order: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Rows r whose ranked keys tie exactly at some position j < sizes[r].
+def _append(array: np.ndarray, values: np.ndarray) -> None:
+    array.resize(array.size + values.size, refcheck=False)
+    array[array.size - values.size :] = values
 
-    Equal keys are the only place two sorts of a row can differ, and only a
-    tie among the first ``sizes[r] + 1`` ranked keys can change which
-    candidates a row keeps or their order.  (A row's padding never ties a
-    candidate: a candidate's key is +inf only when theta is -inf, and then
-    every row is full.)
+
+def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
+    """Mine every row's set; return ``(sizes, members, levels, above)``.
+
+    Row x keeps the samples whose cosine reaches theta or, when fewer than
+    ``min(k_min, n - 1)`` do, that many most similar ones (ties at the cut
+    to the lower index); ``members`` (int32) holds the sets one after
+    another, grown in place.  For a sweep's ``cuts`` (ascending from theta)
+    ``levels`` counts the cuts each member reaches (``len(cuts) + 1`` for the
+    floor members of a row short at the last cut) and ``above[i, x]`` counts
+    row x's samples reaching ``cuts[i]``.
     """
-    width = min(int(sizes.max(initial=0)) + 1, key.shape[1])
-    ranked = np.take_along_axis(key, order[:, :width], axis=1)
-    tie = ranked[:, 1:] == ranked[:, :-1]
-    tie &= np.arange(width - 1) < sizes[:, None]
-    return np.flatnonzero(tie.any(axis=1))
-
-
-def _mine(features: EmbeddingMatrix, theta: float, floor: int, cuts=()):
-    """Rank every row's set; return ``(sizes, members, above)``.
-
-    Row x keeps ``max(#{sim >= theta}, floor)`` members, ordered by
-    descending similarity with ties by ascending index; ``members`` (int32)
-    holds the rows one after another, grown block by block in place, so the
-    pairs are held once.  ``above[i, x]`` is ``#{sim >= cuts[i]}`` of row x.
-    Only candidates are sorted: the samples at or above theta, or, for a
-    row short of the floor, every sample at or above its floor-th largest
-    similarity (ties at that cut included, so the index tie-break stays
-    exact).
-    """
-    unit = _unit_rows(features)
-    n = features.n
-    columns = _repeated_rows(unit)
-    sizes = np.empty(n, dtype=np.int64)
-    above = np.empty((len(cuts), n), dtype=np.int64)
-    members = np.empty(0, dtype=np.int32)
-    for block in blocks(n, 8 * n, MIN_BLOCK_ROWS):
-        start, stop = block.start, block.stop
-        sims = _similarity_matrix(unit, start, stop, columns)
-        for row, t in zip(above, cuts):
-            row[start:stop] = np.count_nonzero(sims >= t, axis=1)
-        chosen = sims >= theta
-        counts = np.count_nonzero(chosen, axis=1)
-        take = sizes[start:stop]
-        np.maximum(counts, floor, out=take)
-        short = np.nonzero(counts < floor)[0]
-        if short.size:
-            part = sims[short]
-            part.partition(n - floor, axis=1)
-            cut = part[:, n - floor].copy()  # the floor-th largest similarity
-            del part
-            chosen[short] = sims[short] >= cut[:, None]
-            counts[short] = np.count_nonzero(chosen[short], axis=1)
-        flat = np.flatnonzero(chosen)
-        del chosen
-        # each row's candidate similarities (ascending index) by one ordered
-        # scatter into a common width, then negated: keys are -similarity,
-        # and the padding +inf
-        key = np.full((stop - start, counts.max(initial=0)), -np.inf)
-        key[np.arange(key.shape[1]) < counts[:, None]] = np.take(sims, flat)
-        del sims
-        np.negative(key, out=key)
-        # the default sort is SIMD but not stable: rows with an exact tie
-        # are sorted again stably, so ties stay by index
-        order = key.argsort(axis=1)
-        tied = _tied_rows(key, order, take)
-        if tied.size:
-            order[tied] = key[tied].argsort(axis=1, kind="stable")
-        del key
-        order += _offsets(counts)[:-1, None]
-        ranked = flat[order[np.arange(order.shape[1]) < take[:, None]]]
-        del order, flat
-        ranked -= np.repeat(np.arange(0, (stop - start) * n, n), take)  # flat -> column
-        at = members.size
-        members.resize(at + ranked.size, refcheck=False)
-        members[at:] = ranked
-    return sizes, members, above
-
-
-def _check_request(features: EmbeddingMatrix, k_min: int) -> int:
-    """The floor of every set, ``min(k_min, n - 1)``."""
-    if features.n < 2:
+    data, n = features.data, features.n
+    if n < 2:
         raise ValueError("need at least 2 samples to build neighbor sets")
     if k_min < 1:
         raise ValueError("k_min must be >= 1")
-    return min(k_min, features.n - 1)
+    norms = np.linalg.norm(data, axis=1)
+    if (norms == 0).any():
+        row = int(np.nonzero(norms == 0)[0][0])
+        raise ValueError(f"zero-norm feature row {row}; cosine similarity undefined")
+    unit = np.divide(data, norms[:, None], out=np.empty(data.shape, dtype=np.float32))
+    columns, margin, floor = _repeated_rows(unit), _margin(features.d), min(k_min, n - 1)
+    sizes, above = np.empty(n, dtype=np.int64), np.empty((len(cuts), n), dtype=np.int64)
+    members, levels = np.empty(0, dtype=np.int32), np.empty(0, np.min_scalar_type(len(cuts) + 1))
+    for block in blocks(n, 4 * n, MIN_BLOCK_ROWS):
+        start, rows = block.start, block.stop - block.start
+        sims = _similarity_matrix(unit, block.start, block.stop, columns)
+
+        def row_counts(flat):
+            return np.diff(np.searchsorted(flat, np.arange(rows + 1) * n))
+
+        def reach(flat, t, values=sims.ravel()):
+            lo, hi = _band(t, margin)
+            value = values[flat]
+            out = value >= hi
+            band = np.flatnonzero((value >= lo) & ~out)
+            out[band] = _cosines(data, norms, start, flat[band]) >= t  # settled in float64
+            return out
+
+        flat = np.flatnonzero(sims >= _band(theta, margin)[0])
+        flat = flat[reach(flat, theta)]
+        # a row short at the last cut needs its floor; one short at theta keeps only it
+        strict = flat[reach(flat, cuts[-1])] if cuts else flat
+        short = np.flatnonzero(row_counts(strict) < floor)
+        top = flat[:0]
+        if short.size:
+            # a short row's floor-th largest cosine is at least c - margin, c its
+            # floor-th float32 similarity: only samples from c - 2·margin are settled
+            lo = np.full(rows, np.inf, dtype=np.float32)
+            cut = np.partition(sims[short], n - floor, axis=1)[:, n - floor]
+            lo[short] = cut - np.float32(2 * margin)
+            cand = np.flatnonzero(sims >= lo[:, None])
+            row = cand // n
+            # by row (cand ascends, so row does), descending cosine, then index
+            order = np.lexsort((cand, -_cosines(data, norms, start, cand), row))
+            top = np.sort(cand[order[np.arange(cand.size) - np.searchsorted(row, row) < floor]])
+            flat = np.union1d(flat, top)
+        counts = sizes[block] = row_counts(flat)
+        level = np.zeros(flat.size, dtype=levels.dtype)
+        for i, t in enumerate(cuts):
+            reached = reach(flat, t)
+            level += reached
+            above[i, block] = row_counts(flat[reached])
+        if cuts:
+            # a floor member of its row stays in the set while the row is short
+            level[np.isin(flat, top)] = len(cuts) + 1
+            _append(levels, level)
+        del sims, reach
+        flat -= np.repeat(np.arange(0, rows * n, n), counts)  # flat -> column
+        _append(members, flat)
+    return sizes, members, levels, above
 
 
 def build_neighbor_sets(features: EmbeddingMatrix, theta: float, k_min: int) -> NeighborSets:
     """Select each sample's neighbors by similarity threshold with a top-k floor.
 
-    S_x = { x' != x : cos(z_x, z_x') >= theta }; whenever that set has fewer
-    than ``k_min`` members it is replaced by the ``k_min`` most similar
-    samples.  Members are ordered by descending similarity, ties broken by
-    ascending sample index.
+    S_x = { x' != x : cos(z_x, z_x') >= theta }, in float64, listed in
+    ascending index order; whenever that set has fewer than ``k_min`` members
+    it is the ``k_min`` most similar samples, ties at the cut to the lower index.
     """
-    sizes, members, _ = _mine(features, theta, _check_request(features, k_min))
+    sizes, members, *_ = _mine(features, theta, k_min)
     return NeighborSets(_offsets(sizes), members, theta=float(theta), k_min=int(k_min))
 
 
 def sweep_neighbor_sets(features: EmbeddingMatrix, thetas, k_min: int) -> Iterator[NeighborSets]:
-    """Yield ``build_neighbor_sets`` at every theta in ``thetas``, from one mining pass.
-
-    The pass mines at the smallest theta and counts each row's similarities
-    at or above every theta.  Every row's list is ranked, so the set at a
-    larger theta is its prefix of ``max(#{sim >= theta}, floor)`` members,
-    cut one row block at a time.
-    """
-    floor = _check_request(features, k_min)
+    """Yield ``build_neighbor_sets`` at every theta in ``thetas``, from one
+    mining pass at the smallest, which counts the thresholds each member
+    reaches and marks the floor members of the rows some theta leaves
+    short; each theta's sets are cut from those one row block at a time."""
     thetas = [float(t) for t in thetas]
     if not thetas:
         return
-    # NaN selects like a theta above 1: the floor only
-    lowest = min((t for t in thetas if t == t), default=float("nan"))
-    sizes, members, above = _mine(features, lowest, floor, thetas)
-    offsets = _offsets(sizes)
-    for theta, take in zip(thetas, above):
-        np.maximum(take, floor, out=take)
-        yield NeighborSets(*_prefixes(members, offsets, take), theta=theta, k_min=int(k_min))
-
-
-def _prefixes(members: np.ndarray, offsets: np.ndarray, take: np.ndarray):
-    """CSR ``(offsets, indices)`` of each row x's first ``take[x]`` members,
-    cut one row block at a time."""
-    cut = _offsets(take)
-    out = np.empty(cut[-1], dtype=np.int32)
-    for lo, hi in _row_blocks(offsets):
-        # the member at block position p is kept while p < its row's start + take
-        a = offsets[lo]
-        limit = np.repeat(offsets[lo:hi] - a + take[lo:hi], np.diff(offsets[lo : hi + 1]))
-        out[cut[lo] : cut[hi]] = members[a : offsets[hi]][np.arange(limit.size) < limit]
-    return cut, out
+    # NaN selects like a theta above 1, the floor only, as inf does
+    cuts = sorted({t if t == t else np.inf for t in thetas})
+    sizes, members, levels, above = _mine(features, cuts[0], k_min, cuts)
+    offsets, floor = _offsets(sizes), min(k_min, features.n - 1)
+    for theta in thetas:
+        i = cuts.index(theta if theta == theta else np.inf)
+        short = above[i] < floor
+        cut = _offsets(np.where(short, floor, above[i]))
+        out = np.empty(cut[-1], dtype=np.int32)
+        for lo, hi in _row_blocks(offsets):
+            # a short row keeps its floor members, the others their members reaching theta
+            a, b = offsets[lo], offsets[hi]
+            need = np.repeat(np.where(short[lo:hi], len(cuts), i), sizes[lo:hi])
+            out[cut[lo] : cut[hi]] = members[a:b][levels[a:b] > need]
+        yield NeighborSets(cut, out, theta=theta, k_min=int(k_min))
+        del cut, out
 
 
 def ground_truth_neighbors(labels: Labeling) -> NeighborSets:

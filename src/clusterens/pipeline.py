@@ -203,7 +203,11 @@ def validate_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | No
         input_file(cfg["neighbors.file"], "neighbor file")
     if cfg["neighbors.ground_truth"] and cfg["labels"] is None:
         raise ConfigError("neighbors.ground_truth=true requires a labels file")
-    return load_inputs(cfg)
+    features, labels = load_inputs(cfg)
+    if cfg["train.num_clusters"] > features.n:
+        raise ConfigError(f"train.num_clusters={cfg['train.num_clusters']} exceeds the "
+                          f"sample count n={features.n}")
+    return features, labels
 
 
 def ensemble_inputs(cfg: PipelineConfig):

@@ -1,11 +1,13 @@
 """Same seed, same bytes, whatever the BLAS thread count.
 
 ``clusterens pipeline`` runs in fresh processes under 1 and 2 BLAS threads
-on small versions of the three benchmark workloads, and on one shape whose
-head training runs in several head blocks, with some feature rows
-duplicated: tied neighbors are ordered by index only when their cosines tie
-exactly, and eigenvectors are only defined up to rounding, so both are
-places where the kernel path could leak into an artifact.  Every file of
+on small versions of the three benchmark workloads, on shapes whose head
+training runs in several head blocks, and on one where every neighbor set
+is its k_min floor, with some feature rows duplicated: neighbors near the
+threshold or tied at the floor's cut must be settled by their float64
+cosine, not by the bits of a float32 product, and eigenvectors are only
+defined up to rounding, so both are places where the kernel path could
+leak into an artifact.  Every file of
 the run directory must be byte-identical; ``manifest.json`` may differ only
 in its ``wall_clock_s`` times.
 """
@@ -26,8 +28,8 @@ SRC = Path(clusterens.__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DUPLICATED = 40  # the last rows repeat the first ones
 
-# (n, d, k, separation, heads, epochs[, smoothing_m]): the benchmark's
-# smoke sizes, and shapes at the default batch size of 256
+# (n, d, k, separation, heads, epochs[, smoothing_m[, theta]]): the
+# benchmark's smoke sizes, and shapes at the default batch size of 256
 SHAPES = {
     "quickstart": (300, 16, 5, 20.0, 3, 4),
     "train_heavy": (400, 48, 8, 3.0, 6, 1),
@@ -36,10 +38,14 @@ SHAPES = {
     "multi_block": (600, 384, 8, 3.0, 12, 1),
     # two draws per anchor, 512 gathered rows per head: head blocks of 5, 5 and 2
     "multi_block_smoothed": (600, 384, 8, 3.0, 12, 1, 2),
+    # theta 1.0: every row falls to the k_min floor, whose cut the duplicated
+    # rows tie, so the sets rest on the float64 settle of the cut's candidates
+    "floor_only": (300, 16, 5, 4.0, 3, 1, 1, 1.0),
 }
 
 
-def write_inputs(work: Path, n, d, k, separation, heads, epochs, smoothing=1, seed=3):
+def write_inputs(work: Path, n, d, k, separation, heads, epochs, smoothing=1, theta=0.3,
+                 seed=3):
     features, truth = gen_synthetic(SynthSpec(n=n, d=d, k=k, separation=separation, seed=seed))
     data = features.data.copy()
     data[-DUPLICATED:] = data[:DUPLICATED]
@@ -49,7 +55,7 @@ def write_inputs(work: Path, n, d, k, separation, heads, epochs, smoothing=1, se
     save_labeling(Labeling(labels), work / "labels.lbl")
     (work / "run.cfg").write_text("".join(f"{key} = {value}\n" for key, value in {
         "features": "features.fpk", "labels": "labels.lbl", "output_dir": "run", "seed": seed,
-        "neighbors.theta": 0.3, "neighbors.k_min": 5, "train.lr": 1e-3,
+        "neighbors.theta": theta, "neighbors.k_min": 5, "train.lr": 1e-3,
         "train.num_clusters": k, "train.num_heads": heads, "train.epochs": epochs,
         "train.warmup_epochs": 1, "train.smoothing_m": smoothing, "selftrain.steps": 300,
     }.items()))

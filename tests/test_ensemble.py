@@ -273,6 +273,28 @@ class TestCspa:
             out = cspa([lab] * 6, k=8)
         assert out.same_grouping(lab)
 
+    def test_rank_cutoff_has_a_margin_over_rounding(self, rng):
+        """Random ensembles, whose Z always has rank below ΣC (each input's
+        columns sum to the ones vector), some with repeated inputs: the
+        Gram's zero eigenvalues stay 100 times below CSPA's cutoff and its
+        other eigenvalues 100 times above, so exactly rank(Z) eigenvectors
+        are kept."""
+        for _ in range(300):
+            n, h = int(rng.integers(5, 40)), int(rng.integers(2, 6))
+            inputs = [Labeling(rng.integers(0, int(rng.integers(2, 6)), size=n))
+                      for _ in range(h)]
+            inputs += inputs[: int(rng.integers(0, 2))]
+            columns, g = co_association(inputs)
+            z = np.zeros((n, g))
+            z[np.arange(n)[:, None], columns] = 1.0
+            rank = np.linalg.matrix_rank(z)
+            assert rank < g
+            sizes = np.bincount(columns.ravel(), minlength=g)
+            scale = 1.0 / np.sqrt(sizes[columns].sum(axis=1).astype(np.float64))
+            vals = np.linalg.eigh(ensemble._gram(columns, g, scale * scale))[0]
+            cutoff = ensemble._rank_cutoff(n, g)
+            assert vals[g - rank - 1] < cutoff / 100 < cutoff * 100 < vals[g - rank]
+
     def test_planted_half_noise(self):
         # each of 10 heads keeps the planted label of a sample with
         # probability 0.5 and otherwise draws a uniform label; a balanced

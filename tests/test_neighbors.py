@@ -53,14 +53,14 @@ class TestBuildSets:
             sets = build_neighbor_sets(m, theta=0.99, k_min=k_min)
             assert sets.sizes().min() >= min(k_min, 11)
 
-    def test_ordering_descending_similarity(self, rng):
+    def test_members_in_ascending_index_order(self, rng):
         m = EmbeddingMatrix(rng.normal(size=(25, 5)))
         sets = build_neighbor_sets(m, theta=-1.0, k_min=1)
-        unit = m.data / np.linalg.norm(m.data, axis=1, keepdims=True)
-        sims = unit @ unit.T
         for x, s in enumerate(sets.sets):
-            vals = sims[x, s]
-            assert np.all(np.diff(vals) <= 1e-15)
+            assert s.tolist() == [y for y in range(25) if y != x]
+        for theta, k_min in [(0.3, 4), (0.9, 6), (2.0, 3)]:
+            for s in build_neighbor_sets(m, theta, k_min).sets:
+                assert (np.diff(s) > 0).all()
 
     def test_brute_force_equivalence(self, rng):
         for n, d, theta, k_min in [(30, 4, 0.2, 3), (80, 6, 0.5, 5), (200, 8, 0.0, 10)]:
@@ -69,7 +69,7 @@ class TestBuildSets:
             sets = build_neighbor_sets(m, theta, k_min)
             ref = brute_force_neighbor_sets(data, theta, k_min)
             for got, want in zip(sets.sets, ref):
-                assert got.tolist() == want
+                assert got.tolist() == sorted(want)
 
     def test_permutation_stability(self, rng):
         data = rng.normal(size=(30, 5))
@@ -117,8 +117,23 @@ def dyadic_rows(rng, n, d):
     return out
 
 
+def near_theta_rows(rng, n, theta, d=6, anchors=3):
+    """Random rows, but for ``anchors`` groups: each group's first row has
+    cosines theta + (j + 0.5)·1e-9, j = -g/2..g/2 - 1, with the rest of it."""
+    out = rng.normal(size=(n, d))
+    size = n // anchors
+    for first in range(0, anchors * size, size):
+        anchor = out[first] / np.linalg.norm(out[first])
+        for j in range(1, size):
+            away = out[first + j] - (out[first + j] @ anchor) * anchor
+            c = theta + (j - size // 2 + 0.5) * 1e-9
+            out[first + j] = c * anchor + np.sqrt(1 - c * c) * away / np.linalg.norm(away)
+    return out
+
+
 def assert_matches_dense(m, theta, k_min):
-    want = dense_neighbor_sets(m, theta, k_min)
+    """Mined sets equal the dense oracle's, each listed in ascending index order."""
+    want = [np.sort(w) for w in dense_neighbor_sets(m, theta, k_min)]
     got = build_neighbor_sets(m, theta, k_min)
     assert got.offsets.tolist() == np.cumsum([0] + [w.size for w in want]).tolist()
     assert got.indices.tolist() == np.concatenate(want).tolist()
@@ -126,13 +141,13 @@ def assert_matches_dense(m, theta, k_min):
 
 def similarity_blocks(n):
     """The row slices mining cuts its similarity blocks into at n samples."""
-    return featstore.blocks(n, 8 * n, neighbors.MIN_BLOCK_ROWS)
+    return featstore.blocks(n, 4 * n, neighbors.MIN_BLOCK_ROWS)
 
 
 class TestDenseOracle:
-    """Row-block mining gives exactly the sets of the dense formulation, in
-    one block and in blocks the byte budget cuts to a few rows each, the last
-    one short."""
+    """Row-block mining gives exactly the sets of the dense float64
+    formulation, in one block and in blocks the byte budget cuts to a few
+    rows each, the last one short."""
 
     N = 150
 
@@ -144,7 +159,7 @@ class TestDenseOracle:
             assert len(similarity_blocks(self.N)) == 1
         else:
             monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
-            monkeypatch.setattr(featstore, "BLOCK_BYTES", rows * 8 * self.N)
+            monkeypatch.setattr(featstore, "BLOCK_BYTES", rows * 4 * self.N)
             spans = similarity_blocks(self.N)
             assert spans[0] == slice(0, rows) and 0 < spans[-1].stop - spans[-1].start < rows
 
@@ -178,6 +193,23 @@ class TestDenseOracle:
             assert (short & tied).any()
             assert_matches_dense(m, theta, k_min)
 
+    def test_pairs_within_the_margin_of_theta(self, rng, blocks):
+        """Cosines 1e-9 apart around 0.9, inside the float32 margin but far
+        beyond float64 rounding: float32 alone decides some of them wrong,
+        at theta and at the k_min cut."""
+        m = EmbeddingMatrix(near_theta_rows(rng, self.N, 0.9))
+        sims = dense_similarity_matrix(m)
+        np.fill_diagonal(sims, -np.inf)
+        unit = (m.data / np.linalg.norm(m.data, axis=1, keepdims=True)).astype(np.float32)
+        sims32 = (unit @ unit.T).astype(np.float64)
+        np.fill_diagonal(sims32, -np.inf)
+        assert ((sims32 >= 0.9) != (sims >= 0.9)).any()
+        idx = np.arange(self.N)
+        top = [set(np.lexsort((idx, -row))[:10]) for row in sims]
+        assert top != [set(np.lexsort((idx, -row))[:10]) for row in sims32]
+        for theta, k_min in [(0.9, 5), (0.9, 40), (2.0, 10)]:
+            assert_matches_dense(m, theta, k_min)
+
     def test_two_samples(self, blocks):
         for rows in ([[1.0, 0.0], [0.6, 0.8]], [[1.0, 0.0], [-1.0, 0.0]], [[1.0, 2.0], [1.0, 2.0]]):
             m = EmbeddingMatrix(rows)
@@ -187,12 +219,12 @@ class TestDenseOracle:
 
 
 def test_block_rows_rule(rng, monkeypatch):
-    sizes = (2, 150, 512, 600, 1000, 2000, 4000, 6000, 50000)
+    sizes = (2, 150, 512, 600, 724, 725, 1000, 2000, 4000, 6000, 50000)
     rule = {n: similarity_blocks(n)[0].stop for n in sizes}
-    # 2 MiB of float64 similarities a block, but never fewer than 64 rows, so
-    # up to 512 samples are one block
-    assert rule == {2: 2, 150: 150, 512: 512, 600: 436, 1000: 262, 2000: 131,
-                    4000: 65, 6000: 64, 50000: 64}
+    # 2 MiB of float32 similarities a block, but never fewer than 256 rows, so
+    # up to 724 samples are one block
+    assert rule == {2: 2, 150: 150, 512: 512, 600: 600, 724: 724, 725: 723, 1000: 524,
+                    2000: 262, 4000: 256, 6000: 256, 50000: 256}
     # and mining computes its similarities in exactly those blocks
     spans, similarity = [], neighbors._similarity_matrix
 
@@ -201,60 +233,54 @@ def test_block_rows_rule(rng, monkeypatch):
         return similarity(unit, start, stop, columns)
 
     monkeypatch.setattr(neighbors, "_similarity_matrix", spy)
-    build_neighbor_sets(EmbeddingMatrix(rng.normal(size=(600, 4))), 0.9, 3)
-    assert spans == [(0, 436), (436, 600)]
-
-
-def test_tied_rows_are_the_ties_that_can_move_a_kept_member():
-    inf = np.inf
-    key = np.array([
-        [0.1, 0.3, 0.2, inf],   # no tie
-        [0.5, 0.5, 0.7, inf],   # a tie among the kept
-        [0.2, 0.9, 0.9, 0.1],   # a tie past the cut only
-        [0.3, 0.1, 0.3, inf],   # a tie across the cut
-        [0.0, -0.0, 0.4, 0.6],  # signed zeros tie
-    ])
-    sizes = np.array([3, 2, 2, 2, 2])
-    order = key.argsort(axis=1)
-    assert neighbors._tied_rows(key, order, sizes).tolist() == [1, 3, 4]
+    build_neighbor_sets(EmbeddingMatrix(rng.normal(size=(1000, 4))), 0.9, 3)
+    assert spans == [(0, 524), (524, 1000)]
 
 
 @pytest.mark.parametrize("kind", ["copies", "cut_ties", "no_ties"])
-def test_only_rows_with_ties_are_sorted_again(rng, monkeypatch, kind):
+def test_only_band_pairs_and_floor_candidates_are_settled(rng, monkeypatch, kind):
     """Three inputs under a byte cap of 11 rows a block: copies of three
-    dyadic rows (every candidate tied), dyadic rows at a floor-only theta
-    (ties at the k_min cut), random rows (no tie).  The sets match the dense
-    oracle, and exactly the rows with a tie among their kept members, or
-    across the cut, are sorted again stably."""
+    dyadic rows at theta 1 (every copy exactly on it), dyadic rows at a
+    floor-only theta (ties at the k_min cut), random rows (some rows short).
+    The sets match the dense oracle, and the pairs settled in float64 are
+    exactly those within the margin of theta plus, for each short row, the
+    samples within twice the margin of its k_min-th largest similarity."""
     n, k_min = 150, 10
     monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
-    monkeypatch.setattr(featstore, "BLOCK_BYTES", 11 * 8 * n)
-    theta = {"copies": 0.5, "cut_ties": 2.0, "no_ties": 0.3}[kind]
+    monkeypatch.setattr(featstore, "BLOCK_BYTES", 11 * 4 * n)
+    theta = {"copies": 1.0, "cut_ties": 2.0, "no_ties": 0.6}[kind]
     if kind == "copies":
         m = EmbeddingMatrix(dyadic_rows(rng, 3, 16)[rng.integers(0, 3, size=n)])
     elif kind == "cut_ties":
         m = EmbeddingMatrix(dyadic_rows(rng, n, 4))
     else:
         m = EmbeddingMatrix(rng.normal(size=(n, 6)))
-    resorted, tied_rows = [], neighbors._tied_rows
+    settled, cosines = [], neighbors._cosines
 
-    def spy(key, order, sizes):
-        rows = tied_rows(key, order, sizes)
-        resorted.append(rows.size)
-        return rows
+    def spy(data, norms, start, flat):
+        settled.append(flat.size)
+        return cosines(data, norms, start, flat)
 
-    monkeypatch.setattr(neighbors, "_tied_rows", spy)
+    monkeypatch.setattr(neighbors, "_cosines", spy)
     assert_matches_dense(m, theta, k_min)
-    assert len(resorted) == 14
-    if kind == "cut_ties":
-        # dyadic cosines are exact, so the dense matrix shows the same ties
-        sims = dense_similarity_matrix(m)
-        np.fill_diagonal(sims, -np.inf)
-        ranked = -np.sort(-sims, axis=1)[:, : k_min + 1]
-        assert (ranked[:, -2] == ranked[:, -1]).any()  # some rows tie at the cut
-        assert sum(resorted) == (ranked[:, 1:] == ranked[:, :-1]).any(axis=1).sum()
+    sims = dense_similarity_matrix(m)
+    np.fill_diagonal(sims, -np.inf)
+    margin = neighbors._margin(m.d)
+    band = int((np.abs(sims - theta) <= margin).sum())
+    short = (sims >= theta).sum(axis=1) < k_min
+    cut = -np.sort(-sims[short], axis=1)[:, k_min - 1]
+    candidates = int((sims[short] >= cut[:, None] - 2 * margin).sum())
+    assert sum(settled) == band + candidates
+    if kind == "copies":
+        assert band > 0 and candidates == 0  # pairs on theta, no row short
+    elif kind == "cut_ties":
+        # dyadic cosines are exact: some rows tie at the cut, and only the tie
+        # groups add candidates beyond k_min a row
+        assert band == 0 and short.all()
+        assert (-np.sort(-sims, axis=1)[:, k_min] == cut).any()
+        assert candidates == int((sims >= cut[:, None]).sum()) > k_min * n
     else:
-        assert sum(resorted) == (n if kind == "copies" else 0)
+        assert band == 0 and 0 < short.sum() and candidates == k_min * short.sum()
 
 
 def test_sweep_equals_fresh_builds(rng):
@@ -274,14 +300,17 @@ def test_sweep_equals_fresh_builds(rng):
 @pytest.mark.parametrize("n,d", [(92, 9), (150, 6), (600, 33)])
 def test_identical_rows_tie_by_index(rng, n, d):
     """Copies of one random (not exactly representable) row are tied
-    members: each set lists them next to each other, by ascending index."""
+    members: a set holds all of a row's copies or, where its floor cut
+    splits them, the lowest-index ones."""
     copy_of = rng.integers(0, n // 2, size=n)
     m = EmbeddingMatrix(rng.normal(size=(n // 2, d))[copy_of])
-    for members in build_neighbor_sets(m, 0.3, 5).sets:
-        keys = copy_of[members]
-        for key in np.unique(keys):
-            pos = np.flatnonzero(keys == key)
-            assert (np.diff(pos) == 1).all() and (np.diff(members[pos]) > 0).all()
+    for x, members in enumerate(build_neighbor_sets(m, 0.3, 5).sets):
+        assert (np.diff(members) > 0).all()
+        for key in np.unique(copy_of[members]):
+            copies = [y for y in np.flatnonzero(copy_of == key) if y != x]
+            kept = members[copy_of[members] == key].tolist()
+            assert kept == copies[: len(kept)]
+            assert len(kept) == len(copies) or members.size == 5
 
 
 @pytest.fixture
@@ -321,7 +350,7 @@ def test_distinct_rows_skip_unique(rng, unique_calls, monkeypatch, step):
     assert neighbors._repeated_rows(m.data) is None
     monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
     assert build_neighbor_sets(m, 0.3, 5).indices.tolist() == [
-        i for s in dense_neighbor_sets(m, 0.3, 5) for i in s]
+        i for s in dense_neighbor_sets(m, 0.3, 5) for i in sorted(s)]
     assert unique_calls == []
 
 

@@ -522,6 +522,16 @@ class TestPipeline:
         assert "ensemble.k=121 exceeds the sample count n=120" in capsys.readouterr().err
         assert not (run / "neighbors.nns").exists()
 
+    def test_train_refuses_num_clusters_above_n_before_mining(self, pipeline_run, tmp_path,
+                                                              capsys):
+        _, cfg_path, _, _, _ = pipeline_run
+        run = tmp_path / "run"
+        code = main(["train", "--config", str(cfg_path), "--out", str(run),
+                     "--set", "train.num_clusters=200"])
+        assert code == 1
+        assert "train.num_clusters=200 exceeds the sample count n=120" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_pipeline_fails_train_stage_on_short_neighbor_file(self, pipeline_run, tmp_path,
                                                                capsys):
         _, cfg_path, _, _, _ = pipeline_run
@@ -674,6 +684,14 @@ class TestCli:
         ])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_unknown_features_format_is_a_config_error(self, tmp_path, capsys):
+        fpath, lpath = write_inputs(tmp_path, n=40, d=6, k=2)
+        code = main(["nn-analysis", "--features", str(fpath), "--labels", str(lpath),
+                     "--set", "features_format=xyz"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "features_format" in err and "featpack, csv, npy" in err
 
     def test_unknown_key_exit_code_1(self, tmp_path, capsys):
         code = main(["gen-synth", "--set", "bogus.key=1"])
