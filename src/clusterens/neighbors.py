@@ -222,11 +222,6 @@ def _repeated_rows(unit: np.ndarray):
     return None if distinct.shape[0] == n else (distinct, inverse.ravel())
 
 
-def _append(array: np.ndarray, values: np.ndarray) -> None:
-    array.resize(array.size + values.size, refcheck=False)
-    array[array.size - values.size :] = values
-
-
 def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
     """Mine every row's set; return ``(sizes, members, levels, above)``.
 
@@ -282,21 +277,25 @@ def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
             row = cand // n
             # by row (cand ascends, so row does), descending cosine, then index
             order = np.lexsort((cand, -_cosines(data, norms, start, cand), row))
-            top = np.sort(cand[order[np.arange(cand.size) - np.searchsorted(row, row) < floor]])
-            flat = np.union1d(flat, top)
+            top = cand[order[np.arange(cand.size) - np.searchsorted(row, row) < floor]]
+            keep = np.zeros(sims.size, dtype=bool)
+            keep[flat] = keep[top] = True
+            flat = np.flatnonzero(keep)
         counts = sizes[block] = row_counts(flat)
-        level = np.zeros(flat.size, dtype=levels.dtype)
-        for i, t in enumerate(cuts):
-            reached = reach(flat, t)
-            level += reached
-            above[i, block] = row_counts(flat[reached])
         if cuts:
+            level = np.zeros(flat.size, dtype=levels.dtype)
+            for i, t in enumerate(cuts):
+                reached = reach(flat, t)
+                level += reached
+                above[i, block] = row_counts(flat[reached])
             # a floor member of its row stays in the set while the row is short
-            level[np.isin(flat, top)] = len(cuts) + 1
-            _append(levels, level)
+            level[np.searchsorted(flat, top)] = len(cuts) + 1
+            levels.resize(levels.size + level.size, refcheck=False)
+            levels[levels.size - level.size :] = level
         del sims, reach
         flat -= np.repeat(np.arange(0, rows * n, n), counts)  # flat -> column
-        _append(members, flat)
+        members.resize(members.size + flat.size, refcheck=False)
+        members[members.size - flat.size :] = flat
     return sizes, members, levels, above
 
 
@@ -334,7 +333,7 @@ def sweep_neighbor_sets(features: EmbeddingMatrix, thetas, k_min: int) -> Iterat
             need = np.repeat(np.where(short[lo:hi], len(cuts), i), sizes[lo:hi])
             out[cut[lo] : cut[hi]] = members[a:b][levels[a:b] > need]
         yield NeighborSets(cut, out, theta=theta, k_min=int(k_min))
-        del cut, out
+        del cut, out  # not held while the next theta's sets are cut
 
 
 def ground_truth_neighbors(labels: Labeling) -> NeighborSets:
