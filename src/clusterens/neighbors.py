@@ -105,11 +105,12 @@ class NeighborSets:
                 sample = rows[own.argmax()]
                 raise ValueError(f"sample {sample} contains itself in its neighbor set")
             if twin_of is None:
-                # (sample, index) keys, sorted in place: a duplicate sits next to its twin
+                # (sample, index) keys, sorted if not already: a duplicate sits next to its twin
                 keys = rows
                 keys *= n
                 keys += block
-                keys.sort()
+                if (keys[1:] <= keys[:-1]).any():
+                    keys.sort()
                 twin = keys[1:] == keys[:-1]
                 if twin.any():
                     twin_of = keys[twin.argmax()] // n

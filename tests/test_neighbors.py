@@ -118,8 +118,8 @@ def dyadic_rows(rng, n, d):
 
 
 def near_theta_rows(rng, n, theta, d=6, anchors=3):
-    """Random rows, but for ``anchors`` groups: each group's first row has
-    cosines theta + (j + 0.5)·1e-9, j = -g/2..g/2 - 1, with the rest of it."""
+    """Random rows in ``anchors`` groups of size = n // anchors: row j > 0 of
+    a group has cosine theta + (j - size // 2 + 0.5)·1e-9 with its row 0."""
     out = rng.normal(size=(n, d))
     size = n // anchors
     for first in range(0, anchors * size, size):
