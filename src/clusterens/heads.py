@@ -20,10 +20,11 @@ The arithmetic runs as BLAS matrix products on the unit-standardized rows
 ``u = (z - mean) / sqrt(var + eps)``.  The shared affine is folded into each
 head, ``W (gamma*u + beta) + b = (W*gamma) u + (W beta + b)``, so no
 standardized copy of a batch is ever made.  A training step stacks the
-folded teacher and student of each head into one (2C, d) matrix: logits of
-both copies of all H heads on the anchors are one ``(H*2C, d) @ (d, B)``
-GEMM, and on each head's own neighbor rows a batched ``(h, 2C, d) @
-(h, d, m*B)`` matmul, one GEMM per head.  Each head formula has this one
+folded teacher and student of each head, each over its temperature, into
+one (2C, d) matrix: logits / tau of both copies of all H heads on the
+anchors are one ``(H*2C, d) @ (d, B)`` GEMM, and on each head's own
+neighbor rows a batched ``(h, 2C, d) @ (h, d, m*B)`` matmul, one GEMM per
+head.  Each head formula has this one
 batched implementation, ``composite_loss_and_grads``, which also returns
 the teacher targets it trained against.
 
@@ -31,28 +32,34 @@ Training runs in float32: the unit rows, both parameter copies, the AdamW
 moments and every per-step tensor.  Single precision is what the deep
 clustering heads this objective comes from train in, and it halves the
 bytes a step moves.  The PMI and CE terms are taken in the log domain
-(student log-softmax, log teacher targets, log-sum-exp over clusters),
-since the product of a confident student's and teacher's probabilities on
+(log teacher targets, log-sum-exp over clusters, and the student's logits,
+which softmax's shift invariance lets stand in for its log-softmax), since
+the product of a confident student's and teacher's probabilities on
 classes they disagree on underflows float32.  Sinkhorn-Knopp runs in
-float64 on each block's upcast teacher logits, and the log of its output
-is taken before the cast.  The class-marginal EMA, the returned
-``HeadBank`` (float64 copies of the float32 parameters), the HDB1 file and
-the labelings stay float64.  The kernels are dtype-generic: given float64
-inputs they run in float64, which is how the tests check them.
+float64 on each block's upcast teacher logits, as a row and a column
+scaling vector (two batched mat-vecs per iteration), and the log of its
+output is taken once, before the cast.  The class-marginal EMA, the
+returned ``HeadBank`` (float64 copies of the float32 parameters) and the
+HDB1 file stay float64.  Labels are taken in float32, by one helper that
+``train_heads`` runs on the unit rows it trained on and
+``predict_labeling`` on rows it standardizes one block at a time, with the
+bank's parameters cast back to float32.  The kernels are dtype-generic:
+given float64 inputs they run in float64, which is how the tests check
+them.
 
-No buffer grows with H*B*d or H*C*n.  A training step gathers each head's
-neighbor rows ``u[nbr[h]]`` once, one block of heads at a time into one
-reused buffer, and the training-set labelings come from the shared-rows
-GEMM one block of rows at a time, each block standardized from the feature
-rows on its own.  ``featstore.blocks`` cuts both: a block holds at most
+Each head draws its neighbors from its own random stream, one call of B*m
+uniform numbers per step, so head h's draws do not depend on H.  No buffer
+grows with H*B*d or H*C*n.  A training step gathers each head's neighbor
+rows ``u[nbr[h]]`` once, one block of heads at a time into one reused
+buffer, and the labelings come from the shared-rows GEMM one block of rows
+at a time.  ``featstore.blocks`` cuts both: a block holds at most
 ``featstore.BLOCK_BYTES`` of gathered rows, or of standardized rows and
 their logits.  A step's working set is u, O(H*C*B) per-sample tensors and
 one block.  The anchor GEMM and its backward stay whole: the stacked matmul
 runs one GEMM per head, so blocking heads is exact, while splitting a GEMM
-can change the last bits of its products.
-Splitting the labeling's rows can too, so only a logit tie to the last bit
-could move a label.  ``predict_labeling`` runs the labeling code on one
-head's slice.
+can change the last bits of its products.  Labeling rows are blocked by the
+bank's full head count, so one head is labeled in the blocks, and with the
+products, of all heads.
 
 Every per-sample tensor of a training step has the logical shape
 (H, B, C) but is stored cluster-major, (H, C, B) in memory, so the batch
@@ -116,12 +123,13 @@ class TrainConfig:
             raise ValueError("num_clusters must be >= 2")
         if self.num_heads < 1:
             raise ValueError("num_heads must be >= 1")
-        if self.tau_student <= 0 or self.tau_teacher <= 0:
-            raise ValueError("temperatures must be > 0")
+        # every float check is written so that NaN fails it
+        if not (0.0 < self.tau_student < math.inf and 0.0 < self.tau_teacher < math.inf):
+            raise ValueError("temperatures must be finite and > 0")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
-        if self.lambda_max < 0:
-            raise ValueError("lambda_max must be >= 0")
+        if not 0.0 <= self.lambda_max < math.inf:
+            raise ValueError("lambda_max must be finite and >= 0")
         if not 0.0 <= self.teacher_momentum <= 1.0:
             raise ValueError("teacher_momentum must lie in [0, 1]")
         if self.sk_iters < 0:
@@ -130,8 +138,8 @@ class TrainConfig:
             raise ValueError("epoch counts must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr and weight_decay must be >= 0")
+        if not (0.0 <= self.lr < math.inf and 0.0 <= self.weight_decay < math.inf):
+            raise ValueError("lr and weight_decay must be finite and >= 0")
         if self.smoothing_m < 1:
             raise ValueError("smoothing_m must be >= 1 (1 disables smoothing)")
 
@@ -150,14 +158,21 @@ class TrainReport:
     epoch_mean_loss: np.ndarray
 
 
-def _softmax_lse(logits: np.ndarray):
+def _exp_normalize(shifted: np.ndarray):
+    """Softmax in place of logits already shifted so that each row's largest
+    is 0, and the log of the row sums (keepdims)."""
+    np.exp(shifted, out=shifted)
+    total = shifted.sum(axis=-1, keepdims=True)
+    shifted /= total
+    return shifted, np.log(total, out=total)
+
+
+def _softmax_lse(logits: np.ndarray, out=None):
     """Softmax along the last axis and its log-sum-exp (keepdims), guarded
-    against overflow; an entry of -inf gets probability 0."""
+    against overflow; an entry of -inf gets probability 0.  ``out`` (which
+    may be ``logits``) receives the softmax."""
     top = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - top)
-    total = e.sum(axis=-1, keepdims=True)
-    e /= total
-    np.log(total, out=total)
+    e, total = _exp_normalize(np.subtract(logits, top, out=out))
     total += top
     return e, total
 
@@ -167,9 +182,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return _softmax_lse(logits)[0]
 
 
-def _fold(weight, bias, gamma, beta_shift):
-    """Fold the shared affine into heads (..., C, d): (W*gamma, W beta + b)."""
-    return weight * gamma, weight @ beta_shift + bias
+def _fold(weight, bias, gamma, beta_shift, scale=1.0, out=(None, None)):
+    """Fold the shared affine into heads (..., C, d), times ``scale``:
+    ``(W*gamma, W beta + b) * scale``, into the arrays ``out`` if given."""
+    w = np.multiply(weight, gamma * scale, out=out[0])
+    b = np.add(weight @ beta_shift, bias, out=out[1])
+    b *= scale
+    return w, b
 
 
 def _shared_logits(w_fold, b_fold, u):
@@ -187,39 +206,53 @@ def _shared_logits(w_fold, b_fold, u):
 def _own_logits(w_fold, b_fold, u_own):
     """Logits (H, n, C) of folded head h on its own rows u_own[h] (H, n, d).
 
-    One batched (H, C, d) @ (H, d, n) matmul; like ``_shared_logits`` it
-    returns the transposed view of the cluster-major (H, C, n) product.
+    One batched (H, n, d) @ (H, d, C) matmul, which BLAS runs faster than
+    the (H, C, d) @ (H, d, n) one at the training shapes; the bias add
+    writes it cluster-major, and like ``_shared_logits`` this returns the
+    transposed view of the (H, C, n) array.
     """
-    a = np.matmul(w_fold, u_own.transpose(0, 2, 1))
-    a += b_fold[..., None]
+    h, c, _ = w_fold.shape
+    a = np.empty((h, c, u_own.shape[1]), dtype=np.result_type(w_fold, u_own))
+    np.add(np.matmul(u_own, w_fold.transpose(0, 2, 1)).transpose(0, 2, 1),
+           b_fold[..., None], out=a)
     return a.transpose(0, 2, 1)
 
 
 def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
     """Center a logit batch toward uniform cluster usage.
 
-    Exponentiates (row max subtracted first), then alternates column
+    Exponentiates (row max subtracted first) into K, then alternates column
     normalization (columns sum to B/C) with row normalization (rows sum
     to 1) ``iters`` times; zero iterations reduce to a plain row softmax.
-    Works on any (..., B, C) stack of batches.  The result keeps the input's
-    memory layout: given cluster-major storage (batch axis contiguous), as
-    ``composite_loss_and_grads`` passes, every sum over B or C is a vector add.
+    The normalizations are kept as scaling vectors (Cuturi, Sinkhorn
+    Distances, NeurIPS 2013): the result is diag(r) K diag(c), with per
+    iteration ``c = (B/C) / (K^T r)`` and ``r = 1 / (K c)``, two batched
+    mat-vecs, and K is scaled once at the end.  Works on any (..., B, C)
+    stack of batches, in float64.  The result keeps the input's memory
+    layout: given cluster-major storage (batch axis contiguous), as
+    ``composite_loss_and_grads`` passes, both mat-vecs read K in its order.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
     logits = np.asarray(teacher_logit_batch, dtype=np.float64)
     if logits.ndim < 2 or logits.shape[-2] < 1:
         raise ValueError("need a nonempty (..., B, C) logit batch")
-    m = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    b, c = m.shape[-2], m.shape[-1]
-    # normalized in place: m is the fresh array np.exp returned
-    for _ in range(iters):
-        m /= m.sum(axis=-2, keepdims=True)
-        m *= b / c
-        m /= m.sum(axis=-1, keepdims=True)
+    k = np.subtract(logits, logits.max(axis=-1, keepdims=True))
+    np.exp(k, out=k)
     if iters == 0:
-        m /= m.sum(axis=-1, keepdims=True)
-    return m
+        k /= k.sum(axis=-1, keepdims=True)
+        return k
+    b, c = k.shape[-2], k.shape[-1]
+    k_t = k.swapaxes(-1, -2)
+    r = np.ones(k.shape[:-1] + (1,))  # (..., B, 1)
+    for _ in range(iters):
+        col = np.matmul(k_t, r)  # (..., C, 1)
+        np.divide(b / c, col, out=col)
+        r = np.matmul(k, col)
+        np.reciprocal(r, out=r)
+    k *= col.swapaxes(-1, -2)
+    k *= r
+    return k
 
 
 def lambda_schedule(step: int, total_steps: int, lambda_max: float) -> float:
@@ -278,17 +311,18 @@ def composite_loss_and_grads(
     ``marginal`` (H, C) is the clamped class marginal.  The computation runs
     in the dtype of ``u``.
 
-    Logits of both folded copies come from the stacked (H, 2C, d) weights:
-    one GEMM on the anchors, then per block of heads (``featstore.blocks``
-    over the heads' gathered rows) one gather of the draws ``u[nbr]`` into a
-    reused buffer, draw-major, and one batched matmul on them.  Per head,
-    the teacher's anchors and B*m neighbors are centered as one
-    Sinkhorn-Knopp batch in float64, and its neighbor targets are the mean
-    over the m draws.  The student sees the
+    Logits / tau of both folded copies come from the stacked (H, 2C, d)
+    weights, each copy scaled by its 1 / tau: one GEMM on the anchors, then
+    per block of heads (``featstore.blocks`` over the heads' gathered rows)
+    one gather of the draws ``u[nbr]`` into a reused buffer, draw-major, and
+    one batched matmul on them.  Per head, the teacher's anchors and B*m
+    neighbors are centered as one Sinkhorn-Knopp batch in float64, and its
+    neighbor targets are the mean over the m draws.  The student sees the
     first draw, the leading B rows of the block.  Its loss is taken in the
     log domain, ``log y = beta*(log q_s + log q_t) - log p`` summed by
-    log-sum-exp over clusters, and the backward pass contracts the logit
-    gradients ``da`` against the unit rows, ``G = sum_b da (x) u`` (one GEMM
+    log-sum-exp over clusters, with the row-shifted logits in place of
+    ``log q_s`` (softmax is shift-invariant), and the backward pass
+    contracts the logit gradients ``da`` against the unit rows, ``G = sum_b da (x) u`` (one GEMM
     for the anchors after the loop, one per head on the neighbor side), and
     unfolds: ``d_weight = G*gamma + d_bias (x) beta``, ``d_gamma = sum_{h,c}
     W*G / H`` and ``d_beta_shift = sum_h d_bias_h . W_h / H``.
@@ -308,9 +342,13 @@ def composite_loss_and_grads(
     beta, lam, tau_student = float(beta), float(lam), float(tau_student)
     log_floor = math.log(CE_PROB_FLOOR)
 
-    folded = [_fold(**copy) for copy in (teacher, student)]
-    w_stack = np.concatenate([w for w, _ in folded], axis=1)  # (H, 2C, d): teacher, student
-    b_stack = np.concatenate([b for _, b in folded], axis=1)
+    # (H, 2C, d): each head's folded teacher, then student, over its
+    # temperature, so that the GEMMs give logits / tau
+    w_stack = np.empty((h_count, 2 * c_count, d), dtype=dt)
+    b_stack = np.empty((h_count, 2 * c_count), dtype=dt)
+    for part, copy, tau in ((slice(0, c_count), teacher, float(tau_teacher)),
+                            (slice(c_count, None), student, tau_student)):
+        _fold(**copy, scale=1.0 / tau, out=(w_stack[:, part], b_stack[:, part]))
     a_x = _shared_logits(w_stack, b_stack, u_x)  # (H, B, 2C)
     log_p = np.log(marginal).astype(dt)[:, None, :]
     scale = 1.0 / (b_count * tau_student)
@@ -332,60 +370,66 @@ def composite_loss_and_grads(
 
         # the teacher's logits / tau, upcast: anchors, then every draw
         t = np.empty((h, c_count, b_count + rows)).transpose(0, 2, 1)
-        np.divide(a_x[hb, :, :c_count], tau_teacher, out=t[:, :b_count], dtype=np.float64)
-        np.divide(a_nb[..., :c_count], tau_teacher, out=t[:, b_count:], dtype=np.float64)
+        t[:, :b_count] = a_x[hb, :, :c_count]
+        t[:, b_count:] = a_nb[..., :c_count]
         qt = sinkhorn_knopp(t, sk_iters)
-        qt_x[hb] = qt[:, :b_count]
-        draws = qt[:, b_count:].reshape(h, m_draws, b_count, c_count)
-        qt_xp[hb] = draws[:, 0] if m_draws == 1 else draws.mean(axis=1)
         qt_x_b, qt_xp_b = qt_x[hb], qt_xp[hb]
-        w = np.sum(qt_x_b * qt_xp_b, axis=-1).astype(dt)[..., None]  # (h, B, 1)
-        c_hat = np.argmax(qt_xp_b, axis=-1)[..., None]
+        qt_x_b[...] = qt[:, :b_count]
+        draws = qt[:, b_count:].reshape(h, m_draws, b_count, c_count)
+        if m_draws == 1:
+            qt_xp_b[...] = draws[:, 0]
+        else:
+            np.mean(draws, axis=1, out=qt_xp_b)
+        w = np.sum(qt_x_b * qt_xp_b, axis=-1, keepdims=True).astype(dt)  # (h, B, 1)
+        c_hat = np.argmax(qt_xp_b, axis=-1)  # (h, B)
+        at_hat = (np.arange(h)[:, None], np.arange(b_count), c_hat)
+        # log q_t once, in float64 and rounded to dt; these buffers become y2 and y1
+        y2, y1 = np.empty_like(qt_x_b, dtype=dt), np.empty_like(qt_xp_b, dtype=dt)
         with np.errstate(divide="ignore"):
-            log_qt_x = np.log(qt_x_b).astype(dt, copy=False)
-            log_qt_xp = np.log(qt_xp_b).astype(dt, copy=False)
+            np.log(qt_x_b, out=y2)
+            np.log(qt_xp_b, out=y1)
 
-        # student softmax and log-softmax on the anchors and the first draw
-        ls_x = a_x[hb, :, c_count:] / tau_student
-        qs_x, lse = _softmax_lse(ls_x)
-        ls_x -= lse
-        ls_xp = a_nb[:, :b_count, c_count:] / tau_student
-        qs_xp, lse = _softmax_lse(ls_xp)
-        ls_xp -= lse
+        # student logits / tau on the anchors and the first draw, each row
+        # shifted so that its largest is 0
+        s_x, s_xp = (np.subtract(s, s.max(axis=-1, keepdims=True))
+                     for s in (a_x[hb, :, c_count:], a_nb[:, :b_count, c_count:]))
+        s_at = s_x[at_hat][..., None]
 
-        # PMI terms: t1, t2 = log sum_c y_c with log y = beta*(log q_s + log q_t) - log p
-        y1 = ls_x + log_qt_xp
-        y1 *= beta
-        y1 -= log_p[hb]
-        r1, t1 = _softmax_lse(y1)  # r1 = y / sum_c y
-        y2 = ls_xp + log_qt_x
-        y2 *= beta
-        y2 -= log_p[hb]
-        r2, t2 = _softmax_lse(y2)
+        # PMI terms: t1, t2 = log sum_c y_c with log y = beta*(log q_s + log q_t) - log p.
+        # Softmax is shift-invariant, so log q_s = s - lse(s) enters y as s,
+        # and t = lse(beta*(s + log q_t) - log p) - beta*lse(s)
+        for y, s in ((y1, s_x), (y2, s_xp)):
+            y += s
+            y *= beta
+            y -= log_p[hb]
+        qs_x, lse_x = _exp_normalize(s_x)
+        qs_xp, lse_xp = _exp_normalize(s_xp)
+        r1, t1 = _softmax_lse(y1, out=y1)  # r1 = y / sum_c y
+        r2, t2 = _softmax_lse(y2, out=y2)
+        t1 -= beta * lse_x
+        t2 -= beta * lse_xp
 
-        lq_at = np.take_along_axis(ls_x, c_hat, axis=-1)
+        lq_at = s_at - lse_x  # log q_s at the teacher's class
         ce = -np.maximum(lq_at, log_floor)
         pair_loss = -0.5 * w * (t1 + t2) + lam * ce  # (h, B, 1)
         losses[hb] = pair_loss.mean(axis=(1, 2))
 
-        # d(loss)/d(logits / tau): beta * (y/S - q) per PMI term, q - onehot for CE;
-        # pairs sitting on the CE probability floor contribute no CE gradient
-        # (the clamped loss is locally constant there)
-        half_w = (-0.5 * beta) * w
-        ce_w = (lq_at > log_floor) * dt.type(lam)
-        dg_x = r1 - qs_x
-        dg_x *= half_w
-        dg_x += ce_w * qs_x
-        at = np.take_along_axis(dg_x, c_hat, axis=-1)
-        at -= ce_w
-        np.put_along_axis(dg_x, c_hat, at, axis=-1)
-        np.multiply(dg_x, scale, out=da_x[hb])
-        da_xp = r2 - qs_xp
-        da_xp *= half_w * scale
-        np.matmul(da_xp.transpose(0, 2, 1), u_nb[:, :b_count], out=g_own[hb])
-        d_bias_own[hb] = da_xp.sum(axis=1)
+        # d(loss)/d(logits): beta * (y/S - q) / tau per PMI term, (q - onehot) / tau
+        # for CE, batch-mean; pairs sitting on the CE probability floor
+        # contribute no CE gradient (the clamped loss is locally constant there)
+        half_w = (-0.5 * beta * scale) * w
+        ce_w = (lq_at > log_floor) * dt.type(lam * scale)
+        r1 -= qs_x
+        r1 *= half_w
+        qs_x[at_hat] -= 1.0  # q - onehot, exact for q near 1
+        qs_x *= ce_w
+        np.add(r1, qs_x, out=da_x[hb])
+        r2 -= qs_xp
+        r2 *= half_w
+        np.matmul(r2.transpose(0, 2, 1), u_nb[:, :b_count], out=g_own[hb])
+        d_bias_own[hb] = r2.sum(axis=1)
 
-    g = np.tensordot(da_x, u_x, axes=(1, 0))  # (H, C, d)
+    g = (da_x.transpose(0, 2, 1).reshape(-1, b_count) @ u_x).reshape(weight.shape)
     g += g_own
     d_bias = da_x.sum(axis=1) + d_bias_own
     d_gamma = (weight * g).sum(axis=(0, 1)) / h_count
@@ -494,6 +538,20 @@ def _float32_unit_rows(x: np.ndarray, norm: NormStats) -> np.ndarray:
     return u
 
 
+def _draw_neighbors(head_rngs, anchors, sets: NeighborSets, sizes, m_draws: int) -> np.ndarray:
+    """Rows (H, B, m) of the neighbors drawn for ``anchors``.  Head h draws
+    uniform u in [0, 1) from its own stream, one call of B*m numbers, and
+    takes the member at position floor(u * |S_x|) of the anchor's set: u < 1
+    keeps the float64 product below |S_x|."""
+    pos = np.empty((len(head_rngs), anchors.size, m_draws))
+    for rng, out in zip(head_rngs, pos):
+        rng.random(out=out)
+    pos *= sizes[anchors, None]
+    pos = pos.astype(np.int64)
+    pos += sets.offsets[anchors, None]
+    return sets.indices[pos]
+
+
 def train_heads(
     features: EmbeddingMatrix, sets: NeighborSets, cfg: TrainConfig
 ) -> tuple[HeadBank, TrainReport]:
@@ -506,10 +564,9 @@ def train_heads(
     one AdamW step is taken, followed by the teacher EMA update and the
     marginal EMA update.  Training runs in float32 and every per-sample
     tensor of a step is stored cluster-major (see the module docstring).
-    The returned bank holds float64 copies of the trained parameters, and
-    the labelings of all heads come from them on float64 unit rows,
-    standardized one block of rows at a time, through the helper
-    ``predict_labeling`` runs on one head.
+    The labelings of all heads come from the trained float32 parameters on
+    the float32 unit rows, through the helper ``predict_labeling`` runs on
+    one head; the returned bank holds float64 copies of the parameters.
     Identical configs produce bitwise-identical reports.
     """
     n = features.n
@@ -536,7 +593,6 @@ def train_heads(
     optimizer = _AdamW(student, cfg.weight_decay)
     u = _float32_unit_rows(features.data, norm)
 
-    offsets, flat = sets.offsets, sets.indices
     h_count = cfg.num_heads
     m_draws = cfg.smoothing_m
     steps_per_epoch = -(-n // cfg.batch_size)
@@ -551,13 +607,7 @@ def train_heads(
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             b_count = batch.size
-
-            counts_b = sizes[batch]
-            off_b = offsets[batch]
-            nbr = np.empty((h_count, b_count, m_draws), dtype=np.int64)
-            for h in range(h_count):
-                r = head_rngs[h].integers(0, counts_b[:, None], size=(b_count, m_draws))
-                nbr[h] = flat[off_b[:, None] + r]
+            nbr = _draw_neighbors(head_rngs, batch, sets, sizes, m_draws)
 
             # numeric warnings are silenced because the finite check below
             # turns any divergence into a TrainingError
@@ -599,11 +649,10 @@ def train_heads(
         per_head_loss = np.full(h_count, np.nan)
         best_head = 0
 
+    labelings = _head_labelings(student, n, u.__getitem__)
     for copy, trained in ((bank.student, student), (bank.teacher, teacher)):
         for key, value in trained.items():
             copy[key][...] = value
-    del optimizer, u
-    labelings = _head_labelings(bank.student, features.data, norm)
     per_head_loss.flags.writeable = False
     epoch_loss.flags.writeable = False
     report = TrainReport(
@@ -615,42 +664,47 @@ def train_heads(
     return bank, report
 
 
-def _head_labelings(student: dict, x: np.ndarray, norm: NormStats, heads=slice(None)) -> tuple:
-    """Argmax labelings of the student heads ``heads`` on the rows x (n, d).
+def _head_labelings(student: dict, n: int, unit, heads=slice(None)) -> tuple:
+    """Argmax labelings of the student heads ``heads`` on n rows, in float32.
 
-    The folded GEMM gives the logits one block of rows at a time, each
-    block's standardized rows and logits at most ``featstore.BLOCK_BYTES``;
-    each block's rows are standardized on their own by ``unit_rows(x,
-    norm)``, which is elementwise: the values are those of one whole-matrix
-    call, and only one block of standardized rows is held at a time.  A
-    head with a non-finite logit is an error.  Labels are the argmax of the
-    logits, which is that of ``softmax(logits / tau)`` for any tau > 0, ids
-    1..C, ties to the lowest class.
+    ``unit(rows)`` gives the float32 unit rows of a slice of rows.  The
+    parameters are cast to float32, which is exact for a bank trained by
+    ``train_heads``, and the folded GEMM gives the logits one block of rows
+    at a time.  The blocks are cut for every head of ``student``, whichever
+    are labeled, so one head is labeled in the row blocks, and with the
+    products, of all heads: a block's float32 logits of every head and its
+    unit rows, float64 while standardized, fit ``featstore.BLOCK_BYTES``.
+    A head with a non-finite logit is an error.  Labels are the argmax of
+    the logits, which is that of ``softmax(logits / tau)`` for any tau > 0,
+    ids 1..C, ties to the lowest class.
     """
-    h_count, c_count, d = student["weight"][heads].shape
-    n = x.shape[0]
-    labels = np.empty((h_count, n), dtype=np.int64)
-    finite = np.ones(h_count, dtype=bool)
+    h_all, c_count, d = student["weight"].shape
+    labeled = range(h_all)[heads]
+    labels = np.empty((len(labeled), n), dtype=np.int64)
+    finite = np.ones(len(labeled), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        folded = _fold(student["weight"][heads], student["bias"][heads],
-                       student["gamma"], student["beta_shift"])
-        for rows in blocks(n, 8 * (h_count * c_count + d)):
-            logits = _shared_logits(*folded, unit_rows(x[rows], norm))
+        params = (student["weight"][heads], student["bias"][heads],
+                  student["gamma"], student["beta_shift"])
+        folded = _fold(*(p.astype(np.float32, copy=False) for p in params))
+        for rows in blocks(n, 4 * (h_all * c_count + 3 * d)):
+            logits = _shared_logits(*folded, unit(rows))
             finite &= np.isfinite(logits).all(axis=(1, 2))
             labels[:, rows] = np.argmax(logits, axis=-1)
     if not finite.all():
-        bad = range(len(student["bias"]))[heads][int(np.argmin(finite))]
+        bad = labeled[int(np.argmin(finite))]
         raise ValueError(f"non-finite head logits in head {bad}")
     return tuple(Labeling(row + 1) for row in labels)
 
 
 def predict_labeling(bank: HeadBank, head: int, features: EmbeddingMatrix) -> Labeling:
-    """Argmax student labeling for one head, by the code ``train_heads`` labels with."""
+    """Argmax student labeling for one head, by the code ``train_heads`` labels
+    with, on float32 unit rows standardized one block of rows at a time."""
     if not 0 <= head < bank.num_heads:
         raise ValueError(f"head {head} out of range [0, {bank.num_heads})")
-    s = bank.student
+    s, x = bank.student, features.data
     norm = NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"])
-    return _head_labelings(s, features.data, norm, slice(head, head + 1))[0]
+    return _head_labelings(s, features.n, lambda rows: _float32_unit_rows(x[rows], norm),
+                           slice(head, head + 1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -188,39 +188,11 @@ def _band(t: float, margin: float):
     return np.float32(t - margin), np.float32(t + margin)
 
 
-def _similarity_matrix(unit: np.ndarray, start: int, stop: int, columns) -> np.ndarray:
-    """Float32 similarities of rows ``start:stop`` with every row, -inf with
-    itself.  ``columns``, when given, is ``np.unique``'s ``(distinct,
-    inverse)`` of the rows: identical rows then share one computed column."""
-    if columns is None:
-        sims = unit[start:stop] @ unit.T
-    else:
-        distinct, inverse = columns
-        sims = (unit[start:stop] @ distinct.T)[:, inverse]
+def _similarity_matrix(unit: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Float32 similarities of rows ``start:stop`` with every row, -inf with itself."""
+    sims = unit[start:stop] @ unit.T
     np.fill_diagonal(sims[:, start:], -np.inf)
     return sims
-
-
-def _repeated_rows(unit: np.ndarray):
-    """``np.unique``'s ``(distinct, inverse)`` of the rows if any row repeats, else None.
-
-    Each row is hashed first, one block of rows at a time: its float64 bits
-    (adding 0.0 turns -0.0 into 0.0) dotted with fixed odd uint64 multipliers,
-    wrapping.  Unless two hashes tie, every row is distinct and ``np.unique``,
-    which copies and sorts all n×d values, is not called.
-    """
-    n, d = unit.shape
-    multipliers = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    multipliers |= np.uint64(1)
-    hashes = np.empty(n, dtype=np.uint64)
-    for rows in blocks(n, 8 * d):
-        bits = np.add(unit[rows], 0.0, dtype=np.float64).view(np.uint64)
-        np.matmul(bits, multipliers, out=hashes[rows])
-    hashes.sort()
-    if not (hashes[1:] == hashes[:-1]).any():
-        return None
-    distinct, inverse = np.unique(unit, axis=0, return_inverse=True)
-    return None if distinct.shape[0] == n else (distinct, inverse.ravel())
 
 
 def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
@@ -244,12 +216,12 @@ def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
         row = int(np.nonzero(norms == 0)[0][0])
         raise ValueError(f"zero-norm feature row {row}; cosine similarity undefined")
     unit = np.divide(data, norms[:, None], out=np.empty(data.shape, dtype=np.float32))
-    columns, margin, floor = _repeated_rows(unit), _margin(features.d), min(k_min, n - 1)
+    margin, floor = _margin(features.d), min(k_min, n - 1)
     sizes, above = np.empty(n, dtype=np.int64), np.empty((len(cuts), n), dtype=np.int64)
     members, levels = np.empty(0, dtype=np.int32), np.empty(0, np.min_scalar_type(len(cuts) + 1))
     for block in blocks(n, 4 * n, MIN_BLOCK_ROWS):
         start, rows = block.start, block.stop - block.start
-        sims = _similarity_matrix(unit, block.start, block.stop, columns)
+        sims = _similarity_matrix(unit, block.start, block.stop)
 
         def row_counts(flat):
             return np.diff(np.searchsorted(flat, np.arange(rows + 1) * n))

@@ -13,6 +13,7 @@ never fits runs the whole cap.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -39,8 +40,9 @@ class SelfTrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr and weight_decay must be >= 0")
+        # every float check is written so that NaN fails it
+        if not (0.0 <= self.lr < math.inf and 0.0 <= self.weight_decay < math.inf):
+            raise ValueError("lr and weight_decay must be finite and >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.batch_size < 1:

@@ -18,7 +18,8 @@ that ran ``np.unique`` on the cluster ids in every call, before each
 labeling cached its coding, are kept verbatim too, with ``canonicalize``;
 they reuse the package's ``hungarian`` and ``_average_linkage_cut``.
 ``out_of_place_sinkhorn_knopp`` is ``sinkhorn_knopp`` as it was before it
-normalized in place, and ``fixed_budget_self_train`` is ``self_train`` as it
+normalized in place, and before it kept the normalizations as scaling
+vectors, and ``fixed_budget_self_train`` is ``self_train`` as it
 was before it stopped once the probe reproduces the pseudo-labels: both are
 copied verbatim, and the latter reuses the package's ``ce_loss_and_grads``,
 standardizer and ``Classifier``.

@@ -41,11 +41,13 @@ class TestSinkhorn:
     @pytest.mark.parametrize("shape", [(50, 512, 20), (10, 512, 5), (3, 7, 4)])
     @pytest.mark.parametrize("iters", [0, 1, 3])
     def test_in_place_matches_out_of_place_bits(self, rng, shape, iters):
+        # the scaling-vector form against the normalizing form it replaced:
+        # the same numbers up to rounding
         logits = rng.normal(size=shape) * 4
         out = sinkhorn_knopp(logits, iters)
         ref = out_of_place_sinkhorn_knopp(logits, iters)
         assert out.shape == ref.shape
-        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert np.all(np.abs(out - ref) <= 1e-13 * np.abs(ref))
 
     def test_stacked_batches(self, rng):
         logits = rng.normal(size=(3, 16, 5))

@@ -399,9 +399,10 @@ class TestHeadBlocks:
         logits = heads._shared_logits(*heads._fold(**s), unit_rows(m.data, norm)) / cfg.tau_student
         want = np.argmax(heads.softmax(logits), axis=-1) + 1
         for rows in (1, 7, 64, m.n):
-            row_bytes = 8 * (bank.num_heads * bank.num_clusters + bank.dim)
+            # float32 logits of every head, float64 then float32 unit rows
+            row_bytes = 4 * (bank.num_heads * bank.num_clusters + 3 * bank.dim)
             monkeypatch.setattr(featstore, "BLOCK_BYTES", rows * row_bytes)
-            got = heads._head_labelings(s, m.data, norm)
+            got = heads._head_labelings(s, m.n, lambda r: heads._float32_unit_rows(m.data[r], norm))
             assert np.array_equal([lab.labels for lab in got], want)
 
     def test_lowest_non_finite_head_reported_across_row_blocks(self, rng, monkeypatch):
@@ -409,14 +410,13 @@ class TestHeadBlocks:
         student = {"weight": rng.normal(size=(h, c, d)), "bias": np.zeros((h, c)),
                    "gamma": np.ones(d), "beta_shift": np.zeros(d)}
         student["weight"][2, 0, 0] = np.nan  # head 2: every row
-        student["weight"][1, 0, 0] = 1e308  # head 1: only the last row overflows
-        u = rng.normal(size=(6, d))
+        student["weight"][1, 0, 0] = 1e38  # head 1: only the last row overflows float32
+        u = rng.normal(size=(6, d)).astype(np.float32)
         u[:, 0] = 0.0
         u[-1, 0] = 10.0
         monkeypatch.setattr(featstore, "BLOCK_BYTES", 8)  # one row per block
-        norm = NormStats(np.zeros(d), np.ones(d), np.ones(d), np.zeros(d))
         with pytest.raises(ValueError, match="non-finite head logits in head 1"):
-            heads._head_labelings(student, u, norm)
+            heads._head_labelings(student, 6, u.__getitem__)
 
 
 def test_training_memory_is_bounded():
@@ -450,6 +450,68 @@ def test_predict_labeling_holds_one_block_of_standardized_rows():
     assert labeling.n == 40000
     # one block plus the n labels, a few int64 copies of them
     assert peak < featstore.BLOCK_BYTES + 40000 * 8 * 4, f"peaked at {peak / 2**20:.1f} MB"
+
+
+def recorded_draws(monkeypatch, m, sets, cfg):
+    """``(anchors, nbr)`` of every step of ``train_heads(m, sets, cfg)``."""
+    calls, draw = [], heads._draw_neighbors
+
+    def spy(head_rngs, anchors, *args):
+        nbr = draw(head_rngs, anchors, *args)
+        calls.append((anchors.copy(), nbr.copy()))
+        return nbr
+
+    with monkeypatch.context() as patch:
+        patch.setattr(heads, "_draw_neighbors", spy)
+        train_heads(m, sets, cfg)
+    return calls
+
+
+class TestNeighborDraws:
+    """Each head draws its neighbors from its own stream, one call a step."""
+
+    @pytest.fixture(scope="class")
+    def blobs(self):
+        m, _ = gen_synthetic(SynthSpec(n=80, d=8, k=3, separation=15.0, seed=2))
+        return m, build_neighbor_sets(m, 0.3, 4)
+
+    def test_draws_are_members_of_their_anchors_sets(self, blobs, monkeypatch):
+        m, sets = blobs
+        calls = recorded_draws(monkeypatch, m, sets, small_cfg(num_clusters=3, smoothing_m=3))
+        assert len(calls) == 8 * 3  # 8 epochs of 3 batches
+        members = [set(s.tolist()) for s in sets.sets]
+        for anchors, nbr in calls:
+            assert nbr.shape == (3, anchors.size, 3)
+            for h, b, j in np.ndindex(nbr.shape):
+                assert nbr[h, b, j] in members[anchors[b]]
+
+    def test_member_frequencies_within_binomial_bound(self):
+        # anchors 0 and 1 hold sets of 5 and 7 members; 400 steps of 256 anchors, 2 draws
+        sets = NeighborSets.from_lists([np.arange(1, 6), np.arange(2, 9)] + [np.array([0])] * 7)
+        rngs = [np.random.default_rng(11), np.random.default_rng(12)]
+        anchors = np.arange(256) % 2
+        counts = np.zeros((2, 2, 9))
+        for _ in range(400):
+            nbr = heads._draw_neighbors(rngs, anchors, sets, sets.sizes(), 2)
+            for a in (0, 1):
+                counts[:, a] += [np.bincount(row.ravel(), minlength=9)
+                                 for row in nbr[:, anchors == a]]
+        for a, members in ((0, range(1, 6)), (1, range(2, 9))):
+            draws, p = 400 * 128 * 2, 1 / len(members)
+            others = np.setdiff1d(np.arange(9), members)
+            assert (counts[:, a, others] == 0).all()
+            bound = 5 * np.sqrt(draws * p * (1 - p))
+            assert np.abs(counts[:, a, members] - draws * p).max() < bound
+
+    def test_head_draws_do_not_depend_on_head_count(self, blobs, monkeypatch):
+        m, sets = blobs
+        runs = [recorded_draws(monkeypatch, m, sets, small_cfg(num_clusters=3, num_heads=h,
+                                                               smoothing_m=2, epochs=2))
+                for h in (1, 3)]
+        assert len(runs[0]) == len(runs[1]) == 6
+        for (anchors_1, nbr_1), (anchors_3, nbr_3) in zip(*runs):
+            assert np.array_equal(anchors_1, anchors_3)
+            assert np.array_equal(nbr_1[0], nbr_3[0])
 
 
 class TestTrainHeads:

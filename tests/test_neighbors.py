@@ -228,9 +228,9 @@ def test_block_rows_rule(rng, monkeypatch):
     # and mining computes its similarities in exactly those blocks
     spans, similarity = [], neighbors._similarity_matrix
 
-    def spy(unit, start, stop, columns):
+    def spy(unit, start, stop):
         spans.append((start, stop))
-        return similarity(unit, start, stop, columns)
+        return similarity(unit, start, stop)
 
     monkeypatch.setattr(neighbors, "_similarity_matrix", spy)
     build_neighbor_sets(EmbeddingMatrix(rng.normal(size=(1000, 4))), 0.9, 3)
@@ -313,45 +313,26 @@ def test_identical_rows_tie_by_index(rng, n, d):
             assert len(kept) == len(copies) or members.size == 5
 
 
-@pytest.fixture
-def unique_calls(monkeypatch):
-    """The row arrays mining hands to ``np.unique(..., axis=0)``."""
-    calls, unique = [], np.unique
-
-    def counted(ar, *args, **kwargs):
-        if kwargs.get("axis") == 0:
-            calls.append(ar)
-        return unique(ar, *args, **kwargs)
-
-    monkeypatch.setattr(neighbors.np, "unique", counted)
-    return calls
-
-
 @pytest.mark.parametrize("step", [1, 7, 1000])
 @pytest.mark.parametrize("pairs", [((0, 3), (5, 8)), ((2, 6),)], ids=["copies", "signed_zero"])
-def test_repeated_rows_share_one_column(rng, unique_calls, monkeypatch, step, pairs):
+def test_repeated_rows_mine_dense_sets(rng, monkeypatch, step, pairs):
     # each pair's second row repeats its first; row 6 is row 2 with a -0.0 for its 0.0
     data = rng.normal(size=(10, 5))
     data[2, 1] = 0.0
     for a, b in pairs:
         data[b] = data[a]
     data[6, 1] = -0.0
-    monkeypatch.setattr(featstore, "BLOCK_BYTES", step * 8 * 5)  # rows hashed `step` at a time
-    distinct, inverse = neighbors._repeated_rows(data)
-    assert len(unique_calls) == 1 and distinct.shape == (10 - len(pairs), 5)
-    for a, b in pairs:
-        assert inverse[a] == inverse[b]
+    monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(featstore, "BLOCK_BYTES", step * 4 * 10)  # `step` rows a block
+    assert_matches_dense(EmbeddingMatrix(data), 0.3, 5)
 
 
 @pytest.mark.parametrize("step", [1, 7, 1000])
-def test_distinct_rows_skip_unique(rng, unique_calls, monkeypatch, step):
+def test_distinct_rows_mine_dense_sets(rng, monkeypatch, step):
     m = EmbeddingMatrix(rng.normal(size=(300, 6)))
-    monkeypatch.setattr(featstore, "BLOCK_BYTES", step * 8 * 6)  # rows hashed `step` at a time
-    assert neighbors._repeated_rows(m.data) is None
     monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
-    assert build_neighbor_sets(m, 0.3, 5).indices.tolist() == [
-        i for s in dense_neighbor_sets(m, 0.3, 5) for i in sorted(s)]
-    assert unique_calls == []
+    monkeypatch.setattr(featstore, "BLOCK_BYTES", step * 4 * 300)  # `step` rows a block
+    assert_matches_dense(m, 0.3, 5)
 
 
 @pytest.mark.parametrize("theta", [0.5, 2.0], ids=["threshold", "floor_only"])

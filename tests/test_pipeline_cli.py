@@ -532,6 +532,19 @@ class TestPipeline:
         assert "train.num_clusters=200 exceeds the sample count n=120" in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [key for key, (parser, _) in SCHEMA.items()
+                                     if key.startswith(("train.", "selftrain.")) and parser is float])
+    def test_pipeline_refuses_non_finite_stage_floats_before_mining(self, pipeline_run,
+                                                                    tmp_path, capsys, key, value):
+        _, cfg_path, _, _, _ = pipeline_run
+        run = tmp_path / "run"
+        code = main(["pipeline", "--config", str(cfg_path), "--set", f"output_dir={run}",
+                     "--set", f"{key}={value}"])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_pipeline_fails_train_stage_on_short_neighbor_file(self, pipeline_run, tmp_path,
                                                                capsys):
         _, cfg_path, _, _, _ = pipeline_run
