@@ -155,7 +155,6 @@ def _cmd_pipeline(args, cfg) -> str:
     machine = {
         "config_hash": manifest.config_hash,
         "seed": manifest.seed,
-        "selftrain_rounds": manifest.selftrain_rounds,
         "manifest": str(Path(cfg["output_dir"]) / "manifest.json"),
     }
     for stage in manifest.stages:

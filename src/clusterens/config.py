@@ -13,6 +13,7 @@ configuration hashes deterministically, which the run manifest records.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -40,13 +41,13 @@ def _parse_int_list(raw: str) -> tuple:
     return tuple(int(p) for p in raw.split(",") if p.strip())
 
 
-def _choice(*options: str):
-    """A parser that accepts one of ``options``."""
-    def parse(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"{raw!r} is not one of {', '.join(options)}")
-        return raw
-    return parse
+def _checked(parse, ok, need: str):
+    """A parser that refuses a value of ``parse`` unless ``ok(value)``, as not ``need``."""
+    def parse_checked(raw: str):
+        if not ok(value := parse(raw)):
+            raise ValueError(f"{raw!r} is not {need}")
+        return value
+    return parse_checked
 
 
 def _stage_keys(prefix: str, stage_cls) -> dict:
@@ -64,18 +65,19 @@ DEFAULT_HEAD_COUNTS = tuple(range(10, 90, 10))
 # key -> (parser, default); None defaults mean "optional, unset"
 SCHEMA = {
     "features": (str, None),
-    "features_format": (_choice("featpack", "csv", "npy"), None),
+    "features_format": (_checked(str, ("featpack", "csv", "npy").__contains__,
+                                 "one of featpack, csv, npy"), None),
     "labels": (str, None),
     "output_dir": (str, None),
-    "seed": (int, 0),
+    "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 0),
     "threads": (int, 1),  # accepted and ignored, so that older configs still load
     "synth.n": (int, None),
     "synth.d": (int, None),
     "synth.k": (int, None),
     "synth.separation": (float, 20.0),
-    "synth.seed": (int, None),
-    "neighbors.theta": (float, 0.3),
-    "neighbors.k_min": (int, 50),
+    "synth.seed": (_checked(int, lambda v: v >= 0, ">= 0"), None),
+    "neighbors.theta": (_checked(float, math.isfinite, "finite"), 0.3),
+    "neighbors.k_min": (_checked(int, lambda v: v >= 1, ">= 1"), 50),
     "neighbors.file": (str, None),
     "neighbors.ground_truth": (_parse_bool, False),
     "neighbors.standardized": (_parse_bool, False),

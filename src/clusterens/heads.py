@@ -12,9 +12,9 @@ cluster usage.  All gradients are computed analytically in closed form.
 Heads share a single learnable standardizer affine (gamma, beta) whose
 gradient is averaged over heads; every other parameter is head-private, so
 training H heads is equivalent to training them independently on the same
-batch stream (head-specific RNG streams drive neighbor draws).  Student and
-teacher are each one dict keyed by the parameter names of the kernels and of
-their gradients: ``weight``, ``bias``, ``gamma`` and ``beta_shift``.
+batch stream (head-specific RNG streams drive neighbor draws).  Each copy
+of the parameters is one flat buffer, and the kernels take the dict of its
+views ``weight``, ``bias``, ``gamma`` and ``beta_shift`` (``_param_views``).
 
 The arithmetic runs as BLAS matrix products on the unit-standardized rows
 ``u = (z - mean) / sqrt(var + eps)``.  The shared affine is folded into each
@@ -182,6 +182,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return _softmax_lse(logits)[0]
 
 
+def _param_views(h: int, c: int, d: int, flat=None, dtype=np.float64):
+    """A flat copy of the parameters, ``flat`` or new of ``dtype``, and its
+    named views in buffer order: ``weight`` (H, C, d), ``bias`` (H, C), then
+    the standardizer affine ``gamma`` and ``beta_shift`` (d,) of all heads.
+    Each view's ``base`` is ``flat``: a dict of views leads to its buffer."""
+    w, b = h * c * d, h * c * (d + 1)
+    flat = np.empty(b + 2 * d, dtype=dtype) if flat is None else flat
+    return flat, {"weight": flat[:w].reshape(h, c, d), "bias": flat[w:b].reshape(h, c),
+                  "gamma": flat[b : b + d], "beta_shift": flat[b + d :]}
+
+
 def _fold(weight, bias, gamma, beta_shift, scale=1.0, out=(None, None)):
     """Fold the shared affine into heads (..., C, d), times ``scale``:
     ``(W*gamma, W beta + b) * scale``, into the arrays ``out`` if given."""
@@ -304,9 +315,8 @@ def composite_loss_and_grads(
     """Teacher targets, batch-mean composite loss and its analytic student
     gradients, in one pass over each block of heads.
 
-    ``student`` and ``teacher`` hold ``weight`` (H, C, d), ``bias`` (H, C)
-    and ``gamma``/``beta_shift`` (d,) shared across heads.  ``u_x`` (B, d)
-    holds the unit anchor rows, ``u`` (n, d) the unit rows and ``nbr``
+    ``student`` and ``teacher`` are parameter views (``_param_views``), ``u_x``
+    (B, d) the unit anchor rows, ``u`` (n, d) the unit rows and ``nbr``
     (H, B, m) the rows of each head's m drawn neighbors of each anchor;
     ``marginal`` (H, C) is the clamped class marginal.  The computation runs
     in the dtype of ``u``.
@@ -327,9 +337,9 @@ def composite_loss_and_grads(
     unfolds: ``d_weight = G*gamma + d_bias (x) beta``, ``d_gamma = sum_{h,c}
     W*G / H`` and ``d_beta_shift = sum_h d_bias_h . W_h / H``.
 
-    Returns (per-head mean losses (H,), grads, qt_x, qt_xp): grads holds
-    ``weight`` (H, C, d), ``bias`` (H, C) from each head's own loss, and
-    ``gamma``/``beta_shift`` (d,) averaged over heads; ``qt_x`` and
+    Returns (per-head mean losses (H,), grads, qt_x, qt_xp): grads are the
+    views of one new flat buffer, ``weight`` and ``bias`` from each head's
+    own loss and ``gamma``/``beta_shift`` averaged over heads; ``qt_x`` and
     ``qt_xp`` (H, B, C) are the float64 teacher targets of the anchors and
     of their neighbors, stored cluster-major.
     """
@@ -357,8 +367,8 @@ def composite_loss_and_grads(
     qt_xp = np.empty_like(qt_x)
     losses = np.empty(h_count, dtype=dt)
     da_x = np.empty((h_count, c_count, b_count), dtype=dt).transpose(0, 2, 1)
-    g_own = np.empty_like(weight, dtype=dt)
-    d_bias_own = np.empty((h_count, c_count), dtype=dt)
+    _, grads = _param_views(h_count, c_count, d, dtype=dt)
+    g, d_bias = grads["weight"], grads["bias"]  # each head's neighbor side; the anchors' add on
     head_blocks = blocks(h_count, rows * d * dt.itemsize)
     buf = np.empty(((head_blocks[0].stop - head_blocks[0].start) * rows, d), dtype=dt)
     for hb in head_blocks:
@@ -426,75 +436,63 @@ def composite_loss_and_grads(
         np.add(r1, qs_x, out=da_x[hb])
         r2 -= qs_xp
         r2 *= half_w
-        np.matmul(r2.transpose(0, 2, 1), u_nb[:, :b_count], out=g_own[hb])
-        d_bias_own[hb] = r2.sum(axis=1)
+        np.matmul(r2.transpose(0, 2, 1), u_nb[:, :b_count], out=g[hb])
+        d_bias[hb] = r2.sum(axis=1)
 
-    g = (da_x.transpose(0, 2, 1).reshape(-1, b_count) @ u_x).reshape(weight.shape)
-    g += g_own
-    d_bias = da_x.sum(axis=1) + d_bias_own
-    d_gamma = (weight * g).sum(axis=(0, 1)) / h_count
-    d_weight = g  # unfolded in place
-    d_weight *= student["gamma"]
-    d_weight += d_bias[..., None] * student["beta_shift"]
-    d_beta_shift = d_bias.reshape(-1) @ weight.reshape(-1, d) / h_count
-
-    grads = {
-        "weight": d_weight,
-        "bias": d_bias,
-        "gamma": d_gamma,
-        "beta_shift": d_beta_shift,
-    }
+    g += (da_x.transpose(0, 2, 1).reshape(-1, b_count) @ u_x).reshape(weight.shape)
+    d_bias += da_x.sum(axis=1)
+    np.divide((weight * g).sum(axis=(0, 1)), h_count, out=grads["gamma"])
+    g *= student["gamma"]  # unfolded in place into d_weight
+    g += d_bias[..., None] * student["beta_shift"]
+    np.divide(d_bias.reshape(-1) @ weight.reshape(-1, d), h_count, out=grads["beta_shift"])
     return losses, grads, qt_x, qt_xp
 
 
 class _AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moment estimates.
 
-    Weight decay applies to the head weight matrices (``weight``) only,
-    never to biases or the shared affine.  Moments and parameters are
-    updated in place, through one scratch array per parameter.
+    Weight decay applies to the leading ``decayed`` values of the flat
+    parameters, the head weights (``_param_views``), never to biases or the
+    shared affine.  Each in-place pass runs once over a whole flat buffer.
     """
 
-    def __init__(self, params: dict, weight_decay: float):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.scratch = {k: np.empty_like(v) for k, v in params.items()}
+    def __init__(self, params: np.ndarray, weight_decay: float, decayed: int):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.scratch = np.empty_like(params)
         self.t = 0
         self.weight_decay = weight_decay
+        self.decayed = decayed
 
-    def step(self, params: dict, grads: dict, lr: float) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for key, p in params.items():
-            g, m, v, tmp = grads[key], self.m[key], self.v[key], self.scratch[key]
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - ADAM_BETA2
-            v += tmp
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.multiply(v, 1.0 / bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            np.divide(m, tmp, out=tmp)
-            tmp *= lr / bc1
-            p -= tmp
-            if key == "weight":
-                p *= 1.0 - lr * self.weight_decay
+        m, v, tmp = self.m, self.v, self.scratch
+        m *= ADAM_BETA1
+        m += np.multiply(grads, 1.0 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(grads, grads, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        v += tmp
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(v, 1.0 / bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr / bc1
+        params -= tmp
+        params[: self.decayed] *= 1.0 - lr * self.weight_decay
 
 
 @dataclass
 class HeadBank:
     """Standardizer statistics, student and teacher parameters, class marginals.
 
-    ``student`` and ``teacher`` map the parameter names of
-    ``composite_loss_and_grads`` (the keys of its gradient dict) to arrays:
-    ``weight`` (H, C, d), ``bias`` (H, C), and the standardizer affine
-    ``gamma`` and ``beta_shift`` (d,) shared across heads.  The teacher is
-    the exponential moving average of the student.  ``train_heads`` trains
-    float32 copies and returns float64 ones, with the same values.
+    ``student`` and ``teacher`` map the parameter names of ``_param_views``
+    to arrays of its shapes; the teacher is the exponential moving average
+    of the student.  ``train_heads`` trains flat float32 copies and returns
+    float64 ones with the same values, each the views of one flat buffer.
     """
 
     config: TrainConfig
@@ -519,13 +517,13 @@ class HeadBank:
 
 def _init_bank(cfg: TrainConfig, mean: np.ndarray, var: np.ndarray, rng) -> HeadBank:
     h, c, d = cfg.num_heads, cfg.num_clusters, mean.size
-    student = {
-        "weight": rng.normal(0.0, INIT_SCALE, size=(h, c, d)),
-        "bias": np.zeros((h, c)),
-        "gamma": np.ones(d),
-        "beta_shift": np.zeros(d),
-    }
-    teacher = {k: v.copy() for k, v in student.items()}
+    flat, student = _param_views(h, c, d)
+    flat.fill(0.0)
+    # the draws of rng.normal(0, INIT_SCALE), with no temporary
+    rng.standard_normal(out=student["weight"])
+    student["weight"] *= INIT_SCALE
+    student["gamma"].fill(1.0)
+    teacher = _param_views(h, c, d, flat.copy())[1]
     return HeadBank(cfg, mean, var, student, teacher, np.full((h, c), 1.0 / c))
 
 
@@ -585,12 +583,13 @@ def train_heads(
 
     norm = fit_standardizer(features)
     bank = _init_bank(cfg, norm.mean, norm.var, init_rng)
-    # the float32 copies that train; the bank's float64 arrays, allocated
-    # before the step's buffers, receive their values at the end, so no
-    # long-lived array sits above the freed buffers on the heap
-    student, teacher = ({k: v.astype(np.float32) for k, v in copy.items()}
-                        for copy in (bank.student, bank.teacher))
-    optimizer = _AdamW(student, cfg.weight_decay)
+    # the flat float32 copies that train; the bank's float64 buffers,
+    # allocated before the step's buffers, receive their values at the end,
+    # so no long-lived array sits above the freed buffers on the heap
+    shape = bank.student["weight"].shape
+    student32, student = _param_views(*shape, bank.student["weight"].base.astype(np.float32))
+    teacher32, teacher = _param_views(*shape, bank.teacher["weight"].base.astype(np.float32))
+    optimizer = _AdamW(student32, cfg.weight_decay, decayed=student["weight"].size)
     u = _float32_unit_rows(features.data, norm)
 
     h_count = cfg.num_heads
@@ -630,10 +629,8 @@ def train_heads(
             lr = cfg.lr
             if warmup_steps > 0:
                 lr *= min(1.0, (global_step + 1) / warmup_steps)
-            optimizer.step(student, grads, lr)
-
-            for key, value in student.items():
-                ema_update(teacher[key], value, cfg.teacher_momentum)
+            optimizer.step(student32, grads["weight"].base, lr)
+            ema_update(teacher32, student32, cfg.teacher_momentum)
             # in place: a fresh small array each step would pin heap pages
             bank.marginal *= MARGINAL_MOMENTUM
             bank.marginal += (1.0 - MARGINAL_MOMENTUM) * qt_x.mean(axis=1)
@@ -650,9 +647,8 @@ def train_heads(
         best_head = 0
 
     labelings = _head_labelings(student, n, u.__getitem__)
-    for copy, trained in ((bank.student, student), (bank.teacher, teacher)):
-        for key, value in trained.items():
-            copy[key][...] = value
+    bank.student["weight"].base[...] = student32
+    bank.teacher["weight"].base[...] = teacher32
     per_head_loss.flags.writeable = False
     epoch_loss.flags.writeable = False
     report = TrainReport(

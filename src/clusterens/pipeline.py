@@ -143,7 +143,6 @@ class RunManifest:
     config_hash: str
     seed: int
     stages: list = field(default_factory=list)
-    selftrain_rounds: int = 0
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -468,7 +467,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     consensus = run_stage("ensemble", lambda: ensemble_stage(
         out_dir, list(report.per_head_labeling), k, report.best_head, labels))
     run_stage("selftrain", lambda: selftrain_stage(out_dir, features, consensus, st_cfg, labels))
-    manifest.selftrain_rounds += 1
 
     manifest.write(out_dir / "manifest.json")
     return manifest

@@ -22,7 +22,10 @@ normalized in place, and before it kept the normalizations as scaling
 vectors, and ``fixed_budget_self_train`` is ``self_train`` as it
 was before it stopped once the probe reproduces the pseudo-labels: both are
 copied verbatim, and the latter reuses the package's ``ce_loss_and_grads``,
-standardizer and ``Classifier``.
+standardizer and ``Classifier``.  ``PerKeyAdamW``, ``ema_update`` and
+``per_key_ema_update`` are the optimizer and teacher EMA as they ran once
+per parameter array, before each parameter copy became one flat buffer,
+copied verbatim.
 
 scipy is a test-only dependency, and its routines are the references for
 the package's NumPy ports: ``linkage``/``fcluster`` in
@@ -47,7 +50,7 @@ from scipy.spatial.distance import squareform
 from clusterens.ensemble import _average_linkage_cut
 from clusterens.errors import TrainingError
 from clusterens.featstore import EmbeddingMatrix, NormStats, fit_standardizer, standardize_array
-from clusterens.heads import CE_PROB_FLOOR, sinkhorn_knopp
+from clusterens.heads import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CE_PROB_FLOOR, sinkhorn_knopp
 from clusterens.labeling import Labeling, canonicalize
 from clusterens.metrics import hungarian
 from clusterens.selftrain import Classifier, SelfTrainConfig, ce_loss_and_grads
@@ -769,3 +772,70 @@ def fixed_budget_self_train(
         bias -= cfg.lr * buf_b
 
     return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids)
+
+
+# ---------------------------------------------------------------------------
+# per-key AdamW and teacher EMA (before one flat buffer per parameter copy)
+# ---------------------------------------------------------------------------
+
+
+class PerKeyAdamW:
+    """Decoupled-weight-decay Adam with bias-corrected moment estimates.
+
+    Weight decay applies to the head weight matrices (``weight``) only,
+    never to biases or the shared affine.  Moments and parameters are
+    updated in place, through one scratch array per parameter.
+    """
+
+    def __init__(self, params: dict, weight_decay: float):
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.scratch = {k: np.empty_like(v) for k, v in params.items()}
+        self.t = 0
+        self.weight_decay = weight_decay
+
+    def step(self, params: dict, grads: dict, lr: float) -> None:
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        for key, p in params.items():
+            g, m, v, tmp = grads[key], self.m[key], self.v[key], self.scratch[key]
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - ADAM_BETA2
+            v += tmp
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.multiply(v, 1.0 / bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            np.divide(m, tmp, out=tmp)
+            tmp *= lr / bc1
+            p -= tmp
+            if key == "weight":
+                p *= 1.0 - lr * self.weight_decay
+
+
+def ema_update(teacher: np.ndarray, student: np.ndarray, momentum: float) -> np.ndarray:
+    """Move ``teacher`` in place to momentum * teacher + (1 - momentum) * student
+    elementwise; returns it."""
+    if not 0.0 <= momentum <= 1.0:
+        raise ValueError("momentum must lie in [0, 1]")
+    if teacher.shape != student.shape:
+        raise ValueError(f"shape mismatch: {teacher.shape} vs {student.shape}")
+    # momentum 1 keeps the teacher bitwise fixed, momentum 0 copies the student
+    if momentum == 0.0:
+        teacher[...] = student
+    elif momentum < 1.0:
+        # momentum * (teacher - student) + student, with no temporary
+        teacher -= student
+        teacher *= momentum
+        teacher += student
+    return teacher
+
+
+def per_key_ema_update(teacher: dict, student: dict, momentum: float) -> None:
+    """The teacher EMA as ``train_heads`` ran it, one ``ema_update`` per key."""
+    for key, value in student.items():
+        ema_update(teacher[key], value, momentum)

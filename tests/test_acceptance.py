@@ -258,7 +258,7 @@ def test_end_to_end_synthetic_pipeline(e2e_run):
         assert stage1 >= 0.95
         assert stage2 >= stage1 - 0.01
         assert stage3 >= 0.95
-        assert manifest.selftrain_rounds == 1
+        assert "selftrain" in [s.name for s in manifest.stages]
         assert elapsed < 120.0
 
 

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from clusterens import TrainConfig
-from clusterens.heads import ema_update, lambda_schedule, sinkhorn_knopp
+from clusterens.heads import _AdamW, _param_views, ema_update, lambda_schedule, sinkhorn_knopp
 
-from oracles import ce_term, out_of_place_sinkhorn_knopp, pmi_pair_loss
+from oracles import (
+    PerKeyAdamW,
+    ce_term,
+    out_of_place_sinkhorn_knopp,
+    per_key_ema_update,
+    pmi_pair_loss,
+)
 
 
 class TestSinkhorn:
@@ -174,6 +180,63 @@ class TestEmaUpdate:
     def test_momentum_range(self):
         with pytest.raises(ValueError):
             ema_update(np.zeros(1), np.zeros(1), 1.5)
+
+
+def flat_copy(rng):
+    """A float32 parameter copy of 3 heads, 4 clusters and d = 6, filled
+    with normal draws: the flat buffer and its named views."""
+    flat, views = _param_views(3, 4, 6, dtype=np.float32)
+    flat[...] = rng.normal(size=flat.size)
+    return flat, views
+
+
+def warmup_lr(step, warmup=4, lr=1e-2):
+    return lr * min(1.0, (step + 1) / warmup)
+
+
+class TestFlatParameters:
+    def test_views_tile_the_buffer_in_order(self):
+        flat, views = _param_views(3, 4, 6, dtype=np.float32)
+        flat[...] = np.arange(flat.size)
+        assert [(k, v.shape) for k, v in views.items()] == [
+            ("weight", (3, 4, 6)), ("bias", (3, 4)), ("gamma", (6,)), ("beta_shift", (6,))]
+        assert np.array_equal(np.concatenate([v.ravel() for v in views.values()]), flat)
+        assert all(v.base is flat for v in views.values())
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.996, 1.0])
+    @pytest.mark.parametrize("weight_decay", [0.05, 0.0])
+    def test_adamw_and_ema_match_per_key_bytes(self, rng, weight_decay, momentum):
+        # one pass per operation over the flat buffer against one per array:
+        # the same elementwise arithmetic, so the same bytes at every step
+        student, s = flat_copy(rng)
+        teacher, t = flat_copy(rng)
+        ref_s, ref_t = ({k: v.copy() for k, v in c.items()} for c in (s, t))
+        opt = _AdamW(student, weight_decay, decayed=s["weight"].size)
+        ref_opt = PerKeyAdamW(ref_s, weight_decay)
+        for step in range(6):
+            grads, g = flat_copy(rng)
+            opt.step(student, grads, warmup_lr(step))
+            ref_opt.step(ref_s, {k: v.copy() for k, v in g.items()}, warmup_lr(step))
+            ema_update(teacher, student, momentum)
+            per_key_ema_update(ref_t, ref_s, momentum)
+            moments = (_param_views(3, 4, 6, buf)[1] for buf in (opt.m, opt.v))
+            for views, ref in zip((s, t, *moments), (ref_s, ref_t, ref_opt.m, ref_opt.v)):
+                for key, value in ref.items():
+                    assert views[key].tobytes() == value.tobytes(), (step, key)
+
+    def test_weight_decay_touches_only_weight(self):
+        trained = []
+        for weight_decay in (0.0, 0.05):
+            rng = np.random.default_rng(3)
+            params, views = flat_copy(rng)
+            opt = _AdamW(params, weight_decay, decayed=views["weight"].size)
+            for step in range(5):
+                opt.step(params, flat_copy(rng)[0], warmup_lr(step))
+            trained.append(views)
+        plain, decayed = trained
+        assert (plain["weight"] != decayed["weight"]).all()
+        for key in ("bias", "gamma", "beta_shift"):
+            assert plain[key].tobytes() == decayed[key].tobytes()
 
 
 class TestTrainConfigValidation:

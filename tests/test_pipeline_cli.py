@@ -198,7 +198,6 @@ class TestPipeline:
     def test_manifest_structure(self, pipeline_run):
         _, _, cfg, out_dir, manifest = pipeline_run
         assert [s.name for s in manifest.stages] == ["train", "ensemble", "selftrain"]
-        assert manifest.selftrain_rounds == 1
         assert manifest.config_hash == cfg.hash()
         for stage in manifest.stages:
             assert stage.metrics is not None
@@ -343,7 +342,6 @@ class TestPipeline:
         assert info.value.stage == "selftrain"
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert [s["name"] for s in manifest["stages"]] == ["train", "ensemble"]
-        assert manifest["selftrain_rounds"] == 0
         for stage in manifest["stages"]:
             assert stage["outputs"]
             for item in stage["outputs"]:
@@ -545,6 +543,21 @@ class TestPipeline:
         assert "config error" in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    @pytest.mark.parametrize("key, value", [
+        ("neighbors.k_min", "0"), ("seed", "-1"), ("synth.seed", "-1"),
+        ("neighbors.theta", "nan"), ("neighbors.theta", "inf"),
+    ])
+    def test_bad_mining_and_seed_values_refused_before_any_file(self, pipeline_run, tmp_path,
+                                                                capsys, command, key, value):
+        _, cfg_path, _, _, _ = pipeline_run
+        run = tmp_path / "run"
+        where = ["--out", str(run)] if command == "train" else ["--set", f"output_dir={run}"]
+        code = main([command, "--config", str(cfg_path), *where, "--set", f"{key}={value}"])
+        assert code == 1
+        assert f"bad value for {key}" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_pipeline_fails_train_stage_on_short_neighbor_file(self, pipeline_run, tmp_path,
                                                                capsys):
         _, cfg_path, _, _, _ = pipeline_run
@@ -606,8 +619,9 @@ class TestCli:
         assert "train.acc" in block
         assert "ensemble.acc" in block
         assert "selftrain.acc" in block
-        assert block["selftrain_rounds"] == "1"
-        assert (out_dir / "manifest.json").exists()
+        assert "selftrain_rounds" not in block
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert "selftrain" in [s["name"] for s in manifest["stages"]]
 
     def test_train_then_predict_cli(self, pipeline_run, tmp_path, capsys):
         t, _, _, out_dir, _ = pipeline_run
