@@ -70,7 +70,7 @@ SCHEMA = {
     "labels": (str, None),
     "output_dir": (str, None),
     "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 0),
-    "threads": (int, 1),  # accepted and ignored, so that older configs still load
+    "threads": (_checked(int, lambda v: v >= 1, ">= 1"), 1),  # ignored; kept so older configs load
     "synth.n": (int, None),
     "synth.d": (int, None),
     "synth.k": (int, None),

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .featstore import blocks
 from .labeling import Labeling, canonicalize
 
 # cap on CSPA's Lloyd refinement, which stops once no label changes
@@ -301,15 +302,15 @@ def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
     columns, g = co_association(inputs)
     if k < 1:
         raise ValueError("k must be >= 1")
-    inter = _gram(columns, g)
-    sizes = inter.diagonal().copy()
-    # 1 - Jaccard = 1 - inter / union, in one g×g buffer; bitwise symmetric,
-    # as inter is
-    dist = np.add.outer(sizes, sizes)
-    dist -= inter
-    np.divide(inter, dist, out=dist)
-    np.subtract(1.0, dist, out=dist)
-    del inter
+    dist = _gram(columns, g)
+    sizes = dist.diagonal().copy()
+    # 1 - Jaccard = 1 - inter / union, one block of rows at a time in place in
+    # the g×g Gram of intersections; bitwise symmetric, as the Gram is
+    for rows in blocks(g, 8 * g):
+        union = sizes[rows, None] + sizes
+        union -= dist[rows]
+        np.divide(dist[rows], union, out=dist[rows])
+        np.subtract(1.0, dist[rows], out=dist[rows])
 
     # meta-clusters are numbered by first appearance over the hyperedge
     # order, so the argmax tie rule is well defined

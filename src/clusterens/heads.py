@@ -24,9 +24,9 @@ folded teacher and student of each head, each over its temperature, into
 one (2C, d) matrix: logits / tau of both copies of all H heads on the
 anchors are one ``(H*2C, d) @ (d, B)`` GEMM, and on each head's own
 neighbor rows a batched ``(h, 2C, d) @ (h, d, m*B)`` matmul, one GEMM per
-head.  Each head formula has this one
-batched implementation, ``composite_loss_and_grads``, which also returns
-the teacher targets it trained against.
+head.  Each head formula has this one batched implementation,
+``composite_loss_and_grads``, which also returns the teacher targets it
+trained against.
 
 Training runs in float32: the unit rows, both parameter copies, the AdamW
 moments and every per-step tensor.  Single precision is what the deep
@@ -35,8 +35,8 @@ bytes a step moves.  The PMI and CE terms are taken in the log domain
 (log teacher targets, log-sum-exp over clusters, and the student's logits,
 which softmax's shift invariance lets stand in for its log-softmax), since
 the product of a confident student's and teacher's probabilities on
-classes they disagree on underflows float32.  Sinkhorn-Knopp runs in
-float64 on each block's upcast teacher logits, as a row and a column
+classes they disagree on underflows float32.  Sinkhorn-Knopp upcasts each
+block's teacher logits itself and runs in float64, as a row and a column
 scaling vector (two batched mat-vecs per iteration), and the log of its
 output is taken once, before the cast.  The class-marginal EMA, the
 returned ``HeadBank`` (float64 copies of the float32 parameters) and the
@@ -66,6 +66,8 @@ Every per-sample tensor of a training step has the logical shape
 axis is contiguous.  C is small next to B, and NumPy ufuncs keep their
 input's layout, so the reductions over C in softmax, Sinkhorn-Knopp and the
 loss run as vector adds across B instead of walking rows of C numbers.
+Each head block's logits are one (h, 2C, B + m*B) buffer, anchors then
+draws; the student's on both sides of each pair are one (h, 2B, C) view.
 """
 
 from __future__ import annotations
@@ -214,19 +216,20 @@ def _shared_logits(w_fold, b_fold, u):
     return a.transpose(0, 2, 1)
 
 
-def _own_logits(w_fold, b_fold, u_own):
+def _own_logits(w_fold, b_fold, u_own, out=None):
     """Logits (H, n, C) of folded head h on its own rows u_own[h] (H, n, d).
 
     One batched (H, n, d) @ (H, d, C) matmul, which BLAS runs faster than
     the (H, C, d) @ (H, d, n) one at the training shapes; the bias add
-    writes it cluster-major, and like ``_shared_logits`` this returns the
-    transposed view of the (H, C, n) array.
+    writes it cluster-major into ``out`` (H, C, n), new if not given, and
+    this returns its transposed view, as ``_shared_logits`` does.
     """
     h, c, _ = w_fold.shape
-    a = np.empty((h, c, u_own.shape[1]), dtype=np.result_type(w_fold, u_own))
+    if out is None:
+        out = np.empty((h, c, u_own.shape[1]), dtype=np.result_type(w_fold, u_own))
     np.add(np.matmul(u_own, w_fold.transpose(0, 2, 1)).transpose(0, 2, 1),
-           b_fold[..., None], out=a)
-    return a.transpose(0, 2, 1)
+           b_fold[..., None], out=out)
+    return out.transpose(0, 2, 1)
 
 
 def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
@@ -239,7 +242,7 @@ def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
     Distances, NeurIPS 2013): the result is diag(r) K diag(c), with per
     iteration ``c = (B/C) / (K^T r)`` and ``r = 1 / (K c)``, two batched
     mat-vecs, and K is scaled once at the end.  Works on any (..., B, C)
-    stack of batches, in float64.  The result keeps the input's memory
+    stack of batches, upcast to float64.  The result keeps the input's memory
     layout: given cluster-major storage (batch axis contiguous), as
     ``composite_loss_and_grads`` passes, both mat-vecs read K in its order.
     """
@@ -325,17 +328,19 @@ def composite_loss_and_grads(
     weights, each copy scaled by its 1 / tau: one GEMM on the anchors, then
     per block of heads (``featstore.blocks`` over the heads' gathered rows)
     one gather of the draws ``u[nbr]`` into a reused buffer, draw-major, and
-    one batched matmul on them.  Per head, the teacher's anchors and B*m
-    neighbors are centered as one Sinkhorn-Knopp batch in float64, and its
-    neighbor targets are the mean over the m draws.  The student sees the
-    first draw, the leading B rows of the block.  Its loss is taken in the
-    log domain, ``log y = beta*(log q_s + log q_t) - log p`` summed by
-    log-sum-exp over clusters, with the row-shifted logits in place of
-    ``log q_s`` (softmax is shift-invariant), and the backward pass
-    contracts the logit gradients ``da`` against the unit rows, ``G = sum_b da (x) u`` (one GEMM
-    for the anchors after the loop, one per head on the neighbor side), and
-    unfolds: ``d_weight = G*gamma + d_bias (x) beta``, ``d_gamma = sum_{h,c}
-    W*G / H`` and ``d_beta_shift = sum_h d_bias_h . W_h / H``.
+    one batched matmul on them into the block's logit buffer, after the
+    anchors'.  Per head, the teacher's anchors and B*m draws are centered as
+    one Sinkhorn-Knopp batch, and its neighbor targets are the mean over the
+    m draws.  The student's (h, 2B, C) view holds the anchors and first
+    draws, each side of a pair against the other side's teacher.  Its loss
+    is taken in the log domain, ``log y = beta*(log q_s + log q_t) - log p``
+    summed by log-sum-exp over clusters, with the logits, shifted in place,
+    for ``log q_s`` (softmax is shift-invariant), and CE on the anchor half.
+    The backward pass contracts the logit gradients ``da`` against the unit
+    rows, ``G = sum_b da (x) u`` (one GEMM for the anchors after the loop,
+    one per head on the draw half), and unfolds: ``d_weight = G*gamma +
+    d_bias (x) beta``, ``d_gamma = sum_{h,c} W*G / H`` and
+    ``d_beta_shift = sum_h d_bias_h . W_h / H``.
 
     Returns (per-head mean losses (H,), grads, qt_x, qt_xp): grads are the
     views of one new flat buffer, ``weight`` and ``bias`` from each head's
@@ -376,13 +381,12 @@ def composite_loss_and_grads(
         # indices come from validated neighbor sets; mode="raise" would buffer a copy
         u_nb = np.take(u, nbr[hb].transpose(0, 2, 1).reshape(-1), axis=0,
                        out=buf[: h * rows], mode="clip").reshape(h, rows, d)
-        a_nb = _own_logits(w_stack[hb], b_stack[hb], u_nb)  # (h, m*B, 2C)
+        # the block's logits / tau of both copies: the anchors, then every draw
+        a = np.empty((h, 2 * c_count, b_count + rows), dtype=dt).transpose(0, 2, 1)
+        a[:, :b_count] = a_x[hb]
+        _own_logits(w_stack[hb], b_stack[hb], u_nb, out=a[:, b_count:].transpose(0, 2, 1))
 
-        # the teacher's logits / tau, upcast: anchors, then every draw
-        t = np.empty((h, c_count, b_count + rows)).transpose(0, 2, 1)
-        t[:, :b_count] = a_x[hb, :, :c_count]
-        t[:, b_count:] = a_nb[..., :c_count]
-        qt = sinkhorn_knopp(t, sk_iters)
+        qt = sinkhorn_knopp(a[..., :c_count], sk_iters)
         qt_x_b, qt_xp_b = qt_x[hb], qt_xp[hb]
         qt_x_b[...] = qt[:, :b_count]
         draws = qt[:, b_count:].reshape(h, m_draws, b_count, c_count)
@@ -393,51 +397,45 @@ def composite_loss_and_grads(
         w = np.sum(qt_x_b * qt_xp_b, axis=-1, keepdims=True).astype(dt)  # (h, B, 1)
         c_hat = np.argmax(qt_xp_b, axis=-1)  # (h, B)
         at_hat = (np.arange(h)[:, None], np.arange(b_count), c_hat)
-        # log q_t once, in float64 and rounded to dt; these buffers become y2 and y1
-        y2, y1 = np.empty_like(qt_x_b, dtype=dt), np.empty_like(qt_xp_b, dtype=dt)
-        with np.errstate(divide="ignore"):
-            np.log(qt_x_b, out=y2)
-            np.log(qt_xp_b, out=y1)
 
-        # student logits / tau on the anchors and the first draw, each row
-        # shifted so that its largest is 0
-        s_x, s_xp = (np.subtract(s, s.max(axis=-1, keepdims=True))
-                     for s in (a_x[hb, :, c_count:], a_nb[:, :b_count, c_count:]))
-        s_at = s_x[at_hat][..., None]
+        # the student's logits / tau on the anchors and their first draws, the two
+        # sides of each pair, (h, 2B, C), each row shifted so that its largest is 0
+        s = a[:, : 2 * b_count, c_count:]
+        s -= s.max(axis=-1, keepdims=True)
+        s_at = s[:, :b_count][at_hat][..., None]
 
-        # PMI terms: t1, t2 = log sum_c y_c with log y = beta*(log q_s + log q_t) - log p.
-        # Softmax is shift-invariant, so log q_s = s - lse(s) enters y as s,
-        # and t = lse(beta*(s + log q_t) - log p) - beta*lse(s)
-        for y, s in ((y1, s_x), (y2, s_xp)):
-            y += s
-            y *= beta
-            y -= log_p[hb]
-        qs_x, lse_x = _exp_normalize(s_x)
-        qs_xp, lse_xp = _exp_normalize(s_xp)
-        r1, t1 = _softmax_lse(y1, out=y1)  # r1 = y / sum_c y
-        r2, t2 = _softmax_lse(y2, out=y2)
-        t1 -= beta * lse_x
-        t2 -= beta * lse_xp
+        # PMI terms: t = log sum_c y_c, log y = beta*(log q_s + log q_t) - log p with q_t
+        # the other side's teacher.  Softmax is shift-invariant, so log q_s = s - lse(s)
+        # enters y as s, and t = lse(beta*(s + log q_t) - log p) - beta*lse(s)
+        y = np.empty((h, c_count, 2 * b_count), dtype=dt).transpose(0, 2, 1)
+        with np.errstate(divide="ignore"):  # log q_t in float64, rounded to dt
+            np.log(qt_xp_b, out=y[:, :b_count])
+            np.log(qt_x_b, out=y[:, b_count:])
+        y += s
+        y *= beta
+        y -= log_p[hb]
+        qs, lse = _exp_normalize(s)
+        r, t = _softmax_lse(y, out=y)  # r = y / sum_c y
+        t -= beta * lse
 
-        lq_at = s_at - lse_x  # log q_s at the teacher's class
+        lq_at = s_at - lse[:, :b_count]  # log q_s at the teacher's class
         ce = -np.maximum(lq_at, log_floor)
-        pair_loss = -0.5 * w * (t1 + t2) + lam * ce  # (h, B, 1)
+        pair_loss = -0.5 * w * (t[:, :b_count] + t[:, b_count:]) + lam * ce  # (h, B, 1)
         losses[hb] = pair_loss.mean(axis=(1, 2))
 
         # d(loss)/d(logits): beta * (y/S - q) / tau per PMI term, (q - onehot) / tau
-        # for CE, batch-mean; pairs sitting on the CE probability floor
-        # contribute no CE gradient (the clamped loss is locally constant there)
-        half_w = (-0.5 * beta * scale) * w
+        # for CE on the anchors, batch-mean; pairs sitting on the CE probability
+        # floor contribute no CE gradient (the clamped loss is locally constant there)
+        half_w = np.tile((-0.5 * beta * scale) * w, (1, 2, 1))  # on both sides of the pair
         ce_w = (lq_at > log_floor) * dt.type(lam * scale)
-        r1 -= qs_x
-        r1 *= half_w
+        r -= qs
+        r *= half_w
+        qs_x = qs[:, :b_count]
         qs_x[at_hat] -= 1.0  # q - onehot, exact for q near 1
         qs_x *= ce_w
-        np.add(r1, qs_x, out=da_x[hb])
-        r2 -= qs_xp
-        r2 *= half_w
-        np.matmul(r2.transpose(0, 2, 1), u_nb[:, :b_count], out=g[hb])
-        d_bias[hb] = r2.sum(axis=1)
+        np.add(r[:, :b_count], qs_x, out=da_x[hb])
+        np.matmul(r[:, b_count:].transpose(0, 2, 1), u_nb[:, :b_count], out=g[hb])
+        d_bias[hb] = r[:, b_count:].sum(axis=1)
 
     g += (da_x.transpose(0, 2, 1).reshape(-1, b_count) @ u_x).reshape(weight.shape)
     d_bias += da_x.sum(axis=1)

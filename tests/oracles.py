@@ -25,7 +25,10 @@ copied verbatim, and the latter reuses the package's ``ce_loss_and_grads``,
 standardizer and ``Classifier``.  ``PerKeyAdamW``, ``ema_update`` and
 ``per_key_ema_update`` are the optimizer and teacher EMA as they ran once
 per parameter array, before each parameter copy became one flat buffer,
-copied verbatim.
+copied verbatim.  ``two_sided_loss_and_grads`` is ``composite_loss_and_grads``
+as it ran one side of each pair at a time, with a float64 copy of the
+teacher's logits, copied verbatim; it reuses the package's folding, logit,
+softmax and Sinkhorn-Knopp helpers and ``featstore.blocks``.
 
 scipy is a test-only dependency, and its routines are the references for
 the package's NumPy ports: ``linkage``/``fcluster`` in
@@ -49,8 +52,13 @@ from scipy.spatial.distance import squareform
 
 from clusterens.ensemble import _average_linkage_cut
 from clusterens.errors import TrainingError
-from clusterens.featstore import EmbeddingMatrix, NormStats, fit_standardizer, standardize_array
-from clusterens.heads import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CE_PROB_FLOOR, sinkhorn_knopp
+from clusterens.featstore import (
+    EmbeddingMatrix, NormStats, blocks, fit_standardizer, standardize_array,
+)
+from clusterens.heads import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CE_PROB_FLOOR, _exp_normalize, _fold, _own_logits,
+    _param_views, _shared_logits, _softmax_lse, sinkhorn_knopp,
+)
 from clusterens.labeling import Labeling, canonicalize
 from clusterens.metrics import hungarian
 from clusterens.selftrain import Classifier, SelfTrainConfig, ce_loss_and_grads
@@ -839,3 +847,132 @@ def per_key_ema_update(teacher: dict, student: dict, momentum: float) -> None:
     """The teacher EMA as ``train_heads`` ran it, one ``ema_update`` per key."""
     for key, value in student.items():
         ema_update(teacher[key], value, momentum)
+
+
+# ---------------------------------------------------------------------------
+# the head step's pair loss one side at a time (before one logit buffer per block)
+# ---------------------------------------------------------------------------
+
+
+def two_sided_loss_and_grads(
+    student: dict,
+    teacher: dict,
+    u_x: np.ndarray,
+    u: np.ndarray,
+    nbr: np.ndarray,
+    marginal: np.ndarray,
+    *,
+    beta: float,
+    tau_student: float,
+    tau_teacher: float,
+    sk_iters: int,
+    lam: float,
+):
+    """``composite_loss_and_grads`` as it ran before each head block's logits
+    shared one buffer: the two sides of each pair take separate shift,
+    softmax, log-sum-exp, PMI and gradient passes, and the teacher's logits
+    are copied to a float64 buffer for Sinkhorn-Knopp.  Same arguments and
+    returns."""
+    weight = student["weight"]
+    h_count, c_count, d = weight.shape
+    _, b_count, m_draws = nbr.shape
+    rows = b_count * m_draws
+    dt = u.dtype
+    # Python floats keep float32 arrays float32, where NumPy float64 scalars would not
+    beta, lam, tau_student = float(beta), float(lam), float(tau_student)
+    log_floor = math.log(CE_PROB_FLOOR)
+
+    # (H, 2C, d): each head's folded teacher, then student, over its
+    # temperature, so that the GEMMs give logits / tau
+    w_stack = np.empty((h_count, 2 * c_count, d), dtype=dt)
+    b_stack = np.empty((h_count, 2 * c_count), dtype=dt)
+    for part, copy, tau in ((slice(0, c_count), teacher, float(tau_teacher)),
+                            (slice(c_count, None), student, tau_student)):
+        _fold(**copy, scale=1.0 / tau, out=(w_stack[:, part], b_stack[:, part]))
+    a_x = _shared_logits(w_stack, b_stack, u_x)  # (H, B, 2C)
+    log_p = np.log(marginal).astype(dt)[:, None, :]
+    scale = 1.0 / (b_count * tau_student)
+
+    qt_x = np.empty((h_count, c_count, b_count)).transpose(0, 2, 1)
+    qt_xp = np.empty_like(qt_x)
+    losses = np.empty(h_count, dtype=dt)
+    da_x = np.empty((h_count, c_count, b_count), dtype=dt).transpose(0, 2, 1)
+    _, grads = _param_views(h_count, c_count, d, dtype=dt)
+    g, d_bias = grads["weight"], grads["bias"]  # each head's neighbor side; the anchors' add on
+    head_blocks = blocks(h_count, rows * d * dt.itemsize)
+    buf = np.empty(((head_blocks[0].stop - head_blocks[0].start) * rows, d), dtype=dt)
+    for hb in head_blocks:
+        h = hb.stop - hb.start
+        # indices come from validated neighbor sets; mode="raise" would buffer a copy
+        u_nb = np.take(u, nbr[hb].transpose(0, 2, 1).reshape(-1), axis=0,
+                       out=buf[: h * rows], mode="clip").reshape(h, rows, d)
+        a_nb = _own_logits(w_stack[hb], b_stack[hb], u_nb)  # (h, m*B, 2C)
+
+        # the teacher's logits / tau, upcast: anchors, then every draw
+        t = np.empty((h, c_count, b_count + rows)).transpose(0, 2, 1)
+        t[:, :b_count] = a_x[hb, :, :c_count]
+        t[:, b_count:] = a_nb[..., :c_count]
+        qt = sinkhorn_knopp(t, sk_iters)
+        qt_x_b, qt_xp_b = qt_x[hb], qt_xp[hb]
+        qt_x_b[...] = qt[:, :b_count]
+        draws = qt[:, b_count:].reshape(h, m_draws, b_count, c_count)
+        if m_draws == 1:
+            qt_xp_b[...] = draws[:, 0]
+        else:
+            np.mean(draws, axis=1, out=qt_xp_b)
+        w = np.sum(qt_x_b * qt_xp_b, axis=-1, keepdims=True).astype(dt)  # (h, B, 1)
+        c_hat = np.argmax(qt_xp_b, axis=-1)  # (h, B)
+        at_hat = (np.arange(h)[:, None], np.arange(b_count), c_hat)
+        # log q_t once, in float64 and rounded to dt; these buffers become y2 and y1
+        y2, y1 = np.empty_like(qt_x_b, dtype=dt), np.empty_like(qt_xp_b, dtype=dt)
+        with np.errstate(divide="ignore"):
+            np.log(qt_x_b, out=y2)
+            np.log(qt_xp_b, out=y1)
+
+        # student logits / tau on the anchors and the first draw, each row
+        # shifted so that its largest is 0
+        s_x, s_xp = (np.subtract(s, s.max(axis=-1, keepdims=True))
+                     for s in (a_x[hb, :, c_count:], a_nb[:, :b_count, c_count:]))
+        s_at = s_x[at_hat][..., None]
+
+        # PMI terms: t1, t2 = log sum_c y_c with log y = beta*(log q_s + log q_t) - log p.
+        # Softmax is shift-invariant, so log q_s = s - lse(s) enters y as s,
+        # and t = lse(beta*(s + log q_t) - log p) - beta*lse(s)
+        for y, s in ((y1, s_x), (y2, s_xp)):
+            y += s
+            y *= beta
+            y -= log_p[hb]
+        qs_x, lse_x = _exp_normalize(s_x)
+        qs_xp, lse_xp = _exp_normalize(s_xp)
+        r1, t1 = _softmax_lse(y1, out=y1)  # r1 = y / sum_c y
+        r2, t2 = _softmax_lse(y2, out=y2)
+        t1 -= beta * lse_x
+        t2 -= beta * lse_xp
+
+        lq_at = s_at - lse_x  # log q_s at the teacher's class
+        ce = -np.maximum(lq_at, log_floor)
+        pair_loss = -0.5 * w * (t1 + t2) + lam * ce  # (h, B, 1)
+        losses[hb] = pair_loss.mean(axis=(1, 2))
+
+        # d(loss)/d(logits): beta * (y/S - q) / tau per PMI term, (q - onehot) / tau
+        # for CE, batch-mean; pairs sitting on the CE probability floor
+        # contribute no CE gradient (the clamped loss is locally constant there)
+        half_w = (-0.5 * beta * scale) * w
+        ce_w = (lq_at > log_floor) * dt.type(lam * scale)
+        r1 -= qs_x
+        r1 *= half_w
+        qs_x[at_hat] -= 1.0  # q - onehot, exact for q near 1
+        qs_x *= ce_w
+        np.add(r1, qs_x, out=da_x[hb])
+        r2 -= qs_xp
+        r2 *= half_w
+        np.matmul(r2.transpose(0, 2, 1), u_nb[:, :b_count], out=g[hb])
+        d_bias[hb] = r2.sum(axis=1)
+
+    g += (da_x.transpose(0, 2, 1).reshape(-1, b_count) @ u_x).reshape(weight.shape)
+    d_bias += da_x.sum(axis=1)
+    np.divide((weight * g).sum(axis=(0, 1)), h_count, out=grads["gamma"])
+    g *= student["gamma"]  # unfolded in place into d_weight
+    g += d_bias[..., None] * student["beta_shift"]
+    np.divide(d_bias.reshape(-1) @ weight.reshape(-1, d), h_count, out=grads["beta_shift"])
+    return losses, grads, qt_x, qt_xp

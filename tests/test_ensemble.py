@@ -13,6 +13,7 @@ from clusterens import (
     nmi,
     supra_consensus,
 )
+from clusterens import featstore
 from clusterens.ensemble import (
     co_association,
     contingency,
@@ -23,6 +24,16 @@ from clusterens.ensemble import (
 from clusterens.metrics import clustering_accuracy
 
 from oracles import dense_co_association, dense_cspa, nmi_prob_form, set_partitions
+
+
+def traced_peak(fn):
+    """The peak bytes tracemalloc sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def relabel(labeling, rng):
@@ -406,17 +417,8 @@ def test_cspa_peak_memory_far_below_condensed_size(rng):
     n = 3000
     inputs = [Labeling(rng.integers(1, 11, size=n)) for _ in range(10)]
     condensed = n * (n - 1) // 2 * 8
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(lambda: cspa(inputs, 10)) <= condensed / 8
-    assert peak(lambda: dense_co_association(inputs)) >= 3 * n * n * 8
+    assert traced_peak(lambda: cspa(inputs, 10)) <= condensed / 8
+    assert traced_peak(lambda: dense_co_association(inputs)) >= 3 * n * n * 8
 
 
 class TestMcla:
@@ -451,6 +453,34 @@ class TestMcla:
         out1 = mcla(inputs, k=5)
         out2 = mcla([relabel(lam, rng) for lam in inputs], k=5)
         assert np.array_equal(out1.labels, out2.labels)
+
+    def test_distance_is_one_minus_jaccard_bitwise(self, rng, monkeypatch):
+        _, inputs = noisy_ensemble(rng, n=60, members=10)
+        seen = []
+
+        def record(dist, k):
+            seen.append(dist.copy())
+            return cut(dist, k)
+
+        cut = ensemble._average_linkage_cut
+        monkeypatch.setattr(ensemble, "_average_linkage_cut", record)
+        inter = ensemble._gram(*co_association(inputs))
+        g = inter.shape[0]
+        monkeypatch.setattr(featstore, "BLOCK_BYTES", 7 * 8 * g)  # row blocks of 7
+        assert g % 7 and len(featstore.blocks(g, 8 * g)) > 1
+        mcla(inputs, k=5)
+        sizes = inter.diagonal()
+        want = 1.0 - inter / (np.add.outer(sizes, sizes) - inter)
+        assert np.array_equal(seen[0], want)
+
+    def test_peak_is_about_one_gram(self):
+        # 100 inputs of 20 clusters: g = 2000 hyperedges, a 32 MB g×g Gram; a
+        # separate g×g distance matrix beside it would double the peak
+        n, c, h = 400, 20, 100
+        rng = np.random.default_rng(0)
+        inputs = [Labeling(rng.permutation(np.arange(n) % c) + 1) for _ in range(h)]
+        g = c * h
+        assert traced_peak(lambda: mcla(inputs, k=10)) < 1.5 * g * g * 8
 
 
 class TestSupraConsensus:

@@ -35,6 +35,7 @@ from oracles import (
     pmi_pair_loss,
     softmax,
     softmax_logsumexp,
+    two_sided_loss_and_grads,
     unfolded_head_probs,
 )
 
@@ -417,6 +418,36 @@ class TestHeadBlocks:
         monkeypatch.setattr(featstore, "BLOCK_BYTES", 8)  # one row per block
         with pytest.raises(ValueError, match="non-finite head logits in head 1"):
             heads._head_labelings(student, 6, u.__getitem__)
+
+
+class TestTwoSidedOracle:
+    """The kernel runs both sides of each pair as one (h, 2B, C) view of a
+    head block's logit buffer; the formulation it replaced, one side at a
+    time with a float64 copy of the teacher's logits, gives the same bits."""
+
+    H, B, C, D, N = 12, 29, 9, 17, 83  # C >= 8: a cluster-last sum would move bits
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("sk_iters", [0, 3])
+    def test_same_bits_over_uneven_head_blocks(self, rng, monkeypatch, dtype, m, sk_iters):
+        h, b, c, d, n = self.H, self.B, self.C, self.D, self.N
+        student, teacher = param_copy(rng, h, c, d), param_copy(rng, h, c, d)
+        u = rng.normal(size=(n, d))
+        nbr = rng.integers(0, n, size=(h, b, m))
+        marginal = np.maximum(rng.dirichlet(np.ones(c), size=h), 1e-6)
+        args = (*cast((student, teacher, u[rng.permutation(n)[:b]], u, marginal), dtype)[:4],
+                nbr, marginal)
+        kwargs = dict(beta=0.6, tau_student=0.1, tau_teacher=0.1, sk_iters=sk_iters, lam=0.4)
+        rows = b * m * d * np.dtype(dtype).itemsize
+        monkeypatch.setattr(featstore, "BLOCK_BYTES", 5 * rows)
+        assert [hb.stop - hb.start for hb in featstore.blocks(h, rows)] == [5, 5, 2]
+        got = composite_loss_and_grads(*args, **kwargs)
+        want = two_sided_loss_and_grads(*args, **kwargs)
+        for g, w in [(got[0], want[0]), *((got[1][k], want[1][k]) for k in PARAM_NAMES),
+                     (got[2], want[2]), (got[3], want[3])]:
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert np.isfinite(got[0]).all()
 
 
 def test_training_memory_is_bounded():

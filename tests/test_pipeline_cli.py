@@ -546,7 +546,7 @@ class TestPipeline:
     @pytest.mark.parametrize("command", ["pipeline", "train"])
     @pytest.mark.parametrize("key, value", [
         ("neighbors.k_min", "0"), ("seed", "-1"), ("synth.seed", "-1"),
-        ("neighbors.theta", "nan"), ("neighbors.theta", "inf"),
+        ("neighbors.theta", "nan"), ("neighbors.theta", "inf"), ("threads", "0"), ("threads", "-5"),
     ])
     def test_bad_mining_and_seed_values_refused_before_any_file(self, pipeline_run, tmp_path,
                                                                 capsys, command, key, value):
