@@ -38,14 +38,14 @@ the product of a confident student's and teacher's probabilities on
 classes they disagree on underflows float32.  Sinkhorn-Knopp upcasts each
 block's teacher logits itself and runs in float64, as a row and a column
 scaling vector (two batched mat-vecs per iteration), and the log of its
-output is taken once, before the cast.  The class-marginal EMA, the
-returned ``HeadBank`` (float64 copies of the float32 parameters) and the
-HDB1 file stay float64.  Labels are taken in float32, by one helper that
+output is taken once, before the cast.  The class-marginal EMA and the
+HDB1 file stay float64.  A ``HeadBank`` holds the float32 buffers that
+trained; a loaded one holds buffers filled from the file's float64 values,
+their exact upcasts.  Labels are taken in float32, by one helper that
 ``train_heads`` runs on the unit rows it trained on and
-``predict_labeling`` on rows it standardizes one block at a time, with the
-bank's parameters cast back to float32.  The kernels are dtype-generic:
-given float64 inputs they run in float64, which is how the tests check
-them.
+``predict_labeling`` on rows it standardizes one block at a time.  The
+kernels are dtype-generic: given float64 inputs they run in float64, which
+is how the tests check them.
 
 Each head draws its neighbors from its own random stream, one call of B*m
 uniform numbers per step, so head h's draws do not depend on H.  No buffer
@@ -489,8 +489,8 @@ class HeadBank:
 
     ``student`` and ``teacher`` map the parameter names of ``_param_views``
     to arrays of its shapes; the teacher is the exponential moving average
-    of the student.  ``train_heads`` trains flat float32 copies and returns
-    float64 ones with the same values, each the views of one flat buffer.
+    of the student.  In a trained or loaded bank, each copy is the views of
+    one flat float32 buffer, which ``train_heads`` updates in place.
     """
 
     config: TrainConfig
@@ -514,12 +514,13 @@ class HeadBank:
 
 
 def _init_bank(cfg: TrainConfig, mean: np.ndarray, var: np.ndarray, rng) -> HeadBank:
+    """Untrained float32 student and teacher buffers: weights from N(0, INIT_SCALE^2),
+    biases and ``beta_shift`` 0, ``gamma`` 1, and the teacher a copy of the student."""
     h, c, d = cfg.num_heads, cfg.num_clusters, mean.size
-    flat, student = _param_views(h, c, d)
+    flat, student = _param_views(h, c, d, dtype=np.float32)
     flat.fill(0.0)
-    # the draws of rng.normal(0, INIT_SCALE), with no temporary
-    rng.standard_normal(out=student["weight"])
-    student["weight"] *= INIT_SCALE
+    # the draws of rng.normal(0, INIT_SCALE) in float64, rounded once into the buffer
+    np.multiply(rng.standard_normal(student["weight"].shape), INIT_SCALE, out=student["weight"])
     student["gamma"].fill(1.0)
     teacher = _param_views(h, c, d, flat.copy())[1]
     return HeadBank(cfg, mean, var, student, teacher, np.full((h, c), 1.0 / c))
@@ -562,7 +563,7 @@ def train_heads(
     tensor of a step is stored cluster-major (see the module docstring).
     The labelings of all heads come from the trained float32 parameters on
     the float32 unit rows, through the helper ``predict_labeling`` runs on
-    one head; the returned bank holds float64 copies of the parameters.
+    one head; the returned bank holds the float32 buffers that trained.
     Identical configs produce bitwise-identical reports.
     """
     n = features.n
@@ -581,13 +582,8 @@ def train_heads(
 
     norm = fit_standardizer(features)
     bank = _init_bank(cfg, norm.mean, norm.var, init_rng)
-    # the flat float32 copies that train; the bank's float64 buffers,
-    # allocated before the step's buffers, receive their values at the end,
-    # so no long-lived array sits above the freed buffers on the heap
-    shape = bank.student["weight"].shape
-    student32, student = _param_views(*shape, bank.student["weight"].base.astype(np.float32))
-    teacher32, teacher = _param_views(*shape, bank.teacher["weight"].base.astype(np.float32))
-    optimizer = _AdamW(student32, cfg.weight_decay, decayed=student["weight"].size)
+    student_flat, teacher_flat = bank.student["weight"].base, bank.teacher["weight"].base
+    optimizer = _AdamW(student_flat, cfg.weight_decay, decayed=bank.student["weight"].size)
     u = _float32_unit_rows(features.data, norm)
 
     h_count = cfg.num_heads
@@ -611,7 +607,7 @@ def train_heads(
             lam = lambda_schedule(global_step, total_steps, cfg.lambda_max)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 losses, grads, qt_x, _ = composite_loss_and_grads(
-                    student, teacher, u_x=u[batch], u=u, nbr=nbr,
+                    bank.student, bank.teacher, u_x=u[batch], u=u, nbr=nbr,
                     marginal=np.maximum(bank.marginal, MARGINAL_FLOOR), beta=cfg.beta,
                     tau_student=cfg.tau_student, tau_teacher=cfg.tau_teacher,
                     sk_iters=cfg.sk_iters, lam=lam,
@@ -627,8 +623,8 @@ def train_heads(
             lr = cfg.lr
             if warmup_steps > 0:
                 lr *= min(1.0, (global_step + 1) / warmup_steps)
-            optimizer.step(student32, grads["weight"].base, lr)
-            ema_update(teacher32, student32, cfg.teacher_momentum)
+            optimizer.step(student_flat, grads["weight"].base, lr)
+            ema_update(teacher_flat, student_flat, cfg.teacher_momentum)
             # in place: a fresh small array each step would pin heap pages
             bank.marginal *= MARGINAL_MOMENTUM
             bank.marginal += (1.0 - MARGINAL_MOMENTUM) * qt_x.mean(axis=1)
@@ -644,9 +640,7 @@ def train_heads(
         per_head_loss = np.full(h_count, np.nan)
         best_head = 0
 
-    labelings = _head_labelings(student, n, u.__getitem__)
-    bank.student["weight"].base[...] = student32
-    bank.teacher["weight"].base[...] = teacher32
+    labelings = _head_labelings(bank.student, n, u.__getitem__)
     per_head_loss.flags.writeable = False
     epoch_loss.flags.writeable = False
     report = TrainReport(
@@ -750,18 +744,23 @@ def _parse_head_bank(r: binfmt.Reader) -> HeadBank:
     shared = r.array("<f8", 6, d)
     width = c * d + c  # one copy's weight and bias columns per head
     rows = r.array("<f8", h, 2 * width + c)
-
-    def block(lo: int, hi: int, *shape) -> np.ndarray:
-        return rows[:, lo:hi].reshape(h, *shape).astype(np.float64)
+    # checked after the reads, which refuse a size the file cannot hold
+    if 0 in (h, c, d) or (h, c) != (cfg.num_heads, cfg.num_clusters):
+        raise ValueError(f"{h} heads of {c} clusters in {d} dimensions, the config echo "
+                         f"declares {cfg.num_heads} heads of {cfg.num_clusters} clusters")
 
     def copy(i: int) -> dict:
-        """Copy i (0 student, 1 teacher): its columns of ``rows`` and its
-        (gamma, beta_shift) rows of ``shared``."""
+        """Copy i (0 student, 1 teacher) in one float32 buffer: its columns of
+        ``rows`` and its (gamma, beta_shift) rows of ``shared``."""
         lo = i * width
-        return {"weight": block(lo, lo + c * d, c, d), "bias": block(lo + c * d, lo + width, c),
-                "gamma": shared[2 + 2 * i], "beta_shift": shared[3 + 2 * i]}
+        views = _param_views(h, c, d, dtype=np.float32)[1]
+        views["weight"][...] = rows[:, lo : lo + c * d].reshape(h, c, d)
+        views["bias"][...] = rows[:, lo + c * d : lo + width]
+        views["gamma"][...] = shared[2 + 2 * i]
+        views["beta_shift"][...] = shared[3 + 2 * i]
+        return views
 
-    marginal = block(2 * width, 2 * width + c, c)
+    marginal = rows[:, 2 * width :].astype(np.float64)
     return HeadBank(cfg, shared[0], shared[1], copy(0), copy(1), marginal)
 
 

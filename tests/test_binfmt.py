@@ -8,6 +8,7 @@ than the file holds.
 """
 
 import hashlib
+import struct
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from clusterens import binfmt, labeling
 from clusterens.errors import LoadError
 from clusterens.featstore import EmbeddingMatrix, NormStats, load_features, save_features
-from clusterens.heads import HeadBank, TrainConfig, load_head_bank, save_head_bank
+from clusterens.heads import HeadBank, TrainConfig, config_to_text, load_head_bank, save_head_bank
 from clusterens.labeling import Labeling, load_labeling, save_labeling, save_labeling_text
 from clusterens.neighbors import NeighborSets, load_neighbor_sets, save_neighbor_sets
 from clusterens.selftrain import Classifier, load_classifier, save_classifier
@@ -214,6 +215,18 @@ def test_sizes_checked_before_reading(artifact, read_sizes, tmp_path):
         load(path)
     header_end = fields[-1] + 4
     assert max(read_sizes) <= header_end < len(good)
+
+
+@pytest.mark.parametrize("h, c, d", [(2, 0, 4), (0, 3, 4), (2, 3, 0), (5, 7, 4)])
+def test_head_bank_shape_must_match_its_config(tmp_path, h, c, d):
+    # a well-sized payload for (h, c, d) under the config echo of 2 heads of 3
+    # clusters: a zero count or another shape would load and fail in use
+    cfg = config_to_text(head_bank().config).encode("utf-8")
+    path = tmp_path / "bank.hdb"
+    binfmt.save(path, b"HDB1", struct.pack("<I", len(cfg)), cfg, struct.pack("<III", h, c, d),
+                values(6 * d).astype("<f8"), values(h * (2 * c * (d + 1) + c)).astype("<f8"))
+    with pytest.raises(LoadError, match="config echo"):
+        load_head_bank(path)
 
 
 def test_load_maps_value_errors_and_trailing_bytes(tmp_path):

@@ -317,12 +317,39 @@ class TestFloat32:
             assert_matches_oracle(got, want, rtol=1e-5)
         TestEinsumOracle().check(args, kwargs)  # float64 in either domain
 
-    def test_trained_parameters_are_float32_exact(self, trained_run):
+    def test_trained_parameters_are_float32_exact(self, trained_run, tmp_path):
+        # the bank holds the float32 values that trained, and HDB1 their exact
+        # float64 upcast: the bytes of a bank upcast by hand, and back the same values
         _, _, _, _, bank, _ = trained_run
+        upcast = dataclasses.replace(bank, **{
+            name: {k: v.astype(np.float64) for k, v in getattr(bank, name).items()}
+            for name in ("student", "teacher")})
+        save_head_bank(bank, tmp_path / "bank.hdb")
+        save_head_bank(upcast, tmp_path / "upcast.hdb")
+        assert (tmp_path / "bank.hdb").read_bytes() == (tmp_path / "upcast.hdb").read_bytes()
+        back = load_head_bank(tmp_path / "bank.hdb")
+        for name in ("student", "teacher"):
+            for key, value in getattr(bank, name).items():
+                assert value.dtype == np.float32
+                assert getattr(back, name)[key].tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_each_copy_is_one_flat_buffer(self, trained_run, tmp_path, loaded):
+        # the layout that AdamW, the EMA and the labelings read, for a trained
+        # and a loaded bank alike
+        _, _, _, _, bank, _ = trained_run
+        if loaded:
+            save_head_bank(bank, tmp_path / "bank.hdb")
+            bank = load_head_bank(tmp_path / "bank.hdb")
         for copy in (bank.student, bank.teacher):
-            for value in copy.values():
-                assert value.dtype == np.float64
-                assert np.array_equal(value.astype(np.float32).astype(np.float64), value)
+            flat = copy["weight"].base
+            assert flat.dtype == np.float32 and flat.ndim == 1 and flat.flags.owndata
+            _, want = heads._param_views(bank.num_heads, bank.num_clusters, bank.dim, flat)
+            assert list(copy) == list(want)
+            for key, value in copy.items():
+                assert value.dtype == np.float32 and value.base is flat
+                assert value.__array_interface__ == want[key].__array_interface__
+        assert bank.student["weight"].base is not bank.teacher["weight"].base
 
 
 def batch_contiguous(a):
