@@ -110,8 +110,9 @@ def _cmd_gen_synth(args, cfg) -> str:
 
 def _cmd_train(args, cfg) -> str:
     features, labels = pl.validate_inputs(cfg)
+    train_cfg = cfg.train_config()  # before mining, as ``run_pipeline`` checks it
     sets = pl.build_sets_for_config(cfg, features, labels)
-    return pl.train_stage(Path(cfg["output_dir"]), features, sets, cfg.train_config(), labels)[-1]
+    return pl.train_stage(Path(cfg["output_dir"]), features, sets, train_cfg, labels)[-1]
 
 
 def _cmd_ensemble(args, cfg) -> str:

@@ -1,8 +1,8 @@
 """Flat key=value run configuration with per-stage key prefixes.
 
-A config file holds one ``key = value`` pair per line (``#`` comments
-allowed); the same ``key=value`` strings are accepted on the command line
-via ``--set``.  Every key has a default, so a config only states what it
+A config file holds one ``key = value`` pair per line of ``kvtext`` text
+(``#`` comments allowed); the same ``key=value`` strings are accepted on
+the command line via ``--set``.  Every key has a default, so a config only states what it
 overrides.  The ``train.*`` and ``selftrain.*`` keys are the fields of
 ``TrainConfig`` and ``SelfTrainConfig``, parsed by the field's type and
 defaulting to the field's default (``None`` for a field without one); their
@@ -18,27 +18,11 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
+from . import kvtext
 from .errors import ConfigError
 from .featstore import SynthSpec
 from .heads import TrainConfig
 from .selftrain import SelfTrainConfig
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-def _parse_float_list(raw: str) -> tuple:
-    return tuple(float(p) for p in raw.split(",") if p.strip())
-
-
-def _parse_int_list(raw: str) -> tuple:
-    return tuple(int(p) for p in raw.split(",") if p.strip())
 
 
 def _checked(parse, ok, need: str):
@@ -79,34 +63,34 @@ SCHEMA = {
     "neighbors.theta": (_checked(float, math.isfinite, "finite"), 0.3),
     "neighbors.k_min": (_checked(int, lambda v: v >= 1, ">= 1"), 50),
     "neighbors.file": (str, None),
-    "neighbors.ground_truth": (_parse_bool, False),
-    "neighbors.standardized": (_parse_bool, False),
+    "neighbors.ground_truth": (kvtext.parse_bool, False),
+    "neighbors.standardized": (kvtext.parse_bool, False),
     **_stage_keys("train", TrainConfig),
     "ensemble.k": (int, None),
     **_stage_keys("selftrain", SelfTrainConfig),
-    "ablate.thresholds": (_parse_float_list, DEFAULT_THRESHOLDS),
-    "ablate.head_counts": (_parse_int_list, DEFAULT_HEAD_COUNTS),
+    "ablate.thresholds": (kvtext.parse_float_list, DEFAULT_THRESHOLDS),
+    "ablate.head_counts": (_checked(kvtext.parse_int_list, lambda v: all(h >= 1 for h in v),
+                                   "a list of ints >= 1"), DEFAULT_HEAD_COUNTS),
 }
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict:
     """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
-    return raw
+    return _parse(source, (line.split("#", 1)[0] for line in text.splitlines()))
+
+
+def _parse(source: str, lines) -> dict:
+    """``kvtext.parse`` with its refusal of a line as a ``ConfigError``."""
+    try:
+        return kvtext.parse(lines, source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def resolve(file_entries: dict | None = None, overrides: list | None = None) -> dict:
     """Merge defaults, file entries and --set overrides into typed values."""
     merged = {}
-    for source in (file_entries or {}, dict(_split_overrides(overrides or []))):
+    for source in (file_entries or {}, _parse("--set", overrides or [])):
         for key, value in source.items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -124,39 +108,11 @@ def resolve(file_entries: dict | None = None, overrides: list | None = None) -> 
     return out
 
 
-def _split_overrides(pairs):
-    for item in pairs:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        yield key.strip(), value.strip()
-
-
-def config_lines(resolved: dict) -> list:
-    """Canonical one-line-per-key rendering of a resolved config."""
-    lines = []
-    for key in sorted(resolved):
-        value = resolved[key]
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, tuple):
-            text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key}={text}")
-    return lines
-
-
 def config_hash(resolved: dict) -> str:
-    digest = hashlib.sha256()
-    for line in config_lines(resolved):
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    """sha256 of the canonical text of a resolved config: one ``key=value``
+    line per set key, in key order."""
+    text = kvtext.render((k, v) for k, v in sorted(resolved.items()) if v is not None)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ layer whose running statistics are frozen at fit time: per-dimension
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tokenize
@@ -133,6 +134,14 @@ class SynthSpec:
             raise ValueError(f"k={self.k} exceeds n={self.n}")
         if not self.separation > 0:
             raise ValueError("separation must be > 0")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"the blob radius separation * sqrt(d / 2) = {self.radius} "
+                             "is not finite")
+
+    @property
+    def radius(self) -> float:
+        """Distance of each center from the origin."""
+        return self.separation * math.sqrt(self.d / 2.0)
 
 
 def unit_rows(x: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -189,7 +198,7 @@ def gen_synthetic(spec: SynthSpec) -> tuple[EmbeddingMatrix, Labeling]:
     is the ground truth with ids 1..k.
     """
     rng = np.random.default_rng(spec.seed)
-    radius = spec.separation * np.sqrt(spec.d / 2.0)
+    radius = spec.radius
     if spec.k <= spec.d:
         centers = np.zeros((spec.k, spec.d))
         centers[np.arange(spec.k), np.arange(spec.k)] = radius

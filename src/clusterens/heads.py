@@ -79,7 +79,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import binfmt
+from . import binfmt, kvtext
 from .errors import TrainingError
 from .featstore import EmbeddingMatrix, NormStats, blocks, fit_standardizer, unit_rows
 from .labeling import Labeling
@@ -701,23 +701,16 @@ def predict_labeling(bank: HeadBank, head: int, features: EmbeddingMatrix) -> La
 
 
 def config_to_text(cfg: TrainConfig) -> str:
-    lines = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)]
-    return "\n".join(lines) + "\n"
+    return kvtext.render((f.name, getattr(cfg, f.name)) for f in fields(cfg))
 
 
 def config_from_text(text: str) -> TrainConfig:
-    values = {}
+    values = kvtext.parse(text.splitlines(), "config echo")
     types = get_type_hints(TrainConfig)
-    for line in text.strip().splitlines():
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in types:
-            raise ValueError(f"unknown train-config key {key!r}")
-        values[key] = types[key](raw)
-    missing = types.keys() - values.keys()
-    if missing:
-        raise ValueError(f"config missing keys: {sorted(missing)}")
-    return TrainConfig(**values)
+    if values.keys() != types.keys():
+        raise ValueError(f"config echo keys: unknown {sorted(values.keys() - types.keys())}, "
+                         f"missing {sorted(types.keys() - values.keys())}")
+    return TrainConfig(**{key: types[key](raw) for key, raw in values.items()})
 
 
 def save_head_bank(bank: HeadBank, path) -> None:
@@ -748,6 +741,13 @@ def _parse_head_bank(r: binfmt.Reader) -> HeadBank:
     if 0 in (h, c, d) or (h, c) != (cfg.num_heads, cfg.num_clusters):
         raise ValueError(f"{h} heads of {c} clusters in {d} dimensions, the config echo "
                          f"declares {cfg.num_heads} heads of {cfg.num_clusters} clusters")
+    # the float64 values, before the float32 cast; each comparison fails on NaN
+    f32_max = float(np.finfo(np.float32).max)
+    if not ((np.abs(rows[:, : 2 * width]) <= f32_max).all()
+            and (np.abs(shared[2:]) <= f32_max).all()):
+        raise ValueError("a head parameter is non-finite or beyond float32's range")
+    if not (np.isfinite(shared[0]).all() and ((0.0 <= shared[1]) & (shared[1] < np.inf)).all()):
+        raise ValueError("the standardizer mean is non-finite or its var negative or non-finite")
 
     def copy(i: int) -> dict:
         """Copy i (0 student, 1 teacher) in one float32 buffer: its columns of

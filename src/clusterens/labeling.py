@@ -86,12 +86,17 @@ def canonicalize(labeling: Labeling) -> Labeling:
     return Labeling(appearance_rank[coding.codes] + 1)
 
 
-def save_labeling(labeling: Labeling, path) -> None:
-    """Write the ``LBL1`` binary form (u32 n, then u32 id per sample)."""
-    ids = labeling.labels
+def u32_ids(ids: np.ndarray) -> np.ndarray:
+    """Cluster ids as the little-endian u32 the binary formats store;
+    ``ValueError`` unless every id fits."""
     if ids.min() < 0 or ids.max() >= 2**32:
         raise ValueError("binary labeling ids must fit an unsigned 32-bit int")
-    binfmt.save(path, LABELING_MAGIC, np.uint32(labeling.n).tobytes(), ids.astype("<u4"))
+    return ids.astype("<u4")
+
+
+def save_labeling(labeling: Labeling, path) -> None:
+    """Write the ``LBL1`` binary form (u32 n, then u32 id per sample)."""
+    binfmt.save(path, LABELING_MAGIC, np.uint32(labeling.n).tobytes(), u32_ids(labeling.labels))
 
 
 def _parse_labeling(r: binfmt.Reader) -> Labeling:

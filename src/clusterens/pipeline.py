@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ensemble as ens
-from . import heads, neighbors, selftrain
+from . import heads, kvtext, neighbors, selftrain
 from .config import PipelineConfig
 from .errors import ConfigError, LoadError, StageError
 from .featstore import (
@@ -32,7 +32,7 @@ from .featstore import (
     load_features,
     save_features,
 )
-from .labeling import Labeling, load_labeling, save_labeling
+from .labeling import Labeling, load_labeling, save_labeling, u32_ids
 from .metrics import MetricsReport, evaluate
 
 MACHINE_SEPARATOR = "---"
@@ -64,25 +64,13 @@ def release_free_heap() -> None:
 # ---------------------------------------------------------------------------
 
 
-def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _float_list(values) -> str:
-    """Comma-separated full-precision floats for one machine-block value."""
-    return ",".join(repr(float(v)) for v in values)
+def _float_list(values) -> tuple:
+    """Python floats, for a comma-joined full-precision machine-block value."""
+    return tuple(map(float, values))
 
 
 def render_report(human_lines, machine: dict) -> str:
-    lines = list(human_lines)
-    lines.append("")
-    lines.append(MACHINE_SEPARATOR)
-    lines.extend(f"{k}={format_value(v)}" for k, v in machine.items())
-    return "\n".join(lines) + "\n"
+    return "\n".join([*human_lines, "", MACHINE_SEPARATOR]) + "\n" + kvtext.render(machine.items())
 
 
 def read_machine_block(text: str) -> dict:
@@ -92,13 +80,7 @@ def read_machine_block(text: str) -> dict:
         start = len(lines) - 1 - lines[::-1].index(MACHINE_SEPARATOR)
     except ValueError:
         raise ValueError("report has no machine-readable block") from None
-    block = {}
-    for line in lines[start + 1 :]:
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        block[key] = value
-    return block
+    return kvtext.parse(lines[start + 1 :], "machine block")
 
 
 def pct(x: float) -> str:
@@ -240,6 +222,10 @@ def selftrain_inputs(cfg: PipelineConfig, pseudo_path):
     features, labels = load_inputs(cfg)
     pseudo = load_labeling(pseudo_path)
     check_count(pseudo, "pseudo-labels", features.n)
+    try:
+        u32_ids(pseudo.labels)  # the ids the classifier checkpoint stores
+    except ValueError as exc:
+        raise ConfigError(f"pseudo-labels: {exc}") from None
     return features, pseudo, labels
 
 
@@ -322,7 +308,7 @@ def train_stage(
     human = ["head training report", "", "head\tloss"]
     for h, loss in enumerate(report.per_head_loss):
         marker = "  <- best" if h == report.best_head else ""
-        human.append(f"{h}\t{format_value(float(loss))}{marker}")
+        human.append(f"{h}\t{kvtext.format_value(float(loss))}{marker}")
     machine = {
         "num_heads": train_cfg.num_heads,
         "best_head": report.best_head,
@@ -362,7 +348,7 @@ def ensemble_stage(
     human = ["cluster-ensemble report", "", "candidate\tanmi"]
     for i, (name, score, _) in enumerate(rows):
         marker = "  <- selected" if i == best_idx else ""
-        human.append(f"{name}\t{format_value(score)}{marker}")
+        human.append(f"{name}\t{kvtext.format_value(score)}{marker}")
     machine = {
         "num_inputs": len(inputs),
         "selected": rows[best_idx][0],

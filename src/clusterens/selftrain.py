@@ -23,7 +23,7 @@ from . import binfmt
 from .errors import TrainingError
 from .featstore import EmbeddingMatrix, NormStats, fit_standardizer, standardize_array
 from .heads import softmax
-from .labeling import Labeling, canonicalize
+from .labeling import Labeling, canonicalize, u32_ids
 
 CLASSIFIER_MAGIC = b"CLF1"
 
@@ -186,7 +186,7 @@ def save_classifier(clf: Classifier, path) -> None:
     params = (clf.weight, clf.bias, clf.norm.mean, clf.norm.var, clf.norm.gamma, clf.norm.beta)
     binfmt.save(
         path, CLASSIFIER_MAGIC, struct.pack("<II", clf.num_classes, clf.dim),
-        clf.class_ids.astype("<u4"), *(np.asarray(a, dtype="<f8") for a in params),
+        u32_ids(clf.class_ids), *(np.asarray(a, dtype="<f8") for a in params),
     )
 
 

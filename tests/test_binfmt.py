@@ -9,6 +9,7 @@ than the file holds.
 
 import hashlib
 import struct
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -267,3 +268,70 @@ def test_bad_text_labeling_raises_load_error(tmp_path, monkeypatch, text, match)
     path.write_text(text, encoding="utf-8")
     with pytest.raises(LoadError, match=match):
         load_labeling(path)
+
+
+def hdb_with_echo(tmp_path, edit):
+    """The bytes of ``head_bank()`` saved, with ``edit`` applied to the config echo text."""
+    path = tmp_path / "bank.hdb"
+    save_head_bank(head_bank(), path)
+    raw = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 4)
+    echo = edit(raw[8 : 8 + cfg_len].decode("utf-8")).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<I", len(echo)) + echo + raw[8 + cfg_len :])
+    return path
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda t: t + "oops\n", r"config echo:16: expected key=value, got 'oops'"),
+    (lambda t: t.replace("lr=", "rate="), r"unknown \['rate'\], missing \['lr'\]"),
+    (lambda t: t.replace("seed=5\n", ""), r"unknown \[\], missing \['seed'\]"),
+], ids=["no_equals", "unknown_and_missing", "missing"])
+def test_head_bank_config_echo_is_refused_in_one_message(tmp_path, edit, match):
+    with pytest.raises(LoadError, match=match):
+        load_head_bank(hdb_with_echo(tmp_path, edit))
+
+
+def test_head_bank_config_echo_skips_blank_lines(tmp_path):
+    path = hdb_with_echo(tmp_path, lambda t: "\n" + t.replace("\n", "\n \n"))
+    assert load_head_bank(path).config == head_bank().config
+
+
+@pytest.mark.parametrize("where, value", [
+    ("student.weight", 1e300), ("student.weight", np.nan), ("teacher.weight", -np.inf),
+    ("student.bias", np.inf), ("teacher.bias", 3.5e38), ("student.gamma", -1e39),
+    ("teacher.beta_shift", np.nan), ("mean", np.nan), ("mean", np.inf), ("var", -1.0),
+    ("var", np.inf), ("var", np.nan),
+])
+def test_head_bank_refuses_values_it_cannot_hold(tmp_path, where, value):
+    # a value the float32 bank cannot hold, or a standardizer it cannot use,
+    # would load and fail only when predict_labeling meets non-finite logits
+    bank = head_bank()
+    copy, _, key = where.rpartition(".")
+    (getattr(bank, copy)[key] if copy else getattr(bank, key)).flat[-1] = value
+    path = tmp_path / "bank.hdb"
+    save_head_bank(bank, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the cast that would overflow
+        with pytest.raises(LoadError, match="non-finite"):
+            load_head_bank(path)
+
+
+def test_head_bank_holds_float32_extremes(tmp_path):
+    bank = head_bank()
+    big = float(np.finfo(np.float32).max)
+    bank.student["weight"].flat[0], bank.teacher["bias"].flat[0] = big, -big
+    bank.var[0] = 0.0
+    path = tmp_path / "bank.hdb"
+    save_head_bank(bank, path)
+    loaded = load_head_bank(path)
+    assert loaded.student["weight"].flat[0] == big and loaded.teacher["bias"].flat[0] == -big
+
+
+@pytest.mark.parametrize("bad_id", [-1, 2**32])
+def test_classifier_refuses_class_ids_beyond_u32_before_writing(tmp_path, bad_id):
+    clf = classifier()
+    clf.class_ids = np.array([7, bad_id, 40])
+    path = tmp_path / "c.clf"
+    with pytest.raises(ValueError, match="unsigned 32-bit"):
+        save_classifier(clf, path)
+    assert not path.exists()

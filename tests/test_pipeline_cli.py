@@ -835,3 +835,64 @@ class TestAblate:
         )
         with pytest.raises(ConfigError, match="unknown ablation"):
             run_ablation("bogus", cfg)
+
+
+def never_mine(*args, **kwargs):
+    raise AssertionError("neighbor mining ran before the configuration was checked")
+
+
+class TestRefusedBeforeWork:
+    """Values a command cannot use exit 1 before any work and write no file."""
+
+    @pytest.mark.parametrize("counts", ["0", "2,0", "-3"])
+    def test_ablate_refuses_head_counts_below_1(self, tmp_path, capsys, monkeypatch, counts):
+        from clusterens import neighbors
+
+        monkeypatch.setattr(neighbors, "build_neighbor_sets", never_mine)
+        fpath, lpath = write_inputs(tmp_path, n=40, d=6, k=2)
+        out = tmp_path / "o"
+        code = main(["ablate", "--kind", "head_count_sweep", "--set", f"features={fpath}",
+                     "--set", f"labels={lpath}", "--set", f"output_dir={out}",
+                     "--set", "train.num_clusters=2", "--set", f"ablate.head_counts={counts}"])
+        assert code == 1
+        assert "bad value for ablate.head_counts" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("separation", ["inf", "1e308"])
+    def test_gen_synth_refuses_a_non_finite_blob_radius(self, tmp_path, capsys, separation):
+        fpath, lpath = tmp_path / "f.fpk", tmp_path / "l.lbl"
+        code = main(["gen-synth", "--n", "30", "--d", "8", "--k", "3", "--separation",
+                     separation, "--features", str(fpath), "--labels", str(lpath)])
+        assert code == 1
+        assert "blob radius" in capsys.readouterr().err
+        assert not fpath.exists() and not lpath.exists()
+
+    def test_synth_spec_takes_a_large_finite_radius(self):
+        spec = SynthSpec(n=4, d=2, k=2, separation=1e300)
+        assert spec.radius == 1e300
+        features, _ = gen_synthetic(spec)
+        assert np.isfinite(features.data).all()
+
+    def test_train_checks_its_train_config_before_mining(self, tmp_path, capsys, monkeypatch):
+        from clusterens import neighbors
+
+        monkeypatch.setattr(neighbors, "build_neighbor_sets", never_mine)
+        fpath, _ = write_inputs(tmp_path, n=40, d=6, k=2)
+        out = tmp_path / "run"
+        code = main(["train", "--features", str(fpath), "--out", str(out),
+                     "--set", "train.num_clusters=2", "--set", "train.tau_student=nan"])
+        assert code == 1
+        assert "invalid train config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad_id", [-1, 5000000000])
+    def test_selftrain_refuses_pseudo_labels_beyond_u32(self, tmp_path, capsys, bad_id):
+        fpath, _ = write_inputs(tmp_path, n=40, d=6, k=2)
+        pseudo = tmp_path / "pseudo.txt"
+        pseudo.write_text("".join(f"{i}\n" for i in [1, bad_id] * 20))
+        out = tmp_path / "out"
+        code = main(["selftrain", "--features", str(fpath), "--pseudo-labels", str(pseudo),
+                     "--out", str(out)])
+        assert code == 1
+        assert "pseudo-labels: binary labeling ids must fit" in capsys.readouterr().err
+        assert not out.exists()
