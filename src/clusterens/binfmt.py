@@ -1,7 +1,8 @@
 """Bounded reading and writing of the binary artifact formats.
 
 FPK1, LBL1, NNS1, HDB1 and CLF1 are each a 4-byte magic, fixed headers of
-little-endian integers and typed little-endian arrays.  :func:`load` takes
+little-endian integers and typed little-endian arrays; npy v1.0 is read the
+same way, its text header through NumPy's parser.  :func:`load` takes
 the file size once and every declared size is checked against the bytes
 left before anything is read or allocated, so a corrupt or foreign file
 fails with ``LoadError`` instead of a multi-GB read.
@@ -34,6 +35,8 @@ class Reader:
             raise LoadError(f"{self.path}: truncated {what}: needs {count} bytes, {self.left} left")
         self.left -= count
         return self.f.read(count)
+
+    read = take  # so a reader of file objects (NumPy's npy header) stays bounded
 
     def header(self, fmt: str) -> tuple:
         """Unpack little-endian fields, e.g. ``header("II")``."""
@@ -71,7 +74,7 @@ def load(path, magic: bytes, kind: str, parse: Callable[[Reader], T]) -> T:
     with open(path, "rb") as f:
         r = Reader(f, path)
         try:
-            got = r.take(4, "magic")
+            got = r.take(len(magic), "magic")
             if got != magic:
                 raise LoadError(f"{path}: bad magic {got!r}, not a {kind} ({magic!r})")
             value = parse(r)

@@ -347,8 +347,6 @@ def supra_consensus_table(
 ):
     """Like :func:`supra_consensus` but also returns the per-candidate ANMI
     scores as (name, score, labeling) rows for reporting."""
-    if len(inputs) == 0:
-        raise ValueError("need at least one input labeling")
     names = ["cspa", "mcla"] + [
         extra_names[i] if i < len(extra_names) else f"extra_{i}"
         for i in range(len(extra_candidates))

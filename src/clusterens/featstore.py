@@ -10,7 +10,6 @@ layer whose running statistics are frozen at fit time: per-dimension
 from __future__ import annotations
 
 import math
-import os
 import struct
 import tokenize
 import warnings
@@ -30,8 +29,8 @@ VAR_EPS = 1e-5
 BLOCK_BYTES = 2 << 20
 
 FEATPACK_MAGIC = b"FPK1"
+NPY_MAGIC = b"\x93NUMPY"
 _TAG_TO_DTYPE = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
-_NPY_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 
 
 def blocks(count: int, item_bytes: int, floor: int = 1) -> list:
@@ -186,8 +185,6 @@ def fit_standardizer(features: EmbeddingMatrix) -> NormStats:
 
 def apply_standardizer(features: EmbeddingMatrix, stats: NormStats) -> EmbeddingMatrix:
     """Standardize every row of ``features`` with ``stats``."""
-    if features.d != stats.d:
-        raise ValueError(f"dimension mismatch: features d={features.d}, stats d={stats.d}")
     return EmbeddingMatrix._adopt(standardize_array(features.data, stats))
 
 
@@ -250,7 +247,7 @@ def load_features(path, format: str = "featpack") -> EmbeddingMatrix:
     elif format == "csv":
         data = _load_csv(path)
     elif format == "npy":
-        data = _load_npy(path)
+        data = binfmt.load(path, NPY_MAGIC, "npy file", _parse_npy)
     else:
         raise ValueError(f"unknown feature format {format!r}")
     try:
@@ -312,34 +309,24 @@ def _load_csv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _load_npy(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        try:
-            version = np.lib.format.read_magic(f)
-        except ValueError as exc:
-            raise LoadError(f"{path}: not an npy file: {exc}") from exc
-        if version != (1, 0):
-            raise LoadError(f"{path}: unsupported npy version {version}, need 1.0")
-        try:
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
-        # the header is a Python literal; numpy lets tokenizer errors through
-        except (ValueError, SyntaxError, tokenize.TokenError) as exc:
-            raise LoadError(f"{path}: malformed npy header: {exc}") from exc
-        if fortran_order:
-            raise LoadError(f"{path}: Fortran-order npy not supported, need C order")
-        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
-            raise LoadError(f"{path}: need a 2-D array, header says shape {shape}")
-        if dtype not in _NPY_DTYPES:
-            raise LoadError(
-                f"{path}: dtype {dtype.str} not supported, need little-endian float32/float64"
-            )
-        # sized before it is read, so an oversized file is not read whole
-        n, d = shape
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if left != n * d * dtype.itemsize:
-            got_rows = left // (d * dtype.itemsize)
-            raise LoadError(f"{path}: payload holds {got_rows} row(s) but header declares {n}")
-        data = np.empty((n, d), dtype=dtype)
-        if f.readinto(data) != data.nbytes:
-            raise LoadError(f"{path}: file shrank while being read")
-    return data.astype(np.float64, copy=False)
+def _parse_npy(r: binfmt.Reader) -> np.ndarray:
+    version = r.header("BB")
+    if version != (1, 0):
+        raise ValueError(f"unsupported npy version {version}, need 1.0")
+    try:
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(r)
+    # the header is a Python literal; numpy lets tokenizer errors through
+    except (SyntaxError, tokenize.TokenError) as exc:
+        raise ValueError(f"malformed npy header: {exc}") from None
+    if fortran_order:
+        raise ValueError("Fortran-order npy not supported, need C order")
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+        raise ValueError(f"need a 2-D array, header says shape {shape}")
+    if dtype not in _TAG_TO_DTYPE.values():
+        raise ValueError(f"dtype {dtype.str} not supported, need little-endian float32/float64")
+    # an oversized payload is refused before it is read, not as trailing bytes
+    n, d = shape
+    if r.left != n * d * dtype.itemsize:
+        raise ValueError(f"payload holds {r.left // (d * dtype.itemsize)} row(s) "
+                         f"but header declares {n}")
+    return r.array(dtype, n, d).astype(np.float64, copy=False)

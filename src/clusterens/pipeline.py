@@ -516,17 +516,13 @@ def run_ablation(kind: str, cfg: PipelineConfig) -> str:
     def run_variant(display, key, sets, variant_cfg):
         _, report = heads.train_heads(features, sets, variant_cfg)
         best, arrs = _head_metrics(report, labels)
-        try:
-            stats = neighbors.neighbor_accuracy(sets, labels)
-            avg_nn, nn_acc = f"{stats.avg_count:.1f}", pct(stats.pair_accuracy)
-            machine[f"{key}.avg_nn"] = stats.avg_count
-            machine[f"{key}.nn_acc"] = stats.pair_accuracy
-        except ValueError:
-            avg_nn, nn_acc = "-", "-"
+        stats = neighbors.neighbor_accuracy(sets, labels)
+        machine[f"{key}.avg_nn"] = stats.avg_count
+        machine[f"{key}.nn_acc"] = stats.pair_accuracy
         human.append(
             f"{display}\t{pct(best.nmi)}\t{pct(best.acc)}\t{pct(best.ari)}\t"
             f"{_mean_std(arrs['nmi'])}\t{_mean_std(arrs['acc'])}\t{_mean_std(arrs['ari'])}\t"
-            f"{avg_nn}\t{nn_acc}"
+            f"{stats.avg_count:.1f}\t{pct(stats.pair_accuracy)}"
         )
         machine[f"{key}.best_acc"] = best.acc
         machine[f"{key}.overall_acc_mean"] = float(arrs["acc"].mean())

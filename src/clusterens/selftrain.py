@@ -198,6 +198,10 @@ def _parse_classifier(r: binfmt.Reader) -> Classifier:
     weight = r.array("<f8", c, d)
     bias = r.array("<f8", c)
     mean, var, gamma, beta = r.array("<f8", 4, d)
+    # a NaN weight row would win every argmax; each comparison fails on NaN
+    if not (all(np.isfinite(a).all() for a in (weight, bias, mean, gamma, beta))
+            and ((0.0 <= var) & (var < np.inf)).all()):
+        raise ValueError("a parameter or statistic is non-finite, or a variance negative")
     norm = NormStats(mean=mean, var=var, gamma=gamma, beta=beta)
     return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids)
 

@@ -327,6 +327,23 @@ def test_head_bank_holds_float32_extremes(tmp_path):
     assert loaded.student["weight"].flat[0] == big and loaded.teacher["bias"].flat[0] == -big
 
 
+@pytest.mark.parametrize("field, value", [
+    ("weight", np.nan), ("bias", np.inf), ("mean", -np.inf), ("var", np.nan),
+    ("gamma", np.inf), ("beta", np.nan),
+])
+def test_classifier_refuses_non_finite_values(tmp_path, field, value):
+    # a NaN weight row would load and then label every sample with its class
+    clf = classifier()
+    params = {"weight": clf.weight, "bias": clf.bias, **vars(clf.norm)}
+    params = {key: np.array(a) for key, a in params.items()}
+    params[field].flat[-1] = value
+    bad = Classifier(params.pop("weight"), params.pop("bias"), NormStats(**params), clf.class_ids)
+    path = tmp_path / "c.clf"
+    save_classifier(bad, path)
+    with pytest.raises(LoadError, match="non-finite"):
+        load_classifier(path)
+
+
 @pytest.mark.parametrize("bad_id", [-1, 2**32])
 def test_classifier_refuses_class_ids_beyond_u32_before_writing(tmp_path, bad_id):
     clf = classifier()

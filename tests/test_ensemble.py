@@ -530,3 +530,22 @@ class TestSupraConsensus:
     def test_empty_inputs_error(self):
         with pytest.raises(ValueError):
             supra_consensus([], k=2)
+
+
+def _standardize_wrong_d():
+    stats = featstore.NormStats(mean=np.zeros(3), var=np.ones(3), gamma=np.ones(3),
+                                beta=np.zeros(3))
+    featstore.apply_standardizer(featstore.EmbeddingMatrix(np.ones((4, 2))), stats)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: clustering_accuracy(Labeling([1, 2, 1]), Labeling([1, 2])),
+     "labelings differ in length: 3 vs 2"),
+    (lambda: supra_consensus_table([], 2), "need at least one input labeling"),
+    (_standardize_wrong_d, "dimension mismatch: features d=2, stats d=3"),
+], ids=["accuracy_lengths", "supra_consensus_empty", "standardizer_d"])
+def test_checks_made_once_on_the_path_keep_their_message(call, text):
+    # each entry point leaves the check to the one its path already runs
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == text

@@ -159,6 +159,13 @@ class TestNpy:
         with pytest.raises(LoadError, match="dtype"):
             load_features(path, "npy")
 
+    def test_version_2_refused(self, tmp_path):
+        path = tmp_path / "v2.npy"
+        with open(path, "wb") as f:
+            np.lib.format.write_array(f, np.ones((3, 2)), version=(2, 0))
+        with pytest.raises(LoadError, match=r"unsupported npy version \(2, 0\)"):
+            load_features(path, "npy")
+
     def test_1d_rejected(self, tmp_path):
         path = tmp_path / "v.npy"
         np.save(path, np.ones(4, dtype="<f8"))
