@@ -162,9 +162,7 @@ def _cmd_pipeline(args, cfg) -> str:
         line = f"  {stage.name}: {stage.wall_clock_s:.2f}s"
         if stage.metrics:
             line += f"  ACC {pl.pct(stage.metrics['acc'])}%"
-            machine[f"{stage.name}.acc"] = stage.metrics["acc"]
-            machine[f"{stage.name}.nmi"] = stage.metrics["nmi"]
-            machine[f"{stage.name}.ari"] = stage.metrics["ari"]
+            machine.update({f"{stage.name}.{k}": v for k, v in stage.metrics.items()})
         human.append(line)
     return pl.render_report(human, machine)
 

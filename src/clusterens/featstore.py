@@ -229,7 +229,7 @@ def save_features(features: EmbeddingMatrix, path, format: str = "featpack") -> 
     elif format == "npy":
         with open(path, "wb") as f:
             np.lib.format.write_array(
-                f, features.data.astype("<f8"), version=(1, 0), allow_pickle=False
+                f, features.data.astype("<f8", copy=False), version=(1, 0), allow_pickle=False
             )
     else:
         raise ValueError(f"unknown feature format {format!r}")
@@ -268,7 +268,7 @@ def detect_format(path) -> str:
 
 def _save_featpack(features: EmbeddingMatrix, path) -> None:
     header = struct.pack("<IIB", features.n, features.d, 2)
-    binfmt.save(path, FEATPACK_MAGIC, header, features.data.astype("<f8"))
+    binfmt.save(path, FEATPACK_MAGIC, header, features.data.astype("<f8", copy=False))
 
 
 def _parse_featpack(r: binfmt.Reader) -> np.ndarray:

@@ -726,7 +726,7 @@ def save_head_bank(bank: HeadBank, path) -> None:
     binfmt.save(
         path, HEADBANK_MAGIC, struct.pack("<I", len(cfg_bytes)), cfg_bytes,
         struct.pack("<III", h, bank.num_clusters, bank.dim),
-        shared.astype("<f8"), rows.astype("<f8"),
+        shared.astype("<f8", copy=False), rows.astype("<f8", copy=False),
     )
 
 

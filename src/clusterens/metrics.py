@@ -125,10 +125,9 @@ def clustering_accuracy(pred: Labeling, gt: Labeling) -> tuple[float, dict]:
     injective on the smaller side.
     """
     table = contingency(pred, gt)
-    pairs, _ = hungarian(-table.counts.astype(np.float64))
-    mass = int(sum(table.counts[r, c] for r, c in pairs))
-    matching = {int(table.row_ids[r]): int(table.col_ids[c]) for r, c in pairs}
-    return mass / pred.n, matching
+    rows, cols = _linear_sum_assignment(-table.counts.astype(np.float64))  # rows ascend
+    matching = dict(zip(table.row_ids[rows].tolist(), table.col_ids[cols].tolist()))
+    return int(table.counts[rows, cols].sum()) / pred.n, matching
 
 
 def ari(a: Labeling, b: Labeling) -> float:
@@ -137,15 +136,13 @@ def ari(a: Labeling, b: Labeling) -> float:
     A zero denominator only happens when both partitions are the same
     trivial partition (all-singletons or one cluster); that case scores 1.
     """
-    if a.n != b.n:
-        raise ValueError(f"labelings differ in length: {a.n} vs {b.n}")
+    table = contingency(a, b)  # refuses unequal lengths
     if a.n < 2:
         raise ValueError("ARI needs at least 2 samples")
 
     def comb2(x):
         return x * (x - 1.0) / 2.0
 
-    table = contingency(a, b)
     sum_cells = float(comb2(table.counts).sum())
     sum_a = float(comb2(table.row_sums).sum())
     sum_b = float(comb2(table.col_sums).sum())

@@ -67,14 +67,10 @@ class NeighborSets:
     older versions, by descending similarity).  ``indices`` is kept as a
     read-only int32 array (4 bytes a pair; an int32 input is not copied) and
     ``offsets`` as read-only int64, since the pair count can pass 2**31.
-    ``theta``/``k_min`` echo the selection parameters; both are ``None``
-    for sets not produced by thresholded selection (e.g. ground-truth sets).
     """
 
     offsets: np.ndarray
     indices: np.ndarray
-    theta: float | None = None
-    k_min: int | None = None
 
     def __post_init__(self):
         offsets, indices = _frozen(self.offsets, np.int64), np.asarray(self.indices)
@@ -120,14 +116,14 @@ class NeighborSets:
         object.__setattr__(self, "indices", indices)
 
     @classmethod
-    def from_lists(cls, sets, theta: float | None = None, k_min: int | None = None):
+    def from_lists(cls, sets):
         """Build from one index list per sample."""
         arrays = [np.asarray(s, dtype=np.int64) for s in sets]
         if any(a.ndim != 1 for a in arrays):
             raise ValueError("each neighbor set must be a flat index list")
         sizes = np.array([a.size for a in arrays], dtype=np.int64)
         flat = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
-        return cls(_offsets(sizes), flat, theta, k_min)
+        return cls(_offsets(sizes), flat)
 
     @property
     def n(self) -> int:
@@ -280,7 +276,7 @@ def build_neighbor_sets(features: EmbeddingMatrix, theta: float, k_min: int) -> 
     it is the ``k_min`` most similar samples, ties at the cut to the lower index.
     """
     sizes, members, *_ = _mine(features, theta, k_min)
-    return NeighborSets(_offsets(sizes), members, theta=float(theta), k_min=int(k_min))
+    return NeighborSets(_offsets(sizes), members)
 
 
 def sweep_neighbor_sets(features: EmbeddingMatrix, thetas, k_min: int) -> Iterator[NeighborSets]:
@@ -305,7 +301,7 @@ def sweep_neighbor_sets(features: EmbeddingMatrix, thetas, k_min: int) -> Iterat
             a, b = offsets[lo], offsets[hi]
             need = np.repeat(np.where(short[lo:hi], len(cuts), i), sizes[lo:hi])
             out[cut[lo] : cut[hi]] = members[a:b][levels[a:b] > need]
-        yield NeighborSets(cut, out, theta=theta, k_min=int(k_min))
+        yield NeighborSets(cut, out)
         del cut, out  # not held while the next theta's sets are cut
 
 

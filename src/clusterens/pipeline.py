@@ -64,11 +64,6 @@ def release_free_heap() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _float_list(values) -> tuple:
-    """Python floats, for a comma-joined full-precision machine-block value."""
-    return tuple(map(float, values))
-
-
 def render_report(human_lines, machine: dict) -> str:
     return "\n".join([*human_lines, "", MACHINE_SEPARATOR]) + "\n" + kvtext.render(machine.items())
 
@@ -159,6 +154,13 @@ def check_count(covering, what: str, n: int, holder: str = "features") -> None:
         raise ConfigError(f"{what} cover {covering.n} samples but {holder} hold {n}")
 
 
+def check_nonempty(sizes: np.ndarray, what: str) -> None:
+    """Refuse neighbor sets of ``sizes`` members that leave a sample without
+    one: training draws a neighbor of every sample."""
+    if not sizes.all():
+        raise ConfigError(f"{what} leave sample {int(np.argmin(sizes))} without a neighbor")
+
+
 def _labels(cfg: PipelineConfig) -> Labeling | None:
     return None if cfg["labels"] is None else load_labeling(input_file(cfg["labels"], "label file"))
 
@@ -185,6 +187,9 @@ def validate_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | No
     if cfg["neighbors.ground_truth"] and cfg["labels"] is None:
         raise ConfigError("neighbors.ground_truth=true requires a labels file")
     features, labels = load_inputs(cfg)
+    if cfg["neighbors.ground_truth"] and cfg["neighbors.file"] is None:
+        # a ground-truth set holds the rest of its sample's class
+        check_nonempty(labels.coding.counts[labels.coding.codes] - 1, "ground-truth neighbor sets")
     if cfg["train.num_clusters"] > features.n:
         raise ConfigError(f"train.num_clusters={cfg['train.num_clusters']} exceeds the "
                           f"sample count n={features.n}")
@@ -251,6 +256,7 @@ def build_sets_for_config(
     if cfg["neighbors.file"] is not None:
         sets = neighbors.load_neighbor_sets(cfg["neighbors.file"])
         check_count(sets, "neighbor sets", features.n)
+        check_nonempty(sets.sizes(), "neighbor sets")
         return sets
     if cfg["neighbors.ground_truth"]:
         return neighbors.ground_truth_neighbors(labels)
@@ -264,17 +270,20 @@ def build_sets_for_config(
 # ---------------------------------------------------------------------------
 
 
-def _score(pred: Labeling, labels: Labeling | None, title: str, prefix: str,
-           human: list, machine: dict) -> dict | None:
-    """Add the scores of ``pred`` vs ``labels`` to both parts of a report and
-    return them as the manifest records them; ``None`` without labels."""
-    if labels is None:
-        return None
-    report = evaluate(pred, labels)
-    human += ["", title] + metrics_human_lines(report)
-    metrics = report.machine_block()
-    machine.update({f"{prefix}_{k}": v for k, v in metrics.items()})
-    return metrics
+def _write_report(path: Path, human: list, machine: dict, pred: Labeling,
+                  labels: Labeling | None, title: str, prefix: str):
+    """Add the scores of ``pred`` vs ``labels`` to both parts of a report,
+    write it to ``path`` and return ``(metrics, text)``: the scores as the
+    manifest records them (``None`` without labels) and the report text."""
+    metrics = None
+    if labels is not None:
+        report = evaluate(pred, labels)
+        human += ["", title] + metrics_human_lines(report)
+        metrics = report.machine_block()
+        machine.update({f"{prefix}_{k}": v for k, v in metrics.items()})
+    text = render_report(human, machine)
+    path.write_text(text, encoding="utf-8")
+    return metrics, text
 
 
 def train_stage(
@@ -315,13 +324,12 @@ def train_stage(
         "best_head_loss": float(report.per_head_loss[report.best_head]),
         "checkpoint": str(out_dir / "checkpoint.hdb"),
         "labelings_dir": str(lab_dir),
-        "loss_mean_by_epoch": _float_list(report.epoch_mean_loss.mean(axis=1)),
-        "best_head_loss_by_epoch": _float_list(report.epoch_mean_loss[:, report.best_head]),
+        "loss_mean_by_epoch": tuple(report.epoch_mean_loss.mean(axis=1).tolist()),
+        "best_head_loss_by_epoch": tuple(report.epoch_mean_loss[:, report.best_head].tolist()),
     }
-    metrics = _score(report.per_head_labeling[report.best_head], labels,
-                     "best-head metrics vs ground truth:", "best", human, machine)
-    text = render_report(human, machine)
-    (out_dir / "train_report.txt").write_text(text, encoding="utf-8")
+    metrics, text = _write_report(out_dir / "train_report.txt", human, machine,
+                                  report.per_head_labeling[report.best_head], labels,
+                                  "best-head metrics vs ground truth:", "best")
     outputs = [out_dir / "neighbors.nns", out_dir / "checkpoint.hdb",
                out_dir / "train_report.txt", *lab_paths]
     return report, outputs, metrics, text
@@ -357,10 +365,8 @@ def ensemble_stage(
     }
     for name, score, _ in rows:
         machine[f"anmi.{name}"] = score
-    metrics = _score(consensus, labels, "consensus metrics vs ground truth:", "consensus",
-                     human, machine)
-    text = render_report(human, machine)
-    (out_dir / "anmi_table.txt").write_text(text, encoding="utf-8")
+    metrics, text = _write_report(out_dir / "anmi_table.txt", human, machine, consensus, labels,
+                                  "consensus metrics vs ground truth:", "consensus")
     return consensus, [out_dir / "consensus.lbl", out_dir / "anmi_table.txt"], metrics, text
 
 
@@ -400,14 +406,12 @@ def selftrain_stage(
         "epochs_run": fit.epochs,
         "stopped_early": fit.stopped_early,
         "pseudo_agreement": agreement,
-        "pseudo_agreement_by_epoch": _float_list(fit.agreement_by_epoch),
+        "pseudo_agreement_by_epoch": fit.agreement_by_epoch,
         "classifier": str(out_dir / "classifier.clf"),
         "predictions": str(out_dir / "selftrain_pred.lbl"),
     }
-    metrics = _score(pred, labels, "classifier metrics vs ground truth:", "clf",
-                     human, machine)
-    text = render_report(human, machine)
-    (out_dir / "selftrain_report.txt").write_text(text, encoding="utf-8")
+    metrics, text = _write_report(out_dir / "selftrain_report.txt", human, machine, pred, labels,
+                                  "classifier metrics vs ground truth:", "clf")
     outputs = [out_dir / "classifier.clf", out_dir / "selftrain_pred.lbl",
                out_dir / "selftrain_report.txt"]
     return clf, outputs, metrics, text
@@ -417,7 +421,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Execute train -> ensemble -> self-train, recording a manifest.
 
     Configuration errors surface before any stage runs, except a neighbor
-    file's sample count, which the train stage checks when it loads the file;
+    file's sample count and empty sets, which the train stage checks when it
+    loads the file;
     a stage failure aborts with that stage's name while earlier artifacts
     stay on disk.
     """
@@ -501,10 +506,10 @@ def run_ablation(kind: str, cfg: PipelineConfig) -> str:
     features, labels = validate_inputs(cfg)
     if labels is None:
         raise ConfigError("ablations need a labels file for their metric columns")
+    if kind == "gt_neighbors":
+        check_nonempty(labels.coding.counts[labels.coding.codes] - 1, "ground-truth neighbor sets")
     train_cfg = cfg.train_config()
     k = cfg.ensemble_k(features.n) if kind == "head_count_sweep" else None
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     header = (
         "variant\tbest_nmi\tbest_acc\tbest_ari\t"
@@ -551,6 +556,8 @@ def run_ablation(kind: str, cfg: PipelineConfig) -> str:
         gt_sets = neighbors.ground_truth_neighbors(labels)
         run_variant("ground_truth", "ground_truth", gt_sets, train_cfg)
 
+    out_dir = Path(cfg["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     text = render_report(human, machine)
     (out_dir / f"ablate_{kind}.txt").write_text(text, encoding="utf-8")
     return text

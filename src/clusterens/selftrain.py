@@ -96,7 +96,7 @@ def ce_loss_and_grads(
     probs = softmax(logits)
     picked = probs[np.arange(b_count), targets]
     loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
-    dlogits = probs.copy()
+    dlogits = probs  # made the logit gradient in place; ``picked`` is a copy
     dlogits[np.arange(b_count), targets] -= 1.0
     # rows on the probability floor are clamped in the loss, so they carry
     # no gradient

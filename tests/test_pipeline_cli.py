@@ -896,3 +896,127 @@ class TestRefusedBeforeWork:
         assert code == 1
         assert "pseudo-labels: binary labeling ids must fit" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_train_refuses_an_empty_set_in_a_neighbor_file(self, tmp_path, capsys):
+        fpath, _ = write_inputs(tmp_path, n=40, d=6, k=2)
+        nns = tmp_path / "holed.nns"
+        save_neighbor_sets(NeighborSets.from_lists(
+            [[] if i == 3 else [(i + 1) % 40] for i in range(40)]), nns)
+        run = tmp_path / "run"
+        code = main(["train", "--features", str(fpath), "--neighbors", str(nns),
+                     "--out", str(run), "--set", "train.num_clusters=2"])
+        assert code == 1
+        assert "neighbor sets leave sample 3 without a neighbor" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_pipeline_fails_train_stage_on_an_empty_set_before_writing_it(self, pipeline_run,
+                                                                          tmp_path, capsys):
+        _, cfg_path, _, _, _ = pipeline_run
+        nns = tmp_path / "holed.nns"
+        save_neighbor_sets(NeighborSets.from_lists(
+            [[] if i == 7 else [(i + 1) % 120] for i in range(120)]), nns)
+        run = tmp_path / "run"
+        code = main(["pipeline", "--config", str(cfg_path), "--set", f"output_dir={run}",
+                     "--set", f"neighbors.file={nns}"])
+        assert code == 2
+        assert "neighbor sets leave sample 7 without a neighbor" in capsys.readouterr().err
+        assert not (run / "neighbors.nns").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--set", "neighbors.ground_truth=true"],
+        ["pipeline", "--set", "neighbors.ground_truth=true"],
+        ["ablate", "--kind", "head_count_sweep", "--set", "neighbors.ground_truth=true"],
+        ["ablate", "--kind", "gt_neighbors"],
+    ], ids=["train", "pipeline", "ablate", "gt_neighbors"])
+    def test_ground_truth_sets_refuse_a_one_sample_class(self, tmp_path, capsys, argv):
+        m, labels = gen_synthetic(SynthSpec(n=40, d=6, k=2, separation=20.0, seed=17))
+        fpath, lpath = tmp_path / "feats.fpk", tmp_path / "labels.lbl"
+        save_features(m, fpath)
+        ids = labels.labels.copy()
+        ids[5] = 9  # alone in its class
+        save_labeling(Labeling(ids), lpath)
+        run, cfg_path = tmp_path / "run", tmp_path / "c.cfg"
+        cfg_path.write_text(small_config_text(fpath, lpath, run, k=2))
+        code = main([*argv, "--config", str(cfg_path)])
+        assert code == 1
+        assert ("ground-truth neighbor sets leave sample 5 without a neighbor"
+                in capsys.readouterr().err)
+        assert not run.exists()
+
+
+# A value out of range for every SCHEMA key that has a range, and the commands
+# that read the key: its own command and, where it reads the key, pipeline.
+TRAIN, SELFTRAIN, GEN_SYNTH = ("train", "pipeline"), ("selftrain", "pipeline"), ("gen-synth",)
+OUT_OF_RANGE = {
+    "features_format": ("bogus", TRAIN),
+    "seed": ("-1", TRAIN),
+    "threads": ("0", TRAIN),
+    "synth.n": ("0", GEN_SYNTH),
+    "synth.d": ("0", GEN_SYNTH),
+    "synth.k": ("0", GEN_SYNTH),
+    "synth.separation": ("0", GEN_SYNTH),
+    "synth.seed": ("-1", GEN_SYNTH),
+    "neighbors.theta": ("nan", TRAIN),
+    "neighbors.k_min": ("0", TRAIN),
+    "train.num_clusters": ("1", TRAIN),
+    "train.num_heads": ("0", TRAIN),
+    "train.tau_student": ("0", TRAIN),
+    "train.tau_teacher": ("-1", TRAIN),
+    "train.beta": ("1.5", TRAIN),
+    "train.lambda_max": ("-0.5", TRAIN),
+    "train.teacher_momentum": ("1.5", TRAIN),
+    "train.sk_iters": ("-1", TRAIN),
+    "train.epochs": ("-1", TRAIN),
+    "train.warmup_epochs": ("-1", TRAIN),
+    "train.batch_size": ("0", TRAIN),
+    "train.lr": ("-1", TRAIN),
+    "train.weight_decay": ("inf", TRAIN),
+    "train.smoothing_m": ("0", TRAIN),
+    "ensemble.k": ("1", ("ensemble", "pipeline")),
+    "selftrain.steps": ("-1", SELFTRAIN),
+    "selftrain.lr": ("-1", SELFTRAIN),
+    "selftrain.momentum": ("1", SELFTRAIN),
+    "selftrain.weight_decay": ("nan", SELFTRAIN),
+    "selftrain.batch_size": ("0", SELFTRAIN),
+    "ablate.head_counts": ("0", ("ablate",)),
+}
+# every value of the key's type is accepted
+NO_RANGE = ("features", "labels", "output_dir", "neighbors.file", "neighbors.ground_truth",
+            "neighbors.standardized", "ablate.thresholds")
+
+
+def files_under(root: Path) -> dict:
+    return {p: p.stat().st_mtime_ns for p in root.rglob("*")}
+
+
+class TestEveryRangeIsChecked:
+    """An out-of-range value of any key exits 1 and writes no file."""
+
+    @pytest.mark.parametrize("key, value, command", [
+        (key, value, command)
+        for key, (value, commands) in OUT_OF_RANGE.items() for command in commands
+    ])
+    def test_out_of_range_value_refused_before_any_file(self, pipeline_run, tmp_path, capsys,
+                                                        key, value, command):
+        _, cfg_path, _, run_dir, _ = pipeline_run
+        if command == "gen-synth":
+            argv = ["gen-synth", "--set", "synth.n=30", "--set", "synth.d=4", "--set",
+                    "synth.k=3", "--set", f"features={tmp_path / 'f.fpk'}",
+                    "--set", f"labels={tmp_path / 'l.lbl'}"]
+        else:
+            argv = [command, "--config", str(cfg_path), "--set", f"output_dir={tmp_path / 'run'}"]
+        if command == "ensemble":
+            shutil.copytree(run_dir, tmp_path / "run")
+        elif command == "selftrain":
+            argv += ["--pseudo-labels", str(run_dir / "consensus.lbl")]
+        elif command == "ablate":
+            argv += ["--kind", "head_count_sweep"]
+        before = files_under(tmp_path)
+        code = main([*argv, "--set", f"{key}={value}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert files_under(tmp_path) == before
+
+    def test_every_key_with_a_range_has_a_row(self):
+        assert not set(NO_RANGE) & set(OUT_OF_RANGE)
+        assert sorted(set(SCHEMA) - set(NO_RANGE)) == sorted(OUT_OF_RANGE)

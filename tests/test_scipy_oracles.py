@@ -2,6 +2,7 @@
 
 scipy stays in the test environment as the reference: the assignment
 behind ``hungarian`` must return exactly scipy's ``(rows, cols)``,
+``clustering_accuracy`` scipy's matching of the contingency table,
 ``_average_linkage_cut`` the partition of
 ``fcluster(linkage(...), k, "maxclust")``, the pairwise-``bincount`` Gram
 exactly the sparse product, and ``cspa`` the labels of the CSPA that ran on
@@ -16,8 +17,8 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
-from clusterens import Labeling, canonicalize, cspa
-from clusterens.ensemble import _average_linkage_cut, _gram, co_association
+from clusterens import Labeling, canonicalize, clustering_accuracy, cspa
+from clusterens.ensemble import _average_linkage_cut, _gram, co_association, contingency
 from clusterens.metrics import _linear_sum_assignment, hungarian
 
 from oracles import scipy_co_association, scipy_cspa
@@ -47,6 +48,28 @@ def test_assignment_matches_scipy_on_real_costs(rng):
         rows, cols = _linear_sum_assignment(cost)
         ref_rows, ref_cols = linear_sum_assignment(cost)
         assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "tied"])
+def test_accuracy_matching_is_scipys(shape):
+    """The matching and matched mass of ``clustering_accuracy`` are those of
+    ``linear_sum_assignment(-counts)`` on the contingency table."""
+    rng = np.random.default_rng({"tall": 4, "wide": 5, "tied": 6}[shape])
+    for _ in range(300):
+        r = int(rng.integers(1, 9))
+        c = {"tall": max(r - int(rng.integers(1, 5)), 1), "wide": r + int(rng.integers(1, 5)),
+             "tied": r}[shape]
+        # cell (i, j) holds counts[i, j] samples of cluster 10 + 3i and class 7 + 2j;
+        # tied tables draw each count from {0, 1, 2}
+        counts = rng.integers(0, 3 if shape == "tied" else 12, size=(r, c))
+        counts[0, 0] += 1
+        cells = rng.permutation(np.repeat(np.arange(r * c), counts.ravel()))
+        pred, gt = Labeling(10 + 3 * (cells // c)), Labeling(7 + 2 * (cells % c))
+        table = contingency(pred, gt)
+        rows, cols = linear_sum_assignment(-table.counts)
+        acc, matching = clustering_accuracy(pred, gt)
+        assert matching == dict(zip(table.row_ids[rows].tolist(), table.col_ids[cols].tolist()))
+        assert acc == table.counts[rows, cols].sum() / pred.n
 
 
 @pytest.mark.parametrize("levels", [2, 3, 5, 1000])
