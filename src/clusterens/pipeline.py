@@ -179,15 +179,22 @@ def load_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | None]:
     return features, labels
 
 
-def validate_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | None]:
-    """The inputs of a training run (``train``, ``pipeline``, ``ablate``)."""
+def validate_inputs(cfg: PipelineConfig, config_sets: bool = True
+                    ) -> tuple[EmbeddingMatrix, Labeling | None]:
+    """The inputs of a training run (``train``, ``pipeline``, ``ablate``).
+
+    The neighbor-source keys are checked only as :func:`build_sets_for_config`
+    reads them (a neighbor file wins over ground-truth sets), and not at all
+    when ``config_sets`` is false, for a run that mines its own sets."""
     cfg.require("features", "output_dir", "train.num_clusters")
-    if cfg["neighbors.file"] is not None:
-        input_file(cfg["neighbors.file"], "neighbor file")
-    if cfg["neighbors.ground_truth"] and cfg["labels"] is None:
+    nfile = cfg["neighbors.file"] if config_sets else None
+    ground_truth = config_sets and nfile is None and cfg["neighbors.ground_truth"]
+    if nfile is not None:
+        input_file(nfile, "neighbor file")
+    if ground_truth and cfg["labels"] is None:
         raise ConfigError("neighbors.ground_truth=true requires a labels file")
     features, labels = load_inputs(cfg)
-    if cfg["neighbors.ground_truth"] and cfg["neighbors.file"] is None:
+    if ground_truth:
         # a ground-truth set holds the rest of its sample's class
         check_nonempty(labels.coding.counts[labels.coding.codes] - 1, "ground-truth neighbor sets")
     if cfg["train.num_clusters"] > features.n:
@@ -503,7 +510,8 @@ def run_ablation(kind: str, cfg: PipelineConfig) -> str:
     neighbor analyses; each variant retrains from scratch on the same seed."""
     if kind not in ("threshold_sweep", "head_count_sweep", "gt_neighbors"):
         raise ConfigError(f"unknown ablation kind {kind!r}")
-    features, labels = validate_inputs(cfg)
+    # the threshold sweep mines its own sets at every theta
+    features, labels = validate_inputs(cfg, config_sets=kind != "threshold_sweep")
     if labels is None:
         raise ConfigError("ablations need a labels file for their metric columns")
     if kind == "gt_neighbors":

@@ -29,6 +29,11 @@ copied verbatim.  ``two_sided_loss_and_grads`` is ``composite_loss_and_grads``
 as it ran one side of each pair at a time, with a float64 copy of the
 teacher's logits, copied verbatim; it reuses the package's folding, logit,
 softmax and Sinkhorn-Knopp helpers and ``featstore.blocks``.
+``eigh_cspa`` is ``cspa`` as it took every eigenpair of its Gram from
+``np.linalg.eigh``, before the block Krylov solver, and ``outer_qr_pivots``
+its column-pivoted QR as it projected with one n×m outer product per
+pivot: both copied verbatim, reusing the package's co-association, Gram,
+rank cutoff and Lloyd cap.
 
 scipy is a test-only dependency, and its routines are the references for
 the package's NumPy ports: ``linkage``/``fcluster`` in
@@ -50,7 +55,13 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.linalg import eigh, qr, svd
 from scipy.spatial.distance import squareform
 
-from clusterens.ensemble import _average_linkage_cut
+from clusterens.ensemble import (
+    LLOYD_ITERATIONS,
+    _average_linkage_cut,
+    _gram,
+    _rank_cutoff,
+    co_association,
+)
 from clusterens.errors import TrainingError
 from clusterens.featstore import (
     EmbeddingMatrix, NormStats, blocks, fit_standardizer, standardize_array,
@@ -348,6 +359,77 @@ def scipy_cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     x = np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
     for _ in range(SCIPY_CSPA_LLOYD_ITERATIONS):
+        sizes = np.bincount(labels, minlength=m)
+        sums = np.stack([np.bincount(labels, weights=col, minlength=m) for col in x.T], axis=1)
+        centers = sums / np.maximum(sizes, 1)[:, None]
+        score = x @ centers.T - 0.5 * (centers * centers).sum(axis=1)
+        score[:, sizes == 0] = -np.inf
+        new = score.argmax(axis=1)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return canonicalize(Labeling(labels))
+
+
+# ---------------------------------------------------------------------------
+# spectral CSPA on every eigenpair of the Gram (before the block Krylov solver)
+# ---------------------------------------------------------------------------
+
+
+def outer_qr_pivots(u: np.ndarray, m: int) -> np.ndarray:
+    """The first m pivots of a column-pivoted QR of uᵀ: each step takes the
+    row of u with the largest residual norm (the first on ties) and
+    projects it out of every row."""
+    residual = u.copy()
+    pivots = np.empty(m, dtype=np.int64)
+    for step in range(m):
+        p = int(np.einsum("ij,ij->i", residual, residual).argmax())
+        q = residual[p] / np.linalg.norm(residual[p])
+        residual -= np.outer(residual @ q, q)
+        pivots[step] = p
+    return pivots
+
+
+def eigh_cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
+    """Consensus by a normalized spectral partition of the co-association S.
+
+    The top eigenvectors of D^-1/2·S·D^-1/2, D holding the row sums of S,
+    follow from the ΣC×ΣC Gram matrix of D^-1/2·Z (Z from
+    :func:`co_association`), so memory is O(n·H + ΣC²).  They are
+    discretized by the column-pivoted QR of Damle, Minden & Ying (2019),
+    then refined by Lloyd iterations on the row-normalized eigenvectors;
+    nothing is random.  Only eigenvectors of nonzero eigenvalues are used,
+    so when S has rank below k (identical inputs with fewer than k
+    clusters, say) the output holds at most rank(S) clusters.
+    """
+    columns, g = co_association(inputs)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = columns.shape[0]
+    if k > n:
+        raise ValueError(f"k={k} exceeds sample count n={n}")
+    sizes = np.bincount(columns.ravel(), minlength=g)
+    scale = 1.0 / np.sqrt(sizes[columns].sum(axis=1).astype(np.float64))  # D^-1/2 of H·S
+    # the Gram of D^-1/2·Z, weighted by scale·scale (the product each of its
+    # terms is) rather than by 1/degree, which may differ in the last bit
+    vals, vecs = np.linalg.eigh(_gram(columns, g, scale * scale))
+    vals, vecs = vals[max(g - k, 0):], vecs[:, max(g - k, 0):]
+    # the top eigenvalue is 1; drop those that are zero up to rounding
+    keep = vals > _rank_cutoff(n, g)
+    basis = vecs[:, keep] / np.sqrt(vals[keep])
+    m = basis.shape[1]
+    # D^-1/2·Z·basis, unit columns, summed from the last input to the first
+    # as scipy's CSR product of the same matrices sums it, bit for bit
+    u = np.zeros((n, m))
+    for col in columns.T[::-1]:
+        u += scale[:, None] * basis[col]
+
+    w, _, vt = np.linalg.svd(u[outer_qr_pivots(u, m)].T)
+    labels = np.abs(u @ (w @ vt)).argmax(axis=1)
+
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    x = np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
+    for _ in range(LLOYD_ITERATIONS):
         sizes = np.bincount(labels, minlength=m)
         sums = np.stack([np.bincount(labels, weights=col, minlength=m) for col in x.T], axis=1)
         centers = sums / np.maximum(sizes, 1)[:, None]

@@ -9,7 +9,9 @@ cosine, not by the bits of a float32 product, and eigenvectors are only
 defined up to rounding, so both are places where the kernel path could
 leak into an artifact.  Every file of
 the run directory must be byte-identical; ``manifest.json`` may differ only
-in its ``wall_clock_s`` times.
+in its ``wall_clock_s`` times.  The pipeline shapes here are too small for
+CSPA's block Krylov solver, so its labels are checked the same way on the
+ensembles of ``test_ensemble.krylov_ensembles``.
 """
 
 import json
@@ -96,3 +98,28 @@ def test_artifacts_independent_of_blas_threads(tmp_path, workload):
         if rel == Path("manifest.json"):
             a, b = (without_timings(json.loads(x)) for x in (a, b))
         assert a == b, f"{workload}: {rel} differs between 1 and 2 BLAS threads"
+
+
+KRYLOV_LABELS = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from clusterens import cspa
+from test_ensemble import krylov_ensembles
+for name, inputs, k, _ in krylov_ensembles():
+    print(name, hashlib.sha256(cspa(inputs, k).labels.tobytes()).hexdigest())
+"""
+
+
+def test_cspa_block_krylov_labels_independent_of_blas_threads():
+    """The block Krylov solver's eigenvectors move in their last bits with
+    the BLAS thread count; CSPA's labels on the ensembles that run it must
+    not."""
+    outputs = []
+    for threads in (1, 2):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.update({var: str(threads) for var in BLAS_THREAD_VARS})
+        proc = subprocess.run([sys.executable, "-c", KRYLOV_LABELS, str(Path(__file__).parent)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 4 and outputs[0] == outputs[1]

@@ -23,7 +23,13 @@ from clusterens.ensemble import (
 )
 from clusterens.metrics import clustering_accuracy
 
-from oracles import dense_co_association, dense_cspa, nmi_prob_form, set_partitions
+from oracles import (
+    dense_co_association,
+    dense_cspa,
+    nmi_prob_form,
+    outer_qr_pivots,
+    set_partitions,
+)
 
 
 def traced_peak(fn):
@@ -300,9 +306,7 @@ class TestCspa:
             z[np.arange(n)[:, None], columns] = 1.0
             rank = np.linalg.matrix_rank(z)
             assert rank < g
-            sizes = np.bincount(columns.ravel(), minlength=g)
-            scale = 1.0 / np.sqrt(sizes[columns].sum(axis=1).astype(np.float64))
-            vals = np.linalg.eigh(ensemble._gram(columns, g, scale * scale))[0]
+            vals = np.linalg.eigh(cspa_gram(inputs))[0]
             cutoff = ensemble._rank_cutoff(n, g)
             assert vals[g - rank - 1] < cutoff / 100 < cutoff * 100 < vals[g - rank]
 
@@ -410,6 +414,99 @@ class TestDenseOracle:
         assert out.same_grouping(planted)
 
 
+def krylov_ensembles():
+    """(name, inputs, k, path) with ΣC from 500 to 900, each large enough
+    for the block Krylov solver to run: ``path`` is "krylov" where its
+    residual bound is met, "eigh" where random inputs leave too small a gap
+    and it falls back."""
+    rng = np.random.default_rng(99)
+    return [
+        ("planted", noisy_ensemble(rng, n=1000, k=10, members=50, noise=0.5)[1], 10, "krylov"),
+        # identical inputs: the Gram has rank 5 < k
+        ("identical", [Labeling(rng.integers(1, 6, size=300))] * 100, 8, "krylov"),
+        ("random", [Labeling(rng.integers(1, 21, size=600)) for _ in range(30)], 10, "eigh"),
+        ("planted_900", noisy_ensemble(rng, n=900, k=20, members=45, noise=0.6)[1], 20,
+         "krylov"),
+    ]
+
+
+KRYLOV_CASES = krylov_ensembles()
+KRYLOV_IDS = [case[0] for case in KRYLOV_CASES]
+
+
+def cspa_gram(inputs):
+    """The Gram ``cspa`` solves for its eigenvectors."""
+    columns, g = co_association(inputs)
+    sizes = np.bincount(columns.ravel(), minlength=g)
+    scale = 1.0 / np.sqrt(sizes[columns].sum(axis=1).astype(np.float64))
+    return ensemble._gram(columns, g, scale * scale)
+
+
+class TestTopEigenpairs:
+    """The block Krylov solver against ``np.linalg.eigh``, which it replaced."""
+
+    @pytest.mark.parametrize("name,inputs,k,path", KRYLOV_CASES, ids=KRYLOV_IDS)
+    def test_within_tol_of_eigh(self, monkeypatch, name, inputs, k, path):
+        gram = cspa_gram(inputs)
+        taken = []
+        real = ensemble._block_krylov
+
+        def spy(*args):
+            taken.append(real(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(ensemble, "_block_krylov", spy)
+        vals, vecs = ensemble._top_eigenpairs(gram, k)
+        assert len(taken) == 1 and (taken[0] is not None) == (path == "krylov")
+        ref = np.linalg.eigh(gram)[0][-k:]
+        tol = ensemble.KRYLOV_TOL * ref[-1]
+        assert vals.shape == (k,) and vecs.shape == (gram.shape[0], k)
+        assert np.all(np.diff(vals) >= 0)
+        assert np.abs(vals - ref).max() <= tol
+        assert np.linalg.norm(gram @ vecs - vecs * vals, axis=0).max() <= tol
+        assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-12
+
+    @pytest.mark.parametrize("name,inputs,k,path", KRYLOV_CASES[:2], ids=KRYLOV_IDS[:2])
+    def test_tolerance_zero_falls_back_to_eigh_bit_for_bit(self, monkeypatch, name, inputs,
+                                                           k, path):
+        gram = cspa_gram(inputs)
+        monkeypatch.setattr(ensemble, "KRYLOV_TOL", 0.0)
+        vals, vecs = ensemble._top_eigenpairs(gram, k)
+        ref_vals, ref_vecs = np.linalg.eigh(gram)
+        assert np.array_equal(vals.view(np.uint64), ref_vals[-k:].view(np.uint64))
+        assert np.array_equal(vecs.view(np.uint64), ref_vecs[:, -k:].view(np.uint64))
+
+    @pytest.mark.parametrize("g,k", [(1, 1), (50, 5), (100, 10), (319, 10), (600, 40)])
+    def test_small_orders_take_eigh_alone(self, monkeypatch, rng, g, k):
+        """Without room for KRYLOV_MIN_BLOCKS blocks in KRYLOV_SHARE of g (the
+        quickstart and large_n shapes, ΣC = 50 and 100, among them) ``eigh``
+        runs alone."""
+        monkeypatch.setattr(ensemble, "_block_krylov", None)
+        a = rng.normal(size=(g, g))
+        gram = a @ a.T
+        vals, vecs = ensemble._top_eigenpairs(gram, k)
+        ref_vals, ref_vecs = np.linalg.eigh(gram)
+        assert np.array_equal(vals, ref_vals[g - k:]) and np.array_equal(vecs, ref_vecs[:, g - k:])
+
+    def test_k_above_g_returns_every_pair(self, rng):
+        a = rng.normal(size=(6, 6))
+        vals, vecs = ensemble._top_eigenpairs(a @ a.T, 10)
+        assert vals.shape == (6,) and vecs.shape == (6, 6)
+
+
+def test_qr_pivots_match_the_outer_product_form(rng, monkeypatch):
+    """Bit for bit the pivots and residuals of the projection by one n×m
+    outer product per pivot, with rows repeated (ties) and with blocks of
+    one and of seven rows as well as the default."""
+    for rows in (None, 1, 7):
+        if rows is not None:
+            monkeypatch.setattr(featstore, "BLOCK_BYTES", 8 * 6 * rows)
+        for n, m in [(1, 1), (40, 6), (500, 6)]:
+            u = np.linalg.qr(rng.normal(size=(n, m)))[0]
+            u = u[rng.integers(0, n, size=n)]
+            assert np.array_equal(ensemble._qr_pivots(u, m), outer_qr_pivots(u, m))
+
+
 def test_cspa_peak_memory_far_below_condensed_size(rng):
     """At n=3000, H=10 CSPA peaks below an eighth of the 36 MB that the
     condensed co-association alone would take; the dense n×n oracle (72 MB
@@ -419,6 +516,19 @@ def test_cspa_peak_memory_far_below_condensed_size(rng):
     condensed = n * (n - 1) // 2 * 8
     assert traced_peak(lambda: cspa(inputs, 10)) <= condensed / 8
     assert traced_peak(lambda: dense_co_association(inputs)) >= 3 * n * n * 8
+
+
+def test_cspa_at_sum_c_1000_peaks_below_two_grams():
+    """At n=4000, H=50, C=20, k=20 (ΣC = 1000, the train_heavy shape) CSPA
+    peaks below 16 MB, twice its 8 MB Gram: a full ``eigh`` would hold the
+    Gram and its 8 MB g×g eigenvector matrix together.  The inputs keep
+    their codings, so they are made first."""
+    _, inputs = noisy_ensemble(np.random.default_rng(1), n=4000, k=20, members=50, noise=0.5)
+    for lam in inputs:
+        lam.coding
+    g = co_association(inputs)[1]
+    assert g == 1000
+    assert traced_peak(lambda: cspa(inputs, 20)) < 2 * g * g * 8
 
 
 class TestMcla:

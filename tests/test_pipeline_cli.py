@@ -929,19 +929,52 @@ class TestRefusedBeforeWork:
         ["ablate", "--kind", "gt_neighbors"],
     ], ids=["train", "pipeline", "ablate", "gt_neighbors"])
     def test_ground_truth_sets_refuse_a_one_sample_class(self, tmp_path, capsys, argv):
-        m, labels = gen_synthetic(SynthSpec(n=40, d=6, k=2, separation=20.0, seed=17))
-        fpath, lpath = tmp_path / "feats.fpk", tmp_path / "labels.lbl"
-        save_features(m, fpath)
-        ids = labels.labels.copy()
-        ids[5] = 9  # alone in its class
-        save_labeling(Labeling(ids), lpath)
-        run, cfg_path = tmp_path / "run", tmp_path / "c.cfg"
-        cfg_path.write_text(small_config_text(fpath, lpath, run, k=2))
+        cfg_path, run = one_sample_class_config(tmp_path)
         code = main([*argv, "--config", str(cfg_path)])
         assert code == 1
         assert ("ground-truth neighbor sets leave sample 5 without a neighbor"
                 in capsys.readouterr().err)
         assert not run.exists()
+
+
+def one_sample_class_config(tmp_path):
+    """A config over 40 samples whose labels hold sample 5 alone in its
+    class, and its output directory."""
+    m, labels = gen_synthetic(SynthSpec(n=40, d=6, k=2, separation=20.0, seed=17))
+    fpath, lpath = tmp_path / "feats.fpk", tmp_path / "labels.lbl"
+    save_features(m, fpath)
+    ids = labels.labels.copy()
+    ids[5] = 9
+    save_labeling(Labeling(ids), lpath)
+    run, cfg_path = tmp_path / "run", tmp_path / "c.cfg"
+    cfg_path.write_text(small_config_text(fpath, lpath, run, k=2))
+    return cfg_path, run
+
+
+class TestNeighborSourceKeys:
+    """A neighbor-source key is checked only where the command reads it."""
+
+    def test_neighbor_file_wins_over_ground_truth_without_labels(self, tmp_path):
+        fpath, _ = write_inputs(tmp_path, n=40, d=6, k=2)
+        nns = tmp_path / "ring.nns"
+        save_neighbor_sets(short_neighbor_sets(40), nns)
+        run = tmp_path / "run"
+        code = main(["train", "--features", str(fpath), "--neighbors", str(nns),
+                     "--out", str(run), "--set", "neighbors.ground_truth=true",
+                     "--set", "train.num_clusters=2", "--set", "train.num_heads=2",
+                     "--set", "train.epochs=1", "--set", "train.batch_size=16"])
+        assert code == 0
+        assert (run / "neighbors.nns").read_bytes() == nns.read_bytes()
+
+    def test_threshold_sweep_reads_neither_key(self, tmp_path):
+        # ground-truth sets would leave sample 5 empty, and the file is missing
+        cfg_path, run = one_sample_class_config(tmp_path)
+        code = main(["ablate", "--kind", "threshold_sweep", "--config", str(cfg_path),
+                     "--set", "neighbors.ground_truth=true",
+                     "--set", f"neighbors.file={tmp_path / 'missing.nns'}",
+                     "--set", "ablate.thresholds=0.5", "--set", "train.epochs=1"])
+        assert code == 0
+        assert (run / "ablate_threshold_sweep.txt").exists()
 
 
 # A value out of range for every SCHEMA key that has a range, and the commands

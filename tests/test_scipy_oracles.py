@@ -6,7 +6,8 @@ behind ``hungarian`` must return exactly scipy's ``(rows, cols)``,
 ``_average_linkage_cut`` the partition of
 ``fcluster(linkage(...), k, "maxclust")``, the pairwise-``bincount`` Gram
 exactly the sparse product, and ``cspa`` the labels of the CSPA that ran on
-``scipy.sparse`` and ``scipy.linalg``.
+``scipy.sparse`` and ``scipy.linalg`` and of the one that took every
+eigenpair from ``np.linalg.eigh``.
 Costs and distances are drawn from a few values, so ties are everywhere.
 """
 
@@ -21,8 +22,8 @@ from clusterens import Labeling, canonicalize, clustering_accuracy, cspa
 from clusterens.ensemble import _average_linkage_cut, _gram, co_association, contingency
 from clusterens.metrics import _linear_sum_assignment, hungarian
 
-from oracles import scipy_co_association, scipy_cspa
-from test_ensemble import block_ensemble, noisy_ensemble
+from oracles import eigh_cspa, scipy_co_association, scipy_cspa
+from test_ensemble import block_ensemble, krylov_ensembles, noisy_ensemble
 
 
 @pytest.mark.parametrize("shape", ["square", "wide", "tall"])
@@ -107,12 +108,20 @@ def cspa_ensembles():
         cases.append(([Labeling(np.where(rng.random(600) < 0.5, planted,
                                          rng.integers(1, 11, size=600)))
                        for _ in range(10)], 10))
+    cases.extend((inputs, k) for _, inputs, k, _ in krylov_ensembles())
     return cases
 
 
 def test_cspa_matches_scipy_cspa():
     for inputs, k in cspa_ensembles():
         assert np.array_equal(cspa(inputs, k).labels, scipy_cspa(inputs, k).labels)
+
+
+def test_cspa_matches_eigh_cspa():
+    """The block Krylov solver and the row-blocked pivots leave CSPA's
+    labels those of every eigenpair from ``eigh``."""
+    for inputs, k in cspa_ensembles():
+        assert np.array_equal(cspa(inputs, k).labels, eigh_cspa(inputs, k).labels)
 
 
 @pytest.mark.parametrize("n,h,k", [(1, 1, 1), (40, 5, 3), (97, 12, 6), (600, 4, 8), (300, 20, 5)])
