@@ -68,9 +68,12 @@ SCHEMA = {
     **_stage_keys("train", TrainConfig),
     "ensemble.k": (int, None),
     **_stage_keys("selftrain", SelfTrainConfig),
-    "ablate.thresholds": (kvtext.parse_float_list, DEFAULT_THRESHOLDS),
-    "ablate.head_counts": (_checked(kvtext.parse_int_list, lambda v: all(h >= 1 for h in v),
-                                   "a list of ints >= 1"), DEFAULT_HEAD_COUNTS),
+    "ablate.thresholds": (_checked(kvtext.parse_float_list,
+                                   lambda v: len(v) > 0 and all(map(math.isfinite, v)),
+                                   "a nonempty list of finite floats"), DEFAULT_THRESHOLDS),
+    "ablate.head_counts": (_checked(kvtext.parse_int_list,
+                                    lambda v: len(v) > 0 and all(h >= 1 for h in v),
+                                    "a nonempty list of ints >= 1"), DEFAULT_HEAD_COUNTS),
 }
 
 

@@ -12,10 +12,11 @@ S = Z·Zᵀ/H spectrally without forming it, and MCLA groups the hyperedges
 them (the pipeline passes the best head's labeling).
 
 Everything runs on NumPy alone.  The Gram matrices of Z are filled from
-per-pair contingency tables.  CSPA's top eigenvectors come from a
-deterministic block Krylov solver with Rayleigh-Ritz, stopped on a stated
-residual bound, and from ``np.linalg.eigh`` when the Gram is too small for
-it or the bound is not met.  The average linkage is a port of the
+per-pair contingency tables.  CSPA's top eigenvectors come from
+subspace iteration with Rayleigh-Ritz on a block of k + 10 columns from a
+fixed start, stopped on a stated residual bound, and from
+``np.linalg.eigh`` when the bound is not met within a cap of about one
+``eigh``'s cost.  The average linkage is a port of the
 nearest-neighbor chain with scipy's tie rules, checked against scipy in the
 tests.
 """
@@ -34,15 +35,13 @@ from .labeling import Labeling, canonicalize
 # cap on CSPA's Lloyd refinement, which stops once no label changes
 LLOYD_ITERATIONS = 100
 
-# CSPA's block Krylov eigensolver (see _block_krylov): blocks of k plus
-# KRYLOV_OVERSAMPLE columns; a Ritz pair is converged once its residual
-# norm is at most KRYLOV_TOL times the top eigenvalue; the basis may grow
-# to KRYLOV_SHARE of the Gram's order, and must have room there for
-# KRYLOV_MIN_BLOCKS blocks, where the first check falls, or eigh runs alone
-KRYLOV_OVERSAMPLE = 10
-KRYLOV_TOL = 1e-10
-KRYLOV_SHARE = 0.5
-KRYLOV_MIN_BLOCKS = 8
+# CSPA's eigensolver (see _top_eigenpairs): a block of k plus
+# EIG_OVERSAMPLE columns; a Ritz pair is converged once its residual norm is
+# at most EIG_TOL times the top eigenvalue; the residual's decay is judged
+# over the last EIG_WINDOW iterations, from iteration 2·EIG_WINDOW on
+EIG_OVERSAMPLE = 10
+EIG_TOL = 1e-10
+EIG_WINDOW = 8
 
 __all__ = [
     "ContingencyTable",
@@ -177,85 +176,43 @@ def _gram(columns: np.ndarray, g: int, weights: np.ndarray | None = None) -> np.
 
 def _top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The top min(k, g) eigenpairs of the symmetric positive semidefinite
-    g×g ``gram``, eigenvalues ascending, as ``np.linalg.eigh``'s last columns:
-    from :func:`_block_krylov` where g leaves room for KRYLOV_MIN_BLOCKS
-    blocks within KRYLOV_SHARE of g columns and the residual bound is met
-    there, from ``eigh`` otherwise."""
-    g = gram.shape[0]
-    k = min(k, g)
-    max_blocks = int(KRYLOV_SHARE * g) // (k + KRYLOV_OVERSAMPLE)
-    if max_blocks >= KRYLOV_MIN_BLOCKS:
-        pairs = _block_krylov(gram, k, max_blocks)
-        if pairs is not None:
-            return pairs
-    vals, vecs = np.linalg.eigh(gram)
-    return vals[g - k:], vecs[:, g - k:]
+    g×g ``gram``, eigenvalues ascending, as ``np.linalg.eigh``'s last columns.
 
-
-def _block_krylov(gram: np.ndarray, k: int, max_blocks: int):
-    """The top k eigenpairs of ``gram`` as :func:`_top_eigenpairs` returns
-    them, or None when the residual bound is not met within ``max_blocks``.
-
-    A block Krylov basis Q grows one block of k + KRYLOV_OVERSAMPLE columns
-    at a time from a fixed start block (Gaussian, seed 0), so the result
-    depends on the Gram alone.  The product G·Q_j of each new block fills
-    T = QᵀGQ's new block column Q_≤jᵀ·G·Q_j, and G·Q_j less Q_≤j times that
-    column is W, the next block: the basis is projected out of it once more
-    (full reorthogonalization) and it is orthonormalized.  Directions of W
-    at rounding level, which appear once the basis holds an invariant
-    subspace (a Gram of rank below the basis size, say), are replaced by
-    fresh Gaussian columns.  At KRYLOV_MIN_BLOCKS blocks, and then at the
-    block where the residual's decay since the last check predicts the
-    bound (two blocks on after the first check), the Rayleigh-Ritz step
-    takes the top k eigenpairs (θ, y) of T; the Ritz pairs (θ, v = Q·y)
-    are returned once every ‖G·v − θ·v‖ ≤ KRYLOV_TOL·θ_max.
+    Subspace iteration with Rayleigh-Ritz (Rutishauser 1970) on a block of
+    w = k + EIG_OVERSAMPLE orthonormal columns Q, started from a fixed
+    Gaussian block (seed 0), so the result depends on the Gram alone.  Each
+    iteration takes Z = G·Q, the top k eigenpairs (θ, y) of QᵀZ and the Ritz
+    vectors v = Q·y; G·v is Z·y, so the residuals ‖G·v − θ·v‖ cost no
+    further product with G.  The Ritz pairs are returned once every residual
+    is at most EIG_TOL·θ_max; otherwise Q becomes the Householder QR of Z·Y,
+    which stays orthonormal on a Gram of rank below w.  ``eigh`` decides
+    instead when the bound is not met within 2·g/w iterations, whose
+    products cost about one ``eigh``, or when the residual's decay over the
+    last EIG_WINDOW iterations predicts it is met only past that cap.
+    Memory is a few g×w arrays besides the Gram.
     """
     g = gram.shape[0]
-    rng = np.random.default_rng(0)
-    basis, cols = [], []  # Q_j and Q_≤jᵀ·G·Q_j per block
-    w = rng.standard_normal((g, k + KRYLOV_OVERSAMPLE))
-    floor = 0.0
-    check, last = KRYLOV_MIN_BLOCKS, None  # the next check's block; (block, residual) of the last
-    for j in range(1, max_blocks + 1):
-        u, sv, _ = np.linalg.svd(w, full_matrices=False)
-        lost = sv <= floor
-        u[:, lost] = rng.standard_normal((g, int(lost.sum())))
-        for q in basis:
-            u = u - q @ (q.T @ u)
-        basis.append(np.linalg.qr(u)[0])
-        image = gram @ basis[-1]
-        if j == 1:  # rounding level of W: g·eps times a bound of order λ_max
-            floor = g * np.finfo(np.float64).eps * np.linalg.norm(image)
-        cols.append(np.concatenate([q.T @ image for q in basis]))
-        w = image - sum(q @ c for q, c in zip(basis, np.split(cols[-1], j)))
-        if j == check:
-            vals, vecs = _rayleigh_ritz(basis, cols, k)
-            bound = KRYLOV_TOL * vals[-1]
-            resid = np.linalg.norm(gram @ vecs - vecs * vals, axis=0).max()
-            if resid <= bound:
-                return vals, vecs
-            # the next check: where the decay per block since the last check
-            # meets the bound, else two blocks on
-            step = 2
-            if last is not None and 0 < resid < last[1] and bound > 0:
-                per_block = math.log(resid / last[1]) / (j - last[0])
-                step = max(1, math.ceil(math.log(bound / resid) / per_block))
-            last = (j, resid)
-            check = min(j + step, max_blocks)
-    return None
-
-
-def _rayleigh_ritz(basis: list, cols: list, k: int):
-    """The top k Ritz values and vectors (ascending) on the orthonormal
-    blocks Q_j in ``basis``, from T = QᵀGQ given by its block columns
-    ``cols`` of Q_≤jᵀ·G·Q_j."""
-    width = basis[0].shape[1]
-    t = np.zeros((len(basis) * width,) * 2)  # its upper triangle
-    for i, col in enumerate(cols):
-        t[:len(col), i * width:(i + 1) * width] = col
-    vals, y = np.linalg.eigh(t, UPLO="U")
-    vals, y = vals[-k:], y[:, -k:]
-    return vals, sum(q @ y[i * width:(i + 1) * width] for i, q in enumerate(basis))
+    k = min(k, g)
+    w = min(k + EIG_OVERSAMPLE, g)
+    cap = 2 * g // w
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((g, w)))[0]
+    resids = []
+    for it in range(1, cap + 1):
+        z = gram @ q
+        theta, y = np.linalg.eigh(q.T @ z)
+        zy = z @ y
+        vals, vecs = theta[w - k:], q @ y[:, w - k:]
+        bound = EIG_TOL * vals[-1]
+        resids.append(np.linalg.norm(zy[:, w - k:] - vecs * vals, axis=0).max())
+        if resids[-1] <= bound:
+            return vals, vecs
+        # the residual at the cap if it keeps the decay of the last EIG_WINDOW
+        if it >= 2 * EIG_WINDOW and resids[-1] * (
+                resids[-1] / resids[-1 - EIG_WINDOW]) ** ((cap - it) / EIG_WINDOW) > bound:
+            break
+        q = np.linalg.qr(zy)[0]
+    vals, vecs = np.linalg.eigh(gram)
+    return vals[g - k:], vecs[:, g - k:]
 
 
 def _qr_pivots(u: np.ndarray, m: int) -> np.ndarray:

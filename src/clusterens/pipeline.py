@@ -429,9 +429,8 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
 
     Configuration errors surface before any stage runs, except a neighbor
     file's sample count and empty sets, which the train stage checks when it
-    loads the file;
-    a stage failure aborts with that stage's name while earlier artifacts
-    stay on disk.
+    loads the file; a stage failure aborts with that stage's name while
+    earlier artifacts stay on disk.
     """
     features, labels = validate_inputs(cfg)
     train_cfg = cfg.train_config()

@@ -9,9 +9,9 @@ cosine, not by the bits of a float32 product, and eigenvectors are only
 defined up to rounding, so both are places where the kernel path could
 leak into an artifact.  Every file of
 the run directory must be byte-identical; ``manifest.json`` may differ only
-in its ``wall_clock_s`` times.  The pipeline shapes here are too small for
-CSPA's block Krylov solver, so its labels are checked the same way on the
-ensembles of ``test_ensemble.krylov_ensembles``.
+in its ``wall_clock_s`` times.  The pipeline shapes here have small
+consensus Grams, so CSPA's labels are also checked the same way on the
+larger ensembles of ``test_ensemble.krylov_ensembles``.
 """
 
 import json
@@ -111,9 +111,8 @@ for name, inputs, k, _ in krylov_ensembles():
 
 
 def test_cspa_block_krylov_labels_independent_of_blas_threads():
-    """The block Krylov solver's eigenvectors move in their last bits with
-    the BLAS thread count; CSPA's labels on the ensembles that run it must
-    not."""
+    """CSPA's eigenvectors move in their last bits with the BLAS thread
+    count; its labels on these ensembles must not."""
     outputs = []
     for threads in (1, 2):
         env = dict(os.environ, PYTHONPATH=str(SRC))

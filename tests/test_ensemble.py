@@ -415,18 +415,19 @@ class TestDenseOracle:
 
 
 def krylov_ensembles():
-    """(name, inputs, k, path) with ΣC from 500 to 900, each large enough
-    for the block Krylov solver to run: ``path`` is "krylov" where its
-    residual bound is met, "eigh" where random inputs leave too small a gap
-    and it falls back."""
+    """(name, inputs, k, path) with ΣC from 500 to 900, on which the block
+    Krylov solver ran before subspace iteration replaced it: ``path`` is
+    "subspace" where the loop meets its residual bound, "eigh" where random
+    inputs leave too small a gap and ``eigh`` decides."""
     rng = np.random.default_rng(99)
     return [
-        ("planted", noisy_ensemble(rng, n=1000, k=10, members=50, noise=0.5)[1], 10, "krylov"),
+        ("planted", noisy_ensemble(rng, n=1000, k=10, members=50, noise=0.5)[1], 10,
+         "subspace"),
         # identical inputs: the Gram has rank 5 < k
-        ("identical", [Labeling(rng.integers(1, 6, size=300))] * 100, 8, "krylov"),
+        ("identical", [Labeling(rng.integers(1, 6, size=300))] * 100, 8, "subspace"),
         ("random", [Labeling(rng.integers(1, 21, size=600)) for _ in range(30)], 10, "eigh"),
         ("planted_900", noisy_ensemble(rng, n=900, k=20, members=45, noise=0.6)[1], 20,
-         "krylov"),
+         "subspace"),
     ]
 
 
@@ -442,24 +443,48 @@ def cspa_gram(inputs):
     return ensemble._gram(columns, g, scale * scale)
 
 
+def wishart_gram(g):
+    """A·Aᵀ for a g×g standard normal A (seed g): a flat top spectrum."""
+    a = np.random.default_rng(g).normal(size=(g, g))
+    return a @ a.T
+
+
+class CountedGram(np.ndarray):
+    """A Gram that counts its products with a block (``gram @ q``)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountedGram.products += 1
+        return np.asarray(self) @ other
+
+
 class TestTopEigenpairs:
-    """The block Krylov solver against ``np.linalg.eigh``, which it replaced."""
+    """The subspace iteration against ``np.linalg.eigh``, which decides
+    where the loop does not meet its bound."""
 
-    @pytest.mark.parametrize("name,inputs,k,path", KRYLOV_CASES, ids=KRYLOV_IDS)
-    def test_within_tol_of_eigh(self, monkeypatch, name, inputs, k, path):
-        gram = cspa_gram(inputs)
-        taken = []
-        real = ensemble._block_krylov
+    @pytest.mark.parametrize("gram,k,path", [
+        *(pytest.param(cspa_gram(inputs), k, path, id=name)
+          for name, inputs, k, path in KRYLOV_CASES),
+        # the quickstart and large_n shapes, ΣC = 50 and 100, among them
+        *(pytest.param(wishart_gram(g), k, path, id=f"g{g}_k{k}")
+          for g, k, path in [(1, 1, "subspace"), (50, 5, "eigh"), (100, 10, "eigh"),
+                             (319, 10, "eigh"), (600, 40, "eigh")]),
+    ])
+    def test_within_tol_of_eigh(self, monkeypatch, gram, k, path):
+        full = []
+        real = np.linalg.eigh
 
-        def spy(*args):
-            taken.append(real(*args))
-            return taken[-1]
+        def spy(a, *args, **kwargs):
+            full.append(a is gram)
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(ensemble, "_block_krylov", spy)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
         vals, vecs = ensemble._top_eigenpairs(gram, k)
-        assert len(taken) == 1 and (taken[0] is not None) == (path == "krylov")
+        monkeypatch.undo()
+        assert any(full) == (path == "eigh")
         ref = np.linalg.eigh(gram)[0][-k:]
-        tol = ensemble.KRYLOV_TOL * ref[-1]
+        tol = ensemble.EIG_TOL * ref[-1]
         assert vals.shape == (k,) and vecs.shape == (gram.shape[0], k)
         assert np.all(np.diff(vals) >= 0)
         assert np.abs(vals - ref).max() <= tol
@@ -470,23 +495,42 @@ class TestTopEigenpairs:
     def test_tolerance_zero_falls_back_to_eigh_bit_for_bit(self, monkeypatch, name, inputs,
                                                            k, path):
         gram = cspa_gram(inputs)
-        monkeypatch.setattr(ensemble, "KRYLOV_TOL", 0.0)
+        monkeypatch.setattr(ensemble, "EIG_TOL", 0.0)
         vals, vecs = ensemble._top_eigenpairs(gram, k)
         ref_vals, ref_vecs = np.linalg.eigh(gram)
         assert np.array_equal(vals.view(np.uint64), ref_vals[-k:].view(np.uint64))
         assert np.array_equal(vecs.view(np.uint64), ref_vecs[:, -k:].view(np.uint64))
 
-    @pytest.mark.parametrize("g,k", [(1, 1), (50, 5), (100, 10), (319, 10), (600, 40)])
-    def test_small_orders_take_eigh_alone(self, monkeypatch, rng, g, k):
-        """Without room for KRYLOV_MIN_BLOCKS blocks in KRYLOV_SHARE of g (the
-        quickstart and large_n shapes, ΣC = 50 and 100, among them) ``eigh``
-        runs alone."""
-        monkeypatch.setattr(ensemble, "_block_krylov", None)
-        a = rng.normal(size=(g, g))
-        gram = a @ a.T
-        vals, vecs = ensemble._top_eigenpairs(gram, k)
+    def test_flat_spectrum_gives_up_early(self, monkeypatch):
+        """On the random inputs the residual's decay predicts the bound far
+        past the cap of 2·600/20 = 60 iterations: the loop gives up by
+        iteration 16, one product with G each, and ``eigh``'s slice is
+        returned bit for bit."""
+        _, inputs, k, _ = KRYLOV_CASES[2]
+        gram = cspa_gram(inputs)
+        monkeypatch.setattr(CountedGram, "products", 0)
+        vals, vecs = ensemble._top_eigenpairs(gram.view(CountedGram), k)
+        assert 0 < CountedGram.products <= 2 * ensemble.EIG_WINDOW
         ref_vals, ref_vecs = np.linalg.eigh(gram)
-        assert np.array_equal(vals, ref_vals[g - k:]) and np.array_equal(vecs, ref_vecs[:, g - k:])
+        assert np.array_equal(vals.view(np.uint64), ref_vals[-k:].view(np.uint64))
+        assert np.array_equal(vecs.view(np.uint64), ref_vecs[:, -k:].view(np.uint64))
+
+    @pytest.mark.parametrize("inputs,k,iterations", [
+        (KRYLOV_CASES[1][1], 8, (2, 2)),
+        (noisy_ensemble(np.random.default_rng(1), n=2000, k=20, members=30, noise=0.65)[1],
+         20, (30, 40)),
+    ], ids=["identical", "planted_slow"])
+    def test_peak_is_a_few_blocks(self, monkeypatch, inputs, k, iterations):
+        """Over the Gram, the loop holds a few g×w arrays (w = k + 10),
+        however many iterations it runs: 2 on the identical inputs, 30 or
+        more (of a cap of 2·600/30 = 40) on heads keeping 35% of a planted
+        labeling.  A fallback to ``eigh`` would hold a g×g one."""
+        gram = cspa_gram(inputs)
+        g, w = gram.shape[0], k + ensemble.EIG_OVERSAMPLE
+        monkeypatch.setattr(CountedGram, "products", 0)
+        peak = traced_peak(lambda: ensemble._top_eigenpairs(gram.view(CountedGram), k))
+        assert iterations[0] <= CountedGram.products <= iterations[1]
+        assert peak <= 8 * g * w * 8
 
     def test_k_above_g_returns_every_pair(self, rng):
         a = rng.normal(size=(6, 6))

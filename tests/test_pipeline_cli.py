@@ -1012,10 +1012,13 @@ OUT_OF_RANGE = {
     "selftrain.weight_decay": ("nan", SELFTRAIN),
     "selftrain.batch_size": ("0", SELFTRAIN),
     "ablate.head_counts": ("0", ("ablate",)),
+    "ablate.thresholds": ("nan,0.3", ("nn-analysis", "ablate")),
 }
+# a sweep over no value is refused too
+EMPTY_LISTS = {"ablate.head_counts": ("ablate",), "ablate.thresholds": ("nn-analysis", "ablate")}
 # every value of the key's type is accepted
 NO_RANGE = ("features", "labels", "output_dir", "neighbors.file", "neighbors.ground_truth",
-            "neighbors.standardized", "ablate.thresholds")
+            "neighbors.standardized")
 
 
 def files_under(root: Path) -> dict:
@@ -1026,8 +1029,9 @@ class TestEveryRangeIsChecked:
     """An out-of-range value of any key exits 1 and writes no file."""
 
     @pytest.mark.parametrize("key, value, command", [
-        (key, value, command)
-        for key, (value, commands) in OUT_OF_RANGE.items() for command in commands
+        *((key, value, command)
+          for key, (value, commands) in OUT_OF_RANGE.items() for command in commands),
+        *((key, "", command) for key, commands in EMPTY_LISTS.items() for command in commands),
     ])
     def test_out_of_range_value_refused_before_any_file(self, pipeline_run, tmp_path, capsys,
                                                         key, value, command):
@@ -1043,7 +1047,8 @@ class TestEveryRangeIsChecked:
         elif command == "selftrain":
             argv += ["--pseudo-labels", str(run_dir / "consensus.lbl")]
         elif command == "ablate":
-            argv += ["--kind", "head_count_sweep"]
+            kind = "threshold_sweep" if key == "ablate.thresholds" else "head_count_sweep"
+            argv += ["--kind", kind]
         before = files_under(tmp_path)
         code = main([*argv, "--set", f"{key}={value}"])
         assert code == 1
