@@ -25,8 +25,8 @@ one (2C, d) matrix: logits / tau of both copies of all H heads on the
 anchors are one ``(H*2C, d) @ (d, B)`` GEMM, and on each head's own
 neighbor rows a batched ``(h, 2C, d) @ (h, d, m*B)`` matmul, one GEMM per
 head.  Each head formula has this one batched implementation,
-``composite_loss_and_grads``, which also returns the teacher targets it
-trained against.
+``composite_loss_and_grads``, which also returns the batch mean of the
+teacher targets it trained against, the one target value training reads.
 
 Training runs in float32: the unit rows, both parameter copies, the AdamW
 moments and every per-step tensor.  Single precision is what the deep
@@ -54,12 +54,19 @@ rows ``u[nbr[h]]`` once, one block of heads at a time into one reused
 buffer, and the labelings come from the shared-rows GEMM one block of rows
 at a time.  ``featstore.blocks`` cuts both: a block holds at most
 ``featstore.BLOCK_BYTES`` of gathered rows, or of standardized rows and
-their logits.  A step's working set is u, O(H*C*B) per-sample tensors and
-one block.  The anchor GEMM and its backward stay whole: the stacked matmul
-runs one GEMM per head, so blocking heads is exact, while splitting a GEMM
-can change the last bits of its products.  Labeling rows are blocked by the
-bank's full head count, so one head is labeled in the blocks, and with the
-products, of all heads.
+their logits.  A step's working set is u, O(H*C*B) per-sample tensors, one
+block, the gradients (H*C*d), and either the stacked weights (H, 2C, d)
+while the blocks run or, once they and the gather buffer are freed, the
+(H, C, d) product of the anchor backward GEMM.  Each head block's float64
+teacher targets are views of its Sinkhorn-Knopp output and live only while
+the block runs, and the unfold makes its products one block of heads at a
+time.  One float32 step call at the ``train_heavy`` shape (H=50, C=20,
+d=384, B=256) peaks at 10.4 MiB of traced allocations, and at H=50, C=100,
+d=768 at 62.3 MiB.  The anchor GEMM and its backward stay whole: the
+stacked matmul runs one GEMM per head, so blocking heads is exact, while
+splitting a GEMM can change the last bits of its products.  Labeling rows
+are blocked by the bank's full head count, so one head is labeled in the
+blocks, and with the products, of all heads.
 
 Every per-sample tensor of a training step has the logical shape
 (H, B, C) but is stored cluster-major, (H, C, B) in memory, so the batch
@@ -242,16 +249,18 @@ def sinkhorn_knopp(teacher_logit_batch: np.ndarray, iters: int) -> np.ndarray:
     Distances, NeurIPS 2013): the result is diag(r) K diag(c), with per
     iteration ``c = (B/C) / (K^T r)`` and ``r = 1 / (K c)``, two batched
     mat-vecs, and K is scaled once at the end.  Works on any (..., B, C)
-    stack of batches, upcast to float64.  The result keeps the input's memory
-    layout: given cluster-major storage (batch axis contiguous), as
+    stack of batches, upcast to float64 by the shift itself, so K is the one
+    float64 copy of the input.  The result keeps the input's memory layout:
+    given cluster-major storage (batch axis contiguous), as
     ``composite_loss_and_grads`` passes, both mat-vecs read K in its order.
     """
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    logits = np.asarray(teacher_logit_batch, dtype=np.float64)
+    logits = np.asarray(teacher_logit_batch)
     if logits.ndim < 2 or logits.shape[-2] < 1:
         raise ValueError("need a nonempty (..., B, C) logit batch")
-    k = np.subtract(logits, logits.max(axis=-1, keepdims=True))
+    # the max of the input's values is exact in float64, so this is the shift of the upcast
+    k = np.subtract(logits, logits.max(axis=-1, keepdims=True), dtype=np.float64)
     np.exp(k, out=k)
     if iters == 0:
         k /= k.sum(axis=-1, keepdims=True)
@@ -301,6 +310,85 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, momentum: float) -> np.
 # ---------------------------------------------------------------------------
 
 
+def _block_targets(t_logits: np.ndarray, b_count: int, sk_iters: int):
+    """One head block's float64 teacher targets (h, B, C) of its anchors and
+    of their neighbors, stored cluster-major like ``t_logits``.
+
+    ``t_logits`` (h, B + m*B, C) holds the teacher's logits / tau on the
+    anchors, then on every draw, and is centered as one Sinkhorn-Knopp batch
+    per head.  The anchors' targets are a view of its output, and so are the
+    neighbors' for m = 1; for m > 1 they are the mean over the m draws.
+    """
+    qt = sinkhorn_knopp(t_logits, sk_iters)
+    h, _, c = qt.shape
+    draws = qt[:, b_count:].reshape(h, -1, b_count, c)
+    return qt[:, :b_count], draws[:, 0] if draws.shape[1] == 1 else draws.mean(axis=1)
+
+
+def _head_block(a, u_nb, log_p, out, *, b_count, sk_iters, beta, lam, scale):
+    """The loss and gradients of one block of h heads; returns its per-head
+    mean losses (h,).
+
+    ``a`` (h, B + m*B, 2C) is the block's logit buffer, each head's teacher
+    then student logits / tau on the anchors then every draw, ``u_nb``
+    (h, m*B, d) its gathered draws and ``log_p`` (h, 1, C) the log class
+    marginal.  ``out`` are the block's views of the step's batch marginal
+    (h, C), the anchors' logit gradients (h, B, C) and the neighbor side's
+    weight and bias gradients, which this writes.  Every temporary of the
+    block, its teacher targets included, is freed on return.
+    """
+    marginal_out, da_x, g, d_bias = out
+    h, _, c2 = a.shape
+    c_count = c2 // 2
+    dt = a.dtype
+    log_floor = math.log(CE_PROB_FLOOR)
+
+    qt_x, qt_xp = _block_targets(a[..., :c_count], b_count, sk_iters)
+    np.mean(qt_x, axis=1, out=marginal_out)
+    w = np.sum(qt_x * qt_xp, axis=-1, keepdims=True).astype(dt)  # (h, B, 1)
+    c_hat = np.argmax(qt_xp, axis=-1)  # (h, B)
+    at_hat = (np.arange(h)[:, None], np.arange(b_count), c_hat)
+
+    # the student's logits / tau on the anchors and their first draws, the two
+    # sides of each pair, (h, 2B, C), each row shifted so that its largest is 0
+    s = a[:, : 2 * b_count, c_count:]
+    s -= s.max(axis=-1, keepdims=True)
+    s_at = s[:, :b_count][at_hat][..., None]
+
+    # PMI terms: t = log sum_c y_c, log y = beta*(log q_s + log q_t) - log p with q_t
+    # the other side's teacher.  Softmax is shift-invariant, so log q_s = s - lse(s)
+    # enters y as s, and t = lse(beta*(s + log q_t) - log p) - beta*lse(s)
+    y = np.empty((h, c_count, 2 * b_count), dtype=dt).transpose(0, 2, 1)
+    with np.errstate(divide="ignore"):  # log q_t in float64, rounded to dt
+        np.log(qt_xp, out=y[:, :b_count])
+        np.log(qt_x, out=y[:, b_count:])
+    y += s
+    y *= beta
+    y -= log_p
+    qs, lse = _exp_normalize(s)
+    r, t = _softmax_lse(y, out=y)  # r = y / sum_c y
+    t -= beta * lse
+
+    lq_at = s_at - lse[:, :b_count]  # log q_s at the teacher's class
+    ce = -np.maximum(lq_at, log_floor)
+    pair_loss = -0.5 * w * (t[:, :b_count] + t[:, b_count:]) + lam * ce  # (h, B, 1)
+
+    # d(loss)/d(logits): beta * (y/S - q) / tau per PMI term, (q - onehot) / tau
+    # for CE on the anchors, batch-mean; pairs sitting on the CE probability
+    # floor contribute no CE gradient (the clamped loss is locally constant there)
+    half_w = np.tile((-0.5 * beta * scale) * w, (1, 2, 1))  # on both sides of the pair
+    ce_w = (lq_at > log_floor) * dt.type(lam * scale)
+    r -= qs
+    r *= half_w
+    qs_x = qs[:, :b_count]
+    qs_x[at_hat] -= 1.0  # q - onehot, exact for q near 1
+    qs_x *= ce_w
+    np.add(r[:, :b_count], qs_x, out=da_x)
+    np.matmul(r[:, b_count:].transpose(0, 2, 1), u_nb[:, :b_count], out=g)
+    d_bias[...] = r[:, b_count:].sum(axis=1)
+    return pair_loss.mean(axis=(1, 2))
+
+
 def composite_loss_and_grads(
     student: dict,
     teacher: dict,
@@ -315,8 +403,8 @@ def composite_loss_and_grads(
     sk_iters: int,
     lam: float,
 ):
-    """Teacher targets, batch-mean composite loss and its analytic student
-    gradients, in one pass over each block of heads.
+    """Batch-mean composite loss, its analytic student gradients and the
+    teacher targets' batch marginal, in one pass over each block of heads.
 
     ``student`` and ``teacher`` are parameter views (``_param_views``), ``u_x``
     (B, d) the unit anchor rows, ``u`` (n, d) the unit rows and ``nbr``
@@ -331,22 +419,24 @@ def composite_loss_and_grads(
     one batched matmul on them into the block's logit buffer, after the
     anchors'.  Per head, the teacher's anchors and B*m draws are centered as
     one Sinkhorn-Knopp batch, and its neighbor targets are the mean over the
-    m draws.  The student's (h, 2B, C) view holds the anchors and first
-    draws, each side of a pair against the other side's teacher.  Its loss
-    is taken in the log domain, ``log y = beta*(log q_s + log q_t) - log p``
-    summed by log-sum-exp over clusters, with the logits, shifted in place,
-    for ``log q_s`` (softmax is shift-invariant), and CE on the anchor half.
-    The backward pass contracts the logit gradients ``da`` against the unit
-    rows, ``G = sum_b da (x) u`` (one GEMM for the anchors after the loop,
-    one per head on the draw half), and unfolds: ``d_weight = G*gamma +
-    d_bias (x) beta``, ``d_gamma = sum_{h,c} W*G / H`` and
-    ``d_beta_shift = sum_h d_bias_h . W_h / H``.
+    m draws (``_block_targets``).  The student's (h, 2B, C) view holds the
+    anchors and first draws, each side of a pair against the other side's
+    teacher.  Its loss is taken in the log domain, ``log y = beta*(log q_s +
+    log q_t) - log p`` summed by log-sum-exp over clusters, with the logits,
+    shifted in place, for ``log q_s`` (softmax is shift-invariant), and CE on
+    the anchor half (``_head_block``).  The backward pass contracts the logit
+    gradients ``da`` against the unit rows, ``G = sum_b da (x) u`` (one GEMM
+    for the anchors after the loop, one per head on the draw half), and
+    unfolds: ``d_weight = G*gamma + d_bias (x) beta``, ``d_gamma = sum_{h,c}
+    W*G / H`` and ``d_beta_shift = sum_h d_bias_h . W_h / H``.  The stacked
+    weights, the anchors' logits and the gather buffer are freed before the
+    anchor backward GEMM, and the unfold makes no (H, C, d) temporary.
 
-    Returns (per-head mean losses (H,), grads, qt_x, qt_xp): grads are the
+    Returns (per-head mean losses (H,), grads, batch_marginal): grads are the
     views of one new flat buffer, ``weight`` and ``bias`` from each head's
-    own loss and ``gamma``/``beta_shift`` averaged over heads; ``qt_x`` and
-    ``qt_xp`` (H, B, C) are the float64 teacher targets of the anchors and
-    of their neighbors, stored cluster-major.
+    own loss and ``gamma``/``beta_shift`` averaged over heads;
+    ``batch_marginal`` (H, C) is the float64 mean over the batch of the
+    anchors' teacher targets, the one target value training reads.
     """
     weight = student["weight"]
     h_count, c_count, d = weight.shape
@@ -355,7 +445,6 @@ def composite_loss_and_grads(
     dt = u.dtype
     # Python floats keep float32 arrays float32, where NumPy float64 scalars would not
     beta, lam, tau_student = float(beta), float(lam), float(tau_student)
-    log_floor = math.log(CE_PROB_FLOOR)
 
     # (H, 2C, d): each head's folded teacher, then student, over its
     # temperature, so that the GEMMs give logits / tau
@@ -368,9 +457,8 @@ def composite_loss_and_grads(
     log_p = np.log(marginal).astype(dt)[:, None, :]
     scale = 1.0 / (b_count * tau_student)
 
-    qt_x = np.empty((h_count, c_count, b_count)).transpose(0, 2, 1)
-    qt_xp = np.empty_like(qt_x)
     losses = np.empty(h_count, dtype=dt)
+    batch_marginal = np.empty((h_count, c_count))
     da_x = np.empty((h_count, c_count, b_count), dtype=dt).transpose(0, 2, 1)
     _, grads = _param_views(h_count, c_count, d, dtype=dt)
     g, d_bias = grads["weight"], grads["bias"]  # each head's neighbor side; the anchors' add on
@@ -385,65 +473,31 @@ def composite_loss_and_grads(
         a = np.empty((h, 2 * c_count, b_count + rows), dtype=dt).transpose(0, 2, 1)
         a[:, :b_count] = a_x[hb]
         _own_logits(w_stack[hb], b_stack[hb], u_nb, out=a[:, b_count:].transpose(0, 2, 1))
-
-        qt = sinkhorn_knopp(a[..., :c_count], sk_iters)
-        qt_x_b, qt_xp_b = qt_x[hb], qt_xp[hb]
-        qt_x_b[...] = qt[:, :b_count]
-        draws = qt[:, b_count:].reshape(h, m_draws, b_count, c_count)
-        if m_draws == 1:
-            qt_xp_b[...] = draws[:, 0]
-        else:
-            np.mean(draws, axis=1, out=qt_xp_b)
-        w = np.sum(qt_x_b * qt_xp_b, axis=-1, keepdims=True).astype(dt)  # (h, B, 1)
-        c_hat = np.argmax(qt_xp_b, axis=-1)  # (h, B)
-        at_hat = (np.arange(h)[:, None], np.arange(b_count), c_hat)
-
-        # the student's logits / tau on the anchors and their first draws, the two
-        # sides of each pair, (h, 2B, C), each row shifted so that its largest is 0
-        s = a[:, : 2 * b_count, c_count:]
-        s -= s.max(axis=-1, keepdims=True)
-        s_at = s[:, :b_count][at_hat][..., None]
-
-        # PMI terms: t = log sum_c y_c, log y = beta*(log q_s + log q_t) - log p with q_t
-        # the other side's teacher.  Softmax is shift-invariant, so log q_s = s - lse(s)
-        # enters y as s, and t = lse(beta*(s + log q_t) - log p) - beta*lse(s)
-        y = np.empty((h, c_count, 2 * b_count), dtype=dt).transpose(0, 2, 1)
-        with np.errstate(divide="ignore"):  # log q_t in float64, rounded to dt
-            np.log(qt_xp_b, out=y[:, :b_count])
-            np.log(qt_x_b, out=y[:, b_count:])
-        y += s
-        y *= beta
-        y -= log_p[hb]
-        qs, lse = _exp_normalize(s)
-        r, t = _softmax_lse(y, out=y)  # r = y / sum_c y
-        t -= beta * lse
-
-        lq_at = s_at - lse[:, :b_count]  # log q_s at the teacher's class
-        ce = -np.maximum(lq_at, log_floor)
-        pair_loss = -0.5 * w * (t[:, :b_count] + t[:, b_count:]) + lam * ce  # (h, B, 1)
-        losses[hb] = pair_loss.mean(axis=(1, 2))
-
-        # d(loss)/d(logits): beta * (y/S - q) / tau per PMI term, (q - onehot) / tau
-        # for CE on the anchors, batch-mean; pairs sitting on the CE probability
-        # floor contribute no CE gradient (the clamped loss is locally constant there)
-        half_w = np.tile((-0.5 * beta * scale) * w, (1, 2, 1))  # on both sides of the pair
-        ce_w = (lq_at > log_floor) * dt.type(lam * scale)
-        r -= qs
-        r *= half_w
-        qs_x = qs[:, :b_count]
-        qs_x[at_hat] -= 1.0  # q - onehot, exact for q near 1
-        qs_x *= ce_w
-        np.add(r[:, :b_count], qs_x, out=da_x[hb])
-        np.matmul(r[:, b_count:].transpose(0, 2, 1), u_nb[:, :b_count], out=g[hb])
-        d_bias[hb] = r[:, b_count:].sum(axis=1)
+        out = (batch_marginal[hb], da_x[hb], g[hb], d_bias[hb])
+        losses[hb] = _head_block(a, u_nb, log_p[hb], out, b_count=b_count, sk_iters=sk_iters,
+                                 beta=beta, lam=lam, scale=scale)
+    del w_stack, b_stack, a_x, buf, u_nb, a  # freed before the anchor backward GEMM
 
     g += (da_x.transpose(0, 2, 1).reshape(-1, b_count) @ u_x).reshape(weight.shape)
     d_bias += da_x.sum(axis=1)
-    np.divide((weight * g).sum(axis=(0, 1)), h_count, out=grads["gamma"])
-    g *= student["gamma"]  # unfolded in place into d_weight
-    g += d_bias[..., None] * student["beta_shift"]
+
+    # the unfold, one block of heads at a time.  d_gamma adds the products W*G one
+    # (h, c) row after another, as NumPy's sum of the whole (H, C, d) product does:
+    # row 0 of a block's products carries the sum of the blocks before it
+    d_gamma = grads["gamma"]
+    unfold_blocks = blocks(h_count, c_count * d * dt.itemsize)
+    prod = np.empty((1 + (unfold_blocks[0].stop - unfold_blocks[0].start) * c_count, d), dtype=dt)
+    for i, hb in enumerate(unfold_blocks):
+        terms = prod[: 1 + (hb.stop - hb.start) * c_count]
+        np.multiply(weight[hb], g[hb], out=terms[1:].reshape(-1, c_count, d))
+        if i:
+            terms[0] = d_gamma
+        np.add.reduce(terms[0 if i else 1 :], axis=0, out=d_gamma)
+        g[hb] *= student["gamma"]  # unfolded in place into d_weight
+        g[hb] += d_bias[hb, :, None] * student["beta_shift"]
+    d_gamma /= h_count
     np.divide(d_bias.reshape(-1) @ weight.reshape(-1, d), h_count, out=grads["beta_shift"])
-    return losses, grads, qt_x, qt_xp
+    return losses, grads, batch_marginal
 
 
 class _AdamW:
@@ -556,11 +610,13 @@ def train_heads(
 
     Per epoch and sample, one neighbor (``smoothing_m`` with smoothing) is
     drawn uniformly from the sample's set using a head-specific RNG stream;
-    per batch, one ``composite_loss_and_grads`` call gives the teacher
-    targets, Sinkhorn-Knopp centered, and the student's loss and gradients;
-    one AdamW step is taken, followed by the teacher EMA update and the
-    marginal EMA update.  Training runs in float32 and every per-sample
-    tensor of a step is stored cluster-major (see the module docstring).
+    per batch, one ``composite_loss_and_grads`` call gives the student's
+    loss and gradients against the Sinkhorn-Knopp centered teacher targets,
+    and the batch mean of the anchors' targets; one AdamW step is taken,
+    followed by the teacher EMA update and the marginal EMA update, which
+    moves toward that batch mean.  Training runs in float32 and every
+    per-sample tensor of a step is stored cluster-major (see the module
+    docstring).
     The labelings of all heads come from the trained float32 parameters on
     the float32 unit rows, through the helper ``predict_labeling`` runs on
     one head; the returned bank holds the float32 buffers that trained.
@@ -606,7 +662,7 @@ def train_heads(
             # turns any divergence into a TrainingError
             lam = lambda_schedule(global_step, total_steps, cfg.lambda_max)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                losses, grads, qt_x, _ = composite_loss_and_grads(
+                losses, grads, batch_marginal = composite_loss_and_grads(
                     bank.student, bank.teacher, u_x=u[batch], u=u, nbr=nbr,
                     marginal=np.maximum(bank.marginal, MARGINAL_FLOOR), beta=cfg.beta,
                     tau_student=cfg.tau_student, tau_teacher=cfg.tau_teacher,
@@ -627,7 +683,7 @@ def train_heads(
             ema_update(teacher_flat, student_flat, cfg.teacher_momentum)
             # in place: a fresh small array each step would pin heap pages
             bank.marginal *= MARGINAL_MOMENTUM
-            bank.marginal += (1.0 - MARGINAL_MOMENTUM) * qt_x.mean(axis=1)
+            bank.marginal += (1.0 - MARGINAL_MOMENTUM) * batch_marginal
 
             epoch_loss[epoch] += losses * b_count
             global_step += 1

@@ -74,6 +74,34 @@ def run_kernel(args, kwargs):
     return composite_loss_and_grads(student, teacher, u_x, *indexed(u_nb), marginal, **kwargs)
 
 
+def with_targets(monkeypatch, call):
+    """``(call(), blocks)`` for a kernel call: ``blocks`` holds, in block
+    order, the (qt_x, qt_xp) pair that ``heads._block_targets`` gave each
+    head block, the teacher targets that block trained against."""
+    blocks, block_targets = [], heads._block_targets
+
+    def spy(*args):
+        blocks.append(block_targets(*args))
+        return blocks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(heads, "_block_targets", spy)
+        return call(), blocks
+
+
+def joined(blocks):
+    """The (H, B, C) anchor and neighbor targets of all heads from the
+    blocks of ``with_targets``."""
+    return tuple(np.concatenate(side) for side in zip(*blocks))
+
+
+def run_with_targets(monkeypatch, args, kwargs):
+    """``run_kernel`` and the teacher targets it trained against:
+    (losses, grads, batch_marginal, qt_x, qt_xp)."""
+    out, blocks = with_targets(monkeypatch, lambda: run_kernel(args, kwargs))
+    return (*out, *joined(blocks))
+
+
 def cast(args, dtype):
     """An instance with its parameters and rows in ``dtype`` (the marginal
     stays float64, as training keeps it)."""
@@ -143,14 +171,15 @@ class TestGradientCheck:
                     worst = max(worst, err)
         assert worst <= 1e-4
 
-    def test_multi_head_grads_are_per_head(self, rng):
+    def test_multi_head_grads_are_per_head(self, rng, monkeypatch):
         # per-head weight grads must equal single-head runs; shared affine
         # grads must be the mean over heads
         h = 4
         (student, teacher, u_x, u_nb, p), kwargs = loss_instance(rng, h, b=2, c=3, d=4)
         p[:] = 1 / 3
         kwargs.update(lam=0.3)
-        losses, grads, qt_x, qt_xp = run_kernel((student, teacher, u_x, u_nb, p), kwargs)
+        losses, grads, marginal, qt_x, qt_xp = run_with_targets(
+            monkeypatch, (student, teacher, u_x, u_nb, p), kwargs)
 
         def head(copy, i):
             return {**copy, "weight": copy["weight"][i : i + 1], "bias": copy["bias"][i : i + 1]}
@@ -158,11 +187,13 @@ class TestGradientCheck:
         gamma_sum = np.zeros_like(grads["gamma"])
         for i in range(h):
             one = (head(student, i), head(teacher, i), u_x, u_nb[i : i + 1], p[i : i + 1])
-            one_losses, one_grads, one_qt_x, one_qt_xp = run_kernel(one, kwargs)
+            one_losses, one_grads, one_marginal, one_qt_x, one_qt_xp = run_with_targets(
+                monkeypatch, one, kwargs)
             assert one_losses[0] == pytest.approx(losses[i], abs=1e-12)
             assert np.allclose(one_grads["weight"][0], grads["weight"][i], atol=1e-12)
             assert np.allclose(one_qt_x[0], qt_x[i], atol=1e-14)
             assert np.allclose(one_qt_xp[0], qt_xp[i], atol=1e-14)
+            assert np.allclose(one_marginal[0], marginal[i], atol=1e-14)
             gamma_sum += one_grads["gamma"]
         assert np.allclose(grads["gamma"], gamma_sum / h, atol=1e-12)
 
@@ -198,13 +229,13 @@ def ce_floor_instance(rng):
 class TestScalarLossOracle:
     """The batched kernel's per-head losses against the per-pair formula:
     the mean over pairs of ``pmi_pair_loss + lam * ce_term``, on the teacher
-    targets the kernel returns."""
+    targets the kernel trained against."""
 
-    def check(self, args, kwargs):
+    def check(self, monkeypatch, args, kwargs):
         student, _, u_x, u_nb, marginal = args
         w, bias, gamma, shift = (student[k] for k in PARAM_NAMES)
         beta, tau, lam = kwargs["beta"], kwargs["tau_student"], kwargs["lam"]
-        losses, _, qt_x, qt_xp = run_kernel(args, kwargs)
+        losses, _, _, qt_x, qt_xp = run_with_targets(monkeypatch, args, kwargs)
         want = np.zeros(w.shape[0])
         for h in range(w.shape[0]):
             for i in range(u_x.shape[0]):
@@ -215,26 +246,26 @@ class TestScalarLossOracle:
             want[h] /= u_x.shape[0]
         assert np.all(np.abs(losses - want) <= 1e-12 * np.abs(want))
 
-    def test_random_instances(self, rng):
+    def test_random_instances(self, rng, monkeypatch):
         for _ in range(20):
             h, b, c, d = (int(v) for v in rng.integers([1, 1, 2, 2], [5, 9, 7, 9]))
             args, kwargs = loss_instance(rng, h, b, c, d)
             beta, tau, lam = rng.uniform([0.3, 0.08, 0.0], 1.0)
             kwargs.update(beta=beta, tau_student=tau, lam=lam)
-            self.check(args, kwargs)
+            self.check(monkeypatch, args, kwargs)
 
-    def test_pairs_on_ce_floor(self, rng):
-        self.check(*ce_floor_instance(rng))
+    def test_pairs_on_ce_floor(self, rng, monkeypatch):
+        self.check(monkeypatch, *ce_floor_instance(rng))
 
 
 class TestEinsumOracle:
     """The GEMM kernel against the einsum formulation it replaced: the
-    teacher forward, then the loss and gradients on the targets the kernel
-    returns."""
+    teacher forward and its batch marginal, then the loss and gradients on
+    the targets the kernel trained against."""
 
-    def check(self, args, kwargs, rtol=1e-10):
+    def check(self, monkeypatch, args, kwargs, rtol=1e-10):
         student, teacher, u_x, u_nb, marginal = args
-        losses, grads, *targets = run_kernel(args, kwargs)
+        losses, grads, batch_marginal, *targets = run_with_targets(monkeypatch, args, kwargs)
         want_targets = einsum_teacher_targets(
             *(teacher[k] for k in PARAM_NAMES), u_x, u_nb,
             tau=kwargs["tau_teacher"], sk_iters=kwargs["sk_iters"],
@@ -242,6 +273,8 @@ class TestEinsumOracle:
         for g, w in zip(targets, want_targets):
             assert g.shape == w.shape == u_nb.shape[:2] + student["bias"].shape[1:]
             assert_matches_oracle(g, w, rtol)
+        assert batch_marginal.shape == student["bias"].shape
+        assert_matches_oracle(batch_marginal, want_targets[0].mean(axis=1), rtol)
         want_losses, want_grads = einsum_loss_and_grads(
             *(student[k] for k in PARAM_NAMES), u_x, u_nb[:, :, 0], *targets, marginal,
             beta=kwargs["beta"], tau_student=kwargs["tau_student"], lam=kwargs["lam"],
@@ -251,27 +284,27 @@ class TestEinsumOracle:
             assert grads[name].shape == want_grads[name].shape
             assert_matches_oracle(grads[name], want_grads[name], rtol)
 
-    def test_smallest_instance(self, rng):
-        self.check(*loss_instance(rng, h=1, b=1, c=2, d=3))
+    def test_smallest_instance(self, rng, monkeypatch):
+        self.check(monkeypatch, *loss_instance(rng, h=1, b=1, c=2, d=3))
 
-    def test_train_heavy_shape(self, rng):
-        self.check(*loss_instance(rng, h=50, b=256, c=20, d=384))
+    def test_train_heavy_shape(self, rng, monkeypatch):
+        self.check(monkeypatch, *loss_instance(rng, h=50, b=256, c=20, d=384))
 
-    def test_smoothed_teacher_batch(self, rng):
+    def test_smoothed_teacher_batch(self, rng, monkeypatch):
         # the student loss on the first draw against the smoothed targets
-        self.check(*loss_instance(rng, h=4, b=16, c=5, d=8, m=2))
+        self.check(monkeypatch, *loss_instance(rng, h=4, b=16, c=5, d=8, m=2))
 
-    def test_pairs_on_ce_floor(self, rng):
+    def test_pairs_on_ce_floor(self, rng, monkeypatch):
         args, kwargs = ce_floor_instance(rng)
         student, _, u_x, _, _ = args
         w, bias, gamma, shift = (student[k] for k in PARAM_NAMES)
         s_x = u_x * gamma + shift
         qs_x = softmax((np.einsum("hcd,bd->hbc", w, s_x) + bias[:, None, :]) / 0.1)
-        c_hat = np.argmax(run_kernel(args, kwargs)[3], axis=-1)
+        c_hat = np.argmax(run_with_targets(monkeypatch, args, kwargs)[4], axis=-1)
         q_at = np.take_along_axis(qs_x, c_hat[..., None], axis=-1)[..., 0]
         floored = q_at <= CE_PROB_FLOOR
         assert floored.any() and not floored.all()
-        self.check(args, kwargs)
+        self.check(monkeypatch, args, kwargs)
 
 
 class TestFloat32:
@@ -286,16 +319,17 @@ class TestFloat32:
         if heads_per_block:
             monkeypatch.setattr(featstore, "BLOCK_BYTES", heads_per_block * 64 * m * 20 * 4)
             assert len(featstore.blocks(5, 64 * m * 20 * 4)) == 3
-        single = run_kernel(args, kwargs)
-        double = run_kernel(cast(args, np.float64), kwargs)
+        single = run_with_targets(monkeypatch, args, kwargs)
+        double = run_with_targets(monkeypatch, cast(args, np.float64), kwargs)
         assert single[0].dtype == np.float32
         assert all(g.dtype == np.float32 for g in single[1].values())
+        assert single[2].dtype == np.float64
         for got, want in [(single[0], double[0]), *((single[1][k], double[1][k]) for k in PARAM_NAMES),
-                          (single[2], double[2]), (single[3], double[3])]:
+                          *zip(single[2:], double[2:])]:
             assert_matches_oracle(got, want, rtol=1e-4)
 
     @pytest.mark.parametrize("gap", [12.0, 20.0])
-    def test_confident_disagreement_stays_finite(self, gap):
+    def test_confident_disagreement_stays_finite(self, gap, monkeypatch):
         # half the rows read +1 and half -1 on the one feature: the teacher
         # picks class 0 on +1 rows and class 1 on -1 rows by a logit gap of
         # `gap`, the student the other class by the same gap, so every
@@ -315,7 +349,7 @@ class TestFloat32:
         for got, want in [(single[0], double[0]), *((single[1][k], double[1][k]) for k in PARAM_NAMES)]:
             assert np.isfinite(got).all()
             assert_matches_oracle(got, want, rtol=1e-5)
-        TestEinsumOracle().check(args, kwargs)  # float64 in either domain
+        TestEinsumOracle().check(monkeypatch, args, kwargs)  # float64 in either domain
 
     def test_trained_parameters_are_float32_exact(self, trained_run, tmp_path):
         # the bank holds the float32 values that trained, and HDB1 their exact
@@ -363,7 +397,7 @@ class TestClusterMajorLayout:
     the few clusters then walks short rows; nothing else would catch it.
     """
 
-    def test_logits_and_targets(self, rng):
+    def test_logits_and_targets(self, rng, monkeypatch):
         h, b, m, c, d = 3, 16, 2, 5, 8
         args, kwargs = loss_instance(rng, h, b, c, d, m)
         student, _, u_x, u_nb, _ = args
@@ -373,8 +407,9 @@ class TestClusterMajorLayout:
         assert shared.shape == own.shape == (h, b, c)
         assert batch_contiguous(shared) and batch_contiguous(own)
         for draws in (1, m):
-            _, _, qt_x, qt_xp = run_kernel((*args[:3], u_nb[:, :, :draws], args[4]), kwargs)
-            assert batch_contiguous(qt_x) and batch_contiguous(qt_xp)
+            instance = (*args[:3], u_nb[:, :, :draws], args[4])
+            _, blocks = with_targets(monkeypatch, lambda: run_kernel(instance, kwargs))
+            assert all(batch_contiguous(t) for pair in blocks for t in pair)
         assert batch_contiguous(heads.softmax(shared))
         for iters in (0, 3):
             assert batch_contiguous(sinkhorn_knopp(own, iters))
@@ -409,15 +444,17 @@ class TestHeadBlocks:
             itemsize = np.dtype(dtype).itemsize
             monkeypatch.setattr(featstore, "BLOCK_BYTES", budget)
             assert len(featstore.blocks(h, b * m * d * itemsize)) == 1
-            losses, grads, *targets = composite_loss_and_grads(*args, **kwargs)
-            whole = (losses, *grads.values(), *targets)
+            (losses, grads, marginal), blocks = with_targets(
+                monkeypatch, lambda: composite_loss_and_grads(*args, **kwargs))
+            whole = (losses, *grads.values(), marginal, *joined(blocks))
             for heads_per_block in (1, 2, 3):
                 self.set_block(monkeypatch, heads_per_block, b * m, itemsize)
-                losses, grads, *targets = composite_loss_and_grads(*args, **kwargs)
-                got = (losses, *grads.values(), *targets)
+                (losses, grads, marginal), blocks = with_targets(
+                    monkeypatch, lambda: composite_loss_and_grads(*args, **kwargs))
+                got = (losses, *grads.values(), marginal, *joined(blocks))
                 for g, w in zip(got, whole):
                     assert g.dtype == w.dtype and np.array_equal(g, w)
-                assert all(batch_contiguous(t) for t in targets)
+                assert all(batch_contiguous(t) for pair in blocks for t in pair)
 
     def test_labeling_row_blocks_match_one_gemm(self, trained_run, monkeypatch):
         m, _, _, cfg, bank, _ = trained_run
@@ -450,31 +487,52 @@ class TestHeadBlocks:
 class TestTwoSidedOracle:
     """The kernel runs both sides of each pair as one (h, 2B, C) view of a
     head block's logit buffer; the formulation it replaced, one side at a
-    time with a float64 copy of the teacher's logits, gives the same bits."""
+    time with a float64 copy of the teacher's logits, gives the same bits:
+    the losses and gradients, the (H, B, C) teacher targets that the blocks
+    trained against, and as the mean of its anchors' targets over the batch
+    the batch marginal that the kernel returns."""
 
     H, B, C, D, N = 12, 29, 9, 17, 83  # C >= 8: a cluster-last sum would move bits
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("sk_iters", [0, 3])
-    def test_same_bits_over_uneven_head_blocks(self, rng, monkeypatch, dtype, m, sk_iters):
+    def instance(self, rng, dtype, m):
+        """Kernel arguments in ``dtype`` with m draws per anchor."""
         h, b, c, d, n = self.H, self.B, self.C, self.D, self.N
         student, teacher = param_copy(rng, h, c, d), param_copy(rng, h, c, d)
         u = rng.normal(size=(n, d))
         nbr = rng.integers(0, n, size=(h, b, m))
         marginal = np.maximum(rng.dirichlet(np.ones(c), size=h), 1e-6)
-        args = (*cast((student, teacher, u[rng.permutation(n)[:b]], u, marginal), dtype)[:4],
+        return (*cast((student, teacher, u[rng.permutation(n)[:b]], u, marginal), dtype)[:4],
                 nbr, marginal)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("sk_iters", [0, 3])
+    def test_same_bits_over_uneven_head_blocks(self, rng, monkeypatch, dtype, m, sk_iters):
+        h, b, d = self.H, self.B, self.D
+        args = self.instance(rng, dtype, m)
         kwargs = dict(beta=0.6, tau_student=0.1, tau_teacher=0.1, sk_iters=sk_iters, lam=0.4)
         rows = b * m * d * np.dtype(dtype).itemsize
         monkeypatch.setattr(featstore, "BLOCK_BYTES", 5 * rows)
         assert [hb.stop - hb.start for hb in featstore.blocks(h, rows)] == [5, 5, 2]
-        got = composite_loss_and_grads(*args, **kwargs)
+        got, blocks = with_targets(monkeypatch, lambda: composite_loss_and_grads(*args, **kwargs))
         want = two_sided_loss_and_grads(*args, **kwargs)
         for g, w in [(got[0], want[0]), *((got[1][k], want[1][k]) for k in PARAM_NAMES),
-                     (got[2], want[2]), (got[3], want[3])]:
+                     (got[2], want[2].mean(axis=1)), *zip(joined(blocks), want[2:])]:
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert np.isfinite(got[0]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_with_one_head_per_unfold_block(self, rng, monkeypatch, dtype):
+        # d_gamma carries its sum from one block of heads to the next
+        h, c, d = self.H, self.C, self.D
+        args = self.instance(rng, dtype, 1)
+        kwargs = dict(beta=0.6, tau_student=0.1, tau_teacher=0.1, sk_iters=3, lam=0.4)
+        monkeypatch.setattr(featstore, "BLOCK_BYTES", c * d * np.dtype(dtype).itemsize)
+        assert len(featstore.blocks(h, c * d * np.dtype(dtype).itemsize)) == h
+        got = composite_loss_and_grads(*args, **kwargs)
+        want = two_sided_loss_and_grads(*args, **kwargs)
+        for g, w in [(got[0], want[0]), *((got[1][k], want[1][k]) for k in PARAM_NAMES)]:
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_training_memory_is_bounded():
@@ -490,6 +548,48 @@ def test_training_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40 << 20, f"train_heads peaked at {peak / 2**20:.1f} MB"
+
+
+def test_step_holds_no_float64_target_copies():
+    # 12 heads of 256 gathered float32 rows at d = 384 run in head blocks of 5, 5
+    # and 2.  Building and returning two (H, B, C) float64 target arrays and
+    # unfolding through two (H, C, d) temporaries, one call peaked at 3.98 MiB;
+    # without them it holds 3.15 MiB: one 2 MiB gather block, the stacked weights
+    # and gradients, the anchors' logits and their gradients, and one block's
+    # per-sample tensors
+    h, c, d, b, n = 12, 8, 384, 256, 1024
+    rng = np.random.default_rng(7)
+    student, teacher = ({k: v.astype(np.float32) for k, v in param_copy(rng, h, c, d).items()}
+                        for _ in range(2))
+    u = rng.normal(size=(n, d)).astype(np.float32)
+    nbr = rng.integers(0, n, size=(h, b, 1))
+    marginal = np.full((h, c), 1.0 / c)
+    kwargs = dict(beta=0.6, tau_student=0.1, tau_teacher=0.1, sk_iters=3, lam=0.4)
+    assert len(featstore.blocks(h, b * d * 4)) == 3
+    tracemalloc.start()
+    try:
+        out = composite_loss_and_grads(student, teacher, u[:b], u, nbr, marginal, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20, f"one step peaked at {peak / 2**20:.2f} MiB"
+    # the losses, the gradients' flat buffer and the (H, C) float64 batch
+    # marginal, and not one (H, B, C) float64 array more
+    returned = out[0].nbytes + out[1]["weight"].base.nbytes + h * c * 8
+    assert held - returned < h * b * c * 8, f"{(held - returned) / 2**10:.0f} KiB held"
+    assert len(out) == 3 and out[2].shape == (h, c)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_block_targets(rng, m):
+    # the anchors' targets are a view of the Sinkhorn-Knopp output, and so are a
+    # single draw's: a copy would cost one (h, B, C) float64 array per block
+    logits = rng.normal(size=(3, 8 + 8 * m, 5)) * 3
+    qt = sinkhorn_knopp(logits, 3)
+    qt_x, qt_xp = heads._block_targets(logits, 8, 3)
+    assert np.array_equal(qt_x, qt[:, :8])
+    assert np.array_equal(qt_xp, qt[:, 8:].reshape(3, m, 8, 5).mean(axis=1))
+    assert qt_x.base is not None and (qt_xp.base is qt_x.base) == (m == 1)
 
 
 def test_predict_labeling_holds_one_block_of_standardized_rows():
