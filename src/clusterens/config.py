@@ -49,8 +49,6 @@ DEFAULT_HEAD_COUNTS = tuple(range(10, 90, 10))
 # key -> (parser, default); None defaults mean "optional, unset"
 SCHEMA = {
     "features": (str, None),
-    "features_format": (_checked(str, ("featpack", "csv", "npy").__contains__,
-                                 "one of featpack, csv, npy"), None),
     "labels": (str, None),
     "output_dir": (str, None),
     "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 0),

@@ -2,13 +2,16 @@
 
 Feature matrices are n x d float64 arrays (rows = samples).  The canonical
 on-disk format is "featpack" (magic ``FPK1``); headerless csv and npy v1.0
-are supported for interop.  Standardization mirrors a batch-normalization
-layer whose running statistics are frozen at fit time: per-dimension
-``(x - mean) / sqrt(var + 1e-5) * gamma + beta``.
+are supported for interop, and a loader tells them apart by the file's
+first bytes.  Standardization is a batch-normalization layer's statistics
+frozen at fit time, without its affine: per dimension
+``(x - mean) / sqrt(var + 1e-5)``, by :func:`unit_rows`, the one
+standardization every stage runs.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 import tokenize
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import binfmt
 from .errors import LoadError
-from .labeling import Labeling
+from .labeling import TEXT_CHUNK, Labeling
 
 VAR_EPS = 1e-5
 
@@ -88,19 +91,16 @@ class EmbeddingMatrix:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Frozen standardization statistics plus the learnable affine."""
+    """Frozen per-dimension standardization statistics."""
 
     mean: np.ndarray
     var: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean", "var", "gamma", "beta"):
+        for name in ("mean", "var"):
             v = np.asarray(getattr(self, name), dtype=np.float64).ravel()
             object.__setattr__(self, name, _readonly(v))
-        d = self.mean.size
-        if not (self.var.size == self.gamma.size == self.beta.size == d):
+        if self.var.size != self.mean.size:
             raise ValueError("NormStats vectors must share one dimension")
         if np.any(self.var < 0):
             raise ValueError("variance entries must be nonnegative")
@@ -143,26 +143,22 @@ class SynthSpec:
         return self.separation * math.sqrt(self.d / 2.0)
 
 
-def unit_rows(x: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Apply ``(x - mean)/sqrt(var + eps)`` along the last axis, without the affine."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != stats.d:
-        raise ValueError(f"dimension mismatch: features d={x.shape[-1]}, stats d={stats.d}")
-    out = x - stats.mean
-    out /= np.sqrt(stats.var + VAR_EPS)
-    return out
-
-
-def standardize_array(x: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Apply ``(x - mean)/sqrt(var + eps) * gamma + beta`` along the last axis."""
-    out = unit_rows(x, stats)
-    out *= stats.gamma
-    out += stats.beta
+def unit_rows(x: np.ndarray, stats: NormStats, dtype=np.float64) -> np.ndarray:
+    """``(x - mean) / sqrt(var + eps)`` of the rows of ``x`` (n, d), computed
+    in float64 one ``blocks`` block of rows at a time and rounded once into
+    ``dtype``; a float64 result is computed in place, with no block copy."""
+    if x.shape[1] != stats.d:
+        raise ValueError(f"dimension mismatch: features d={x.shape[1]}, stats d={stats.d}")
+    scale = np.sqrt(stats.var + VAR_EPS)
+    out = np.empty(x.shape, dtype=dtype)
+    for rows in blocks(x.shape[0], 8 * x.shape[1]):
+        u = np.subtract(x[rows], stats.mean, out=out[rows] if out.dtype == np.float64 else None)
+        np.divide(u, scale, out=out[rows])
     return out
 
 
 def fit_standardizer(features: EmbeddingMatrix) -> NormStats:
-    """Compute per-dimension batch mean/variance; affine starts at identity.
+    """Compute per-dimension batch mean/variance.
 
     Near-zero variances are clamped to 1e-5 (with a warning) so constant
     dimensions cannot blow up downstream divisions.
@@ -179,13 +175,12 @@ def fit_standardizer(features: EmbeddingMatrix) -> NormStats:
             stacklevel=2,
         )
         var = np.where(low, VAR_EPS, var)
-    d = features.d
-    return NormStats(mean=mean, var=var, gamma=np.ones(d), beta=np.zeros(d))
+    return NormStats(mean=mean, var=var)
 
 
 def apply_standardizer(features: EmbeddingMatrix, stats: NormStats) -> EmbeddingMatrix:
     """Standardize every row of ``features`` with ``stats``."""
-    return EmbeddingMatrix._adopt(standardize_array(features.data, stats))
+    return EmbeddingMatrix._adopt(unit_rows(features.data, stats))
 
 
 def gen_synthetic(spec: SynthSpec) -> tuple[EmbeddingMatrix, Labeling]:
@@ -235,21 +230,20 @@ def save_features(features: EmbeddingMatrix, path, format: str = "featpack") -> 
         raise ValueError(f"unknown feature format {format!r}")
 
 
-def load_features(path, format: str = "featpack") -> EmbeddingMatrix:
-    """Load a feature matrix, validating header/payload consistency.
+def load_features(path) -> EmbeddingMatrix:
+    """Load a feature matrix in the format its first bytes name (featpack,
+    npy, else csv text), validating header/payload consistency.
 
     featpack and npy loads are bit-exact (float32 payloads are cast to the
     float64 working precision, which is lossless).  The matrix keeps the
     array the loader read, so a float64 file is held once.
     """
-    if format == "featpack":
+    if binfmt.has_magic(path, FEATPACK_MAGIC):
         data = binfmt.load(path, FEATPACK_MAGIC, "featpack", _parse_featpack)
-    elif format == "csv":
-        data = _load_csv(path)
-    elif format == "npy":
+    elif binfmt.has_magic(path, NPY_MAGIC):
         data = binfmt.load(path, NPY_MAGIC, "npy file", _parse_npy)
     else:
-        raise ValueError(f"unknown feature format {format!r}")
+        data = _load_csv(path)
     try:
         return EmbeddingMatrix._adopt(data)
     except ValueError as exc:
@@ -257,7 +251,7 @@ def load_features(path, format: str = "featpack") -> EmbeddingMatrix:
 
 
 def detect_format(path) -> str:
-    """Pick a feature format from the file extension (featpack by default)."""
+    """The format ``gen-synth`` writes to ``path``, by its extension (featpack by default)."""
     name = str(path).lower()
     if name.endswith(".csv"):
         return "csv"
@@ -281,11 +275,18 @@ def _parse_featpack(r: binfmt.Reader) -> np.ndarray:
 
 
 def _load_csv(path) -> np.ndarray:
+    """Comma-separated float rows, one per nonblank line.  A NUL byte in the
+    first ``TEXT_CHUNK`` bytes, which binary files hold and text does not,
+    refuses the file unparsed."""
     rows = []
     width = None
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
+        with open(path, "rb") as raw:
+            if b"\0" in raw.read(TEXT_CHUNK):
+                raise LoadError(f"{path}: not a feature file: no featpack or npy magic, "
+                                "and a NUL byte where csv text has none")
+            raw.seek(0)
+            for lineno, line in enumerate(io.TextIOWrapper(raw, encoding="utf-8"), start=1):
                 line = line.strip()
                 if not line:
                     continue

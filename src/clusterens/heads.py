@@ -17,7 +17,8 @@ of the parameters is one flat buffer, and the kernels take the dict of its
 views ``weight``, ``bias``, ``gamma`` and ``beta_shift`` (``_param_views``).
 
 The arithmetic runs as BLAS matrix products on the unit-standardized rows
-``u = (z - mean) / sqrt(var + eps)``.  The shared affine is folded into each
+``u = (z - mean) / sqrt(var + eps)`` of ``featstore.unit_rows``, rounded
+once from float64 into float32.  The shared affine is folded into each
 head, ``W (gamma*u + beta) + b = (W*gamma) u + (W beta + b)``, so no
 standardized copy of a batch is ever made.  A training step stacks the
 folded teacher and student of each head, each over its temperature, into
@@ -43,7 +44,7 @@ HDB1 file stay float64.  A ``HeadBank`` holds the float32 buffers that
 trained; a loaded one holds buffers filled from the file's float64 values,
 their exact upcasts.  Labels are taken in float32, by one helper that
 ``train_heads`` runs on the unit rows it trained on and
-``predict_labeling`` on rows it standardizes one block at a time.  The
+``predict_labeling`` on the unit rows of one block of rows at a time.  The
 kernels are dtype-generic: given float64 inputs they run in float64, which
 is how the tests check them.
 
@@ -580,15 +581,6 @@ def _init_bank(cfg: TrainConfig, mean: np.ndarray, var: np.ndarray, rng) -> Head
     return HeadBank(cfg, mean, var, student, teacher, np.full((h, c), 1.0 / c))
 
 
-def _float32_unit_rows(x: np.ndarray, norm: NormStats) -> np.ndarray:
-    """``unit_rows(x, norm)`` rounded to float32, computed one block of float64
-    rows at a time, so no float64 copy of x is held."""
-    u = np.empty(x.shape, dtype=np.float32)
-    for rows in blocks(x.shape[0], 8 * x.shape[1]):
-        u[rows] = unit_rows(x[rows], norm)
-    return u
-
-
 def _draw_neighbors(head_rngs, anchors, sets: NeighborSets, sizes, m_draws: int) -> np.ndarray:
     """Rows (H, B, m) of the neighbors drawn for ``anchors``.  Head h draws
     uniform u in [0, 1) from its own stream, one call of B*m numbers, and
@@ -640,7 +632,7 @@ def train_heads(
     bank = _init_bank(cfg, norm.mean, norm.var, init_rng)
     student_flat, teacher_flat = bank.student["weight"].base, bank.teacher["weight"].base
     optimizer = _AdamW(student_flat, cfg.weight_decay, decayed=bank.student["weight"].size)
-    u = _float32_unit_rows(features.data, norm)
+    u = unit_rows(features.data, norm, np.float32)
 
     h_count = cfg.num_heads
     m_draws = cfg.smoothing_m
@@ -745,9 +737,9 @@ def predict_labeling(bank: HeadBank, head: int, features: EmbeddingMatrix) -> La
     with, on float32 unit rows standardized one block of rows at a time."""
     if not 0 <= head < bank.num_heads:
         raise ValueError(f"head {head} out of range [0, {bank.num_heads})")
-    s, x = bank.student, features.data
-    norm = NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"])
-    return _head_labelings(s, features.n, lambda rows: _float32_unit_rows(x[rows], norm),
+    norm, x = NormStats(bank.mean, bank.var), features.data
+    return _head_labelings(bank.student, features.n,
+                           lambda rows: unit_rows(x[rows], norm, np.float32),
                            slice(head, head + 1))[0]
 
 

@@ -145,7 +145,6 @@ class NeighborStats:
 
     avg_count: float
     pair_accuracy: float
-    singleton_classes: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.pair_accuracy <= 1.0:
@@ -308,8 +307,9 @@ def sweep_neighbor_sets(features: EmbeddingMatrix, thetas, k_min: int) -> Iterat
 def ground_truth_neighbors(labels: Labeling) -> NeighborSets:
     """Every same-label sample in ascending index order, minus the anchor itself.
 
-    Singleton classes yield empty sets; they are permitted here and show up
-    in :func:`neighbor_accuracy` stats.
+    Singleton classes yield empty sets; they are permitted here, and the
+    pipeline refuses them before training, which draws a neighbor of every
+    sample.
     """
     n = labels.n
     label_of, class_sizes = labels.coding.codes, labels.coding.counts
@@ -343,7 +343,6 @@ def neighbor_accuracy(sets: NeighborSets, labels: Labeling) -> NeighborStats:
     return NeighborStats(
         avg_count=float(counts.mean()),
         pair_accuracy=correct / total,
-        singleton_classes=int((labels.coding.counts == 1).sum()),
     )
 
 

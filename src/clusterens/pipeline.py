@@ -166,8 +166,7 @@ def _labels(cfg: PipelineConfig) -> Labeling | None:
 
 
 def _features(cfg: PipelineConfig) -> EmbeddingMatrix:
-    fpath = input_file(cfg["features"], "feature file")
-    return load_features(fpath, cfg["features_format"] or detect_format(fpath))
+    return load_features(input_file(cfg["features"], "feature file"))
 
 
 def load_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | None]:
@@ -582,7 +581,7 @@ def gen_synth_files(cfg: PipelineConfig):
     features, labels = gen_synthetic(spec)
     fpath = Path(cfg["features"])
     fpath.parent.mkdir(parents=True, exist_ok=True)
-    save_features(features, fpath, cfg["features_format"] or detect_format(fpath))
+    save_features(features, fpath, detect_format(fpath))
     lpath = cfg["labels"]
     if lpath is not None:
         Path(lpath).parent.mkdir(parents=True, exist_ok=True)

@@ -1,14 +1,15 @@
 """Self-training: a linear probe fitted to consensus pseudo-labels.
 
-One training round only.  The classifier is a single affine map over
-standardized features, optimized with momentum SGD and decoupled weight
-decay, then used as the inference model.  Training stops at the first
-epoch boundary (the point where the next sample permutation would be
+One training round only.  The classifier is a single affine map over the
+rows of ``featstore.unit_rows``, optimized with momentum SGD and decoupled
+weight decay, then used as the inference model.  Training stops at the
+first epoch boundary (the point where the next sample permutation would be
 drawn, every floor(n / batch) steps) at which the probe's argmax class
 reproduces every pseudo-label; ``SelfTrainConfig.steps`` is a cap.  The
 check runs before the permutation is drawn, so an early-stopped probe is
 bit-identical to a fixed-budget run of the steps it ran, and a probe that
-never fits runs the whole cap.
+never fits runs the whole cap.  The probe has no standardizer affine, so
+``CLF1`` holds the identity; another is folded into the probe on load.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import binfmt
 from .errors import TrainingError
-from .featstore import EmbeddingMatrix, NormStats, fit_standardizer, standardize_array
+from .featstore import EmbeddingMatrix, NormStats, fit_standardizer, unit_rows
 from .heads import softmax
 from .labeling import Labeling, canonicalize, u32_ids
 
@@ -124,7 +125,7 @@ def self_train(
     class_ids = pseudo.labels[np.sort(pseudo.coding.first)]
 
     norm = fit_standardizer(features)
-    s = standardize_array(features.data, norm)
+    s = unit_rows(features.data, norm)
     n, d = s.shape
 
     weight = np.zeros((num_classes, d))
@@ -176,14 +177,15 @@ def predict(clf: Classifier, features: EmbeddingMatrix) -> Labeling:
     """Per-sample argmax class (ties to the lowest class index)."""
     if features.d != clf.dim:
         raise ValueError(f"dimension mismatch: features d={features.d}, classifier d={clf.dim}")
-    s = standardize_array(features.data, clf.norm)
+    s = unit_rows(features.data, clf.norm)
     return Labeling(clf.class_ids[_argmax_class(s, clf.weight, clf.bias)])
 
 
 def save_classifier(clf: Classifier, path) -> None:
-    """Write the ``CLF1`` checkpoint: dims, class ids, float64 parameters
-    and standardizer statistics."""
-    params = (clf.weight, clf.bias, clf.norm.mean, clf.norm.var, clf.norm.gamma, clf.norm.beta)
+    """Write the ``CLF1`` checkpoint: dims, class ids, float64 parameters,
+    standardizer statistics and the identity affine."""
+    params = (clf.weight, clf.bias, clf.norm.mean, clf.norm.var,
+              np.ones(clf.dim), np.zeros(clf.dim))
     binfmt.save(
         path, CLASSIFIER_MAGIC, struct.pack("<II", clf.num_classes, clf.dim),
         u32_ids(clf.class_ids), *(np.asarray(a, dtype="<f8") for a in params),
@@ -198,12 +200,15 @@ def _parse_classifier(r: binfmt.Reader) -> Classifier:
     weight = r.array("<f8", c, d)
     bias = r.array("<f8", c)
     mean, var, gamma, beta = r.array("<f8", 4, d)
-    # a NaN weight row would win every argmax; each comparison fails on NaN
-    if not (all(np.isfinite(a).all() for a in (weight, bias, mean, gamma, beta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bias += weight @ beta
+        weight *= gamma
+    # a NaN weight row would win every argmax; a non-finite gamma or beta
+    # leaves the folded probe non-finite, and each comparison fails on NaN
+    if not (all(np.isfinite(a).all() for a in (weight, bias, mean))
             and ((0.0 <= var) & (var < np.inf)).all()):
-        raise ValueError("a parameter or statistic is non-finite, or a variance negative")
-    norm = NormStats(mean=mean, var=var, gamma=gamma, beta=beta)
-    return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids)
+        raise ValueError("a folded parameter or a statistic is non-finite, or a variance negative")
+    return Classifier(weight=weight, bias=bias, norm=NormStats(mean, var), class_ids=class_ids)
 
 
 def load_classifier(path) -> Classifier:

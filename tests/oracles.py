@@ -9,7 +9,8 @@ reuses the package's ``sinkhorn_knopp``, which has tests of its own.
 ``pmi_pair_loss`` and ``ce_term`` are the head objective for one (x, x')
 pair, as the package carried it beside the batched kernel, kept verbatim;
 ``unfolded_head_probs`` is a head's forward pass with the standardizer
-affine applied to the rows rather than folded into the head.  The
+affine applied to the whole-array standardized rows rather than folded
+into the head.  The
 dense neighbor mining is likewise the formulation row-block mining
 replaced, kept verbatim (one thread), and so are the dense n×n
 co-association matrix and the average-linkage CSPA on it, which the
@@ -33,10 +34,7 @@ softmax and Sinkhorn-Knopp helpers and ``featstore.blocks``.
 ``np.linalg.eigh``, before the block Krylov solver, and ``outer_qr_pivots``
 its column-pivoted QR as it projected with one n×m outer product per
 pivot: both copied verbatim, reusing the package's co-association, Gram,
-rank cutoff and Lloyd cap.  ``krylov_top_eigenpairs`` is ``_top_eigenpairs``
-as it grew a block Krylov basis, before subspace iteration replaced it,
-copied verbatim with ``_block_krylov``, ``_rayleigh_ritz`` and its
-``KRYLOV_*`` constants.
+rank cutoff and Lloyd cap.
 
 scipy is a test-only dependency, and its routines are the references for
 the package's NumPy ports: ``linkage``/``fcluster`` in
@@ -67,7 +65,7 @@ from clusterens.ensemble import (
 )
 from clusterens.errors import TrainingError
 from clusterens.featstore import (
-    EmbeddingMatrix, NormStats, blocks, fit_standardizer, standardize_array,
+    VAR_EPS, EmbeddingMatrix, NormStats, blocks, fit_standardizer, unit_rows,
 )
 from clusterens.heads import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CE_PROB_FLOOR, _exp_normalize, _fold, _own_logits,
@@ -446,104 +444,6 @@ def eigh_cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
 
 
 # ---------------------------------------------------------------------------
-# CSPA's top-k eigenpairs from the block Krylov solver (before subspace iteration)
-# ---------------------------------------------------------------------------
-
-# CSPA's block Krylov eigensolver (see _block_krylov): blocks of k plus
-# KRYLOV_OVERSAMPLE columns; a Ritz pair is converged once its residual
-# norm is at most KRYLOV_TOL times the top eigenvalue; the basis may grow
-# to KRYLOV_SHARE of the Gram's order, and must have room there for
-# KRYLOV_MIN_BLOCKS blocks, where the first check falls, or eigh runs alone
-KRYLOV_OVERSAMPLE = 10
-KRYLOV_TOL = 1e-10
-KRYLOV_SHARE = 0.5
-KRYLOV_MIN_BLOCKS = 8
-
-
-def krylov_top_eigenpairs(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The top min(k, g) eigenpairs of the symmetric positive semidefinite
-    g×g ``gram``, eigenvalues ascending, as ``np.linalg.eigh``'s last columns:
-    from :func:`_block_krylov` where g leaves room for KRYLOV_MIN_BLOCKS
-    blocks within KRYLOV_SHARE of g columns and the residual bound is met
-    there, from ``eigh`` otherwise."""
-    g = gram.shape[0]
-    k = min(k, g)
-    max_blocks = int(KRYLOV_SHARE * g) // (k + KRYLOV_OVERSAMPLE)
-    if max_blocks >= KRYLOV_MIN_BLOCKS:
-        pairs = _block_krylov(gram, k, max_blocks)
-        if pairs is not None:
-            return pairs
-    vals, vecs = np.linalg.eigh(gram)
-    return vals[g - k:], vecs[:, g - k:]
-
-
-def _block_krylov(gram: np.ndarray, k: int, max_blocks: int):
-    """The top k eigenpairs of ``gram`` as :func:`krylov_top_eigenpairs` returns
-    them, or None when the residual bound is not met within ``max_blocks``.
-
-    A block Krylov basis Q grows one block of k + KRYLOV_OVERSAMPLE columns
-    at a time from a fixed start block (Gaussian, seed 0), so the result
-    depends on the Gram alone.  The product G·Q_j of each new block fills
-    T = QᵀGQ's new block column Q_≤jᵀ·G·Q_j, and G·Q_j less Q_≤j times that
-    column is W, the next block: the basis is projected out of it once more
-    (full reorthogonalization) and it is orthonormalized.  Directions of W
-    at rounding level, which appear once the basis holds an invariant
-    subspace (a Gram of rank below the basis size, say), are replaced by
-    fresh Gaussian columns.  At KRYLOV_MIN_BLOCKS blocks, and then at the
-    block where the residual's decay since the last check predicts the
-    bound (two blocks on after the first check), the Rayleigh-Ritz step
-    takes the top k eigenpairs (θ, y) of T; the Ritz pairs (θ, v = Q·y)
-    are returned once every ‖G·v − θ·v‖ ≤ KRYLOV_TOL·θ_max.
-    """
-    g = gram.shape[0]
-    rng = np.random.default_rng(0)
-    basis, cols = [], []  # Q_j and Q_≤jᵀ·G·Q_j per block
-    w = rng.standard_normal((g, k + KRYLOV_OVERSAMPLE))
-    floor = 0.0
-    check, last = KRYLOV_MIN_BLOCKS, None  # the next check's block; (block, residual) of the last
-    for j in range(1, max_blocks + 1):
-        u, sv, _ = np.linalg.svd(w, full_matrices=False)
-        lost = sv <= floor
-        u[:, lost] = rng.standard_normal((g, int(lost.sum())))
-        for q in basis:
-            u = u - q @ (q.T @ u)
-        basis.append(np.linalg.qr(u)[0])
-        image = gram @ basis[-1]
-        if j == 1:  # rounding level of W: g·eps times a bound of order λ_max
-            floor = g * np.finfo(np.float64).eps * np.linalg.norm(image)
-        cols.append(np.concatenate([q.T @ image for q in basis]))
-        w = image - sum(q @ c for q, c in zip(basis, np.split(cols[-1], j)))
-        if j == check:
-            vals, vecs = _rayleigh_ritz(basis, cols, k)
-            bound = KRYLOV_TOL * vals[-1]
-            resid = np.linalg.norm(gram @ vecs - vecs * vals, axis=0).max()
-            if resid <= bound:
-                return vals, vecs
-            # the next check: where the decay per block since the last check
-            # meets the bound, else two blocks on
-            step = 2
-            if last is not None and 0 < resid < last[1] and bound > 0:
-                per_block = math.log(resid / last[1]) / (j - last[0])
-                step = max(1, math.ceil(math.log(bound / resid) / per_block))
-            last = (j, resid)
-            check = min(j + step, max_blocks)
-    return None
-
-
-def _rayleigh_ritz(basis: list, cols: list, k: int):
-    """The top k Ritz values and vectors (ascending) on the orthonormal
-    blocks Q_j in ``basis``, from T = QᵀGQ given by its block columns
-    ``cols`` of Q_≤jᵀ·G·Q_j."""
-    width = basis[0].shape[1]
-    t = np.zeros((len(basis) * width,) * 2)  # its upper triangle
-    for i, col in enumerate(cols):
-        t[:len(col), i * width:(i + 1) * width] = col
-    vals, y = np.linalg.eigh(t, UPLO="U")
-    vals, y = vals[-k:], y[:, -k:]
-    return vals, sum(q @ y[i * width:(i + 1) * width] for i, q in enumerate(basis))
-
-
-# ---------------------------------------------------------------------------
 # per-call np.unique metrics and MCLA (the formulation before the cached coding)
 # ---------------------------------------------------------------------------
 
@@ -749,10 +649,10 @@ def ce_term(qs_x: np.ndarray, qt_xp: np.ndarray) -> float:
     return float(-np.log(max(qs_x[c_hat], CE_PROB_FLOOR)))
 
 
-def unfolded_head_probs(weight, bias, norm: NormStats, z, tau: float) -> np.ndarray:
+def unfolded_head_probs(weight, bias, gamma, beta, norm: NormStats, z, tau: float) -> np.ndarray:
     """softmax((W (gamma*u + beta) + b) / tau) of one head on rows z (n, d),
     ``u`` the unit rows of ``norm``: the rows are standardized first."""
-    s = standardize_array(z, norm)
+    s = (z - norm.mean) / np.sqrt(norm.var + VAR_EPS) * gamma + beta
     return np.array([softmax_logsumexp((weight @ row + bias) / tau) for row in s])
 
 
@@ -935,7 +835,7 @@ def fixed_budget_self_train(
     class_ids = pseudo.labels[np.sort(pseudo.coding.first)]
 
     norm = fit_standardizer(features)
-    s = standardize_array(features.data, norm)
+    s = unit_rows(features.data, norm)
     n, d = s.shape
 
     weight = np.zeros((num_classes, d))

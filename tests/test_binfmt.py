@@ -15,13 +15,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from clusterens import binfmt, labeling
+from clusterens import binfmt, featstore, labeling
 from clusterens.errors import LoadError
-from clusterens.featstore import EmbeddingMatrix, NormStats, load_features, save_features
+from clusterens.featstore import (
+    EmbeddingMatrix, NormStats, load_features, save_features, unit_rows,
+)
 from clusterens.heads import HeadBank, TrainConfig, config_to_text, load_head_bank, save_head_bank
 from clusterens.labeling import Labeling, load_labeling, save_labeling, save_labeling_text
 from clusterens.neighbors import NeighborSets, load_neighbor_sets, save_neighbor_sets
-from clusterens.selftrain import Classifier, load_classifier, save_classifier
+from clusterens.selftrain import Classifier, load_classifier, predict, save_classifier
 
 N = 40
 
@@ -49,10 +51,17 @@ def head_bank():
 
 def classifier():
     c, d = 3, 4
-    norm = NormStats(mean=values(d, 11), var=values(d, 12) ** 2 + 1.0,
-                     gamma=values(d, 13) + 2.0, beta=values(d, 14))
+    norm = NormStats(mean=values(d, 11), var=values(d, 12) ** 2 + 1.0)
     return Classifier(weight=values(c * d, 15).reshape(c, d), bias=values(c, 16), norm=norm,
                       class_ids=np.array([7, 2, 40]))
+
+
+def classifier_bytes(clf, gamma, beta):
+    """``clf`` in the CLF1 layout with the standardizer affine (gamma, beta)."""
+    params = (clf.weight, clf.bias, clf.norm.mean, clf.norm.var, gamma, beta)
+    return (b"CLF1" + struct.pack("<II", clf.num_classes, clf.dim)
+            + clf.class_ids.astype("<u4").tobytes()
+            + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in params))
 
 
 def hdb_counts(raw):
@@ -73,7 +82,7 @@ class Format(NamedTuple):
 FORMATS = {
     "FPK1": Format(
         lambda: EmbeddingMatrix(values(N * 3).reshape(N, 3)),
-        save_features, lambda p: load_features(p, "featpack"),
+        save_features, load_features,
         lambda raw: [4, 8],
         "1b611474f87650a3f982f9b7c56477bae0b8bdd08c7a5bd346abed660ef450c5",
     ),
@@ -97,7 +106,8 @@ FORMATS = {
     "CLF1": Format(
         classifier, save_classifier, load_classifier,
         lambda raw: [4, 8],
-        "ee9f78b6b126603993ba1685f38b7eb65c6bc92f61222807ce8e43352e563e00",
+        # the identity affine, the only one written
+        "453b2c338de53a3beae928fe7310c4b88ecac48cc663fd5792585d9c0cf7d8ce",
     ),
 }
 
@@ -153,7 +163,7 @@ class CountingFile:
 @pytest.fixture
 def read_sizes(monkeypatch):
     sizes = []
-    for module in (binfmt, labeling):
+    for module in (binfmt, featstore, labeling):
         monkeypatch.setattr(
             module, "open", lambda p, *a, **kw: CountingFile(open(p, *a, **kw), sizes),
             raising=False,
@@ -200,6 +210,10 @@ def test_sizes_checked_before_reading(artifact, read_sizes, tmp_path):
         with pytest.raises(LoadError, match="not a labeling"):
             load(foreign)
         assert read_sizes == [4, labeling.TEXT_CHUNK]
+    elif name == "FPK1":  # without either magic, features are csv text, refused at a NUL
+        with pytest.raises(LoadError, match="NUL byte"):
+            load(foreign)
+        assert read_sizes == [4, 6, labeling.TEXT_CHUNK]
     else:
         with pytest.raises(LoadError, match="magic"):
             load(foreign)
@@ -334,14 +348,51 @@ def test_head_bank_holds_float32_extremes(tmp_path):
 def test_classifier_refuses_non_finite_values(tmp_path, field, value):
     # a NaN weight row would load and then label every sample with its class
     clf = classifier()
-    params = {"weight": clf.weight, "bias": clf.bias, **vars(clf.norm)}
-    params = {key: np.array(a) for key, a in params.items()}
-    params[field].flat[-1] = value
-    bad = Classifier(params.pop("weight"), params.pop("bias"), NormStats(**params), clf.class_ids)
+    c, d = clf.num_classes, clf.dim
     path = tmp_path / "c.clf"
-    save_classifier(bad, path)
+    save_classifier(clf, path)
+    end = 12 + 4 * c  # after the magic, the dims and the class ids
+    for key, size in [("weight", c * d), ("bias", c), ("mean", d), ("var", d),
+                      ("gamma", d), ("beta", d)]:
+        end += 8 * size
+        if key == field:
+            break
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, end - 8, value)  # the field's last value
+    path.write_bytes(raw)
     with pytest.raises(LoadError, match="non-finite"):
         load_classifier(path)
+
+
+def test_classifier_folds_a_non_identity_affine(tmp_path, rng):
+    # the golden CLF1 file from before the identity became the only affine written
+    clf = classifier()
+    gamma, beta = values(clf.dim, 13) + 2.0, values(clf.dim, 14)
+    raw = classifier_bytes(clf, gamma, beta)
+    assert hashlib.sha256(raw).hexdigest() == (
+        "ee9f78b6b126603993ba1685f38b7eb65c6bc92f61222807ce8e43352e563e00")
+    path = tmp_path / "c.clf"
+    path.write_bytes(raw)
+    z = rng.normal(size=(500, clf.dim)) * 2.0
+    logits = (unit_rows(z, clf.norm) * gamma + beta) @ clf.weight.T + clf.bias
+    want = clf.class_ids[np.argmax(logits, axis=1)]
+    assert len(set(want.tolist())) == clf.num_classes
+    assert np.array_equal(predict(load_classifier(path), EmbeddingMatrix(z)).labels, want)
+
+
+@pytest.mark.parametrize("field", ["gamma", "beta"])
+def test_classifier_whose_fold_overflows_is_refused(tmp_path, field):
+    # every stored value is finite, but W*gamma or W beta is not
+    clf = classifier()
+    clf.weight = clf.weight * 1e300
+    affine = {"gamma": np.ones(clf.dim), "beta": np.zeros(clf.dim)}
+    affine[field] = np.full(clf.dim, 1e10)
+    path = tmp_path / "c.clf"
+    path.write_bytes(classifier_bytes(clf, affine["gamma"], affine["beta"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LoadError, match="folded parameter or a statistic is non-finite"):
+            load_classifier(path)
 
 
 @pytest.mark.parametrize("bad_id", [-1, 2**32])

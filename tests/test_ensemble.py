@@ -687,8 +687,7 @@ class TestSupraConsensus:
 
 
 def _standardize_wrong_d():
-    stats = featstore.NormStats(mean=np.zeros(3), var=np.ones(3), gamma=np.ones(3),
-                                beta=np.zeros(3))
+    stats = featstore.NormStats(mean=np.zeros(3), var=np.ones(3))
     featstore.apply_standardizer(featstore.EmbeddingMatrix(np.ones((4, 2))), stats)
 
 

@@ -14,8 +14,9 @@ from clusterens import (
     load_features,
     save_features,
 )
+from clusterens import featstore
 from clusterens.errors import LoadError
-from clusterens.featstore import VAR_EPS, detect_format, standardize_array
+from clusterens.featstore import VAR_EPS, detect_format, unit_rows
 
 
 class TestEmbeddingMatrix:
@@ -45,14 +46,14 @@ class TestFeatpack:
             m = EmbeddingMatrix(rng.normal(size=(n, d)) * 10.0 ** int(rng.integers(-3, 4)))
             path = tmp_path / f"m{trial}.fpk"
             save_features(m, path, "featpack")
-            back = load_features(path, "featpack")
+            back = load_features(path)
             assert back.data.tobytes() == m.data.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fpk"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(LoadError, match="magic"):
-            load_features(path, "featpack")
+            load_features(path)
 
     def test_payload_shorter_than_header(self, tmp_path):
         path = tmp_path / "short.fpk"
@@ -61,7 +62,7 @@ class TestFeatpack:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])  # drop one value
         with pytest.raises(LoadError, match="header declares 4"):
-            load_features(path, "featpack")
+            load_features(path)
 
     def test_non_finite_names_row(self, tmp_path):
         data = np.ones((3, 2))
@@ -74,7 +75,7 @@ class TestFeatpack:
             f.write(struct.pack("<IIB", 3, 2, 2))
             f.write(data.astype("<f8").tobytes())
         with pytest.raises(LoadError, match="row 2"):
-            load_features(path, "featpack")
+            load_features(path)
 
     def test_float32_tag_loads(self, tmp_path):
         import struct
@@ -85,7 +86,7 @@ class TestFeatpack:
             f.write(b"FPK1")
             f.write(struct.pack("<IIB", 3, 2, 1))
             f.write(data.tobytes())
-        back = load_features(path, "featpack")
+        back = load_features(path)
         assert np.array_equal(back.data, data.astype(np.float64))
 
 
@@ -93,27 +94,27 @@ class TestCsv:
     def test_literal_parse(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0\n3.0,4.0\n")
-        m = load_features(path, "csv")
+        m = load_features(path)
         assert np.array_equal(m.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_round_trip(self, tmp_path, rng):
         m = EmbeddingMatrix(rng.normal(size=(7, 5)) * 1e3)
         path = tmp_path / "m.csv"
         save_features(m, path, "csv")
-        back = load_features(path, "csv")
+        back = load_features(path)
         assert np.allclose(back.data, m.data, atol=1e-6, rtol=1e-9)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1,2\n3,4,5\n")
         with pytest.raises(LoadError, match="row 1"):
-            load_features(path, "csv")
+            load_features(path)
 
     def test_bad_token_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\nx,4\n")
         with pytest.raises(LoadError, match="row 1"):
-            load_features(path, "csv")
+            load_features(path)
 
 
 class TestNpy:
@@ -122,7 +123,7 @@ class TestNpy:
         arr = np.arange(12, dtype="<f4").reshape(3, 4)
         path = tmp_path / "m.npy"
         np.save(path, arr)
-        m = load_features(path, "npy")
+        m = load_features(path)
         assert m.n == 3 and m.d == 4
         assert np.array_equal(m.data, arr.astype(np.float64))
 
@@ -130,7 +131,7 @@ class TestNpy:
         m = EmbeddingMatrix(rng.normal(size=(6, 3)))
         path = tmp_path / "m.npy"
         save_features(m, path, "npy")
-        back = load_features(path, "npy")
+        back = load_features(path)
         assert back.data.tobytes() == m.data.tobytes()
 
     def test_oversized_payload_refused_before_reading(self, tmp_path):
@@ -141,7 +142,7 @@ class TestNpy:
         tracemalloc.start()
         try:
             with pytest.raises(LoadError, match="header declares 3"):
-                load_features(path, "npy")
+                load_features(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -151,26 +152,26 @@ class TestNpy:
         path = tmp_path / "f.npy"
         np.save(path, np.asfortranarray(np.ones((3, 2), dtype="<f8")))
         with pytest.raises(LoadError, match="Fortran"):
-            load_features(path, "npy")
+            load_features(path)
 
     def test_wrong_dtype_rejected(self, tmp_path):
         path = tmp_path / "i.npy"
         np.save(path, np.ones((2, 2), dtype=np.int32))
         with pytest.raises(LoadError, match="dtype"):
-            load_features(path, "npy")
+            load_features(path)
 
     def test_version_2_refused(self, tmp_path):
         path = tmp_path / "v2.npy"
         with open(path, "wb") as f:
             np.lib.format.write_array(f, np.ones((3, 2)), version=(2, 0))
         with pytest.raises(LoadError, match=r"unsupported npy version \(2, 0\)"):
-            load_features(path, "npy")
+            load_features(path)
 
     def test_1d_rejected(self, tmp_path):
         path = tmp_path / "v.npy"
         np.save(path, np.ones(4, dtype="<f8"))
         with pytest.raises(LoadError, match="2-D"):
-            load_features(path, "npy")
+            load_features(path)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "npy"])
@@ -187,7 +188,7 @@ def test_fuzzed_file_raises_load_error(tmp_path, fmt):
     for case in cases:
         path.write_bytes(case)
         try:
-            load_features(path, fmt)
+            load_features(path)
         except LoadError:
             pass
 
@@ -200,7 +201,7 @@ def test_load_holds_one_float64_copy(tmp_path, rng, fmt):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        back = load_features(path, fmt)
+        back = load_features(path)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -222,14 +223,29 @@ def test_detect_format():
     assert detect_format("a.fpk") == "featpack"
 
 
+@pytest.mark.parametrize("fmt, ext", [("featpack", "fpk"), ("npy", "npy"), ("csv", "csv")])
+def test_format_is_read_from_the_bytes(tmp_path, rng, fmt, ext):
+    m = EmbeddingMatrix(rng.normal(size=(9, 4)) * 1e3)
+    save_features(m, tmp_path / f"m.{ext}", fmt)
+    want = load_features(tmp_path / f"m.{ext}").data
+    for name in ("m.dat", "m.bin", "m.txt"):
+        save_features(m, tmp_path / name, fmt)
+        assert load_features(tmp_path / name).data.tobytes() == want.tobytes()
+
+
+def test_random_bytes_are_a_load_error(tmp_path):
+    path = tmp_path / "noise.fpk"
+    path.write_bytes(np.random.default_rng(5).bytes(4096))
+    with pytest.raises(LoadError, match="not a feature file"):
+        load_features(path)
+
+
 class TestStandardizer:
     def test_hand_mean_var(self):
         m = EmbeddingMatrix([[0.0, 0.0], [2.0, 2.0]])
         stats = fit_standardizer(m)
         assert np.allclose(stats.mean, [1.0, 1.0])
         assert np.allclose(stats.var, [1.0, 1.0])
-        assert np.array_equal(stats.gamma, [1.0, 1.0])
-        assert np.array_equal(stats.beta, [0.0, 0.0])
 
     def test_constant_column_clamped_with_warning(self):
         m = EmbeddingMatrix([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
@@ -242,8 +258,7 @@ class TestStandardizer:
 
     def test_apply_holds_one_copy(self, rng):
         m = EmbeddingMatrix(rng.normal(size=(6000, 128)))
-        fitted = fit_standardizer(m)
-        stats = NormStats(fitted.mean, fitted.var, rng.normal(1, 0.2, 128), rng.normal(0, 0.2, 128))
+        stats = fit_standardizer(m)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -252,7 +267,7 @@ class TestStandardizer:
         finally:
             tracemalloc.stop()
         # the out-of-place formula, to the bit
-        want = (m.data - stats.mean) / np.sqrt(stats.var + VAR_EPS) * stats.gamma + stats.beta
+        want = (m.data - stats.mean) / np.sqrt(stats.var + VAR_EPS)
         assert out.data.tobytes() == want.tobytes()
         assert not out.data.flags.writeable
         assert peak < 1.3 * out.data.nbytes
@@ -278,30 +293,9 @@ class TestStandardizer:
     def test_identity_stats_no_op(self, rng):
         m = EmbeddingMatrix(rng.normal(size=(5, 3)))
         d = 3
-        stats = NormStats(
-            mean=np.zeros(d), var=np.ones(d) - VAR_EPS, gamma=np.ones(d), beta=np.zeros(d)
-        )
+        stats = NormStats(mean=np.zeros(d), var=np.ones(d) - VAR_EPS)
         out = apply_standardizer(m, stats)
         assert np.allclose(out.data, m.data, atol=1e-12)
-
-    def test_gamma_zero_annihilates(self, rng):
-        m = EmbeddingMatrix(rng.normal(size=(4, 2)))
-        stats = fit_standardizer(m)
-        zeroed = NormStats(mean=stats.mean, var=stats.var, gamma=np.zeros(2), beta=np.zeros(2))
-        out = apply_standardizer(m, zeroed)
-        assert np.array_equal(out.data, np.zeros((4, 2)))
-
-    def test_unstandardize_recovers_input(self, rng):
-        data = rng.normal(size=(30, 5)) * 7 + 3
-        m = EmbeddingMatrix(data)
-        stats = fit_standardizer(m)
-        std = apply_standardizer(m, stats)
-        inverse = NormStats(
-            mean=np.zeros(5), var=np.ones(5) - VAR_EPS,
-            gamma=np.sqrt(stats.var + VAR_EPS), beta=stats.mean,
-        )
-        back = apply_standardizer(std, inverse)
-        assert np.allclose(back.data, data, atol=1e-5)
 
     def test_dimension_mismatch(self, rng):
         m = EmbeddingMatrix(rng.normal(size=(4, 3)))
@@ -313,13 +307,20 @@ class TestStandardizer:
         with pytest.raises(ValueError, match="2 samples"):
             fit_standardizer(EmbeddingMatrix(np.ones((1, 3))))
 
-    def test_standardize_array_batched(self, rng):
-        m = EmbeddingMatrix(rng.normal(size=(10, 4)))
-        stats = fit_standardizer(m)
-        stacked = rng.normal(size=(2, 5, 4))
-        out = standardize_array(stacked, stats)
-        assert out.shape == (2, 5, 4)
-        assert np.allclose(out[0], standardize_array(stacked[0], stats))
+    @pytest.mark.parametrize("block_rows, count", [(100, 1), (33, 4), (7, 15)])
+    def test_unit_rows_blocks_match_the_whole_array_form(self, rng, monkeypatch,
+                                                         block_rows, count):
+        # the formulations it replaced: the heads' float32 rounding of the
+        # float64 rows, and the float64 rows self-training and mining read
+        x = rng.normal(size=(100, 13)) * 5.0 + 2.0
+        stats = fit_standardizer(EmbeddingMatrix(x))
+        monkeypatch.setattr(featstore, "BLOCK_BYTES", block_rows * 8 * 13)
+        assert len(featstore.blocks(100, 8 * 13)) == count
+        want = (x - stats.mean) / np.sqrt(stats.var + VAR_EPS)
+        wide, narrow = unit_rows(x, stats), unit_rows(x, stats, np.float32)
+        assert wide.dtype == np.float64 and wide.tobytes() == want.tobytes()
+        assert narrow.dtype == np.float32
+        assert narrow.tobytes() == want.astype(np.float32).tobytes()
 
 
 class TestSynthetic:

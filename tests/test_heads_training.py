@@ -459,7 +459,7 @@ class TestHeadBlocks:
     def test_labeling_row_blocks_match_one_gemm(self, trained_run, monkeypatch):
         m, _, _, cfg, bank, _ = trained_run
         s = bank.student
-        norm = NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"])
+        norm = NormStats(bank.mean, bank.var)
         # the labels as they were taken before the argmax of the logits: of softmax(logits / tau)
         logits = heads._shared_logits(*heads._fold(**s), unit_rows(m.data, norm)) / cfg.tau_student
         want = np.argmax(heads.softmax(logits), axis=-1) + 1
@@ -467,7 +467,7 @@ class TestHeadBlocks:
             # float32 logits of every head, float64 then float32 unit rows
             row_bytes = 4 * (bank.num_heads * bank.num_clusters + 3 * bank.dim)
             monkeypatch.setattr(featstore, "BLOCK_BYTES", rows * row_bytes)
-            got = heads._head_labelings(s, m.n, lambda r: heads._float32_unit_rows(m.data[r], norm))
+            got = heads._head_labelings(s, m.n, lambda r: unit_rows(m.data[r], norm, np.float32))
             assert np.array_equal([lab.labels for lab in got], want)
 
     def test_lowest_non_finite_head_reported_across_row_blocks(self, rng, monkeypatch):
@@ -811,10 +811,10 @@ class TestTrainHeads:
         s = bank.student
         # the shared affine has trained away from identity, so folding it matters
         assert np.abs(s["gamma"] - 1.0).max() > 1e-2 and np.abs(s["beta_shift"]).max() > 1e-2
-        norm = NormStats(bank.mean, bank.var, s["gamma"], s["beta_shift"])
+        norm = NormStats(bank.mean, bank.var)
         for h in range(bank.num_heads):
-            probs = unfolded_head_probs(s["weight"][h], s["bias"][h], norm, m.data,
-                                        bank.config.tau_student)
+            probs = unfolded_head_probs(s["weight"][h], s["bias"][h], s["gamma"],
+                                        s["beta_shift"], norm, m.data, bank.config.tau_student)
             want = np.argmax(probs, axis=-1) + 1
             assert np.array_equal(predict_labeling(bank, h, m).labels, want)
             assert np.array_equal(report.per_head_labeling[h].labels, want)

@@ -373,10 +373,9 @@ class TestGroundTruth:
             want = [y for y in range(arr.size) if y != x and arr[y] == arr[x]]
             assert sets.sets[x].tolist() == want
 
-    def test_singleton_flagged(self):
-        labels = Labeling([1, 1, 2])
-        stats = neighbor_accuracy(ground_truth_neighbors(labels), labels)
-        assert stats.singleton_classes == 1
+    def test_singleton_class_gets_an_empty_set(self):
+        sets = ground_truth_neighbors(Labeling([1, 1, 2]))
+        assert sets.sizes().tolist() == [1, 1, 0]
 
 
 class TestAccuracy:

@@ -133,7 +133,6 @@ class TestConfig:
             "ablate.thresholds": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
             "ensemble.k": None,
             "features": None,
-            "features_format": None,
             "labels": None,
             "neighbors.file": None,
             "neighbors.ground_truth": False,
@@ -464,7 +463,7 @@ class TestPipeline:
         narrow = tmp_path / "narrow.clf"
         d = 5  # the features hold d = 12
         save_classifier(Classifier(np.zeros((2, d)), np.zeros(2),
-                                   NormStats(np.zeros(d), np.ones(d), np.ones(d), np.zeros(d)),
+                                   NormStats(np.zeros(d), np.ones(d)),
                                    np.array([1, 2])), narrow)
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         feats = str(t / "feats.fpk")
@@ -712,13 +711,36 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
-    def test_unknown_features_format_is_a_config_error(self, tmp_path, capsys):
-        fpath, lpath = write_inputs(tmp_path, n=40, d=6, k=2)
-        code = main(["nn-analysis", "--features", str(fpath), "--labels", str(lpath),
-                     "--set", "features_format=xyz"])
+    def test_features_format_is_an_unknown_key(self, tmp_path, capsys):
+        # the file's first bytes name its format
+        fpath, _ = write_inputs(tmp_path, n=40, d=6, k=2)
+        code = main(["train", "--features", str(fpath), "--out", str(tmp_path / "o"),
+                     "--set", "train.num_clusters=2", "--set", "features_format=csv"])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "config error" in err and "features_format" in err and "featpack, csv, npy" in err
+        assert "unknown config key 'features_format'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fmt, ext", [("featpack", "fpk"), ("npy", "npy"), ("csv", "csv")])
+    def test_train_reads_the_format_whatever_the_name(self, tmp_path, fmt, ext):
+        m, _ = gen_synthetic(SynthSpec(n=40, d=6, k=2, separation=20.0, seed=17))
+        mined = {}
+        for name in (f"f.{ext}", "f.dat", "f.bin", "f.txt"):
+            save_features(m, tmp_path / name, fmt)
+            out = tmp_path / f"run_{name}"
+            assert main(["train", "--features", str(tmp_path / name), "--out", str(out),
+                         "--set", "neighbors.k_min=3", "--set", "train.num_clusters=2",
+                         "--set", "train.num_heads=1", "--set", "train.epochs=0"]) == 0
+            mined[name] = (out / "neighbors.nns").read_bytes()
+        assert len(set(mined.values())) == 1
+
+    def test_random_bytes_features_exit_code_2(self, tmp_path, capsys):
+        noise = tmp_path / "noise.fpk"
+        noise.write_bytes(np.random.default_rng(3).bytes(4096))
+        code = main(["train", "--features", str(noise), "--out", str(tmp_path / "o"),
+                     "--set", "train.num_clusters=3"])
+        assert code == 2
+        assert "runtime failure" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "neighbors.nns").exists()
 
     def test_unknown_key_exit_code_1(self, tmp_path, capsys):
         code = main(["gen-synth", "--set", "bogus.key=1"])
@@ -981,7 +1003,6 @@ class TestNeighborSourceKeys:
 # that read the key: its own command and, where it reads the key, pipeline.
 TRAIN, SELFTRAIN, GEN_SYNTH = ("train", "pipeline"), ("selftrain", "pipeline"), ("gen-synth",)
 OUT_OF_RANGE = {
-    "features_format": ("bogus", TRAIN),
     "seed": ("-1", TRAIN),
     "threads": ("0", TRAIN),
     "synth.n": ("0", GEN_SYNTH),
