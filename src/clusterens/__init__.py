@@ -6,7 +6,7 @@ NMI-maximizing consensus over all head labelings, and one round of
 self-training on the consensus pseudo-labels.
 """
 
-from .ensemble import anmi, cspa, mcla, nmi, supra_consensus
+from .ensemble import anmi, cspa, mcla, supra_consensus
 from .errors import ClusterensError, ConfigError, LoadError, StageError, TrainingError
 from .featstore import (
     EmbeddingMatrix,
@@ -20,7 +20,7 @@ from .featstore import (
 )
 from .heads import HeadBank, TrainConfig, TrainReport, predict_labeling, train_heads
 from .labeling import Labeling, canonicalize, load_labeling, save_labeling
-from .metrics import MetricsReport, ari, clustering_accuracy, evaluate, hungarian
+from .metrics import MetricsReport, ari, clustering_accuracy, evaluate, hungarian, nmi
 from .neighbors import (
     NeighborSets,
     NeighborStats,
@@ -42,8 +42,8 @@ __all__ = [
     "NeighborSets", "NeighborStats", "build_neighbor_sets",
     "ground_truth_neighbors", "neighbor_accuracy", "sweep_neighbor_sets",
     "HeadBank", "TrainConfig", "TrainReport", "train_heads", "predict_labeling",
-    "anmi", "cspa", "mcla", "nmi", "supra_consensus",
-    "MetricsReport", "ari", "clustering_accuracy", "evaluate", "hungarian",
+    "anmi", "cspa", "mcla", "supra_consensus",
+    "MetricsReport", "ari", "clustering_accuracy", "evaluate", "hungarian", "nmi",
     "Classifier", "SelfTrainConfig", "self_train", "predict",
     "__version__",
 ]

@@ -1,15 +1,14 @@
-"""Cluster-ensemble consensus: count-form NMI objective, CSPA and MCLA.
+"""Cluster-ensemble consensus: the ANMI objective, CSPA and MCLA.
 
 The consensus labeling is the candidate maximizing the summed normalized
-mutual information against every input labeling.  Mutual information and
-entropies are kept in raw count form (no 1/n): MI is then nonnegative,
-entropies nonpositive, and their ratio equals the familiar sqrt-normalized
-NMI.  Candidate labelings come from two consensus functions, both read off
-the hyperedge column ids of :func:`co_association`, the ones of the n×ΣC
-one-hot hyperedge matrix Z: CSPA partitions the co-association
-S = Z·Zᵀ/H spectrally without forming it, and MCLA groups the hyperedges
-(the columns of Z) into meta-clusters.  Any caller-supplied extras join
-them (the pipeline passes the best head's labeling).
+mutual information (ANMI) against every input labeling, each NMI taken
+from :func:`clusterens.metrics.nmi`.  Candidate labelings come from two
+consensus functions, both read off the hyperedge column ids of
+:func:`co_association`, the ones of the n×ΣC one-hot hyperedge matrix Z:
+CSPA partitions the co-association S = Z·Zᵀ/H spectrally without forming
+it, and MCLA groups the hyperedges (the columns of Z) into meta-clusters.
+Any caller-supplied extras join them (the pipeline passes the best head's
+labeling).
 
 Everything runs on NumPy alone.  The Gram matrices of Z are filled from
 per-pair contingency tables.  CSPA's top eigenvectors come from
@@ -24,13 +23,13 @@ tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .featstore import blocks
 from .labeling import Labeling, canonicalize
+from .metrics import nmi
 
 # cap on CSPA's Lloyd refinement, which stops once no label changes
 LLOYD_ITERATIONS = 100
@@ -44,79 +43,12 @@ EIG_TOL = 1e-10
 EIG_WINDOW = 8
 
 __all__ = [
-    "ContingencyTable",
-    "contingency",
-    "mutual_information",
-    "entropy_count",
-    "nmi",
     "anmi",
     "co_association",
     "cspa",
     "mcla",
     "supra_consensus",
 ]
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Co-occurrence counts between the clusters of two labelings, with each
-    labeling's sorted cluster ids and cluster sizes (the table's margins)."""
-
-    counts: np.ndarray
-    row_ids: np.ndarray
-    col_ids: np.ndarray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.row_sums.sum())
-
-
-def contingency(a: Labeling, b: Labeling) -> ContingencyTable:
-    """Exact cluster co-occurrence counts between two equal-length labelings."""
-    if a.n != b.n:
-        raise ValueError(f"labelings differ in length: {a.n} vs {b.n}")
-    ca, cb = a.coding, b.coding
-    counts = np.bincount(ca.codes * b.k + cb.codes, minlength=a.k * b.k)
-    return ContingencyTable(counts.reshape(a.k, b.k), ca.ids, cb.ids, ca.counts, cb.counts)
-
-
-def mutual_information(table: ContingencyTable) -> float:
-    """Count-form mutual information: sum n_hl * log(n * n_hl / (n_h * n_l)).
-
-    Terms are combined with an exactly rounded sum so the value is
-    independent of cell order (hence exactly symmetric in the labelings).
-    """
-    counts = table.counts.astype(np.float64)
-    n = float(table.n)
-    outer = np.outer(table.row_sums, table.col_sums).astype(np.float64)
-    mask = counts > 0
-    return math.fsum(counts[mask] * np.log(n * counts[mask] / outer[mask]))
-
-
-def _entropy_of_counts(counts: np.ndarray, n: int) -> float:
-    counts = counts.astype(np.float64)
-    return math.fsum(counts * np.log(counts / n))
-
-
-def entropy_count(labeling: Labeling) -> float:
-    """Count-form entropy: sum n_h * log(n_h / n) (nonpositive)."""
-    return _entropy_of_counts(labeling.coding.counts, labeling.n)
-
-
-def nmi(a: Labeling, b: Labeling) -> float:
-    """Normalized mutual information MI / sqrt(H(a) * H(b)), in [0, 1].
-
-    Single-cluster labelings have zero entropy; any comparison involving one
-    returns 0 by convention.
-    """
-    table = contingency(a, b)
-    ha = entropy_count(a)
-    hb = entropy_count(b)
-    if ha == 0.0 or hb == 0.0:
-        return 0.0
-    return min(max(mutual_information(table) / math.sqrt(ha * hb), 0.0), 1.0)
 
 
 def nmi_pairwise(candidates: Sequence[Labeling], inputs: Sequence[Labeling]) -> list:
@@ -405,18 +337,10 @@ def supra_consensus_table(
 ):
     """Like :func:`supra_consensus` but also returns the per-candidate ANMI
     scores as (name, score, labeling) rows for reporting."""
-    names = ["cspa", "mcla"] + [
-        extra_names[i] if i < len(extra_names) else f"extra_{i}"
-        for i in range(len(extra_candidates))
-    ]
-    candidates = [cspa(inputs, k), mcla(inputs, k)]
-    candidates.extend(extra_candidates)
+    names = ["cspa", "mcla", *extra_names,
+             *(f"extra_{i}" for i in range(len(extra_names), len(extra_candidates)))]
+    candidates = [cspa(inputs, k), mcla(inputs, k), *extra_candidates]
     scores = [math.fsum(row) for row in nmi_pairwise(candidates, inputs)]
-    rows = [
-        (name, score, cand) for name, score, cand in zip(names, scores, candidates)
-    ]
-    best_idx = 0
-    for i, row in enumerate(rows):
-        if row[1] > rows[best_idx][1]:
-            best_idx = i
-    return rows, best_idx
+    rows = list(zip(names, scores, candidates))
+    # max keeps the first of equal scores
+    return rows, max(range(len(rows)), key=lambda i: scores[i])

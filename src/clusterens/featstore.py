@@ -275,39 +275,59 @@ def _parse_featpack(r: binfmt.Reader) -> np.ndarray:
 
 
 def _load_csv(path) -> np.ndarray:
-    """Comma-separated float rows, one per nonblank line.  A NUL byte in the
-    first ``TEXT_CHUNK`` bytes, which binary files hold and text does not,
-    refuses the file unparsed."""
-    rows = []
-    width = None
+    """Comma-separated float rows, one per nonblank line.
+
+    The text is parsed ``TEXT_CHUNK`` characters at a time, carrying only
+    the unfinished last value into the next piece, and a value of more than
+    ``TEXT_CHUNK`` characters is refused, so no line is held whole.  A NUL
+    byte in the first ``TEXT_CHUNK`` bytes, which binary files hold and text
+    does not, refuses the file unparsed.
+    """
+    values = []  # the rows' values, back to back
+    width, row, start, tail = None, 0, 0, ""  # row: the line; start: its first value's index
     try:
         with open(path, "rb") as raw:
             if b"\0" in raw.read(TEXT_CHUNK):
                 raise LoadError(f"{path}: not a feature file: no featpack or npy magic, "
                                 "and a NUL byte where csv text has none")
             raw.seek(0)
-            for lineno, line in enumerate(io.TextIOWrapper(raw, encoding="utf-8"), start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = [float(p) for p in line.split(",")]
-                except ValueError as exc:
-                    raise LoadError(
-                        f"{path}: unparseable value in row {lineno - 1}: {exc}"
-                    ) from exc
-                if width is None:
-                    width = len(row)
-                elif len(row) != width:
-                    raise LoadError(
-                        f"{path}: row {lineno - 1} has {len(row)} columns, expected {width}"
-                    )
-                rows.append(row)
+            text = io.TextIOWrapper(raw, encoding="utf-8")
+            while True:
+                piece = text.read(TEXT_CHUNK)
+                lines = (tail + piece).split("\n")
+                for i, line in enumerate(lines):
+                    done = i + 1 < len(lines) or not piece
+                    if len(values) == start:  # the line's first value: strip as the line
+                        line = line.lstrip()
+                    if done:
+                        line = line.rstrip()
+                        if len(values) == start and not line:
+                            row += 1  # a blank line
+                            continue
+                    fields = line.split(",")
+                    if len(fields[0]) > TEXT_CHUNK:
+                        raise LoadError(f"{path}: value of more than {TEXT_CHUNK} "
+                                        f"characters in row {row}")
+                    tail = "" if done else fields.pop()
+                    try:
+                        values.extend(map(float, fields))
+                    except ValueError as exc:
+                        raise LoadError(f"{path}: unparseable value in row {row}: {exc}") from exc
+                    if not done:
+                        continue
+                    count = len(values) - start
+                    if width is None:
+                        width = count
+                    elif count != width:
+                        raise LoadError(f"{path}: row {row} has {count} columns, expected {width}")
+                    row, start = row + 1, len(values)
+                if not piece:
+                    break
     except UnicodeDecodeError as exc:
         raise LoadError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not rows:
+    if width is None:
         raise LoadError(f"{path}: empty csv")
-    return np.asarray(rows, dtype=np.float64)
+    return np.array(values, dtype=np.float64).reshape(-1, width)
 
 
 def _parse_npy(r: binfmt.Reader) -> np.ndarray:

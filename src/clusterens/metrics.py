@@ -1,4 +1,8 @@
-"""Clustering evaluation: Hungarian-matched accuracy, NMI and ARI.
+"""Comparison of two labelings: contingency counts, NMI, accuracy and ARI.
+
+Every score reads the two labelings' contingency matrix and their cached
+codings.  MI and entropies are in raw count form (no 1/n), whose ratio is
+the sqrt-normalized NMI; the consensus stage sums it into its objective.
 
 The assignment behind the accuracy is a pure-Python port of the shortest
 augmenting path solver of Crouse (2016), with the tie rules of
@@ -13,10 +17,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import contingency, nmi
 from .labeling import Labeling
 
-__all__ = ["MetricsReport", "hungarian", "clustering_accuracy", "ari", "evaluate"]
+__all__ = ["contingency", "mutual_information", "entropy_count", "nmi", "MetricsReport",
+           "hungarian", "clustering_accuracy", "ari", "evaluate"]
+
+
+def contingency(a: Labeling, b: Labeling) -> np.ndarray:
+    """The (a.k, b.k) int64 matrix of cluster co-occurrence counts between
+    two equal-length labelings, rows and columns in sorted-id order."""
+    if a.n != b.n:
+        raise ValueError(f"labelings differ in length: {a.n} vs {b.n}")
+    counts = np.bincount(a.coding.codes * b.k + b.coding.codes, minlength=a.k * b.k)
+    return counts.reshape(a.k, b.k)
+
+
+def mutual_information(counts: np.ndarray) -> float:
+    """Count-form mutual information of a contingency matrix:
+    sum n_hl * log(n * n_hl / (n_h * n_l)), n and the margins its sums.
+
+    Terms are combined with an exactly rounded sum so the value is
+    independent of cell order (hence exactly symmetric in the labelings).
+    """
+    n = float(counts.sum())
+    outer = np.outer(counts.sum(axis=1), counts.sum(axis=0)).astype(np.float64)
+    cells = counts.astype(np.float64)
+    mask = cells > 0
+    return math.fsum(cells[mask] * np.log(n * cells[mask] / outer[mask]))
+
+
+def entropy_count(labeling: Labeling) -> float:
+    """Count-form entropy: sum n_h * log(n_h / n) (nonpositive)."""
+    counts = labeling.coding.counts.astype(np.float64)
+    return math.fsum(counts * np.log(counts / labeling.n))
+
+
+def nmi(a: Labeling, b: Labeling) -> float:
+    """Normalized mutual information MI / sqrt(H(a) * H(b)), in [0, 1].
+
+    Single-cluster labelings have zero entropy; any comparison involving one
+    returns 0 by convention.
+    """
+    counts = contingency(a, b)  # refuses unequal lengths
+    ha, hb = entropy_count(a), entropy_count(b)
+    if ha == 0.0 or hb == 0.0:
+        return 0.0
+    return min(max(mutual_information(counts) / math.sqrt(ha * hb), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -124,10 +170,10 @@ def clustering_accuracy(pred: Labeling, gt: Labeling) -> tuple[float, dict]:
     The matching maps predicted cluster ids to ground-truth class ids and is
     injective on the smaller side.
     """
-    table = contingency(pred, gt)
-    rows, cols = _linear_sum_assignment(-table.counts.astype(np.float64))  # rows ascend
-    matching = dict(zip(table.row_ids[rows].tolist(), table.col_ids[cols].tolist()))
-    return int(table.counts[rows, cols].sum()) / pred.n, matching
+    counts = contingency(pred, gt)
+    rows, cols = _linear_sum_assignment(-counts.astype(np.float64))  # rows ascend
+    matching = dict(zip(pred.coding.ids[rows].tolist(), gt.coding.ids[cols].tolist()))
+    return int(counts[rows, cols].sum()) / pred.n, matching
 
 
 def ari(a: Labeling, b: Labeling) -> float:
@@ -136,17 +182,17 @@ def ari(a: Labeling, b: Labeling) -> float:
     A zero denominator only happens when both partitions are the same
     trivial partition (all-singletons or one cluster); that case scores 1.
     """
-    table = contingency(a, b)  # refuses unequal lengths
+    counts = contingency(a, b)  # refuses unequal lengths
     if a.n < 2:
         raise ValueError("ARI needs at least 2 samples")
 
     def comb2(x):
         return x * (x - 1.0) / 2.0
 
-    sum_cells = float(comb2(table.counts).sum())
-    sum_a = float(comb2(table.row_sums).sum())
-    sum_b = float(comb2(table.col_sums).sum())
-    total = float(comb2(table.n))
+    sum_cells = float(comb2(counts).sum())
+    sum_a = float(comb2(a.coding.counts).sum())
+    sum_b = float(comb2(b.coding.counts).sum())
+    total = float(comb2(a.n))
     expected = sum_a * sum_b / total
     denom = 0.5 * (sum_a + sum_b) - expected
     if denom == 0.0:

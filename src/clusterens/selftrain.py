@@ -23,7 +23,7 @@ import numpy as np
 from . import binfmt
 from .errors import TrainingError
 from .featstore import EmbeddingMatrix, NormStats, fit_standardizer, unit_rows
-from .heads import softmax
+from .heads import CE_PROB_FLOOR, softmax
 from .labeling import Labeling, canonicalize, u32_ids
 
 CLASSIFIER_MAGIC = b"CLF1"
@@ -96,12 +96,12 @@ def ce_loss_and_grads(
     logits = s @ weight.T + bias
     probs = softmax(logits)
     picked = probs[np.arange(b_count), targets]
-    loss = float(-np.log(np.maximum(picked, 1e-12)).mean())
+    loss = float(-np.log(np.maximum(picked, CE_PROB_FLOOR)).mean())
     dlogits = probs  # made the logit gradient in place; ``picked`` is a copy
     dlogits[np.arange(b_count), targets] -= 1.0
     # rows on the probability floor are clamped in the loss, so they carry
     # no gradient
-    dlogits[picked <= 1e-12] = 0.0
+    dlogits[picked <= CE_PROB_FLOOR] = 0.0
     dlogits /= b_count
     return loss, {"weight": dlogits.T @ s, "bias": dlogits.sum(axis=0)}
 

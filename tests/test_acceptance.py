@@ -28,8 +28,8 @@ from clusterens import (
     train_heads,
 )
 from clusterens.config import PipelineConfig, resolve
-from clusterens.ensemble import contingency, entropy_count, mutual_information
 from clusterens.heads import composite_loss_and_grads, sinkhorn_knopp
+from clusterens.metrics import contingency, entropy_count, mutual_information
 from clusterens.pipeline import run_pipeline
 from clusterens.selftrain import ce_loss_and_grads
 

@@ -14,14 +14,8 @@ from clusterens import (
     supra_consensus,
 )
 from clusterens import featstore
-from clusterens.ensemble import (
-    co_association,
-    contingency,
-    entropy_count,
-    mutual_information,
-    supra_consensus_table,
-)
-from clusterens.metrics import clustering_accuracy
+from clusterens.ensemble import co_association, supra_consensus_table
+from clusterens.metrics import clustering_accuracy, contingency, entropy_count, mutual_information
 
 from oracles import (
     dense_co_association,
@@ -67,25 +61,24 @@ class TestCanonicalize:
 
 class TestContingency:
     def test_hand_count(self):
-        table = contingency(Labeling([1, 1, 2, 2]), Labeling([1, 2, 1, 2]))
-        assert np.array_equal(table.counts, [[1, 1], [1, 1]])
+        counts = contingency(Labeling([1, 1, 2, 2]), Labeling([1, 2, 1, 2]))
+        assert np.array_equal(counts, [[1, 1], [1, 1]])
 
     def test_identical_diagonal(self):
         lab = Labeling([1, 1, 2, 3, 3, 3])
-        table = contingency(lab, lab)
-        assert np.array_equal(table.counts, np.diag([2, 1, 3]))
+        assert np.array_equal(contingency(lab, lab), np.diag([2, 1, 3]))
 
     def test_single_sample(self):
-        table = contingency(Labeling([4]), Labeling([9]))
-        assert table.counts.tolist() == [[1]]
+        assert contingency(Labeling([4]), Labeling([9])).tolist() == [[1]]
 
     def test_sums_consistent(self, rng):
         a = Labeling(rng.integers(1, 5, size=60))
         b = Labeling(rng.integers(1, 7, size=60))
-        table = contingency(a, b)
-        assert table.n == 60
-        assert table.row_sums.sum() == 60
-        assert table.col_sums.sum() == 60
+        counts = contingency(a, b)
+        assert counts.shape == (a.k, b.k)
+        assert counts.sum() == 60
+        assert np.array_equal(counts.sum(axis=1), a.coding.counts)
+        assert np.array_equal(counts.sum(axis=0), b.coding.counts)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -94,8 +87,8 @@ class TestContingency:
 
 class TestCountFormEstimates:
     def test_independent_table_zero(self):
-        table = contingency(Labeling([1, 1, 2, 2]), Labeling([1, 2, 1, 2]))
-        assert mutual_information(table) == pytest.approx(0.0, abs=1e-12)
+        counts = contingency(Labeling([1, 1, 2, 2]), Labeling([1, 2, 1, 2]))
+        assert mutual_information(counts) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_labelings_count_form(self):
         lab = Labeling([1, 1, 2, 2])

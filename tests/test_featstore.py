@@ -116,6 +116,25 @@ class TestCsv:
         with pytest.raises(LoadError, match="row 1"):
             load_features(path)
 
+    def test_row_longer_than_a_piece(self, tmp_path, rng):
+        data = rng.normal(size=(3, 5000))
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",")
+        assert path.stat().st_size > 3 * featstore.TEXT_CHUNK
+        assert load_features(path).data.tobytes() == data.tobytes()
+
+    def test_newline_free_file_refused_in_bounded_memory(self, tmp_path):
+        path = tmp_path / "line.csv"
+        path.write_bytes(b"1" * (16 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LoadError, match=f"more than {featstore.TEXT_CHUNK} characters"):
+                load_features(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestNpy:
     def test_independently_written_file(self, tmp_path):

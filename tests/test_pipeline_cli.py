@@ -230,6 +230,25 @@ class TestPipeline:
         assert len(by_epoch) == int(block["epochs_run"]) + 1
         assert by_epoch[-1] == float(block["pseudo_agreement"]) == 1.0
 
+    def test_selftrain_report_when_the_cap_runs_out(self, pipeline_run, tmp_path):
+        t, _, _, out_dir, _ = pipeline_run
+        # zero starting weights put every sample in one class, so the fit check
+        # before the first step fails, and a one-step cap ends before the next
+        code = main([
+            "selftrain",
+            "--features", str(t / "feats.fpk"),
+            "--labels", str(t / "labels.lbl"),
+            "--pseudo-labels", str(out_dir / "consensus.lbl"),
+            "--out", str(tmp_path / "st"),
+            "--set", "selftrain.steps=1",
+        ])
+        assert code == 0
+        text = (tmp_path / "st" / "selftrain_report.txt").read_text()
+        block = read_machine_block(text)
+        assert block["stopped_early"] == "false"
+        assert int(block["steps"]) == int(block["steps_cap"]) == 1
+        assert "steps: 1 of a 1-step cap, ran the whole cap" in text
+
     def test_checkpoint_config_echo_keeps_types(self, pipeline_run):
         _, _, cfg, out_dir, _ = pipeline_run
         echo = load_head_bank(out_dir / "checkpoint.hdb").config
@@ -740,6 +759,15 @@ class TestCli:
                      "--set", "train.num_clusters=3"])
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "neighbors.nns").exists()
+
+    def test_newline_free_features_exit_code_2(self, tmp_path, capsys):
+        line = tmp_path / "line.csv"
+        line.write_bytes(b"1" * (16 << 20))
+        code = main(["train", "--features", str(line), "--out", str(tmp_path / "o"),
+                     "--set", "train.num_clusters=3"])
+        assert code == 2
+        assert "more than" in capsys.readouterr().err
         assert not (tmp_path / "o" / "neighbors.nns").exists()
 
     def test_unknown_key_exit_code_1(self, tmp_path, capsys):

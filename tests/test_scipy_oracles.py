@@ -20,8 +20,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
 from clusterens import Labeling, canonicalize, clustering_accuracy, cspa, ensemble
-from clusterens.ensemble import _average_linkage_cut, _gram, co_association, contingency
-from clusterens.metrics import _linear_sum_assignment, hungarian
+from clusterens.ensemble import _average_linkage_cut, _gram, co_association
+from clusterens.metrics import _linear_sum_assignment, contingency, hungarian
 
 from oracles import eigh_cspa, scipy_co_association, scipy_cspa
 from test_ensemble import block_ensemble, cspa_gram, krylov_ensembles, noisy_ensemble
@@ -68,10 +68,10 @@ def test_accuracy_matching_is_scipys(shape):
         cells = rng.permutation(np.repeat(np.arange(r * c), counts.ravel()))
         pred, gt = Labeling(10 + 3 * (cells // c)), Labeling(7 + 2 * (cells % c))
         table = contingency(pred, gt)
-        rows, cols = linear_sum_assignment(-table.counts)
+        rows, cols = linear_sum_assignment(-table)
         acc, matching = clustering_accuracy(pred, gt)
-        assert matching == dict(zip(table.row_ids[rows].tolist(), table.col_ids[cols].tolist()))
-        assert acc == table.counts[rows, cols].sum() / pred.n
+        assert matching == dict(zip(pred.coding.ids[rows].tolist(), gt.coding.ids[cols].tolist()))
+        assert acc == table[rows, cols].sum() / pred.n
 
 
 @pytest.mark.parametrize("levels", [2, 3, 5, 1000])
