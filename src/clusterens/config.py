@@ -1,7 +1,8 @@
 """Flat key=value run configuration with per-stage key prefixes.
 
 A config file holds one ``key = value`` pair per line of ``kvtext`` text
-(``#`` comments allowed); the same ``key=value`` strings are accepted on
+(``#`` comments allowed), read one line of at most ``labeling.TEXT_CHUNK``
+characters at a time; the same ``key=value`` strings are accepted on
 the command line via ``--set``.  Every key has a default, so a config only states what it
 overrides.  The ``train.*`` and ``selftrain.*`` keys are the fields of
 ``TrainConfig`` and ``SelfTrainConfig``, parsed by the field's type and
@@ -77,11 +78,16 @@ SCHEMA = {
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict:
     """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
-    return _parse(source, (line.split("#", 1)[0] for line in text.splitlines()))
+    return _parse_config_lines(text.splitlines(), source)
+
+
+def _parse_config_lines(lines, source: str) -> dict:
+    return _parse(source, (line.split("#", 1)[0] for line in lines))
 
 
 def _parse(source: str, lines) -> dict:
-    """``kvtext.parse`` with its refusal of a line as a ``ConfigError``."""
+    """``kvtext.parse`` with its refusal of a line, or of the text that
+    ``lines`` reads, as a ``ConfigError``."""
     try:
         return kvtext.parse(lines, source)
     except ValueError as exc:
@@ -180,5 +186,5 @@ def load_pipeline_config(path=None, overrides: list | None = None) -> PipelineCo
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        entries = parse_kv_text(path.read_text(encoding="utf-8"), source=str(path))
+        entries = _parse_config_lines(kvtext.read_lines(path), str(path))
     return PipelineConfig(resolve(entries, overrides))

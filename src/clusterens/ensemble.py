@@ -11,7 +11,8 @@ Any caller-supplied extras join them (the pipeline passes the best head's
 labeling).
 
 Everything runs on NumPy alone.  The Gram matrices of Z are filled from
-per-pair contingency tables.  CSPA's top eigenvectors come from
+:func:`clusterens.metrics.contingency` of each pair of inputs, and CSPA
+reads the cluster sizes off the codings.  CSPA's top eigenvectors come from
 subspace iteration with Rayleigh-Ritz on a block of k + 10 columns from a
 fixed start, stopped on a stated residual bound, and from
 ``np.linalg.eigh`` when the bound is not met within a cap of about one
@@ -29,7 +30,7 @@ import numpy as np
 
 from .featstore import blocks
 from .labeling import Labeling, canonicalize
-from .metrics import nmi
+from .metrics import contingency, nmi
 
 # cap on CSPA's Lloyd refinement, which stops once no label changes
 LLOYD_ITERATIONS = 100
@@ -82,27 +83,22 @@ def co_association(inputs: Sequence[Labeling]) -> tuple[np.ndarray, int]:
     return columns, int(offsets[-1])
 
 
-def _gram(columns: np.ndarray, g: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """Zᵀ·diag(weights)·Z as a g×g float64 matrix, Z the one-hot matrix
-    with ones at ``columns`` (unit weights if None).
+def _gram(inputs: Sequence[Labeling], weights: np.ndarray | None = None) -> np.ndarray:
+    """Zᵀ·diag(weights)·Z as a ΣC×ΣC float64 matrix, Z the one-hot
+    hyperedge matrix of :func:`co_association` (unit weights if None).
 
-    It is filled one pair of inputs (a, b) at a time: the block is a
-    ``bincount`` of ``code_a·k_b + code_b``, the pair's contingency table,
-    summed in sample order.  Memory is O(n + g²).
+    Block (a, b) is the contingency table of inputs a and b, each cell
+    summed in sample order; block (b, a) is its transpose.  Memory is
+    O(n + ΣC²).
     """
-    lows = columns.min(axis=0)  # each input's first column: code 0 always occurs
-    highs = np.append(lows[1:], g)
-    gram = np.zeros((g, g))
-    for a in range(columns.shape[1]):
-        code_a = columns[:, a] - lows[a]
-        for b in range(a, columns.shape[1]):
-            k_b = highs[b] - lows[b]
-            block = np.bincount(
-                code_a * k_b + (columns[:, b] - lows[b]), weights,
-                minlength=(highs[a] - lows[a]) * k_b,
-            ).reshape(-1, k_b)
-            gram[lows[a]:highs[a], lows[b]:highs[b]] = block
-            gram[lows[b]:highs[b], lows[a]:highs[a]] = block.T
+    edges = np.cumsum([0] + [lab.k for lab in inputs])
+    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    gram = np.empty((edges[-1], edges[-1]))
+    for a, lab in enumerate(inputs):
+        for b in range(a, len(inputs)):
+            block = contingency(lab, inputs[b], weights)
+            gram[spans[a], spans[b]] = block
+            gram[spans[b], spans[a]] = block.T
     return gram
 
 
@@ -246,11 +242,12 @@ def cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     n = columns.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds sample count n={n}")
-    sizes = np.bincount(columns.ravel(), minlength=g)
-    scale = 1.0 / np.sqrt(sizes[columns].sum(axis=1).astype(np.float64))  # D^-1/2 of H·S
+    # each sample's degree in H·S: the sizes of its H clusters, summed exactly
+    degree = sum(lab.coding.counts[lab.coding.codes] for lab in inputs)
+    scale = 1.0 / np.sqrt(degree.astype(np.float64))  # D^-1/2 of H·S
     # the Gram of D^-1/2·Z, weighted by scale·scale (the product each of its
     # terms is) rather than by 1/degree, which may differ in the last bit
-    vals, vecs = _top_eigenpairs(_gram(columns, g, scale * scale), k)
+    vals, vecs = _top_eigenpairs(_gram(inputs, scale * scale), k)
     # the top eigenvalue is 1; drop those that are zero up to rounding
     keep = vals > _rank_cutoff(n, g)
     basis = vecs[:, keep] / np.sqrt(vals[keep])
@@ -292,7 +289,7 @@ def mcla(inputs: Sequence[Labeling], k: int) -> Labeling:
     columns, g = co_association(inputs)
     if k < 1:
         raise ValueError("k must be >= 1")
-    dist = _gram(columns, g)
+    dist = _gram(inputs)
     sizes = dist.diagonal().copy()
     # 1 - Jaccard = 1 - inter / union, one block of rows at a time in place in
     # the g×g Gram of intersections; bitwise symmetric, as the Gram is

@@ -3,6 +3,11 @@ blocks and the HDB1 config echo, and the text of their values."""
 
 from __future__ import annotations
 
+from .labeling import TEXT_CHUNK
+
+# characters of an offending line that an error message quotes
+QUOTE_CHARS = 40
+
 
 def format_value(value) -> str:
     """Booleans as ``true``/``false``, floats by ``repr`` (so they read back
@@ -40,13 +45,33 @@ def render(pairs) -> str:
 
 def parse(lines, source: str) -> dict:
     """The stripped keys and values of ``key=value`` lines, skipping blank
-    ones; the last of a repeated key wins, a line without ``=`` raises."""
+    ones; the last of a repeated key wins, a line without ``=`` raises,
+    quoting the line's first ``QUOTE_CHARS`` characters."""
     pairs = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ValueError(f"{source}:{lineno}: expected key=value, got {line!r}")
+            more = "..." if len(line) > QUOTE_CHARS else ""
+            raise ValueError(f"{source}:{lineno}: expected key=value, "
+                             f"got {line[:QUOTE_CHARS]!r}{more}")
         pairs[key.strip()] = value.strip()
     return pairs
+
+
+def read_lines(path):
+    """The lines of a UTF-8 text file, without their line ends, read one at
+    a time.  ``ValueError`` at a line of more than ``TEXT_CHUNK`` characters,
+    named by its number, or at bytes that are not UTF-8, so no line is held
+    whole."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            for lineno, line in enumerate(iter(lambda: f.readline(TEXT_CHUNK + 1), ""), start=1):
+                if line.endswith("\n"):
+                    line = line[:-1]
+                if len(line) > TEXT_CHUNK:
+                    raise ValueError(f"{path}:{lineno}: line of more than {TEXT_CHUNK} characters")
+                yield line
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None

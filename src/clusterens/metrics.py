@@ -23,12 +23,14 @@ __all__ = ["contingency", "mutual_information", "entropy_count", "nmi", "Metrics
            "hungarian", "clustering_accuracy", "ari", "evaluate"]
 
 
-def contingency(a: Labeling, b: Labeling) -> np.ndarray:
+def contingency(a: Labeling, b: Labeling, weights: np.ndarray | None = None) -> np.ndarray:
     """The (a.k, b.k) int64 matrix of cluster co-occurrence counts between
-    two equal-length labelings, rows and columns in sorted-id order."""
+    two equal-length labelings, rows and columns in sorted-id order.  With
+    per-sample ``weights``, each cell is instead the float64 sum of its
+    samples' weights, added in sample order."""
     if a.n != b.n:
         raise ValueError(f"labelings differ in length: {a.n} vs {b.n}")
-    counts = np.bincount(a.coding.codes * b.k + b.coding.codes, minlength=a.k * b.k)
+    counts = np.bincount(a.coding.codes * b.k + b.coding.codes, weights, minlength=a.k * b.k)
     return counts.reshape(a.k, b.k)
 
 

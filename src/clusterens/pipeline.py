@@ -70,12 +70,21 @@ def render_report(human_lines, machine: dict) -> str:
 
 def read_machine_block(text: str) -> dict:
     """Parse the key=value block after the last ``---`` separator line."""
-    lines = text.splitlines()
-    try:
-        start = len(lines) - 1 - lines[::-1].index(MACHINE_SEPARATOR)
-    except ValueError:
-        raise ValueError("report has no machine-readable block") from None
-    return kvtext.parse(lines[start + 1 :], "machine block")
+    return _machine_block(text.splitlines())
+
+
+def _machine_block(lines) -> dict:
+    """:func:`read_machine_block` of a report's lines, keeping only those
+    after the last separator seen."""
+    block = None
+    for line in lines:
+        if line == MACHINE_SEPARATOR:
+            block = []
+        elif block is not None:
+            block.append(line)
+    if block is None:
+        raise ValueError("report has no machine-readable block")
+    return kvtext.parse(block, "machine block")
 
 
 def pct(x: float) -> str:
@@ -209,7 +218,7 @@ def ensemble_inputs(cfg: PipelineConfig):
     run_dir = Path(cfg["output_dir"])
     report = input_file(run_dir / "train_report.txt", "train report")
     try:
-        block = read_machine_block(report.read_text(encoding="utf-8"))
+        block = _machine_block(kvtext.read_lines(report))
         num_heads, best_head = int(block["num_heads"]), int(block["best_head"])
     except (KeyError, ValueError) as exc:
         raise LoadError(f"{report}: not a train report: {type(exc).__name__}: {exc}") from None

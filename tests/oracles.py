@@ -413,7 +413,7 @@ def eigh_cspa(inputs: Sequence[Labeling], k: int) -> Labeling:
     scale = 1.0 / np.sqrt(sizes[columns].sum(axis=1).astype(np.float64))  # D^-1/2 of H·S
     # the Gram of D^-1/2·Z, weighted by scale·scale (the product each of its
     # terms is) rather than by 1/degree, which may differ in the last bit
-    vals, vecs = np.linalg.eigh(_gram(columns, g, scale * scale))
+    vals, vecs = np.linalg.eigh(_gram(inputs, scale * scale))
     vals, vecs = vals[max(g - k, 0):], vecs[:, max(g - k, 0):]
     # the top eigenvalue is 1; drop those that are zero up to rounding
     keep = vals > _rank_cutoff(n, g)

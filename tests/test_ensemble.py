@@ -84,6 +84,25 @@ class TestContingency:
         with pytest.raises(ValueError):
             contingency(Labeling([1, 2]), Labeling([1, 2, 3]))
 
+    def test_weighted_sums_in_sample_order(self, rng):
+        """Each weighted cell is bit-equal to its samples' weights added one
+        by one in sample order; the weights span 16 decades, so another order
+        rounds differently."""
+        a = Labeling(rng.choice([-4, 3, 11, 90], size=500))
+        b = Labeling(rng.choice([1000, 2, 7], size=500))
+        weights = rng.random(500) * 10.0 ** rng.integers(-8, 8, size=500)
+        forward, backward = np.zeros((a.k, b.k)), np.zeros((a.k, b.k))
+        cells = list(zip(a.coding.codes.tolist(), b.coding.codes.tolist(), weights.tolist()))
+        for i, j, w in cells:
+            forward[i, j] += w
+        for i, j, w in reversed(cells):
+            backward[i, j] += w
+        got = contingency(a, b, weights)
+        assert got.dtype == np.float64 and got.shape == (4, 3)
+        assert np.array_equal(got.view(np.uint64), forward.view(np.uint64))
+        assert not np.array_equal(got.view(np.uint64), backward.view(np.uint64))
+        assert np.array_equal(contingency(a, b, np.ones(500)), contingency(a, b))
+
 
 class TestCountFormEstimates:
     def test_independent_table_zero(self):
@@ -433,7 +452,23 @@ def cspa_gram(inputs):
     columns, g = co_association(inputs)
     sizes = np.bincount(columns.ravel(), minlength=g)
     scale = 1.0 / np.sqrt(sizes[columns].sum(axis=1).astype(np.float64))
-    return ensemble._gram(columns, g, scale * scale)
+    return ensemble._gram(inputs, scale * scale)
+
+
+def test_gram_blocks_are_pair_contingencies(rng):
+    """Block (a, b) of the Gram, weighted or not, is bit-equal to the
+    contingency table of inputs a and b, for uneven k and non-contiguous ids."""
+    n = 300
+    inputs = [Labeling(rng.choice(ids, size=n))
+              for ids in ([5, -2, 40], [1, 2], [7, 8, 9, 100, 3], [0], [5, -2, 40])]
+    edges = np.cumsum([0] + [lab.k for lab in inputs])
+    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    for weights in (None, rng.random(n)):
+        gram = ensemble._gram(inputs, weights)
+        assert gram.dtype == np.float64 and gram.shape == (14, 14)
+        for a, b in np.ndindex(len(inputs), len(inputs)):
+            want = contingency(inputs[a], inputs[b], weights).astype(np.float64)
+            assert np.array_equal(gram[spans[a], spans[b]].view(np.uint64), want.view(np.uint64))
 
 
 def wishart_gram(g):
@@ -611,7 +646,7 @@ class TestMcla:
 
         cut = ensemble._average_linkage_cut
         monkeypatch.setattr(ensemble, "_average_linkage_cut", record)
-        inter = ensemble._gram(*co_association(inputs))
+        inter = ensemble._gram(inputs)
         g = inter.shape[0]
         monkeypatch.setattr(featstore, "BLOCK_BYTES", 7 * 8 * g)  # row blocks of 7
         assert g % 7 and len(featstore.blocks(g, 8 * g)) > 1

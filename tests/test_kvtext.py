@@ -1,15 +1,17 @@
 """The key=value codec that config files, ``--set`` items, report machine
 blocks and the HDB1 config echo are written and read by."""
 
+import re
 from dataclasses import fields
 
 import pytest
 
 from clusterens import kvtext
 from clusterens.cli import main
-from clusterens.config import SCHEMA, PipelineConfig, parse_kv_text, resolve
+from clusterens.config import SCHEMA, PipelineConfig, load_pipeline_config, parse_kv_text, resolve
 from clusterens.errors import ConfigError, LoadError
 from clusterens.heads import TrainConfig, config_from_text, config_to_text
+from clusterens.labeling import TEXT_CHUNK
 from clusterens.pipeline import ensemble_inputs, read_machine_block, render_report
 
 
@@ -50,6 +52,21 @@ def test_parse_strips_skips_blanks_and_keeps_the_last():
 def test_a_line_without_equals_is_named():
     with pytest.raises(ValueError, match=r"^src:3: expected key=value, got 'oops'$"):
         kvtext.parse(["a=1", "", "oops"], "src")
+
+
+def test_a_long_line_without_equals_is_quoted_in_part():
+    with pytest.raises(ValueError) as info:
+        kvtext.parse(["a=1", "y" * 5000], "src")
+    assert str(info.value) == f"src:2: expected key=value, got {'y' * kvtext.QUOTE_CHARS!r}..."
+
+
+def test_config_file_lines_are_read_one_at_a_time(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 3\r\n\n" + "#" * TEXT_CHUNK + "\nthreads = 2")
+    assert load_pipeline_config(path)["threads"] == 2
+    path.write_text("seed = 3\n\n" + "#" * (TEXT_CHUNK + 1) + "\nthreads = 2\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: line of more than"):
+        load_pipeline_config(path)
 
 
 def test_set_keeps_a_hash_sign_that_a_config_file_starts_a_comment_with():

@@ -28,12 +28,19 @@ from clusterens.config import (
     parse_kv_text,
     resolve,
 )
-from clusterens.errors import ConfigError, StageError
+from clusterens.errors import ConfigError, LoadError, StageError
 from clusterens.featstore import save_features
 from clusterens.heads import TrainConfig, load_head_bank
+from clusterens.labeling import TEXT_CHUNK
 from clusterens.metrics import evaluate
 from clusterens.neighbors import NeighborSets, save_neighbor_sets
-from clusterens.pipeline import ensemble_stage, read_machine_block, run_pipeline
+from clusterens.pipeline import (
+    ensemble_inputs,
+    ensemble_stage,
+    read_machine_block,
+    render_report,
+    run_pipeline,
+)
 from clusterens.selftrain import save_classifier
 
 
@@ -769,6 +776,35 @@ class TestCli:
         assert code == 2
         assert "more than" in capsys.readouterr().err
         assert not (tmp_path / "o" / "neighbors.nns").exists()
+
+    def test_binary_config_exit_code_1(self, tmp_path, capsys):
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(bytes(range(256)) * 16)
+        code = main(["pipeline", "--config", str(cfg), "--set", f"output_dir={tmp_path / 'o'}"])
+        assert code == 1
+        assert f"config error: {cfg}: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_line_config_exit_code_1_in_a_short_message(self, tmp_path, capsys):
+        cfg = tmp_path / "line.cfg"
+        cfg.write_bytes(b"seed = 1\n" + b"x" * (1 << 20))
+        code = main(["pipeline", "--config", str(cfg), "--set", f"output_dir={tmp_path / 'o'}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: line of more than {TEXT_CHUNK} characters" in err
+        assert len(err) < 1024
+        assert not (tmp_path / "o").exists()
+
+    def test_overlong_train_report_line_exit_code_2(self, tmp_path, capsys):
+        report = render_report(["x" * (TEXT_CHUNK + 1)], {"num_heads": 1, "best_head": 0})
+        (tmp_path / "train_report.txt").write_text(report)
+        code = main(["ensemble", "--run-dir", str(tmp_path), "--k", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not a train report" in err and f"train_report.txt:1: line of more than" in err
+        assert len(err) < 1024
+        with pytest.raises(LoadError, match="line of more than"):
+            ensemble_inputs(PipelineConfig(resolve({"output_dir": str(tmp_path)}, [])))
 
     def test_unknown_key_exit_code_1(self, tmp_path, capsys):
         code = main(["gen-synth", "--set", "bogus.key=1"])

@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
 from clusterens import Labeling, canonicalize, clustering_accuracy, cspa, ensemble
-from clusterens.ensemble import _average_linkage_cut, _gram, co_association
+from clusterens.ensemble import _average_linkage_cut, _gram
 from clusterens.metrics import _linear_sum_assignment, contingency, hungarian
 
 from oracles import eigh_cspa, scipy_co_association, scipy_cspa
@@ -142,8 +142,7 @@ def test_pairwise_gram_equals_sparse_product(rng, n, h, k):
     z = scipy_co_association(inputs)
     degree = z @ np.asarray(z.sum(axis=0)).ravel()
     zs = sparse.diags(1.0 / np.sqrt(degree)) @ z
-    columns, g = co_association(inputs)
     scale = 1.0 / np.sqrt(degree)
-    weighted = _gram(columns, g, scale * scale)
+    weighted = _gram(inputs, scale * scale)
     assert np.array_equal(weighted.view(np.uint64), (zs.T @ zs).toarray().view(np.uint64))
-    assert np.array_equal(_gram(columns, g), (z.T @ z).toarray())
+    assert np.array_equal(_gram(inputs), (z.T @ z).toarray())
