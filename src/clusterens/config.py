@@ -4,10 +4,11 @@ A config file holds one ``key = value`` pair per line of ``kvtext`` text
 (``#`` comments allowed), read one line of at most ``labeling.TEXT_CHUNK``
 characters at a time; the same ``key=value`` strings are accepted on
 the command line via ``--set``.  Every key has a default, so a config only states what it
-overrides.  The ``train.*`` and ``selftrain.*`` keys are the fields of
-``TrainConfig`` and ``SelfTrainConfig``, parsed by the field's type and
-defaulting to the field's default (``None`` for a field without one); their
-``seed`` field is the shared top-level ``seed`` key.  The resolved
+overrides.  The ``synth.*``, ``train.*`` and ``selftrain.*`` keys are the
+fields of ``SynthSpec``, ``TrainConfig`` and ``SelfTrainConfig``, parsed by
+the field's type and defaulting to the field's default (``None`` for a field
+without one); their ``seed`` field is the shared top-level ``seed`` key,
+which ``synth.seed`` overrides for the synthetic data.  The resolved
 configuration hashes deterministically, which the run manifest records.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -54,10 +55,7 @@ SCHEMA = {
     "output_dir": (str, None),
     "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 0),
     "threads": (_checked(int, lambda v: v >= 1, ">= 1"), 1),  # ignored; kept so older configs load
-    "synth.n": (int, None),
-    "synth.d": (int, None),
-    "synth.k": (int, None),
-    "synth.separation": (float, 20.0),
+    **_stage_keys("synth", SynthSpec),
     "synth.seed": (_checked(int, lambda v: v >= 0, ">= 0"), None),
     "neighbors.theta": (_checked(float, math.isfinite, "finite"), 0.3),
     "neighbors.k_min": (_checked(int, lambda v: v >= 1, ">= 1"), 50),
@@ -168,13 +166,8 @@ class PipelineConfig:
         return self._stage_config("selftrain", SelfTrainConfig)
 
     def synth_spec(self) -> SynthSpec:
-        self.require("synth.n", "synth.d", "synth.k")
-        seed = self["seed"] if self["synth.seed"] is None else self["synth.seed"]
-        try:
-            return SynthSpec(n=self["synth.n"], d=self["synth.d"], k=self["synth.k"],
-                             separation=self["synth.separation"], seed=seed)
-        except ValueError as exc:
-            raise ConfigError(f"invalid synth spec: {exc}") from exc
+        spec = self._stage_config("synth", SynthSpec)
+        return spec if self["synth.seed"] is None else replace(spec, seed=self["synth.seed"])
 
     def hash(self) -> str:
         return config_hash(self.resolved)

@@ -6,7 +6,9 @@ are supported for interop, and a loader tells them apart by the file's
 first bytes.  Standardization is a batch-normalization layer's statistics
 frozen at fit time, without its affine: per dimension
 ``(x - mean) / sqrt(var + 1e-5)``, by :func:`unit_rows`, the one
-standardization every stage runs.
+standardization every stage runs.  Its statistics are fitted once per
+matrix and cached on it (``EmbeddingMatrix.norm``); ``NormStats`` refuses
+a non-finite mean and a negative or non-finite variance.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import struct
 import tokenize
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +56,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """Immutable n x d matrix of feature vectors; the row index is the
-    stable sample identity across all pipeline stages."""
+    stable sample identity across all pipeline stages.  ``norm``, the
+    standardizer every stage reads, is fitted once and cached on the matrix."""
 
     data: np.ndarray
 
@@ -88,10 +92,17 @@ class EmbeddingMatrix:
     def d(self) -> int:
         return self.data.shape[1]
 
+    @cached_property
+    def norm(self) -> NormStats:
+        """``fit_standardizer`` of the matrix, fitted on first use and kept (the
+        rows are a private read-only array, so it cannot go stale)."""
+        return fit_standardizer(self)
+
 
 @dataclass(frozen=True)
 class NormStats:
-    """Frozen per-dimension standardization statistics."""
+    """Frozen per-dimension standardization statistics: a finite mean and
+    a finite, nonnegative variance per dimension."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -102,8 +113,9 @@ class NormStats:
             object.__setattr__(self, name, _readonly(v))
         if self.var.size != self.mean.size:
             raise ValueError("NormStats vectors must share one dimension")
-        if np.any(self.var < 0):
-            raise ValueError("variance entries must be nonnegative")
+        # each test fails on NaN
+        if not (np.isfinite(self.mean).all() and ((0.0 <= self.var) & (self.var < np.inf)).all()):
+            raise ValueError("non-finite standardizer mean, or negative or non-finite variance")
 
     @property
     def d(self) -> int:
@@ -283,7 +295,8 @@ def _load_csv(path) -> np.ndarray:
     byte in the first ``TEXT_CHUNK`` bytes, which binary files hold and text
     does not, refuses the file unparsed.
     """
-    values = []  # the rows' values, back to back
+    from array import array  # here, since only a csv load needs it
+    values = array("d")  # the rows' values, back to back, 8 bytes each
     width, row, start, tail = None, 0, 0, ""  # row: the line; start: its first value's index
     try:
         with open(path, "rb") as raw:

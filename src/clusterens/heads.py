@@ -89,7 +89,7 @@ import numpy as np
 
 from . import binfmt, kvtext
 from .errors import TrainingError
-from .featstore import EmbeddingMatrix, NormStats, blocks, fit_standardizer, unit_rows
+from .featstore import EmbeddingMatrix, NormStats, blocks, unit_rows
 from .labeling import Labeling
 from .neighbors import NeighborSets
 
@@ -542,15 +542,15 @@ class _AdamW:
 class HeadBank:
     """Standardizer statistics, student and teacher parameters, class marginals.
 
-    ``student`` and ``teacher`` map the parameter names of ``_param_views``
-    to arrays of its shapes; the teacher is the exponential moving average
-    of the student.  In a trained or loaded bank, each copy is the views of
+    ``norm`` is the training features' ``EmbeddingMatrix.norm``, as in a
+    ``Classifier``.  ``student`` and ``teacher`` map the parameter names of
+    ``_param_views`` to arrays of its shapes; the teacher is the exponential
+    moving average of the student.  In a trained or loaded bank, each copy is the views of
     one flat float32 buffer, which ``train_heads`` updates in place.
     """
 
     config: TrainConfig
-    mean: np.ndarray
-    var: np.ndarray
+    norm: NormStats
     student: dict
     teacher: dict
     marginal: np.ndarray  # (H, C)
@@ -568,17 +568,17 @@ class HeadBank:
         return self.student["weight"].shape[2]
 
 
-def _init_bank(cfg: TrainConfig, mean: np.ndarray, var: np.ndarray, rng) -> HeadBank:
+def _init_bank(cfg: TrainConfig, norm: NormStats, rng) -> HeadBank:
     """Untrained float32 student and teacher buffers: weights from N(0, INIT_SCALE^2),
     biases and ``beta_shift`` 0, ``gamma`` 1, and the teacher a copy of the student."""
-    h, c, d = cfg.num_heads, cfg.num_clusters, mean.size
+    h, c, d = cfg.num_heads, cfg.num_clusters, norm.d
     flat, student = _param_views(h, c, d, dtype=np.float32)
     flat.fill(0.0)
     # the draws of rng.normal(0, INIT_SCALE) in float64, rounded once into the buffer
     np.multiply(rng.standard_normal(student["weight"].shape), INIT_SCALE, out=student["weight"])
     student["gamma"].fill(1.0)
     teacher = _param_views(h, c, d, flat.copy())[1]
-    return HeadBank(cfg, mean, var, student, teacher, np.full((h, c), 1.0 / c))
+    return HeadBank(cfg, norm, student, teacher, np.full((h, c), 1.0 / c))
 
 
 def _draw_neighbors(head_rngs, anchors, sets: NeighborSets, sizes, m_draws: int) -> np.ndarray:
@@ -628,11 +628,10 @@ def train_heads(
     batch_rng = np.random.default_rng(batch_rng)
     head_rngs = [np.random.default_rng(s) for s in head_seqs]
 
-    norm = fit_standardizer(features)
-    bank = _init_bank(cfg, norm.mean, norm.var, init_rng)
+    bank = _init_bank(cfg, features.norm, init_rng)
     student_flat, teacher_flat = bank.student["weight"].base, bank.teacher["weight"].base
     optimizer = _AdamW(student_flat, cfg.weight_decay, decayed=bank.student["weight"].size)
-    u = unit_rows(features.data, norm, np.float32)
+    u = unit_rows(features.data, bank.norm, np.float32)
 
     h_count = cfg.num_heads
     m_draws = cfg.smoothing_m
@@ -737,9 +736,8 @@ def predict_labeling(bank: HeadBank, head: int, features: EmbeddingMatrix) -> La
     with, on float32 unit rows standardized one block of rows at a time."""
     if not 0 <= head < bank.num_heads:
         raise ValueError(f"head {head} out of range [0, {bank.num_heads})")
-    norm, x = NormStats(bank.mean, bank.var), features.data
     return _head_labelings(bank.student, features.n,
-                           lambda rows: unit_rows(x[rows], norm, np.float32),
+                           lambda rows: unit_rows(features.data[rows], bank.norm, np.float32),
                            slice(head, head + 1))[0]
 
 
@@ -767,7 +765,7 @@ def save_head_bank(bank: HeadBank, path) -> None:
     cfg_bytes = config_to_text(bank.config).encode("utf-8")
     h = bank.num_heads
     copies = (bank.student, bank.teacher)
-    shared = np.stack([bank.mean, bank.var,
+    shared = np.stack([bank.norm.mean, bank.norm.var,
                        *(p[k] for p in copies for k in ("gamma", "beta_shift"))])
     rows = np.concatenate([*(a.reshape(h, -1) for p in copies for a in (p["weight"], p["bias"])),
                            bank.marginal], axis=1)
@@ -794,8 +792,6 @@ def _parse_head_bank(r: binfmt.Reader) -> HeadBank:
     if not ((np.abs(rows[:, : 2 * width]) <= f32_max).all()
             and (np.abs(shared[2:]) <= f32_max).all()):
         raise ValueError("a head parameter is non-finite or beyond float32's range")
-    if not (np.isfinite(shared[0]).all() and ((0.0 <= shared[1]) & (shared[1] < np.inf)).all()):
-        raise ValueError("the standardizer mean is non-finite or its var negative or non-finite")
 
     def copy(i: int) -> dict:
         """Copy i (0 student, 1 teacher) in one float32 buffer: its columns of
@@ -809,7 +805,7 @@ def _parse_head_bank(r: binfmt.Reader) -> HeadBank:
         return views
 
     marginal = rows[:, 2 * width :].astype(np.float64)
-    return HeadBank(cfg, shared[0], shared[1], copy(0), copy(1), marginal)
+    return HeadBank(cfg, NormStats(shared[0], shared[1]), copy(0), copy(1), marginal)
 
 
 def load_head_bank(path) -> HeadBank:

@@ -27,7 +27,6 @@ from .featstore import (
     EmbeddingMatrix,
     apply_standardizer,
     detect_format,
-    fit_standardizer,
     gen_synthetic,
     load_features,
     save_features,
@@ -261,7 +260,7 @@ def predict_inputs(cfg: PipelineConfig, classifier_path):
 def mining_features(cfg: PipelineConfig, features: EmbeddingMatrix) -> EmbeddingMatrix:
     """The rows neighbor mining reads: ``features``, standardized if ``neighbors.standardized``."""
     if cfg["neighbors.standardized"]:
-        return apply_standardizer(features, fit_standardizer(features))
+        return apply_standardizer(features, features.norm)
     return features
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import binfmt
 from .errors import TrainingError
-from .featstore import EmbeddingMatrix, NormStats, fit_standardizer, unit_rows
+from .featstore import EmbeddingMatrix, NormStats, unit_rows
 from .heads import CE_PROB_FLOOR, softmax
 from .labeling import Labeling, canonicalize, u32_ids
 
@@ -114,8 +114,8 @@ def self_train(
     Runs at most ``cfg.steps`` steps and stops at the first epoch boundary
     where the probe reproduces every pseudo-label (see the module
     docstring); ``Classifier.history`` records how it ran.  Deterministic
-    under ``cfg.seed``; weights start at zero, standardization statistics
-    are fitted from the features themselves.
+    under ``cfg.seed``; weights start at zero, and the standardization
+    statistics are the features' own ``norm``.
     """
     if pseudo.n != features.n:
         raise ValueError(f"pseudo-labels cover {pseudo.n} samples, features hold {features.n}")
@@ -124,8 +124,7 @@ def self_train(
     # first-appearance order matches the canonical ids 1..C
     class_ids = pseudo.labels[np.sort(pseudo.coding.first)]
 
-    norm = fit_standardizer(features)
-    s = unit_rows(features.data, norm)
+    s = unit_rows(features.data, features.norm)
     n, d = s.shape
 
     weight = np.zeros((num_classes, d))
@@ -165,7 +164,7 @@ def self_train(
         steps=step, epoch_steps=n // batch, agreement_by_epoch=tuple(agreement),
         stopped_early=stopped_early,
     )
-    return Classifier(weight=weight, bias=bias, norm=norm, class_ids=class_ids, history=history)
+    return Classifier(weight, bias, features.norm, class_ids, history)
 
 
 def _argmax_class(s: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -204,10 +203,9 @@ def _parse_classifier(r: binfmt.Reader) -> Classifier:
         bias += weight @ beta
         weight *= gamma
     # a NaN weight row would win every argmax; a non-finite gamma or beta
-    # leaves the folded probe non-finite, and each comparison fails on NaN
-    if not (all(np.isfinite(a).all() for a in (weight, bias, mean))
-            and ((0.0 <= var) & (var < np.inf)).all()):
-        raise ValueError("a folded parameter or a statistic is non-finite, or a variance negative")
+    # leaves the folded probe non-finite (``NormStats`` checks the statistics)
+    if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+        raise ValueError("a folded parameter or a statistic is non-finite")
     return Classifier(weight=weight, bias=bias, norm=NormStats(mean, var), class_ids=class_ids)
 
 

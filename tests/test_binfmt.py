@@ -38,7 +38,7 @@ def head_bank():
     cfg = TrainConfig(num_clusters=c, num_heads=h, epochs=2, warmup_epochs=1, lr=1e-3, seed=5)
     return HeadBank(
         config=cfg,
-        mean=values(d, 1), var=values(d, 2) ** 2 + 1.0,
+        norm=NormStats(mean=values(d, 1), var=values(d, 2) ** 2 + 1.0),
         student={"weight": values(h * c * d, 3).reshape(h, c, d),
                  "bias": values(h * c, 4).reshape(h, c),
                  "gamma": values(d, 5) + 2.0, "beta_shift": values(d, 6)},
@@ -321,12 +321,22 @@ def test_head_bank_refuses_values_it_cannot_hold(tmp_path, where, value):
     # would load and fail only when predict_labeling meets non-finite logits
     bank = head_bank()
     copy, _, key = where.rpartition(".")
-    (getattr(bank, copy)[key] if copy else getattr(bank, key)).flat[-1] = value
     path = tmp_path / "bank.hdb"
-    save_head_bank(bank, path)
+    if copy:
+        getattr(bank, copy)[key].flat[-1] = value
+        save_head_bank(bank, path)
+    else:
+        # NormStats refuses the value, so it goes into the saved bytes: the
+        # last entry of the mean or var row, after the (h, c, d) header
+        save_head_bank(bank, path)
+        raw = bytearray(path.read_bytes())
+        end = hdb_counts(raw) + 12 + 8 * bank.dim * (1 + ("mean", "var").index(key))
+        struct.pack_into("<d", raw, end - 8, value)
+        path.write_bytes(raw)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before the cast that would overflow
-        with pytest.raises(LoadError, match="non-finite"):
+        match = "non-finite" if copy else "non-finite standardizer mean"
+        with pytest.raises(LoadError, match=match):
             load_head_bank(path)
 
 
@@ -334,7 +344,9 @@ def test_head_bank_holds_float32_extremes(tmp_path):
     bank = head_bank()
     big = float(np.finfo(np.float32).max)
     bank.student["weight"].flat[0], bank.teacher["bias"].flat[0] = big, -big
-    bank.var[0] = 0.0
+    var = bank.norm.var.copy()
+    var[0] = 0.0
+    bank.norm = NormStats(mean=bank.norm.mean, var=var)
     path = tmp_path / "bank.hdb"
     save_head_bank(bank, path)
     loaded = load_head_bank(path)

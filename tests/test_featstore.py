@@ -123,6 +123,22 @@ class TestCsv:
         assert path.stat().st_size > 3 * featstore.TEXT_CHUNK
         assert load_features(path).data.tobytes() == data.tobytes()
 
+    def test_values_are_held_as_float64(self, tmp_path, rng):
+        data = rng.normal(size=(2000, 64))
+        path = tmp_path / "m.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = load_features(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back.data.tobytes() == data.tobytes()
+        # 8 bytes a value while parsing, then the matrix: a list of Python
+        # floats would take five times the matrix
+        assert peak < 2.2 * data.nbytes, f"peaked at {peak / data.nbytes:.2f}x the matrix"
+
     def test_newline_free_file_refused_in_bounded_memory(self, tmp_path):
         path = tmp_path / "line.csv"
         path.write_bytes(b"1" * (16 << 20))
@@ -321,6 +337,26 @@ class TestStandardizer:
         stats = fit_standardizer(EmbeddingMatrix(rng.normal(size=(4, 2))))
         with pytest.raises(ValueError, match="dimension mismatch"):
             apply_standardizer(m, stats)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean", np.nan), ("mean", np.inf), ("mean", -np.inf),
+        ("var", -1.0), ("var", np.nan), ("var", np.inf),
+    ])
+    def test_stats_refuse_what_cannot_standardize(self, field, value):
+        stats = {"mean": np.zeros(3), "var": np.ones(3)}
+        stats[field][1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            NormStats(**stats)
+
+    def test_matrix_fits_its_standardizer_once(self, rng, monkeypatch):
+        m = EmbeddingMatrix(rng.normal(size=(50, 4)) * 3.0 + 1.0)
+        fits, fit = [], featstore.fit_standardizer
+        monkeypatch.setattr(featstore, "fit_standardizer", lambda m: fits.append(m) or fit(m))
+        assert m.norm is m.norm
+        assert len(fits) == 1 and fits[0] is m
+        want = fit_standardizer(m)
+        assert m.norm.mean.tobytes() == want.mean.tobytes()
+        assert m.norm.var.tobytes() == want.var.tobytes()
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):

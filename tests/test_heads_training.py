@@ -26,7 +26,7 @@ from clusterens.heads import (
 from clusterens.neighbors import NeighborSets
 
 from clusterens import featstore
-from clusterens.featstore import NormStats, unit_rows
+from clusterens.featstore import unit_rows
 
 from oracles import (
     ce_term,
@@ -459,7 +459,7 @@ class TestHeadBlocks:
     def test_labeling_row_blocks_match_one_gemm(self, trained_run, monkeypatch):
         m, _, _, cfg, bank, _ = trained_run
         s = bank.student
-        norm = NormStats(bank.mean, bank.var)
+        norm = bank.norm
         # the labels as they were taken before the argmax of the logits: of softmax(logits / tau)
         logits = heads._shared_logits(*heads._fold(**s), unit_rows(m.data, norm)) / cfg.tau_student
         want = np.argmax(heads.softmax(logits), axis=-1) + 1
@@ -596,9 +596,8 @@ def test_predict_labeling_holds_one_block_of_standardized_rows():
     # 40000 x 64 standardized float64 rows are 20 MB, ten budgets; one head
     # of 10 clusters labels them 3542 rows (2 MiB with their logits) a block
     features, _ = gen_synthetic(SynthSpec(n=40000, d=64, k=10, seed=5))
-    data = features.data
     cfg = TrainConfig(num_clusters=10, num_heads=1)
-    bank = heads._init_bank(cfg, data.mean(axis=0), data.var(axis=0), np.random.default_rng(5))
+    bank = heads._init_bank(cfg, features.norm, np.random.default_rng(5))
     tracemalloc.start()
     try:
         labeling = predict_labeling(bank, 0, features)
@@ -811,7 +810,7 @@ class TestTrainHeads:
         s = bank.student
         # the shared affine has trained away from identity, so folding it matters
         assert np.abs(s["gamma"] - 1.0).max() > 1e-2 and np.abs(s["beta_shift"]).max() > 1e-2
-        norm = NormStats(bank.mean, bank.var)
+        norm = bank.norm
         for h in range(bank.num_heads):
             probs = unfolded_head_probs(s["weight"][h], s["bias"][h], s["gamma"],
                                         s["beta_shift"], norm, m.data, bank.config.tau_student)
@@ -827,8 +826,9 @@ class TestCheckpoint:
         save_head_bank(bank, path)
         back = load_head_bank(path)
         assert back.config == bank.config
-        for name in ("mean", "var", "marginal"):
-            assert getattr(back, name).tobytes() == getattr(bank, name).tobytes()
+        for name in ("mean", "var"):
+            assert getattr(back.norm, name).tobytes() == getattr(bank.norm, name).tobytes()
+        assert back.marginal.tobytes() == bank.marginal.tobytes()
         for copy in ("student", "teacher"):
             for key in ("weight", "bias", "gamma", "beta_shift"):
                 assert getattr(back, copy)[key].tobytes() == getattr(bank, copy)[key].tobytes()

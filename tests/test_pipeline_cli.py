@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from clusterens import (
     load_labeling,
     save_labeling,
 )
+from clusterens import featstore
 from clusterens.cli import main
 from clusterens.config import (
     SCHEMA,
@@ -680,6 +682,26 @@ class TestCli:
             load_labeling(pred_out).labels,
             load_labeling(out_dir / "selftrain_pred.lbl").labels,
         )
+
+    @pytest.mark.parametrize("standardized", ["false", "true"])
+    def test_pipeline_fits_the_standardizer_once(self, tmp_path, capsys, monkeypatch,
+                                                 standardized):
+        # mining standardized rows, head training and self-training read one
+        # fit; every module of the package that names the function counts
+        fits, fit = [], featstore.fit_standardizer
+        for name, module in list(sys.modules.items()):
+            if name.startswith("clusterens") and getattr(module, "fit_standardizer", None) is fit:
+                monkeypatch.setattr(module, "fit_standardizer",
+                                    lambda m: fits.append(m) or fit(m))
+        fpath, lpath = write_inputs(tmp_path, n=60, d=8, k=3)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(small_config_text(fpath, lpath, tmp_path / "run"))
+        code = main([
+            "pipeline", "--config", str(cfg_path), "--set", "train.epochs=2",
+            "--set", "selftrain.steps=50", "--set", f"neighbors.standardized={standardized}",
+        ])
+        assert code == 0
+        assert len(fits) == 1
 
     def test_nn_analysis_table(self, tmp_path, capsys):
         fpath, lpath = write_inputs(tmp_path, n=80, d=8, k=3)
