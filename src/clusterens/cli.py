@@ -87,10 +87,7 @@ def _build_parser() -> _Parser:
         ("--labels", "labels", "ground-truth labels (required)"),
     ])
     p = add("ablate", "run an ablation sweep", _cmd_ablate)
-    p.add_argument(
-        "--kind", required=True,
-        choices=["threshold_sweep", "head_count_sweep", "gt_neighbors"],
-    )
+    p.add_argument("--kind", required=True, choices=pl.ABLATIONS)
     return parser
 
 

@@ -15,6 +15,11 @@ candidates at a short row's ``k_min`` cut, are settled by their float64
 cosine, so no decision hangs on the bits of a BLAS product.  The pairs are
 held once, as int32, and checked, written and cut in row blocks of at most
 ``BLOCK_BYTES // 16`` pairs (16 bytes of int64 keys and masks a pair).
+
+Each row is scaled by the power of two that brings its largest magnitude
+into [0.5, 1) before its norm is taken, so no square overflows and no norm
+underflows; the scaling is exact, so the sets do not depend on a
+power-of-two scale of the features, and only a row of zeros is refused.
 """
 
 from __future__ import annotations
@@ -163,14 +168,30 @@ def _margin(d: int) -> float:
     return a / (1 - a) + 2.0**-23 + (d + 3) * 2.0**-50
 
 
-def _cosines(data: np.ndarray, norms: np.ndarray, start: int, flat: np.ndarray) -> np.ndarray:
-    """Float64 cosines of unit rows ``data / norms`` at ``flat`` indices of
-    the block of rows from ``start``, each summed on its own, clipped to [-1, 1]."""
+def _scales(data: np.ndarray) -> np.ndarray:
+    """Per row, the exponent e for which ``ldexp(row, -e)`` has its largest
+    magnitude in [0.5, 1) (0 for a row of zeros).  The scaling is exact, and
+    no square of a scaled row overflows, nor does its norm underflow."""
+    return np.frexp(np.maximum(data.max(axis=1), -data.min(axis=1)))[1]
+
+
+def _cosines(data: np.ndarray, scales: np.ndarray, norms: np.ndarray, start: int,
+             flat: np.ndarray) -> np.ndarray:
+    """Float64 cosines of the unit rows (scaled rows over ``norms``) at
+    ``flat`` indices of the block of rows from ``start``, each summed on its
+    own, clipped to [-1, 1]."""
     n, out = data.shape[0], np.empty(flat.size)
+
+    def unit(rows):  # a gathered copy, scaled and divided in place
+        u = data[rows]
+        np.ldexp(u, -scales[rows, None], out=u)
+        u /= norms[rows, None]
+        return u
+
     for part in blocks(flat.size, 24 * data.shape[1]):
         x, y = flat[part] // n + start, flat[part] % n
-        u = data[x] / norms[x, None]
-        u *= data[y] / norms[y, None]
+        u = unit(x)
+        u *= unit(y)
         u.sum(axis=1, out=out[part])
     return np.clip(out, -1.0, 1.0, out=out)
 
@@ -206,11 +227,15 @@ def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
         raise ValueError("need at least 2 samples to build neighbor sets")
     if k_min < 1:
         raise ValueError("k_min must be >= 1")
-    norms = np.linalg.norm(data, axis=1)
-    if (norms == 0).any():
-        row = int(np.nonzero(norms == 0)[0][0])
-        raise ValueError(f"zero-norm feature row {row}; cosine similarity undefined")
-    unit = np.divide(data, norms[:, None], out=np.empty(data.shape, dtype=np.float32))
+    scales, norms = _scales(data), np.empty(n)
+    unit = np.empty(data.shape, dtype=np.float32)
+    for part in blocks(n, 16 * features.d):
+        rows = np.ldexp(data[part], -scales[part, None])
+        norms[part] = np.linalg.norm(rows, axis=1)
+        if not norms[part].all():
+            row = part.start + int(np.argmin(norms[part]))
+            raise ValueError(f"zero-norm feature row {row}; cosine similarity undefined")
+        np.divide(rows, norms[part, None], out=unit[part])
     margin, floor = _margin(features.d), min(k_min, n - 1)
     sizes, above = np.empty(n, dtype=np.int64), np.empty((len(cuts), n), dtype=np.int64)
     members, levels = np.empty(0, dtype=np.int32), np.empty(0, np.min_scalar_type(len(cuts) + 1))
@@ -226,7 +251,7 @@ def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
             value = values[flat]
             out = value >= hi
             band = np.flatnonzero((value >= lo) & ~out)
-            out[band] = _cosines(data, norms, start, flat[band]) >= t  # settled in float64
+            out[band] = _cosines(data, scales, norms, start, flat[band]) >= t  # settled in float64
             return out
 
         flat = np.flatnonzero(sims >= _band(theta, margin)[0])
@@ -244,7 +269,7 @@ def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
             cand = np.flatnonzero(sims >= lo[:, None])
             row = cand // n
             # by row (cand ascends, so row does), descending cosine, then index
-            order = np.lexsort((cand, -_cosines(data, norms, start, cand), row))
+            order = np.lexsort((cand, -_cosines(data, scales, norms, start, cand), row))
             top = cand[order[np.arange(cand.size) - np.searchsorted(row, row) < floor]]
             keep = np.zeros(sims.size, dtype=bool)
             keep[flat] = keep[top] = True

@@ -36,6 +36,10 @@ from .metrics import MetricsReport, evaluate
 
 MACHINE_SEPARATOR = "---"
 
+# the kinds of ``run_ablation``: the threshold sweep against fixed-k
+# neighbors, the head-count sweep and the ground-truth neighbor bound
+ABLATIONS = ("threshold_sweep", "head_count_sweep", "gt_neighbors")
+
 # glibc's malloc_trim; None where the C library has none
 try:
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
@@ -169,6 +173,12 @@ def check_nonempty(sizes: np.ndarray, what: str) -> None:
         raise ConfigError(f"{what} leave sample {int(np.argmin(sizes))} without a neighbor")
 
 
+def check_ground_truth(labels: Labeling) -> None:
+    """Refuse ground-truth neighbor sets of ``labels`` that leave a sample
+    without a neighbor: a ground-truth set holds the rest of its sample's class."""
+    check_nonempty(labels.coding.counts[labels.coding.codes] - 1, "ground-truth neighbor sets")
+
+
 def _labels(cfg: PipelineConfig) -> Labeling | None:
     return None if cfg["labels"] is None else load_labeling(input_file(cfg["labels"], "label file"))
 
@@ -202,8 +212,7 @@ def validate_inputs(cfg: PipelineConfig, config_sets: bool = True
         raise ConfigError("neighbors.ground_truth=true requires a labels file")
     features, labels = load_inputs(cfg)
     if ground_truth:
-        # a ground-truth set holds the rest of its sample's class
-        check_nonempty(labels.coding.counts[labels.coding.codes] - 1, "ground-truth neighbor sets")
+        check_ground_truth(labels)
     if cfg["train.num_clusters"] > features.n:
         raise ConfigError(f"train.num_clusters={cfg['train.num_clusters']} exceeds the "
                           f"sample count n={features.n}")
@@ -262,6 +271,15 @@ def mining_features(cfg: PipelineConfig, features: EmbeddingMatrix) -> Embedding
     if cfg["neighbors.standardized"]:
         return apply_standardizer(features, features.norm)
     return features
+
+
+def threshold_sweep(cfg: PipelineConfig, features: EmbeddingMatrix):
+    """Yield ``(theta, sets)`` for each of the ``ablate.thresholds`` in
+    order, mined as :func:`build_sets_for_config` mines; each theta's sets
+    are cut when the next pair is asked for."""
+    thetas = cfg["ablate.thresholds"]
+    yield from zip(thetas, neighbors.sweep_neighbor_sets(
+        mining_features(cfg, features), thetas, cfg["neighbors.k_min"]))
 
 
 def build_sets_for_config(
@@ -484,11 +502,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
 def nn_analysis(cfg: PipelineConfig, features: EmbeddingMatrix, labels: Labeling) -> str:
     """Tab-separated sweep of neighbor count and pair accuracy over the
     ``ablate.thresholds``, mining as :func:`build_sets_for_config` does."""
-    thetas, k_min = cfg["ablate.thresholds"], cfg["neighbors.k_min"]
     human = ["nearest-neighbor threshold analysis", "", "theta\tavg_count\tpair_accuracy"]
-    machine = {"kind": "nn_analysis", "k_min": k_min}
-    sweep = neighbors.sweep_neighbor_sets(mining_features(cfg, features), thetas, k_min)
-    for theta, sets in zip(thetas, sweep):
+    machine = {"kind": "nn_analysis", "k_min": cfg["neighbors.k_min"]}
+    for theta, sets in threshold_sweep(cfg, features):
         stats = neighbors.neighbor_accuracy(sets, labels)
         human.append(f"{theta:g}\t{stats.avg_count:.1f}\t{pct(stats.pair_accuracy)}")
         machine[f"avg_count.{theta:g}"] = stats.avg_count
@@ -496,79 +512,63 @@ def nn_analysis(cfg: PipelineConfig, features: EmbeddingMatrix, labels: Labeling
     return render_report(human, machine)
 
 
-def _head_metrics(report: heads.TrainReport, labels: Labeling):
-    per_head = [evaluate(lab, labels) for lab in report.per_head_labeling]
-    best = per_head[report.best_head]
-    arrs = {
-        "nmi": np.array([m.nmi for m in per_head]),
-        "acc": np.array([m.acc for m in per_head]),
-        "ari": np.array([m.ari for m in per_head]),
-    }
-    return best, arrs
-
-
-def _mean_std(values: np.ndarray) -> str:
-    return f"{100 * values.mean():.2f}±{100 * values.std():.2f}"
-
-
 def run_ablation(kind: str, cfg: PipelineConfig) -> str:
     """Sweep harnesses mirroring the threshold / head-count / ground-truth
     neighbor analyses; each variant retrains from scratch on the same seed."""
-    if kind not in ("threshold_sweep", "head_count_sweep", "gt_neighbors"):
+    if kind not in ABLATIONS:
         raise ConfigError(f"unknown ablation kind {kind!r}")
     # the threshold sweep mines its own sets at every theta
     features, labels = validate_inputs(cfg, config_sets=kind != "threshold_sweep")
     if labels is None:
         raise ConfigError("ablations need a labels file for their metric columns")
     if kind == "gt_neighbors":
-        check_nonempty(labels.coding.counts[labels.coding.codes] - 1, "ground-truth neighbor sets")
+        check_ground_truth(labels)
     train_cfg = cfg.train_config()
     k = cfg.ensemble_k(features.n) if kind == "head_count_sweep" else None
 
-    header = (
-        "variant\tbest_nmi\tbest_acc\tbest_ari\t"
-        "overall_nmi\toverall_acc\toverall_ari\tavg_nn\tnn_acc"
-    )
-    human = [f"ablation: {kind}", "", header]
-    machine = {"kind": kind}
+    def variants():
+        """``(row name, machine-key prefix, neighbor sets, train config)`` of
+        each variant, its sets built only when the loop reaches it."""
+        if kind == "threshold_sweep":
+            for theta, sets in threshold_sweep(cfg, features):
+                yield f"theta={theta:g}", f"theta_{theta:g}", sets, train_cfg
+        elif kind == "head_count_sweep":
+            sets = build_sets_for_config(cfg, features, labels)
+            for h in cfg["ablate.head_counts"]:
+                yield f"H={h}", f"H_{h}", sets, replace(train_cfg, num_heads=h)
+        else:  # gt_neighbors
+            yield "adaptive", "adaptive", build_sets_for_config(cfg, features, labels), train_cfg
+            gt_sets = neighbors.ground_truth_neighbors(labels)
+            yield "ground_truth", "ground_truth", gt_sets, train_cfg
 
-    def run_variant(display, key, sets, variant_cfg):
-        _, report = heads.train_heads(features, sets, variant_cfg)
-        best, arrs = _head_metrics(report, labels)
-        stats = neighbors.neighbor_accuracy(sets, labels)
+    human = [f"ablation: {kind}", "", "variant\tbest_nmi\tbest_acc\tbest_ari\t"
+             "overall_nmi\toverall_acc\toverall_ari\tavg_nn\tnn_acc"]
+    machine = {"kind": kind}
+    sets = stats = None
+    for display, key, variant_sets, variant_cfg in variants():
+        # before training, so the last variant's sets are not held through it
+        if variant_sets is not sets:
+            sets, stats = variant_sets, neighbors.neighbor_accuracy(variant_sets, labels)
+        _, report = heads.train_heads(features, variant_sets, variant_cfg)
+        per_head = [evaluate(lab, labels) for lab in report.per_head_labeling]
+        best = per_head[report.best_head]
+        over = {name: np.array([getattr(m, name) for m in per_head])
+                for name in ("nmi", "acc", "ari")}
+        row = [display, pct(best.nmi), pct(best.acc), pct(best.ari),
+               *(f"{100 * v.mean():.2f}±{100 * v.std():.2f}" for v in over.values()),
+               f"{stats.avg_count:.1f}", pct(stats.pair_accuracy)]
         machine[f"{key}.avg_nn"] = stats.avg_count
         machine[f"{key}.nn_acc"] = stats.pair_accuracy
-        human.append(
-            f"{display}\t{pct(best.nmi)}\t{pct(best.acc)}\t{pct(best.ari)}\t"
-            f"{_mean_std(arrs['nmi'])}\t{_mean_std(arrs['acc'])}\t{_mean_std(arrs['ari'])}\t"
-            f"{stats.avg_count:.1f}\t{pct(stats.pair_accuracy)}"
-        )
         machine[f"{key}.best_acc"] = best.acc
-        machine[f"{key}.overall_acc_mean"] = float(arrs["acc"].mean())
-        machine[f"{key}.overall_acc_std"] = float(arrs["acc"].std())
-        return report
-
-    if kind == "threshold_sweep":
-        thetas = cfg["ablate.thresholds"]
-        sweep = neighbors.sweep_neighbor_sets(mining_features(cfg, features), thetas,
-                                              cfg["neighbors.k_min"])
-        for theta, sets in zip(thetas, sweep):
-            run_variant(f"theta={theta:g}", f"theta_{theta:g}", sets, train_cfg)
-    elif kind == "head_count_sweep":
-        sets = build_sets_for_config(cfg, features, labels)
-        for h in cfg["ablate.head_counts"]:
-            variant_cfg = replace(train_cfg, num_heads=h)
-            report = run_variant(f"H={h}", f"H_{h}", sets, variant_cfg)
+        machine[f"{key}.overall_acc_mean"] = float(over["acc"].mean())
+        machine[f"{key}.overall_acc_std"] = float(over["acc"].std())
+        if k is not None:  # the head-count sweep's consensus column
             best_lab = report.per_head_labeling[report.best_head]
             consensus = ens.supra_consensus(list(report.per_head_labeling), k, [best_lab])
-            m = evaluate(consensus, labels)
-            machine[f"H_{h}.ensemble_acc"] = m.acc
-            human[-1] += f"\t[ensemble acc {pct(m.acc)}]"
-    else:  # gt_neighbors
-        adaptive = build_sets_for_config(cfg, features, labels)
-        run_variant("adaptive", "adaptive", adaptive, train_cfg)
-        gt_sets = neighbors.ground_truth_neighbors(labels)
-        run_variant("ground_truth", "ground_truth", gt_sets, train_cfg)
+            acc = evaluate(consensus, labels).acc
+            machine[f"{key}.ensemble_acc"] = acc
+            row.append(f"[ensemble acc {pct(acc)}]")
+        human.append("\t".join(row))
 
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -205,7 +205,7 @@ def _parse_classifier(r: binfmt.Reader) -> Classifier:
     # a NaN weight row would win every argmax; a non-finite gamma or beta
     # leaves the folded probe non-finite (``NormStats`` checks the statistics)
     if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
-        raise ValueError("a folded parameter or a statistic is non-finite")
+        raise ValueError("a folded parameter is non-finite")
     return Classifier(weight=weight, bias=bias, norm=NormStats(mean, var), class_ids=class_ids)
 
 

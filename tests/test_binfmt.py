@@ -403,7 +403,7 @@ def test_classifier_whose_fold_overflows_is_refused(tmp_path, field):
     path.write_bytes(classifier_bytes(clf, affine["gamma"], affine["beta"]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(LoadError, match="folded parameter or a statistic is non-finite"):
+        with pytest.raises(LoadError, match="a folded parameter is non-finite"):
             load_classifier(path)
 
 

@@ -99,6 +99,22 @@ class TestBuildSets:
         with pytest.raises(ValueError, match="row 1"):
             build_neighbor_sets(m, 0.3, 1)
 
+    @pytest.mark.parametrize("k", [-1074, -1000, 0, 1000, 1023])
+    def test_only_an_all_zero_row_has_zero_norm(self, k):
+        # at 2**-1074 every nonzero value is the smallest subnormal, whose
+        # square underflows; the rows are mined as their unscaled copies are
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+        scaled = build_neighbor_sets(EmbeddingMatrix(np.ldexp(rows, k)), 0.3, 1)
+        assert pair_bytes(scaled) == pair_bytes(build_neighbor_sets(EmbeddingMatrix(rows), 0.3, 1))
+        rows[1] = 0.0
+        with pytest.raises(ValueError, match="zero-norm feature row 1"):
+            build_neighbor_sets(EmbeddingMatrix(np.ldexp(rows, k)), 0.3, 1)
+
+
+def pair_bytes(sets):
+    """The bytes of ``sets``' offsets and indices, which fix its NNS1 bytes."""
+    return sets.offsets.tobytes(), sets.indices.tobytes()
+
 
 def dyadic_rows(rng, n, d):
     """Integer rows whose cosines are all exact binary fractions.
@@ -257,9 +273,9 @@ def test_only_band_pairs_and_floor_candidates_are_settled(rng, monkeypatch, kind
         m = EmbeddingMatrix(rng.normal(size=(n, 6)))
     settled, cosines = [], neighbors._cosines
 
-    def spy(data, norms, start, flat):
-        settled.append(flat.size)
-        return cosines(data, norms, start, flat)
+    def spy(*args):
+        settled.append(args[-1].size)
+        return cosines(*args)
 
     monkeypatch.setattr(neighbors, "_cosines", spy)
     assert_matches_dense(m, theta, k_min)
@@ -294,6 +310,27 @@ def test_sweep_equals_fresh_builds(rng):
         assert sets.offsets.tolist() == fresh.offsets.tolist()
         assert sets.indices.tolist() == fresh.indices.tolist()
     assert list(sweep_neighbor_sets(m, (), 6)) == []
+
+
+def test_power_of_two_scale_mines_the_same_sets():
+    """Features scaled by 2**k mine the k = 0 sets, by a build and by a
+    sweep, for every k in [-1000, 1000] at which the scaling is exact, also
+    where the squares of the unscaled rows overflow or underflow."""
+    m, _ = gen_synthetic(SynthSpec(n=120, d=16, k=3, separation=4.0, seed=3))
+    thetas = (0.6, 0.3, 0.9, 0.1)
+
+    def mined(features):
+        return [pair_bytes(build_neighbor_sets(features, 0.3, 5)),
+                *map(pair_bytes, sweep_neighbor_sets(features, thetas, 5))]
+
+    want, exact = mined(m), 0
+    for k in range(-1000, 1001, 7):
+        data = np.ldexp(m.data, k)
+        if not np.array_equal(np.ldexp(data, -k), m.data):
+            continue  # a value left the normal range
+        exact += 1
+        assert mined(EmbeddingMatrix(data)) == want, k
+    assert exact > 250
 
 
 @pytest.mark.parametrize("n,d", [(92, 9), (150, 6), (600, 33)])

@@ -897,6 +897,55 @@ class TestAblate:
             assert f"H_{h}.ensemble_acc" in block
         assert "±" in out
 
+    def test_head_count_sweep_scores_its_sets_once(self, tmp_path, capsys, monkeypatch):
+        from clusterens import neighbors
+
+        calls, accuracy = [], neighbors.neighbor_accuracy
+        monkeypatch.setattr(neighbors, "neighbor_accuracy",
+                            lambda sets, labels: calls.append(sets) or accuracy(sets, labels))
+        fpath, lpath = write_inputs(tmp_path, n=60, d=8, k=3)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(small_config_text(fpath, lpath, tmp_path / "runs"))
+        code = main(["ablate", "--kind", "head_count_sweep", "--config", str(cfg_path),
+                     "--set", "ablate.head_counts=2,3", "--set", "train.epochs=1"])
+        assert code == 0
+        block = read_machine_block(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert block["H_2.nn_acc"] == block["H_3.nn_acc"]
+
+    def test_kind_choices_are_the_pipeline_kinds(self):
+        import argparse
+
+        from clusterens.cli import _build_parser
+        from clusterens.pipeline import ABLATIONS
+
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        kind = next(a for a in sub.choices["ablate"]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == ABLATIONS
+
+    def test_gt_neighbors_builds_the_truth_after_the_adaptive_variant_trains(
+            self, tmp_path, capsys, monkeypatch):
+        from clusterens import heads, neighbors
+
+        events, train, truth = [], heads.train_heads, neighbors.ground_truth_neighbors
+
+        def spy_train(*args):
+            out = train(*args)
+            events.append("trained")
+            return out
+
+        monkeypatch.setattr(heads, "train_heads", spy_train)
+        monkeypatch.setattr(neighbors, "ground_truth_neighbors",
+                            lambda labels: events.append("truth") or truth(labels))
+        fpath, lpath = write_inputs(tmp_path, n=60, d=8, k=3)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(small_config_text(fpath, lpath, tmp_path / "runs"))
+        code = main(["ablate", "--kind", "gt_neighbors", "--config", str(cfg_path),
+                     "--set", "train.epochs=1"])
+        assert code == 0
+        assert events == ["trained", "truth", "trained"]
+
     def test_gt_neighbors_direction(self, tmp_path, capsys):
         # degraded adaptive neighbors admit wrong-label pairs; ground-truth
         # neighbor training must do at least as well
