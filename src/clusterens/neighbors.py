@@ -3,18 +3,29 @@
 Each sample's neighbor set contains every other sample whose cosine
 similarity reaches the threshold ``theta``; sets that stay below ``k_min``
 members fall back to the ``k_min`` most similar samples.  Sets are computed
-exhaustively (exact O(n^2) similarities) and once, ahead of training, a
-block of rows at a time: a block holds at most ``featstore.BLOCK_BYTES`` of
-float32 similarities (or MIN_BLOCK_ROWS rows), never the n×n matrix.
+exhaustively (exact O(n^2) similarities) and once, ahead of training, one
+strip at a time: the rows of a block (``featstore.BLOCK_BYTES`` of float32
+similarities against all n columns, or MIN_BLOCK_ROWS rows) against the
+columns from the block's first row on, with the block's own rows up to the
+diagonal masked.  The strips tile the upper triangle, so each pair is
+screened and decided once, in the row of its lower index.  A kept pair
+i < j is a member of row i there and then, and waits for the block that
+holds j as one int32 key, j·n + i (times the sweep's level count, plus the
+member's level); the keys sorted give each row of that block its members
+before it in ascending order, so a block's sets are complete when its strip
+is screened, and are appended to the result as they are.  A row short of
+``k_min`` also computes its similarities with the rows before its strip,
+in one more product for the short rows only, and takes its floor from the
+whole row.
 
-Training draws from a set uniformly, so sets are never ranked: a block's
-members come in ascending index order straight from ``flatnonzero``.  A
-pair whose float32 similarity lies more than ``_margin(d)`` from theta is
-kept or dropped on that value; the pairs inside that band, and the
-candidates at a short row's ``k_min`` cut, are settled by their float64
-cosine, so no decision hangs on the bits of a BLAS product.  The pairs are
-held once, as int32, and checked, written and cut in row blocks of at most
-``BLOCK_BYTES // 16`` pairs (16 bytes of int64 keys and masks a pair).
+Training draws from a set uniformly, so sets are never ranked: members come
+in ascending index order.  A pair whose float32 similarity lies more than
+``_margin(d)`` from theta is kept or dropped on that value; the pairs inside
+that band, and the candidates at a short row's ``k_min`` cut, are settled by
+their float64 cosine, so no decision hangs on the bits of a BLAS product.
+The pairs are held once, as int32, and checked, written and cut in row
+blocks of at most ``BLOCK_BYTES // 16`` pairs (16 bytes of int64 keys and
+masks a pair).
 
 Each row is scaled by the power of two that brings its largest magnitude
 into [0.5, 1) before its norm is taken, so no square overflows and no norm
@@ -100,18 +111,22 @@ class NeighborSets:
         twin_of = None
         for lo, hi in _row_blocks(offsets):
             block = indices[offsets[lo] : offsets[hi]]
-            rows = np.repeat(np.arange(lo, hi, dtype=np.int64), sizes[lo:hi])
+            rows = np.repeat(np.arange(lo, hi, dtype=np.int32), sizes[lo:hi])
             own = block == rows
             if own.any():
                 sample = rows[own.argmax()]
                 raise ValueError(f"sample {sample} contains itself in its neighbor set")
             if twin_of is None:
-                # (sample, index) keys, sorted if not already: a duplicate sits next to its twin
-                keys = rows
+                # rows that strictly increase, as mined ones do, hold no duplicate
+                rising = block[1:] > block[:-1]
+                rising |= rows[1:] != rows[:-1]
+                if rising.all():
+                    continue
+                # sorted (sample, index) keys: a duplicate sits next to its twin
+                keys = rows.astype(np.int64)
                 keys *= n
                 keys += block
-                if (keys[1:] <= keys[:-1]).any():
-                    keys.sort()
+                keys.sort()
                 twin = keys[1:] == keys[:-1]
                 if twin.any():
                     twin_of = keys[twin.argmax()] // n
@@ -175,23 +190,25 @@ def _scales(data: np.ndarray) -> np.ndarray:
     return np.frexp(np.maximum(data.max(axis=1), -data.min(axis=1)))[1]
 
 
-def _cosines(data: np.ndarray, scales: np.ndarray, norms: np.ndarray, start: int,
-             flat: np.ndarray) -> np.ndarray:
-    """Float64 cosines of the unit rows (scaled rows over ``norms``) at
-    ``flat`` indices of the block of rows from ``start``, each summed on its
-    own, clipped to [-1, 1]."""
-    n, out = data.shape[0], np.empty(flat.size)
+def _cosines(data: np.ndarray, scales: np.ndarray, norms: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray) -> np.ndarray:
+    """Float64 cosines of the unit rows (scaled rows over ``norms``) of the
+    pairs ``(rows[i], cols[i])``, ``rows`` ascending, each summed on its own,
+    clipped to [-1, 1].  A row is gathered and rescaled once for its run of
+    pairs and multiplied into its partners' unit rows."""
+    out = np.empty(cols.size)
 
-    def unit(rows):  # a gathered copy, scaled and divided in place
-        u = data[rows]
-        np.ldexp(u, -scales[rows, None], out=u)
-        u /= norms[rows, None]
+    def unit(idx):  # a gathered copy, scaled and divided in place
+        u = data[idx]
+        np.ldexp(u, -scales[idx, None], out=u)
+        u /= norms[idx, None]
         return u
 
-    for part in blocks(flat.size, 24 * data.shape[1]):
-        x, y = flat[part] // n + start, flat[part] % n
-        u = unit(x)
-        u *= unit(y)
+    for part in blocks(cols.size, 24 * data.shape[1]):
+        x = rows[part]
+        first = np.flatnonzero(np.diff(x, prepend=-1))
+        u = unit(cols[part])
+        u *= np.repeat(unit(x[first]), np.diff(first, append=x.size), axis=0)
         u.sum(axis=1, out=out[part])
     return np.clip(out, -1.0, 1.0, out=out)
 
@@ -205,10 +222,54 @@ def _band(t: float, margin: float):
 
 
 def _similarity_matrix(unit: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Float32 similarities of rows ``start:stop`` with every row, -inf with itself."""
-    sims = unit[start:stop] @ unit.T
-    np.fill_diagonal(sims[:, start:], -np.inf)
+    """Float32 similarities of rows ``start:stop`` with the rows from ``start``
+    on, -inf with itself and with every earlier row of the block."""
+    sims = unit[start:stop] @ unit[start:].T
+    rows = stop - start
+    sims[:, :rows][np.tri(rows, dtype=bool)] = -np.inf
     return sims
+
+
+def _floor(unit: np.ndarray, sims: np.ndarray, start: int, short: np.ndarray, floor: int,
+           margin: float, cosines) -> np.ndarray:
+    """The ``floor`` most similar samples of each ``short`` row of the strip
+    ``sims`` from row ``start``, ties to the lower index, as flat indices into
+    a (short rows, n) grid; ``cosines(rows, cols)`` settles candidates."""
+    rows, n = sims.shape[0], start + sims.shape[1]
+    # a short row's similarities with the rows before the strip, and its strip
+    # row, with the block's earlier rows (masked there) from their own strip rows
+    lower, upper = unit[start + short] @ unit[:start].T, sims[short]
+    np.copyto(upper[:, :rows], sims[:, :rows].T[short], where=np.tri(rows, k=-1, dtype=bool)[short])
+    # g, the floor-th largest of the maxima of column groups of at most `size`,
+    # is at most the floor-th largest similarity c: every value from
+    # g - 2·margin holds the floor largest and the candidates settled below
+    size, maxima = max(1, min(16, n // (floor + 1))), []
+    for piece in (lower, upper):
+        whole = piece.shape[1] // size
+        maxima += [piece[:, : whole * size].reshape(short.size, size, whole).max(axis=1),
+                   piece[:, whole * size :]]
+    maxima = np.hstack(maxima)
+    g = np.partition(maxima, maxima.shape[1] - floor, axis=1)[:, maxima.shape[1] - floor]
+    del maxima
+    grid, value = [], []
+    for offset, piece in ((0, lower), (start, upper)):
+        flat = np.flatnonzero(piece >= (g - np.float32(2 * margin))[:, None])
+        row = flat // max(piece.shape[1], 1)
+        grid.append(row * n + offset + flat - row * piece.shape[1])
+        value.append(piece.ravel()[flat])
+    del lower, upper
+    order = np.argsort(np.concatenate(grid))
+    grid, value = np.concatenate(grid)[order], np.concatenate(value)[order]
+    row = grid // n
+    # a short row's floor-th largest cosine is at least c - margin, c its
+    # floor-th float32 similarity: only samples from c - 2·margin are settled
+    by_value = np.lexsort((-value, row))
+    cut = value[by_value[np.searchsorted(row, np.arange(short.size)) + floor - 1]]
+    keep = value >= (cut - np.float32(2 * margin))[row]
+    cand, row = grid[keep], row[keep]
+    # by row (cand ascends, so row does), descending cosine, then index
+    order = np.lexsort((cand, -cosines(start + short[row], cand - row * n), row))
+    return cand[order[np.arange(cand.size) - np.searchsorted(row, row) < floor]]
 
 
 def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
@@ -236,59 +297,116 @@ def _mine(features: EmbeddingMatrix, theta: float, k_min: int, cuts=()):
             row = part.start + int(np.argmin(norms[part]))
             raise ValueError(f"zero-norm feature row {row}; cosine similarity undefined")
         np.divide(rows, norms[part, None], out=unit[part])
+
+    def cosines(rows, cols):
+        return _cosines(data, scales, norms, rows, cols)
+
     margin, floor = _margin(features.d), min(k_min, n - 1)
     sizes, above = np.empty(n, dtype=np.int64), np.empty((len(cuts), n), dtype=np.int64)
-    members, levels = np.empty(0, dtype=np.int32), np.empty(0, np.min_scalar_type(len(cuts) + 1))
-    for block in blocks(n, 4 * n, MIN_BLOCK_ROWS):
+    level_type = np.min_scalar_type(len(cuts) + 1)
+    members, levels = np.empty(0, dtype=np.int32), np.empty(0, level_type)
+    spans = blocks(n, 4 * n, MIN_BLOCK_ROWS)
+    # a kept pair (i, j), i < j, is also row j's member i: as the key
+    # (j·n + i)·span + level, sorted keys fall into j's block, by j, then i
+    span = len(cuts) + 1
+    key_type = np.int32 if n * n * span < 1 << 31 else np.int64
+    bounds = np.array([block.start for block in spans] + [n]) * (n * span)
+    pending = [[] for _ in spans]  # each block's keys from earlier strips
+    for b, block in enumerate(spans):
         start, rows = block.start, block.stop - block.start
+        width = n - start
         sims = _similarity_matrix(unit, block.start, block.stop)
-
-        def row_counts(flat):
-            return np.diff(np.searchsorted(flat, np.arange(rows + 1) * n))
 
         def reach(flat, t, values=sims.ravel()):
             lo, hi = _band(t, margin)
             value = values[flat]
             out = value >= hi
             band = np.flatnonzero((value >= lo) & ~out)
-            out[band] = _cosines(data, scales, norms, start, flat[band]) >= t  # settled in float64
+            if band.size:  # settled in float64
+                row = flat[band] // width
+                out[band] = cosines(start + row, start + flat[band] - row * width) >= t
             return out
 
+        # each pair i < j is decided once, in row i's strip
         flat = np.flatnonzero(sims >= _band(theta, margin)[0])
         flat = flat[reach(flat, theta)]
-        # a row short at the last cut needs its floor; one short at theta keeps only it
-        strict = flat[reach(flat, cuts[-1])] if cuts else flat
-        short = np.flatnonzero(row_counts(strict) < floor)
-        top = flat[:0]
-        if short.size:
-            # a short row's floor-th largest cosine is at least c - margin, c its
-            # floor-th float32 similarity: only samples from c - 2·margin are settled
-            lo = np.full(rows, np.inf, dtype=np.float32)
-            cut = np.partition(sims[short], n - floor, axis=1)[:, n - floor]
-            lo[short] = cut - np.float32(2 * margin)
-            cand = np.flatnonzero(sims >= lo[:, None])
-            row = cand // n
-            # by row (cand ascends, so row does), descending cosine, then index
-            order = np.lexsort((cand, -_cosines(data, scales, norms, start, cand), row))
-            top = cand[order[np.arange(cand.size) - np.searchsorted(row, row) < floor]]
-            keep = np.zeros(sims.size, dtype=bool)
-            keep[flat] = keep[top] = True
-            flat = np.flatnonzero(keep)
-        counts = sizes[block] = row_counts(flat)
+        level = np.ones(flat.size, dtype=level_type) if cuts else None
+        for t in cuts[1:]:
+            level += reach(flat, t)
+        # row i's members after it: its entry (i - start)·width + j - start is column j
+        late = np.diff(np.searchsorted(flat, np.arange(rows + 1) * width))
+        col = flat - np.repeat(np.arange(rows) * width - start, late)
+        key = col.astype(key_type) * n
+        key += np.repeat(np.arange(start, block.stop, dtype=key_type), late)  # j·n + i
         if cuts:
-            level = np.zeros(flat.size, dtype=levels.dtype)
-            for i, t in enumerate(cuts):
-                reached = reach(flat, t)
-                level += reached
-                above[i, block] = row_counts(flat[reached])
-            # a floor member of its row stays in the set while the row is short
-            level[np.searchsorted(flat, top)] = len(cuts) + 1
-            levels.resize(levels.size + level.size, refcheck=False)
-            levels[levels.size - level.size :] = level
-        del sims, reach
-        flat -= np.repeat(np.arange(0, rows * n, n), counts)  # flat -> column
-        members.resize(members.size + flat.size, refcheck=False)
-        members[members.size - flat.size :] = flat
+            key *= span
+            key += level
+        key.sort()
+        ends = np.searchsorted(key, bounds[b:])
+        for u in range(b + 1, len(spans)):
+            pending[u].append(key[ends[u - b] : ends[u - b + 1]].copy())
+        pending[b].append(key[: ends[1]])
+        del flat, key
+        # row j's members before it: its keys from this and earlier strips
+        early = np.sort(np.concatenate(pending[b]))
+        pending[b] = None
+        counts = np.diff(np.searchsorted(early, np.arange(start, block.stop + 1) * (n * span)))
+        if cuts:
+            early_level = (early % span).astype(level_type)
+            early //= span
+        early -= np.repeat(np.arange(start, block.stop, dtype=key_type) * n, counts)
+        parts = [(counts, early, early_level if cuts else None), (late, col, level)]
+        if cuts:
+            # above[i] counts each row's members of level above i
+            histogram = sum(np.bincount(np.repeat(np.arange(0, rows * span, span), c) + lev,
+                                        minlength=rows * span) for c, _, lev in parts)
+            above[:, block] = np.cumsum(histogram.reshape(rows, span)[:, ::-1], axis=1)[:, -2::-1].T
+            strict = above[-1, block]
+        else:
+            strict = counts + late
+        # a row short at the last cut needs its floor; one short at theta keeps only it
+        short = np.flatnonzero(strict < floor)
+        if short.size:
+            top = _floor(unit, sims, start, short, floor, margin, cosines)
+            # the short rows' members and floor members, on a (short rows, n) grid
+            spot = np.full(rows, -1)
+            spot[short] = np.arange(short.size)
+            keep = np.zeros(short.size * n, dtype=bool)
+            grid = np.zeros(short.size * n, dtype=level_type) if cuts else None
+            kept = []
+            for c, m, lev in parts:
+                at = np.repeat(spot, c)
+                cut = at >= 0
+                at = at[cut] * n + m[cut]
+                keep[at] = True
+                if cuts:
+                    grid[at] = lev[cut]
+                kept.append((np.where(spot >= 0, 0, c), m[~cut], lev[~cut] if cuts else None))
+            keep[top] = True
+            flat = np.flatnonzero(keep)
+            at = flat // n
+            c = np.zeros(rows, dtype=np.int64)
+            c[short] = np.bincount(at, minlength=short.size)
+            if cuts:
+                grid[top] = len(cuts) + 1
+            parts = kept + [(c, flat - at * n, grid[flat] if cuts else None)]
+            del keep, grid
+        del sims, reach, early, col, level
+        # row by row, each part's entries: the members below the row, above it,
+        # or a short row's floor
+        counts = sizes[block] = sum(c for c, _, _ in parts)
+        part = np.repeat(np.tile(np.arange(len(parts), dtype=np.uint8), rows),
+                         np.column_stack([c for c, _, _ in parts]).ravel())
+        base = members.size
+        members.resize(base + part.size, refcheck=False)
+        if cuts:
+            levels.resize(members.size, refcheck=False)
+        for p, (_, m, lev) in enumerate(parts):
+            here = part == p
+            members[base:][here] = m
+            if cuts:
+                levels[base:][here] = lev
+        del parts, part, here
     return sizes, members, levels, above
 
 

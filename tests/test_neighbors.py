@@ -259,8 +259,9 @@ def test_only_band_pairs_and_floor_candidates_are_settled(rng, monkeypatch, kind
     dyadic rows at theta 1 (every copy exactly on it), dyadic rows at a
     floor-only theta (ties at the k_min cut), random rows (some rows short).
     The sets match the dense oracle, and the pairs settled in float64 are
-    exactly those within the margin of theta plus, for each short row, the
-    samples within twice the margin of its k_min-th largest similarity."""
+    exactly the unordered pairs within the margin of theta, each once, plus,
+    for each short row, the samples within twice the margin of its k_min-th
+    largest similarity."""
     n, k_min = 150, 10
     monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
     monkeypatch.setattr(featstore, "BLOCK_BYTES", 11 * 4 * n)
@@ -286,7 +287,7 @@ def test_only_band_pairs_and_floor_candidates_are_settled(rng, monkeypatch, kind
     short = (sims >= theta).sum(axis=1) < k_min
     cut = -np.sort(-sims[short], axis=1)[:, k_min - 1]
     candidates = int((sims[short] >= cut[:, None] - 2 * margin).sum())
-    assert sum(settled) == band + candidates
+    assert sum(settled) == band // 2 + candidates  # each unordered band pair once
     if kind == "copies":
         assert band > 0 and candidates == 0  # pairs on theta, no row short
     elif kind == "cut_ties":
@@ -310,6 +311,114 @@ def test_sweep_equals_fresh_builds(rng):
         assert sets.offsets.tolist() == fresh.offsets.tolist()
         assert sets.indices.tolist() == fresh.indices.tolist()
     assert list(sweep_neighbor_sets(m, (), 6)) == []
+
+
+def strip_rows(monkeypatch, n, rows):
+    """Make mining at n samples cut its strips ``rows`` rows high."""
+    monkeypatch.setattr(neighbors, "MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(featstore, "BLOCK_BYTES", rows * 4 * n)
+
+
+class TestStrips:
+    """A strip holds its rows against the columns from its own first row, so
+    a pair is screened and decided once, in the row of its lower index, and
+    reaches its other row's set from there."""
+
+    def test_each_pair_is_screened_once(self, rng, monkeypatch):
+        n = 50
+        strip_rows(monkeypatch, n, 16)
+        strips, similarity = [], neighbors._similarity_matrix
+
+        def spy(unit, start, stop):
+            sims = similarity(unit, start, stop)
+            strips.append((start, stop, sims.copy()))
+            return sims
+
+        monkeypatch.setattr(neighbors, "_similarity_matrix", spy)
+        assert_matches_dense(EmbeddingMatrix(rng.normal(size=(n, 6))), 0.3, 5)
+        assert [(a, b) for a, b, _ in strips] == [(0, 16), (16, 32), (32, 48), (48, 50)]
+        screened = 0
+        for a, b, sims in strips:
+            assert sims.shape == (b - a, n - a)
+            # the block's own rows up to the diagonal are masked
+            assert np.isneginf(sims[:, : b - a][np.tri(b - a, dtype=bool)]).all()
+            screened += int(np.isfinite(sims).sum())
+        assert screened == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("rows", [7, 16, 100], ids=["ragged_7", "ragged_16", "one_strip"])
+    def test_ragged_last_strip_and_one_strip(self, rng, monkeypatch, rows):
+        n = 45  # strips of 7 end in 3 rows, of 16 in 13; 100 rows hold all 45
+        strip_rows(monkeypatch, n, rows)
+        m = EmbeddingMatrix(rng.normal(size=(n, 5)))
+        for theta, k_min in [(0.3, 4), (0.8, 10), (-1.0, 1), (2.0, 44)]:
+            assert_matches_dense(m, theta, k_min)
+
+    def test_pairs_inside_the_diagonal_tile(self, rng, monkeypatch):
+        # three groups of 16 near-copies, one group a strip: every member
+        # sits in its row's own strip, half of them before the row
+        n = 48
+        strip_rows(monkeypatch, n, 16)
+        anchors = rng.normal(size=(3, 8))
+        m = EmbeddingMatrix(np.repeat(anchors, 16, axis=0) + 1e-3 * rng.normal(size=(n, 8)))
+        sets = build_neighbor_sets(m, 0.99, 3)
+        for x, members in enumerate(sets.sets):
+            assert members.tolist() == [y for y in range(x // 16 * 16, x // 16 * 16 + 16) if y != x]
+        assert_matches_dense(m, 0.99, 3)
+
+    def test_floor_rows_with_members_in_earlier_strips(self, rng, monkeypatch):
+        # the first strip holds 12 anchors; each later row is a noisy copy of
+        # one, so a floor row's most similar samples lie in earlier strips
+        n = 96
+        strip_rows(monkeypatch, n, 12)
+        anchors = rng.normal(size=(12, 6))
+        data = np.vstack([anchors, anchors[rng.integers(0, 12, n - 12)] + 0.1 * rng.normal(size=(n - 12, 6))])
+        m = EmbeddingMatrix(data)
+        for theta, k_min in [(2.0, 3), (0.999, 5), (0.9, 2)]:
+            assert_matches_dense(m, theta, k_min)
+        last = build_neighbor_sets(m, 2.0, 3).sets[84:]
+        assert all((members < 84).any() for members in last)
+
+    def test_sweep_levels_cross_strips(self, rng, monkeypatch):
+        n = 60
+        strip_rows(monkeypatch, n, 7)
+        centers = 2 * rng.normal(size=(3, 5))
+        m = EmbeddingMatrix(centers[rng.integers(0, 3, n)] + rng.normal(size=(n, 5)))
+        thetas = (0.1, 0.95, 0.5, float("nan"), 0.8)
+        swept = list(sweep_neighbor_sets(m, thetas, 4))
+        for theta, sets in zip(thetas, swept):
+            want = [np.sort(w).tolist() for w in dense_neighbor_sets(m, theta, 4)]
+            assert [s.tolist() for s in sets.sets] == want, theta
+        # a row keeps members from other strips at more than one level
+        loose, tight = swept[0].sets, swept[2].sets
+        assert any(set(a.tolist()) > set(b.tolist()) and (b // 7 != x // 7).any()
+                   for x, (a, b) in enumerate(zip(loose, tight)))
+
+    def test_sweep_with_int64_keys(self, rng):
+        # n²·11 passes 2**31, so the ten-theta sweep's waiting keys are int64,
+        # while a single build's n² keys still fit int32
+        n = 14000
+        m = EmbeddingMatrix(rng.normal(size=(n, 3)))
+        thetas = [0.995 + 0.0005 * i for i in range(10)]
+        assert n * n < 1 << 31 <= n * n * (len(thetas) + 1)
+        swept = list(sweep_neighbor_sets(m, thetas, 2))
+        for i in (0, 5, 9):
+            fresh = build_neighbor_sets(m, thetas[i], 2)
+            assert np.array_equal(swept[i].offsets, fresh.offsets)
+            assert np.array_equal(swept[i].indices, fresh.indices)
+
+
+def test_cosines_gather_each_row_once(rng):
+    """A row's run of pairs shares its one scaled copy; each cosine has the
+    bits of the two rows gathered, scaled and multiplied pair by pair."""
+    data = rng.normal(size=(30, 9)) * np.ldexp(1.0, rng.integers(-40, 40, size=(30, 1)))
+    scales = neighbors._scales(data)
+    norms = np.linalg.norm(np.ldexp(data, -scales[:, None]), axis=1)
+    rows = np.sort(rng.integers(0, 30, size=200))
+    cols = rng.integers(0, 30, size=200)
+    unit = np.ldexp(data, -scales[:, None]) / norms[:, None]
+    want = np.clip((unit[rows] * unit[cols]).sum(axis=1), -1.0, 1.0)
+    got = neighbors._cosines(data, scales, norms, rows, cols)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_power_of_two_scale_mines_the_same_sets():
