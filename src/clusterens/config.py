@@ -1,22 +1,22 @@
 """Flat key=value run configuration with per-stage key prefixes.
 
 A config file holds one ``key = value`` pair per line of ``kvtext`` text
-(``#`` comments allowed), read one line of at most ``labeling.TEXT_CHUNK``
+(``#`` comments allowed), read one line of at most ``kvtext.TEXT_CHUNK``
 characters at a time; the same ``key=value`` strings are accepted on
 the command line via ``--set``.  Every key has a default, so a config only states what it
 overrides.  The ``synth.*``, ``train.*`` and ``selftrain.*`` keys are the
 fields of ``SynthSpec``, ``TrainConfig`` and ``SelfTrainConfig``, parsed by
 the field's type and defaulting to the field's default (``None`` for a field
-without one); their ``seed`` field is the shared top-level ``seed`` key,
-which ``synth.seed`` overrides for the synthetic data.  The resolved
-configuration hashes deterministically, which the run manifest records.
+without one); their ``seed`` field is the shared top-level ``seed`` key.
+The resolved configuration hashes deterministically (``config_hash``),
+which the run manifest records.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -56,7 +56,6 @@ SCHEMA = {
     "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 0),
     "threads": (_checked(int, lambda v: v >= 1, ">= 1"), 1),  # ignored; kept so older configs load
     **_stage_keys("synth", SynthSpec),
-    "synth.seed": (_checked(int, lambda v: v >= 0, ">= 0"), None),
     "neighbors.theta": (_checked(float, math.isfinite, "finite"), 0.3),
     "neighbors.k_min": (_checked(int, lambda v: v >= 1, ">= 1"), 50),
     "neighbors.file": (str, None),
@@ -72,15 +71,6 @@ SCHEMA = {
                                     lambda v: len(v) > 0 and all(h >= 1 for h in v),
                                     "a nonempty list of ints >= 1"), DEFAULT_HEAD_COUNTS),
 }
-
-
-def parse_kv_text(text: str, source: str = "<config>") -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
-    return _parse_config_lines(text.splitlines(), source)
-
-
-def _parse_config_lines(lines, source: str) -> dict:
-    return _parse(source, (line.split("#", 1)[0] for line in lines))
 
 
 def _parse(source: str, lines) -> dict:
@@ -166,11 +156,7 @@ class PipelineConfig:
         return self._stage_config("selftrain", SelfTrainConfig)
 
     def synth_spec(self) -> SynthSpec:
-        spec = self._stage_config("synth", SynthSpec)
-        return spec if self["synth.seed"] is None else replace(spec, seed=self["synth.seed"])
-
-    def hash(self) -> str:
-        return config_hash(self.resolved)
+        return self._stage_config("synth", SynthSpec)
 
 
 def load_pipeline_config(path=None, overrides: list | None = None) -> PipelineConfig:
@@ -179,5 +165,5 @@ def load_pipeline_config(path=None, overrides: list | None = None) -> PipelineCo
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        entries = _parse_config_lines(kvtext.read_lines(path), str(path))
+        entries = _parse(str(path), (line.split("#", 1)[0] for line in kvtext.read_lines(path)))
     return PipelineConfig(resolve(entries, overrides))

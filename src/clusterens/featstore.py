@@ -25,7 +25,8 @@ import numpy as np
 
 from . import binfmt
 from .errors import LoadError
-from .labeling import TEXT_CHUNK, Labeling
+from .kvtext import TEXT_CHUNK
+from .labeling import Labeling
 
 VAR_EPS = 1e-5
 
@@ -173,13 +174,17 @@ def fit_standardizer(features: EmbeddingMatrix) -> NormStats:
     """Compute per-dimension batch mean/variance.
 
     Near-zero variances are clamped to 1e-5 (with a warning) so constant
-    dimensions cannot blow up downstream divisions.
+    dimensions cannot blow up downstream divisions; a matrix whose every
+    dimension would clamp is refused, as it would standardize to all zeros.
     """
     if features.n < 2:
         raise ValueError("standardizer needs at least 2 samples")
     mean = features.data.mean(axis=0)
     var = features.data.var(axis=0)
     low = var < VAR_EPS
+    if low.all():
+        raise ValueError(f"all {low.size} feature dimensions have variance below {VAR_EPS}; "
+                         "rescale the features")
     if low.any():
         warnings.warn(
             f"{int(low.sum())} near-constant feature dimension(s); variance clamped to {VAR_EPS}",

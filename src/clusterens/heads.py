@@ -156,16 +156,24 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Final-epoch losses and training-set labelings of every head.
+    """Training-set labelings of every head and the (epochs, H) trajectory
+    of their epoch-mean losses, from which the final losses and the best
+    head are read."""
 
-    ``epoch_mean_loss`` keeps the (epochs, H) loss trajectory as a training
-    diagnostic.
-    """
-
-    per_head_loss: np.ndarray
     per_head_labeling: tuple
-    best_head: int
     epoch_mean_loss: np.ndarray
+
+    @property
+    def per_head_loss(self) -> np.ndarray:
+        """The last epoch's loss of every head; NaN after zero epochs."""
+        if len(self.epoch_mean_loss):
+            return self.epoch_mean_loss[-1]
+        return np.full(self.epoch_mean_loss.shape[1], np.nan)
+
+    @property
+    def best_head(self) -> int:
+        """The head of least last-epoch loss, the first of a tie; 0 after zero epochs."""
+        return int(np.argmin(self.per_head_loss)) if len(self.epoch_mean_loss) else 0
 
 
 def _exp_normalize(shifted: np.ndarray):
@@ -680,23 +688,8 @@ def train_heads(
             global_step += 1
         epoch_loss[epoch] /= n
 
-    if cfg.epochs > 0:
-        per_head_loss = epoch_loss[-1].copy()
-        best_head = int(np.argmin(per_head_loss))
-    else:
-        per_head_loss = np.full(h_count, np.nan)
-        best_head = 0
-
-    labelings = _head_labelings(bank.student, n, u.__getitem__)
-    per_head_loss.flags.writeable = False
     epoch_loss.flags.writeable = False
-    report = TrainReport(
-        per_head_loss=per_head_loss,
-        per_head_labeling=labelings,
-        best_head=best_head,
-        epoch_mean_loss=epoch_loss,
-    )
-    return bank, report
+    return bank, TrainReport(_head_labelings(bank.student, n, u.__getitem__), epoch_loss)
 
 
 def _head_labelings(student: dict, n: int, unit, heads=slice(None)) -> tuple:

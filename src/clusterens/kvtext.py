@@ -3,8 +3,9 @@ blocks and the HDB1 config echo, and the text of their values."""
 
 from __future__ import annotations
 
-from .labeling import TEXT_CHUNK
-
+# the size of one read of a text input (characters; bytes of a text
+# labeling), and the longest line ``read_lines`` accepts
+TEXT_CHUNK = 1 << 16
 # characters of an offending line that an error message quotes
 QUOTE_CHARS = 40
 

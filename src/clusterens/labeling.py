@@ -16,10 +16,10 @@ import numpy as np
 
 from . import binfmt
 from .errors import LoadError
+from .kvtext import TEXT_CHUNK  # bytes of a text labeling read at once
 
 LABELING_MAGIC = b"LBL1"
-# bytes of a text labeling read at once, and the longest id token accepted
-TEXT_CHUNK = 1 << 16
+# the longest id token accepted
 MAX_ID_CHARS = 64
 
 
@@ -69,14 +69,6 @@ class Labeling:
     def k(self) -> int:
         """Number of distinct cluster ids present."""
         return self.coding.ids.size
-
-    def same_grouping(self, other: "Labeling") -> bool:
-        """True when both labelings induce the same partition."""
-        if self.n != other.n:
-            return False
-        return np.array_equal(
-            canonicalize(self).labels, canonicalize(other).labels
-        )
 
 
 def canonicalize(labeling: Labeling) -> Labeling:

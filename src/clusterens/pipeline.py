@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ensemble as ens
 from . import heads, kvtext, neighbors, selftrain
-from .config import PipelineConfig
+from .config import PipelineConfig, config_hash
 from .errors import ConfigError, LoadError, StageError
 from .featstore import (
     EmbeddingMatrix,
@@ -137,12 +137,6 @@ class RunManifest:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
-
-    def stage(self, name: str) -> StageRecord:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +458,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    manifest = RunManifest(config_hash=cfg.hash(), seed=cfg["seed"])
+    manifest = RunManifest(config_hash=config_hash(cfg.resolved), seed=cfg["seed"])
 
     def run_stage(name: str, body):
         """Time ``body``, a call of a stage function, and record the outputs

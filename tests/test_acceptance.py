@@ -252,9 +252,8 @@ def test_adaptive_nearest_neighbors():
 def test_end_to_end_synthetic_pipeline(e2e_run):
     with criterion("end-to-end-pipeline"):
         _, _, manifest, elapsed = e2e_run
-        stage1 = manifest.stage("train").metrics["acc"]
-        stage2 = manifest.stage("ensemble").metrics["acc"]
-        stage3 = manifest.stage("selftrain").metrics["acc"]
+        acc = {s.name: s.metrics["acc"] for s in manifest.stages}
+        stage1, stage2, stage3 = acc["train"], acc["ensemble"], acc["selftrain"]
         assert stage1 >= 0.95
         assert stage2 >= stage1 - 0.01
         assert stage3 >= 0.95

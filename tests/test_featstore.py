@@ -291,6 +291,12 @@ class TestStandardizer:
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data[:, 1], 0.0)
 
+    def test_every_dimension_clamped_is_refused(self, rng):
+        m = EmbeddingMatrix(rng.normal(size=(20, 5)) * 2.0**-100)
+        with pytest.raises(ValueError, match=rf"all 5 feature dimensions have variance "
+                                             rf"below {VAR_EPS}; rescale"):
+            fit_standardizer(m)
+
     def test_apply_holds_one_copy(self, rng):
         m = EmbeddingMatrix(rng.normal(size=(6000, 128)))
         stats = fit_standardizer(m)

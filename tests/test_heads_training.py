@@ -8,6 +8,7 @@ from clusterens import (
     EmbeddingMatrix,
     SynthSpec,
     TrainConfig,
+    TrainReport,
     build_neighbor_sets,
     clustering_accuracy,
     gen_synthetic,
@@ -763,6 +764,24 @@ class TestTrainHeads:
     def test_best_head_attains_minimum(self, trained_run):
         _, _, _, _, _, report = trained_run
         assert report.per_head_loss[report.best_head] == report.per_head_loss.min()
+
+    def test_summary_is_read_from_the_last_epoch(self, trained_run):
+        _, _, _, _, _, report = trained_run
+        last = report.epoch_mean_loss[-1]
+        assert report.per_head_loss.tobytes() == last.tobytes()
+        assert not report.per_head_loss.flags.writeable
+        assert report.best_head == int(np.argmin(last))
+        with pytest.raises(AttributeError):
+            report.best_head = 0
+
+    def test_summary_after_zero_epochs_and_on_a_tie(self):
+        untrained = TrainReport((), np.zeros((0, 4)))
+        assert untrained.per_head_loss.shape == (4,)
+        assert np.all(np.isnan(untrained.per_head_loss))
+        assert untrained.best_head == 0
+        tied = TrainReport((), np.array([[0.0, 0.0, 0.0], [3.0, 1.0, 1.0]]))
+        assert tied.per_head_loss.tolist() == [3.0, 1.0, 1.0]
+        assert tied.best_head == 1
 
     def test_smoothing_runs(self):
         m, labels = gen_synthetic(SynthSpec(n=80, d=8, k=3, separation=15.0, seed=6))

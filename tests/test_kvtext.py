@@ -8,7 +8,7 @@ import pytest
 
 from clusterens import kvtext
 from clusterens.cli import main
-from clusterens.config import SCHEMA, PipelineConfig, load_pipeline_config, parse_kv_text, resolve
+from clusterens.config import SCHEMA, PipelineConfig, load_pipeline_config, resolve
 from clusterens.errors import ConfigError, LoadError
 from clusterens.heads import TrainConfig, config_from_text, config_to_text
 from clusterens.labeling import TEXT_CHUNK
@@ -69,14 +69,19 @@ def test_config_file_lines_are_read_one_at_a_time(tmp_path):
         load_pipeline_config(path)
 
 
-def test_set_keeps_a_hash_sign_that_a_config_file_starts_a_comment_with():
+def test_set_keeps_a_hash_sign_that_a_config_file_starts_a_comment_with(tmp_path):
     assert resolve({}, ["output_dir=a#b"])["output_dir"] == "a#b"
-    assert resolve(parse_kv_text("output_dir = a#b # note"), [])["output_dir"] == "a"
+    path = tmp_path / "run.cfg"
+    path.write_text("output_dir = a#b # note\n")
+    assert load_pipeline_config(path)["output_dir"] == "a"
 
 
-def test_a_config_line_without_equals_is_a_config_error():
-    with pytest.raises(ConfigError, match=r"^run.cfg:2: expected key=value, got 'oops '$"):
-        parse_kv_text("seed = 1\noops # no value\n", "run.cfg")
+def test_a_config_line_without_equals_is_a_config_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 1\noops # no value\n")
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(str(path))}:2: expected key=value, got 'oops '$"):
+        load_pipeline_config(path)
     with pytest.raises(ConfigError, match=r"^--set:2: expected key=value, got 'oops'$"):
         resolve({}, ["seed=1", "oops"])
 

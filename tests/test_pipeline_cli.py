@@ -27,7 +27,6 @@ from clusterens.config import (
     PipelineConfig,
     config_hash,
     load_pipeline_config,
-    parse_kv_text,
     resolve,
 )
 from clusterens.errors import ConfigError, LoadError, StageError
@@ -35,7 +34,7 @@ from clusterens.featstore import save_features
 from clusterens.heads import TrainConfig, load_head_bank
 from clusterens.labeling import TEXT_CHUNK
 from clusterens.metrics import evaluate
-from clusterens.neighbors import NeighborSets, save_neighbor_sets
+from clusterens.neighbors import NeighborSets, ground_truth_neighbors, save_neighbor_sets
 from clusterens.pipeline import (
     ensemble_inputs,
     ensemble_stage,
@@ -95,8 +94,10 @@ def pipeline_run(tmp_path_factory):
 
 
 class TestConfig:
-    def test_parse_and_defaults(self):
-        resolved = resolve(parse_kv_text("seed = 4\ntrain.num_heads=7 # tail"), [])
+    def test_parse_and_defaults(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 4\ntrain.num_heads=7 # tail")
+        resolved = load_pipeline_config(path).resolved
         assert resolved["seed"] == 4
         assert resolved["train.num_heads"] == 7
         assert resolved["train.lr"] == 1.25e-6
@@ -158,7 +159,6 @@ class TestConfig:
             "synth.d": None,
             "synth.k": None,
             "synth.n": None,
-            "synth.seed": None,
             "synth.separation": 20.0,
             "threads": 1,
             "train.batch_size": 256,
@@ -206,7 +206,7 @@ class TestPipeline:
     def test_manifest_structure(self, pipeline_run):
         _, _, cfg, out_dir, manifest = pipeline_run
         assert [s.name for s in manifest.stages] == ["train", "ensemble", "selftrain"]
-        assert manifest.config_hash == cfg.hash()
+        assert manifest.config_hash == config_hash(cfg.resolved)
         for stage in manifest.stages:
             assert stage.metrics is not None
             for out in stage.outputs:
@@ -214,9 +214,8 @@ class TestPipeline:
 
     def test_stage_metrics_reasonable(self, pipeline_run):
         _, _, _, _, manifest = pipeline_run
-        assert manifest.stage("train").metrics["acc"] >= 0.9
-        assert manifest.stage("ensemble").metrics["acc"] >= 0.9
-        assert manifest.stage("selftrain").metrics["acc"] >= 0.9
+        for stage in manifest.stages:
+            assert stage.metrics["acc"] >= 0.9
 
     def test_train_report_has_loss_trajectory(self, pipeline_run):
         _, _, cfg, out_dir, _ = pipeline_run
@@ -351,6 +350,32 @@ class TestPipeline:
             run_pipeline(cfg)
         # neighbor sets were computed before the failure and must survive
         assert (out_dir / "neighbors.nns").exists()
+
+    def test_features_of_no_spread_fail_the_train_stage_before_its_checkpoint(
+            self, pipeline_run, tmp_path, capsys):
+        _, cfg_path, _, _, _ = pipeline_run
+        m, _ = gen_synthetic(SynthSpec(n=120, d=12, k=3, separation=20.0, seed=17))
+        tiny = tmp_path / "tiny.fpk"
+        save_features(EmbeddingMatrix(m.data * 2.0**-100), tiny)
+        run = tmp_path / "run"
+        code = main(["pipeline", "--config", str(cfg_path), "--set", f"features={tiny}",
+                     "--set", f"output_dir={run}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stage 'train' failed" in err
+        assert "all 12 feature dimensions have variance below" in err
+        assert not (run / "checkpoint.hdb").exists()
+
+    def test_a_diverging_probe_fails_the_selftrain_stage(self, pipeline_run, tmp_path, capsys):
+        _, cfg_path, _, _, _ = pipeline_run
+        run = tmp_path / "run"
+        code = main(["pipeline", "--config", str(cfg_path), "--set", f"output_dir={run}",
+                     "--set", "selftrain.lr=1e308"])
+        assert code == 2
+        assert ("stage 'selftrain' failed: non-finite self-train loss at step 2"
+                in capsys.readouterr().err)
+        assert (run / "consensus.lbl").exists()
+        assert not (run / "classifier.clf").exists()
 
     def test_selftrain_failure_keeps_manifest_of_earlier_stages(self, tmp_path, monkeypatch):
         from clusterens import pipeline, selftrain
@@ -572,7 +597,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("command", ["pipeline", "train"])
     @pytest.mark.parametrize("key, value", [
-        ("neighbors.k_min", "0"), ("seed", "-1"), ("synth.seed", "-1"),
+        ("neighbors.k_min", "0"), ("seed", "-1"),
         ("neighbors.theta", "nan"), ("neighbors.theta", "inf"), ("threads", "0"), ("threads", "-5"),
     ])
     def test_bad_mining_and_seed_values_refused_before_any_file(self, pipeline_run, tmp_path,
@@ -1001,6 +1026,23 @@ def never_mine(*args, **kwargs):
 class TestRefusedBeforeWork:
     """Values a command cannot use exit 1 before any work and write no file."""
 
+    @pytest.mark.parametrize("command, what", [
+        ("selftrain", "pseudo-label file"),
+        ("predict", "classifier checkpoint"),
+        ("eval", "predicted labeling"),
+    ])
+    def test_a_command_without_its_input_flag_exits_1(self, tmp_path, capsys, command, what):
+        fpath, lpath = write_inputs(tmp_path, n=40, d=6, k=2)
+        argv = {
+            "selftrain": ["--features", str(fpath), "--out", str(tmp_path / "out")],
+            "predict": ["--features", str(fpath), "--out", str(tmp_path / "out.lbl")],
+            "eval": ["--gt", str(lpath)],
+        }[command]
+        before = files_under(tmp_path)
+        assert main([command, *argv]) == 1
+        assert f"config error: missing required {what}" in capsys.readouterr().err
+        assert files_under(tmp_path) == before
+
     @pytest.mark.parametrize("counts", ["0", "2,0", "-3"])
     def test_ablate_refuses_head_counts_below_1(self, tmp_path, capsys, monkeypatch, counts):
         from clusterens import neighbors
@@ -1111,6 +1153,27 @@ def one_sample_class_config(tmp_path):
 class TestNeighborSourceKeys:
     """A neighbor-source key is checked only where the command reads it."""
 
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_ground_truth_sets_are_the_classes_of_the_labels(self, tmp_path, command):
+        fpath, lpath = write_inputs(tmp_path, n=40, d=6, k=2)
+        run, cfg_path = tmp_path / "run", tmp_path / "c.cfg"
+        cfg_path.write_text(small_config_text(fpath, lpath, run, k=2))
+        code = main([command, "--config", str(cfg_path), "--set", "neighbors.ground_truth=true",
+                     "--set", "train.epochs=1", "--set", "selftrain.steps=10"])
+        assert code == 0
+        want = tmp_path / "want.nns"
+        save_neighbor_sets(ground_truth_neighbors(load_labeling(lpath)), want)
+        assert (run / "neighbors.nns").read_bytes() == want.read_bytes()
+
+    def test_ground_truth_sets_need_a_labels_file(self, tmp_path, capsys):
+        fpath, _ = write_inputs(tmp_path, n=40, d=6, k=2)
+        run = tmp_path / "run"
+        code = main(["train", "--features", str(fpath), "--out", str(run),
+                     "--set", "neighbors.ground_truth=true", "--set", "train.num_clusters=2"])
+        assert code == 1
+        assert "neighbors.ground_truth=true requires a labels file" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_neighbor_file_wins_over_ground_truth_without_labels(self, tmp_path):
         fpath, _ = write_inputs(tmp_path, n=40, d=6, k=2)
         nns = tmp_path / "ring.nns"
@@ -1144,7 +1207,6 @@ OUT_OF_RANGE = {
     "synth.d": ("0", GEN_SYNTH),
     "synth.k": ("0", GEN_SYNTH),
     "synth.separation": ("0", GEN_SYNTH),
-    "synth.seed": ("-1", GEN_SYNTH),
     "neighbors.theta": ("nan", TRAIN),
     "neighbors.k_min": ("0", TRAIN),
     "train.num_clusters": ("1", TRAIN),
