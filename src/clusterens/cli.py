@@ -19,7 +19,7 @@ from pathlib import Path
 from . import pipeline as pl
 from .config import PipelineConfig, load_pipeline_config
 from .errors import ClusterensError, ConfigError
-from .labeling import load_labeling, save_labeling, save_labeling_text
+from .labeling import load_labeling, save_labeling
 from .metrics import evaluate
 from .selftrain import predict as clf_predict
 
@@ -125,10 +125,8 @@ def _cmd_selftrain(args, cfg) -> str:
 def _cmd_predict(args, cfg) -> str:
     features, clf = pl.predict_inputs(cfg, args.classifier)
     labeling = clf_predict(clf, features)
-    if str(args.out).endswith(".txt"):
-        save_labeling_text(labeling, args.out)
-    else:
-        save_labeling(labeling, args.out)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    save_labeling(labeling, args.out)
     human = [
         "prediction report",
         "",

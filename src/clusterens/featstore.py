@@ -2,9 +2,10 @@
 
 Feature matrices are n x d float64 arrays (rows = samples).  The canonical
 on-disk format is "featpack" (magic ``FPK1``); headerless csv and npy v1.0
-are supported for interop, and a loader tells them apart by the file's
-first bytes.  Standardization is a batch-normalization layer's statistics
-frozen at fit time, without its affine: per dimension
+are supported for interop.  The writer picks the format by the path's
+extension in any case (``.csv``, ``.npy``, else featpack), the loader by
+the file's first bytes.  Standardization is a batch-normalization layer's
+statistics frozen at fit time, without its affine: per dimension
 ``(x - mean) / sqrt(var + 1e-5)``, by :func:`unit_rows`, the one
 standardization every stage runs.  Its statistics are fitted once per
 matrix and cached on it (``EmbeddingMatrix.norm``); ``NormStats`` refuses
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import binfmt
 from .errors import LoadError
-from .kvtext import TEXT_CHUNK
+from .kvtext import TEXT_CHUNK, TEXT_ENCODING
 from .labeling import Labeling
 
 VAR_EPS = 1e-5
@@ -232,19 +233,18 @@ def gen_synthetic(spec: SynthSpec) -> tuple[EmbeddingMatrix, Labeling]:
 # ---------------------------------------------------------------------------
 
 
-def save_features(features: EmbeddingMatrix, path, format: str = "featpack") -> None:
-    """Write ``features`` to ``path`` in one of the supported formats."""
-    if format == "featpack":
-        _save_featpack(features, path)
-    elif format == "csv":
-        np.savetxt(path, features.data, fmt="%.17g", delimiter=",")
-    elif format == "npy":
+def save_features(features: EmbeddingMatrix, path) -> None:
+    """Write ``features`` to ``path`` in the format its name ends in, in any
+    case: csv for ``.csv``, npy v1.0 for ``.npy``, featpack for any other."""
+    name = str(path).lower()
+    data = features.data.astype("<f8", copy=False)
+    if name.endswith(".csv"):
+        np.savetxt(path, data, fmt="%.17g", delimiter=",")
+    elif name.endswith(".npy"):
         with open(path, "wb") as f:
-            np.lib.format.write_array(
-                f, features.data.astype("<f8", copy=False), version=(1, 0), allow_pickle=False
-            )
+            np.lib.format.write_array(f, data, version=(1, 0), allow_pickle=False)
     else:
-        raise ValueError(f"unknown feature format {format!r}")
+        binfmt.save(path, FEATPACK_MAGIC, struct.pack("<IIB", features.n, features.d, 2), data)
 
 
 def load_features(path) -> EmbeddingMatrix:
@@ -265,21 +265,6 @@ def load_features(path) -> EmbeddingMatrix:
         return EmbeddingMatrix._adopt(data)
     except ValueError as exc:
         raise LoadError(f"{path}: {exc}") from None
-
-
-def detect_format(path) -> str:
-    """The format ``gen-synth`` writes to ``path``, by its extension (featpack by default)."""
-    name = str(path).lower()
-    if name.endswith(".csv"):
-        return "csv"
-    if name.endswith(".npy"):
-        return "npy"
-    return "featpack"
-
-
-def _save_featpack(features: EmbeddingMatrix, path) -> None:
-    header = struct.pack("<IIB", features.n, features.d, 2)
-    binfmt.save(path, FEATPACK_MAGIC, header, features.data.astype("<f8", copy=False))
 
 
 def _parse_featpack(r: binfmt.Reader) -> np.ndarray:
@@ -309,7 +294,7 @@ def _load_csv(path) -> np.ndarray:
                 raise LoadError(f"{path}: not a feature file: no featpack or npy magic, "
                                 "and a NUL byte where csv text has none")
             raw.seek(0)
-            text = io.TextIOWrapper(raw, encoding="utf-8")
+            text = io.TextIOWrapper(raw, encoding=TEXT_ENCODING)
             while True:
                 piece = text.read(TEXT_CHUNK)
                 lines = (tail + piece).split("\n")

@@ -6,6 +6,8 @@ from __future__ import annotations
 # the size of one read of a text input (characters; bytes of a text
 # labeling), and the longest line ``read_lines`` accepts
 TEXT_CHUNK = 1 << 16
+# the encoding of every text input: UTF-8, less a leading byte-order mark
+TEXT_ENCODING = "utf-8-sig"
 # characters of an offending line that an error message quotes
 QUOTE_CHARS = 40
 
@@ -66,7 +68,7 @@ def read_lines(path):
     a time.  ``ValueError`` at a line of more than ``TEXT_CHUNK`` characters,
     named by its number, or at bytes that are not UTF-8, so no line is held
     whole."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding=TEXT_ENCODING) as f:
         try:
             for lineno, line in enumerate(iter(lambda: f.readline(TEXT_CHUNK + 1), ""), start=1):
                 if line.endswith("\n"):

@@ -2,7 +2,8 @@
 
 A labeling assigns an integer cluster id to each sample; ids are arbitrary
 until :func:`canonicalize` remaps them to 1..k in order of first appearance.
-Serialized either as an ``LBL1`` binary or as one id per line of text.
+Written as one id per line of text to a ``.txt`` path (in any case) and as
+an ``LBL1`` binary to any other; read as the file's first bytes say.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import binfmt
 from .errors import LoadError
-from .kvtext import TEXT_CHUNK  # bytes of a text labeling read at once
+from .kvtext import TEXT_CHUNK, TEXT_ENCODING
 
 LABELING_MAGIC = b"LBL1"
 # the longest id token accepted
@@ -87,8 +88,14 @@ def u32_ids(ids: np.ndarray) -> np.ndarray:
 
 
 def save_labeling(labeling: Labeling, path) -> None:
-    """Write the ``LBL1`` binary form (u32 n, then u32 id per sample)."""
-    binfmt.save(path, LABELING_MAGIC, np.uint32(labeling.n).tobytes(), u32_ids(labeling.labels))
+    """Write one decimal id per line to a ``.txt`` path (in any case), else
+    the ``LBL1`` binary form (u32 n, then u32 id per sample)."""
+    if str(path).lower().endswith(".txt"):
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(f"{int(v)}\n" for v in labeling.labels)
+    else:
+        binfmt.save(path, LABELING_MAGIC, np.uint32(labeling.n).tobytes(),
+                    u32_ids(labeling.labels))
 
 
 def _parse_labeling(r: binfmt.Reader) -> Labeling:
@@ -98,20 +105,13 @@ def _parse_labeling(r: binfmt.Reader) -> Labeling:
     return Labeling(r.array("<u4", n))
 
 
-def save_labeling_text(labeling: Labeling, path) -> None:
-    """Write one cluster id per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        for v in labeling.labels:
-            f.write(f"{int(v)}\n")
-
-
 def _read_text_ids(path) -> np.ndarray:
     """Whitespace-separated integer ids, parsed ``TEXT_CHUNK`` bytes at a time.
 
     Raises ``ValueError`` at the first token that is not, and cannot become,
     an integer, so a foreign file fails after one chunk.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
+    decoder = codecs.getincrementaldecoder(TEXT_ENCODING)()
     parts, tail = [], ""
     with open(path, "rb") as f:
         while True:

@@ -26,7 +26,6 @@ from .errors import ConfigError, LoadError, StageError
 from .featstore import (
     EmbeddingMatrix,
     apply_standardizer,
-    detect_format,
     gen_synthetic,
     load_features,
     save_features,
@@ -583,7 +582,7 @@ def gen_synth_files(cfg: PipelineConfig):
     features, labels = gen_synthetic(spec)
     fpath = Path(cfg["features"])
     fpath.parent.mkdir(parents=True, exist_ok=True)
-    save_features(features, fpath, detect_format(fpath))
+    save_features(features, fpath)
     lpath = cfg["labels"]
     if lpath is not None:
         Path(lpath).parent.mkdir(parents=True, exist_ok=True)

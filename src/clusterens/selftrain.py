@@ -139,26 +139,29 @@ def self_train(
     order = np.empty(0, dtype=np.int64)
     cursor = 0
     step = 0
-    while step < cfg.steps:
-        if cursor + batch > order.size:
-            hits = _argmax_class(s, weight, bias) == targets
-            agreement.append(float(hits.mean()))
-            if hits.all():
-                stopped_early = True
-                break
-            order = rng.permutation(n)
-            cursor = 0
-        idx = order[cursor : cursor + batch]
-        cursor += batch
+    # numeric warnings are silenced because the finite check below
+    # turns any divergence into a TrainingError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while step < cfg.steps:
+            if cursor + batch > order.size:
+                hits = _argmax_class(s, weight, bias) == targets
+                agreement.append(float(hits.mean()))
+                if hits.all():
+                    stopped_early = True
+                    break
+                order = rng.permutation(n)
+                cursor = 0
+            idx = order[cursor : cursor + batch]
+            cursor += batch
 
-        loss, grads = ce_loss_and_grads(weight, bias, s[idx], targets[idx])
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite self-train loss at step {step}", step=step)
-        buf_w = cfg.momentum * buf_w + grads["weight"]
-        buf_b = cfg.momentum * buf_b + grads["bias"]
-        weight -= cfg.lr * buf_w + cfg.lr * cfg.weight_decay * weight
-        bias -= cfg.lr * buf_b
-        step += 1
+            loss, grads = ce_loss_and_grads(weight, bias, s[idx], targets[idx])
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite self-train loss at step {step}", step=step)
+            buf_w = cfg.momentum * buf_w + grads["weight"]
+            buf_b = cfg.momentum * buf_b + grads["bias"]
+            weight -= cfg.lr * buf_w + cfg.lr * cfg.weight_decay * weight
+            bias -= cfg.lr * buf_b
+            step += 1
 
     history = FitHistory(
         steps=step, epoch_steps=n // batch, agreement_by_epoch=tuple(agreement),

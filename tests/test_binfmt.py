@@ -21,7 +21,7 @@ from clusterens.featstore import (
     EmbeddingMatrix, NormStats, load_features, save_features, unit_rows,
 )
 from clusterens.heads import HeadBank, TrainConfig, config_to_text, load_head_bank, save_head_bank
-from clusterens.labeling import Labeling, load_labeling, save_labeling, save_labeling_text
+from clusterens.labeling import Labeling, load_labeling, save_labeling
 from clusterens.neighbors import NeighborSets, load_neighbor_sets, save_neighbor_sets
 from clusterens.selftrain import Classifier, load_classifier, predict, save_classifier
 
@@ -263,8 +263,16 @@ def test_text_labeling_parsed_across_chunks(tmp_path, monkeypatch):
     # spaces, tabs, CRLF and a two-byte no-break space, split at every 5 bytes
     path.write_text("3\n-12\t40000 \r\n7\u00a00\n\n123456789012\n5", encoding="utf-8")
     assert load_labeling(path).labels.tolist() == ids
-    save_labeling_text(Labeling(ids), path)
+    save_labeling(Labeling(ids), path)
     assert load_labeling(path).labels.tolist() == ids
+
+
+@pytest.mark.parametrize("chunk", [2, labeling.TEXT_CHUNK])
+def test_text_labeling_may_start_with_a_byte_order_mark(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(labeling, "TEXT_CHUNK", chunk)  # 2 splits the mark's 3 bytes
+    path = tmp_path / "ids.txt"
+    path.write_bytes(b"\xef\xbb\xbf1\n2\n1\n")
+    assert load_labeling(path).labels.tolist() == [1, 2, 1]
 
 
 @pytest.mark.parametrize(

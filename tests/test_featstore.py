@@ -1,3 +1,4 @@
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,8 @@ from clusterens import (
 )
 from clusterens import featstore
 from clusterens.errors import LoadError
-from clusterens.featstore import VAR_EPS, detect_format, unit_rows
+from clusterens.featstore import FEATPACK_MAGIC, NPY_MAGIC, VAR_EPS, unit_rows
+from clusterens.labeling import LABELING_MAGIC, load_labeling, save_labeling
 
 
 class TestEmbeddingMatrix:
@@ -45,7 +47,7 @@ class TestFeatpack:
             d = int(rng.integers(1, 20))
             m = EmbeddingMatrix(rng.normal(size=(n, d)) * 10.0 ** int(rng.integers(-3, 4)))
             path = tmp_path / f"m{trial}.fpk"
-            save_features(m, path, "featpack")
+            save_features(m, path)
             back = load_features(path)
             assert back.data.tobytes() == m.data.tobytes()
 
@@ -58,7 +60,7 @@ class TestFeatpack:
     def test_payload_shorter_than_header(self, tmp_path):
         path = tmp_path / "short.fpk"
         m = EmbeddingMatrix(np.ones((4, 3)))
-        save_features(m, path, "featpack")
+        save_features(m, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])  # drop one value
         with pytest.raises(LoadError, match="header declares 4"):
@@ -100,7 +102,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path, rng):
         m = EmbeddingMatrix(rng.normal(size=(7, 5)) * 1e3)
         path = tmp_path / "m.csv"
-        save_features(m, path, "csv")
+        save_features(m, path)
         back = load_features(path)
         assert np.allclose(back.data, m.data, atol=1e-6, rtol=1e-9)
 
@@ -165,13 +167,13 @@ class TestNpy:
     def test_round_trip(self, tmp_path, rng):
         m = EmbeddingMatrix(rng.normal(size=(6, 3)))
         path = tmp_path / "m.npy"
-        save_features(m, path, "npy")
+        save_features(m, path)
         back = load_features(path)
         assert back.data.tobytes() == m.data.tobytes()
 
     def test_oversized_payload_refused_before_reading(self, tmp_path):
         path = tmp_path / "big.npy"
-        save_features(EmbeddingMatrix(np.ones((3, 2))), path, "npy")
+        save_features(EmbeddingMatrix(np.ones((3, 2))), path)
         with open(path, "r+b") as f:
             f.truncate(64 << 20)  # sparse, so cheap on disk
         tracemalloc.start()
@@ -212,7 +214,7 @@ class TestNpy:
 @pytest.mark.parametrize("fmt", ["csv", "npy"])
 def test_fuzzed_file_raises_load_error(tmp_path, fmt):
     path = tmp_path / f"m.{fmt}"
-    save_features(EmbeddingMatrix([[0.5, -1.25], [3.0, 4.5], [-2.0, 0.125]]), path, fmt)
+    save_features(EmbeddingMatrix([[0.5, -1.25], [3.0, 4.5], [-2.0, 0.125]]), path)
     good = path.read_bytes()
     # truncate at every length and overwrite every byte; a case may leave a
     # loadable file, but nothing other than LoadError may escape
@@ -232,7 +234,7 @@ def test_fuzzed_file_raises_load_error(tmp_path, fmt):
 def test_load_holds_one_float64_copy(tmp_path, rng, fmt):
     m = EmbeddingMatrix(rng.normal(size=(2000, 64)))
     path = tmp_path / f"m.{fmt}"
-    save_features(m, path, fmt)
+    save_features(m, path)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -252,20 +254,48 @@ def test_passed_array_is_copied():
     assert m.data[0, 0] == 1.0 and data.flags.writeable
 
 
-def test_detect_format():
-    assert detect_format("a.csv") == "csv"
-    assert detect_format("a.npy") == "npy"
-    assert detect_format("a.fpk") == "featpack"
-
-
-@pytest.mark.parametrize("fmt, ext", [("featpack", "fpk"), ("npy", "npy"), ("csv", "csv")])
-def test_format_is_read_from_the_bytes(tmp_path, rng, fmt, ext):
+@pytest.mark.parametrize("name, magic", [
+    ("a.csv", None), ("A.CSV", None), ("a.npy", NPY_MAGIC), ("a.NPY", NPY_MAGIC),
+    ("a.fpk", FEATPACK_MAGIC), ("a.txt", FEATPACK_MAGIC),
+])
+def test_save_features_writes_the_format_its_name_ends_in(tmp_path, rng, name, magic):
     m = EmbeddingMatrix(rng.normal(size=(9, 4)) * 1e3)
-    save_features(m, tmp_path / f"m.{ext}", fmt)
+    path = tmp_path / name
+    save_features(m, path)
+    if magic is None:  # csv: one line of 4 values per row
+        assert [line.count(",") for line in path.read_text().splitlines()] == [3] * 9
+    else:
+        assert path.read_bytes().startswith(magic)
+    assert load_features(path).data.tobytes() == m.data.tobytes()
+
+
+@pytest.mark.parametrize("name, magic", [("l.txt", None), ("L.TXT", None),
+                                         ("l.lbl", LABELING_MAGIC)])
+def test_save_labeling_writes_the_format_its_name_ends_in(tmp_path, name, magic):
+    ids = [3, 1, 40000, 2, 0]
+    path = tmp_path / name
+    save_labeling(Labeling(ids), path)
+    if magic is None:
+        assert path.read_bytes() == b"3\n1\n40000\n2\n0\n"
+    else:
+        assert path.read_bytes().startswith(magic)
+    assert load_labeling(path).labels.tolist() == ids
+
+
+@pytest.mark.parametrize("ext", ["fpk", "npy", "csv"])
+def test_format_is_read_from_the_bytes(tmp_path, rng, ext):
+    m = EmbeddingMatrix(rng.normal(size=(9, 4)) * 1e3)
+    save_features(m, tmp_path / f"m.{ext}")
     want = load_features(tmp_path / f"m.{ext}").data
     for name in ("m.dat", "m.bin", "m.txt"):
-        save_features(m, tmp_path / name, fmt)
+        shutil.copyfile(tmp_path / f"m.{ext}", tmp_path / name)
         assert load_features(tmp_path / name).data.tobytes() == want.tobytes()
+
+
+def test_a_csv_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n")
+    assert np.array_equal(load_features(path).data, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_random_bytes_are_a_load_error(tmp_path):

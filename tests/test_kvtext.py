@@ -69,6 +69,13 @@ def test_config_file_lines_are_read_one_at_a_time(tmp_path):
         load_pipeline_config(path)
 
 
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbfseed = 3\nthreads = 2\n")
+    cfg = load_pipeline_config(path)
+    assert (cfg["seed"], cfg["threads"]) == (3, 2)
+
+
 def test_set_keeps_a_hash_sign_that_a_config_file_starts_a_comment_with(tmp_path):
     assert resolve({}, ["output_dir=a#b"])["output_dir"] == "a#b"
     path = tmp_path / "run.cfg"

@@ -366,6 +366,7 @@ class TestPipeline:
         assert "all 12 feature dimensions have variance below" in err
         assert not (run / "checkpoint.hdb").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_diverging_probe_fails_the_selftrain_stage(self, pipeline_run, tmp_path, capsys):
         _, cfg_path, _, _, _ = pipeline_run
         run = tmp_path / "run"
@@ -645,6 +646,19 @@ class TestCli:
         assert float(block["acc"]) == 1.0
         assert float(block["nmi"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_gen_synth_writes_text_labels_that_train_reads(self, tmp_path):
+        fpath, lpath = tmp_path / "f.fpk", tmp_path / "l.txt"
+        assert main(["gen-synth", "--n", "40", "--d", "6", "--k", "2", "--seed", "2",
+                     "--features", str(fpath), "--labels", str(lpath)]) == 0
+        lines = lpath.read_text().splitlines()
+        assert len(lines) == 40 and set(lines) == {"1", "2"}
+        out = tmp_path / "run"
+        assert main(["train", "--features", str(fpath), "--labels", str(lpath),
+                     "--out", str(out), "--set", "neighbors.k_min=3",
+                     "--set", "train.num_clusters=2", "--set", "train.num_heads=1",
+                     "--set", "train.epochs=0"]) == 0
+        assert "best_acc" in read_machine_block((out / "train_report.txt").read_text())
+
     def test_eval_matches_metrics_module_exactly(self, pipeline_run, capsys):
         t, _, _, out_dir, _ = pipeline_run
         pred_path = out_dir / "selftrain_pred.lbl"
@@ -707,6 +721,21 @@ class TestCli:
             load_labeling(pred_out).labels,
             load_labeling(out_dir / "selftrain_pred.lbl").labels,
         )
+
+    def test_predict_takes_the_format_from_the_name_in_any_case(self, pipeline_run, tmp_path):
+        t, _, _, out_dir, _ = pipeline_run
+        args = ["predict", "--classifier", str(out_dir / "classifier.clf"),
+                "--features", str(t / "feats.fpk"), "--out"]
+        assert main(args + [str(tmp_path / "p.txt")]) == 0
+        assert main(args + [str(tmp_path / "Q.TXT")]) == 0
+        assert (tmp_path / "Q.TXT").read_bytes() == (tmp_path / "p.txt").read_bytes()
+
+    def test_predict_creates_the_output_directory(self, pipeline_run, tmp_path):
+        t, _, _, out_dir, _ = pipeline_run
+        pred_out = tmp_path / "new" / "dir" / "p.lbl"
+        assert main(["predict", "--classifier", str(out_dir / "classifier.clf"),
+                     "--features", str(t / "feats.fpk"), "--out", str(pred_out)]) == 0
+        assert pred_out.read_bytes() == (out_dir / "selftrain_pred.lbl").read_bytes()
 
     @pytest.mark.parametrize("standardized", ["false", "true"])
     def test_pipeline_fits_the_standardizer_once(self, tmp_path, capsys, monkeypatch,
@@ -793,12 +822,14 @@ class TestCli:
         assert "unknown config key 'features_format'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("fmt, ext", [("featpack", "fpk"), ("npy", "npy"), ("csv", "csv")])
-    def test_train_reads_the_format_whatever_the_name(self, tmp_path, fmt, ext):
+    @pytest.mark.parametrize("ext", ["fpk", "npy", "csv"])
+    def test_train_reads_the_format_whatever_the_name(self, tmp_path, ext):
         m, _ = gen_synthetic(SynthSpec(n=40, d=6, k=2, separation=20.0, seed=17))
+        save_features(m, tmp_path / f"f.{ext}")
+        for name in ("f.dat", "f.bin", "f.txt"):
+            shutil.copyfile(tmp_path / f"f.{ext}", tmp_path / name)
         mined = {}
         for name in (f"f.{ext}", "f.dat", "f.bin", "f.txt"):
-            save_features(m, tmp_path / name, fmt)
             out = tmp_path / f"run_{name}"
             assert main(["train", "--features", str(tmp_path / name), "--out", str(out),
                          "--set", "neighbors.k_min=3", "--set", "train.num_clusters=2",
