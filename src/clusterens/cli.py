@@ -4,10 +4,11 @@ Every subcommand reads an optional ``--config`` file plus repeatable
 ``--set key=value`` overrides; path flags are shorthand for the matching
 config keys and win over both.  This module holds only the flags, one call
 per command and the printing: ``pipeline.py`` finds, loads and checks every
-input file (``input_file``, ``load_inputs`` and the ``*_inputs`` helpers)
-before any work.  Exit codes: 0 success, 1 configuration error (a missing
-file, or inputs that do not fit together), 2 runtime failure (a file that
-does not parse included).
+input file before any work.  ``train``, ``ensemble`` and ``selftrain`` run
+their stage through ``pipeline.run_stage``, as ``pipeline`` does, so each
+adds its record to the run directory's ``manifest.json``.  Exit codes:
+0 success, 1 configuration error (a missing file, or inputs that do not fit
+together), 2 runtime failure (a file that does not parse included).
 """
 
 from __future__ import annotations
@@ -106,20 +107,18 @@ def _cmd_gen_synth(args, cfg) -> str:
 
 
 def _cmd_train(args, cfg) -> str:
-    features, labels = pl.validate_inputs(cfg)
-    train_cfg = cfg.train_config()  # before mining, as ``run_pipeline`` checks it
-    sets = pl.build_sets_for_config(cfg, features, labels)
-    return pl.train_stage(Path(cfg["output_dir"]), features, sets, train_cfg, labels)[-1]
+    return pl.run_stage("train", cfg, cfg["output_dir"], *pl.validate_inputs(cfg))
 
 
 def _cmd_ensemble(args, cfg) -> str:
-    return pl.ensemble_stage(*pl.ensemble_inputs(cfg))[-1]
+    cfg.require("output_dir")
+    return pl.run_stage("ensemble", cfg, cfg["output_dir"], None, pl.load_labels(cfg))
 
 
 def _cmd_selftrain(args, cfg) -> str:
-    features, pseudo, labels = pl.selftrain_inputs(cfg, args.pseudo_labels)
-    out_dir = Path(args.out or cfg["output_dir"] or Path(args.pseudo_labels).parent)
-    return pl.selftrain_stage(out_dir, features, pseudo, cfg.selftrain_config(), labels)[-1]
+    pseudo_path = pl.input_file(args.pseudo_labels, "pseudo-label file")
+    out_dir = args.out or cfg["output_dir"] or pseudo_path.parent
+    return pl.run_stage("selftrain", cfg, out_dir, *pl.load_inputs(cfg), pseudo_path=pseudo_path)
 
 
 def _cmd_predict(args, cfg) -> str:

@@ -1,11 +1,11 @@
 """Three-stage pipeline orchestration, run manifests and ablation harnesses.
 
-Stages write their artifacts to the run directory as they finish, so a
-failed run keeps everything produced so far and any stage can be re-run
-from its predecessor's files.  Each stage function returns what the
-manifest records of it: its result, the paths it wrote, its scores against
-ground truth and its report text.  Reports are plain text ending in a
-machine-readable ``key=value`` block separated by a ``---`` line.
+A stage is one call, ``<name>_stage(cfg, out_dir, features, labels)``: it
+checks the files it reads (its predecessor's artifacts), writes its own and
+returns what the manifest records of it.  ``run_stage`` runs it for both
+``run_pipeline`` and the stage's subcommand and writes the manifest after
+it, so a failed run keeps its finished stages' artifacts and records.
+Reports are plain text ending in a ``key=value`` block after a ``---`` line.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .labeling import Labeling, load_labeling, save_labeling, u32_ids
 from .metrics import MetricsReport, evaluate
 
 MACHINE_SEPARATOR = "---"
+
+STAGES = ("train", "ensemble", "selftrain")  # in run order; ``<name>_stage`` runs each
+MANIFEST_MAX_BYTES = 1 << 22  # a few hundred bytes an artifact: thousands of heads
 
 # the kinds of ``run_ablation``: the threshold sweep against fixed-k
 # neighbors, the head-count sweep and the ground-truth neighbor bound
@@ -138,6 +141,27 @@ class RunManifest:
             f.write("\n")
 
 
+def read_manifest(cfg: PipelineConfig, out_dir: Path) -> RunManifest:
+    """The manifest in ``out_dir`` when it was written under ``cfg``, else a
+    new one; ``LoadError`` when the file there is not a run manifest."""
+    manifest = RunManifest(config_hash=config_hash(cfg.resolved), seed=cfg["seed"])
+    path = out_dir / "manifest.json"
+    if not path.is_file():
+        return manifest
+    try:
+        if path.stat().st_size > MANIFEST_MAX_BYTES:
+            raise ValueError(f"more than {MANIFEST_MAX_BYTES} bytes")
+        data = json.loads(path.read_bytes())
+        stages = [StageRecord(**record) for record in data.pop("stages")]
+        found = RunManifest(**data, stages=stages)
+        names = [s.name for s in found.stages]
+        if names != sorted(set(names), key=STAGES.index):
+            raise ValueError(f"stages {names} are not in the order {STAGES}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LoadError(f"{path}: not a run manifest: {type(exc).__name__}: {exc}") from None
+    return found if found.config_hash == manifest.config_hash else manifest
+
+
 # ---------------------------------------------------------------------------
 # command inputs, found, loaded and checked to fit before any work
 # ---------------------------------------------------------------------------
@@ -172,19 +196,15 @@ def check_ground_truth(labels: Labeling) -> None:
     check_nonempty(labels.coding.counts[labels.coding.codes] - 1, "ground-truth neighbor sets")
 
 
-def _labels(cfg: PipelineConfig) -> Labeling | None:
+def load_labels(cfg: PipelineConfig) -> Labeling | None:
     return None if cfg["labels"] is None else load_labeling(input_file(cfg["labels"], "label file"))
-
-
-def _features(cfg: PipelineConfig) -> EmbeddingMatrix:
-    return load_features(input_file(cfg["features"], "feature file"))
 
 
 def load_inputs(cfg: PipelineConfig) -> tuple[EmbeddingMatrix, Labeling | None]:
     """The ``features`` and, when ``labels`` is set, the labels that cover them."""
-    input_file(cfg["features"], "feature file")  # before the labels load
-    labels = _labels(cfg)
-    features = _features(cfg)
+    path = input_file(cfg["features"], "feature file")  # before the labels load
+    labels = load_labels(cfg)
+    features = load_features(path)
     check_count(labels, "labels", features.n)
     return features, labels
 
@@ -212,48 +232,10 @@ def validate_inputs(cfg: PipelineConfig, config_sets: bool = True
     return features, labels
 
 
-def ensemble_inputs(cfg: PipelineConfig):
-    """The arguments of :func:`ensemble_stage` for the run in ``output_dir``,
-    the head labelings its train report names and the labels of one sample set."""
-    cfg.require("output_dir")
-    run_dir = Path(cfg["output_dir"])
-    report = input_file(run_dir / "train_report.txt", "train report")
-    try:
-        block = _machine_block(kvtext.read_lines(report))
-        num_heads, best_head = int(block["num_heads"]), int(block["best_head"])
-    except (KeyError, ValueError) as exc:
-        raise LoadError(f"{report}: not a train report: {type(exc).__name__}: {exc}") from None
-    if not 0 <= best_head < num_heads:
-        raise LoadError(f"{report}: best_head={best_head} is not one of {num_heads} heads")
-    # the heads the report names, not whatever an earlier run left behind
-    inputs = [load_labeling(input_file(run_dir / "labelings" / f"head_{h:03d}.lbl",
-                                       "head labeling"))
-              for h in range(num_heads)]
-    n = inputs[0].n
-    for h, labeling in enumerate(inputs):
-        check_count(labeling, f"labels of head {h}", n, "those of head 0")
-    labels = _labels(cfg)
-    check_count(labels, "labels", n, "head labelings")
-    return run_dir, inputs, cfg.ensemble_k(n), best_head, labels
-
-
-def selftrain_inputs(cfg: PipelineConfig, pseudo_path):
-    """The features, the pseudo-labels at ``pseudo_path`` and the labels, of one sample set."""
-    pseudo_path = input_file(pseudo_path, "pseudo-label file")
-    features, labels = load_inputs(cfg)
-    pseudo = load_labeling(pseudo_path)
-    check_count(pseudo, "pseudo-labels", features.n)
-    try:
-        u32_ids(pseudo.labels)  # the ids the classifier checkpoint stores
-    except ValueError as exc:
-        raise ConfigError(f"pseudo-labels: {exc}") from None
-    return features, pseudo, labels
-
-
 def predict_inputs(cfg: PipelineConfig, classifier_path):
     """The features and the classifier at ``classifier_path``, of one dimension."""
     clf = selftrain.load_classifier(input_file(classifier_path, "classifier checkpoint"))
-    features = _features(cfg)
+    features = load_features(input_file(cfg["features"], "feature file"))
     if clf.dim != features.d:
         raise ConfigError(f"the classifier takes d={clf.dim} but features hold d={features.d}")
     return features, clf
@@ -291,7 +273,7 @@ def build_sets_for_config(
 
 
 # ---------------------------------------------------------------------------
-# stage implementations (file-level, reused by CLI subcommands)
+# stages, each run by ``run_stage`` under ``pipeline`` and its own subcommand
 # ---------------------------------------------------------------------------
 
 
@@ -311,20 +293,18 @@ def _write_report(path: Path, human: list, machine: dict, pred: Labeling,
     return metrics, text
 
 
-def train_stage(
-    out_dir: Path,
-    features: EmbeddingMatrix,
-    sets: neighbors.NeighborSets,
-    train_cfg: heads.TrainConfig,
-    labels: Labeling | None,
-):
-    """Run head training; write neighbor sets, checkpoint, report and labelings.
+def train_stage(cfg: PipelineConfig, out_dir: Path, features: EmbeddingMatrix,
+                labels: Labeling | None):
+    """Load or mine the neighbor sets and train the heads; write neighbor
+    sets, checkpoint, report and labelings.
 
-    Returns ``(report, outputs, metrics, text)``: the ``TrainReport``, the
-    written paths in manifest order, the best head's scores vs ``labels``
-    (``None`` without labels) and the report text.
+    Returns ``(outputs, metrics, text)``: the written paths in manifest
+    order, the best head's scores vs ``labels`` (``None`` without labels)
+    and the report text.
     """
-    out_dir = Path(out_dir)
+    train_cfg = cfg.train_config()  # before mining
+    sets = build_sets_for_config(cfg, features, labels)
+    release_free_heap()  # mining's freed blocks, before training grows the heap
     out_dir.mkdir(parents=True, exist_ok=True)
     neighbors.save_neighbor_sets(sets, out_dir / "neighbors.nns")
 
@@ -357,22 +337,34 @@ def train_stage(
                                   "best-head metrics vs ground truth:", "best")
     outputs = [out_dir / "neighbors.nns", out_dir / "checkpoint.hdb",
                out_dir / "train_report.txt", *lab_paths]
-    return report, outputs, metrics, text
+    return outputs, metrics, text
 
 
-def ensemble_stage(
-    out_dir: Path,
-    inputs,
-    k: int,
-    best_head: int,
-    labels: Labeling | None,
-):
-    """Run supra-consensus over the head labelings, with the best head's own
-    labeling as an extra candidate; write consensus + ANMI table.
+def ensemble_stage(cfg: PipelineConfig, out_dir: Path, features: EmbeddingMatrix | None,
+                   labels: Labeling | None):
+    """Run supra-consensus over the head labelings that ``out_dir``'s train
+    report names, with the best head's own labeling as an extra candidate;
+    write consensus + ANMI table.  The consensus reads no ``features``.
 
-    Returns ``(consensus, outputs, metrics, text)`` as ``train_stage`` does.
+    Returns ``(outputs, metrics, text)`` as ``train_stage`` does.
     """
-    out_dir = Path(out_dir)
+    report = input_file(out_dir / "train_report.txt", "train report")
+    try:
+        block = _machine_block(kvtext.read_lines(report))
+        num_heads, best_head = int(block["num_heads"]), int(block["best_head"])
+    except (KeyError, ValueError) as exc:
+        raise LoadError(f"{report}: not a train report: {type(exc).__name__}: {exc}") from None
+    if not 0 <= best_head < num_heads:
+        raise LoadError(f"{report}: best_head={best_head} is not one of {num_heads} heads")
+    # the heads the report names, not whatever an earlier run left behind
+    inputs = [load_labeling(input_file(out_dir / "labelings" / f"head_{h:03d}.lbl",
+                                       "head labeling"))
+              for h in range(num_heads)]
+    n = inputs[0].n
+    for h, labeling in enumerate(inputs):
+        check_count(labeling, f"labels of head {h}", n, "those of head 0")
+    check_count(labels, "labels", n, "head labelings")
+    k = cfg.ensemble_k(n)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, best_idx = ens.supra_consensus_table(inputs, k, [inputs[best_head]], ["best_head"])
     consensus = rows[best_idx][2]
@@ -392,22 +384,25 @@ def ensemble_stage(
         machine[f"anmi.{name}"] = score
     metrics, text = _write_report(out_dir / "anmi_table.txt", human, machine, consensus, labels,
                                   "consensus metrics vs ground truth:", "consensus")
-    return consensus, [out_dir / "consensus.lbl", out_dir / "anmi_table.txt"], metrics, text
+    return [out_dir / "consensus.lbl", out_dir / "anmi_table.txt"], metrics, text
 
 
-def selftrain_stage(
-    out_dir: Path,
-    features: EmbeddingMatrix,
-    pseudo: Labeling,
-    st_cfg: selftrain.SelfTrainConfig,
-    labels: Labeling | None,
-):
-    """Train the linear probe on pseudo-labels; write checkpoint + predictions.
+def selftrain_stage(cfg: PipelineConfig, out_dir: Path, features: EmbeddingMatrix,
+                    labels: Labeling | None, pseudo_path: Path | None = None):
+    """Train the linear probe on the pseudo-labels at ``pseudo_path``
+    (``out_dir/consensus.lbl`` by default); write checkpoint + predictions.
 
-    Returns ``(classifier, outputs, metrics, text)`` as ``train_stage`` does;
-    the metrics score the probe's predictions.
+    Returns ``(outputs, metrics, text)`` as ``train_stage`` does; the
+    metrics score the probe's predictions.
     """
-    out_dir = Path(out_dir)
+    pseudo = load_labeling(input_file(pseudo_path or out_dir / "consensus.lbl",
+                                      "pseudo-label file"))
+    check_count(pseudo, "pseudo-labels", features.n)
+    try:
+        u32_ids(pseudo.labels)  # the ids the classifier checkpoint stores
+    except ValueError as exc:
+        raise ConfigError(f"pseudo-labels: {exc}") from None
+    st_cfg = cfg.selftrain_config()
     out_dir.mkdir(parents=True, exist_ok=True)
     clf = selftrain.self_train(features, pseudo, st_cfg)
     selftrain.save_classifier(clf, out_dir / "classifier.clf")
@@ -439,51 +434,56 @@ def selftrain_stage(
                                   "classifier metrics vs ground truth:", "clf")
     outputs = [out_dir / "classifier.clf", out_dir / "selftrain_pred.lbl",
                out_dir / "selftrain_report.txt"]
-    return clf, outputs, metrics, text
+    return outputs, metrics, text
+
+
+def run_stage(name: str, cfg: PipelineConfig, out_dir, features: EmbeddingMatrix | None,
+              labels: Labeling | None, manifest: RunManifest | None = None, **inputs) -> str:
+    """Run ``<name>_stage`` (looked up when called), record it in ``manifest``
+    (by default the one ``out_dir`` holds under ``cfg``) in place of its own
+    and later stages' records, write the manifest and return the report text.
+
+    A ``ConfigError`` or ``LoadError`` of the stage's input checks passes
+    through before the stage writes anything; any other failure writes the
+    manifest without the stage's record and raises ``StageError(name)``."""
+    out_dir = Path(out_dir)
+    if manifest is None:  # a stage run alone, by its own command
+        manifest = read_manifest(cfg, out_dir)
+    manifest.stages = [s for s in manifest.stages if STAGES.index(s.name) < STAGES.index(name)]
+    t0 = time.perf_counter()
+    try:
+        outputs, metrics, text = globals()[f"{name}_stage"](cfg, out_dir, features, labels,
+                                                            **inputs)
+    except (ConfigError, LoadError):
+        raise
+    except Exception as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest.write(out_dir / "manifest.json")
+        raise StageError(name, exc) from exc
+    release_free_heap()
+    wall_clock_s = time.perf_counter() - t0
+    outputs = [{"path": str(p), "sha256": sha256_file(p)} for p in outputs]
+    manifest.stages.append(StageRecord(name, outputs, wall_clock_s, metrics))
+    manifest.write(out_dir / "manifest.json")
+    return text
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunManifest:
     """Execute train -> ensemble -> self-train, recording a manifest.
 
-    Configuration errors surface before any stage runs, except a neighbor
-    file's sample count and empty sets, which the train stage checks when it
-    loads the file; a stage failure aborts with that stage's name while
-    earlier artifacts stay on disk.
+    Configuration errors surface before any stage writes a file; a stage
+    failure aborts with that stage's name while earlier artifacts and their
+    records stay on disk.  Each stage after the first reads the files of the
+    one before it.
     """
     features, labels = validate_inputs(cfg)
-    train_cfg = cfg.train_config()
-    k = cfg.ensemble_k(features.n)
-    st_cfg = cfg.selftrain_config()
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    cfg.train_config()  # every stage's config, checked before any work
+    cfg.ensemble_k(features.n)
+    cfg.selftrain_config()
+    out_dir = cfg["output_dir"]
     manifest = RunManifest(config_hash=config_hash(cfg.resolved), seed=cfg["seed"])
-
-    def run_stage(name: str, body):
-        """Time ``body``, a call of a stage function, and record the outputs
-        (hashed) and metrics it returns; on failure write the partial
-        manifest and raise ``StageError(name)``.  Returns the stage's result."""
-        t0 = time.perf_counter()
-        try:
-            result, outputs, metrics, _ = body()
-        except Exception as exc:
-            manifest.write(out_dir / "manifest.json")
-            raise StageError(name, exc) from exc
-        release_free_heap()
-        wall_clock_s = time.perf_counter() - t0
-        outputs = [{"path": str(p), "sha256": sha256_file(p)} for p in outputs]
-        manifest.stages.append(StageRecord(name, outputs, wall_clock_s, metrics))
-        return result
-
-    # multi-head training (mining counts toward it), cluster ensembling,
-    # one round of self-training
-    report = run_stage("train", lambda: train_stage(
-        out_dir, features, build_sets_for_config(cfg, features, labels), train_cfg, labels))
-    consensus = run_stage("ensemble", lambda: ensemble_stage(
-        out_dir, list(report.per_head_labeling), k, report.best_head, labels))
-    run_stage("selftrain", lambda: selftrain_stage(out_dir, features, consensus, st_cfg, labels))
-
-    manifest.write(out_dir / "manifest.json")
+    for name in STAGES:
+        run_stage(name, cfg, out_dir, features, labels, manifest)
     return manifest
 
 

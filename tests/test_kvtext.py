@@ -12,7 +12,7 @@ from clusterens.config import SCHEMA, PipelineConfig, load_pipeline_config, reso
 from clusterens.errors import ConfigError, LoadError
 from clusterens.heads import TrainConfig, config_from_text, config_to_text
 from clusterens.labeling import TEXT_CHUNK
-from clusterens.pipeline import ensemble_inputs, read_machine_block, render_report
+from clusterens.pipeline import ensemble_stage, read_machine_block, render_report
 
 
 @pytest.mark.parametrize("key", [k for k, (_, default) in SCHEMA.items() if default is not None])
@@ -110,7 +110,7 @@ def test_ensemble_refuses_a_train_report_line_without_equals(tmp_path):
     (tmp_path / "train_report.txt").write_text(report + "oops\n")
     cfg = PipelineConfig(resolve({"output_dir": str(tmp_path)}, []))
     with pytest.raises(LoadError, match=r"not a train report: .*machine block:3: .*'oops'"):
-        ensemble_inputs(cfg)
+        ensemble_stage(cfg, tmp_path, None, None)
 
 
 def test_config_echo_line_without_equals_raises():

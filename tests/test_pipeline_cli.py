@@ -36,7 +36,7 @@ from clusterens.labeling import TEXT_CHUNK
 from clusterens.metrics import evaluate
 from clusterens.neighbors import NeighborSets, ground_truth_neighbors, save_neighbor_sets
 from clusterens.pipeline import (
-    ensemble_inputs,
+    MANIFEST_MAX_BYTES,
     ensemble_stage,
     read_machine_block,
     render_report,
@@ -425,10 +425,10 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["ensemble", "--run-dir", str(run), "--k", "3"]) == 0
         assert read_machine_block(capsys.readouterr().out)["num_inputs"] == "2"
-        block = read_machine_block((run / "train_report.txt").read_text())
-        inputs = [load_labeling(run / "labelings" / f"head_{h:03d}.lbl") for h in range(2)]
-        ensemble_stage(tmp_path / "ref", inputs, 3, int(block["best_head"]), None)
-        want = (tmp_path / "ref" / "consensus.lbl").read_bytes()
+        ref = tmp_path / "ref"  # the two named heads and no others
+        shutil.copytree(run, ref, ignore=shutil.ignore_patterns("head_002.lbl", "head_003.lbl"))
+        ensemble_stage(PipelineConfig(resolve({"ensemble.k": "3"}, [])), ref, None, None)
+        want = (ref / "consensus.lbl").read_bytes()
         assert (run / "consensus.lbl").read_bytes() == want
 
         (run / "labelings" / "head_001.lbl").unlink()
@@ -619,9 +619,114 @@ class TestPipeline:
         run = tmp_path / "run"
         code = main(["pipeline", "--config", str(cfg_path), "--set", f"output_dir={run}",
                      "--set", f"neighbors.file={short_nns}"])
-        assert code == 2
+        assert code == 1
         assert "neighbor sets cover 50 samples but features hold 120" in capsys.readouterr().err
-        assert not (run / "neighbors.nns").exists()
+        assert not run.exists()
+
+
+def without_wall_clock(manifest: dict) -> dict:
+    for stage in manifest["stages"]:
+        stage.pop("wall_clock_s")
+    return manifest
+
+
+class TestStageCommandManifests:
+    """``train``, ``ensemble`` and ``selftrain`` run their stage as ``pipeline``
+    does, and each adds its record to the run directory's ``manifest.json``."""
+
+    @pytest.fixture
+    def argv(self, pipeline_run, tmp_path):
+        """``--config`` of the desk-scale run with ``output_dir = run``: the
+        reports embed their paths, so two runs compare only under one name."""
+        t = pipeline_run[0]
+        cfg_path = tmp_path / "rel.cfg"
+        cfg_path.write_text(small_config_text(t / "feats.fpk", t / "labels.lbl", "run"))
+        return ["--config", str(cfg_path)]
+
+    @staticmethod
+    def run_in(where, monkeypatch, *commands, code=0) -> dict:
+        """Run ``commands`` in ``where`` and return its ``run/manifest.json``;
+        the last command exits ``code``, the others 0."""
+        where.mkdir(exist_ok=True)
+        monkeypatch.chdir(where)
+        for i, argv in enumerate(commands):
+            assert main(argv) == (code if i == len(commands) - 1 else 0), argv
+        return json.loads(Path("run/manifest.json").read_text())
+
+    def test_the_three_stage_commands_leave_the_pipeline_manifest(self, argv, tmp_path,
+                                                                  monkeypatch):
+        staged = self.run_in(tmp_path / "A", monkeypatch, ["train", *argv], ["ensemble", *argv],
+                             ["selftrain", *argv, "--pseudo-labels", "run/consensus.lbl"])
+        piped = self.run_in(tmp_path / "B", monkeypatch, ["pipeline", *argv])
+        assert [s["name"] for s in staged["stages"]] == ["train", "ensemble", "selftrain"]
+        assert without_wall_clock(staged) == without_wall_clock(piped)
+
+    def test_a_rerun_replaces_its_record_and_drops_the_later_ones(self, argv, tmp_path,
+                                                                 monkeypatch):
+        before = self.run_in(tmp_path, monkeypatch, ["pipeline", *argv])
+        after = self.run_in(tmp_path, monkeypatch, ["ensemble", *argv])
+        assert [s["name"] for s in after["stages"]] == ["train", "ensemble"]
+        assert after["stages"][0] == before["stages"][0]
+        assert without_wall_clock(after) == without_wall_clock(before | {
+            "stages": before["stages"][:2]})
+        # a run under another config starts a new manifest
+        other = self.run_in(tmp_path, monkeypatch, ["ensemble", *argv, "--k", "2"])
+        assert [s["name"] for s in other["stages"]] == ["ensemble"]
+        assert other["config_hash"] == config_hash(
+            load_pipeline_config(argv[1], ["ensemble.k=2"]).resolved)
+        assert other["config_hash"] != before["config_hash"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_failing_stage_command_leaves_the_manifest_without_its_record(
+            self, argv, tmp_path, monkeypatch, capsys):
+        diverging = [*argv, "--set", "selftrain.lr=1e308"]
+        staged = self.run_in(tmp_path / "A", monkeypatch, ["train", *diverging],
+                             ["ensemble", *diverging],
+                             ["selftrain", *diverging, "--pseudo-labels", "run/consensus.lbl"],
+                             code=2)
+        assert "stage 'selftrain' failed" in capsys.readouterr().err
+        piped = self.run_in(tmp_path / "B", monkeypatch, ["pipeline", *diverging], code=2)
+        assert [s["name"] for s in staged["stages"]] == ["train", "ensemble"]
+        assert without_wall_clock(staged) == without_wall_clock(piped)
+
+    def test_a_failing_rerun_drops_its_own_record(self, argv, tmp_path, monkeypatch, capsys):
+        from clusterens import selftrain
+        from clusterens.errors import TrainingError
+
+        before = self.run_in(tmp_path, monkeypatch, ["pipeline", *argv])
+
+        def fail(*args, **kwargs):
+            raise TrainingError("non-finite self-train loss at step 0", step=0)
+
+        monkeypatch.setattr(selftrain, "self_train", fail)
+        after = self.run_in(tmp_path, monkeypatch,
+                            ["selftrain", *argv, "--pseudo-labels", "run/consensus.lbl"], code=2)
+        assert "stage 'selftrain' failed" in capsys.readouterr().err
+        assert after == before | {"stages": before["stages"][:2]}
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "{",
+        lambda text: "[]",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "stages"}),
+        lambda text: json.dumps(json.loads(text) | {
+            "stages": json.loads(text)["stages"][::-1]}),
+        lambda text: json.dumps(json.loads(text) | {
+            "stages": [{"name": "bogus", "outputs": [], "wall_clock_s": 0, "metrics": None}]}),
+        lambda text: text + " " * MANIFEST_MAX_BYTES,
+    ], ids=["truncated", "list", "no_stages", "reversed", "unknown_stage", "over_the_bound"])
+    def test_a_file_that_is_not_a_run_manifest_exits_2(self, pipeline_run, tmp_path, capsys,
+                                                        edit):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_run[3], run)
+        manifest = run / "manifest.json"
+        pipeline_run[4].write(manifest)  # the three records, whatever ran in the directory since
+        manifest.write_text(edit(manifest.read_text()))
+        before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run.rglob("*")
+                  if p.is_file()}
+        assert main(["ensemble", "--run-dir", str(run), "--k", "3"]) == 2
+        assert f"{manifest}: not a run manifest" in capsys.readouterr().err
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in run.rglob("*")
+                if p.is_file()} == before
 
 
 class TestCli:
@@ -882,7 +987,7 @@ class TestCli:
         assert "not a train report" in err and f"train_report.txt:1: line of more than" in err
         assert len(err) < 1024
         with pytest.raises(LoadError, match="line of more than"):
-            ensemble_inputs(PipelineConfig(resolve({"output_dir": str(tmp_path)}, [])))
+            ensemble_stage(PipelineConfig(resolve({}, [])), tmp_path, None, None)
 
     def test_unknown_key_exit_code_1(self, tmp_path, capsys):
         code = main(["gen-synth", "--set", "bogus.key=1"])
@@ -1148,9 +1253,9 @@ class TestRefusedBeforeWork:
         run = tmp_path / "run"
         code = main(["pipeline", "--config", str(cfg_path), "--set", f"output_dir={run}",
                      "--set", f"neighbors.file={nns}"])
-        assert code == 2
+        assert code == 1
         assert "neighbor sets leave sample 7 without a neighbor" in capsys.readouterr().err
-        assert not (run / "neighbors.nns").exists()
+        assert not run.exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--set", "neighbors.ground_truth=true"],
